@@ -217,6 +217,13 @@ impl Lts {
             }
         }
 
+        // deadness by a full event scan of the state; a state with an edge
+        // is skipped, the edge already proves an event enabled
+        let dead = (0..states.len())
+            .filter(|&i| edges[i].is_empty() && dfs.enabled_events(&states[i]).is_empty())
+            .map(|i| i as u32)
+            .collect();
+
         // pack into the graph representation shared with the engine path
         let node_count = dfs.node_count();
         let stride = DfsSystem::stride_for(node_count);
@@ -237,7 +244,7 @@ impl Lts {
 
         let sys = DfsSystem::new(dfs);
         let graph =
-            ExploredGraph::from_dense(stride, arena, parents, succ_off, Vec::new(), outcome);
+            ExploredGraph::from_dense(stride, arena, parents, succ_off, Vec::new(), dead, outcome);
         Lts {
             node_count,
             graph,
@@ -369,12 +376,14 @@ impl Lts {
         out
     }
 
-    /// States with no outgoing edges (deadlocks).
+    /// The deadlocks: states with no enabled event, ascending, as the
+    /// explorer recorded them on discovery ([`ExploredGraph::dead`] — the
+    /// same definition as `rap_petri::analysis::find_deadlocks`). Exact on
+    /// a truncated LTS too, whose unexpanded frontier states have no edges
+    /// but are not dead.
     #[must_use]
     pub fn deadlocks(&self) -> Vec<LtsStateId> {
-        self.states()
-            .filter(|&s| self.successors(s).is_empty())
-            .collect()
+        self.graph.dead().iter().map(|&s| LtsStateId(s)).collect()
     }
 
     /// Finds a state satisfying `pred`, in BFS (shortest-trace) order,
@@ -788,6 +797,19 @@ mod tests {
             engine::ExploreOutcome::Truncated { limit: 2 }
         );
         assert_eq!(partial.len(), 2);
+    }
+
+    #[test]
+    fn truncated_frontier_is_not_a_deadlock() {
+        let dfs = ring();
+        let partial = Lts::explore_truncated(&dfs, 2);
+        assert!(partial.is_truncated());
+        assert!(partial.successors(LtsStateId(1)).is_empty());
+        assert!(partial.deadlocks().is_empty());
+        assert!(Lts::explore_serial_truncated(&dfs, 2)
+            .deadlocks()
+            .is_empty());
+        assert!(Lts::explore_naive_truncated(&dfs, 2).deadlocks().is_empty());
     }
 
     #[test]

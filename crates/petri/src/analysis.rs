@@ -5,6 +5,12 @@
 //! enabled event must not be disabled by another event firing). Custom
 //! functional properties are expressed in the Reach-style language of the
 //! `rap-reach` crate and evaluated over the same state space.
+//!
+//! Deadness has one definition here, shared with `dfs-core`'s `Lts`: a
+//! state is dead when its enabled set was empty as the explorer committed
+//! it ([`StateSpace::dead_states`]). No analysis re-derives it from "no
+//! recorded successors", which would also match the unexpanded frontier
+//! of a truncated exploration.
 
 use crate::reachability::{
     explore_quotient_truncated, explore_truncated, ExploreConfig, StateId, StateSpace,
@@ -27,12 +33,13 @@ pub struct Deadlock {
 ///
 /// Returns all dead states (often one suffices for debugging, but incorrect
 /// control initialisation in DFS models typically produces families of dead
-/// states; reporting them all mirrors the tool's behaviour).
+/// states; reporting them all mirrors the tool's behaviour). Reads the
+/// explorer's dead list ([`StateSpace::dead_states`]), so a truncated space
+/// reports only states that are really dead, never its unexpanded frontier.
 #[must_use]
 pub fn find_deadlocks(space: &StateSpace) -> Vec<Deadlock> {
     space
-        .states()
-        .filter(|&s| space.successors(s).is_empty())
+        .dead_states()
         .map(|s| Deadlock {
             state: s,
             marking: space.marking(s),
@@ -178,12 +185,20 @@ impl QuickCheck {
 /// the pairs from `PetriImage::complementary_pairs`).
 ///
 /// Truncation is handled soundly in both directions: a violation found in
-/// the prefix is a real violation of the net, and a prefix state without
-/// recorded successors is re-checked against the net for enabled
-/// transitions before being called a deadlock — an unexpanded frontier
-/// state of a truncated exploration is *not* a counterexample. When the
-/// budget was hit and nothing was found, the verdicts say
+/// the prefix is a real violation of the net, and a deadlock is a state
+/// whose enabled set the engine found empty when it committed the state
+/// ([`StateSpace::dead_states`]) — an unexpanded frontier state of a
+/// truncated exploration is *not* a counterexample. When the budget was
+/// hit and nothing was found, the verdicts say
 /// [`QuickVerdict::Inconclusive`] instead of over-claiming.
+///
+/// Neither verdict costs a pass over the explored states. The deadlock
+/// witness is the first entry of the dead list. The 1-safety scan
+/// ([`check_complementary_pairs`]) runs only when the pairs fail the
+/// structural P-invariant certificate
+/// ([`crate::invariants::certify_complementary_pairs`]); a certified pair
+/// set holds on every reachable marking, so the scan could find nothing.
+/// Every DFS translation certifies.
 #[must_use]
 pub fn quick_check(net: &PetriNet, pairs: &[(PlaceId, PlaceId)], max_states: usize) -> QuickCheck {
     quick_check_traced(net, pairs, max_states, &rap_obs::Obs::none())
@@ -272,7 +287,11 @@ pub fn quick_check_quotient(
     verdicts_over(net, &space, pairs, max_states)
 }
 
-/// Shared verdict pass of [`quick_check`] / [`quick_check_quotient`].
+/// Shared verdict step of [`quick_check`] / [`quick_check_quotient`]: the
+/// first dead state is the witness, and the pairs are scanned only when
+/// they fail the structural certificate (a quotient needs nothing more:
+/// the pair set is closed under the symmetry, so every pair of a
+/// representative's marking is a certified pair of a reachable marking).
 fn verdicts_over(
     net: &PetriNet,
     space: &StateSpace,
@@ -281,35 +300,19 @@ fn verdicts_over(
 ) -> QuickCheck {
     let truncated = space.is_truncated();
 
-    let mut deadlock = None;
-    let mut marking = Marking::empty(net.place_count());
-    let mut enabled = Vec::new();
-    for s in space.states() {
-        if !space.successors(s).is_empty() {
-            continue;
-        }
-        // deadness is re-verified on the net itself (a truncated frontier
-        // state has no recorded successors but is not dead); for a quotient
-        // space the representative's marking is checked — deadness is
-        // orbit-invariant, so this equals checking the concrete member
-        space.fill_marking(s, &mut marking);
-        net.enabled_transitions_into(&marking, &mut enabled);
-        if enabled.is_empty() {
-            deadlock = Some(Deadlock {
-                state: s,
-                marking: space.concrete_marking(s),
-                trace: space.concrete_trace_to(s),
-            });
-            break;
-        }
-    }
+    let deadlock = space.dead_states().next().map(|s| Deadlock {
+        state: s,
+        marking: space.concrete_marking(s),
+        trace: space.concrete_trace_to(s),
+    });
     let deadlock_free = match (&deadlock, truncated) {
         (Some(_), _) => QuickVerdict::Violated,
         (None, false) => QuickVerdict::Holds,
         (None, true) => QuickVerdict::Inconclusive { budget: max_states },
     };
 
-    let unsafe_witness = check_complementary_pairs(space, pairs);
+    let unsafe_witness = crate::invariants::certify_complementary_pairs(net, pairs)
+        .and_then(|_| check_complementary_pairs(space, pairs));
     let safe = match (&unsafe_witness, truncated) {
         (Some(_), _) => QuickVerdict::Violated,
         (None, false) => QuickVerdict::Holds,
@@ -389,6 +392,23 @@ mod tests {
         net.consume(t2, b);
         net.produce(t2, a);
         let space = explore(&net, ExploreConfig::default()).unwrap();
+        assert!(find_deadlocks(&space).is_empty());
+    }
+
+    /// An unexpanded frontier state of a truncated exploration has no
+    /// recorded successors but is not dead.
+    #[test]
+    fn truncated_frontier_is_not_a_deadlock() {
+        let net = live_ring_net(8);
+        let space = crate::reachability::explore_truncated(
+            &net,
+            ExploreConfig {
+                max_states: 3,
+                ..ExploreConfig::default()
+            },
+        );
+        assert!(space.is_truncated());
+        assert!(space.successors(StateId::from_index(2)).is_empty());
         assert!(find_deadlocks(&space).is_empty());
     }
 

@@ -33,6 +33,18 @@
 //! traces are therefore thread-count-invariant by construction, and the
 //! differential suite pins parallel ≡ serial ≡ naive state-for-state.
 //!
+//! # Dead states
+//!
+//! Both drivers hold each state's enabled set at the moment they commit it
+//! (the serial engine in its enabled arena, the parallel commit pass in the
+//! dedup index's pending entry), so they record there, once, whether that
+//! set is empty. [`ExploredGraph::dead`] is the resulting ascending list of
+//! dead states. It covers *every* committed state, frontier states of a
+//! truncated run included, so "dead" never has to be re-derived from the
+//! edge list, where an unexpanded frontier state and a deadlock look alike.
+//! In a quotient the recorded set is the representative's, and deadness is
+//! orbit-invariant.
+//!
 //! # Delta-compressed storage
 //!
 //! A BFS successor differs from its parent in the few places its action
@@ -75,6 +87,12 @@ pub const NO_PARENT: u32 = u32::MAX;
 
 /// `anchor_slot` sentinel of a delta-stored state.
 const DELTA: u32 = u32::MAX;
+
+/// Is the word-packed enabled set `en` empty?
+#[inline]
+fn none_enabled(en: &[u64]) -> bool {
+    en.iter().all(|&w| w == 0)
+}
 
 /// Reads bit `i` of a word-packed bitset.
 #[must_use]
@@ -290,6 +308,8 @@ pub struct ExploredGraph {
     pub succ_off: Vec<u32>,
     /// Outgoing edges `(action, successor)` in firing order.
     pub succ: Vec<(u32, u32)>,
+    /// Ascending ids of the states with an empty enabled set.
+    dead: Vec<u32>,
     /// How exploration ended.
     outcome: ExploreOutcome,
 }
@@ -307,6 +327,7 @@ impl ExploredGraph {
             rotations: if symmetric { vec![0] } else { Vec::new() },
             succ_off: vec![0],
             succ: Vec::new(),
+            dead: Vec::new(),
             outcome: ExploreOutcome::Complete,
         };
         if symmetric {
@@ -349,7 +370,8 @@ impl ExploredGraph {
 
     /// Builds an all-anchor (uncompressed) graph from dense parts — used by
     /// the serial engine and the naive reference explorers, which keep a
-    /// dense arena anyway.
+    /// dense arena anyway. `dead` is the ascending list of states with no
+    /// enabled action ([`ExploredGraph::dead`]).
     ///
     /// # Panics
     ///
@@ -361,6 +383,7 @@ impl ExploredGraph {
         parents: Vec<(u32, u32)>,
         succ_off: Vec<u32>,
         succ: Vec<(u32, u32)>,
+        dead: Vec<u32>,
         outcome: ExploreOutcome,
     ) -> Self {
         let n = parents.len();
@@ -376,6 +399,7 @@ impl ExploredGraph {
             rotations: Vec::new(),
             succ_off,
             succ,
+            dead,
             outcome,
         }
     }
@@ -409,6 +433,14 @@ impl ExploredGraph {
     #[must_use]
     pub fn is_truncated(&self) -> bool {
         self.outcome.is_truncated()
+    }
+
+    /// The states with no enabled action, ascending — recorded as each
+    /// state was committed, so unexpanded frontier states of a truncated
+    /// run are never mistaken for deadlocks.
+    #[must_use]
+    pub fn dead(&self) -> &[u32] {
+        &self.dead
     }
 
     /// Reconstructs the bitset words of state `i` into `out` (exactly
@@ -578,6 +610,10 @@ pub fn explore<S: TransitionSystem>(sys: &mut S, max_states: usize) -> ExploredG
     let mut scratch = vec![0u64; stride];
     let mut en_scratch = vec![0u64; astride];
     let mut outcome = ExploreOutcome::Complete;
+    let mut dead: Vec<u32> = Vec::new();
+    if none_enabled(&en_arena) {
+        dead.push(0);
+    }
 
     // States are discovered in BFS order, so a cursor over dense ids is the
     // queue: everything behind it is expanded, everything ahead is frontier.
@@ -605,6 +641,9 @@ pub fn explore<S: TransitionSystem>(sys: &mut S, max_states: usize) -> ExploredG
                         en_scratch.copy_from_slice(&en_arena[en_base..en_base + astride]);
                         sys.update_enabled(a, &scratch, &mut en_scratch);
                         en_arena.extend_from_slice(&en_scratch);
+                        if none_enabled(&en_scratch) {
+                            dead.push(id);
+                        }
                         parents.push((s as u32, a as u32));
                         table.insert(hash, id, &arena, stride);
                         id
@@ -620,7 +659,7 @@ pub fn explore<S: TransitionSystem>(sys: &mut S, max_states: usize) -> ExploredG
         succ_off.push(succ.len() as u32);
     }
 
-    ExploredGraph::from_dense(stride, arena, parents, succ_off, succ, outcome)
+    ExploredGraph::from_dense(stride, arena, parents, succ_off, succ, dead, outcome)
 }
 
 /// A cyclic symmetry of a [`TransitionSystem`], given by one generator: a
@@ -929,6 +968,9 @@ where
     };
 
     let mut g = ExploredGraph::with_initial(stride, &init, rot0, sym.is_some());
+    if none_enabled(&en0) {
+        g.dead.push(0);
+    }
     let mut index = ShardIndex::new(threads.max(8) * 8, stride, astride);
     match index.probe_or_insert(
         hash_words(&init),
@@ -1095,6 +1137,9 @@ where
                                 let pw = &frontier_words
                                     [parent_local * stride..(parent_local + 1) * stride];
                                 g.push_state(w, pw, anchor_next, parent_id, e.action, e.rotation);
+                                if none_enabled(en) {
+                                    g.dead.push(id);
+                                }
                                 next_words.extend_from_slice(w);
                                 next_en.extend_from_slice(en);
                                 index.assign(h, id);
@@ -1558,6 +1603,7 @@ mod tests {
                     assert_eq!(a.succ, b.succ);
                     assert_eq!(a.succ_off, b.succ_off);
                     assert_eq!(a.parents, b.parents);
+                    assert_eq!(a.dead(), b.dead());
                     for i in 0..a.len() {
                         assert_eq!(a.state_vec(i), b.state_vec(i));
                     }

@@ -152,22 +152,63 @@ fn normalise(row: &mut (Vec<i64>, Vec<i64>)) {
 
 /// Certifies that every place in `pairs` is 1-bounded structurally: each
 /// pair must be a P-invariant with initial token sum 1. Returns the index
-/// of the first failing pair.
+/// of the first failing pair; a pair naming a place the net does not have
+/// fails.
+///
+/// The weight vector of pair `(a, b)` is zero outside `{a, b}`, so it is
+/// an invariant iff every transition that moves a token in `a` moves the
+/// opposite token in `b`, and vice versa. One pass over each transition's
+/// arcs records every place's net effect, counts the transitions that move
+/// each place, and counts per pair the transitions where the two effects
+/// cancel; the pair then holds iff all three counts agree — O(arcs +
+/// pairs) in place of a scan per pair and transition.
 #[must_use]
 pub fn certify_complementary_pairs(net: &PetriNet, pairs: &[(PlaceId, PlaceId)]) -> Option<usize> {
-    let m0 = net.initial_marking();
-    for (i, &(a, b)) in pairs.iter().enumerate() {
-        // the weight vector is zero outside {a, b}: only those two places
-        // contribute to yᵀ·C, so check them directly per transition
-        let holds = net
-            .transitions()
-            .all(|t| incidence(net, a, t) + incidence(net, b, t) == 0);
-        let sum = i64::from(m0.is_marked(a)) + i64::from(m0.is_marked(b));
-        if !holds || sum != 1 {
-            return Some(i);
+    let np = net.place_count();
+    let in_net = |&(a, b): &(PlaceId, PlaceId)| a.index() < np && b.index() < np;
+    // pair indices grouped by first place
+    let mut by_first: Vec<usize> = (0..pairs.len()).filter(|&i| in_net(&pairs[i])).collect();
+    by_first.sort_by_key(|&i| pairs[i].0);
+
+    let mut effect = vec![0i8; np];
+    let mut moves = vec![0u32; np];
+    let mut cancels = vec![0u32; pairs.len()];
+    for t in net.transitions() {
+        let tr = net.transition(t);
+        let arcs = || tr.consumes().iter().chain(tr.produces());
+        for &p in tr.consumes() {
+            effect[p.index()] -= 1;
+        }
+        for &p in tr.produces() {
+            effect[p.index()] += 1;
+        }
+        // a place both consumed and produced nets 0, so each place that
+        // moves passes this test exactly once
+        for &p in arcs() {
+            let e = effect[p.index()];
+            if e == 0 {
+                continue;
+            }
+            moves[p.index()] += 1;
+            let first = by_first.partition_point(|&i| pairs[i].0 < p);
+            for &i in by_first[first..].iter().take_while(|&&i| pairs[i].0 == p) {
+                if effect[pairs[i].1.index()] == -e {
+                    cancels[i] += 1;
+                }
+            }
+        }
+        for &p in arcs() {
+            effect[p.index()] = 0;
         }
     }
-    None
+
+    let m0 = net.initial_marking();
+    pairs.iter().enumerate().position(|(i, pair @ &(a, b))| {
+        !in_net(pair)
+            || moves[a.index()] != cancels[i]
+            || moves[b.index()] != cancels[i]
+            || u8::from(m0.is_marked(a)) + u8::from(m0.is_marked(b)) != 1
+    })
 }
 
 #[cfg(test)]
@@ -266,5 +307,21 @@ mod tests {
         bad.read(t, y0);
         bad.produce(t, y1);
         assert_eq!(certify_complementary_pairs(&bad, &[(y0, y1)]), Some(0));
+    }
+
+    #[test]
+    fn pairs_outside_the_net_fail_certification() {
+        let net = ring(2);
+        let (p0, p1, far) = (
+            PlaceId::from_index(0),
+            PlaceId::from_index(1),
+            PlaceId::from_index(7),
+        );
+        assert_eq!(certify_complementary_pairs(&net, &[(p0, p1)]), None);
+        assert_eq!(
+            certify_complementary_pairs(&net, &[(p0, p1), (p0, far)]),
+            Some(1)
+        );
+        assert_eq!(certify_complementary_pairs(&net, &[(far, p1)]), Some(0));
     }
 }

@@ -214,6 +214,16 @@ impl StateSpace {
         (0..self.graph.len() as u32).map(StateId)
     }
 
+    /// The dead states — no transition enabled — in ascending order, as
+    /// the explorer recorded them on discovery ([`ExploredGraph::dead`]).
+    /// Exact on truncated spaces too: an unexpanded frontier state has no
+    /// recorded successors but is listed only if it is really dead. For a
+    /// quotient space these are dead representatives (deadness is
+    /// orbit-invariant).
+    pub fn dead_states(&self) -> impl Iterator<Item = StateId> + '_ {
+        self.graph.dead().iter().map(|&s| StateId(s))
+    }
+
     /// Outgoing edges `(transition, successor)` of `state`.
     #[must_use]
     pub fn successors(&self, state: StateId) -> &[(TransitionId, StateId)] {
@@ -460,6 +470,13 @@ pub fn explore_naive_truncated(net: &PetriNet, config: ExploreConfig) -> StateSp
         }
     }
 
+    // deadness by a full transition scan of the marking; a state with an
+    // edge is skipped, the edge already proves a transition enabled
+    let dead = (0..markings.len())
+        .filter(|&i| successors[i].is_empty() && net.enabled_transitions(&markings[i]).is_empty())
+        .map(|i| i as u32)
+        .collect();
+
     // pack into the graph representation shared with the engine path
     let places = net.place_count();
     let stride = places.div_ceil(64).max(1);
@@ -477,7 +494,7 @@ pub fn explore_naive_truncated(net: &PetriNet, config: ExploreConfig) -> StateSp
         succ_off.push(succ.len() as u32);
     }
 
-    let graph = ExploredGraph::from_dense(stride, arena, parents, succ_off, succ, outcome);
+    let graph = ExploredGraph::from_dense(stride, arena, parents, succ_off, succ, dead, outcome);
     StateSpace::from_graph(graph, places, None)
 }
 
@@ -605,6 +622,8 @@ mod tests {
                 assert_eq!(s.marking(sa), b.marking(sb));
                 assert_eq!(s.successors(sa), b.successors(sb));
             }
+            assert!(a.dead_states().eq(b.dead_states()));
+            assert!(s.dead_states().eq(b.dead_states()));
         }
     }
 }

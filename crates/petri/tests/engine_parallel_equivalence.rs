@@ -6,12 +6,18 @@
 //! order or truncation. These tests pin that contract by comparing
 //! serial, untraced-parallel and traced-parallel runs state-for-state at
 //! threads ∈ {1, 2, 8}.
+//!
+//! The comparison includes the dead-state list each engine records as it
+//! commits states ([`ExploredGraph::dead`]), under tiny budgets (where the
+//! truncated frontier must not be mistaken for deadlocks) and in quotient
+//! mode, where no serial reference exists and a full enabledness scan of
+//! every representative is the oracle.
 
 use proptest::prelude::*;
 use rap_obs::{Collector, Obs};
 use rap_petri::engine::{
     explore, explore_parallel, explore_parallel_traced, EngineConfig, EngineStats, ExploredGraph,
-    NetSystem,
+    Incidence, NetSystem, StateSymmetry,
 };
 use rap_petri::{PetriNet, PlaceId};
 use std::sync::Arc;
@@ -27,17 +33,69 @@ fn cfg(max_states: usize, threads: usize) -> EngineConfig {
     }
 }
 
-/// Full observational equality: counts, outcome, parent links, CSR edges
-/// and every reconstructed state vector.
+/// Full observational equality: counts, outcome, parent links, CSR edges,
+/// dead states and every reconstructed state vector.
 fn assert_identical(a: &ExploredGraph, b: &ExploredGraph, ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: state count");
     assert_eq!(a.outcome(), b.outcome(), "{ctx}: outcome");
     assert_eq!(a.parents, b.parents, "{ctx}: parent attribution");
     assert_eq!(a.succ_off, b.succ_off, "{ctx}: CSR offsets");
     assert_eq!(a.succ, b.succ, "{ctx}: edge order");
+    assert_eq!(a.dead(), b.dead(), "{ctx}: dead states");
     for i in 0..a.len() {
         assert_eq!(a.state_vec(i), b.state_vec(i), "{ctx}: state {i}");
     }
+}
+
+/// The dead states of `g` by a full scan: every state whose marking
+/// enables no transition of `net`.
+fn scanned_dead(net: &PetriNet, g: &ExploredGraph) -> Vec<u32> {
+    let inc = Incidence::from_net(net);
+    (0..g.len())
+        .filter(|&i| {
+            let words = g.state_vec(i);
+            net.transitions().all(|t| !inc.is_enabled(t, &words))
+        })
+        .map(|i| i as u32)
+        .collect()
+}
+
+/// `copies` disjoint copies of `base`, with the rotation that maps copy
+/// `c` onto copy `c + 1` (places and transitions alike).
+fn replicated(base: &PetriNet, copies: usize) -> (PetriNet, StateSymmetry) {
+    let (np, nt) = (base.place_count(), base.transition_count());
+    let mut net = PetriNet::new();
+    for c in 0..copies {
+        for p in base.places() {
+            net.add_place(
+                format!("c{c}_p{}", p.index()),
+                base.place(p).initially_marked,
+            );
+        }
+    }
+    for c in 0..copies {
+        for t in base.transitions() {
+            let nt_id = net.add_transition(format!("c{c}_t{}", t.index()));
+            let tr = base.transition(t);
+            let at = |p: PlaceId| PlaceId::from_index(c * np + p.index());
+            for &p in tr.consumes() {
+                net.consume(nt_id, at(p));
+            }
+            for &p in tr.produces() {
+                net.produce(nt_id, at(p));
+            }
+            for &p in tr.reads() {
+                net.read(nt_id, at(p));
+            }
+        }
+    }
+    let rotate = |n: usize| -> Vec<u32> {
+        (0..copies * n)
+            .map(|i| ((i + n) % (copies * n)) as u32)
+            .collect()
+    };
+    let sym = StateSymmetry::new(rotate(np), rotate(nt)).expect("rotation is a permutation");
+    (net, sym)
 }
 
 fn ring(n: usize) -> PetriNet {
@@ -150,20 +208,40 @@ proptest! {
     #[test]
     fn parallel_equivalence_holds_under_tracing(net in arb_net(10, 8)) {
         let mut sys = NetSystem::new(&net);
-        let serial = explore(&mut sys, 2_000);
-        for threads in THREAD_COUNTS {
-            let plain = explore_parallel(|| NetSystem::new(&net), &cfg(2_000, threads), None);
-            let collector = Arc::new(Collector::new());
-            let traced = explore_parallel_traced(
-                || NetSystem::new(&net),
-                &cfg(2_000, threads),
-                None,
-                &Obs::collecting(&collector),
-            );
-            assert_identical(&serial, &plain, &format!("plain t={threads}"));
-            assert_identical(&serial, &traced, &format!("traced t={threads}"));
-            let stats = EngineStats::from_counters(&collector.snapshot().counters);
-            prop_assert_eq!(stats.states, traced.len() as u64);
+        for budget in [2_000usize, 40, 7, 2, 1] {
+            let serial = explore(&mut sys, budget);
+            prop_assert_eq!(serial.dead(), scanned_dead(&net, &serial).as_slice());
+            for threads in THREAD_COUNTS {
+                let plain = explore_parallel(|| NetSystem::new(&net), &cfg(budget, threads), None);
+                let collector = Arc::new(Collector::new());
+                let traced = explore_parallel_traced(
+                    || NetSystem::new(&net),
+                    &cfg(budget, threads),
+                    None,
+                    &Obs::collecting(&collector),
+                );
+                let ctx = format!("t={threads} budget={budget}");
+                assert_identical(&serial, &plain, &format!("plain {ctx}"));
+                assert_identical(&serial, &traced, &format!("traced {ctx}"));
+                let stats = EngineStats::from_counters(&collector.snapshot().counters);
+                prop_assert_eq!(stats.states, traced.len() as u64);
+            }
+        }
+    }
+
+    /// Quotient mode: on two or three rotated copies of a random net, the
+    /// dead list is identical at every thread count and budget, and equals
+    /// a full enabledness scan of the representatives.
+    #[test]
+    fn quotient_dead_states_match_a_full_scan(base in arb_net(5, 4), copies in 2usize..=3) {
+        let (net, sym) = replicated(&base, copies);
+        for budget in [2_000usize, 40, 7, 2, 1] {
+            let one = explore_parallel(|| NetSystem::new(&net), &cfg(budget, 1), Some(&sym));
+            prop_assert_eq!(one.dead(), scanned_dead(&net, &one).as_slice(), "budget={}", budget);
+            for threads in THREAD_COUNTS {
+                let par = explore_parallel(|| NetSystem::new(&net), &cfg(budget, threads), Some(&sym));
+                assert_identical(&one, &par, &format!("quotient t={threads} budget={budget}"));
+            }
         }
     }
 }

@@ -43,6 +43,57 @@ fn token_count(m: &Marking) -> usize {
     m.count()
 }
 
+/// Strategy: a net over `np` places whose transitions either flip one of
+/// the random `pairs` (consume one side, produce the other, plus reads) or
+/// carry random arcs — so pair certificates both hold and fail.
+fn arb_paired_net(np: usize) -> impl Strategy<Value = (PetriNet, Vec<(PlaceId, PlaceId)>)> {
+    let marks = proptest::collection::vec(any::<bool>(), np);
+    let pairs = proptest::collection::vec((0..np, 0..np), 1..5);
+    let transitions = proptest::collection::vec(
+        (
+            any::<bool>(), // flip a pair, or random arcs
+            0usize..8,     // which pair
+            any::<bool>(), // flip direction
+            proptest::collection::vec(0..np, 0..3),
+            proptest::collection::vec(0..np, 0..3),
+            proptest::collection::vec(0..np, 0..2),
+        ),
+        0..8,
+    );
+    (marks, pairs, transitions).prop_map(move |(marks, pairs, transitions)| {
+        let mut net = PetriNet::new();
+        let places: Vec<PlaceId> = marks
+            .iter()
+            .enumerate()
+            .map(|(i, &m)| net.add_place(format!("p{i}"), m))
+            .collect();
+        let pairs: Vec<(PlaceId, PlaceId)> = pairs
+            .into_iter()
+            .map(|(a, b)| (places[a], places[b]))
+            .collect();
+        for (i, (flip, j, dir, cons, prod, reads)) in transitions.into_iter().enumerate() {
+            let t = net.add_transition(format!("t{i}"));
+            if flip {
+                let (a, b) = pairs[j % pairs.len()];
+                let (from, to) = if dir { (a, b) } else { (b, a) };
+                net.consume(t, from);
+                net.produce(t, to);
+            } else {
+                for c in cons {
+                    net.consume(t, places[c]);
+                }
+                for p in prod {
+                    net.produce(t, places[p]);
+                }
+            }
+            for r in reads {
+                net.read(t, places[r]);
+            }
+        }
+        (net, pairs)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -149,6 +200,23 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The one-pass pair certificate agrees with its definition: pair
+    /// `(a, b)` is certified iff its weight vector (1 on `a` and `b`, 2 when
+    /// they coincide) is a P-invariant and the initial token sum is 1, and
+    /// the first failing pair is the one reported.
+    #[test]
+    fn pair_certificate_matches_the_invariant_definition((net, pairs) in arb_paired_net(8)) {
+        let m0 = net.initial_marking();
+        let want = pairs.iter().position(|&(a, b)| {
+            let mut w = vec![0i64; net.place_count()];
+            w[a.index()] += 1;
+            w[b.index()] += 1;
+            let sum = u8::from(m0.is_marked(a)) + u8::from(m0.is_marked(b));
+            !rap_petri::invariants::is_invariant(&net, &w) || sum != 1
+        });
+        prop_assert_eq!(rap_petri::invariants::certify_complementary_pairs(&net, &pairs), want);
     }
 
     /// Counterexample traces reconstructed by the explorer replay from the

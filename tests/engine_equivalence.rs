@@ -15,7 +15,7 @@ use rap::dfs::pipelines::{build_pipeline, PipelineSpec};
 use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{to_petri, Dfs, DfsState, Lts};
 use rap::petri::reachability::{
-    explore_naive_truncated, explore_truncated, ExploreConfig, StateSpace,
+    explore_naive_truncated, explore_serial_truncated, explore_truncated, ExploreConfig, StateSpace,
 };
 use rap::petri::{PetriNet, PlaceId};
 
@@ -71,8 +71,10 @@ fn arb_pipeline() -> impl Strategy<Value = Dfs> {
         })
 }
 
-/// Full equivalence of the two Petri explorers, including the replay of
-/// every counterexample (per-state shortest trace).
+/// Full equivalence of the Petri explorers, including the replay of every
+/// counterexample (per-state shortest trace). The dead states the engines
+/// record on discovery must equal the naive explorer's full-scan ones —
+/// parallel ≡ serial ≡ naive.
 fn assert_pn_equivalent(net: &PetriNet, max_states: usize) -> Result<(), TestCaseError> {
     let cfg = ExploreConfig {
         max_states,
@@ -82,6 +84,12 @@ fn assert_pn_equivalent(net: &PetriNet, max_states: usize) -> Result<(), TestCas
     let naive = explore_naive_truncated(net, cfg);
     prop_assert_eq!(engine.len(), naive.len());
     prop_assert_eq!(engine.is_truncated(), naive.is_truncated());
+    prop_assert!(engine.dead_states().eq(naive.dead_states()), "dead states");
+    let serial = explore_serial_truncated(net, cfg);
+    prop_assert!(
+        serial.dead_states().eq(naive.dead_states()),
+        "serial dead states"
+    );
     for (a, b) in engine.states().zip(naive.states()) {
         prop_assert_eq!(&engine.marking(a), &naive.marking(b));
         prop_assert_eq!(engine.successors(a), naive.successors(b));
@@ -109,6 +117,11 @@ fn assert_lts_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), TestCaseErr
     let naive = Lts::explore_naive_truncated(dfs, max_states);
     prop_assert_eq!(engine.len(), naive.len());
     prop_assert_eq!(engine.is_truncated(), naive.is_truncated());
+    prop_assert_eq!(engine.deadlocks(), naive.deadlocks());
+    prop_assert_eq!(
+        Lts::explore_serial_truncated(dfs, max_states).deadlocks(),
+        naive.deadlocks()
+    );
     for (a, b) in engine.states().zip(naive.states()) {
         prop_assert_eq!(&engine.state(a), &naive.state(b));
         prop_assert_eq!(engine.successors(a), naive.successors(b));
@@ -150,8 +163,10 @@ proptest! {
     #[test]
     fn random_pipelines_agree(dfs in arb_pipeline()) {
         let img = to_petri(&dfs);
-        assert_pn_equivalent(&img.net, 3_000)?;
-        assert_lts_equivalent(&dfs, 3_000)?;
+        for cap in [3_000usize, 7, 1] {
+            assert_pn_equivalent(&img.net, cap)?;
+            assert_lts_equivalent(&dfs, cap)?;
+        }
         let pn = explore_truncated(&img.net, ExploreConfig { max_states: 3_000, ..ExploreConfig::default() });
         let lts = Lts::explore_truncated(&dfs, 3_000);
         if !pn.is_truncated() && !lts.is_truncated() {
@@ -179,9 +194,11 @@ fn wagged_shapes_agree() {
         for (a, b) in engine.states().zip(naive.states()) {
             assert_eq!(engine.successors(a), naive.successors(b));
         }
+        assert!(engine.dead_states().eq(naive.dead_states()), "ways={ways}");
         let l_engine = Lts::explore_truncated(&w.dfs, cap);
         let l_naive = Lts::explore_naive_truncated(&w.dfs, cap);
         assert_eq!(l_engine.len(), l_naive.len(), "ways={ways}");
         assert_eq!(l_engine.is_truncated(), l_naive.is_truncated());
+        assert_eq!(l_engine.deadlocks(), l_naive.deadlocks(), "ways={ways}");
     }
 }

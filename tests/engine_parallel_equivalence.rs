@@ -99,10 +99,11 @@ fn arb_pipeline() -> impl Strategy<Value = Dfs> {
 }
 
 /// Exact observational identity of two state spaces: numbering, markings,
-/// edges, traces, truncation.
+/// edges, traces, truncation and the recorded dead states.
 fn assert_spaces_identical(a: &StateSpace, b: &StateSpace, ctx: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.len(), b.len(), "{}: state count", ctx);
     prop_assert_eq!(a.outcome(), b.outcome(), "{}: outcome", ctx);
+    prop_assert!(a.dead_states().eq(b.dead_states()), "{}: dead states", ctx);
     for (sa, sb) in a.states().zip(b.states()) {
         prop_assert_eq!(&a.marking(sa), &b.marking(sb), "{}: marking", ctx);
         prop_assert_eq!(a.successors(sa), b.successors(sb), "{}: edges", ctx);
@@ -167,6 +168,7 @@ fn assert_lts_parallel_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), Te
             let ctx = format!("threads={threads} anchors={anchor_interval}");
             prop_assert_eq!(par.len(), serial.len(), "{}: state count", &ctx);
             prop_assert_eq!(par.outcome(), serial.outcome(), "{}: outcome", &ctx);
+            prop_assert_eq!(par.deadlocks(), serial.deadlocks(), "{}: dead states", &ctx);
             for (sa, sb) in par.states().zip(serial.states()) {
                 prop_assert_eq!(par.state(sa), serial.state(sb), "{}: state", &ctx);
                 prop_assert_eq!(par.successors(sa), serial.successors(sb), "{}: edges", &ctx);
@@ -197,12 +199,15 @@ proptest! {
         }
     }
 
-    /// Random paper pipelines, both backends, with forced delta anchors.
+    /// Random paper pipelines, both backends, with forced delta anchors,
+    /// exhaustive and under tiny budgets.
     #[test]
     fn random_pipelines_parallel_equals_serial(dfs in arb_pipeline()) {
         let img = to_petri(&dfs);
-        assert_parallel_equivalent(&img.net, 3_000)?;
-        assert_lts_parallel_equivalent(&dfs, 3_000)?;
+        for cap in [3_000usize, 7, 1] {
+            assert_parallel_equivalent(&img.net, cap)?;
+            assert_lts_parallel_equivalent(&dfs, cap)?;
+        }
     }
 }
 
@@ -232,6 +237,7 @@ fn wagged_shapes_parallel_equals_serial() {
                 );
                 assert_eq!(par.len(), serial.len(), "ways={ways} threads={threads}");
                 assert_eq!(par.outcome(), serial.outcome());
+                assert!(par.dead_states().eq(serial.dead_states()));
                 for (sa, sb) in par.states().zip(serial.states()) {
                     assert_eq!(par.successors(sa), serial.successors(sb));
                 }
