@@ -36,7 +36,7 @@ fn bench_state_space_engine(c: &mut Criterion) {
         b.iter(|| Lts::explore_naive_truncated(&p.dfs, 10_000_000).len())
     });
     c.bench_function("lts_explore_engine_reconfig_2stage", |b| {
-        b.iter(|| Lts::explore_truncated(&p.dfs, 10_000_000).len())
+        b.iter(|| Lts::explore(&p.dfs, 10_000_000).unwrap().len())
     });
 }
 

@@ -26,7 +26,7 @@
 //! the `BENCH_dse.json` numbers are unchanged by it.
 
 use rap_bench::cli::BenchCli;
-use rap_bench::dse::{design_point, render_json_with_trace, run_sweep_traced, validate};
+use rap_bench::dse::{design_point, render_json_with_trace, run_sweep, validate};
 use rap_bench::trace::TraceSink;
 use rap_bench::{banner, num, row};
 use rap_dse::{explore, DseConfig};
@@ -44,7 +44,7 @@ fn main() {
         "Design-space exploration: which pipeline should I build?"
     });
 
-    let run = run_sweep_traced(quick, cli.cache.as_deref(), &sink.obs());
+    let run = run_sweep(quick, cli.cache.as_deref(), &sink.obs());
     let stats = run.outcome.stats;
     println!(
         "{} configurations in {} ms on {} threads: {} full evaluations, \

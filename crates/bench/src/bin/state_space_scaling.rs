@@ -15,12 +15,12 @@
 //! configuration); `--out` overrides the output path. The emitted JSON is
 //! schema-validated before the process exits. `--trace-out` attaches a
 //! live collector and writes the run's `rap/trace/v1` profile — per-case
-//! spans with the engine's per-level expand/dedup/commit breakdown — and
+//! spans with the engine's per-level expand/commit breakdown — and
 //! embeds its summary into the BENCH json; recording is observation-only,
 //! so every measured number is unchanged.
 
 use rap_bench::cli::BenchCli;
-use rap_bench::state_space::{render_json_with_trace, run_sweep_traced, validate, THREADS};
+use rap_bench::state_space::{render_json_with_trace, run_sweep, validate, THREADS};
 use rap_bench::trace::TraceSink;
 use rap_bench::{banner, num, row};
 
@@ -35,7 +35,7 @@ fn main() {
     } else {
         "State-space scaling: naive vs serial vs parallel engine"
     });
-    let cases = run_sweep_traced(quick, &sink.obs());
+    let cases = run_sweep(quick, &sink.obs());
 
     let widths = [27usize, 6, 9, 11, 11, 8, 20, 10];
     let thread_header = THREADS

@@ -115,7 +115,8 @@ pub struct SweepRun {
     pub quick: bool,
 }
 
-/// Runs the sweep with the default driver configuration.
+/// Runs the sweep with the default driver configuration, recording into
+/// `obs`.
 ///
 /// `cache` names the persistent artifact-store directory. `None` uses a
 /// scratch directory removed before returning; passing a real path makes
@@ -125,6 +126,16 @@ pub struct SweepRun {
 /// in-process restart pass: a fresh session over the store directory that
 /// must reproduce the fronts bit-identically with **zero** full
 /// evaluations.
+///
+/// The three passes open `dse.pass.cold` / `dse.pass.warm` /
+/// `dse.pass.restart` spans under `obs`, each sweep's `dse.sweep`/`dse.eval`
+/// spans and provenance events nest inside its pass, and the sessions and
+/// stores record into `obs` too, so the full query lifecycle (`session.*`)
+/// and disk latencies (`store.*_ns`) land in the same collector. Recording
+/// is observation-only: the returned fronts are bit-identical to a run
+/// over [`Obs::none`] (this very function asserts front equality across
+/// its own passes either way, and `tests/trace_schema.rs` asserts it
+/// across traced/untraced runs).
 ///
 /// # Panics
 ///
@@ -136,21 +147,7 @@ pub struct SweepRun {
 /// tripwire; the front-equivalence property is additionally tested with
 /// pruning disabled in `rap-dse`'s test-suite).
 #[must_use]
-pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>) -> SweepRun {
-    run_sweep_traced(quick, cache, &Obs::none())
-}
-
-/// [`run_sweep`] with a recorder attached: the three passes open
-/// `dse.pass.cold` / `dse.pass.warm` / `dse.pass.restart` spans under
-/// `obs`, each sweep's `dse.sweep`/`dse.eval` spans and provenance events
-/// nest inside its pass, and the sessions/stores are opened traced so the
-/// full query lifecycle (`session.*`) and disk latencies (`store.*_ns`)
-/// land in the same collector. Recording is observation-only: the
-/// returned fronts are bit-identical to an untraced run (this very
-/// function asserts front equality across its own passes either way, and
-/// `tests/trace_schema.rs` asserts it across traced/untraced runs).
-#[must_use]
-pub fn run_sweep_traced(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> SweepRun {
+pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> SweepRun {
     let space = paper_space(quick);
     let cost = CostModel::default();
     let cfg = DseConfig::default();
@@ -169,11 +166,13 @@ pub fn run_sweep_traced(quick: bool, cache: Option<&std::path::Path>, obs: &Obs)
     };
     // store opens do real I/O (dir creation, lock fsync, orphan sweep):
     // keep them inside spans so cold-cache runs stay fully accounted
-    let session = {
+    let open = || {
         let _span = obs.span("session.open");
-        rap_session::Session::open_traced(&store_dir, obs.clone())
-            .unwrap_or_else(|e| panic!("cannot open artifact store {}: {e:?}", store_dir.display()))
+        rap_session::Store::open(&store_dir)
+            .map(|store| rap_session::Session::with(Some(store), obs.clone()))
     };
+    let session = open()
+        .unwrap_or_else(|e| panic!("cannot open artifact store {}: {e:?}", store_dir.display()));
     let t0 = Instant::now();
     let outcome = {
         let pass = obs.span("dse.pass.cold");
@@ -199,11 +198,7 @@ pub fn run_sweep_traced(quick: bool, cache: Option<&std::path::Path>, obs: &Obs)
     // served from disk, so the fronts are bit-identical at zero full
     // evaluations: the crash-safety contract, measured
     drop(session);
-    let session = {
-        let _span = obs.span("session.open");
-        rap_session::Session::open_traced(&store_dir, obs.clone())
-            .unwrap_or_else(|e| panic!("cannot reopen artifact store: {e:?}"))
-    };
+    let session = open().unwrap_or_else(|e| panic!("cannot reopen artifact store: {e:?}"));
     let t2 = Instant::now();
     let restart = {
         let pass = obs.span("dse.pass.restart");

@@ -21,10 +21,9 @@ use dfs_core::pipelines::{build_pipeline, PipelineSpec};
 use dfs_core::wagging::wagged_pipeline;
 use dfs_core::{node_rotation_symmetry, to_petri, Dfs, Lts};
 use rap_obs::{Obs, Snapshot};
-use rap_petri::engine::EngineConfig;
 use rap_petri::reachability::{
-    explore_naive_truncated, explore_quotient_truncated_traced, explore_serial_truncated,
-    explore_truncated_traced, ExploreConfig,
+    explore_naive_truncated, explore_quotient_truncated, explore_serial_truncated,
+    explore_truncated, ExploreConfig,
 };
 use std::time::Instant;
 
@@ -108,24 +107,27 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
     (last.expect("reps >= 1"), best)
 }
 
-fn cfg(threads: usize) -> ExploreConfig {
+/// The sweep's exploration config at `threads` workers, recording into
+/// `obs`.
+fn cfg(threads: usize, obs: &Obs) -> ExploreConfig {
     ExploreConfig {
         max_states: MAX_STATES,
         threads,
         deadline: None,
+        obs: obs.clone(),
     }
 }
 
 fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, obs: &Obs) -> Case {
     // one span per case; the parallel/quotient explorations below feed
-    // their per-level expand/dedup/commit spans into it, so a traced
+    // their per-level expand/commit spans into it, so a traced
     // BENCH_state_space.json can attribute each case's time to the
     // engine's phases
     let case_span = obs.span("bench.case.petri");
     let cobs = case_span.obs();
     let img = to_petri(dfs);
-    let (naive, naive_ms) = best_of(reps, || explore_naive_truncated(&img.net, cfg(1)));
-    let (serial, engine_ms) = best_of(reps, || explore_serial_truncated(&img.net, cfg(1)));
+    let (naive, naive_ms) = best_of(reps, || explore_naive_truncated(&img.net, cfg(1, &cobs)));
+    let (serial, engine_ms) = best_of(reps, || explore_serial_truncated(&img.net, cfg(1, &cobs)));
     assert_eq!(
         (naive.len(), naive.is_truncated()),
         (serial.len(), serial.is_truncated()),
@@ -133,7 +135,7 @@ fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, 
     );
     let mut threads = Vec::new();
     for &t in THREADS {
-        let (par, ms) = best_of(reps, || explore_truncated_traced(&img.net, cfg(t), &cobs));
+        let (par, ms) = best_of(reps, || explore_truncated(&img.net, cfg(t, &cobs)));
         assert_eq!(
             (par.len(), par.is_truncated()),
             (serial.len(), serial.is_truncated()),
@@ -148,7 +150,7 @@ fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, 
                 .expect("way rotation induces a net automorphism")
                 .state_symmetry();
             let (quo, ms) = best_of(reps, || {
-                explore_quotient_truncated_traced(&img.net, cfg(1), &sym, &cobs)
+                explore_quotient_truncated(&img.net, cfg(1, &cobs), &sym)
             });
             assert!(!quo.is_truncated(), "{name}: quotient truncated");
             (Some(quo.len()), Some(ms))
@@ -178,17 +180,9 @@ fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, ob
         (serial.len(), serial.is_truncated()),
         "{name}: serial engine disagrees with the naive explorer"
     );
-    let ecfg = |t: usize| EngineConfig {
-        max_states: MAX_STATES,
-        threads: t,
-        anchor_interval: 0,
-        deadline: None,
-    };
     let mut threads = Vec::new();
     for &t in THREADS {
-        let (par, ms) = best_of(reps, || {
-            Lts::explore_with_traced(dfs, &ecfg(t), None, &cobs)
-        });
+        let (par, ms) = best_of(reps, || Lts::explore_with(dfs, &cfg(t, &cobs), None));
         assert_eq!(
             (par.len(), par.is_truncated()),
             (serial.len(), serial.is_truncated()),
@@ -200,9 +194,7 @@ fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, ob
         Some(perm) => {
             let sym = node_rotation_symmetry(dfs, perm)
                 .expect("way rotation is a structural automorphism");
-            let (quo, ms) = best_of(reps, || {
-                Lts::explore_with_traced(dfs, &ecfg(1), Some(&sym), &cobs)
-            });
+            let (quo, ms) = best_of(reps, || Lts::explore_with(dfs, &cfg(1, &cobs), Some(&sym)));
             assert!(!quo.is_truncated(), "{name}: quotient truncated");
             (Some(quo.len()), Some(ms))
         }
@@ -221,24 +213,20 @@ fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, ob
     }
 }
 
-/// Runs the sweep. `quick` restricts it to sub-second shapes (CI smoke);
-/// the full sweep covers the acceptance shape `reconfigurable_depth(3,3)`
-/// and the 2-way wagged pipeline (~1.5M states).
+/// Runs the sweep, recording into `obs`. `quick` restricts it to
+/// sub-second shapes (CI smoke); the full sweep covers the acceptance shape
+/// `reconfigurable_depth(3,3)` and the 2-way wagged pipeline (~1.5M
+/// states).
+///
+/// Each case opens a `bench.case.petri` / `bench.case.lts` span under
+/// `obs`, and the parallel and quotient explorations inside it emit the
+/// engine's per-level `engine.level.expand` / `engine.level.commit` spans
+/// plus the `engine.*` counters — so a traced `BENCH_state_space.json` can
+/// attribute each case's wall-clock to the engine's phases. Recording is
+/// observation-only: states, truncation and every thread-count-invariance
+/// assertion are unchanged.
 #[must_use]
-pub fn run_sweep(quick: bool) -> Vec<Case> {
-    run_sweep_traced(quick, &Obs::none())
-}
-
-/// [`run_sweep`] with a recorder attached: each case opens a
-/// `bench.case.petri` / `bench.case.lts` span, and the parallel and
-/// quotient explorations inside it emit the engine's per-level
-/// `engine.level.expand` / `engine.level.dedup` / `engine.level.commit`
-/// spans plus the `engine.*` counters — so a traced
-/// `BENCH_state_space.json` can attribute each case's wall-clock to the
-/// engine's phases. Recording is observation-only: states, truncation and
-/// every thread-count-invariance assertion are unchanged.
-#[must_use]
-pub fn run_sweep_traced(quick: bool, obs: &Obs) -> Vec<Case> {
+pub fn run_sweep(quick: bool, obs: &Obs) -> Vec<Case> {
     let reconfig = |n: usize, k: usize| {
         build_pipeline(&PipelineSpec::reconfigurable_depth(n, k).expect("valid sweep shape"))
             .expect("pipeline builds")
@@ -306,7 +294,7 @@ pub fn render_json(cases: &[Case], quick: bool) -> String {
 
 /// [`render_json`] with an optional `trace_summary` block from a traced
 /// run's [`Snapshot`] — the per-level engine spans let the document say
-/// how the sweep's wall-clock splits across expand/dedup/commit. The
+/// how the sweep's wall-clock splits across expand/commit. The
 /// block is additive: the document stays schema-valid without it and
 /// every measured number is unchanged.
 #[must_use]

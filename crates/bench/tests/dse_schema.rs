@@ -8,10 +8,11 @@
 //! single-threaded run.
 
 use rap_bench::dse::{design_point, render_json, run_sweep, validate, SCHEMA};
+use rap_obs::Obs;
 
 #[test]
 fn quick_sweep_emits_valid_json() {
-    let run = run_sweep(true, None);
+    let run = run_sweep(true, None, &Obs::none());
     assert!(run.quick);
     let json = render_json(&run);
     assert!(json.contains(SCHEMA));
@@ -24,7 +25,7 @@ fn quick_sweep_emits_valid_json() {
 
 #[test]
 fn memoization_collapses_voltage_and_demand_replicas() {
-    let run = run_sweep(true, None);
+    let run = run_sweep(true, None, &Obs::none());
     let stats = run.outcome.stats;
     // the warm pass ran the identical space against the populated
     // session: every structure analysed in the cold pass is an
@@ -57,7 +58,7 @@ fn memoization_collapses_voltage_and_demand_replicas() {
 
 #[test]
 fn quick_design_point_has_an_exact_period() {
-    let run = run_sweep(true, None);
+    let run = run_sweep(true, None, &Obs::none());
     let (label, workload) = design_point(true);
     let e = run
         .outcome

@@ -7,10 +7,11 @@
 //! wrote to disk.
 
 use rap_bench::state_space::{render_json, run_sweep, validate, SCHEMA};
+use rap_obs::Obs;
 
 #[test]
 fn quick_sweep_emits_valid_json() {
-    let cases = run_sweep(true);
+    let cases = run_sweep(true, &Obs::none());
     assert!(!cases.is_empty());
     let json = render_json(&cases, true);
     assert!(json.contains(SCHEMA));
@@ -27,7 +28,7 @@ fn engine_never_regresses_on_quick_shapes() {
     // sub-millisecond, so demand only "not grossly slower" (one preempted
     // sample must not fail the suite); the recorded release sweep documents
     // the real (≥3x) margins
-    for c in run_sweep(true) {
+    for c in run_sweep(true, &Obs::none()) {
         assert!(
             c.engine_ms <= c.naive_ms * 2.0,
             "{} [{}]: engine {:.3}ms vs naive {:.3}ms — a real regression, not noise",

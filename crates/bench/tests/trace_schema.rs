@@ -1,15 +1,15 @@
 //! Tracing acceptance suite, mirroring `dse_schema.rs` for the trace
 //! exporter: a live-collector quick sweep must (a) leave the Pareto fronts
-//! bit-identical to an untraced run (recording is observation-only),
-//! (b) produce a `rap/trace/v1` document that passes the schema validator
-//! with span coverage at or above the floor, and (c) cost nothing
-//! measurable when the recorder is the no-op default.
+//! bit-identical to a run over a detached handle (recording is
+//! observation-only), and (b) produce a `rap/trace/v1` document that
+//! passes the schema validator with span coverage at or above the floor.
+//! That a detached handle costs nothing is pinned per call by `rap-obs`'s
+//! `noop_overhead` bench.
 
-use rap_bench::dse::{assert_fronts_identical, run_sweep, run_sweep_traced};
+use rap_bench::dse::{assert_fronts_identical, run_sweep};
 use rap_bench::trace::{render, validate, MIN_COVERAGE, SCHEMA};
 use rap_obs::{Collector, Obs};
 use std::sync::Arc;
-use std::time::Instant;
 
 #[test]
 fn traced_sweep_is_schema_valid_and_front_identical() {
@@ -19,12 +19,12 @@ fn traced_sweep_is_schema_valid_and_front_identical() {
         // everything under one top span, exactly like the bins do, so the
         // snapshot's coverage reflects the whole run
         let main_span = root.span("bench.main");
-        run_sweep_traced(true, None, &main_span.obs())
+        run_sweep(true, None, &main_span.obs())
     };
     // snapshot before anything else runs: the collector's wall-clock keeps
     // ticking, so later work would dilute the coverage figure
     let snap = collector.snapshot();
-    let untraced = run_sweep(true, None);
+    let untraced = run_sweep(true, None, &Obs::none());
 
     // observation-only: same fronts bit-for-bit (labels, periods, order)
     assert_fronts_identical(&traced.outcome, &untraced.outcome);
@@ -61,36 +61,4 @@ fn validator_enforces_the_coverage_floor() {
     let json = render(&collector.snapshot());
     let err = validate(&json).expect_err("under-covered trace must fail");
     assert!(err.contains("coverage"), "unexpected error: {err}");
-}
-
-/// The disabled path must be free: running the identical sweep through a
-/// detached [`Obs`] (the no-op recorder) costs the same as not threading
-/// observability at all, within scheduling noise. The per-call cost is
-/// pinned to fractions of a nanosecond by `rap-obs`'s criterion bench;
-/// here we bound the end-to-end effect with a generous multiplier so the
-/// test stays robust on loaded CI machines.
-#[test]
-fn noop_recorder_adds_no_measurable_overhead() {
-    let best = |f: &dyn Fn()| {
-        (0..3)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed()
-            })
-            .min()
-            .expect("three timed runs")
-    };
-    // warm-up run keeps first-touch allocator/page effects out of both arms
-    let _ = run_sweep(true, None);
-    let plain = best(&|| {
-        let _ = run_sweep(true, None);
-    });
-    let detached = best(&|| {
-        let _ = run_sweep_traced(true, None, &Obs::none());
-    });
-    assert!(
-        detached <= plain * 2 + std::time::Duration::from_millis(50),
-        "no-op traced sweep took {detached:?} vs untraced {plain:?}"
-    );
 }

@@ -5,16 +5,15 @@
 //! PN-translation bisimulation tests, and the substrate of the verification
 //! queries that do not go through the Petri-net backend.
 //!
-//! Since PR 2 exploration runs on the shared incremental engine of
-//! [`rap_petri::engine`]: states are packed into two bit-planes (`active`,
-//! `false-valued`) in a dense arena, and after each event only the events of
-//! *dependent* nodes — the event's own node plus everything reading it
-//! through data edges, R-presets/postsets or guards — are re-checked for
-//! enabledness. This PR moves the default path onto the *parallel* engine
-//! with delta-compressed state storage; results are identical at every
-//! thread count (see the engine docs for the determinism contract). The
-//! original explorer is retained as [`Lts::explore_naive_truncated`] for
-//! property-based cross-checking and as the benchmark baseline, and the
+//! Exploration runs on the shared parallel engine of
+//! [`rap_petri::engine`] under one [`ExploreConfig`]: states are packed
+//! into two bit-planes (`active`, `false-valued`), stored delta-compressed,
+//! and after each event only the events of *dependent* nodes — the event's
+//! own node plus everything reading it through data edges, R-presets/postsets
+//! or guards — are re-checked for enabledness. Results are identical at
+//! every thread count (see the engine docs for the determinism contract).
+//! The original explorer is retained as [`Lts::explore_naive_truncated`]
+//! for property-based cross-checking and as the benchmark baseline, and the
 //! serial engine as [`Lts::explore_serial_truncated`].
 //!
 //! Symmetric models (wagged replicas) can be explored as a rotation
@@ -27,7 +26,8 @@ use crate::semantics::Event;
 use crate::state::DfsState;
 use crate::DfsError;
 use rap_petri::engine::{
-    self, get_bit, set_bit, EngineConfig, ExploredGraph, StateSymmetry, TransitionSystem, NO_PARENT,
+    self, get_bit, set_bit, ExploreConfig, ExploredGraph, StateSymmetry, TransitionSystem,
+    NO_PARENT,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -53,7 +53,6 @@ pub struct Lts {
     node_count: usize,
     graph: ExploredGraph,
     actions: Vec<Event>,
-    parent_events: Vec<Event>,
     succ: Vec<(Event, LtsStateId)>,
     /// Present when this is a quotient LTS: the symmetry used to
     /// canonicalize states, needed to make traces concrete again.
@@ -67,30 +66,13 @@ impl Lts {
     ///
     /// [`DfsError::StateBudgetExceeded`] when the bound is hit.
     pub fn explore(dfs: &Dfs, max_states: usize) -> Result<Lts, DfsError> {
-        Self::explore_traced(dfs, max_states, &rap_obs::Obs::none())
-    }
-
-    /// [`Lts::explore`] with a recorder attached: the engine emits its
-    /// per-level spans and counters into `obs` (see
-    /// [`engine::explore_parallel_traced`]). Recording is
-    /// observation-only — the LTS is bit-identical to [`Lts::explore`].
-    ///
-    /// # Errors
-    ///
-    /// [`DfsError::StateBudgetExceeded`] when the bound is hit.
-    pub fn explore_traced(
-        dfs: &Dfs,
-        max_states: usize,
-        obs: &rap_obs::Obs,
-    ) -> Result<Lts, DfsError> {
-        let lts = Self::explore_with_traced(
+        let lts = Self::explore_with(
             dfs,
-            &EngineConfig {
+            &ExploreConfig {
                 max_states,
-                ..EngineConfig::default()
+                ..ExploreConfig::default()
             },
             None,
-            obs,
         );
         if lts.is_truncated() {
             return Err(DfsError::StateBudgetExceeded { budget: max_states });
@@ -98,44 +80,21 @@ impl Lts {
         Ok(lts)
     }
 
-    /// Like [`Lts::explore`] but returns the partial LTS on budget overrun.
+    /// Full-control frontend: explores on the parallel engine under `cfg`
+    /// (budget, threads, deadline, recorder), optionally as the rotation
+    /// quotient under `symmetry` (build one with [`node_rotation_symmetry`]).
+    /// Returns the partial LTS when the budget or the deadline cuts the
+    /// exploration ([`Lts::is_truncated`]).
     #[must_use]
-    pub fn explore_truncated(dfs: &Dfs, max_states: usize) -> Lts {
-        Self::explore_with(
-            dfs,
-            &EngineConfig {
-                max_states,
-                ..EngineConfig::default()
-            },
-            None,
-        )
-    }
-
-    /// Full-control frontend: explores on the parallel engine with explicit
-    /// [`EngineConfig`] knobs, optionally as the rotation quotient under
-    /// `symmetry` (build one with [`node_rotation_symmetry`]).
-    #[must_use]
-    pub fn explore_with(dfs: &Dfs, cfg: &EngineConfig, symmetry: Option<&StateSymmetry>) -> Lts {
-        Self::explore_with_traced(dfs, cfg, symmetry, &rap_obs::Obs::none())
-    }
-
-    /// [`Lts::explore_with`] with a recorder attached; see
-    /// [`Lts::explore_traced`] for the recording contract.
-    #[must_use]
-    pub fn explore_with_traced(
-        dfs: &Dfs,
-        cfg: &EngineConfig,
-        symmetry: Option<&StateSymmetry>,
-        obs: &rap_obs::Obs,
-    ) -> Lts {
-        let graph = engine::explore_parallel_traced(|| DfsSystem::new(dfs), cfg, symmetry, obs);
+    pub fn explore_with(dfs: &Dfs, cfg: &ExploreConfig, symmetry: Option<&StateSymmetry>) -> Lts {
+        let graph = engine::explore_parallel(|| DfsSystem::new(dfs), cfg, symmetry);
         let sys = DfsSystem::new(dfs);
         Self::from_graph(graph, &sys, symmetry.cloned())
     }
 
-    /// The serial engine (PR 2), kept as a reference implementation: the
+    /// The serial engine, kept as a reference implementation: the
     /// differential suite pins the parallel engine against it
-    /// state-for-state. Use [`Lts::explore_truncated`] everywhere else.
+    /// state-for-state. Use [`Lts::explore_with`] everywhere else.
     #[must_use]
     pub fn explore_serial_truncated(dfs: &Dfs, max_states: usize) -> Lts {
         let mut sys = DfsSystem::new(dfs);
@@ -148,18 +107,6 @@ impl Lts {
         sys: &DfsSystem<'_>,
         symmetry: Option<StateSymmetry>,
     ) -> Lts {
-        let parent_events = g
-            .parents
-            .iter()
-            .map(|&(p, a)| {
-                if p == NO_PARENT {
-                    // arbitrary filler for the root (never read)
-                    Event::Eval(NodeId::from_index(0))
-                } else {
-                    sys.actions[a as usize]
-                }
-            })
-            .collect();
         let succ = std::mem::take(&mut g.succ)
             .into_iter()
             .map(|(a, s)| (sys.actions[a as usize], LtsStateId(s)))
@@ -168,7 +115,6 @@ impl Lts {
             node_count: sys.dfs.node_count(),
             graph: g,
             actions: sys.actions.clone(),
-            parent_events,
             succ,
             symmetry,
         }
@@ -179,15 +125,15 @@ impl Lts {
     ///
     /// Retained as the reference implementation for the engine-equivalence
     /// property tests and the `state_space_scaling` baseline; use
-    /// [`Lts::explore`] / [`Lts::explore_truncated`] everywhere else.
+    /// [`Lts::explore`] / [`Lts::explore_with`] everywhere else.
     #[must_use]
     pub fn explore_naive_truncated(dfs: &Dfs, max_states: usize) -> Lts {
+        let sys = DfsSystem::new(dfs);
         let s0 = DfsState::initial(dfs);
         let mut index: HashMap<DfsState, LtsStateId> = HashMap::new();
         let mut states = vec![s0.clone()];
         let mut edges: Vec<Vec<(Event, LtsStateId)>> = vec![Vec::new()];
         let mut parents: Vec<(u32, u32)> = vec![(NO_PARENT, 0)];
-        let mut parent_events: Vec<Event> = vec![Event::Eval(NodeId::from_index(0))];
         index.insert(s0, LtsStateId(0));
         let mut queue = VecDeque::from([LtsStateId(0)]);
         let mut outcome = engine::ExploreOutcome::Complete;
@@ -206,8 +152,7 @@ impl Lts {
                         let id = LtsStateId(states.len() as u32);
                         states.push(e.key().clone());
                         edges.push(Vec::new());
-                        parents.push((s.0, 0));
-                        parent_events.push(ev);
+                        parents.push((s.0, sys.action_id(ev) as u32));
                         queue.push_back(id);
                         e.insert(id);
                         id
@@ -242,14 +187,12 @@ impl Lts {
             succ_off.push(succ.len() as u32);
         }
 
-        let sys = DfsSystem::new(dfs);
         let graph =
             ExploredGraph::from_dense(stride, arena, parents, succ_off, Vec::new(), dead, outcome);
         Lts {
             node_count,
             graph,
             actions: sys.actions,
-            parent_events,
             succ,
             symmetry: None,
         }
@@ -267,13 +210,13 @@ impl Lts {
         self.graph.is_empty()
     }
 
-    /// Was exploration cut short by the state budget?
+    /// Was exploration cut short, by the state budget or the deadline?
     #[must_use]
     pub fn is_truncated(&self) -> bool {
         self.graph.is_truncated()
     }
 
-    /// How exploration ended (carries the budget on truncation).
+    /// How exploration ended (carries the budget or deadline that cut it).
     #[must_use]
     pub fn outcome(&self) -> engine::ExploreOutcome {
         self.graph.outcome()
@@ -330,14 +273,11 @@ impl Lts {
     /// model.
     #[must_use]
     pub fn trace_to(&self, id: LtsStateId) -> Vec<Event> {
-        let mut rev = Vec::new();
-        let mut cur = id.index();
-        while self.graph.parents[cur].0 != NO_PARENT {
-            rev.push(self.parent_events[cur]);
-            cur = self.graph.parents[cur].0 as usize;
-        }
-        rev.reverse();
-        rev
+        self.graph
+            .trace_to(id.index())
+            .into_iter()
+            .map(|a| self.actions[a as usize])
+            .collect()
     }
 
     /// The symmetry rotation applied when `id` was canonicalized at
@@ -720,6 +660,13 @@ mod tests {
     use crate::builder::DfsBuilder;
     use crate::node::TokenValue;
 
+    fn cfg(max_states: usize) -> ExploreConfig {
+        ExploreConfig {
+            max_states,
+            ..ExploreConfig::default()
+        }
+    }
+
     /// Closed three-register ring — the paper notes three registers are the
     /// minimum for a token to oscillate (§III, control loops), and the same
     /// holds for plain rings under the spread-token semantics.
@@ -790,7 +737,7 @@ mod tests {
             Lts::explore(&dfs, 2),
             Err(crate::DfsError::StateBudgetExceeded { budget: 2 })
         ));
-        let partial = Lts::explore_truncated(&dfs, 2);
+        let partial = Lts::explore_with(&dfs, &cfg(2), None);
         assert!(partial.is_truncated());
         assert_eq!(
             partial.outcome(),
@@ -802,7 +749,7 @@ mod tests {
     #[test]
     fn truncated_frontier_is_not_a_deadlock() {
         let dfs = ring();
-        let partial = Lts::explore_truncated(&dfs, 2);
+        let partial = Lts::explore_with(&dfs, &cfg(2), None);
         assert!(partial.is_truncated());
         assert!(partial.successors(LtsStateId(1)).is_empty());
         assert!(partial.deadlocks().is_empty());
@@ -843,11 +790,9 @@ mod tests {
             for threads in [1usize, 2, 4] {
                 let a = Lts::explore_with(
                     &dfs,
-                    &EngineConfig {
-                        max_states: budget,
+                    &ExploreConfig {
                         threads,
-                        anchor_interval: 0,
-                        deadline: None,
+                        ..cfg(budget)
                     },
                     None,
                 );
@@ -874,8 +819,8 @@ mod tests {
         let (dfs, perm) = double_ring();
         let sym = node_rotation_symmetry(&dfs, &perm).unwrap();
         assert_eq!(sym.order(), 2);
-        let full = Lts::explore_truncated(&dfs, 100_000);
-        let quo = Lts::explore_with(&dfs, &EngineConfig::default(), Some(&sym));
+        let full = Lts::explore_with(&dfs, &cfg(100_000), None);
+        let quo = Lts::explore_with(&dfs, &ExploreConfig::default(), Some(&sym));
         assert!(quo.len() < full.len());
         assert!(quo.len() * 2 >= full.len());
         assert_eq!(full.deadlocks().is_empty(), quo.deadlocks().is_empty());

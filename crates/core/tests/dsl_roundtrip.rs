@@ -4,6 +4,7 @@
 
 use dfs_core::{dsl, Dfs, DfsBuilder, Lts, TokenValue};
 use proptest::prelude::*;
+use rap_petri::reachability::ExploreConfig;
 
 fn arb_dfs() -> impl Strategy<Value = Dfs> {
     let kinds = proptest::collection::vec(0u8..5, 2..7);
@@ -71,8 +72,12 @@ proptest! {
             prop_assert_eq!(again.guards(m).len(), dfs.guards(n).len());
         }
         // behavioural equality (cheap proxy): identical LTS sizes
-        let a = Lts::explore_truncated(&dfs, 5_000);
-        let b = Lts::explore_truncated(&again, 5_000);
+        let cfg = ExploreConfig {
+            max_states: 5_000,
+            ..ExploreConfig::default()
+        };
+        let a = Lts::explore_with(&dfs, &cfg, None);
+        let b = Lts::explore_with(&again, &cfg, None);
         prop_assume!(!a.is_truncated());
         prop_assert_eq!(a.len(), b.len());
     }

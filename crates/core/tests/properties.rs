@@ -5,6 +5,14 @@ use proptest::prelude::*;
 use rap_petri::analysis::check_complementary_pairs;
 use rap_petri::reachability::{explore_truncated, ExploreConfig};
 
+/// The default config under a state budget.
+fn cfg(max_states: usize) -> ExploreConfig {
+    ExploreConfig {
+        max_states,
+        ..ExploreConfig::default()
+    }
+}
+
 /// A random small DFS model: a few registers/dynamic nodes wired by random
 /// edges, with logic sprinkled in. Construction may produce invalid graphs
 /// (combinational cycles); those are filtered out.
@@ -55,7 +63,7 @@ proptest! {
     #[test]
     fn translation_is_one_safe(dfs in arb_dfs()) {
         let img = to_petri(&dfs);
-        let space = explore_truncated(&img.net, ExploreConfig { max_states: 20_000, ..ExploreConfig::default() });
+        let space = explore_truncated(&img.net, cfg(20_000));
         prop_assert!(check_complementary_pairs(&space, &img.complementary_pairs()).is_none());
     }
 
@@ -63,9 +71,9 @@ proptest! {
     /// consequence of bisimilarity, checked on every random model).
     #[test]
     fn state_counts_agree(dfs in arb_dfs()) {
-        let lts = Lts::explore_truncated(&dfs, 20_000);
+        let lts = Lts::explore_with(&dfs, &cfg(20_000), None);
         let img = to_petri(&dfs);
-        let space = explore_truncated(&img.net, ExploreConfig { max_states: 20_000, ..ExploreConfig::default() });
+        let space = explore_truncated(&img.net, cfg(20_000));
         prop_assume!(!lts.is_truncated() && !space.is_truncated());
         prop_assert_eq!(lts.len(), space.len());
     }
@@ -91,7 +99,7 @@ proptest! {
     /// nodes never carry token values.
     #[test]
     fn token_values_are_stable(dfs in arb_dfs()) {
-        let lts = Lts::explore_truncated(&dfs, 5_000);
+        let lts = Lts::explore_with(&dfs, &cfg(5_000), None);
         for id in lts.states() {
             let s = lts.state(id);
             for n in dfs.nodes() {

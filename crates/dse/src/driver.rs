@@ -313,7 +313,7 @@ impl Shared<'_> {
             // whoever wins the session's in-flight reservation for the
             // throughput analysis is the task that paid for the structure:
             // exact work accounting even under concurrent twins
-            let (detail, ran_here) = model.perf_detail_traced();
+            let (detail, ran_here) = model.perf_detail_computed();
             if detail.is_err() {
                 self.meter.add("dse.eval.error", 1);
                 self.obs

@@ -47,8 +47,7 @@
 //! | name | kind | meaning |
 //! |------|------|---------|
 //! | `engine.level.expand` | span | per-level worker expansion (successors + concurrent dedup probes) |
-//! | `engine.level.dedup` | span | barrier-side dedup bookkeeping (chunk ordering, pending-slot reset) |
-//! | `engine.level.commit` | span | canonical-order state/edge commit pass |
+//! | `engine.level.commit` | span | barrier-side commit: chunk ordering, canonical-order state/edge commit, pending-slot reset |
 //! | `engine.levels` / `engine.states` / `engine.edges` | counter | BFS totals |
 //! | `engine.dedup.known` / `engine.dedup.pending` | counter | edges resolved against committed states / same-level pending slots |
 //! | `engine.shard.contended` | counter | shard-lock acquisitions that found the lock held |

@@ -201,35 +201,24 @@ impl QuickCheck {
 /// Every DFS translation certifies.
 #[must_use]
 pub fn quick_check(net: &PetriNet, pairs: &[(PlaceId, PlaceId)], max_states: usize) -> QuickCheck {
-    quick_check_traced(net, pairs, max_states, &rap_obs::Obs::none())
-}
-
-/// [`quick_check`] with a recorder attached: the underlying exploration
-/// emits its per-level spans and engine counters into `obs` (see
-/// [`crate::reachability::explore_truncated_traced`]). Recording is
-/// observation-only — the verdicts are identical to [`quick_check`].
-#[must_use]
-pub fn quick_check_traced(
-    net: &PetriNet,
-    pairs: &[(PlaceId, PlaceId)],
-    max_states: usize,
-    obs: &rap_obs::Obs,
-) -> QuickCheck {
-    let cfg = ExploreConfig {
-        max_states,
-        ..ExploreConfig::default()
-    };
-    let space = crate::reachability::explore_truncated_traced(net, cfg, obs);
-    verdicts_over(net, &space, pairs, max_states)
+    quick_check_with(
+        net,
+        pairs,
+        &ExploreConfig {
+            max_states,
+            ..ExploreConfig::default()
+        },
+    )
 }
 
 /// [`quick_check`] under an explicit [`ExploreConfig`] — the variant that
-/// exposes the wall-clock [`deadline`](ExploreConfig::deadline) (and the
-/// thread count) in addition to the state budget.
+/// exposes the wall-clock [`deadline`](ExploreConfig::deadline), the thread
+/// count and the recorder ([`obs`](ExploreConfig::obs)) in addition to the
+/// state budget.
 ///
-/// A deadline expiry produces the same *typed* outcomes as a budget hit:
-/// the exploration stops `Truncated` at a level-commit barrier and the
-/// verdicts over the (complete-level, deterministic) prefix degrade to
+/// A deadline expiry degrades the verdicts like a budget hit: the
+/// exploration stops at a level-commit barrier and the verdicts over the
+/// (complete-level, deterministic) prefix say
 /// [`QuickVerdict::Inconclusive`] unless a genuine violation was already
 /// found — a runaway check never over-claims, and never runs past its
 /// time box to the state cap. The reported `Inconclusive` budget is the
@@ -240,7 +229,7 @@ pub fn quick_check_with(
     pairs: &[(PlaceId, PlaceId)],
     cfg: &ExploreConfig,
 ) -> QuickCheck {
-    let space = explore_truncated(net, *cfg);
+    let space = explore_truncated(net, cfg.clone());
     verdicts_over(net, &space, pairs, cfg.max_states)
 }
 

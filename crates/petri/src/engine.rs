@@ -7,15 +7,17 @@
 //! states ([`TransitionSystem`]). This module provides two interchangeable
 //! drivers over that abstraction plus the machinery they share:
 //!
-//! * [`explore`] — the serial engine (PR 2): arena-interned states, an
-//!   open-addressing dedup table, event-driven enabledness. Retained as the
-//!   executable specification the parallel engine is differentially tested
-//!   against (`tests/engine_parallel_equivalence.rs`), exactly the way it
-//!   was itself pinned against the naive explorers.
 //! * [`explore_parallel`] — the production engine: level-synchronous BFS
 //!   with a work-stealing frontier (`rap-pool`), a sharded concurrent dedup
 //!   index ([`shard::ShardIndex`]), delta-compressed state storage, and
-//!   optional symmetry reduction ([`StateSymmetry`]).
+//!   optional symmetry reduction ([`StateSymmetry`]). One [`ExploreConfig`]
+//!   carries its state budget, worker count, wall-clock deadline and the
+//!   `rap-obs` handle it records into.
+//! * [`explore`] — the serial engine: arena-interned states, an
+//!   open-addressing dedup table, event-driven enabledness. It is the
+//!   executable specification the parallel engine is differentially tested
+//!   against (`tests/engine_parallel_equivalence.rs`), and is itself pinned
+//!   against the naive explorers.
 //!
 //! # Determinism contract
 //!
@@ -50,13 +52,14 @@
 //! A BFS successor differs from its parent in the few places its action
 //! toggled, so [`ExploredGraph`] stores most states as sparse XOR deltas
 //! `(word, mask)` against their parent, with full-snapshot *anchors* every
-//! [`EngineConfig::anchor_interval`] BFS levels. Reconstruction
-//! ([`ExploredGraph::fill_state`]) XORs the delta chain up the parent links
-//! to the nearest anchor — O(depth-to-anchor), bounded by the interval.
+//! 8 BFS levels. Reconstruction ([`ExploredGraph::fill_state`]) XORs the
+//! delta chain up the parent links to the nearest anchor —
+//! O(depth-to-anchor), bounded by the interval.
 //! The trade-off: random state access costs a short chain walk instead of
 //! one slice read, in exchange for ~`stride / nnz(delta)`× smaller state
 //! storage on wide states. Narrow states (≤ 2 words) gain nothing, so the
-//! auto setting stores them all-anchor and the serial engine always does.
+//! parallel engine stores them all-anchor, and the serial engine stores
+//! every state in full.
 //!
 //! # Symmetry reduction
 //!
@@ -77,6 +80,7 @@
 
 use crate::{PetriNet, TransitionId};
 use rap_obs::Obs;
+use std::time::Duration;
 
 pub mod shard;
 
@@ -87,6 +91,10 @@ pub const NO_PARENT: u32 = u32::MAX;
 
 /// `anchor_slot` sentinel of a delta-stored state.
 const DELTA: u32 = u32::MAX;
+
+/// BFS levels between full-snapshot anchors of the parallel engine on
+/// states wider than two words (narrower states are all-anchor).
+const ANCHOR_INTERVAL: usize = 8;
 
 /// Is the word-packed enabled set `en` empty?
 #[inline]
@@ -158,31 +166,37 @@ pub enum ExploreOutcome {
         /// The `max_states` budget in force.
         limit: usize,
     },
+    /// The wall-clock deadline stopped the exploration at a level-commit
+    /// barrier (see [`ExploreConfig::deadline`]).
+    DeadlineExpired {
+        /// The deadline in force.
+        deadline: Duration,
+    },
 }
 
 impl ExploreOutcome {
-    /// Did exploration stop early on the state budget?
+    /// Did exploration stop early, on the state budget or the deadline?
     #[must_use]
     pub fn is_truncated(self) -> bool {
-        matches!(self, ExploreOutcome::Truncated { .. })
+        self != ExploreOutcome::Complete
     }
 }
 
-/// Engine knobs shared by both frontends.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineConfig {
+/// Exploration knobs shared by every explorer of the workspace.
+///
+/// The serial reference engine ([`explore`]) and the naive oracles read
+/// only `max_states`.
+#[derive(Debug, Clone)]
+pub struct ExploreConfig {
     /// Maximum number of distinct states to store before truncating.
     pub max_states: usize,
     /// Worker threads; `0` = one per available core (capped at 8).
+    /// Results are identical at every thread count.
     pub threads: usize,
-    /// Full-snapshot anchor every this many BFS levels (delta-compress the
-    /// states in between); `0` = auto (all-anchor for states ≤ 2 words,
-    /// every 8 levels otherwise), `1` = store every state in full.
-    pub anchor_interval: usize,
-    /// Wall-clock budget for the parallel engine; `None` = unbounded (the
-    /// state cap is then the only stop). A runaway exploration becomes the
-    /// ordinary typed [`ExploreOutcome::Truncated`] outcome instead of
-    /// running to the cap.
+    /// Wall-clock budget; `None` = unbounded (the state cap is then the
+    /// only stop). A runaway exploration ends with the typed
+    /// [`ExploreOutcome::DeadlineExpired`] outcome instead of running to
+    /// the cap.
     ///
     /// **Deterministic cut semantics:** the clock is consulted *only at
     /// level-commit barriers* — after a BFS level has been fully expanded,
@@ -191,28 +205,35 @@ pub struct EngineConfig {
     /// order, and for a given cut level the resulting graph is bit-
     /// identical at every thread count; wall-clock variance can only move
     /// the cut to a different level boundary, never produce a state set no
-    /// serial exploration could. Deadline-truncated artifacts are
-    /// outcome-typed (`Truncated` / `Inconclusive`), so downstream layers
-    /// treat them exactly like budget-truncated ones — and the session's
-    /// persistent store never caches them under a deadline-free key.
-    /// The serial reference engine ([`explore`]) deliberately ignores the
-    /// deadline: it is the determinism oracle the differential tests
-    /// compare against.
-    pub deadline: Option<std::time::Duration>,
+    /// serial exploration could. Deadline-cut artifacts count as
+    /// truncated ([`ExploreOutcome::is_truncated`]), so downstream layers
+    /// treat them like budget-truncated ones (`Inconclusive` verdicts) —
+    /// and the session's persistent store never caches them under a
+    /// deadline-free key.
+    pub deadline: Option<Duration>,
+    /// Recorder the exploration reports into: per BFS level an
+    /// `engine.level.expand` span (worker expansion, including concurrent
+    /// dedup probes) and an `engine.level.commit` span (chunk ordering,
+    /// the canonical-order commit and the pending-slot reset), and after
+    /// the run the [`EngineStats`] counters and the `engine.frontier.peak`
+    /// gauge. Detached by default. Recording happens at level barriers
+    /// only and is observation-only: the explored graph is bit-identical
+    /// with or without a recorder, at every thread count.
+    pub obs: Obs,
 }
 
-impl Default for EngineConfig {
+impl Default for ExploreConfig {
     fn default() -> Self {
-        EngineConfig {
+        ExploreConfig {
             max_states: 2_000_000,
             threads: 0,
-            anchor_interval: 0,
             deadline: None,
+            obs: Obs::none(),
         }
     }
 }
 
-impl EngineConfig {
+impl ExploreConfig {
     /// The actual worker count (`threads`, or the auto policy for 0).
     #[must_use]
     pub fn resolved_threads(&self) -> usize {
@@ -222,18 +243,10 @@ impl EngineConfig {
             self.threads
         }
     }
-
-    fn resolved_anchor_interval(&self, stride: usize) -> usize {
-        match self.anchor_interval {
-            0 if stride <= 2 => 1,
-            0 => 8,
-            n => n,
-        }
-    }
 }
 
-/// View over the engine's `rap-obs` counters after a traced exploration
-/// ([`explore_parallel_traced`] with a live collector) — the engine-side
+/// View over the engine's `rap-obs` counters after an exploration recorded
+/// into a live collector ([`ExploreConfig::obs`]) — the engine-side
 /// member of the workspace's unified stats family (`SessionStats`,
 /// `StoreStats`, `SweepStats` are views the same way).
 ///
@@ -429,7 +442,7 @@ impl ExploredGraph {
         self.outcome
     }
 
-    /// Did exploration stop early on the state budget?
+    /// Did exploration stop early, on the state budget or the deadline?
     #[must_use]
     pub fn is_truncated(&self) -> bool {
         self.outcome.is_truncated()
@@ -877,48 +890,21 @@ struct ChunkOut {
 /// rotation quotient instead (canonicalizing every successor before dedup);
 /// the result is then the quotient graph over orbit representatives, with
 /// per-state discovery rotations for concrete trace reconstruction.
+/// Records into `cfg.obs` (see [`ExploreConfig::obs`]).
 ///
 /// # Panics
 ///
 /// Panics when `symmetry` does not cover the system's state/action bits.
 pub fn explore_parallel<S, F>(
     factory: F,
-    cfg: &EngineConfig,
+    cfg: &ExploreConfig,
     symmetry: Option<&StateSymmetry>,
 ) -> ExploredGraph
 where
     S: TransitionSystem + Send,
     F: Fn() -> S + Sync,
 {
-    explore_parallel_traced(factory, cfg, symmetry, &Obs::none())
-}
-
-/// [`explore_parallel`] with a recorder attached.
-///
-/// Per BFS level the engine opens `engine.level.expand` (worker expansion,
-/// including concurrent dedup probes), `engine.level.dedup` (barrier-side
-/// chunk ordering and pending-slot reset) and `engine.level.commit`
-/// (canonical-order commit) spans; at the end it records the
-/// [`EngineStats`] counters and the `engine.frontier.peak` gauge. All
-/// recording happens at level barriers or after the run — the per-state
-/// hot path never touches the recorder — and recording is observation-only:
-/// the returned graph is bit-identical to an untraced run at every thread
-/// count (pinned by the parallel≡serial proptests running with a live
-/// collector).
-///
-/// # Panics
-///
-/// Panics when `symmetry` does not cover the system's state/action bits.
-pub fn explore_parallel_traced<S, F>(
-    factory: F,
-    cfg: &EngineConfig,
-    symmetry: Option<&StateSymmetry>,
-    obs: &Obs,
-) -> ExploredGraph
-where
-    S: TransitionSystem + Send,
-    F: Fn() -> S + Sync,
-{
+    let obs = &cfg.obs;
     let started = std::time::Instant::now();
     let threads = cfg.resolved_threads().max(1);
     // one system per worker for the whole run (`factory` can be expensive);
@@ -934,7 +920,7 @@ where
             sys.action_count(),
         )
     };
-    let anchor_every = cfg.resolved_anchor_interval(stride);
+    let anchor_every = if stride <= 2 { 1 } else { ANCHOR_INTERVAL };
     let sym = symmetry.filter(|s| s.order() > 1);
     if let Some(sy) = sym {
         assert!(
@@ -1101,11 +1087,8 @@ where
 
         // commit: one pass in canonical (parent id, action) order assigns
         // dense ids exactly as the serial engine would
-        {
-            let _dedup = obs.span("engine.level.dedup");
-            chunk_outs.sort_by_key(|c| c.start);
-        }
         let commit_span = obs.span("engine.level.commit");
+        chunk_outs.sort_by_key(|c| c.start);
         let anchor_next = anchor_every == 1 || (level_num + 1).is_multiple_of(anchor_every);
         let mut next_words: Vec<u64> = Vec::new();
         let mut next_en: Vec<u64> = Vec::new();
@@ -1153,22 +1136,19 @@ where
                 g.succ_off.push(g.succ.len() as u32);
             }
         }
-
+        if g.is_truncated() {
+            // the index is abandoned with this level's unassigned entries
+            break;
+        }
+        index.clear_pending();
         drop(commit_span);
 
-        if g.is_truncated() {
-            break;
-        }
         // wall-clock deadline, consulted only here — at the level-commit
         // barrier — so the explored prefix is always a complete-level
-        // prefix of the canonical BFS order (see `EngineConfig::deadline`)
-        if cfg.deadline.is_some_and(|d| started.elapsed() >= d) {
-            g.outcome = ExploreOutcome::Truncated { limit: g.len() };
+        // prefix of the canonical BFS order (see `ExploreConfig::deadline`)
+        if let Some(deadline) = cfg.deadline.filter(|&d| started.elapsed() >= d) {
+            g.outcome = ExploreOutcome::DeadlineExpired { deadline };
             break;
-        }
-        {
-            let _dedup = obs.span("engine.level.dedup");
-            index.clear_pending();
         }
         level_start = g.len() - next_words.len() / stride;
         frontier_words = next_words;
@@ -1570,35 +1550,30 @@ mod tests {
         let mut sys = NetSystem::new(&net);
         let g = explore(&mut sys, 4);
         assert_eq!(g.outcome(), ExploreOutcome::Truncated { limit: 4 });
-        let g = explore_parallel(|| NetSystem::new(&net), &cfg(4, 2, 0), None);
+        let g = explore_parallel(|| NetSystem::new(&net), &cfg(4, 2), None);
         assert_eq!(g.outcome(), ExploreOutcome::Truncated { limit: 4 });
     }
 
-    fn cfg(max_states: usize, threads: usize, anchor_interval: usize) -> EngineConfig {
-        EngineConfig {
+    fn cfg(max_states: usize, threads: usize) -> ExploreConfig {
+        ExploreConfig {
             max_states,
             threads,
-            anchor_interval,
-            deadline: None,
+            ..ExploreConfig::default()
         }
     }
 
-    /// Parallel ≡ serial on a ring, across thread counts, anchor settings
-    /// and budgets — the unit-level version of the differential suite.
+    /// Parallel ≡ serial on a narrow (all-anchor) and a wide (delta-stored)
+    /// ring, across thread counts and budgets — the unit-level version of
+    /// the differential suite.
     #[test]
     fn parallel_matches_serial_exactly() {
-        let net = ring(64);
-        let mut sys = NetSystem::new(&net);
-        for budget in [usize::MAX, 64, 17, 3, 1] {
-            let a = explore(&mut sys, budget);
-            for threads in [1usize, 2, 4] {
-                for anchors in [0usize, 1, 3] {
-                    let b = explore_parallel(
-                        || NetSystem::new(&net),
-                        &cfg(budget, threads, anchors),
-                        None,
-                    );
-                    assert_eq!(a.len(), b.len(), "t={threads} a={anchors} b={budget}");
+        for net in [ring(64), ring(150)] {
+            let mut sys = NetSystem::new(&net);
+            for budget in [usize::MAX, 64, 17, 3, 1] {
+                let a = explore(&mut sys, budget);
+                for threads in [1usize, 2, 4] {
+                    let b = explore_parallel(|| NetSystem::new(&net), &cfg(budget, threads), None);
+                    assert_eq!(a.len(), b.len(), "t={threads} b={budget}");
                     assert_eq!(a.outcome(), b.outcome());
                     assert_eq!(a.succ, b.succ);
                     assert_eq!(a.succ_off, b.succ_off);
@@ -1612,14 +1587,16 @@ mod tests {
         }
     }
 
-    /// Delta storage with a forced small anchor interval reconstructs every
-    /// state bit-exactly on a wide-state system (stride > 1).
+    /// On a wide-state system (stride > 2) the parallel engine stores
+    /// deltas between anchors, and reconstructs every state bit-exactly
+    /// against the serial engine's full snapshots.
     #[test]
     fn delta_reconstruction_is_exact_on_wide_states() {
         let net = ring(150); // 3 words per marking
-        let a = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, 1, 1), None);
-        let b = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, 1, 5), None);
+        let a = explore(&mut NetSystem::new(&net), 1_000);
+        let b = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, 1), None);
         assert_eq!(a.len(), b.len());
+        assert_eq!(a.anchor_count(), a.len());
         assert!(b.anchor_count() < b.len(), "deltas were actually used");
         for i in 0..a.len() {
             assert_eq!(a.state_vec(i), b.state_vec(i), "state {i}");
@@ -1637,8 +1614,8 @@ mod tests {
         let act_perm = bit_perm.clone();
         let sym = StateSymmetry::new(bit_perm, act_perm).unwrap();
         assert_eq!(sym.order(), n);
-        let full = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, 1, 0), None);
-        let quo = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, 1, 0), Some(&sym));
+        let full = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, 1), None);
+        let quo = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, 1), Some(&sym));
         assert_eq!(full.len(), n);
         assert_eq!(quo.len(), 1);
         // concrete trace reconstruction: the quotient self-loop unrotates to

@@ -21,6 +21,11 @@ pub enum PetriError {
         /// The configured maximum number of states.
         budget: usize,
     },
+    /// The state-space exploration ran past its wall-clock deadline.
+    DeadlineExpired {
+        /// The configured deadline.
+        deadline: std::time::Duration,
+    },
 }
 
 impl fmt::Display for PetriError {
@@ -33,6 +38,12 @@ impl fmt::Display for PetriError {
             }
             PetriError::StateBudgetExceeded { budget } => {
                 write!(f, "state space exceeds the budget of {budget} states")
+            }
+            PetriError::DeadlineExpired { deadline } => {
+                write!(
+                    f,
+                    "state-space exploration ran past its deadline of {deadline:?}"
+                )
             }
         }
     }
@@ -50,5 +61,9 @@ mod tests {
         assert_eq!(e.to_string(), "transition t1 is not enabled");
         let e = PetriError::StateBudgetExceeded { budget: 10 };
         assert!(e.to_string().contains("10"));
+        let e = PetriError::DeadlineExpired {
+            deadline: std::time::Duration::from_millis(5),
+        };
+        assert!(e.to_string().contains("deadline of 5ms"), "{e}");
     }
 }

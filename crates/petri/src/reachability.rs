@@ -7,14 +7,14 @@
 //! This is the workhorse behind deadlock detection, persistence checking and
 //! Reach-predicate queries, standing in for the paper's MPSAT backend.
 //!
-//! Since PR 2 the traversal runs on the shared incremental engine of
-//! [`crate::engine`]; this PR moves the default path onto the *parallel*
-//! engine ([`crate::engine::explore_parallel`]) with delta-compressed state
-//! storage, which is observationally identical to the serial engine at
-//! every thread count (see the engine docs for the determinism contract).
-//! Two reference implementations are retained and differentially tested
-//! against it: the serial engine ([`explore_serial_truncated`]) and the
-//! original pre-engine explorer ([`explore_naive_truncated`]).
+//! [`explore`] and [`explore_truncated`] run the parallel engine
+//! ([`crate::engine::explore_parallel`]) with delta-compressed state
+//! storage under one [`ExploreConfig`] (state budget, threads, deadline and
+//! the `rap-obs` handle); results are identical at every thread count (see
+//! the engine docs for the determinism contract). Two reference
+//! implementations are differentially tested against it: the serial
+//! engine ([`explore_serial_truncated`]) and the original pre-engine
+//! explorer ([`explore_naive_truncated`]).
 //!
 //! With a cyclic symmetry of the net (wagged replicas — see
 //! [`crate::symmetry`]), [`explore_quotient_truncated`] explores the
@@ -23,47 +23,12 @@
 //! to the group order while preserving orbit-invariant verdicts. Concrete
 //! (replayable) traces are recovered via [`StateSpace::concrete_trace_to`].
 
-use crate::engine::{self, EngineConfig, ExploredGraph, NetSystem, StateSymmetry, NO_PARENT};
+use crate::engine::{self, ExploredGraph, NetSystem, StateSymmetry, NO_PARENT};
 use crate::{Marking, PetriError, PetriNet, TransitionId};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
-/// Exploration limits and parallelism.
-#[derive(Debug, Clone, Copy)]
-pub struct ExploreConfig {
-    /// Maximum number of distinct states to store before giving up.
-    pub max_states: usize,
-    /// Worker threads for the parallel engine; `0` = one per available core
-    /// (capped at 8). Results are identical at every thread count.
-    pub threads: usize,
-    /// Wall-clock budget; `None` = unbounded. Checked only at level-commit
-    /// barriers, so a deadline cut still yields a complete-level,
-    /// thread-count-independent prefix — see
-    /// [`EngineConfig::deadline`](crate::engine::EngineConfig) for the full
-    /// determinism contract.
-    pub deadline: Option<std::time::Duration>,
-}
-
-impl Default for ExploreConfig {
-    fn default() -> Self {
-        ExploreConfig {
-            max_states: 2_000_000,
-            threads: 0,
-            deadline: None,
-        }
-    }
-}
-
-impl ExploreConfig {
-    fn engine(&self) -> EngineConfig {
-        EngineConfig {
-            max_states: self.max_states,
-            threads: self.threads,
-            anchor_interval: 0,
-            deadline: self.deadline,
-        }
-    }
-}
+pub use crate::engine::ExploreConfig;
 
 /// Dense id of a state discovered during exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -134,13 +99,14 @@ impl StateSpace {
         self.graph.is_empty()
     }
 
-    /// Did exploration stop early because of [`ExploreConfig::max_states`]?
+    /// Did exploration stop early, on [`ExploreConfig::max_states`] or
+    /// [`ExploreConfig::deadline`]?
     #[must_use]
     pub fn is_truncated(&self) -> bool {
         self.graph.is_truncated()
     }
 
-    /// How exploration ended (carries the budget on truncation).
+    /// How exploration ended (carries the budget or deadline that cut it).
     #[must_use]
     pub fn outcome(&self) -> engine::ExploreOutcome {
         self.graph.outcome()
@@ -329,40 +295,30 @@ impl StateSpace {
 ///
 /// # Errors
 ///
-/// Returns [`PetriError::StateBudgetExceeded`] when more than
-/// `config.max_states` distinct markings are reachable. Use
-/// [`explore_truncated`] to get the partial state space instead.
+/// [`PetriError::StateBudgetExceeded`] when more than `config.max_states`
+/// distinct markings are reachable, [`PetriError::DeadlineExpired`] when
+/// `config.deadline` cut the exploration first. Use [`explore_truncated`]
+/// to get the partial state space instead.
 pub fn explore(net: &PetriNet, config: ExploreConfig) -> Result<StateSpace, PetriError> {
     let space = explore_truncated(net, config);
-    if space.is_truncated() {
-        return Err(PetriError::StateBudgetExceeded {
-            budget: config.max_states,
-        });
+    match space.outcome() {
+        engine::ExploreOutcome::Complete => Ok(space),
+        engine::ExploreOutcome::Truncated { limit } => {
+            Err(PetriError::StateBudgetExceeded { budget: limit })
+        }
+        engine::ExploreOutcome::DeadlineExpired { deadline } => {
+            Err(PetriError::DeadlineExpired { deadline })
+        }
     }
-    Ok(space)
 }
 
 /// Like [`explore`] but returns the partial state space (with
-/// [`StateSpace::is_truncated`] set) instead of an error when the budget is
-/// exceeded.
+/// [`StateSpace::is_truncated`] set) instead of an error when the budget or
+/// the deadline cut the exploration. Records into `config.obs` (see
+/// [`ExploreConfig::obs`]).
 #[must_use]
 pub fn explore_truncated(net: &PetriNet, config: ExploreConfig) -> StateSpace {
-    explore_truncated_traced(net, config, &rap_obs::Obs::none())
-}
-
-/// [`explore_truncated`] with a recorder attached: the engine emits
-/// per-level `engine.level.expand` / `engine.level.dedup` /
-/// `engine.level.commit` spans and the [`engine::EngineStats`] counters
-/// into `obs`. Recording is observation-only — the returned space is
-/// bit-identical to [`explore_truncated`] at every thread count.
-#[must_use]
-pub fn explore_truncated_traced(
-    net: &PetriNet,
-    config: ExploreConfig,
-    obs: &rap_obs::Obs,
-) -> StateSpace {
-    let graph =
-        engine::explore_parallel_traced(|| NetSystem::new(net), &config.engine(), None, obs);
+    let graph = engine::explore_parallel(|| NetSystem::new(net), &config, None);
     StateSpace::from_graph(graph, net.place_count(), None)
 }
 
@@ -379,26 +335,14 @@ pub fn explore_quotient_truncated(
     config: ExploreConfig,
     sym: &StateSymmetry,
 ) -> StateSpace {
-    explore_quotient_truncated_traced(net, config, sym, &rap_obs::Obs::none())
-}
-
-/// [`explore_quotient_truncated`] with a recorder attached; see
-/// [`explore_truncated_traced`] for the recording contract.
-#[must_use]
-pub fn explore_quotient_truncated_traced(
-    net: &PetriNet,
-    config: ExploreConfig,
-    sym: &StateSymmetry,
-    obs: &rap_obs::Obs,
-) -> StateSpace {
-    let graph =
-        engine::explore_parallel_traced(|| NetSystem::new(net), &config.engine(), Some(sym), obs);
+    let graph = engine::explore_parallel(|| NetSystem::new(net), &config, Some(sym));
     StateSpace::from_graph(graph, net.place_count(), Some(sym.clone()))
 }
 
-/// The serial engine (PR 2), kept as a reference implementation: the
+/// The serial engine, kept as a reference implementation: the
 /// differential suite pins the parallel engine against it state-for-state
-/// at several thread counts. Use [`explore_truncated`] everywhere else.
+/// at several thread counts. Reads only `config.max_states`. Use
+/// [`explore_truncated`] everywhere else.
 #[must_use]
 pub fn explore_serial_truncated(net: &PetriNet, config: ExploreConfig) -> StateSpace {
     let mut sys = NetSystem::new(net);
@@ -407,27 +351,13 @@ pub fn explore_serial_truncated(net: &PetriNet, config: ExploreConfig) -> StateS
 }
 
 /// The original (pre-engine) explorer: full transition scan per state,
-/// cloned [`Marking`] keys in a `HashMap` dedup index.
+/// cloned [`Marking`] keys in a `HashMap` dedup index. Reads only
+/// `config.max_states`.
 ///
 /// Retained verbatim as the reference implementation: the equivalence
 /// property tests check the engine against it state-for-state, and the
 /// `state_space_scaling` benchmark reports speedups relative to it. Use
 /// [`explore`] / [`explore_truncated`] everywhere else.
-///
-/// # Errors
-///
-/// Returns [`PetriError::StateBudgetExceeded`] like [`explore`].
-pub fn explore_naive(net: &PetriNet, config: ExploreConfig) -> Result<StateSpace, PetriError> {
-    let space = explore_naive_truncated(net, config);
-    if space.is_truncated() {
-        return Err(PetriError::StateBudgetExceeded {
-            budget: config.max_states,
-        });
-    }
-    Ok(space)
-}
-
-/// Truncating variant of [`explore_naive`].
 #[must_use]
 pub fn explore_naive_truncated(net: &PetriNet, config: ExploreConfig) -> StateSpace {
     let m0 = net.initial_marking();
@@ -565,6 +495,34 @@ mod tests {
         assert_eq!(partial.len(), 3);
     }
 
+    /// A deadline cut is its own outcome and its own error, never a
+    /// budget overrun.
+    #[test]
+    fn deadline_cut_is_its_own_error() {
+        let net = ring(10);
+        let cfg = ExploreConfig {
+            deadline: Some(std::time::Duration::ZERO),
+            ..ExploreConfig::default()
+        };
+        let err = explore(&net, cfg.clone()).unwrap_err();
+        assert_eq!(
+            err,
+            PetriError::DeadlineExpired {
+                deadline: std::time::Duration::ZERO
+            }
+        );
+        let partial = explore_truncated(&net, cfg);
+        assert!(partial.is_truncated());
+        assert_eq!(
+            partial.outcome(),
+            engine::ExploreOutcome::DeadlineExpired {
+                deadline: std::time::Duration::ZERO
+            }
+        );
+        // the zero deadline cuts at the first level-commit barrier
+        assert_eq!(partial.len(), 2);
+    }
+
     #[test]
     fn independent_tokens_interleave() {
         // two independent 2-rings => 4 states
@@ -608,8 +566,8 @@ mod tests {
                 max_states: budget,
                 ..ExploreConfig::default()
             };
-            let a = explore_truncated(&net, cfg);
-            let s = explore_serial_truncated(&net, cfg);
+            let a = explore_truncated(&net, cfg.clone());
+            let s = explore_serial_truncated(&net, cfg.clone());
             let b = explore_naive_truncated(&net, cfg);
             assert_eq!(a.len(), b.len());
             assert_eq!(s.len(), b.len());

@@ -1,11 +1,11 @@
 //! Differential suite: the parallel engine is observationally identical to
 //! the serial reference at every thread count — **including when a live
-//! collector is attached**. Recording is observation-only by contract
-//! ([`rap_petri::engine::explore_parallel_traced`]): span timings and
-//! counters must never leak into state numbering, parent attribution, edge
-//! order or truncation. These tests pin that contract by comparing
-//! serial, untraced-parallel and traced-parallel runs state-for-state at
-//! threads ∈ {1, 2, 8}.
+//! collector is attached** through `ExploreConfig::obs`. Recording is
+//! observation-only by contract ([`rap_petri::engine::ExploreConfig::obs`]):
+//! span timings and counters must never leak into state numbering, parent
+//! attribution, edge order or truncation. These tests pin that contract by
+//! comparing serial, untraced-parallel and traced-parallel runs
+//! state-for-state at threads ∈ {1, 2, 8}.
 //!
 //! The comparison includes the dead-state list each engine records as it
 //! commits states ([`ExploredGraph::dead`]), under tiny budgets (where the
@@ -16,20 +16,27 @@
 use proptest::prelude::*;
 use rap_obs::{Collector, Obs};
 use rap_petri::engine::{
-    explore, explore_parallel, explore_parallel_traced, EngineConfig, EngineStats, ExploredGraph,
-    Incidence, NetSystem, StateSymmetry,
+    explore, explore_parallel, EngineStats, ExploreConfig, ExploredGraph, Incidence, NetSystem,
+    StateSymmetry,
 };
 use rap_petri::{PetriNet, PlaceId};
 use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-fn cfg(max_states: usize, threads: usize) -> EngineConfig {
-    EngineConfig {
+fn cfg(max_states: usize, threads: usize) -> ExploreConfig {
+    ExploreConfig {
         max_states,
         threads,
-        anchor_interval: 0,
-        deadline: None,
+        ..ExploreConfig::default()
+    }
+}
+
+/// [`cfg`] recording into `collector`.
+fn recording(max_states: usize, threads: usize, collector: &Arc<Collector>) -> ExploreConfig {
+    ExploreConfig {
+        obs: Obs::collecting(collector),
+        ..cfg(max_states, threads)
     }
 }
 
@@ -156,11 +163,10 @@ fn traced_parallel_matches_serial_at_every_thread_count() {
         let serial = explore(&mut sys, budget);
         for threads in THREAD_COUNTS {
             let collector = Arc::new(Collector::new());
-            let traced = explore_parallel_traced(
+            let traced = explore_parallel(
                 || NetSystem::new(&net),
-                &cfg(budget, threads),
+                &recording(budget, threads, &collector),
                 None,
-                &Obs::collecting(&collector),
             );
             assert_identical(&serial, &traced, &format!("t={threads} budget={budget}"));
 
@@ -181,18 +187,23 @@ fn traced_parallel_matches_serial_at_every_thread_count() {
 }
 
 /// Tracing is invisible to the output: traced and untraced parallel runs
-/// are bit-identical at every thread count.
+/// are bit-identical at every thread count, on a wide-state net (3 words
+/// per state, stride > 2) whose auto anchor policy stores most states as
+/// deltas.
 #[test]
 fn tracing_is_observation_only() {
-    let net = ring(150); // 3 words per state: exercises the delta path too
+    let net = ring(150);
     for threads in THREAD_COUNTS {
         let untraced = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, threads), None);
+        assert!(
+            untraced.anchor_count() < untraced.len(),
+            "t={threads}: deltas were actually used"
+        );
         let collector = Arc::new(Collector::new());
-        let traced = explore_parallel_traced(
+        let traced = explore_parallel(
             || NetSystem::new(&net),
-            &cfg(1_000, threads),
+            &recording(1_000, threads, &collector),
             None,
-            &Obs::collecting(&collector),
         );
         assert_identical(&untraced, &traced, &format!("t={threads}"));
         assert!(collector.snapshot().wall_ns > 0);
@@ -214,11 +225,10 @@ proptest! {
             for threads in THREAD_COUNTS {
                 let plain = explore_parallel(|| NetSystem::new(&net), &cfg(budget, threads), None);
                 let collector = Arc::new(Collector::new());
-                let traced = explore_parallel_traced(
+                let traced = explore_parallel(
                     || NetSystem::new(&net),
-                    &cfg(budget, threads),
+                    &recording(budget, threads, &collector),
                     None,
-                    &Obs::collecting(&collector),
                 );
                 let ctx = format!("t={threads} budget={budget}");
                 assert_identical(&serial, &plain, &format!("plain {ctx}"));

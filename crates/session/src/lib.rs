@@ -190,10 +190,9 @@ pub struct Session {
     /// held, and read under it too ([`Session::stats`]), so the
     /// compiles/hits/models triple is always mutually consistent.
     meter: Meter,
-    /// The recorder handle every compiled model (and the store, when the
-    /// session is built via [`Session::open_traced`] /
-    /// [`Session::with_store_and_recorder`]) records into. Detached by
-    /// default; recording is observation-only and never changes a result.
+    /// The recorder handle every compiled model and the store record into
+    /// ([`Session::with`]). Detached by default; recording is
+    /// observation-only and never changes a result.
     obs: Obs,
     /// Persistent artifact store; `None` = memory-only session.
     store: Option<Arc<Store>>,
@@ -229,89 +228,58 @@ impl Session {
         Session::default()
     }
 
-    /// A session persisting its artifacts through `store`.
+    /// A session over an optional artifact `store`, recording into `obs`.
     ///
-    /// Every successful perf / quick-check / cost / steady-state artifact
-    /// is committed to the store (crash-safely — temp file, fsync, atomic
-    /// rename), and every such query consults the store before computing,
-    /// so warm-sweep guarantees extend across process restarts: a
-    /// restarted sweep over an intact store performs zero full
+    /// With a store, every successful perf / quick-check / cost /
+    /// steady-state artifact is committed to it (crash-safely — temp file,
+    /// fsync, atomic rename), and every such query consults the store
+    /// before computing, so warm-sweep guarantees extend across process
+    /// restarts: a restarted sweep over an intact store performs zero full
     /// evaluations. Store degradation (corrupt frames, full disk, I/O
     /// errors) never changes an answer — only whether it was recomputed —
-    /// and is observable via [`SessionStats::store`].
+    /// and is observable via [`SessionStats::store`]. `None` is a
+    /// memory-only session.
+    ///
+    /// With a live `obs`, every query of every compiled model wraps itself
+    /// in `session.query.<kind>` spans, mirrors its counters into the
+    /// recorder (see the `rap-obs` crate docs for the taxonomy) and hands
+    /// its `session.compute` span to the engine, and the store records
+    /// read/write latency histograms and quarantine events into the same
+    /// recorder. Recording is observation-only — results, caching and
+    /// scheduling are bit-identical to a session over [`Obs::none`].
     #[must_use]
-    pub fn with_store(store: Store) -> Self {
-        Session {
-            store: Some(Arc::new(store)),
-            ..Session::default()
-        }
-    }
-
-    /// A memory-only session recording into `obs`: every query of every
-    /// compiled model wraps itself in `session.query.<kind>` spans and
-    /// mirrors its counters into the recorder (see the `rap-obs` crate
-    /// docs for the taxonomy). Recording is observation-only — results,
-    /// caching and scheduling are bit-identical to an untraced session.
-    #[must_use]
-    pub fn with_recorder(obs: Obs) -> Self {
+    pub fn with(store: Option<Store>, obs: Obs) -> Self {
+        let store = store.map(|mut store| {
+            store.set_recorder(obs.clone());
+            Arc::new(store)
+        });
         Session {
             meter: Meter::with_obs(obs.clone()),
             obs,
+            store,
             ..Session::default()
         }
-    }
-
-    /// [`Session::with_store`] + [`Session::with_recorder`]: a persistent
-    /// session whose store also records read/write latency histograms and
-    /// quarantine events into the same recorder.
-    #[must_use]
-    pub fn with_store_and_recorder(mut store: Store, obs: Obs) -> Self {
-        store.set_recorder(obs.clone());
-        Session {
-            meter: Meter::with_obs(obs.clone()),
-            obs,
-            store: Some(Arc::new(store)),
-            ..Session::default()
-        }
-    }
-
-    /// [`Session::open`] with a recorder attached to both the session and
-    /// its store — shorthand for [`Store::open`] +
-    /// [`Session::with_store_and_recorder`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::open`].
-    pub fn open_traced(dir: impl AsRef<Path>, obs: Obs) -> Result<Self, StoreError> {
-        Ok(Session::with_store_and_recorder(Store::open(dir)?, obs))
     }
 
     /// The recorder handle this session records into (detached unless the
-    /// session was built with one of the `*_recorder` constructors).
+    /// session was built by [`Session::with`] with a live one).
     #[must_use]
     pub fn recorder(&self) -> &Obs {
         &self.obs
     }
 
     /// Opens (creating if necessary) the artifact store at `dir` and
-    /// builds a persistent session over it — shorthand for
-    /// [`Store::open`] + [`Session::with_store`].
+    /// builds a persistent, untraced session over it — shorthand for
+    /// [`Store::open`] + [`Session::with`].
     ///
     /// # Errors
     ///
     /// [`StoreError::Locked`] when a live process holds the directory,
     /// [`StoreError::Io`] when it cannot be prepared. Callers that prefer
-    /// degradation over failure use [`Session::open_or_memory`].
+    /// degradation over failure fall back to [`Session::new`], which keeps
+    /// every answer and only loses persistence.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Ok(Session::with_store(Store::open(dir)?))
-    }
-
-    /// [`Session::open`], degrading to a memory-only session when the
-    /// store cannot be opened (locked directory, read-only filesystem…) —
-    /// the caller keeps every answer, and only loses persistence.
-    #[must_use]
-    pub fn open_or_memory(dir: impl AsRef<Path>) -> Self {
-        Session::open(dir).unwrap_or_else(|_| Session::new())
+        Ok(Session::with(Some(Store::open(dir)?), Obs::none()))
     }
 
     /// The persistent store backing this session, if any.

@@ -5,9 +5,10 @@ use crate::persist::Persist;
 use crate::Error;
 use dfs_core::perf::{analyse_with_activity, PerfDetail, PerfReport};
 use dfs_core::timed::{measure_steady_period, ChoicePolicy, SteadyStatePeriod};
-use dfs_core::{to_petri, Dfs, Lts, NodeId, PetriImage};
+use dfs_core::{to_petri, Dfs, DfsError, Lts, NodeId, PetriImage};
 use rap_obs::{CounterSnapshot, Meter, Obs};
-use rap_petri::analysis::QuickCheck;
+use rap_petri::analysis::{quick_check_with, QuickCheck};
+use rap_petri::reachability::ExploreConfig;
 use rap_silicon::cost::CostModel;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -36,6 +37,17 @@ fn traced_once<T>(slot: &OnceLock<T>, f: impl FnOnce() -> T) -> (&T, bool) {
         f()
     });
     (v, ran)
+}
+
+/// The exploration config of a session query: the state budget, every
+/// other knob at its default, recording under the query's `session.compute`
+/// span.
+fn explore_config(max_states: usize, obs: &Obs) -> ExploreConfig {
+    ExploreConfig {
+        max_states,
+        obs: obs.clone(),
+        ..ExploreConfig::default()
+    }
 }
 
 /// Per-query-kind counters of one [`CompiledModel`] (also the aggregate
@@ -183,8 +195,10 @@ pub struct CompiledModel {
     meter: Meter,
     /// The session's recorder handle; every query wraps itself in a
     /// `session.query.<kind>` span with `session.load` / `session.compute`
-    /// / `session.commit` children. Recording is observation-only — it
-    /// never changes what is computed or cached.
+    /// / `session.commit` children, and the explorations hand their
+    /// `session.compute` span to the engine as [`ExploreConfig::obs`].
+    /// Recording is observation-only — it never changes what is computed
+    /// or cached.
     obs: Obs,
 }
 
@@ -264,7 +278,7 @@ impl CompiledModel {
     }
 
     /// The recorder handle this model records into (detached unless the
-    /// owning session was built with `Session::with_recorder`).
+    /// owning session was built by `Session::with` with a live one).
     #[must_use]
     pub fn recorder(&self) -> &Obs {
         &self.obs
@@ -294,7 +308,7 @@ impl CompiledModel {
     /// token-free cycle); errors are cached like results, so a failing
     /// model is analysed once, not once per query.
     pub fn perf_detail(&self) -> Result<&PerfDetail, Error> {
-        self.perf_detail_traced().0
+        self.perf_detail_computed().0
     }
 
     /// [`perf_detail`](Self::perf_detail), also reporting whether *this*
@@ -303,7 +317,7 @@ impl CompiledModel {
     /// or a verified on-disk frame of a persistent session — (`false`).
     /// Sweep drivers use this for exact work accounting; a restart-warm
     /// sweep over an intact store reports `false` throughout.
-    pub fn perf_detail_traced(&self) -> (Result<&PerfDetail, Error>, bool) {
+    pub fn perf_detail_computed(&self) -> (Result<&PerfDetail, Error>, bool) {
         let span = self.obs.span("session.query.perf");
         let qobs = span.obs();
         let mut analysed = false;
@@ -356,17 +370,19 @@ impl CompiledModel {
     ///
     /// # Errors
     ///
-    /// The cached [`DfsError::StateBudgetExceeded`](dfs_core::DfsError)
-    /// when the state space exceeds `budget`.
+    /// The cached [`DfsError::StateBudgetExceeded`] when the state space
+    /// exceeds `budget`.
     pub fn lts(&self, budget: usize) -> Result<Arc<Lts>, Error> {
         let span = self.obs.span("session.query.lts");
         let qobs = span.obs();
         let slot = keyed_slot(&self.lts, budget);
         let (res, ran) = traced_once(&slot, || {
             qobs.time("session.compute", |o| {
-                Lts::explore_traced(&self.dfs, budget, o)
-                    .map(Arc::new)
-                    .map_err(Error::from)
+                let lts = Lts::explore_with(&self.dfs, &explore_config(budget, o), None);
+                if lts.is_truncated() {
+                    return Err(DfsError::StateBudgetExceeded { budget }.into());
+                }
+                Ok(Arc::new(lts))
             })
         });
         self.meter
@@ -399,11 +415,10 @@ impl CompiledModel {
             ran = true;
             let img = self.petri();
             let check = qobs.time("session.compute", |o| {
-                rap_petri::analysis::quick_check_traced(
+                quick_check_with(
                     &img.net,
                     &img.complementary_pairs(),
-                    budget,
-                    o,
+                    &explore_config(budget, o),
                 )
             });
             if let Some(p) = &self.persist {

@@ -144,7 +144,7 @@ fn cold_warm_restart_counters_add_up_and_answers_are_bit_identical() {
 }
 
 #[test]
-fn open_or_memory_degrades_to_memory_when_locked() {
+fn locked_store_degrades_to_a_memory_session() {
     let dir = TempDir(temp_dir("degrade"));
     let holder = Session::open(&dir.0).unwrap();
     // second opener: the directory is locked by a live process (us)
@@ -152,7 +152,7 @@ fn open_or_memory_degrades_to_memory_when_locked() {
         Session::open(&dir.0),
         Err(rap_session::StoreError::Locked { .. })
     ));
-    let degraded = Session::open_or_memory(&dir.0);
+    let degraded = Session::open(&dir.0).unwrap_or_else(|_| Session::new());
     assert!(degraded.store().is_none(), "fell back to memory-only");
     // degradation changes cost, never answers
     let (dfs, out) = model();

@@ -322,9 +322,9 @@ impl Store {
     /// the `store.read_ns` / `store.write_ns` log2 histograms, and every
     /// quarantined frame emits a `store.quarantine` event naming the file.
     ///
-    /// Must be called before the store is shared (it takes `&mut self`);
-    /// [`Store::open`] + `set_recorder` + `Session::with_store_and_recorder`
-    /// is the usual sequence, or go through `Session::open_traced`.
+    /// Must be called before the store is shared (it takes `&mut self`).
+    /// `Session::with(Some(store), obs)` calls it with the session's own
+    /// handle, so a session and its store record into one recorder.
     pub fn set_recorder(&mut self, obs: Obs) {
         self.meter.set_obs(obs);
     }

@@ -13,8 +13,10 @@
 //!   explicit-state reachability backend;
 //! * [`reach`] (`rap-reach`) — the Reach-style property language;
 //! * [`obs`] (`rap-obs`) — the tracing/metrics layer: attach a
-//!   [`obs::Collector`] via [`Session::with_recorder`] to profile where a
-//!   sweep spends its time (see the crate docs for the span taxonomy);
+//!   [`obs::Collector`] to a session with [`Session::with`], or to a single
+//!   exploration through [`petri::reachability::ExploreConfig::obs`], to
+//!   profile where a sweep spends its time (see the crate docs for the span
+//!   taxonomy);
 //! * [`session`] (`rap-session`) — **the recommended entry point**: compile
 //!   models once, run typed queries (Petri image, LTS, throughput,
 //!   verification screen, silicon cost) with cross-query artifact caching

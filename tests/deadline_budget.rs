@@ -1,10 +1,11 @@
 //! Wall-clock deadline budget: determinism and typed-outcome contract.
 //!
-//! `ExploreConfig::deadline` / `EngineConfig::deadline` turn runaway
-//! explorations into the existing typed `Truncated` / `Inconclusive`
-//! outcomes. The clock is consulted only at level-commit barriers, so the
-//! cut prefix is always a complete-level prefix of the canonical BFS
-//! order — this suite pins the two halves of that contract:
+//! `ExploreConfig::deadline` turns runaway explorations into a typed
+//! outcome of its own (`DeadlineExpired`, reported as a truncated space and
+//! degrading verdicts to `Inconclusive`). The clock is consulted only at
+//! level-commit barriers, so the cut prefix is always a complete-level
+//! prefix of the canonical BFS order — this suite pins the two halves of
+//! that contract:
 //!
 //! * **zero deadline** cuts after the *first* level commit, at every
 //!   thread count, producing the identical (bit-for-bit) one-level graph
@@ -13,12 +14,16 @@
 //!   scheduler artifact;
 //! * **unreachable deadline** changes nothing: the graph equals the
 //!   undeadlined exploration exactly.
+//!
+//! A deadline cut is reported as what it is, never as a state-budget
+//! overrun.
 
 use rap::dfs::pipelines::{build_pipeline, PipelineSpec};
 use rap::dfs::to_petri;
 use rap::petri::analysis::{quick_check, quick_check_with, QuickVerdict};
-use rap::petri::reachability::{explore_truncated, ExploreConfig, StateId, StateSpace};
-use rap::petri::TransitionId;
+use rap::petri::engine::ExploreOutcome;
+use rap::petri::reachability::{explore, explore_truncated, ExploreConfig, StateId, StateSpace};
+use rap::petri::{PetriError, TransitionId};
 use std::time::Duration;
 
 type Fingerprint = Vec<(Vec<u64>, Vec<(TransitionId, StateId)>)>;
@@ -47,6 +52,7 @@ fn zero_deadline_cuts_after_first_level_commit_at_every_thread_count() {
                 max_states: 100_000,
                 threads,
                 deadline: Some(Duration::ZERO),
+                ..ExploreConfig::default()
             },
         );
         assert!(space.is_truncated(), "zero deadline must truncate");
@@ -93,6 +99,7 @@ fn unreachable_deadline_is_a_no_op() {
             max_states: 100_000,
             threads: 2,
             deadline: Some(Duration::from_secs(3600)),
+            ..ExploreConfig::default()
         },
     );
     let without = explore_truncated(
@@ -100,7 +107,7 @@ fn unreachable_deadline_is_a_no_op() {
         ExploreConfig {
             max_states: 100_000,
             threads: 2,
-            deadline: None,
+            ..ExploreConfig::default()
         },
     );
     assert!(!with.is_truncated());
@@ -124,6 +131,7 @@ fn deadline_cut_quick_check_degrades_to_inconclusive_not_wrong() {
             max_states: 1_000_000,
             threads: 2,
             deadline: Some(Duration::ZERO),
+            ..ExploreConfig::default()
         },
     );
     assert!(cut.truncated);
@@ -134,4 +142,30 @@ fn deadline_cut_quick_check_degrades_to_inconclusive_not_wrong() {
     assert_eq!(cut.safe, QuickVerdict::Inconclusive { budget: 1_000_000 });
     assert!(cut.deadlock.is_none());
     assert!(cut.unsafe_witness.is_none());
+}
+
+#[test]
+fn deadline_cut_is_not_reported_as_a_budget_overrun() {
+    // reconfigurable_depth(3,1) has 34,704 states, far inside the budget:
+    // only the zero deadline can stop this exploration
+    let p = build_pipeline(&PipelineSpec::reconfigurable_depth(3, 1).unwrap()).unwrap();
+    let img = to_petri(&p.dfs);
+    let cfg = ExploreConfig {
+        max_states: 100_000,
+        deadline: Some(Duration::ZERO),
+        ..ExploreConfig::default()
+    };
+    let err = explore(&img.net, cfg.clone()).unwrap_err();
+    assert!(
+        !matches!(err, PetriError::StateBudgetExceeded { .. }),
+        "deadline cut reported as a budget overrun: {err}"
+    );
+    assert!(err.to_string().contains("deadline"), "{err}");
+    let space = explore_truncated(&img.net, cfg);
+    assert!(space.is_truncated());
+    assert!(
+        !matches!(space.outcome(), ExploreOutcome::Truncated { .. }),
+        "deadline cut recorded as a budget truncation: {:?}",
+        space.outcome()
+    );
 }

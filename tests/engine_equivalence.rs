@@ -71,21 +71,25 @@ fn arb_pipeline() -> impl Strategy<Value = Dfs> {
         })
 }
 
+/// The default config under a state budget.
+fn cfg(max_states: usize) -> ExploreConfig {
+    ExploreConfig {
+        max_states,
+        ..ExploreConfig::default()
+    }
+}
+
 /// Full equivalence of the Petri explorers, including the replay of every
 /// counterexample (per-state shortest trace). The dead states the engines
 /// record on discovery must equal the naive explorer's full-scan ones —
 /// parallel ≡ serial ≡ naive.
 fn assert_pn_equivalent(net: &PetriNet, max_states: usize) -> Result<(), TestCaseError> {
-    let cfg = ExploreConfig {
-        max_states,
-        ..ExploreConfig::default()
-    };
-    let engine = explore_truncated(net, cfg);
-    let naive = explore_naive_truncated(net, cfg);
+    let engine = explore_truncated(net, cfg(max_states));
+    let naive = explore_naive_truncated(net, cfg(max_states));
     prop_assert_eq!(engine.len(), naive.len());
     prop_assert_eq!(engine.is_truncated(), naive.is_truncated());
     prop_assert!(engine.dead_states().eq(naive.dead_states()), "dead states");
-    let serial = explore_serial_truncated(net, cfg);
+    let serial = explore_serial_truncated(net, cfg(max_states));
     prop_assert!(
         serial.dead_states().eq(naive.dead_states()),
         "serial dead states"
@@ -113,7 +117,7 @@ fn replay_traces(net: &PetriNet, space: &StateSpace) -> Result<(), TestCaseError
 }
 
 fn assert_lts_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), TestCaseError> {
-    let engine = Lts::explore_truncated(dfs, max_states);
+    let engine = Lts::explore_with(dfs, &cfg(max_states), None);
     let naive = Lts::explore_naive_truncated(dfs, max_states);
     prop_assert_eq!(engine.len(), naive.len());
     prop_assert_eq!(engine.is_truncated(), naive.is_truncated());
@@ -167,8 +171,8 @@ proptest! {
             assert_pn_equivalent(&img.net, cap)?;
             assert_lts_equivalent(&dfs, cap)?;
         }
-        let pn = explore_truncated(&img.net, ExploreConfig { max_states: 3_000, ..ExploreConfig::default() });
-        let lts = Lts::explore_truncated(&dfs, 3_000);
+        let pn = explore_truncated(&img.net, cfg(3_000));
+        let lts = Lts::explore_with(&dfs, &cfg(3_000), None);
         if !pn.is_truncated() && !lts.is_truncated() {
             prop_assert_eq!(pn.len(), lts.len());
         }
@@ -183,19 +187,15 @@ fn wagged_shapes_agree() {
         let w = wagged_pipeline(ways, 1, 1.0).unwrap();
         let img = to_petri(&w.dfs);
         let cap = 30_000;
-        let cfg = ExploreConfig {
-            max_states: cap,
-            ..ExploreConfig::default()
-        };
-        let engine = explore_truncated(&img.net, cfg);
-        let naive = explore_naive_truncated(&img.net, cfg);
+        let engine = explore_truncated(&img.net, cfg(cap));
+        let naive = explore_naive_truncated(&img.net, cfg(cap));
         assert_eq!(engine.len(), naive.len(), "ways={ways}");
         assert_eq!(engine.is_truncated(), naive.is_truncated());
         for (a, b) in engine.states().zip(naive.states()) {
             assert_eq!(engine.successors(a), naive.successors(b));
         }
         assert!(engine.dead_states().eq(naive.dead_states()), "ways={ways}");
-        let l_engine = Lts::explore_truncated(&w.dfs, cap);
+        let l_engine = Lts::explore_with(&w.dfs, &cfg(cap), None);
         let l_naive = Lts::explore_naive_truncated(&w.dfs, cap);
         assert_eq!(l_engine.len(), l_naive.len(), "ways={ways}");
         assert_eq!(l_engine.is_truncated(), l_naive.is_truncated());

@@ -6,13 +6,12 @@
 //! traces — not just equal counts. This suite pins that claim on random
 //! inputs from both ends of the tool (raw random Petri nets and the paper's
 //! pipeline generators), at threads ∈ {1, 2, 8} plus whatever
-//! `RAP_TEST_THREADS` asks for, including under tiny truncation budgets and
-//! with forced delta-compression (`anchor_interval` > 1). It mirrors
-//! `engine_equivalence.rs`, which pinned the serial engine against the
-//! naive explorers in PR 2.
+//! `RAP_TEST_THREADS` asks for, including under tiny truncation budgets.
+//! It mirrors `engine_equivalence.rs`, which pins the serial engine against
+//! the naive explorers.
 //!
-//! Since the observability layer landed, every parallel run here executes
-//! **with a live [`rap::obs::Collector`] attached** — the suite therefore
+//! Every parallel run here executes **with a live [`rap::obs::Collector`]
+//! attached** through `ExploreConfig::obs` — the suite therefore
 //! simultaneously pins the tracing determinism contract: recording is
 //! observation-only and can never perturb state numbering, edge order,
 //! witness traces or truncation, at any thread count.
@@ -22,10 +21,8 @@ use rap::dfs::pipelines::{build_pipeline, PipelineSpec};
 use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{to_petri, Dfs, Lts};
 use rap::obs::{Collector, Obs};
-use rap::petri::engine::EngineConfig;
 use rap::petri::reachability::{
-    explore_serial_truncated, explore_truncated, explore_truncated_traced, ExploreConfig,
-    StateSpace,
+    explore_serial_truncated, explore_truncated, ExploreConfig, StateSpace,
 };
 use rap::petri::{PetriNet, PlaceId};
 use std::sync::Arc;
@@ -125,14 +122,14 @@ fn assert_parallel_equivalent(net: &PetriNet, max_states: usize) -> Result<(), T
     );
     for threads in thread_counts() {
         let collector = Arc::new(Collector::new());
-        let par = explore_truncated_traced(
+        let par = explore_truncated(
             net,
             ExploreConfig {
                 max_states,
                 threads,
                 deadline: None,
+                obs: Obs::collecting(&collector),
             },
-            &Obs::collecting(&collector),
         );
         assert_spaces_identical(&par, &serial, &format!("threads={threads}"))?;
         // the collector really was live: the engine flushed its counters
@@ -149,32 +146,34 @@ fn assert_parallel_equivalent(net: &PetriNet, max_states: usize) -> Result<(), T
 fn assert_lts_parallel_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), TestCaseError> {
     let serial = Lts::explore_serial_truncated(dfs, max_states);
     for threads in thread_counts() {
-        // anchor_interval 3 forces delta-compressed storage into the
-        // comparison as well; tracing through a live collector keeps the
-        // observation-only contract under test on the LTS backend too
-        for anchor_interval in [0usize, 3] {
-            let collector = Arc::new(Collector::new());
-            let par = Lts::explore_with_traced(
-                dfs,
-                &EngineConfig {
-                    max_states,
-                    threads,
-                    anchor_interval,
-                    deadline: None,
-                },
-                None,
-                &Obs::collecting(&collector),
-            );
-            let ctx = format!("threads={threads} anchors={anchor_interval}");
-            prop_assert_eq!(par.len(), serial.len(), "{}: state count", &ctx);
-            prop_assert_eq!(par.outcome(), serial.outcome(), "{}: outcome", &ctx);
-            prop_assert_eq!(par.deadlocks(), serial.deadlocks(), "{}: dead states", &ctx);
-            for (sa, sb) in par.states().zip(serial.states()) {
-                prop_assert_eq!(par.state(sa), serial.state(sb), "{}: state", &ctx);
-                prop_assert_eq!(par.successors(sa), serial.successors(sb), "{}: edges", &ctx);
-                prop_assert_eq!(par.trace_to(sa), serial.trace_to(sb), "{}: trace", &ctx);
-            }
+        // tracing through a live collector keeps the observation-only
+        // contract under test on the LTS backend too
+        let collector = Arc::new(Collector::new());
+        let par = Lts::explore_with(
+            dfs,
+            &ExploreConfig {
+                max_states,
+                threads,
+                deadline: None,
+                obs: Obs::collecting(&collector),
+            },
+            None,
+        );
+        let ctx = format!("threads={threads}");
+        prop_assert_eq!(par.len(), serial.len(), "{}: state count", &ctx);
+        prop_assert_eq!(par.outcome(), serial.outcome(), "{}: outcome", &ctx);
+        prop_assert_eq!(par.deadlocks(), serial.deadlocks(), "{}: dead states", &ctx);
+        for (sa, sb) in par.states().zip(serial.states()) {
+            prop_assert_eq!(par.state(sa), serial.state(sb), "{}: state", &ctx);
+            prop_assert_eq!(par.successors(sa), serial.successors(sb), "{}: edges", &ctx);
+            prop_assert_eq!(par.trace_to(sa), serial.trace_to(sb), "{}: trace", &ctx);
         }
+        prop_assert_eq!(
+            collector.snapshot().counters.get("engine.states"),
+            par.len() as u64,
+            "{}: collector missed the run",
+            &ctx
+        );
     }
     Ok(())
 }
@@ -199,8 +198,8 @@ proptest! {
         }
     }
 
-    /// Random paper pipelines, both backends, with forced delta anchors,
-    /// exhaustive and under tiny budgets.
+    /// Random paper pipelines, both backends, exhaustive and under tiny
+    /// budgets.
     #[test]
     fn random_pipelines_parallel_equals_serial(dfs in arb_pipeline()) {
         let img = to_petri(&dfs);
@@ -232,7 +231,7 @@ fn wagged_shapes_parallel_equals_serial() {
                     ExploreConfig {
                         max_states: cap,
                         threads,
-                        deadline: None,
+                        ..ExploreConfig::default()
                     },
                 );
                 assert_eq!(par.len(), serial.len(), "ways={ways} threads={threads}");
@@ -257,7 +256,7 @@ fn parallel_witness_traces_replay() {
         ExploreConfig {
             max_states: 2_000,
             threads: 8,
-            deadline: None,
+            ..ExploreConfig::default()
         },
     );
     assert!(space.is_truncated());

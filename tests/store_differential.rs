@@ -11,6 +11,7 @@
 //! a test bug, so every script also asserts its expected fire count.
 
 use rap::dfs::{Dfs, DfsBuilder, NodeId};
+use rap::obs::Obs;
 use rap::petri::analysis::QuickCheck;
 use rap::session::store::{DiskStorage, FaultyStorage, Store};
 use rap::session::CostModel;
@@ -159,7 +160,7 @@ fn fault_matrix_answers_are_bit_identical_to_memory() {
 
         let cold_answers = {
             let store = Store::open_with(&dir.0, faulty.clone()).unwrap();
-            let session = Session::with_store(store);
+            let session = Session::with(Some(store), Obs::none());
             (scenario.arm_cold)(&faulty);
             query_all(&session, &dfs, out)
         };
@@ -171,7 +172,7 @@ fn fault_matrix_answers_are_bit_identical_to_memory() {
 
         (scenario.arm_restart)(&faulty);
         let store = Store::open_with(&dir.0, faulty.clone()).unwrap();
-        let session = Session::with_store(store);
+        let session = Session::with(Some(store), Obs::none());
         let restart_answers = query_all(&session, &dfs, out);
         assert_eq!(
             restart_answers, reference,
@@ -194,14 +195,17 @@ fn torn_write_is_quarantined_and_recomputed_exactly_once() {
     let (dfs, out) = model();
     let faulty = FaultyStorage::new(Arc::new(DiskStorage));
     {
-        let session = Session::with_store(Store::open_with(&dir.0, faulty.clone()).unwrap());
+        let session = Session::with(
+            Some(Store::open_with(&dir.0, faulty.clone()).unwrap()),
+            Obs::none(),
+        );
         faulty.arm_torn_write(40); // inside the header: checksum cannot hold
         query_all(&session, &dfs, out);
         // the tear is silent: the cold run believes all four commits landed
         assert_eq!(session.stats().store.write_errors, 0);
     }
     let store = Store::open_with(&dir.0, faulty.clone()).unwrap();
-    let session = Session::with_store(store);
+    let session = Session::with(Some(store), Obs::none());
     query_all(&session, &dfs, out);
     let stats = session.stats();
     assert_eq!(
@@ -218,7 +222,7 @@ fn torn_write_is_quarantined_and_recomputed_exactly_once() {
     assert_eq!(session.store().unwrap().quarantined_frames(), 1);
     // the recompute re-committed the artifact: a second restart is clean
     drop(session);
-    let session = Session::with_store(Store::open_with(&dir.0, faulty).unwrap());
+    let session = Session::with(Some(Store::open_with(&dir.0, faulty).unwrap()), Obs::none());
     query_all(&session, &dfs, out);
     assert_eq!(session.stats().store.disk_hits, 4);
     assert_eq!(session.stats().queries.computations(), 0);
@@ -230,13 +234,16 @@ fn crash_after_rename_artifact_survives_and_serves_the_restart() {
     let (dfs, out) = model();
     let faulty = FaultyStorage::new(Arc::new(DiskStorage));
     {
-        let session = Session::with_store(Store::open_with(&dir.0, faulty.clone()).unwrap());
+        let session = Session::with(
+            Some(Store::open_with(&dir.0, faulty.clone()).unwrap()),
+            Obs::none(),
+        );
         faulty.arm_crash_after_rename();
         query_all(&session, &dfs, out);
         // the writer saw a failure it cannot distinguish from a lost commit
         assert_eq!(session.stats().store.write_errors, 1);
     }
-    let session = Session::with_store(Store::open_with(&dir.0, faulty).unwrap());
+    let session = Session::with(Some(Store::open_with(&dir.0, faulty).unwrap()), Obs::none());
     query_all(&session, &dfs, out);
     let stats = session.stats();
     assert_eq!(
@@ -258,7 +265,7 @@ fn stale_lock_from_a_dead_process_is_broken_and_the_run_proceeds() {
     faulty.set_pid_alive(dead_pid, false);
     let store = Store::open_with(&dir.0, faulty).unwrap();
     assert_eq!(store.stats().stale_locks_broken, 1);
-    let session = Session::with_store(store);
+    let session = Session::with(Some(store), Obs::none());
     assert_eq!(
         query_all(&session, &dfs, out),
         query_all(&Session::new(), &dfs, out)

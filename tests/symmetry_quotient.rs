@@ -12,7 +12,7 @@
 use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{node_rotation_symmetry, to_petri, Lts};
 use rap::petri::analysis::{quick_check, quick_check_quotient, QuickVerdict};
-use rap::petri::engine::EngineConfig;
+use rap::petri::reachability::ExploreConfig;
 
 /// Full reachable state count of the 2-way wagged pipeline (comp depth 1)
 /// and its rotation quotient. The orbit of every reachable state off the
@@ -61,17 +61,15 @@ fn wagged2_lts_quotient_matches_petri_quotient() {
     let sym = node_rotation_symmetry(&w.dfs, &w.way_rotation).unwrap();
     assert_eq!(sym.order(), 2);
 
-    let full = Lts::explore_truncated(&w.dfs, 2_000_000);
+    let cfg = ExploreConfig {
+        max_states: 2_000_000,
+        ..ExploreConfig::default()
+    };
+    let full = Lts::explore_with(&w.dfs, &cfg, None);
     assert!(!full.is_truncated());
     assert_eq!(full.len(), WAGGED2_FULL);
     assert!(full.deadlocks().is_empty());
 
-    let cfg = EngineConfig {
-        max_states: 2_000_000,
-        threads: 0,
-        anchor_interval: 0,
-        deadline: None,
-    };
     let quo = Lts::explore_with(&w.dfs, &cfg, Some(&sym));
     assert!(!quo.is_truncated());
     assert_eq!(quo.len(), WAGGED2_QUOTIENT);
@@ -119,10 +117,10 @@ fn wagged3_quotient_explores_only_canonical_representatives() {
 
     let space = rap::petri::reachability::explore_quotient_truncated(
         &img.net,
-        rap::petri::reachability::ExploreConfig {
+        ExploreConfig {
             max_states: 5_000,
             threads: 2,
-            deadline: None,
+            ..ExploreConfig::default()
         },
         &ssym,
     );
