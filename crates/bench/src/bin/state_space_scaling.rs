@@ -1,13 +1,12 @@
-//! PERF — state-space exploration across pipeline shapes and thread counts.
+//! PERF — state-space exploration across pipeline shapes.
 //!
-//! Times the retained naive explorers (the seed implementations), the
-//! serial incremental engine, and the parallel engine across a threads
-//! axis, on both backends — Petri-net reachability and the direct-semantics
-//! LTS — over `reconfigurable_depth(n,k)` pipelines and wagged pipelines.
-//! Wagged shapes additionally record the symmetry-quotient state count.
-//! Prints a table and persists the measurements to
-//! `BENCH_state_space.json` (schema v2) at the repository root (the
-//! recorded perf trajectory of the verification hot path).
+//! Times the retained naive explorers (the seed implementations) and the
+//! state-space engine on both backends — Petri-net reachability and the
+//! direct-semantics LTS — over `reconfigurable_depth(n,k)` pipelines and
+//! wagged pipelines. Wagged shapes additionally record the
+//! symmetry-quotient state count. Prints a table and persists the
+//! measurements to `BENCH_state_space.json` (schema v3) at the repository
+//! root (the recorded perf trajectory of the verification hot path).
 //!
 //! Usage: `state_space_scaling [--quick] [--out PATH] [--trace-out PATH]`
 //!
@@ -15,12 +14,12 @@
 //! configuration); `--out` overrides the output path. The emitted JSON is
 //! schema-validated before the process exits. `--trace-out` attaches a
 //! live collector and writes the run's `rap/trace/v1` profile — per-case
-//! spans with the engine's per-level expand/commit breakdown — and
+//! spans with the engine's `engine.explore` spans under them — and
 //! embeds its summary into the BENCH json; recording is observation-only,
 //! so every measured number is unchanged.
 
 use rap_bench::cli::BenchCli;
-use rap_bench::state_space::{render_json_with_trace, run_sweep, validate, THREADS};
+use rap_bench::state_space::{render_json_with_trace, run_sweep, validate};
 use rap_bench::trace::TraceSink;
 use rap_bench::{banner, num, row};
 
@@ -31,18 +30,13 @@ fn main() {
     let sink = TraceSink::from_cli(&cli);
 
     banner(if quick {
-        "State-space scaling (quick sweep): naive vs serial vs parallel engine"
+        "State-space scaling (quick sweep): naive explorer vs engine"
     } else {
-        "State-space scaling: naive vs serial vs parallel engine"
+        "State-space scaling: naive explorer vs engine"
     });
     let cases = run_sweep(quick, &sink.obs());
 
-    let widths = [27usize, 6, 9, 11, 11, 8, 20, 10];
-    let thread_header = THREADS
-        .iter()
-        .map(|t| format!("t{t}"))
-        .collect::<Vec<_>>()
-        .join("/");
+    let widths = [27usize, 6, 9, 11, 11, 8, 10];
     println!(
         "{}",
         row(
@@ -53,19 +47,12 @@ fn main() {
                 "naive[ms]".into(),
                 "engine[ms]".into(),
                 "speedup".into(),
-                format!("{thread_header}[ms]"),
                 "quotient".into(),
             ],
             &widths
         )
     );
     for c in &cases {
-        let threads = c
-            .threads
-            .iter()
-            .map(|t| num(t.ms, 1))
-            .collect::<Vec<_>>()
-            .join("/");
         let quotient = match c.quotient_states {
             Some(q) => format!("{q}"),
             None => "-".into(),
@@ -80,7 +67,6 @@ fn main() {
                     num(c.naive_ms, 2),
                     num(c.engine_ms, 2),
                     format!("{}x", num(c.speedup(), 2)),
-                    threads,
                     quotient,
                 ],
                 &widths
@@ -99,11 +85,10 @@ fn main() {
         std::process::exit(1);
     });
     println!(
-        "\n{} cases, min speedup {}x, geomean {}x, max thread speedup {}x, max quotient reduction {}x — written to {}",
+        "\n{} cases, min speedup {}x, geomean {}x, max quotient reduction {}x — written to {}",
         summary.cases,
         num(summary.min_speedup, 2),
         num(summary.geomean_speedup, 2),
-        num(summary.max_thread_speedup, 2),
         num(summary.max_quotient_reduction, 2),
         out.display()
     );

@@ -1,5 +1,5 @@
 //! The `state_space_scaling` sweep: explorer timings over the paper's
-//! pipeline shapes, persisted as `BENCH_state_space.json` (schema v2).
+//! pipeline shapes, persisted as `BENCH_state_space.json` (schema v3).
 //!
 //! The sweep drives both state-space backends — Petri-net reachability and
 //! the direct-semantics LTS — over `PipelineSpec::reconfigurable_depth`
@@ -7,9 +7,8 @@
 //!
 //! * the retained naive explorer (`explore_naive_truncated`,
 //!   `Lts::explore_naive_truncated` — the seed implementations);
-//! * the serial incremental engine (the PR-2 reference);
-//! * the parallel engine across a **threads axis**, asserting on every
-//!   sample that state count and truncation are thread-count-invariant;
+//! * the state-space engine, asserting that its state count and truncation
+//!   agree with the naive explorer's;
 //! * for wagged shapes, the symmetry **quotient** (one state per way-rotation
 //!   orbit), recording the reduced state count — the `quotient_states` axis.
 //!
@@ -22,28 +21,15 @@ use dfs_core::wagging::wagged_pipeline;
 use dfs_core::{node_rotation_symmetry, to_petri, Dfs, Lts};
 use rap_obs::{Obs, Snapshot};
 use rap_petri::reachability::{
-    explore_naive_truncated, explore_quotient_truncated, explore_serial_truncated,
-    explore_truncated, ExploreConfig,
+    explore_naive_truncated, explore_quotient_truncated, explore_truncated, ExploreConfig,
 };
 use std::time::Instant;
 
 /// Schema tag embedded in (and required from) the emitted JSON.
-pub const SCHEMA: &str = "rap/state-space-scaling/v2";
+pub const SCHEMA: &str = "rap/state-space-scaling/v3";
 
 /// State budget for every sweep case (none of the swept shapes truncate).
 pub const MAX_STATES: usize = 16_000_000;
-
-/// The threads axis swept by every case.
-pub const THREADS: &[usize] = &[1, 2, 4];
-
-/// One point of a case's threads axis.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadSample {
-    /// Worker threads of the parallel engine.
-    pub threads: usize,
-    /// Best-of-N wall-clock, milliseconds.
-    pub ms: f64,
-}
 
 /// One measured sweep case.
 #[derive(Debug, Clone)]
@@ -58,11 +44,8 @@ pub struct Case {
     pub truncated: bool,
     /// Best-of-N wall-clock of the naive (seed) explorer, milliseconds.
     pub naive_ms: f64,
-    /// Best-of-N wall-clock of the serial incremental engine, milliseconds.
+    /// Best-of-N wall-clock of the state-space engine, milliseconds.
     pub engine_ms: f64,
-    /// Parallel engine across the threads axis (count/truncation asserted
-    /// identical to the serial engine at every point).
-    pub threads: Vec<ThreadSample>,
     /// Orbit representatives of the symmetry quotient (wagged shapes only).
     pub quotient_states: Option<usize>,
     /// Best-of-N wall-clock of the quotient exploration, milliseconds.
@@ -70,21 +53,10 @@ pub struct Case {
 }
 
 impl Case {
-    /// Naive-over-serial-engine wall-clock ratio.
+    /// Naive-over-engine wall-clock ratio.
     #[must_use]
     pub fn speedup(&self) -> f64 {
         self.naive_ms / self.engine_ms
-    }
-
-    /// Wall-clock ratio of the threads=1 sample over the max-threads sample
-    /// (> 1 means parallel exploration pays off; on a single-core host it
-    /// hovers near 1).
-    #[must_use]
-    pub fn thread_speedup(&self) -> f64 {
-        match (self.threads.first(), self.threads.last()) {
-            (Some(t1), Some(tn)) if tn.ms > 0.0 => t1.ms / tn.ms,
-            _ => 1.0,
-        }
     }
 
     /// Full-over-quotient state-count ratio (≈ the symmetry group order).
@@ -107,42 +79,29 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
     (last.expect("reps >= 1"), best)
 }
 
-/// The sweep's exploration config at `threads` workers, recording into
-/// `obs`.
-fn cfg(threads: usize, obs: &Obs) -> ExploreConfig {
+/// The sweep's exploration config, recording into `obs`.
+fn cfg(obs: &Obs) -> ExploreConfig {
     ExploreConfig {
         max_states: MAX_STATES,
-        threads,
         deadline: None,
         obs: obs.clone(),
     }
 }
 
 fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, obs: &Obs) -> Case {
-    // one span per case; the parallel/quotient explorations below feed
-    // their per-level expand/commit spans into it, so a traced
-    // BENCH_state_space.json can attribute each case's time to the
-    // engine's phases
+    // one span per case; the engine and quotient explorations below feed
+    // their `engine.explore` spans into it, so a traced
+    // BENCH_state_space.json can attribute each case's time to the engine
     let case_span = obs.span("bench.case.petri");
     let cobs = case_span.obs();
     let img = to_petri(dfs);
-    let (naive, naive_ms) = best_of(reps, || explore_naive_truncated(&img.net, cfg(1, &cobs)));
-    let (serial, engine_ms) = best_of(reps, || explore_serial_truncated(&img.net, cfg(1, &cobs)));
+    let (naive, naive_ms) = best_of(reps, || explore_naive_truncated(&img.net, cfg(&cobs)));
+    let (engine, engine_ms) = best_of(reps, || explore_truncated(&img.net, cfg(&cobs)));
     assert_eq!(
         (naive.len(), naive.is_truncated()),
-        (serial.len(), serial.is_truncated()),
-        "{name}: serial engine disagrees with the naive explorer"
+        (engine.len(), engine.is_truncated()),
+        "{name}: engine disagrees with the naive explorer"
     );
-    let mut threads = Vec::new();
-    for &t in THREADS {
-        let (par, ms) = best_of(reps, || explore_truncated(&img.net, cfg(t, &cobs)));
-        assert_eq!(
-            (par.len(), par.is_truncated()),
-            (serial.len(), serial.is_truncated()),
-            "{name}: parallel engine at {t} threads is not thread-count-invariant"
-        );
-        threads.push(ThreadSample { threads: t, ms });
-    }
     let (quotient_states, quotient_ms) = match way_rotation {
         Some(perm) => {
             let sym = img
@@ -150,7 +109,7 @@ fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, 
                 .expect("way rotation induces a net automorphism")
                 .state_symmetry();
             let (quo, ms) = best_of(reps, || {
-                explore_quotient_truncated(&img.net, cfg(1, &cobs), &sym)
+                explore_quotient_truncated(&img.net, cfg(&cobs), &sym)
             });
             assert!(!quo.is_truncated(), "{name}: quotient truncated");
             (Some(quo.len()), Some(ms))
@@ -160,11 +119,10 @@ fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, 
     Case {
         name: name.to_string(),
         backend: "petri",
-        states: serial.len(),
-        truncated: serial.is_truncated(),
+        states: engine.len(),
+        truncated: engine.is_truncated(),
         naive_ms,
         engine_ms,
-        threads,
         quotient_states,
         quotient_ms,
     }
@@ -174,27 +132,17 @@ fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, ob
     let case_span = obs.span("bench.case.lts");
     let cobs = case_span.obs();
     let (naive, naive_ms) = best_of(reps, || Lts::explore_naive_truncated(dfs, MAX_STATES));
-    let (serial, engine_ms) = best_of(reps, || Lts::explore_serial_truncated(dfs, MAX_STATES));
+    let (engine, engine_ms) = best_of(reps, || Lts::explore_with(dfs, &cfg(&cobs), None));
     assert_eq!(
         (naive.len(), naive.is_truncated()),
-        (serial.len(), serial.is_truncated()),
-        "{name}: serial engine disagrees with the naive explorer"
+        (engine.len(), engine.is_truncated()),
+        "{name}: engine disagrees with the naive explorer"
     );
-    let mut threads = Vec::new();
-    for &t in THREADS {
-        let (par, ms) = best_of(reps, || Lts::explore_with(dfs, &cfg(t, &cobs), None));
-        assert_eq!(
-            (par.len(), par.is_truncated()),
-            (serial.len(), serial.is_truncated()),
-            "{name}: parallel engine at {t} threads is not thread-count-invariant"
-        );
-        threads.push(ThreadSample { threads: t, ms });
-    }
     let (quotient_states, quotient_ms) = match way_rotation {
         Some(perm) => {
             let sym = node_rotation_symmetry(dfs, perm)
                 .expect("way rotation is a structural automorphism");
-            let (quo, ms) = best_of(reps, || Lts::explore_with(dfs, &cfg(1, &cobs), Some(&sym)));
+            let (quo, ms) = best_of(reps, || Lts::explore_with(dfs, &cfg(&cobs), Some(&sym)));
             assert!(!quo.is_truncated(), "{name}: quotient truncated");
             (Some(quo.len()), Some(ms))
         }
@@ -203,11 +151,10 @@ fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, ob
     Case {
         name: name.to_string(),
         backend: "lts",
-        states: serial.len(),
-        truncated: serial.is_truncated(),
+        states: engine.len(),
+        truncated: engine.is_truncated(),
         naive_ms,
         engine_ms,
-        threads,
         quotient_states,
         quotient_ms,
     }
@@ -219,11 +166,10 @@ fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, ob
 /// states).
 ///
 /// Each case opens a `bench.case.petri` / `bench.case.lts` span under
-/// `obs`, and the parallel and quotient explorations inside it emit the
-/// engine's per-level `engine.level.expand` / `engine.level.commit` spans
-/// plus the `engine.*` counters — so a traced `BENCH_state_space.json` can
-/// attribute each case's wall-clock to the engine's phases. Recording is
-/// observation-only: states, truncation and every thread-count-invariance
+/// `obs`, and the engine and quotient explorations inside it emit one
+/// `engine.explore` span each plus the `engine.*` counters — so a traced
+/// `BENCH_state_space.json` can attribute each case's wall-clock to the
+/// engine. Recording is observation-only: states, truncation and every
 /// assertion are unchanged.
 #[must_use]
 pub fn run_sweep(quick: bool, obs: &Obs) -> Vec<Case> {
@@ -293,9 +239,8 @@ pub fn render_json(cases: &[Case], quick: bool) -> String {
 }
 
 /// [`render_json`] with an optional `trace_summary` block from a traced
-/// run's [`Snapshot`] — the per-level engine spans let the document say
-/// how the sweep's wall-clock splits across expand/commit. The
-/// block is additive: the document stays schema-valid without it and
+/// run's [`Snapshot`] — the engine spans let the document say how much of
+/// the sweep's wall-clock the engine takes. The block is additive: the document stays schema-valid without it and
 /// every measured number is unchanged.
 #[must_use]
 pub fn render_json_with_trace(cases: &[Case], quick: bool, trace: Option<&Snapshot>) -> String {
@@ -319,17 +264,6 @@ pub fn render_json_with_trace(cases: &[Case], quick: bool, trace: Option<&Snapsh
         out.push_str(&format!("      \"truncated\": {},\n", c.truncated));
         out.push_str(&format!("      \"naive_ms\": {:.3},\n", c.naive_ms));
         out.push_str(&format!("      \"engine_ms\": {:.3},\n", c.engine_ms));
-        out.push_str("      \"threads\": [");
-        for (j, t) in c.threads.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"threads\": {}, \"ms\": {:.3}}}",
-                t.threads, t.ms
-            ));
-        }
-        out.push_str("],\n");
         match (c.quotient_states, c.quotient_ms) {
             (Some(q), Some(ms)) => {
                 out.push_str(&format!("      \"quotient_states\": {q},\n"));
@@ -354,10 +288,6 @@ pub fn render_json_with_trace(cases: &[Case], quick: bool, trace: Option<&Snapsh
         .fold(f64::INFINITY, f64::min);
     let geomean =
         (cases.iter().map(|c| c.speedup().ln()).sum::<f64>() / cases.len().max(1) as f64).exp();
-    let max_thread = cases
-        .iter()
-        .map(Case::thread_speedup)
-        .fold(1.0f64, f64::max);
     let max_quot = cases
         .iter()
         .filter_map(Case::quotient_reduction)
@@ -366,7 +296,6 @@ pub fn render_json_with_trace(cases: &[Case], quick: bool, trace: Option<&Snapsh
     out.push_str(&format!("    \"cases\": {},\n", cases.len()));
     out.push_str(&format!("    \"min_speedup\": {min:.3},\n"));
     out.push_str(&format!("    \"geomean_speedup\": {geomean:.3},\n"));
-    out.push_str(&format!("    \"max_thread_speedup\": {max_thread:.3},\n"));
     out.push_str(&format!("    \"max_quotient_reduction\": {max_quot:.3}\n"));
     out.push_str("  }\n");
     out.push_str("}\n");
@@ -382,14 +311,12 @@ pub struct Summary {
     pub min_speedup: f64,
     /// Geometric-mean speedup across cases.
     pub geomean_speedup: f64,
-    /// Largest threads=1 / threads=max wall-clock ratio across cases.
-    pub max_thread_speedup: f64,
     /// Largest full/quotient state-count ratio across cases (1.0 when no
     /// case has a quotient axis).
     pub max_quotient_reduction: f64,
 }
 
-/// Validates a `BENCH_state_space.json` document against the v2 schema and
+/// Validates a `BENCH_state_space.json` document against the v3 schema and
 /// returns its summary.
 ///
 /// # Errors
@@ -462,28 +389,6 @@ pub fn validate(src: &str) -> Result<Summary, String> {
         if engine_ms > 0.0 && (speedup - naive_ms / engine_ms).abs() > 0.05 * speedup.max(1.0) {
             return Err(format!("case {i}: speedup inconsistent with timings"));
         }
-        let threads = field("threads")?
-            .as_arr()
-            .ok_or(format!("case {i}: \"threads\" not an array"))?;
-        if threads.is_empty() {
-            return Err(format!("case {i}: empty threads axis"));
-        }
-        let mut prev = 0.0f64;
-        for (j, t) in threads.iter().enumerate() {
-            let tn = t
-                .get("threads")
-                .and_then(Json::as_f64)
-                .filter(|x| *x >= 1.0)
-                .ok_or(format!("case {i}: threads[{j}] missing worker count"))?;
-            if tn <= prev {
-                return Err(format!("case {i}: threads axis not strictly increasing"));
-            }
-            prev = tn;
-            t.get("ms")
-                .and_then(Json::as_f64)
-                .filter(|x| x.is_finite() && *x >= 0.0)
-                .ok_or(format!("case {i}: threads[{j}] missing \"ms\""))?;
-        }
         let qs = field("quotient_states")?;
         match qs.as_f64() {
             Some(q) => {
@@ -522,7 +427,6 @@ pub fn validate(src: &str) -> Result<Summary, String> {
         cases: cases.len(),
         min_speedup,
         geomean_speedup: get_num("geomean_speedup")?,
-        max_thread_speedup: get_num("max_thread_speedup")?,
         max_quotient_reduction: get_num("max_quotient_reduction")?,
     })
 }
@@ -540,16 +444,6 @@ mod tests {
                 truncated: false,
                 naive_ms: 1.2,
                 engine_ms: 0.4,
-                threads: vec![
-                    ThreadSample {
-                        threads: 1,
-                        ms: 0.4,
-                    },
-                    ThreadSample {
-                        threads: 2,
-                        ms: 0.25,
-                    },
-                ],
                 quotient_states: None,
                 quotient_ms: None,
             },
@@ -560,16 +454,6 @@ mod tests {
                 truncated: false,
                 naive_ms: 2.0,
                 engine_ms: 0.5,
-                threads: vec![
-                    ThreadSample {
-                        threads: 1,
-                        ms: 0.5,
-                    },
-                    ThreadSample {
-                        threads: 2,
-                        ms: 0.3,
-                    },
-                ],
                 quotient_states: Some(800),
                 quotient_ms: Some(0.3),
             },
@@ -582,19 +466,16 @@ mod tests {
         let summary = validate(&json).unwrap();
         assert_eq!(summary.cases, 2);
         assert!((summary.min_speedup - 3.0).abs() < 0.05);
-        assert!((summary.max_thread_speedup - 0.5 / 0.3).abs() < 0.05);
         assert!((summary.max_quotient_reduction - 1536.0 / 800.0).abs() < 0.05);
     }
 
     #[test]
     fn validation_rejects_broken_documents() {
         let good = render_json(&fake_cases(), true);
-        assert!(validate(&good.replace(SCHEMA, "rap/state-space-scaling/v1")).is_err());
+        assert!(validate(&good.replace(SCHEMA, "rap/state-space-scaling/v2")).is_err());
         assert!(validate(&good.replace("\"cases\"", "\"cazes\"")).is_err());
         assert!(validate(&good.replace("\"speedup\": 3.000", "\"speedup\": 9.000")).is_err());
-        assert!(
-            validate(&good.replace("\"threads\": [{", "\"threads\": [ ] , \"x\": [{")).is_err()
-        );
+        assert!(validate(&good.replace("\"engine_ms\": 0.400", "\"engine_ms\": -1")).is_err());
         assert!(
             validate(&good.replace("\"quotient_states\": 800", "\"quotient_states\": 0")).is_err()
         );

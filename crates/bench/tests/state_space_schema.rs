@@ -15,10 +15,10 @@ fn quick_sweep_emits_valid_json() {
     assert!(!cases.is_empty());
     let json = render_json(&cases, true);
     assert!(json.contains(SCHEMA));
-    let summary = validate(&json).expect("emitted JSON validates against the v2 schema");
+    let summary = validate(&json).expect("emitted JSON validates against the v3 schema");
     assert_eq!(summary.cases, cases.len());
     assert!(summary.min_speedup.is_finite());
-    assert!(summary.max_thread_speedup.is_finite());
+    assert!(!json.contains("threads"), "v3 has no threads axis");
     assert!(summary.max_quotient_reduction >= 1.0);
 }
 

@@ -5,16 +5,14 @@
 //! PN-translation bisimulation tests, and the substrate of the verification
 //! queries that do not go through the Petri-net backend.
 //!
-//! Exploration runs on the shared parallel engine of
+//! Exploration runs on the shared state-space engine of
 //! [`rap_petri::engine`] under one [`ExploreConfig`]: states are packed
-//! into two bit-planes (`active`, `false-valued`), stored delta-compressed,
-//! and after each event only the events of *dependent* nodes — the event's
-//! own node plus everything reading it through data edges, R-presets/postsets
-//! or guards — are re-checked for enabledness. Results are identical at
-//! every thread count (see the engine docs for the determinism contract).
-//! The original explorer is retained as [`Lts::explore_naive_truncated`]
-//! for property-based cross-checking and as the benchmark baseline, and the
-//! serial engine as [`Lts::explore_serial_truncated`].
+//! into two bit-planes (`active`, `false-valued`), and after each event
+//! only the events of *dependent* nodes — the event's own node plus
+//! everything reading it through data edges, R-presets/postsets or guards
+//! — are re-checked for enabledness. The original explorer is retained as
+//! [`Lts::explore_naive_truncated`] for property-based cross-checking and
+//! as the benchmark baseline.
 //!
 //! Symmetric models (wagged replicas) can be explored as a rotation
 //! *quotient* via [`Lts::explore_with`] and a [`StateSymmetry`] built by
@@ -46,7 +44,7 @@ impl LtsStateId {
 
 /// The reachable labelled transition system of a DFS model.
 ///
-/// States live delta-compressed in the underlying [`ExploredGraph`];
+/// States live word-packed in the underlying [`ExploredGraph`];
 /// [`Lts::state`] materialises a [`DfsState`] snapshot on demand.
 #[derive(Debug, Clone)]
 pub struct Lts {
@@ -80,26 +78,16 @@ impl Lts {
         Ok(lts)
     }
 
-    /// Full-control frontend: explores on the parallel engine under `cfg`
-    /// (budget, threads, deadline, recorder), optionally as the rotation
-    /// quotient under `symmetry` (build one with [`node_rotation_symmetry`]).
-    /// Returns the partial LTS when the budget or the deadline cuts the
-    /// exploration ([`Lts::is_truncated`]).
+    /// Full-control frontend: explores on the engine under `cfg` (budget,
+    /// deadline, recorder), optionally as the rotation quotient under
+    /// `symmetry` (build one with [`node_rotation_symmetry`]). Returns the
+    /// partial LTS when the budget or the deadline cuts the exploration
+    /// ([`Lts::is_truncated`]).
     #[must_use]
     pub fn explore_with(dfs: &Dfs, cfg: &ExploreConfig, symmetry: Option<&StateSymmetry>) -> Lts {
-        let graph = engine::explore_parallel(|| DfsSystem::new(dfs), cfg, symmetry);
-        let sys = DfsSystem::new(dfs);
-        Self::from_graph(graph, &sys, symmetry.cloned())
-    }
-
-    /// The serial engine, kept as a reference implementation: the
-    /// differential suite pins the parallel engine against it
-    /// state-for-state. Use [`Lts::explore_with`] everywhere else.
-    #[must_use]
-    pub fn explore_serial_truncated(dfs: &Dfs, max_states: usize) -> Lts {
         let mut sys = DfsSystem::new(dfs);
-        let graph = engine::explore(&mut sys, max_states);
-        Self::from_graph(graph, &sys, None)
+        let graph = engine::explore(&mut sys, cfg, symmetry);
+        Self::from_graph(graph, &sys, symmetry.cloned())
     }
 
     fn from_graph(
@@ -234,7 +222,7 @@ impl Lts {
         LtsStateId(0)
     }
 
-    /// The state snapshot for `id`, reconstructed from the compressed store.
+    /// The state snapshot for `id`, decoded from the state arena.
     #[must_use]
     pub fn state(&self, id: LtsStateId) -> DfsState {
         let mut out = DfsState {
@@ -249,9 +237,7 @@ impl Lts {
     /// model (same node count).
     pub fn fill_state(&self, id: LtsStateId, out: &mut DfsState) {
         assert_eq!(out.active.len(), self.node_count, "state buffer mismatch");
-        let mut words = vec![0u64; self.graph.stride()];
-        self.graph.fill_state(id.index(), &mut words);
-        DfsSystem::decode_words(&words, self.node_count, out);
+        DfsSystem::decode_words(self.graph.state(id.index()), self.node_count, out);
     }
 
     /// Iterates over all state ids.
@@ -753,9 +739,6 @@ mod tests {
         assert!(partial.is_truncated());
         assert!(partial.successors(LtsStateId(1)).is_empty());
         assert!(partial.deadlocks().is_empty());
-        assert!(Lts::explore_serial_truncated(&dfs, 2)
-            .deadlocks()
-            .is_empty());
         assert!(Lts::explore_naive_truncated(&dfs, 2).deadlocks().is_empty());
     }
 
@@ -780,33 +763,20 @@ mod tests {
         assert!(mismatch.is_some());
     }
 
-    /// The engine-backed explorers are indistinguishable from the naive
-    /// reference: same numbering, edges, traces and truncation behaviour,
-    /// at every thread count.
+    /// The engine-backed explorer is indistinguishable from the naive
+    /// reference: same numbering, edges, traces and truncation behaviour.
     #[test]
     fn engine_matches_naive_reference() {
         let dfs = ring();
         for budget in [usize::MAX, 5, 2] {
-            for threads in [1usize, 2, 4] {
-                let a = Lts::explore_with(
-                    &dfs,
-                    &ExploreConfig {
-                        threads,
-                        ..cfg(budget)
-                    },
-                    None,
-                );
-                let s = Lts::explore_serial_truncated(&dfs, budget);
-                let b = Lts::explore_naive_truncated(&dfs, budget);
-                assert_eq!(a.len(), b.len());
-                assert_eq!(s.len(), b.len());
-                assert_eq!(a.is_truncated(), b.is_truncated());
-                for (sa, sb) in a.states().zip(b.states()) {
-                    assert_eq!(a.state(sa), b.state(sb));
-                    assert_eq!(s.state(sa), b.state(sb));
-                    assert_eq!(a.successors(sa), b.successors(sb));
-                    assert_eq!(a.trace_to(sa), b.trace_to(sb));
-                }
+            let a = Lts::explore_with(&dfs, &cfg(budget), None);
+            let b = Lts::explore_naive_truncated(&dfs, budget);
+            assert_eq!(a.len(), b.len());
+            assert_eq!(a.is_truncated(), b.is_truncated());
+            for (sa, sb) in a.states().zip(b.states()) {
+                assert_eq!(a.state(sa), b.state(sb));
+                assert_eq!(a.successors(sa), b.successors(sb));
+                assert_eq!(a.trace_to(sa), b.trace_to(sb));
             }
         }
     }

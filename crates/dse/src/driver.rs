@@ -4,7 +4,9 @@
 //!
 //! * **Work stealing** — tasks (configurations) are dealt round-robin into
 //!   per-worker deques ([`rap_pool::StealQueues`], extracted from this
-//!   driver so the parallel state-space engine shares it); a worker pops
+//!   driver); each candidate's state-space exploration runs serially on
+//!   the worker that evaluates it, so this pool is the only parallelism
+//!   of a sweep. A worker pops
 //!   its own deque from the front and, when empty, steals from the back of
 //!   the others. No global queue lock on the hot path, and stragglers (the
 //!   big wagged models) end up shared.

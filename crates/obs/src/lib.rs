@@ -10,8 +10,8 @@
 //!   guaranteed-free no-op default, so a recorder only overrides what it
 //!   cares about and the disabled path costs nothing (see *Overhead* below).
 //! * [`Collector`] — the standard thread-safe recorder. It aggregates spans
-//!   into a tree keyed by `(parent, name)` (bounded memory even for
-//!   million-level BFS runs), keeps named counters and gauges under a single
+//!   into a tree keyed by `(parent, name)` (bounded memory however many
+//!   times a span is entered), keeps named counters and gauges under a single
 //!   lock (so a [`Collector::snapshot`] is coherent, not torn), fixed
 //!   64-bucket log2 latency histograms, and a bounded provenance event list.
 //! * [`Obs`] — the cheap cloneable handle threaded through APIs. It pairs an
@@ -36,7 +36,7 @@
 //!
 //! Recording is observation-only. No instrumented subsystem ever keys
 //! dedup, state numbering, or scheduling decisions on recorder state; the
-//! engine's parallel≡serial equivalence proptests run with a live
+//! engine's traced≡untraced≡naive equivalence proptests run with a live
 //! [`Collector`] attached to pin exactly that.
 //!
 //! ## Span and counter taxonomy
@@ -46,11 +46,9 @@
 //!
 //! | name | kind | meaning |
 //! |------|------|---------|
-//! | `engine.level.expand` | span | per-level worker expansion (successors + concurrent dedup probes) |
-//! | `engine.level.commit` | span | barrier-side commit: chunk ordering, canonical-order state/edge commit, pending-slot reset |
+//! | `engine.explore` | span | one state-space exploration, start to finish |
 //! | `engine.levels` / `engine.states` / `engine.edges` | counter | BFS totals |
-//! | `engine.dedup.known` / `engine.dedup.pending` | counter | edges resolved against committed states / same-level pending slots |
-//! | `engine.shard.contended` | counter | shard-lock acquisitions that found the lock held |
+//! | `engine.dedup.known` | counter | edges whose target was committed in an earlier BFS level |
 //! | `engine.frontier.peak` | gauge | widest BFS frontier seen |
 //! | `session.compile` / `session.compile.hit` | counter | model compilations / intern-table hits |
 //! | `session.query.<kind>` | span | whole query (`petri`, `perf`, `lts`, `check`, `cost`, `steady`) |
@@ -793,7 +791,7 @@ mod tests {
     fn detached_handle_records_nothing_and_is_free_of_clock_reads() {
         let obs = Obs::none();
         assert!(!obs.is_enabled());
-        let t = obs.span("engine.level.expand");
+        let t = obs.span("engine.explore");
         assert!(!t.is_recording());
         assert!(!t.obs().is_enabled());
         obs.add("engine.states", 5);
@@ -938,7 +936,7 @@ mod tests {
                 let obs = Obs::collecting(&c);
                 thread::spawn(move || {
                     for _ in 0..100 {
-                        let t = obs.span("engine.level.expand");
+                        let t = obs.span("engine.explore");
                         obs.add("engine.states", 1);
                         drop(t);
                     }
@@ -950,11 +948,11 @@ mod tests {
         }
         let snap = c.snapshot();
         assert_eq!(snap.counter("engine.states"), 800);
-        let expand = snap
+        let explore = snap
             .spans
             .iter()
-            .find(|s| s.name == "engine.level.expand")
+            .find(|s| s.name == "engine.explore")
             .unwrap();
-        assert_eq!(expand.count, 800);
+        assert_eq!(explore.count, 800);
     }
 }

@@ -212,12 +212,11 @@ pub fn quick_check(net: &PetriNet, pairs: &[(PlaceId, PlaceId)], max_states: usi
 }
 
 /// [`quick_check`] under an explicit [`ExploreConfig`] — the variant that
-/// exposes the wall-clock [`deadline`](ExploreConfig::deadline), the thread
-/// count and the recorder ([`obs`](ExploreConfig::obs)) in addition to the
-/// state budget.
+/// exposes the wall-clock [`deadline`](ExploreConfig::deadline) and the
+/// recorder ([`obs`](ExploreConfig::obs)) in addition to the state budget.
 ///
 /// A deadline expiry degrades the verdicts like a budget hit: the
-/// exploration stops at a level-commit barrier and the verdicts over the
+/// exploration stops between two BFS levels and the verdicts over the
 /// (complete-level, deterministic) prefix say
 /// [`QuickVerdict::Inconclusive`] unless a genuine violation was already
 /// found — a runaway check never over-claims, and never runs past its

@@ -1,65 +1,38 @@
-//! Shared state-space engine: serial reference, parallel explorer,
-//! delta-compressed storage and symmetry reduction.
+//! Shared state-space engine: one breadth-first driver with event-driven
+//! enabledness, dead-state recording and symmetry reduction.
 //!
 //! Both explicit-state explorers of the workspace — Petri-net reachability
 //! ([`crate::reachability`]) and the direct DFS semantics (`dfs-core::Lts`)
 //! — are breadth-first fixpoints over a successor relation on *word-packed*
-//! states ([`TransitionSystem`]). This module provides two interchangeable
-//! drivers over that abstraction plus the machinery they share:
+//! states ([`TransitionSystem`]). [`explore`] is the one driver over that
+//! abstraction: arena-interned states, an open-addressing dedup table,
+//! event-driven enabledness, and optional symmetry reduction
+//! ([`StateSymmetry`]). One [`ExploreConfig`] carries its state budget,
+//! wall-clock deadline and the `rap-obs` handle it records into. It is
+//! pinned state-for-state against the naive explorers
+//! (`reachability::explore_naive_truncated`, `Lts::explore_naive_truncated`).
 //!
-//! * [`explore_parallel`] — the production engine: level-synchronous BFS
-//!   with a work-stealing frontier (`rap-pool`), a sharded concurrent dedup
-//!   index ([`shard::ShardIndex`]), delta-compressed state storage, and
-//!   optional symmetry reduction ([`StateSymmetry`]). One [`ExploreConfig`]
-//!   carries its state budget, worker count, wall-clock deadline and the
-//!   `rap-obs` handle it records into.
-//! * [`explore`] — the serial engine: arena-interned states, an
-//!   open-addressing dedup table, event-driven enabledness. It is the
-//!   executable specification the parallel engine is differentially tested
-//!   against (`tests/engine_parallel_equivalence.rs`), and is itself pinned
-//!   against the naive explorers.
+//! The driver is serial. Parallelism lives one level up, in the design-space
+//! driver (`rap-dse`), whose workers evaluate independent candidates and so
+//! need no determinism machinery.
 //!
-//! # Determinism contract
+//! # Determinism
 //!
-//! The parallel engine is **observationally identical to the serial engine
-//! at every thread count**: same state numbering (BFS discovery order),
-//! same parent attribution (hence identical witness traces), same CSR edge
-//! order, and the same truncation point under a state budget. This is not
-//! best-effort: workers only *propose* successors; a single commit pass per
-//! BFS level walks the proposals in canonical `(parent id, action)` order
-//! and assigns dense ids at the first canonical encounter, reproducing the
-//! serial engine's interleaving exactly. Duplicate discoveries by racing
-//! workers meet in the sharded index (every hash hit is confirmed by a full
-//! word compare) and resolve to one pending entry; which worker inserted it
-//! is invisible after the commit pass. Counts, truncation verdicts and
-//! traces are therefore thread-count-invariant by construction, and the
-//! differential suite pins parallel ≡ serial ≡ naive state-for-state.
+//! State ids are BFS discovery order (0 = initial state), a state's parent
+//! is the state whose expansion discovered it, edges are listed in firing
+//! (action) order, and a state budget stops exploration at the first state
+//! that would exceed it. Witness traces, dead lists and truncation points
+//! are therefore a function of the system and the budget alone.
 //!
 //! # Dead states
 //!
-//! Both drivers hold each state's enabled set at the moment they commit it
-//! (the serial engine in its enabled arena, the parallel commit pass in the
-//! dedup index's pending entry), so they record there, once, whether that
-//! set is empty. [`ExploredGraph::dead`] is the resulting ascending list of
-//! dead states. It covers *every* committed state, frontier states of a
-//! truncated run included, so "dead" never has to be re-derived from the
-//! edge list, where an unexpanded frontier state and a deadlock look alike.
-//! In a quotient the recorded set is the representative's, and deadness is
-//! orbit-invariant.
-//!
-//! # Delta-compressed storage
-//!
-//! A BFS successor differs from its parent in the few places its action
-//! toggled, so [`ExploredGraph`] stores most states as sparse XOR deltas
-//! `(word, mask)` against their parent, with full-snapshot *anchors* every
-//! 8 BFS levels. Reconstruction ([`ExploredGraph::fill_state`]) XORs the
-//! delta chain up the parent links to the nearest anchor —
-//! O(depth-to-anchor), bounded by the interval.
-//! The trade-off: random state access costs a short chain walk instead of
-//! one slice read, in exchange for ~`stride / nnz(delta)`× smaller state
-//! storage on wide states. Narrow states (≤ 2 words) gain nothing, so the
-//! parallel engine stores them all-anchor, and the serial engine stores
-//! every state in full.
+//! The driver holds each state's enabled set at the moment it commits the
+//! state, so it records there, once, whether that set is empty.
+//! [`ExploredGraph::dead`] is the resulting ascending list of dead states.
+//! It covers *every* committed state, frontier states of a truncated run
+//! included, so "dead" never has to be re-derived from the edge list, where
+//! an unexpanded frontier state and a deadlock look alike. In a quotient the
+//! recorded set is the representative's, and deadness is orbit-invariant.
 //!
 //! # Symmetry reduction
 //!
@@ -80,21 +53,10 @@
 
 use crate::{PetriNet, TransitionId};
 use rap_obs::Obs;
-use std::time::Duration;
-
-pub mod shard;
-
-use shard::{Handle, Probe, ShardIndex};
+use std::time::{Duration, Instant};
 
 /// Sentinel parent id of the initial state in [`ExploredGraph::parents`].
 pub const NO_PARENT: u32 = u32::MAX;
-
-/// `anchor_slot` sentinel of a delta-stored state.
-const DELTA: u32 = u32::MAX;
-
-/// BFS levels between full-snapshot anchors of the parallel engine on
-/// states wider than two words (narrower states are all-anchor).
-const ANCHOR_INTERVAL: usize = 8;
 
 /// Is the word-packed enabled set `en` empty?
 #[inline]
@@ -127,9 +89,8 @@ pub fn set_bit(words: &mut [u64], i: usize, v: bool) {
 /// high bits are zero and must stay zero.
 ///
 /// Methods take `&mut self` so implementations can keep decode/scratch
-/// buffers without interior mutability. The parallel engine builds one
-/// instance per worker through a factory closure, so implementations need
-/// no internal synchronisation.
+/// buffers without interior mutability; [`explore`] borrows the one
+/// instance for the whole run.
 pub trait TransitionSystem {
     /// Number of `u64` words a state occupies.
     fn state_words(&self) -> usize;
@@ -166,8 +127,8 @@ pub enum ExploreOutcome {
         /// The `max_states` budget in force.
         limit: usize,
     },
-    /// The wall-clock deadline stopped the exploration at a level-commit
-    /// barrier (see [`ExploreConfig::deadline`]).
+    /// The wall-clock deadline stopped the exploration between two BFS
+    /// levels (see [`ExploreConfig::deadline`]).
     DeadlineExpired {
         /// The deadline in force.
         deadline: Duration,
@@ -184,41 +145,33 @@ impl ExploreOutcome {
 
 /// Exploration knobs shared by every explorer of the workspace.
 ///
-/// The serial reference engine ([`explore`]) and the naive oracles read
-/// only `max_states`.
+/// The naive oracles read only `max_states`.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
     /// Maximum number of distinct states to store before truncating.
     pub max_states: usize,
-    /// Worker threads; `0` = one per available core (capped at 8).
-    /// Results are identical at every thread count.
-    pub threads: usize,
     /// Wall-clock budget; `None` = unbounded (the state cap is then the
     /// only stop). A runaway exploration ends with the typed
     /// [`ExploreOutcome::DeadlineExpired`] outcome instead of running to
     /// the cap.
     ///
-    /// **Deterministic cut semantics:** the clock is consulted *only at
-    /// level-commit barriers* — after a BFS level has been fully expanded,
-    /// committed and deduplicated — never mid-level. The explored prefix
-    /// is therefore always a complete-level prefix of the canonical BFS
-    /// order, and for a given cut level the resulting graph is bit-
-    /// identical at every thread count; wall-clock variance can only move
-    /// the cut to a different level boundary, never produce a state set no
-    /// serial exploration could. Deadline-cut artifacts count as
-    /// truncated ([`ExploreOutcome::is_truncated`]), so downstream layers
-    /// treat them like budget-truncated ones (`Inconclusive` verdicts) —
-    /// and the session's persistent store never caches them under a
-    /// deadline-free key.
+    /// **Deterministic cut semantics:** the clock is consulted *only once a
+    /// BFS level has been fully expanded*, never mid-level. The explored
+    /// prefix is therefore always a complete-level prefix of the BFS order,
+    /// bit-identical to the first levels of an uncut run; wall-clock
+    /// variance can only move the cut to a different level boundary, never
+    /// produce a state set no uncut exploration passes through.
+    /// Deadline-cut artifacts count as truncated
+    /// ([`ExploreOutcome::is_truncated`]), so downstream layers treat them
+    /// like budget-truncated ones (`Inconclusive` verdicts) — and the
+    /// session's persistent store never caches them under a deadline-free
+    /// key.
     pub deadline: Option<Duration>,
-    /// Recorder the exploration reports into: per BFS level an
-    /// `engine.level.expand` span (worker expansion, including concurrent
-    /// dedup probes) and an `engine.level.commit` span (chunk ordering,
-    /// the canonical-order commit and the pending-slot reset), and after
-    /// the run the [`EngineStats`] counters and the `engine.frontier.peak`
-    /// gauge. Detached by default. Recording happens at level barriers
-    /// only and is observation-only: the explored graph is bit-identical
-    /// with or without a recorder, at every thread count.
+    /// Recorder the exploration reports into: one `engine.explore` span
+    /// around the run, and after it the [`EngineStats`] counters and the
+    /// `engine.frontier.peak` gauge. Detached by default. Recording is
+    /// observation-only: the explored graph is bit-identical with or
+    /// without a recorder.
     pub obs: Obs,
 }
 
@@ -226,21 +179,8 @@ impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
             max_states: 2_000_000,
-            threads: 0,
             deadline: None,
             obs: Obs::none(),
-        }
-    }
-}
-
-impl ExploreConfig {
-    /// The actual worker count (`threads`, or the auto policy for 0).
-    #[must_use]
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
-        } else {
-            self.threads
         }
     }
 }
@@ -263,12 +203,6 @@ pub struct EngineStats {
     /// Edges whose target was already committed in an earlier level
     /// (`engine.dedup.known`).
     pub dedup_known: u64,
-    /// Edges deduplicated against a same-level pending entry
-    /// (`engine.dedup.pending`).
-    pub dedup_pending: u64,
-    /// Dedup probes that found their shard lock held by another worker
-    /// (`engine.shard.contended`).
-    pub shard_contended: u64,
 }
 
 impl EngineStats {
@@ -282,35 +216,19 @@ impl EngineStats {
             states: c.get("engine.states"),
             edges: c.get("engine.edges"),
             dedup_known: c.get("engine.dedup.known"),
-            dedup_pending: c.get("engine.dedup.pending"),
-            shard_contended: c.get("engine.shard.contended"),
         }
     }
 }
 
-/// The reachable graph produced by [`explore`] / [`explore_parallel`]:
-/// delta-compressed states plus parent links and a CSR successor list, all
-/// keyed by dense state ids in BFS discovery order (0 = initial state).
-///
-/// State `i` is stored either as a full snapshot (*anchor*) in the anchor
-/// arena, or as a sparse XOR delta against its parent;
-/// [`ExploredGraph::fill_state`] reconstructs by XOR-ing the delta chain up
-/// the parent links to the nearest anchor (XOR is commutative, so the
-/// walk-down order is free). The initial state is always an anchor.
+/// The reachable graph produced by [`explore`]: a dense state arena plus
+/// parent links and a CSR successor list, all keyed by dense state ids in
+/// BFS discovery order (0 = initial state).
 #[derive(Debug, Clone)]
 pub struct ExploredGraph {
     /// Words per state (≥ 1 even for zero-width states).
     stride: usize,
-    /// Anchor snapshots, `stride` words each.
-    anchors: Vec<u64>,
-    /// Per state: anchor index, or [`DELTA`] for delta-stored states.
-    anchor_slot: Vec<u32>,
-    /// CSR offsets into the delta arrays, one per state plus a sentinel.
-    delta_off: Vec<u32>,
-    /// Delta word indices (parallel to `delta_xor`).
-    delta_word: Vec<u32>,
-    /// Delta XOR masks against the parent's words.
-    delta_xor: Vec<u64>,
+    /// State `i` occupies `arena[i * stride..(i + 1) * stride]`.
+    arena: Vec<u64>,
     /// Per state: `(parent, action)`; the initial state has parent
     /// [`NO_PARENT`].
     pub parents: Vec<(u32, u32)>,
@@ -328,63 +246,9 @@ pub struct ExploredGraph {
 }
 
 impl ExploredGraph {
-    fn with_initial(stride: usize, initial: &[u64], rotation: u32, symmetric: bool) -> Self {
-        let mut g = ExploredGraph {
-            stride,
-            anchors: initial.to_vec(),
-            anchor_slot: vec![0],
-            delta_off: vec![0, 0],
-            delta_word: Vec::new(),
-            delta_xor: Vec::new(),
-            parents: vec![(NO_PARENT, 0)],
-            rotations: if symmetric { vec![0] } else { Vec::new() },
-            succ_off: vec![0],
-            succ: Vec::new(),
-            dead: Vec::new(),
-            outcome: ExploreOutcome::Complete,
-        };
-        if symmetric {
-            g.rotations[0] = u16::try_from(rotation).expect("rotation fits u16");
-        }
-        g
-    }
-
-    /// Appends a state, stored as an anchor or as a delta against
-    /// `parent_words` (its parent's full snapshot).
-    fn push_state(
-        &mut self,
-        words: &[u64],
-        parent_words: &[u64],
-        anchor: bool,
-        parent: u32,
-        action: u32,
-        rotation: u32,
-    ) {
-        if anchor {
-            self.anchor_slot
-                .push(u32::try_from(self.anchors.len() / self.stride).expect("anchor count"));
-            self.anchors.extend_from_slice(words);
-        } else {
-            self.anchor_slot.push(DELTA);
-            for (w, (&a, &b)) in words.iter().zip(parent_words).enumerate() {
-                if a != b {
-                    self.delta_word.push(w as u32);
-                    self.delta_xor.push(a ^ b);
-                }
-            }
-        }
-        self.delta_off.push(self.delta_word.len() as u32);
-        self.parents.push((parent, action));
-        if !self.rotations.is_empty() {
-            self.rotations
-                .push(u16::try_from(rotation).expect("rotation fits u16"));
-        }
-    }
-
-    /// Builds an all-anchor (uncompressed) graph from dense parts — used by
-    /// the serial engine and the naive reference explorers, which keep a
-    /// dense arena anyway. `dead` is the ascending list of states with no
-    /// enabled action ([`ExploredGraph::dead`]).
+    /// Builds a graph without symmetry rotations from dense parts — used by
+    /// the naive reference explorers. `dead` is the ascending list of
+    /// states with no enabled action ([`ExploredGraph::dead`]).
     ///
     /// # Panics
     ///
@@ -399,15 +263,14 @@ impl ExploredGraph {
         dead: Vec<u32>,
         outcome: ExploreOutcome,
     ) -> Self {
-        let n = parents.len();
-        assert_eq!(arena.len(), n * stride, "arena/parents length mismatch");
+        assert_eq!(
+            arena.len(),
+            parents.len() * stride,
+            "arena/parents length mismatch"
+        );
         ExploredGraph {
             stride,
-            anchors: arena,
-            anchor_slot: (0..u32::try_from(n).expect("state count")).collect(),
-            delta_off: vec![0; n + 1],
-            delta_word: Vec::new(),
-            delta_xor: Vec::new(),
+            arena,
             parents,
             rotations: Vec::new(),
             succ_off,
@@ -456,30 +319,10 @@ impl ExploredGraph {
         &self.dead
     }
 
-    /// Reconstructs the bitset words of state `i` into `out` (exactly
-    /// `stride` words; previous contents are overwritten).
-    pub fn fill_state(&self, i: usize, out: &mut [u64]) {
-        debug_assert_eq!(out.len(), self.stride);
-        out.fill(0);
-        let mut cur = i;
-        while self.anchor_slot[cur] == DELTA {
-            for k in self.delta_off[cur] as usize..self.delta_off[cur + 1] as usize {
-                out[self.delta_word[k] as usize] ^= self.delta_xor[k];
-            }
-            cur = self.parents[cur].0 as usize;
-        }
-        let base = self.anchor_slot[cur] as usize * self.stride;
-        for (w, o) in out.iter_mut().enumerate() {
-            *o ^= self.anchors[base + w];
-        }
-    }
-
-    /// The bitset words of state `i` as a fresh vector.
+    /// The bitset words of state `i` (exactly `stride` words).
     #[must_use]
-    pub fn state_vec(&self, i: usize) -> Vec<u64> {
-        let mut out = vec![0u64; self.stride];
-        self.fill_state(i, &mut out);
-        out
+    pub fn state(&self, i: usize) -> &[u64] {
+        &self.arena[i * self.stride..(i + 1) * self.stride]
     }
 
     /// Outgoing edges `(action, successor)` of state `i`.
@@ -510,12 +353,6 @@ impl ExploredGraph {
     pub fn rotation(&self, i: usize) -> u32 {
         self.rotations.get(i).copied().map_or(0, u32::from)
     }
-
-    /// Number of states stored as full anchors (diagnostics/tests).
-    #[must_use]
-    pub fn anchor_count(&self) -> usize {
-        self.anchor_slot.iter().filter(|&&s| s != DELTA).count()
-    }
 }
 
 /// Multiplicative word mixer (splitmix-style) over a state slice.
@@ -532,9 +369,9 @@ pub fn hash_words(words: &[u64]) -> u64 {
 
 const EMPTY_SLOT: u32 = u32::MAX;
 
-/// Open-addressing dedup table over arena-resident states (serial engine).
-/// Slots store state ids; collisions are resolved by comparing the actual
-/// arena slices, so the compact hash never mis-identifies a state.
+/// Open-addressing dedup table over arena-resident states. Slots store
+/// state ids; collisions are resolved by comparing the actual arena
+/// slices, so the compact hash never mis-identifies a state.
 struct DedupTable {
     slots: Vec<u32>,
     mask: usize,
@@ -592,27 +429,63 @@ impl DedupTable {
     }
 }
 
-/// Serial breadth-first exploration of `sys` up to `max_states` distinct
-/// states — the reference engine.
+/// Breadth-first exploration of `sys` under `cfg` — the engine's one
+/// driver.
 ///
-/// Truncation mirrors the historical explorers exactly: when storing state
-/// number `max_states` would be required, exploration stops immediately —
-/// successors of the state being expanded that were found *before* the
-/// overflow stay recorded, the overflowing edge does not. The parallel
-/// engine reproduces this behaviour bit-for-bit (see the module docs), and
-/// the differential suite keeps it honest.
-pub fn explore<S: TransitionSystem>(sys: &mut S, max_states: usize) -> ExploredGraph {
+/// Truncation: when storing state number `cfg.max_states` would be
+/// required, exploration stops immediately — successors of the state being
+/// expanded that were found *before* the overflow stay recorded, the
+/// overflowing edge does not. The deadline is consulted once each BFS level
+/// is fully expanded (see [`ExploreConfig::deadline`]). With `symmetry`,
+/// explores the rotation quotient instead, canonicalizing the initial state
+/// and every successor before dedup; the result is then the quotient graph
+/// over orbit representatives, with per-state discovery rotations for
+/// concrete trace reconstruction. Records into `cfg.obs` (see
+/// [`ExploreConfig::obs`]).
+///
+/// # Panics
+///
+/// Panics when `symmetry` does not cover the system's state/action bits.
+pub fn explore<S: TransitionSystem>(
+    sys: &mut S,
+    cfg: &ExploreConfig,
+    symmetry: Option<&StateSymmetry>,
+) -> ExploredGraph {
+    let _span = cfg.obs.span("engine.explore");
+    let started = Instant::now();
+    let max_states = cfg.max_states;
     let stride = sys.state_words().max(1);
     let astride = sys.action_count().div_ceil(64).max(1);
-
-    let mut arena = vec![0u64; stride];
-    sys.write_initial(&mut arena[..stride]);
-    let mut en_arena = vec![0u64; astride];
-    {
-        // split borrows: arena immutable, en_arena mutable
-        let (state, enabled) = (&arena[..stride], &mut en_arena[..astride]);
-        sys.write_enabled_full(state, enabled);
+    let sym = symmetry.filter(|s| s.order() > 1);
+    if let Some(sy) = sym {
+        assert!(
+            sy.state_bits() <= stride * 64,
+            "symmetry permutes more bits than the state holds"
+        );
+        assert!(
+            sy.action_bits() >= sys.action_count() && sy.action_bits() <= astride * 64,
+            "symmetry must cover every action"
+        );
     }
+
+    let mut scratch = vec![0u64; stride];
+    let mut canon = vec![0u64; stride];
+    let mut tmp = vec![0u64; stride];
+    let mut en_scratch = vec![0u64; astride];
+    let mut en_rotated = vec![0u64; astride];
+
+    // the initial state, canonicalized under symmetry; its enabled set is
+    // computed from scratch directly on the representative
+    let mut arena = vec![0u64; stride];
+    sys.write_initial(&mut arena);
+    let mut rotations: Vec<u16> = Vec::new();
+    if let Some(sy) = sym {
+        scratch.copy_from_slice(&arena);
+        let r = sy.canonicalize(&scratch, &mut arena, &mut tmp);
+        rotations.push(r as u16);
+    }
+    let mut en_arena = vec![0u64; astride];
+    sys.write_enabled_full(&arena, &mut en_arena);
 
     let mut parents: Vec<(u32, u32)> = vec![(NO_PARENT, 0)];
     let mut succ_off: Vec<u32> = vec![0];
@@ -620,59 +493,121 @@ pub fn explore<S: TransitionSystem>(sys: &mut S, max_states: usize) -> ExploredG
     let mut table = DedupTable::new();
     table.insert(hash_words(&arena[..stride]), 0, &arena, stride);
 
-    let mut scratch = vec![0u64; stride];
-    let mut en_scratch = vec![0u64; astride];
     let mut outcome = ExploreOutcome::Complete;
     let mut dead: Vec<u32> = Vec::new();
     if none_enabled(&en_arena) {
         dead.push(0);
     }
+    // observability tallies, flushed to the recorder once after the run
+    let mut levels = 0u64;
+    let mut peak_frontier = 0usize;
+    let mut dedup_known = 0u64;
 
-    // States are discovered in BFS order, so a cursor over dense ids is the
-    // queue: everything behind it is expanded, everything ahead is frontier.
-    let mut cursor = 0usize;
-    'bfs: while cursor < parents.len() {
-        let s = cursor;
-        cursor += 1;
-        let en_base = s * astride;
-        for wi in 0..astride {
-            let mut bits = en_arena[en_base + wi];
-            while bits != 0 {
-                let a = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                sys.apply(a, &arena[s * stride..(s + 1) * stride], &mut scratch);
-                let hash = hash_words(&scratch);
-                let id = match table.find(hash, &scratch, &arena, stride) {
-                    Some(id) => id,
-                    None => {
-                        if parents.len() >= max_states {
-                            outcome = ExploreOutcome::Truncated { limit: max_states };
-                            break 'bfs;
-                        }
-                        let id = parents.len() as u32;
-                        arena.extend_from_slice(&scratch);
-                        en_scratch.copy_from_slice(&en_arena[en_base..en_base + astride]);
-                        sys.update_enabled(a, &scratch, &mut en_scratch);
-                        en_arena.extend_from_slice(&en_scratch);
-                        if none_enabled(&en_scratch) {
-                            dead.push(id);
-                        }
-                        parents.push((s as u32, a as u32));
-                        table.insert(hash, id, &arena, stride);
-                        id
-                    }
-                };
-                succ.push((a as u32, id));
-            }
+    // States are discovered in BFS order, so each level is the id range
+    // the previous one appended: everything below `level_start` is
+    // expanded, everything from `level_end` on is the next frontier.
+    let mut level_start = 0usize;
+    'bfs: loop {
+        let level_end = parents.len();
+        if level_end == level_start {
+            break;
         }
-        succ_off.push(succ.len() as u32);
+        levels += 1;
+        peak_frontier = peak_frontier.max(level_end - level_start);
+        for s in level_start..level_end {
+            let en_base = s * astride;
+            for wi in 0..astride {
+                let mut bits = en_arena[en_base + wi];
+                while bits != 0 {
+                    let a = wi * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    sys.apply(a, &arena[s * stride..(s + 1) * stride], &mut scratch);
+                    let (cand, rotation): (&[u64], u32) = match sym {
+                        Some(sy) => {
+                            let r = sy.canonicalize(&scratch, &mut canon, &mut tmp);
+                            (&canon, r)
+                        }
+                        None => (&scratch, 0),
+                    };
+                    let hash = hash_words(cand);
+                    let id = match table.find(hash, cand, &arena, stride) {
+                        Some(id) => {
+                            if (id as usize) < level_end {
+                                dedup_known += 1;
+                            }
+                            id
+                        }
+                        None => {
+                            if parents.len() >= max_states {
+                                outcome = ExploreOutcome::Truncated { limit: max_states };
+                                break 'bfs;
+                            }
+                            let id = parents.len() as u32;
+                            arena.extend_from_slice(cand);
+                            // the incremental update is valid for the raw
+                            // successor; rotate the result into the
+                            // representative's frame
+                            en_scratch.copy_from_slice(&en_arena[en_base..en_base + astride]);
+                            sys.update_enabled(a, &scratch, &mut en_scratch);
+                            let en = match sym {
+                                Some(sy) if rotation > 0 => {
+                                    sy.apply_enabled(rotation, &en_scratch, &mut en_rotated);
+                                    &en_rotated
+                                }
+                                _ => &en_scratch,
+                            };
+                            en_arena.extend_from_slice(en);
+                            if none_enabled(en) {
+                                dead.push(id);
+                            }
+                            parents.push((s as u32, a as u32));
+                            if sym.is_some() {
+                                // lossless: rotations are below the order,
+                                // which is at most `MAX_SYMMETRY_ORDER`
+                                rotations.push(rotation as u16);
+                            }
+                            table.insert(hash, id, &arena, stride);
+                            id
+                        }
+                    };
+                    succ.push((a as u32, id));
+                }
+            }
+            succ_off.push(succ.len() as u32);
+        }
+        // wall-clock deadline, consulted only here — between levels — so
+        // the explored prefix is always a complete-level prefix of the BFS
+        // order (see `ExploreConfig::deadline`)
+        if let Some(deadline) = cfg.deadline.filter(|&d| started.elapsed() >= d) {
+            outcome = ExploreOutcome::DeadlineExpired { deadline };
+            break;
+        }
+        level_start = level_end;
     }
     // close offsets of states that were never (or only partially) expanded
     while succ_off.len() < parents.len() + 1 {
         succ_off.push(succ.len() as u32);
     }
 
-    ExploredGraph::from_dense(stride, arena, parents, succ_off, succ, dead, outcome)
+    let obs = &cfg.obs;
+    if obs.is_enabled() {
+        obs.add("engine.levels", levels);
+        obs.add("engine.states", parents.len() as u64);
+        obs.add("engine.edges", succ.len() as u64);
+        obs.add("engine.dedup.known", dedup_known);
+        #[allow(clippy::cast_precision_loss)]
+        obs.gauge("engine.frontier.peak", peak_frontier as f64);
+    }
+    ExploredGraph {
+        stride,
+        arena,
+        parents,
+        rotations,
+        succ_off,
+        succ,
+        dead,
+        outcome,
+    }
 }
 
 /// A cyclic symmetry of a [`TransitionSystem`], given by one generator: a
@@ -704,7 +639,14 @@ fn check_permutation(perm: &[u32]) -> Result<(), String> {
     Ok(())
 }
 
-fn perm_order(perm: &[u32]) -> usize {
+/// Largest generator order [`StateSymmetry::new`] accepts: no hardware
+/// replicates that many ways, and the bound keeps the precomputed powers
+/// small and every rotation within a `u16`.
+const MAX_SYMMETRY_ORDER: usize = 4096;
+
+/// The order of `perm` as a generator, or `None` once it exceeds
+/// `MAX_SYMMETRY_ORDER`.
+fn perm_order(perm: &[u32]) -> Option<usize> {
     let mut seen = vec![false; perm.len()];
     let mut order = 1usize;
     for start in 0..perm.len() {
@@ -718,13 +660,18 @@ fn perm_order(perm: &[u32]) -> usize {
             cur = perm[cur] as usize;
             len += 1;
         }
-        order = lcm(order, len.max(1));
+        order = bounded_lcm(order, len)?;
     }
-    order
+    Some(order)
 }
 
-fn lcm(a: usize, b: usize) -> usize {
-    a / gcd(a, b) * b
+/// `lcm(a, b)` for positive `a` and `b`, or `None` when it exceeds
+/// `MAX_SYMMETRY_ORDER` (checked, so huge cycle structures cannot
+/// overflow on the way there).
+fn bounded_lcm(a: usize, b: usize) -> Option<usize> {
+    (a / gcd(a, b))
+        .checked_mul(b)
+        .filter(|&l| l <= MAX_SYMMETRY_ORDER)
 }
 
 fn gcd(a: usize, b: usize) -> usize {
@@ -757,15 +704,14 @@ impl StateSymmetry {
     /// # Errors
     ///
     /// When either map is not a permutation, or the generator's order
-    /// exceeds 4096 (no hardware replicates that many ways; a bound keeps
-    /// the precomputed powers small).
+    /// exceeds 4096 (no hardware replicates that many ways).
     pub fn new(bit_perm: Vec<u32>, action_perm: Vec<u32>) -> Result<Self, String> {
         check_permutation(&bit_perm)?;
         check_permutation(&action_perm)?;
-        let order = lcm(perm_order(&bit_perm), perm_order(&action_perm));
-        if order > 4096 {
-            return Err(format!("symmetry order {order} out of range"));
-        }
+        let order = perm_order(&bit_perm)
+            .zip(perm_order(&action_perm))
+            .and_then(|(b, a)| bounded_lcm(b, a))
+            .ok_or_else(|| format!("symmetry order out of range (above {MAX_SYMMETRY_ORDER})"))?;
         let mut bit_pow = vec![bit_perm.clone()];
         let mut act_pow = vec![action_perm.clone()];
         for j in 1..order.saturating_sub(1) {
@@ -860,318 +806,6 @@ impl StateSymmetry {
         let inv = (self.order as u32 - j % self.order as u32) % self.order as u32;
         self.apply_state(inv, src, dst);
     }
-}
-
-/// One proposed edge out of an expanded frontier state.
-struct EdgeRec {
-    action: u32,
-    rotation: u32,
-    target: Target,
-}
-
-enum Target {
-    Known(u32),
-    Pending(Handle),
-}
-
-/// Edges proposed by one worker for one contiguous chunk of the frontier.
-struct ChunkOut {
-    /// Level-local index of the first parent in the chunk.
-    start: usize,
-    /// Per parent (in chunk order): cumulative edge count.
-    offs: Vec<u32>,
-    edges: Vec<EdgeRec>,
-}
-
-/// Level-synchronous parallel BFS over `factory`-built systems.
-///
-/// Observationally identical to [`explore`] at every thread count — see the
-/// module docs for the commit-pass argument. With `symmetry`, explores the
-/// rotation quotient instead (canonicalizing every successor before dedup);
-/// the result is then the quotient graph over orbit representatives, with
-/// per-state discovery rotations for concrete trace reconstruction.
-/// Records into `cfg.obs` (see [`ExploreConfig::obs`]).
-///
-/// # Panics
-///
-/// Panics when `symmetry` does not cover the system's state/action bits.
-pub fn explore_parallel<S, F>(
-    factory: F,
-    cfg: &ExploreConfig,
-    symmetry: Option<&StateSymmetry>,
-) -> ExploredGraph
-where
-    S: TransitionSystem + Send,
-    F: Fn() -> S + Sync,
-{
-    let obs = &cfg.obs;
-    let started = std::time::Instant::now();
-    let threads = cfg.resolved_threads().max(1);
-    // one system per worker for the whole run (`factory` can be expensive);
-    // workers re-acquire their own instance each level, uncontended
-    let systems: Vec<std::sync::Mutex<S>> = (0..threads)
-        .map(|_| std::sync::Mutex::new(factory()))
-        .collect();
-    let (stride, astride, action_count) = {
-        let sys = systems[0].lock().expect("engine worker system");
-        (
-            sys.state_words().max(1),
-            sys.action_count().div_ceil(64).max(1),
-            sys.action_count(),
-        )
-    };
-    let anchor_every = if stride <= 2 { 1 } else { ANCHOR_INTERVAL };
-    let sym = symmetry.filter(|s| s.order() > 1);
-    if let Some(sy) = sym {
-        assert!(
-            sy.state_bits() <= stride * 64,
-            "symmetry permutes more bits than the state holds"
-        );
-        assert!(
-            sy.action_bits() >= action_count && sy.action_bits() <= astride * 64,
-            "symmetry must cover every action"
-        );
-    }
-
-    // initial state: canonicalize, then recompute its enabled set from
-    // scratch directly on the representative
-    let (init, rot0, en0) = {
-        let mut sys0 = systems[0].lock().expect("engine worker system");
-        let mut raw0 = vec![0u64; stride];
-        sys0.write_initial(&mut raw0);
-        let (init, rot0) = match sym {
-            Some(sy) => {
-                let mut canon = vec![0u64; stride];
-                let mut tmp = vec![0u64; stride];
-                let r = sy.canonicalize(&raw0, &mut canon, &mut tmp);
-                (canon, r)
-            }
-            None => (raw0, 0),
-        };
-        let mut en0 = vec![0u64; astride];
-        sys0.write_enabled_full(&init, &mut en0);
-        (init, rot0, en0)
-    };
-
-    let mut g = ExploredGraph::with_initial(stride, &init, rot0, sym.is_some());
-    if none_enabled(&en0) {
-        g.dead.push(0);
-    }
-    let mut index = ShardIndex::new(threads.max(8) * 8, stride, astride);
-    match index.probe_or_insert(
-        hash_words(&init),
-        &init,
-        |_| false,
-        |en| {
-            en.copy_from_slice(&en0);
-        },
-    ) {
-        Probe::Inserted(h) => index.assign(h, 0),
-        p => unreachable!("initial state already present: {p:?}"),
-    }
-    index.clear_pending();
-
-    let mut frontier_words = init;
-    let mut frontier_en = en0;
-    let mut level_start = 0usize;
-    let mut level_num = 0usize;
-    // observability tallies — plain locals, flushed to the recorder once
-    // after the run so the level loop never locks the collector for them
-    let mut levels_done = 0u64;
-    let mut peak_frontier = 0usize;
-    let mut dedup_known = 0u64;
-    let mut dedup_pending = 0u64;
-
-    loop {
-        let level_len = g.len() - level_start;
-        if level_len == 0 {
-            break;
-        }
-        levels_done += 1;
-        peak_frontier = peak_frontier.max(level_len);
-
-        // expansion: workers propose edges for chunks of the frontier
-        let t_level = if level_len < 512 { 1 } else { threads };
-        let chunk = level_len.div_ceil(t_level * 4).max(32).min(level_len);
-        let queues = rap_pool::StealQueues::new(t_level);
-        queues.deal(
-            (0..level_len)
-                .step_by(chunk)
-                .map(|a| (a, (a + chunk).min(level_len))),
-        );
-        let fw: &[u64] = &frontier_words;
-        let fe: &[u64] = &frontier_en;
-        let g_ref = &g;
-        let index_ref = &index;
-        let expand_span = obs.span("engine.level.expand");
-        let mut chunk_outs: Vec<ChunkOut> = rap_pool::run_workers(t_level, |me| {
-            let mut sys = systems[me].lock().expect("engine worker system");
-            let mut raw = vec![0u64; stride];
-            let mut canon = vec![0u64; stride];
-            let mut tmp = vec![0u64; stride];
-            let mut cmp = vec![0u64; stride];
-            let mut en_scratch = vec![0u64; astride];
-            let mut outs = Vec::new();
-            while let Some((a, b)) = queues.next(me) {
-                let mut out = ChunkOut {
-                    start: a,
-                    offs: Vec::with_capacity(b - a),
-                    edges: Vec::new(),
-                };
-                for li in a..b {
-                    let p_state = &fw[li * stride..(li + 1) * stride];
-                    let p_en = &fe[li * astride..(li + 1) * astride];
-                    for wi in 0..astride {
-                        let mut bits = p_en[wi];
-                        while bits != 0 {
-                            let act = wi * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            sys.apply(act, p_state, &mut raw);
-                            let (cand, rotation): (&[u64], u32) = match sym {
-                                Some(sy) => {
-                                    let r = sy.canonicalize(&raw, &mut canon, &mut tmp);
-                                    (&canon, r)
-                                }
-                                None => (&raw, 0),
-                            };
-                            let hash = hash_words(cand);
-                            let probe = index_ref.probe_or_insert(
-                                hash,
-                                cand,
-                                |id| {
-                                    g_ref.fill_state(id as usize, &mut cmp);
-                                    cmp == cand
-                                },
-                                |en_out| {
-                                    // the incremental update is valid for the
-                                    // *raw* successor; rotate the result into
-                                    // the representative's frame
-                                    match sym {
-                                        Some(sy) if rotation > 0 => {
-                                            en_scratch.copy_from_slice(p_en);
-                                            sys.update_enabled(act, &raw, &mut en_scratch);
-                                            sy.apply_enabled(rotation, &en_scratch, en_out);
-                                        }
-                                        _ => {
-                                            en_out.copy_from_slice(p_en);
-                                            sys.update_enabled(act, &raw, en_out);
-                                        }
-                                    }
-                                },
-                            );
-                            out.edges.push(EdgeRec {
-                                action: act as u32,
-                                rotation,
-                                target: match probe {
-                                    Probe::Committed(id) => Target::Known(id),
-                                    Probe::Pending(h) | Probe::Inserted(h) => Target::Pending(h),
-                                },
-                            });
-                        }
-                    }
-                    out.offs.push(out.edges.len() as u32);
-                }
-                outs.push(out);
-            }
-            outs
-        })
-        .into_iter()
-        .flat_map(|r| {
-            // a dead worker is unrecoverable here: the level barrier needs
-            // every chunk, so escalate instead of committing a partial level
-            r.unwrap_or_else(|e| panic!("state-space engine worker died: {e}"))
-        })
-        .collect();
-
-        drop(expand_span);
-
-        // commit: one pass in canonical (parent id, action) order assigns
-        // dense ids exactly as the serial engine would
-        let commit_span = obs.span("engine.level.commit");
-        chunk_outs.sort_by_key(|c| c.start);
-        let anchor_next = anchor_every == 1 || (level_num + 1).is_multiple_of(anchor_every);
-        let mut next_words: Vec<u64> = Vec::new();
-        let mut next_en: Vec<u64> = Vec::new();
-        'commit: for co in &chunk_outs {
-            let mut e0 = 0usize;
-            for (k, &e1) in co.offs.iter().enumerate() {
-                let parent_local = co.start + k;
-                let parent_id = (level_start + parent_local) as u32;
-                for e in &co.edges[e0..e1 as usize] {
-                    let id = match e.target {
-                        Target::Known(id) => {
-                            dedup_known += 1;
-                            id
-                        }
-                        Target::Pending(h) => match index.assigned(h) {
-                            Some(id) => {
-                                dedup_pending += 1;
-                                id
-                            }
-                            None => {
-                                if g.len() >= cfg.max_states {
-                                    g.outcome = ExploreOutcome::Truncated {
-                                        limit: cfg.max_states,
-                                    };
-                                    break 'commit;
-                                }
-                                let id = g.len() as u32;
-                                let (w, en) = index.pending_data(h);
-                                let pw = &frontier_words
-                                    [parent_local * stride..(parent_local + 1) * stride];
-                                g.push_state(w, pw, anchor_next, parent_id, e.action, e.rotation);
-                                if none_enabled(en) {
-                                    g.dead.push(id);
-                                }
-                                next_words.extend_from_slice(w);
-                                next_en.extend_from_slice(en);
-                                index.assign(h, id);
-                                id
-                            }
-                        },
-                    };
-                    g.succ.push((e.action, id));
-                }
-                e0 = e1 as usize;
-                g.succ_off.push(g.succ.len() as u32);
-            }
-        }
-        if g.is_truncated() {
-            // the index is abandoned with this level's unassigned entries
-            break;
-        }
-        index.clear_pending();
-        drop(commit_span);
-
-        // wall-clock deadline, consulted only here — at the level-commit
-        // barrier — so the explored prefix is always a complete-level
-        // prefix of the canonical BFS order (see `ExploreConfig::deadline`)
-        if let Some(deadline) = cfg.deadline.filter(|&d| started.elapsed() >= d) {
-            g.outcome = ExploreOutcome::DeadlineExpired { deadline };
-            break;
-        }
-        level_start = g.len() - next_words.len() / stride;
-        frontier_words = next_words;
-        frontier_en = next_en;
-        level_num += 1;
-    }
-
-    // close offsets of states that were never (or only partially) expanded
-    while g.succ_off.len() < g.len() + 1 {
-        g.succ_off.push(g.succ.len() as u32);
-    }
-
-    if obs.is_enabled() {
-        obs.add("engine.levels", levels_done);
-        obs.add("engine.states", g.len() as u64);
-        obs.add("engine.edges", g.succ.len() as u64);
-        obs.add("engine.dedup.known", dedup_known);
-        obs.add("engine.dedup.pending", dedup_pending);
-        obs.add("engine.shard.contended", index.contention());
-        #[allow(clippy::cast_precision_loss)]
-        obs.gauge("engine.frontier.peak", peak_frontier as f64);
-    }
-    g
 }
 
 /// Sparse masks per transition, CSR-packed: `data[off[t]..off[t+1]]` holds
@@ -1464,12 +1098,12 @@ mod tests {
         let net = ring(5);
         let inc = Incidence::from_net(&net);
         let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, 1_000);
+        let g = explore(&mut sys, &cfg(1_000), None);
         for i in 0..g.len() {
-            let words = g.state_vec(i);
-            let m = marking_of(&net, &words);
+            let words = g.state(i);
+            let m = marking_of(&net, words);
             for t in net.transitions() {
-                assert_eq!(inc.is_enabled(t, &words), net.is_enabled(t, &m));
+                assert_eq!(inc.is_enabled(t, words), net.is_enabled(t, &m));
             }
         }
     }
@@ -1479,14 +1113,14 @@ mod tests {
         let net = ring(4);
         let inc = Incidence::from_net(&net);
         let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, 1_000);
+        let g = explore(&mut sys, &cfg(1_000), None);
         let mut dst = vec![0u64; g.stride()];
         for i in 0..g.len() {
-            let words = g.state_vec(i);
-            let m = marking_of(&net, &words);
+            let words = g.state(i);
+            let m = marking_of(&net, words);
             for t in net.transitions() {
-                if inc.is_enabled(t, &words) {
-                    inc.fire_into(t, &words, &mut dst);
+                if inc.is_enabled(t, words) {
+                    inc.fire_into(t, words, &mut dst);
                     assert_eq!(marking_of(&net, &dst), net.fire(t, &m).unwrap());
                 }
             }
@@ -1500,17 +1134,17 @@ mod tests {
         let net = ring(6);
         let inc = Incidence::from_net(&net);
         let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, 1_000);
+        let g = explore(&mut sys, &cfg(1_000), None);
         let mut dst = vec![0u64; g.stride()];
         for i in 0..g.len() {
-            let words = g.state_vec(i);
+            let words = g.state(i);
             for t in net.transitions() {
-                if !inc.is_enabled(t, &words) {
+                if !inc.is_enabled(t, words) {
                     continue;
                 }
-                inc.fire_into(t, &words, &mut dst);
+                inc.fire_into(t, words, &mut dst);
                 for t2 in net.transitions() {
-                    let flipped = inc.is_enabled(t2, &words) != inc.is_enabled(t2, &dst);
+                    let flipped = inc.is_enabled(t2, words) != inc.is_enabled(t2, &dst);
                     if flipped {
                         assert!(
                             inc.affected(t).contains(&(t2.index() as u32)),
@@ -1527,7 +1161,7 @@ mod tests {
         // a ring large enough to force several table growths
         let net = ring(3000);
         let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, 10_000);
+        let g = explore(&mut sys, &cfg(10_000), None);
         assert_eq!(g.len(), 3000);
         assert!(!g.is_truncated());
     }
@@ -1537,7 +1171,7 @@ mod tests {
         let mut net = PetriNet::new();
         net.add_transition("noop");
         let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, 10);
+        let g = explore(&mut sys, &cfg(10), None);
         // `noop` has no arcs: it is enabled and loops on the only state
         assert_eq!(g.len(), 1);
         assert_eq!(g.successors(0), &[(0, 0)]);
@@ -1547,59 +1181,15 @@ mod tests {
     #[test]
     fn truncation_reports_the_limit() {
         let net = ring(10);
-        let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, 4);
+        let g = explore(&mut NetSystem::new(&net), &cfg(4), None);
         assert_eq!(g.outcome(), ExploreOutcome::Truncated { limit: 4 });
-        let g = explore_parallel(|| NetSystem::new(&net), &cfg(4, 2), None);
-        assert_eq!(g.outcome(), ExploreOutcome::Truncated { limit: 4 });
+        assert_eq!(g.len(), 4);
     }
 
-    fn cfg(max_states: usize, threads: usize) -> ExploreConfig {
+    fn cfg(max_states: usize) -> ExploreConfig {
         ExploreConfig {
             max_states,
-            threads,
             ..ExploreConfig::default()
-        }
-    }
-
-    /// Parallel ≡ serial on a narrow (all-anchor) and a wide (delta-stored)
-    /// ring, across thread counts and budgets — the unit-level version of
-    /// the differential suite.
-    #[test]
-    fn parallel_matches_serial_exactly() {
-        for net in [ring(64), ring(150)] {
-            let mut sys = NetSystem::new(&net);
-            for budget in [usize::MAX, 64, 17, 3, 1] {
-                let a = explore(&mut sys, budget);
-                for threads in [1usize, 2, 4] {
-                    let b = explore_parallel(|| NetSystem::new(&net), &cfg(budget, threads), None);
-                    assert_eq!(a.len(), b.len(), "t={threads} b={budget}");
-                    assert_eq!(a.outcome(), b.outcome());
-                    assert_eq!(a.succ, b.succ);
-                    assert_eq!(a.succ_off, b.succ_off);
-                    assert_eq!(a.parents, b.parents);
-                    assert_eq!(a.dead(), b.dead());
-                    for i in 0..a.len() {
-                        assert_eq!(a.state_vec(i), b.state_vec(i));
-                    }
-                }
-            }
-        }
-    }
-
-    /// On a wide-state system (stride > 2) the parallel engine stores
-    /// deltas between anchors, and reconstructs every state bit-exactly
-    /// against the serial engine's full snapshots.
-    #[test]
-    fn delta_reconstruction_is_exact_on_wide_states() {
-        let net = ring(150); // 3 words per marking
-        let a = explore(&mut NetSystem::new(&net), 1_000);
-        let b = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, 1), None);
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.anchor_count(), a.len());
-        assert!(b.anchor_count() < b.len(), "deltas were actually used");
-        for i in 0..a.len() {
-            assert_eq!(a.state_vec(i), b.state_vec(i), "state {i}");
         }
     }
 
@@ -1614,16 +1204,16 @@ mod tests {
         let act_perm = bit_perm.clone();
         let sym = StateSymmetry::new(bit_perm, act_perm).unwrap();
         assert_eq!(sym.order(), n);
-        let full = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, 1), None);
-        let quo = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, 1), Some(&sym));
+        let full = explore(&mut NetSystem::new(&net), &cfg(1_000), None);
+        let quo = explore(&mut NetSystem::new(&net), &cfg(1_000), Some(&sym));
         assert_eq!(full.len(), n);
         assert_eq!(quo.len(), 1);
         // concrete trace reconstruction: the quotient self-loop unrotates to
         // a concretely firable transition from the concrete initial state
         let rep_rot = quo.rotation(0);
         let mut concrete = vec![0u64; quo.stride()];
-        sym.unapply_state(rep_rot, &quo.state_vec(0), &mut concrete);
-        assert_eq!(concrete, full.state_vec(0));
+        sym.unapply_state(rep_rot, quo.state(0), &mut concrete);
+        assert_eq!(concrete, full.state(0));
     }
 
     #[test]
@@ -1632,6 +1222,25 @@ mod tests {
         assert!(StateSymmetry::new(vec![0, 2], vec![0, 1]).is_err());
         let id = StateSymmetry::new(vec![0, 1], vec![0]).unwrap();
         assert_eq!(id.order(), 1);
+    }
+
+    /// Cycle lengths of the 25 primes up to 97 (1,060 bits) give an order
+    /// near 2.3e36: the bounded lcm must report it as out of range instead
+    /// of overflowing on the way.
+    #[test]
+    fn huge_symmetry_order_is_an_error_not_an_overflow() {
+        let primes = [
+            2u32, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79,
+            83, 89, 97,
+        ];
+        let mut perm = Vec::new();
+        for p in primes {
+            let base = perm.len() as u32;
+            perm.extend((0..p).map(|i| base + (i + 1) % p));
+        }
+        assert_eq!(perm.len(), 1_060);
+        let err = StateSymmetry::new(perm, vec![0]).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]

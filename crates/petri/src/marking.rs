@@ -76,13 +76,6 @@ impl Marking {
         &self.words
     }
 
-    /// Mutable word-packed bits, for in-place reconstruction from the
-    /// delta-compressed state store. The caller must keep bits above
-    /// `len()` zero.
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
     /// Overwrites this marking's bits from a word slice of at least
     /// `len().div_ceil(64)` words (extra high words are ignored).
     pub(crate) fn copy_from_words(&mut self, words: &[u64]) {

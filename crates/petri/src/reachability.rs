@@ -7,14 +7,11 @@
 //! This is the workhorse behind deadlock detection, persistence checking and
 //! Reach-predicate queries, standing in for the paper's MPSAT backend.
 //!
-//! [`explore`] and [`explore_truncated`] run the parallel engine
-//! ([`crate::engine::explore_parallel`]) with delta-compressed state
-//! storage under one [`ExploreConfig`] (state budget, threads, deadline and
-//! the `rap-obs` handle); results are identical at every thread count (see
-//! the engine docs for the determinism contract). Two reference
-//! implementations are differentially tested against it: the serial
-//! engine ([`explore_serial_truncated`]) and the original pre-engine
-//! explorer ([`explore_naive_truncated`]).
+//! [`explore`] and [`explore_truncated`] run the state-space engine
+//! ([`crate::engine::explore`]) under one [`ExploreConfig`] (state budget,
+//! deadline and the `rap-obs` handle). The original pre-engine explorer
+//! ([`explore_naive_truncated`]) is kept as the reference it is
+//! differentially tested against.
 //!
 //! With a cyclic symmetry of the net (wagged replicas — see
 //! [`crate::symmetry`]), [`explore_quotient_truncated`] explores the
@@ -54,13 +51,10 @@ impl StateId {
 
 /// The reachable state space of a net.
 ///
-/// Markings live delta-compressed in the underlying [`ExploredGraph`]:
+/// Markings live word-packed in the underlying [`ExploredGraph`]:
 /// [`StateSpace::marking`] materialises a [`Marking`] on demand, and
 /// [`StateSpace::fill_marking`] / [`StateSpace::fill_marking_words`]
-/// reconstruct into caller-owned buffers for allocation-free scans
-/// (reconstruction walks the XOR-delta chain to the nearest anchor — cheap,
-/// but no longer a borrow, which is why there is no `marking_words`
-/// accessor returning a slice).
+/// copy into caller-owned buffers for allocation-free scans.
 #[derive(Debug, Clone)]
 pub struct StateSpace {
     places: usize,
@@ -125,48 +119,35 @@ impl StateSpace {
         self.graph.stride()
     }
 
-    /// The marking of `state`, materialised from the compressed store.
+    /// The marking of `state`, materialised from the state arena.
     #[must_use]
     pub fn marking(&self, state: StateId) -> Marking {
-        let mut words = self.graph.state_vec(state.index());
-        words.truncate(self.places.div_ceil(64));
-        Marking::from_words(words, self.places)
+        let words = &self.graph.state(state.index())[..self.places.div_ceil(64)];
+        Marking::from_words(words.to_vec(), self.places)
     }
 
-    /// Reconstructs the marking of `state` into `out` without allocating.
+    /// Copies the marking of `state` into `out` without allocating.
     ///
     /// # Panics
     ///
     /// Panics when `out` does not cover exactly this net's places.
     pub fn fill_marking(&self, state: StateId, out: &mut Marking) {
         assert_eq!(out.len(), self.places, "marking buffer has the wrong width");
-        let w = out.words_mut();
-        if w.len() == self.graph.stride() {
-            self.graph.fill_state(state.index(), w);
-        } else {
-            // zero-place nets: the graph pads to one word, the marking to none
-            let mut tmp = vec![0u64; self.graph.stride()];
-            self.graph.fill_state(state.index(), &mut tmp);
-            out.copy_from_words(&tmp);
-        }
+        // zero-place nets: the graph pads to one word, the marking to none,
+        // and `copy_from_words` ignores the padding
+        out.copy_from_words(self.graph.state(state.index()));
     }
 
-    /// Reconstructs the word-packed marking bits of `state` into `out`
-    /// (exactly [`StateSpace::word_count`] words).
+    /// Copies the word-packed marking bits of `state` into `out` (exactly
+    /// [`StateSpace::word_count`] words).
     pub fn fill_marking_words(&self, state: StateId, out: &mut [u64]) {
-        self.graph.fill_state(state.index(), out);
+        out.copy_from_slice(self.graph.state(state.index()));
     }
 
     /// Is `place` marked in `state`?
-    ///
-    /// Reconstructs the state; in hot loops prefer one
-    /// [`StateSpace::fill_marking_words`] per state and [`engine::get_bit`]
-    /// per place.
     #[must_use]
     pub fn is_marked(&self, state: StateId, place: crate::PlaceId) -> bool {
-        let mut tmp = vec![0u64; self.graph.stride()];
-        self.graph.fill_state(state.index(), &mut tmp);
-        engine::get_bit(&tmp, place.index())
+        engine::get_bit(self.graph.state(state.index()), place.index())
     }
 
     /// The initial state.
@@ -272,9 +253,8 @@ impl StateSpace {
             }
             cur = p as usize;
         }
-        let rep = self.graph.state_vec(state.index());
         let mut words = vec![0u64; self.graph.stride()];
-        sym.unapply_state(rot, &rep, &mut words);
+        sym.unapply_state(rot, self.graph.state(state.index()), &mut words);
         words.truncate(self.places.div_ceil(64));
         Marking::from_words(words, self.places)
     }
@@ -318,7 +298,7 @@ pub fn explore(net: &PetriNet, config: ExploreConfig) -> Result<StateSpace, Petr
 /// [`ExploreConfig::obs`]).
 #[must_use]
 pub fn explore_truncated(net: &PetriNet, config: ExploreConfig) -> StateSpace {
-    let graph = engine::explore_parallel(|| NetSystem::new(net), &config, None);
+    let graph = engine::explore(&mut NetSystem::new(net), &config, None);
     StateSpace::from_graph(graph, net.place_count(), None)
 }
 
@@ -335,19 +315,8 @@ pub fn explore_quotient_truncated(
     config: ExploreConfig,
     sym: &StateSymmetry,
 ) -> StateSpace {
-    let graph = engine::explore_parallel(|| NetSystem::new(net), &config, Some(sym));
+    let graph = engine::explore(&mut NetSystem::new(net), &config, Some(sym));
     StateSpace::from_graph(graph, net.place_count(), Some(sym.clone()))
-}
-
-/// The serial engine, kept as a reference implementation: the
-/// differential suite pins the parallel engine against it state-for-state
-/// at several thread counts. Reads only `config.max_states`. Use
-/// [`explore_truncated`] everywhere else.
-#[must_use]
-pub fn explore_serial_truncated(net: &PetriNet, config: ExploreConfig) -> StateSpace {
-    let mut sys = NetSystem::new(net);
-    let graph = engine::explore(&mut sys, config.max_states);
-    StateSpace::from_graph(graph, net.place_count(), None)
 }
 
 /// The original (pre-engine) explorer: full transition scan per state,
@@ -519,7 +488,7 @@ mod tests {
                 deadline: std::time::Duration::ZERO
             }
         );
-        // the zero deadline cuts at the first level-commit barrier
+        // the zero deadline cuts once the first level is expanded
         assert_eq!(partial.len(), 2);
     }
 
@@ -567,21 +536,15 @@ mod tests {
                 ..ExploreConfig::default()
             };
             let a = explore_truncated(&net, cfg.clone());
-            let s = explore_serial_truncated(&net, cfg.clone());
             let b = explore_naive_truncated(&net, cfg);
             assert_eq!(a.len(), b.len());
-            assert_eq!(s.len(), b.len());
             assert_eq!(a.is_truncated(), b.is_truncated());
-            assert_eq!(s.is_truncated(), b.is_truncated());
             for (sa, sb) in a.states().zip(b.states()) {
                 assert_eq!(a.marking(sa), b.marking(sb));
                 assert_eq!(a.successors(sa), b.successors(sb));
                 assert_eq!(a.trace_to(sa), b.trace_to(sb));
-                assert_eq!(s.marking(sa), b.marking(sb));
-                assert_eq!(s.successors(sa), b.successors(sb));
             }
             assert!(a.dead_states().eq(b.dead_states()));
-            assert!(s.dead_states().eq(b.dead_states()));
         }
     }
 }

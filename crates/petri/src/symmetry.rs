@@ -25,7 +25,8 @@ use std::collections::HashMap;
 pub struct Symmetry {
     place_perm: Vec<u32>,
     transition_perm: Vec<u32>,
-    order: usize,
+    /// The engine-level generator, built once at construction.
+    state: StateSymmetry,
 }
 
 impl Symmetry {
@@ -34,10 +35,11 @@ impl Symmetry {
     ///
     /// # Errors
     ///
-    /// When `place_perm` is not a permutation of the net's places, or the
+    /// When `place_perm` is not a permutation of the net's places, the
     /// induced map fails to be a net automorphism (some transition's
     /// permuted arc signature matches no transition, or two transitions
-    /// collide on one image).
+    /// collide on one image), or the generator's order is out of the
+    /// engine's range ([`StateSymmetry::new`]).
     pub fn new(net: &PetriNet, place_perm: Vec<u32>) -> Result<Self, String> {
         if place_perm.len() != net.place_count() {
             return Err(format!(
@@ -110,18 +112,18 @@ impl Symmetry {
             transition_perm[t.index()] = img;
         }
 
-        let order = cyclic_order(&place_perm, &transition_perm);
+        let state = StateSymmetry::new(place_perm.clone(), transition_perm.clone())?;
         Ok(Symmetry {
             place_perm,
             transition_perm,
-            order,
+            state,
         })
     }
 
     /// Group order of the generator.
     #[must_use]
     pub fn order(&self) -> usize {
-        self.order
+        self.state.order()
     }
 
     /// Image of a place under the generator.
@@ -138,14 +140,9 @@ impl Symmetry {
 
     /// The engine-level symmetry (marking-bit and transition-bit
     /// permutations) driving quotient exploration.
-    ///
-    /// # Panics
-    ///
-    /// Never — the permutations were validated at construction.
     #[must_use]
     pub fn state_symmetry(&self) -> StateSymmetry {
-        StateSymmetry::new(self.place_perm.clone(), self.transition_perm.clone())
-            .expect("validated at construction")
+        self.state.clone()
     }
 
     /// Is `pairs` closed under the generator? (For each `(a, b)` the pair
@@ -162,38 +159,6 @@ impl Symmetry {
             .iter()
             .all(|&(a, b)| set.contains(&norm(self.map_place(a), self.map_place(b))))
     }
-}
-
-fn cyclic_order(place_perm: &[u32], transition_perm: &[u32]) -> usize {
-    fn order_of(perm: &[u32]) -> usize {
-        let mut seen = vec![false; perm.len()];
-        let mut order = 1usize;
-        for start in 0..perm.len() {
-            if seen[start] {
-                continue;
-            }
-            let mut len = 0usize;
-            let mut cur = start;
-            while !seen[cur] {
-                seen[cur] = true;
-                cur = perm[cur] as usize;
-                len += 1;
-            }
-            order = lcm(order, len.max(1));
-        }
-        order
-    }
-    fn lcm(a: usize, b: usize) -> usize {
-        fn gcd(a: usize, b: usize) -> usize {
-            if b == 0 {
-                a
-            } else {
-                gcd(b, a % b)
-            }
-        }
-        a / gcd(a, b) * b
-    }
-    lcm(order_of(place_perm), order_of(transition_perm))
 }
 
 #[cfg(test)]
@@ -257,5 +222,30 @@ mod tests {
         // a lone pair is not
         assert!(!sym.pairs_closed(&closed[..1]));
         assert!(sym.pairs_closed(&[]));
+    }
+
+    /// Six disjoint one-token rings of prime lengths, each rotated by one
+    /// place: a genuine automorphism whose order, 2·3·5·7·11·13 = 30030,
+    /// is beyond the engine's bound. Construction must refuse it, not
+    /// leave the panic to the first quotient exploration.
+    #[test]
+    fn out_of_range_order_is_rejected_at_construction() {
+        let mut net = PetriNet::new();
+        let mut perm = Vec::new();
+        for len in [2usize, 3, 5, 7, 11, 13] {
+            let base = net.place_count();
+            let places: Vec<PlaceId> = (0..len)
+                .map(|i| net.add_place(format!("r{len}_p{i}"), i == 0))
+                .collect();
+            for i in 0..len {
+                let t = net.add_transition(format!("r{len}_t{i}"));
+                net.consume(t, places[i]);
+                net.produce(t, places[(i + 1) % len]);
+                perm.push((base + (i + 1) % len) as u32);
+            }
+        }
+        assert_eq!(net.place_count(), 41);
+        let err = Symmetry::new(&net, perm).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
     }
 }

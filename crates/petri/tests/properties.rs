@@ -1,8 +1,14 @@
 //! Property-based tests for the firing rule and reachability explorer.
 
 use proptest::prelude::*;
-use rap_petri::reachability::{explore_truncated, ExploreConfig};
+use rap_obs::{Collector, Obs};
+use rap_petri::engine::{self, EngineStats, ExploredGraph, Incidence, NetSystem, StateSymmetry};
+use rap_petri::reachability::{
+    explore_naive_truncated, explore_quotient_truncated, explore_truncated, ExploreConfig,
+};
 use rap_petri::{Marking, PetriNet, PlaceId};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Strategy: a random net over `np` places and `nt` transitions with small
 /// arc lists. Initial marking is random.
@@ -41,6 +47,106 @@ fn arb_net(np: usize, nt: usize) -> impl Strategy<Value = PetriNet> {
 
 fn token_count(m: &Marking) -> usize {
     m.count()
+}
+
+fn cfg(max_states: usize) -> ExploreConfig {
+    ExploreConfig {
+        max_states,
+        ..ExploreConfig::default()
+    }
+}
+
+/// Full observational equality: counts, outcome, parent links, CSR edges,
+/// dead states, rotations and every state vector.
+fn assert_identical(a: &ExploredGraph, b: &ExploredGraph, ctx: &str) {
+    assert_eq!(a.len(), b.len(), "{ctx}: state count");
+    assert_eq!(a.outcome(), b.outcome(), "{ctx}: outcome");
+    assert_eq!(a.parents, b.parents, "{ctx}: parent attribution");
+    assert_eq!(a.succ_off, b.succ_off, "{ctx}: CSR offsets");
+    assert_eq!(a.succ, b.succ, "{ctx}: edge order");
+    assert_eq!(a.dead(), b.dead(), "{ctx}: dead states");
+    for i in 0..a.len() {
+        assert_eq!(a.state(i), b.state(i), "{ctx}: state {i}");
+        assert_eq!(a.rotation(i), b.rotation(i), "{ctx}: rotation {i}");
+    }
+}
+
+/// The dead states of `g` by a full scan: every state whose marking
+/// enables no transition of `net`.
+fn scanned_dead(net: &PetriNet, g: &ExploredGraph) -> Vec<u32> {
+    let inc = Incidence::from_net(net);
+    (0..g.len())
+        .filter(|&i| net.transitions().all(|t| !inc.is_enabled(t, g.state(i))))
+        .map(|i| i as u32)
+        .collect()
+}
+
+/// Explores `net` untraced and traced (live collector) under `budget`,
+/// checks the two graphs are identical and the collector counted every
+/// state, and returns the untraced graph.
+fn explore_both_ways(
+    net: &PetriNet,
+    budget: usize,
+    symmetry: Option<&StateSymmetry>,
+) -> ExploredGraph {
+    let plain = engine::explore(&mut NetSystem::new(net), &cfg(budget), symmetry);
+    let collector = Arc::new(Collector::new());
+    let recording = ExploreConfig {
+        obs: Obs::collecting(&collector),
+        ..cfg(budget)
+    };
+    let traced = engine::explore(&mut NetSystem::new(net), &recording, symmetry);
+    assert_identical(&plain, &traced, &format!("traced, budget={budget}"));
+    let stats = EngineStats::from_counters(&collector.snapshot().counters);
+    assert_eq!(stats.states, traced.len() as u64, "budget={budget}");
+    assert!(stats.levels > 0, "budget={budget}: no levels recorded");
+    plain
+}
+
+/// `copies` disjoint copies of `base`, with the rotation that maps copy
+/// `c` onto copy `c + 1` (places and transitions alike).
+fn replicated(base: &PetriNet, copies: usize) -> (PetriNet, StateSymmetry) {
+    let (np, nt) = (base.place_count(), base.transition_count());
+    let mut net = PetriNet::new();
+    for c in 0..copies {
+        for p in base.places() {
+            net.add_place(
+                format!("c{c}_p{}", p.index()),
+                base.place(p).initially_marked,
+            );
+        }
+    }
+    for c in 0..copies {
+        for t in base.transitions() {
+            let nt_id = net.add_transition(format!("c{c}_t{}", t.index()));
+            let tr = base.transition(t);
+            let at = |p: PlaceId| PlaceId::from_index(c * np + p.index());
+            for &p in tr.consumes() {
+                net.consume(nt_id, at(p));
+            }
+            for &p in tr.produces() {
+                net.produce(nt_id, at(p));
+            }
+            for &p in tr.reads() {
+                net.read(nt_id, at(p));
+            }
+        }
+    }
+    let rotate = |n: usize| -> Vec<u32> {
+        (0..copies * n)
+            .map(|i| ((i + n) % (copies * n)) as u32)
+            .collect()
+    };
+    let sym = StateSymmetry::new(rotate(np), rotate(nt)).expect("rotation is a permutation");
+    (net, sym)
+}
+
+/// The lexicographically-least rotation of `raw` under `sym`.
+fn canonical(sym: &StateSymmetry, raw: &[u64]) -> Vec<u64> {
+    let mut canon = vec![0u64; raw.len()];
+    let mut tmp = vec![0u64; raw.len()];
+    sym.canonicalize(raw, &mut canon, &mut tmp);
+    canon
 }
 
 /// Strategy: a net over `np` places whose transitions either flip one of
@@ -217,6 +323,84 @@ proptest! {
             !rap_petri::invariants::is_invariant(&net, &w) || sum != 1
         });
         prop_assert_eq!(rap_petri::invariants::certify_complementary_pairs(&net, &pairs), want);
+    }
+
+    /// A live collector never perturbs the result, and the dead list the
+    /// engine records on discovery equals a full enabledness scan — under
+    /// tiny budgets too, where the truncated frontier must not be mistaken
+    /// for deadlocks.
+    #[test]
+    fn traced_equals_untraced_and_dead_states_match_a_full_scan(net in arb_net(10, 8)) {
+        for budget in [2_000usize, 40, 7, 2, 1] {
+            let g = explore_both_ways(&net, budget, None);
+            prop_assert_eq!(g.dead(), scanned_dead(&net, &g).as_slice(), "budget={}", budget);
+        }
+    }
+
+    /// Quotient mode: on two or three rotated copies of a random net, the
+    /// traced and untraced quotients agree, and the dead list equals a full
+    /// enabledness scan of the representatives.
+    #[test]
+    fn quotient_dead_states_match_a_full_scan(base in arb_net(5, 4), copies in 2usize..=3) {
+        let (net, sym) = replicated(&base, copies);
+        for budget in [2_000usize, 40, 7, 2, 1] {
+            let g = explore_both_ways(&net, budget, Some(&sym));
+            prop_assert_eq!(g.dead(), scanned_dead(&net, &g).as_slice(), "budget={}", budget);
+        }
+    }
+
+    /// The quotient against an independent oracle: the naive explorer over
+    /// the full net. The quotient's states are exactly the canonical forms
+    /// of the reachable markings, each stored canonical and once; its dead
+    /// representatives are the canonical forms of the dead markings; and
+    /// every concrete trace fires step by step in the net, from the real
+    /// initial marking to the state's concrete marking.
+    #[test]
+    fn quotient_is_the_canonical_image_of_the_full_space(
+        base in arb_net(5, 4),
+        copies in 2usize..=3,
+    ) {
+        let (net, sym) = replicated(&base, copies);
+        let full = explore_naive_truncated(&net, cfg(usize::MAX));
+        let quo = explore_quotient_truncated(&net, cfg(usize::MAX), &sym);
+        prop_assert!(!full.is_truncated() && !quo.is_truncated());
+
+        let mut words = vec![0u64; full.word_count()];
+        let mut image = BTreeSet::new();
+        let mut dead_image = BTreeSet::new();
+        for s in full.states() {
+            full.fill_marking_words(s, &mut words);
+            image.insert(canonical(&sym, &words));
+        }
+        for s in full.dead_states() {
+            full.fill_marking_words(s, &mut words);
+            dead_image.insert(canonical(&sym, &words));
+        }
+
+        let mut reps = BTreeSet::new();
+        for s in quo.states() {
+            quo.fill_marking_words(s, &mut words);
+            prop_assert_eq!(&canonical(&sym, &words), &words, "stored marking not canonical");
+            prop_assert!(reps.insert(words.clone()), "orbit stored twice");
+        }
+        prop_assert_eq!(&reps, &image, "quotient states vs canonical image");
+        let dead_reps: BTreeSet<Vec<u64>> = quo
+            .dead_states()
+            .map(|s| {
+                quo.fill_marking_words(s, &mut words);
+                words.clone()
+            })
+            .collect();
+        prop_assert_eq!(&dead_reps, &dead_image, "dead representatives");
+
+        for s in quo.states() {
+            let mut m = net.initial_marking();
+            for t in quo.concrete_trace_to(s) {
+                prop_assert!(net.is_enabled(t, &m), "concrete trace step not enabled");
+                m = net.fire(t, &m).unwrap();
+            }
+            prop_assert_eq!(&m, &quo.concrete_marking(s));
+        }
     }
 
     /// Counterexample traces reconstructed by the explorer replay from the

@@ -1,8 +1,5 @@
-//! Minimal work-stealing task pool.
-//!
-//! Extracted from the `rap-dse` sweep driver (where the pattern was first
-//! proven) so that the parallel state-space engine of `rap-petri` can share
-//! the same machinery:
+//! Minimal work-stealing task pool, used by the `rap-dse` sweep driver to
+//! evaluate independent design candidates on its workers:
 //!
 //! * **Per-worker deques** ([`StealQueues`]) — tasks are dealt round-robin
 //!   into one `Mutex<VecDeque>` per worker; a worker pops its *own* deque
@@ -17,10 +14,9 @@
 //!
 //! The pool deliberately stays dependency-free and dumb: no task priorities,
 //! no blocking park/unpark (workers exit when every deque is empty), no
-//! dynamic task injection after [`StealQueues::deal`]. Both current users
-//! dispatch a frozen batch of tasks per round — the DSE driver once per
-//! sweep, the state-space engine once per BFS level — and that shape keeps
-//! the correctness argument (and the schedule-stress tests) small.
+//! dynamic task injection after [`StealQueues::deal`]. The DSE driver deals
+//! one frozen batch of tasks per sweep, and that shape keeps the
+//! correctness argument (and its tests) small.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -148,8 +144,7 @@ impl<T> StealQueues<T> {
 /// their results. Under the work-stealing discipline the dead worker's
 /// undrained tasks are stolen by the survivors, so a single panicking
 /// *task* costs its own result, not the batch. Callers for whom a worker
-/// death is unrecoverable (e.g. the state-space engine, whose levels are
-/// barrier-synchronised) escalate the `Err` themselves.
+/// death is unrecoverable escalate the `Err` themselves.
 pub fn run_workers<R, F>(threads: usize, worker: F) -> Vec<Result<R, PoolError>>
 where
     R: Send,

@@ -2,16 +2,15 @@
 //!
 //! `ExploreConfig::deadline` turns runaway explorations into a typed
 //! outcome of its own (`DeadlineExpired`, reported as a truncated space and
-//! degrading verdicts to `Inconclusive`). The clock is consulted only at
-//! level-commit barriers, so the cut prefix is always a complete-level
-//! prefix of the canonical BFS order — this suite pins the two halves of
-//! that contract:
+//! degrading verdicts to `Inconclusive`). The clock is consulted only once
+//! a BFS level is fully expanded, so the cut prefix is always a
+//! complete-level prefix of the BFS order — this suite pins the two halves
+//! of that contract:
 //!
-//! * **zero deadline** cuts after the *first* level commit, at every
-//!   thread count, producing the identical (bit-for-bit) one-level graph
-//!   each time — the only deterministically reachable cut point, and the
-//!   proof that a deadline cut is a BFS-order prefix, not an arbitrary
-//!   scheduler artifact;
+//! * **zero deadline** cuts after the *first* level, producing the
+//!   identical (bit-for-bit) one-level graph on every run — the only
+//!   deterministically reachable cut point, and the proof that a deadline
+//!   cut is a BFS-order prefix, not an artifact of timing;
 //! * **unreachable deadline** changes nothing: the graph equals the
 //!   undeadlined exploration exactly.
 //!
@@ -44,30 +43,6 @@ fn fingerprint(space: &StateSpace) -> Fingerprint {
 fn zero_deadline_cuts_after_first_level_commit_at_every_thread_count() {
     let p = build_pipeline(&PipelineSpec::reconfigurable_depth(3, 1).unwrap()).unwrap();
     let img = to_petri(&p.dfs);
-    let mut graphs = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let space = explore_truncated(
-            &img.net,
-            ExploreConfig {
-                max_states: 100_000,
-                threads,
-                deadline: Some(Duration::ZERO),
-                ..ExploreConfig::default()
-            },
-        );
-        assert!(space.is_truncated(), "zero deadline must truncate");
-        assert!(!space.is_empty(), "the initial state is always committed");
-        graphs.push((threads, fingerprint(&space)));
-    }
-    let (_, first) = &graphs[0];
-    for (threads, g) in &graphs[1..] {
-        assert_eq!(
-            g, first,
-            "deadline cut differs between 1 and {threads} threads"
-        );
-    }
-    // the cut prefix is exactly the full exploration's first BFS levels:
-    // same states, same ids, same edges among them
     let full = explore_truncated(
         &img.net,
         ExploreConfig {
@@ -77,14 +52,36 @@ fn zero_deadline_cuts_after_first_level_commit_at_every_thread_count() {
     );
     assert!(!full.is_truncated());
     let full_fp = fingerprint(&full);
-    let cut = &graphs[0].1;
-    assert!(cut.len() < full_fp.len(), "zero deadline cut early");
-    for (i, (marking, succs)) in cut.iter().enumerate() {
-        assert_eq!(marking, &full_fp[i].0, "state {i} diverges from BFS order");
-        // edges to states beyond the cut exist only in the full graph;
-        // within the prefix, every recorded edge matches
-        for edge in succs {
-            assert!(full_fp[i].1.contains(edge), "alien edge {edge:?} at {i}");
+    let cuts: Vec<Fingerprint> = (0..3)
+        .map(|_| {
+            let space = explore_truncated(
+                &img.net,
+                ExploreConfig {
+                    max_states: 100_000,
+                    deadline: Some(Duration::ZERO),
+                    ..ExploreConfig::default()
+                },
+            );
+            assert!(space.is_truncated(), "zero deadline must truncate");
+            assert!(!space.is_empty(), "the initial state is always committed");
+            fingerprint(&space)
+        })
+        .collect();
+    for (run, cut) in cuts.iter().enumerate() {
+        assert_eq!(
+            cut, &cuts[0],
+            "deadline cut of run {run} differs from run 0"
+        );
+        // the cut prefix is exactly the full exploration's first BFS
+        // levels: same states, same ids, same edges among them
+        assert!(cut.len() < full_fp.len(), "zero deadline cut early");
+        for (i, (marking, succs)) in cut.iter().enumerate() {
+            assert_eq!(marking, &full_fp[i].0, "state {i} diverges from BFS order");
+            // edges to states beyond the cut exist only in the full graph;
+            // within the prefix, every recorded edge matches
+            for edge in succs {
+                assert!(full_fp[i].1.contains(edge), "alien edge {edge:?} at {i}");
+            }
         }
     }
 }
@@ -97,7 +94,6 @@ fn unreachable_deadline_is_a_no_op() {
         &img.net,
         ExploreConfig {
             max_states: 100_000,
-            threads: 2,
             deadline: Some(Duration::from_secs(3600)),
             ..ExploreConfig::default()
         },
@@ -106,7 +102,6 @@ fn unreachable_deadline_is_a_no_op() {
         &img.net,
         ExploreConfig {
             max_states: 100_000,
-            threads: 2,
             ..ExploreConfig::default()
         },
     );
@@ -129,7 +124,6 @@ fn deadline_cut_quick_check_degrades_to_inconclusive_not_wrong() {
         &pairs,
         &ExploreConfig {
             max_states: 1_000_000,
-            threads: 2,
             deadline: Some(Duration::ZERO),
             ..ExploreConfig::default()
         },

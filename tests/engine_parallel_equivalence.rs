@@ -1,20 +1,20 @@
-//! Parallel ↔ serial engine equivalence, property-tested.
+//! Traced ↔ untraced ↔ naive equivalence, property-tested.
 //!
-//! The parallel engine (`rap_petri::engine::explore_parallel`) claims to be
-//! *observationally identical* to the serial engine at every thread count:
-//! same state numbering, same edges, same truncation point, same witness
-//! traces — not just equal counts. This suite pins that claim on random
-//! inputs from both ends of the tool (raw random Petri nets and the paper's
-//! pipeline generators), at threads ∈ {1, 2, 8} plus whatever
-//! `RAP_TEST_THREADS` asks for, including under tiny truncation budgets.
-//! It mirrors `engine_equivalence.rs`, which pins the serial engine against
-//! the naive explorers.
+//! The state-space engine records into `ExploreConfig::obs`, and recording
+//! is observation-only by contract: a run with a live
+//! [`rap::obs::Collector`] attached must produce the same state numbering,
+//! edges, truncation point, dead list and witness traces as the same run
+//! over a detached handle — and both must equal the retained naive
+//! explorers (`explore_naive_truncated`, `Lts::explore_naive_truncated`),
+//! on random inputs from both ends of the tool (raw random Petri nets and
+//! the paper's pipeline generators), including under tiny truncation
+//! budgets. Every traced run also checks that the collector saw it: the
+//! `engine.states` counter equals the returned state count.
 //!
-//! Every parallel run here executes **with a live [`rap::obs::Collector`]
-//! attached** through `ExploreConfig::obs` — the suite therefore
-//! simultaneously pins the tracing determinism contract: recording is
-//! observation-only and can never perturb state numbering, edge order,
-//! witness traces or truncation, at any thread count.
+//! The test names are kept from the suite's earlier role (pinning a
+//! parallel driver against the serial one); the engine now has one
+//! driver, and these tests pin the recording contract against the naive
+//! oracles instead.
 
 use proptest::prelude::*;
 use rap::dfs::pipelines::{build_pipeline, PipelineSpec};
@@ -22,26 +22,10 @@ use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{to_petri, Dfs, Lts};
 use rap::obs::{Collector, Obs};
 use rap::petri::reachability::{
-    explore_serial_truncated, explore_truncated, ExploreConfig, StateSpace,
+    explore_naive_truncated, explore_truncated, ExploreConfig, StateSpace,
 };
 use rap::petri::{PetriNet, PlaceId};
 use std::sync::Arc;
-
-/// Thread counts under test: the fixed {1, 2, 8} ladder plus the
-/// `RAP_TEST_THREADS` environment override (the CI matrix sets 2).
-fn thread_counts() -> Vec<usize> {
-    let mut ts = vec![1usize, 2, 8];
-    if let Some(t) = std::env::var("RAP_TEST_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-    {
-        if !ts.contains(&t) {
-            ts.push(t);
-        }
-    }
-    ts
-}
 
 /// Random net over `np` places and `nt` transitions with small arc lists.
 fn arb_net(np: usize, nt: usize) -> impl Strategy<Value = PetriNet> {
@@ -95,6 +79,15 @@ fn arb_pipeline() -> impl Strategy<Value = Dfs> {
         })
 }
 
+/// The default config under a state budget, recording into `obs`.
+fn cfg(max_states: usize, obs: Obs) -> ExploreConfig {
+    ExploreConfig {
+        max_states,
+        obs,
+        ..ExploreConfig::default()
+    }
+}
+
 /// Exact observational identity of two state spaces: numbering, markings,
 /// edges, traces, truncation and the recorded dead states.
 fn assert_spaces_identical(a: &StateSpace, b: &StateSpace, ctx: &str) -> Result<(), TestCaseError> {
@@ -109,92 +102,67 @@ fn assert_spaces_identical(a: &StateSpace, b: &StateSpace, ctx: &str) -> Result<
     Ok(())
 }
 
-/// Parallel at every thread count ≡ serial, for one net and budget. The
-/// parallel side runs **traced** (live collector): equivalence holding
-/// here is the proof that recording is observation-only.
-fn assert_parallel_equivalent(net: &PetriNet, max_states: usize) -> Result<(), TestCaseError> {
-    let serial = explore_serial_truncated(
-        net,
-        ExploreConfig {
-            max_states,
-            ..ExploreConfig::default()
-        },
+/// Traced ≡ untraced ≡ naive, for one net and budget; the collector of
+/// the traced run must have counted every state.
+fn assert_recording_equivalent(net: &PetriNet, max_states: usize) -> Result<(), TestCaseError> {
+    let naive = explore_naive_truncated(net, cfg(max_states, Obs::none()));
+    let untraced = explore_truncated(net, cfg(max_states, Obs::none()));
+    let collector = Arc::new(Collector::new());
+    let traced = explore_truncated(net, cfg(max_states, Obs::collecting(&collector)));
+    assert_spaces_identical(&untraced, &naive, "untraced vs naive")?;
+    assert_spaces_identical(&traced, &untraced, "traced vs untraced")?;
+    prop_assert_eq!(
+        collector.snapshot().counters.get("engine.states"),
+        traced.len() as u64,
+        "collector missed the run"
     );
-    for threads in thread_counts() {
-        let collector = Arc::new(Collector::new());
-        let par = explore_truncated(
-            net,
-            ExploreConfig {
-                max_states,
-                threads,
-                deadline: None,
-                obs: Obs::collecting(&collector),
-            },
-        );
-        assert_spaces_identical(&par, &serial, &format!("threads={threads}"))?;
-        // the collector really was live: the engine flushed its counters
-        prop_assert_eq!(
-            collector.snapshot().counters.get("engine.states"),
-            par.len() as u64,
-            "threads={}: collector missed the run",
-            threads
-        );
-    }
     Ok(())
 }
 
-fn assert_lts_parallel_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), TestCaseError> {
-    let serial = Lts::explore_serial_truncated(dfs, max_states);
-    for threads in thread_counts() {
-        // tracing through a live collector keeps the observation-only
-        // contract under test on the LTS backend too
-        let collector = Arc::new(Collector::new());
-        let par = Lts::explore_with(
-            dfs,
-            &ExploreConfig {
-                max_states,
-                threads,
-                deadline: None,
-                obs: Obs::collecting(&collector),
-            },
-            None,
-        );
-        let ctx = format!("threads={threads}");
-        prop_assert_eq!(par.len(), serial.len(), "{}: state count", &ctx);
-        prop_assert_eq!(par.outcome(), serial.outcome(), "{}: outcome", &ctx);
-        prop_assert_eq!(par.deadlocks(), serial.deadlocks(), "{}: dead states", &ctx);
-        for (sa, sb) in par.states().zip(serial.states()) {
-            prop_assert_eq!(par.state(sa), serial.state(sb), "{}: state", &ctx);
-            prop_assert_eq!(par.successors(sa), serial.successors(sb), "{}: edges", &ctx);
-            prop_assert_eq!(par.trace_to(sa), serial.trace_to(sb), "{}: trace", &ctx);
+/// The LTS backend's version of [`assert_recording_equivalent`].
+fn assert_lts_recording_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), TestCaseError> {
+    let naive = Lts::explore_naive_truncated(dfs, max_states);
+    let untraced = Lts::explore_with(dfs, &cfg(max_states, Obs::none()), None);
+    let collector = Arc::new(Collector::new());
+    let traced = Lts::explore_with(dfs, &cfg(max_states, Obs::collecting(&collector)), None);
+    for (run, ctx) in [
+        (&untraced, "untraced vs naive"),
+        (&traced, "traced vs naive"),
+    ] {
+        prop_assert_eq!(run.len(), naive.len(), "{}: state count", ctx);
+        prop_assert_eq!(run.outcome(), naive.outcome(), "{}: outcome", ctx);
+        prop_assert_eq!(run.deadlocks(), naive.deadlocks(), "{}: dead states", ctx);
+        for (sa, sb) in run.states().zip(naive.states()) {
+            prop_assert_eq!(run.state(sa), naive.state(sb), "{}: state", ctx);
+            prop_assert_eq!(run.successors(sa), naive.successors(sb), "{}: edges", ctx);
+            prop_assert_eq!(run.trace_to(sa), naive.trace_to(sb), "{}: trace", ctx);
         }
-        prop_assert_eq!(
-            collector.snapshot().counters.get("engine.states"),
-            par.len() as u64,
-            "{}: collector missed the run",
-            &ctx
-        );
     }
+    prop_assert_eq!(
+        collector.snapshot().counters.get("engine.states"),
+        traced.len() as u64,
+        "collector missed the LTS run"
+    );
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random raw nets: the level-synchronous commit makes the parallel
-    /// engine's ids, edges and traces identical to the serial engine's.
+    /// Random raw nets: traced, untraced and naive runs agree on ids,
+    /// edges and traces.
     #[test]
     fn random_nets_parallel_equals_serial(net in arb_net(10, 8)) {
-        assert_parallel_equivalent(&net, 3_000)?;
+        assert_recording_equivalent(&net, 3_000)?;
     }
 
     /// Random nets under tiny budgets: truncation must bite at exactly the
-    /// same state in every parallel configuration (the commit pass stops at
-    /// the same canonical point regardless of worker schedule).
+    /// same state whether or not a recorder is attached, and where the
+    /// naive explorer stops.
     #[test]
     fn random_nets_truncate_identically(net in arb_net(9, 8)) {
         for cap in [1usize, 2, 7, 40] {
-            assert_parallel_equivalent(&net, cap)?;
+            assert_recording_equivalent(&net, cap)?;
         }
     }
 
@@ -204,8 +172,8 @@ proptest! {
     fn random_pipelines_parallel_equals_serial(dfs in arb_pipeline()) {
         let img = to_petri(&dfs);
         for cap in [3_000usize, 7, 1] {
-            assert_parallel_equivalent(&img.net, cap)?;
-            assert_lts_parallel_equivalent(&dfs, cap)?;
+            assert_recording_equivalent(&img.net, cap)?;
+            assert_lts_recording_equivalent(&dfs, cap)?;
         }
     }
 }
@@ -218,48 +186,22 @@ fn wagged_shapes_parallel_equals_serial() {
         let w = wagged_pipeline(ways, 1, 1.0).unwrap();
         let img = to_petri(&w.dfs);
         for cap in [30_000usize, 500] {
-            let serial = explore_serial_truncated(
-                &img.net,
-                ExploreConfig {
-                    max_states: cap,
-                    ..ExploreConfig::default()
-                },
-            );
-            for threads in thread_counts() {
-                let par = explore_truncated(
-                    &img.net,
-                    ExploreConfig {
-                        max_states: cap,
-                        threads,
-                        ..ExploreConfig::default()
-                    },
-                );
-                assert_eq!(par.len(), serial.len(), "ways={ways} threads={threads}");
-                assert_eq!(par.outcome(), serial.outcome());
-                assert!(par.dead_states().eq(serial.dead_states()));
-                for (sa, sb) in par.states().zip(serial.states()) {
-                    assert_eq!(par.successors(sa), serial.successors(sb));
-                }
-            }
+            assert_recording_equivalent(&img.net, cap)
+                .unwrap_or_else(|e| panic!("ways={ways} cap={cap}: {e}"));
         }
     }
 }
 
-/// Witness traces from the parallel engine replay through the net's own
-/// firing rule — step-enabled, landing exactly on the recorded marking.
+/// Witness traces from a traced run replay through the net's own firing
+/// rule — step-enabled, landing exactly on the recorded marking.
 #[test]
 fn parallel_witness_traces_replay() {
     let w = wagged_pipeline(2, 1, 1.0).unwrap();
     let img = to_petri(&w.dfs);
-    let space = explore_truncated(
-        &img.net,
-        ExploreConfig {
-            max_states: 2_000,
-            threads: 8,
-            ..ExploreConfig::default()
-        },
-    );
+    let collector = Arc::new(Collector::new());
+    let space = explore_truncated(&img.net, cfg(2_000, Obs::collecting(&collector)));
     assert!(space.is_truncated());
+    assert_eq!(collector.snapshot().counter("engine.states"), 2_000);
     for s in space.states() {
         let mut m = img.net.initial_marking();
         for t in space.trace_to(s) {

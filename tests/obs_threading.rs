@@ -8,8 +8,8 @@
 //! collector and checks three things:
 //!
 //! * the engine's `engine.states` counter equals the returned state count;
-//! * every per-level engine span sits directly under the caller's span
-//!   (`session.compute` for session queries, itself under the query's
+//! * exactly one `engine.explore` span sits directly under the caller's
+//!   span (`session.compute` for session queries, itself under the query's
 //!   `session.query.<kind>` span), and no other engine span name appears;
 //! * the result is bit-identical to the same call over a detached handle.
 
@@ -24,7 +24,7 @@ use rap::petri::reachability::{
 use rap::Session;
 use std::sync::Arc;
 
-/// The caller's own span, under which the engine must nest its levels.
+/// The caller's own span, under which the engine must nest its run.
 const CALLER: &str = "test.caller";
 
 fn pipeline() -> Dfs {
@@ -36,7 +36,6 @@ fn pipeline() -> Dfs {
 fn cfg(max_states: usize, obs: Obs) -> ExploreConfig {
     ExploreConfig {
         max_states,
-        threads: 2,
         obs,
         ..ExploreConfig::default()
     }
@@ -53,25 +52,19 @@ fn recorded<T>(max_states: usize, f: impl FnOnce(ExploreConfig) -> T) -> (T, Sna
     (out, collector.snapshot())
 }
 
-/// The index of the span every per-level engine span of the snapshot hangs
-/// off, after checking that there are such spans, that they share that one
-/// parent, and that no other `engine.*` span name appears.
+/// The index of the span the snapshot's one engine span hangs off, after
+/// checking that exactly one `engine.*` span was recorded, once, and that
+/// it is `engine.explore`.
 fn engine_parent(snap: &Snapshot) -> usize {
-    let mut parents = Vec::new();
-    for s in snap.spans.iter().filter(|s| s.name.starts_with("engine.")) {
-        assert!(
-            s.name == "engine.level.expand" || s.name == "engine.level.commit",
-            "unexpected engine span {:?}",
-            s.name
-        );
-        parents.push(s.parent.expect("engine spans have a parent") as usize);
-    }
-    assert!(parents.len() >= 2, "expand and commit spans recorded");
-    assert!(
-        parents.iter().all(|&p| p == parents[0]),
-        "engine spans under different parents"
-    );
-    parents[0]
+    let engine: Vec<_> = snap
+        .spans
+        .iter()
+        .filter(|s| s.name.starts_with("engine."))
+        .collect();
+    assert_eq!(engine.len(), 1, "one engine span node: {engine:?}");
+    assert_eq!(engine[0].name, "engine.explore");
+    assert_eq!(engine[0].count, 1, "one exploration recorded");
+    engine[0].parent.expect("the engine span has a parent") as usize
 }
 
 /// The name of span `i`'s parent.

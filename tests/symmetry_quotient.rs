@@ -119,7 +119,6 @@ fn wagged3_quotient_explores_only_canonical_representatives() {
         &img.net,
         ExploreConfig {
             max_states: 5_000,
-            threads: 2,
             ..ExploreConfig::default()
         },
         &ssym,
