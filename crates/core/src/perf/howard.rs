@@ -1,239 +1,29 @@
-//! Howard's policy-iteration algorithm for the maximum cycle ratio.
+//! The solver's algorithm name.
 //!
-//! Provided as the fast path (near-linear in practice) alongside the
-//! binary-search solver in [`super::mcr`]; the two are cross-checked in the
-//! tests and by the `perf` integration suite. See Dasdan's survey of MCR
-//! algorithms for background.
+//! Howard's policy iteration is the one maximum-cycle-ratio solver, and it
+//! lives in [`super::mcr`]. [`howard_mcr`] is the same function under the
+//! algorithm's name: it returns exactly what [`maximum_cycle_ratio`]
+//! returns.
 
-use super::mcr::McrSolution;
+use super::mcr::{maximum_cycle_ratio, McrSolution};
 use super::{EventGraph, McrError};
 
-const EPS: f64 = 1e-9;
-
-/// Computes the maximum cycle ratio by policy iteration.
+/// Computes the maximum cycle ratio by policy iteration — identical to
+/// [`maximum_cycle_ratio`].
 ///
 /// # Errors
 ///
 /// [`McrError::TokenFreeCycle`] when a token-free positive-delay cycle makes
 /// the period infinite.
 pub fn howard_mcr(g: &EventGraph) -> Result<McrSolution, McrError> {
-    let n = g.vertices.len();
-    let out = g.out_adjacency(); // shared, cached arc-index adjacency
-                                 // Restrict to the cyclic core: peel vertices with no arc into a live
-                                 // vertex. A worklist keyed on the live out-degree makes this O(V + E)
-                                 // instead of rescanning every vertex per dropped one: when v dies, only
-                                 // its in-neighbours can lose their last live successor.
-    let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); n]; // arc indices
-    for (i, a) in g.arcs.iter().enumerate() {
-        incoming[a.to].push(i);
-    }
-    let mut alive = vec![true; n];
-    let mut live_out: Vec<usize> = out.iter().map(Vec::len).collect();
-    let mut work: Vec<usize> = (0..n).filter(|&v| live_out[v] == 0).collect();
-    while let Some(v) = work.pop() {
-        alive[v] = false;
-        for &ai in &incoming[v] {
-            let u = g.arcs[ai].from;
-            if alive[u] {
-                live_out[u] -= 1;
-                if live_out[u] == 0 {
-                    alive[u] = false;
-                    work.push(u);
-                }
-            }
-        }
-    }
-    if !alive.iter().any(|&a| a) {
-        return Ok(McrSolution {
-            ratio: 0.0,
-            cycle: Vec::new(),
-            cycle_arcs: Vec::new(),
-        });
-    }
-
-    // initial policy: any arc into an alive vertex (prefer max weight)
-    let mut policy = vec![usize::MAX; n];
-    for v in 0..n {
-        if !alive[v] {
-            continue;
-        }
-        policy[v] = out[v]
-            .iter()
-            .copied()
-            .filter(|&ai| alive[g.arcs[ai].to])
-            .max_by(|&x, &y| g.arcs[x].weight.total_cmp(&g.arcs[y].weight))
-            .expect("alive vertex has an alive successor");
-    }
-
-    let mut lambda = vec![f64::NEG_INFINITY; n];
-    let mut value = vec![0.0f64; n];
-
-    for _iter in 0..10_000 {
-        evaluate_policy(g, &alive, &policy, &mut lambda, &mut value)?;
-        let mut improved = false;
-        // phase 1: improve reachable cycle ratio
-        for (ai, a) in g.arcs.iter().enumerate() {
-            if alive[a.from] && alive[a.to] && lambda[a.to] > lambda[a.from] + EPS {
-                policy[a.from] = ai;
-                lambda[a.from] = lambda[a.to];
-                improved = true;
-            }
-        }
-        if !improved {
-            // phase 2: improve values at equal ratio
-            for (ai, a) in g.arcs.iter().enumerate() {
-                if !alive[a.from] || !alive[a.to] {
-                    continue;
-                }
-                if (lambda[a.to] - lambda[a.from]).abs() <= EPS {
-                    let cand = value[a.to] + a.weight - lambda[a.from] * f64::from(a.tokens);
-                    if cand > value[a.from] + EPS {
-                        policy[a.from] = ai;
-                        improved = true;
-                    }
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-
-    // extract the best cycle
-    let best = (0..n)
-        .filter(|&v| alive[v])
-        .max_by(|&x, &y| lambda[x].total_cmp(&lambda[y]))
-        .expect("nonempty core");
-    let (cycle, cycle_arcs) = policy_cycle(g, &policy, best);
-    Ok(McrSolution {
-        ratio: lambda[best],
-        cycle,
-        cycle_arcs,
-    })
-}
-
-/// Evaluates the current policy: per-vertex cycle ratio and bias values.
-fn evaluate_policy(
-    g: &EventGraph,
-    alive: &[bool],
-    policy: &[usize],
-    lambda: &mut [f64],
-    value: &mut [f64],
-) -> Result<(), McrError> {
-    let n = alive.len();
-    let mut visited = vec![0u32; n]; // 0 = unvisited, else pass id
-    let mut pass = 0u32;
-    let mut order = Vec::new();
-    for start in 0..n {
-        if !alive[start] || visited[start] != 0 {
-            continue;
-        }
-        pass += 1;
-        // walk the functional graph until a visited vertex
-        order.clear();
-        let mut v = start;
-        while alive[v] && visited[v] == 0 {
-            visited[v] = pass;
-            order.push(v);
-            v = g.arcs[policy[v]].to;
-        }
-        if visited[v] == pass {
-            // found a new cycle starting at v
-            let cstart = order.iter().position(|&x| x == v).expect("on path");
-            let cycle = &order[cstart..];
-            let mut w = 0.0;
-            let mut t = 0u64;
-            for &u in cycle {
-                let a = &g.arcs[policy[u]];
-                w += a.weight;
-                t += u64::from(a.tokens);
-            }
-            if t == 0 && w > 0.0 {
-                return Err(McrError::TokenFreeCycle {
-                    vertices: cycle.to_vec(),
-                });
-            }
-            // t == 0 with w <= 0 is a zero/zero cycle: treat as ratio 0
-            let ratio = if t > 0 { w / t as f64 } else { 0.0 };
-            for &u in cycle {
-                lambda[u] = ratio;
-            }
-            recompute_path_values(g, policy, cycle, ratio, value);
-        }
-        // tree part: propagate from the (now evaluated) junction vertex
-        let junction = v;
-        let upto = order
-            .iter()
-            .position(|&x| x == junction)
-            .unwrap_or(order.len());
-        for &u in order[..upto].iter().rev() {
-            let a = &g.arcs[policy[u]];
-            lambda[u] = lambda[a.to];
-            value[u] = value[a.to] + a.weight - lambda[u] * f64::from(a.tokens);
-        }
-    }
-    Ok(())
-}
-
-/// Sets bias values consistently around a policy cycle with ratio `ratio`,
-/// anchoring the first vertex at 0.
-fn recompute_path_values(
-    g: &EventGraph,
-    policy: &[usize],
-    cycle: &[usize],
-    ratio: f64,
-    value: &mut [f64],
-) {
-    if cycle.is_empty() {
-        return;
-    }
-    let root = cycle[0];
-    value[root] = 0.0;
-    // forward walk: value[succ] = value[u] − (w − λt), anchored at the root
-    let mut u = root;
-    loop {
-        let a = &g.arcs[policy[u]];
-        let next = a.to;
-        if next == root {
-            break;
-        }
-        value[next] = value[u] - (a.weight - ratio * f64::from(a.tokens));
-        u = next;
-    }
-}
-
-/// The cycle reached by following the policy from `start`, as vertices plus
-/// the policy arc indices traversed (the solver's actual arc choices — not
-/// re-derived from vertex pairs, which would misattribute parallel arcs).
-fn policy_cycle(g: &EventGraph, policy: &[usize], start: usize) -> (Vec<usize>, Vec<usize>) {
-    let n = policy.len();
-    let mut seen = vec![false; n];
-    let mut v = start;
-    while !seen[v] {
-        seen[v] = true;
-        v = g.arcs[policy[v]].to;
-    }
-    let root = v;
-    let mut cycle = vec![root];
-    let mut arcs = Vec::new();
-    let mut cur = root;
-    loop {
-        let ai = policy[cur];
-        arcs.push(ai);
-        cur = g.arcs[ai].to;
-        cycle.push(cur);
-        if cur == root {
-            break;
-        }
-    }
-    (cycle, arcs)
+    maximum_cycle_ratio(g)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::mcr::{brute_force_mcr, maximum_cycle_ratio};
-    use crate::perf::{EventArc, EventGraph, EventVertex};
+    use crate::perf::mcr::brute_force_mcr;
+    use crate::perf::{EventArc, EventVertex};
     use crate::NodeId;
 
     fn graph(n: usize, arcs: &[(usize, usize, f64, u32)]) -> EventGraph {
@@ -285,8 +75,10 @@ mod tests {
         assert!(howard_mcr(&g).is_err());
     }
 
+    /// The alias returns the one solver's answer field for field, and on
+    /// integer weights that answer is brute force's, bit for bit.
     #[test]
-    fn agrees_with_binary_search_and_brute_force() {
+    fn agrees_with_maximum_cycle_ratio_and_brute_force() {
         let mut seed = 0x9E3779B97F4A7C15u64;
         let mut rnd = move || {
             seed ^= seed << 13;
@@ -309,16 +101,15 @@ mod tests {
                 continue;
             };
             let howard = howard_mcr(&g).unwrap();
-            let binary = maximum_cycle_ratio(&g).unwrap();
-            assert!(
-                (howard.ratio - brute).abs() < 1e-6,
+            let one = maximum_cycle_ratio(&g).unwrap();
+            assert_eq!(howard.ratio.to_bits(), one.ratio.to_bits(), "case {case}");
+            assert_eq!(howard.cycle, one.cycle, "case {case}");
+            assert_eq!(howard.cycle_arcs, one.cycle_arcs, "case {case}");
+            assert_eq!(
+                howard.ratio.to_bits(),
+                brute.to_bits(),
                 "case {case}: howard {} vs brute {brute}",
                 howard.ratio
-            );
-            assert!(
-                (binary.ratio - brute).abs() < 1e-6,
-                "case {case}: binary {} vs brute {brute}",
-                binary.ratio
             );
         }
     }

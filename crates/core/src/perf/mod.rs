@@ -11,11 +11,11 @@
 //!    occurrences apart the dependency acts — the max-plus initial marking).
 //! 2. The steady-state period equals the **maximum cycle ratio**
 //!    `Σdelay / Σtokens` over the cycles of that graph; throughput is its
-//!    reciprocal. Two independent solvers are provided —
-//!    [`mcr::maximum_cycle_ratio`] (parametric binary search over
-//!    Bellman–Ford) and [`howard::howard_mcr`] (policy iteration) — and
-//!    cross-checked against each other, against brute-force cycle
-//!    enumeration and against the timed simulator in the test-suite.
+//!    reciprocal. One solver computes it, [`mcr::maximum_cycle_ratio`]
+//!    (Howard's policy iteration; [`howard::howard_mcr`] is the same
+//!    function under the algorithm's name), cross-checked against
+//!    brute-force cycle enumeration and against the timed simulator in the
+//!    test-suite.
 //!
 //! The event-graph construction covers both constraint families of the
 //! spread-token semantics: the *forward* data dependencies and the
@@ -52,6 +52,14 @@
 //! equal in `tests/perf_cross_check.rs` for wagging up to 4 ways × depth 3.
 //! [`PerfReport::construction`] records which construction produced a
 //! report.
+//!
+//! The period is `W / T` summed over the critical cycle's arcs
+//! ([`mcr::cycle_totals`]), not a numerical estimate, so it is exact
+//! whenever those sums are exact in `f64`. That holds for every delay of
+//! the paper's models: all are multiples of 0.25. The solver's stopping
+//! threshold is relative to the largest delay, so scaling every delay by a
+//! power of two scales the period and the critical cycle's delay exactly
+//! and keeps the same critical cycle.
 //!
 //! Models whose free choices are *data-dependent* (a control register with
 //! no upstream control sources) are analysed under the `AlwaysTrue`
@@ -98,8 +106,9 @@ pub struct EventGraph {
     /// All dependency arcs.
     pub arcs: Vec<EventArc>,
     /// Lazily built forward adjacency (arc indices per source vertex),
-    /// shared by every MCR solver instead of being rebuilt per call. Tagged
-    /// with the arc count it was built from so stale use is caught.
+    /// shared by the MCR solver and the brute-force oracle instead of being
+    /// rebuilt per call. Tagged with the arc count it was built from so
+    /// stale use is caught.
     out_cache: OnceLock<(usize, Vec<Vec<usize>>)>,
 }
 
@@ -123,10 +132,9 @@ impl EventGraph {
 
     /// Forward adjacency: for each vertex, the indices of its outgoing arcs.
     ///
-    /// Built once on first use and cached — `howard_mcr`,
-    /// `maximum_cycle_ratio` and `brute_force_mcr` all reuse it. Do not
-    /// mutate `arcs` after the first call; the construction API builds the
-    /// arc list up front.
+    /// Built once on first use and cached — `maximum_cycle_ratio` and
+    /// `brute_force_mcr` both reuse it. Do not mutate `arcs` after the
+    /// first call; the construction API builds the arc list up front.
     ///
     /// # Panics
     ///
@@ -230,10 +238,9 @@ impl EventGraph {
     }
 }
 
-/// Error of the raw MCR solvers ([`mcr::maximum_cycle_ratio`],
-/// [`howard::howard_mcr`]).
+/// Error of the raw MCR solver ([`mcr::maximum_cycle_ratio`]).
 ///
-/// Carries bare event-graph *vertex indices*: the solvers know nothing about
+/// Carries bare event-graph *vertex indices*: the solver knows nothing about
 /// node names, and eagerly formatting placeholder labels (`"v17"`) on a path
 /// that callers usually `?`-convert anyway was wasted work. Rendering
 /// happens lazily at the boundary — [`analyse`] maps the indices to real
@@ -625,20 +632,15 @@ mod tests {
                 },
             ],
         );
-        for sol in [
-            mcr::maximum_cycle_ratio(&g).unwrap(),
-            howard::howard_mcr(&g).unwrap(),
-        ] {
-            assert!((sol.ratio - 6.0).abs() < 1e-9, "ratio {}", sol.ratio);
-            let cycle = describe_cycle(&dfs, &g, &sol.cycle, &sol.cycle_arcs);
-            assert!(
-                (cycle.delay - 6.0).abs() < 1e-9,
-                "cycle delay {} must come from the traversed heavy arc",
-                cycle.delay
-            );
-            assert_eq!(cycle.tokens, 1);
-            assert!((cycle.period() - sol.ratio).abs() < 1e-9);
-        }
+        let sol = mcr::maximum_cycle_ratio(&g).unwrap();
+        assert_eq!(sol.ratio, 6.0);
+        let cycle = describe_cycle(&dfs, &g, &sol.cycle, &sol.cycle_arcs);
+        assert_eq!(
+            cycle.delay, 6.0,
+            "cycle delay must come from the traversed heavy arc"
+        );
+        assert_eq!(cycle.tokens, 1);
+        assert_eq!(cycle.period(), sol.ratio);
     }
 
     /// The degenerate-cycle guards: no NaN from `0/0`, zero throughput for

@@ -30,8 +30,8 @@
 //!    arc between the right phase copies, weighted by the target's latency
 //!    and carrying the number of hyper-period wrap-arounds as its token
 //!    offset. The result is a *choice-free* marked event graph, and the
-//!    unchanged MCR solvers ([`super::mcr`], [`super::howard`]) apply: the
-//!    maximum cycle ratio is the exact duration of one hyper-period.
+//!    unchanged MCR solver ([`super::mcr`]) applies: the maximum cycle
+//!    ratio is the exact duration of one hyper-period.
 //!
 //! Dependency extraction by replay is valid because the supported models
 //! are *persistent* once choices are scheduled (an enabled event is never

@@ -5,8 +5,7 @@
 //! **every** reachable marking, without exploring any of them. The DFS
 //! translation's complementary place pairs (`x_0 + x_1 = 1`) are structural
 //! P-invariants, so 1-safety of those pairs is certified purely
-//! structurally; the Farkas procedure below finds the full non-negative
-//! invariant basis for small nets.
+//! structurally.
 //!
 //! Read arcs do not contribute to the incidence matrix (they never move
 //! tokens), which is exactly why the read-arc-heavy DFS image stays so
@@ -49,105 +48,6 @@ pub fn invariant_value(weights: &[i64], marking: &Marking) -> i64 {
         .iter_marked()
         .map(|p| weights[p.index()])
         .sum::<i64>()
-}
-
-/// Computes a basis of non-negative P-invariants by the Farkas procedure.
-///
-/// Worst-case exponential; `max_rows` caps the intermediate tableau and
-/// the function returns `None` when exceeded (callers fall back to the
-/// targeted pair checks). Suitable for the nets the paper verifies.
-#[must_use]
-pub fn farkas_invariants(net: &PetriNet, max_rows: usize) -> Option<Vec<Vec<i64>>> {
-    let np = net.place_count();
-    // rows: [ D | y ] with D the evolving combination of columns, y the
-    // provenance; start with D = incidence, y = identity
-    let mut rows: Vec<(Vec<i64>, Vec<i64>)> = (0..np)
-        .map(|i| {
-            let p = PlaceId::from_index(i);
-            let d: Vec<i64> = net.transitions().map(|t| incidence(net, p, t)).collect();
-            let mut y = vec![0i64; np];
-            y[i] = 1;
-            (d, y)
-        })
-        .collect();
-
-    let nt = net.transition_count();
-    for col in 0..nt {
-        let mut next: Vec<(Vec<i64>, Vec<i64>)> = Vec::new();
-        // keep rows already zero in this column
-        for row in &rows {
-            if row.0[col] == 0 {
-                next.push(row.clone());
-            }
-        }
-        // combine each positive with each negative row
-        for pos in rows.iter().filter(|r| r.0[col] > 0) {
-            for neg in rows.iter().filter(|r| r.0[col] < 0) {
-                let a = pos.0[col];
-                let b = -neg.0[col];
-                let g = gcd(a, b);
-                let (ka, kb) = (b / g, a / g);
-                let d: Vec<i64> = pos
-                    .0
-                    .iter()
-                    .zip(&neg.0)
-                    .map(|(x, y)| ka * x + kb * y)
-                    .collect();
-                let y: Vec<i64> = pos
-                    .1
-                    .iter()
-                    .zip(&neg.1)
-                    .map(|(x, z)| ka * x + kb * z)
-                    .collect();
-                let mut row = (d, y);
-                normalise(&mut row);
-                if !next.contains(&row) {
-                    next.push(row);
-                }
-                if next.len() > max_rows {
-                    return None;
-                }
-            }
-        }
-        rows = next;
-    }
-    // minimise: drop rows whose support strictly contains another's
-    let mut out: Vec<Vec<i64>> = rows.into_iter().map(|r| r.1).collect();
-    out.sort();
-    out.dedup();
-    let minimal: Vec<Vec<i64>> = out
-        .iter()
-        .filter(|y| {
-            !out.iter().any(|z| {
-                z != *y
-                    && z.iter().zip(y.iter()).all(|(&a, &b)| a == 0 || b != 0)
-                    && z.iter().zip(y.iter()).any(|(&a, &b)| a == 0 && b != 0)
-            })
-        })
-        .cloned()
-        .collect();
-    Some(minimal)
-}
-
-fn gcd(a: i64, b: i64) -> i64 {
-    if b == 0 {
-        a.abs()
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-fn normalise(row: &mut (Vec<i64>, Vec<i64>)) {
-    let g = row
-        .0
-        .iter()
-        .chain(row.1.iter())
-        .fold(0i64, |acc, &x| gcd(acc, x));
-    if g > 1 {
-        for x in row.0.iter_mut().chain(row.1.iter_mut()) {
-            *x /= g;
-        }
-    }
 }
 
 /// Certifies that every place in `pairs` is 1-bounded structurally: each
@@ -253,37 +153,6 @@ mod tests {
         let mut wg = vec![0i64; net.place_count()];
         wg[g.index()] = 1;
         assert!(is_invariant(&net, &wg));
-    }
-
-    #[test]
-    fn farkas_finds_the_ring_invariant() {
-        let net = ring(5);
-        let basis = farkas_invariants(&net, 10_000).expect("small net");
-        assert!(basis.iter().any(|y| y.iter().all(|&x| x == 1)));
-        for y in &basis {
-            assert!(is_invariant(&net, y));
-        }
-    }
-
-    #[test]
-    fn two_independent_rings_give_two_invariants() {
-        let mut net = PetriNet::new();
-        let a0 = net.add_place("a0", true);
-        let a1 = net.add_place("a1", false);
-        let b0 = net.add_place("b0", true);
-        let b1 = net.add_place("b1", false);
-        for (name, from, to) in [
-            ("ta", a0, a1),
-            ("ta2", a1, a0),
-            ("tb", b0, b1),
-            ("tb2", b1, b0),
-        ] {
-            let t = net.add_transition(name);
-            net.consume(t, from);
-            net.produce(t, to);
-        }
-        let basis = farkas_invariants(&net, 10_000).unwrap();
-        assert_eq!(basis.len(), 2);
     }
 
     #[test]

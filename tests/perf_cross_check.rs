@@ -10,9 +10,12 @@
 //!   multi-way wagging with *strict equality*, replacing the former
 //!   lower-bound / asymptotic contract. The analysis is no longer allowed
 //!   to under-report the period anywhere on this grid.
+//!
+//! On the paper's reconfigurable space the period is also checked to be
+//! exact to the bit, and to scale exactly with the delays.
 
-use rap::dfs::perf::{analyse, Construction};
-use rap::dfs::pipelines::{build_pipeline, linear_pipeline, PipelineSpec};
+use rap::dfs::perf::{analyse, Construction, PerfReport};
+use rap::dfs::pipelines::{build_pipeline, linear_pipeline, PipelineSpec, StageDelays};
 use rap::dfs::timed::{measure_steady_period, measure_throughput, ChoicePolicy};
 use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{Dfs, DfsBuilder, NodeId};
@@ -154,5 +157,103 @@ fn built_pipeline_specs_agree() {
     ] {
         let p = build_pipeline(&spec).unwrap();
         assert_exact_period(&p.dfs, p.output, label);
+    }
+}
+
+/// The OPE delays of the paper's design space (`f` 1, `g` 2, register 1,
+/// control 0.5), each multiplied by `scale`, with the datapath logic
+/// (`f`, `g`) further multiplied by `sizing`.
+fn ope_delays(sizing: f64, scale: f64) -> StageDelays {
+    StageDelays {
+        f: sizing * scale,
+        g: 2.0 * sizing * scale,
+        register: scale,
+        control: 0.5 * scale,
+    }
+}
+
+fn analyse_spec(spec: &PipelineSpec, label: &str) -> PerfReport {
+    let p = build_pipeline(spec).unwrap_or_else(|e| panic!("{label}: build failed: {e:?}"));
+    analyse(&p.dfs).unwrap_or_else(|e| panic!("{label}: analysis failed: {e:?}"))
+}
+
+/// Every period of the reconfigurable paper space is exact: it is the
+/// critical cycle's `W / T` over the unfolding's phases bit for bit, the
+/// shared-control and separate-control twins of one configuration tie bit
+/// for bit, and the paper's OPE(6,4) design point is exactly 19.
+#[test]
+fn paper_space_periods_are_exact() {
+    for sizing in [0.75, 1.0, 1.5, 2.0] {
+        for depth in 1..=6 {
+            let period = |share: bool| {
+                let label = format!("reconfigurable(6,{depth}) s{sizing} share={share}");
+                let mut spec = PipelineSpec::reconfigurable_depth(6, depth)
+                    .unwrap()
+                    .with_delays(ope_delays(sizing, 1.0));
+                spec.share_ctrl_after_static = share;
+                let report = analyse_spec(&spec, &label);
+                let phases = match report.construction {
+                    Construction::PhaseUnfolded { phases } => phases,
+                    Construction::Direct => 1,
+                };
+                assert_eq!(
+                    (report.critical.period() / f64::from(phases)).to_bits(),
+                    report.period.to_bits(),
+                    "{label}: critical {} over {phases} phases vs period {}",
+                    report.critical.period(),
+                    report.period
+                );
+                report.period
+            };
+            let (shared, separate) = (period(true), period(false));
+            assert_eq!(
+                shared.to_bits(),
+                separate.to_bits(),
+                "depth {depth} sizing {sizing}: shared {shared} vs separate {separate}"
+            );
+            if depth == 4 && sizing == 1.0 {
+                assert_eq!(shared, 19.0, "OPE(6,4) period");
+            }
+        }
+    }
+}
+
+/// The period is scale-free: multiplying every delay of static(6) and
+/// OPE(6,4) by `2^k` multiplies the period and the critical cycle's delay
+/// by exactly `2^k` and keeps the same bottleneck.
+#[test]
+fn periods_scale_exactly_with_the_delays() {
+    for (label, spec) in [
+        ("static(6)", PipelineSpec::fully_static(6)),
+        (
+            "OPE(6,4)",
+            PipelineSpec::reconfigurable_depth(6, 4).unwrap(),
+        ),
+    ] {
+        let at =
+            |scale: f64| analyse_spec(&spec.clone().with_delays(ope_delays(1.0, scale)), label);
+        let base = at(1.0);
+        for k in [-40, -30, -20, 0, 20] {
+            let scale = 2f64.powi(k);
+            let scaled = at(scale);
+            assert_eq!(
+                scaled.period,
+                base.period * scale,
+                "{label} × 2^{k}: period"
+            );
+            assert_eq!(
+                scaled.critical.delay,
+                base.critical.delay * scale,
+                "{label} × 2^{k}: critical delay"
+            );
+            assert_eq!(
+                scaled.critical.tokens, base.critical.tokens,
+                "{label} × 2^{k}: critical tokens"
+            );
+            assert_eq!(
+                scaled.critical.bottleneck, base.critical.bottleneck,
+                "{label} × 2^{k}: bottleneck"
+            );
+        }
     }
 }
