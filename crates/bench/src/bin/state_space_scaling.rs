@@ -1,12 +1,12 @@
 //! PERF — state-space exploration across pipeline shapes.
 //!
-//! Times the retained naive explorers (the seed implementations) and the
-//! state-space engine on both backends — Petri-net reachability and the
-//! direct-semantics LTS — over `reconfigurable_depth(n,k)` pipelines and
-//! wagged pipelines. Wagged shapes additionally record the
-//! symmetry-quotient state count. Prints a table and persists the
-//! measurements to `BENCH_state_space.json` (schema v3) at the repository
-//! root (the recorded perf trajectory of the verification hot path).
+//! Times the state-space engine on both backends — Petri-net reachability
+//! and the direct-semantics LTS — over `reconfigurable_depth(n,k)`
+//! pipelines and wagged pipelines, asserting every state count against its
+//! pinned value. Wagged shapes additionally record the symmetry-quotient
+//! state count. Prints a table and persists the measurements to
+//! `BENCH_state_space.json` (schema v4) at the repository root (the
+//! recorded perf trajectory of the verification hot path).
 //!
 //! Usage: `state_space_scaling [--quick] [--out PATH] [--trace-out PATH]`
 //!
@@ -30,13 +30,13 @@ fn main() {
     let sink = TraceSink::from_cli(&cli);
 
     banner(if quick {
-        "State-space scaling (quick sweep): naive explorer vs engine"
+        "State-space scaling (quick sweep): engine"
     } else {
-        "State-space scaling: naive explorer vs engine"
+        "State-space scaling: engine"
     });
     let cases = run_sweep(quick, &sink.obs());
 
-    let widths = [27usize, 6, 9, 11, 11, 8, 10];
+    let widths = [27usize, 6, 9, 11, 10, 13];
     println!(
         "{}",
         row(
@@ -44,18 +44,17 @@ fn main() {
                 "shape".into(),
                 "backend".into(),
                 "states".into(),
-                "naive[ms]".into(),
                 "engine[ms]".into(),
-                "speedup".into(),
                 "quotient".into(),
+                "quotient[ms]".into(),
             ],
             &widths
         )
     );
     for c in &cases {
-        let quotient = match c.quotient_states {
-            Some(q) => format!("{q}"),
-            None => "-".into(),
+        let (quotient, quotient_ms) = match (c.quotient_states, c.quotient_ms) {
+            (Some(q), Some(ms)) => (format!("{q}"), num(ms, 2)),
+            _ => ("-".into(), "-".into()),
         };
         println!(
             "{}",
@@ -64,10 +63,9 @@ fn main() {
                     c.name.clone(),
                     c.backend.into(),
                     format!("{}", c.states),
-                    num(c.naive_ms, 2),
                     num(c.engine_ms, 2),
-                    format!("{}x", num(c.speedup(), 2)),
                     quotient,
+                    quotient_ms,
                 ],
                 &widths
             )
@@ -85,10 +83,8 @@ fn main() {
         std::process::exit(1);
     });
     println!(
-        "\n{} cases, min speedup {}x, geomean {}x, max quotient reduction {}x — written to {}",
+        "\n{} cases, all at their pinned state counts, max quotient reduction {}x — written to {}",
         summary.cases,
-        num(summary.min_speedup, 2),
-        num(summary.geomean_speedup, 2),
         num(summary.max_quotient_reduction, 2),
         out.display()
     );

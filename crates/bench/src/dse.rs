@@ -144,8 +144,9 @@ pub struct SweepRun {
 /// fronts, if the restart pass recomputes anything, or, in the full
 /// space, if the documented depth-monotonicity assumption behind the
 /// sibling pruning bound is violated by the recorded evaluations (a
-/// tripwire; the front-equivalence property is additionally tested with
-/// pruning disabled in `rap-dse`'s test-suite).
+/// tripwire; the front-equivalence property is additionally tested in
+/// `rap-dse`'s test-suite, against evaluating every configuration on its
+/// own).
 #[must_use]
 pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> SweepRun {
     let space = paper_space(quick);

@@ -1,16 +1,19 @@
-//! The `state_space_scaling` sweep: explorer timings over the paper's
-//! pipeline shapes, persisted as `BENCH_state_space.json` (schema v3).
+//! The `state_space_scaling` sweep: engine timings over the paper's
+//! pipeline shapes, persisted as `BENCH_state_space.json` (schema v4).
 //!
 //! The sweep drives both state-space backends — Petri-net reachability and
 //! the direct-semantics LTS — over `PipelineSpec::reconfigurable_depth`
 //! instances and wagged pipelines. Per case it times:
 //!
-//! * the retained naive explorer (`explore_naive_truncated`,
-//!   `Lts::explore_naive_truncated` — the seed implementations);
-//! * the state-space engine, asserting that its state count and truncation
-//!   agree with the naive explorer's;
+//! * the state-space engine, asserting its state count and truncation
+//!   against the values pinned in `PINNED`;
 //! * for wagged shapes, the symmetry **quotient** (one state per way-rotation
-//!   orbit), recording the reduced state count — the `quotient_states` axis.
+//!   orbit), recording the reduced state count — the `quotient_states` axis,
+//!   pinned too.
+//!
+//! The seed explorers the engine replaced are test oracles now (the
+//! dev-only `rap-oracle` crate) and are not timed here; the headline is
+//! the engine's time against the previous recording of this file.
 //!
 //! The emitted JSON is this repo's recorded perf trajectory; its schema is
 //! validated by [`validate`], which both the binary and the smoke tests run.
@@ -20,16 +23,52 @@ use dfs_core::pipelines::{build_pipeline, PipelineSpec};
 use dfs_core::wagging::wagged_pipeline;
 use dfs_core::{node_rotation_symmetry, to_petri, Dfs, Lts};
 use rap_obs::{Obs, Snapshot};
-use rap_petri::reachability::{
-    explore_naive_truncated, explore_quotient_truncated, explore_truncated, ExploreConfig,
-};
+use rap_petri::reachability::{explore_quotient_truncated, explore_truncated, ExploreConfig};
 use std::time::Instant;
 
 /// Schema tag embedded in (and required from) the emitted JSON.
-pub const SCHEMA: &str = "rap/state-space-scaling/v3";
+pub const SCHEMA: &str = "rap/state-space-scaling/v4";
 
 /// State budget for every sweep case (none of the swept shapes truncate).
 pub const MAX_STATES: usize = 16_000_000;
+
+/// What every sweep case must reproduce: `(name, backend, states,
+/// quotient_states)`, none of them truncated. These are the counts of the
+/// last recording that still cross-checked the engine against the seed
+/// explorers, so a drift means the engine or a model generator changed
+/// behaviour.
+const PINNED: &[(&str, &str, usize, Option<usize>)] = &[
+    ("reconfigurable_depth(2,2)", "petri", 1_536, None),
+    ("reconfigurable_depth(2,2)", "lts", 1_536, None),
+    ("wagging(ways=1,depth=1)", "petri", 11_160, None),
+    ("reconfigurable_depth(3,2)", "petri", 238_896, None),
+    ("reconfigurable_depth(3,3)", "petri", 173_340, None),
+    ("reconfigurable_depth(3,3)", "lts", 173_340, None),
+    ("wagging(ways=1,depth=1)", "lts", 11_160, None),
+    ("wagging(ways=2,depth=1)", "petri", 1_476_774, Some(738_387)),
+];
+
+/// `Err` naming the difference when a case's counts are not its
+/// `PINNED` entry (or it has none).
+fn check_pinned(
+    name: &str,
+    backend: &str,
+    states: usize,
+    truncated: bool,
+    quotient_states: Option<usize>,
+) -> Result<(), String> {
+    let &(_, _, want, want_quotient) = PINNED
+        .iter()
+        .find(|p| p.0 == name && p.1 == backend)
+        .ok_or(format!("{name} [{backend}]: not a pinned case"))?;
+    if (states, truncated, quotient_states) != (want, false, want_quotient) {
+        return Err(format!(
+            "{name} [{backend}]: {states} states (truncated {truncated}, quotient \
+             {quotient_states:?}), pinned {want} (not truncated, quotient {want_quotient:?})"
+        ));
+    }
+    Ok(())
+}
 
 /// One measured sweep case.
 #[derive(Debug, Clone)]
@@ -38,12 +77,10 @@ pub struct Case {
     pub name: String,
     /// `"petri"` (PN reachability) or `"lts"` (direct semantics).
     pub backend: &'static str,
-    /// States discovered (identical for every explorer by construction).
+    /// States discovered.
     pub states: usize,
     /// Whether the budget truncated exploration.
     pub truncated: bool,
-    /// Best-of-N wall-clock of the naive (seed) explorer, milliseconds.
-    pub naive_ms: f64,
     /// Best-of-N wall-clock of the state-space engine, milliseconds.
     pub engine_ms: f64,
     /// Orbit representatives of the symmetry quotient (wagged shapes only).
@@ -53,12 +90,6 @@ pub struct Case {
 }
 
 impl Case {
-    /// Naive-over-engine wall-clock ratio.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.naive_ms / self.engine_ms
-    }
-
     /// Full-over-quotient state-count ratio (≈ the symmetry group order).
     #[must_use]
     pub fn quotient_reduction(&self) -> Option<f64> {
@@ -95,13 +126,7 @@ fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, 
     let case_span = obs.span("bench.case.petri");
     let cobs = case_span.obs();
     let img = to_petri(dfs);
-    let (naive, naive_ms) = best_of(reps, || explore_naive_truncated(&img.net, cfg(&cobs)));
     let (engine, engine_ms) = best_of(reps, || explore_truncated(&img.net, cfg(&cobs)));
-    assert_eq!(
-        (naive.len(), naive.is_truncated()),
-        (engine.len(), engine.is_truncated()),
-        "{name}: engine disagrees with the naive explorer"
-    );
     let (quotient_states, quotient_ms) = match way_rotation {
         Some(perm) => {
             let sym = img
@@ -121,7 +146,6 @@ fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, 
         backend: "petri",
         states: engine.len(),
         truncated: engine.is_truncated(),
-        naive_ms,
         engine_ms,
         quotient_states,
         quotient_ms,
@@ -131,13 +155,7 @@ fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, 
 fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, obs: &Obs) -> Case {
     let case_span = obs.span("bench.case.lts");
     let cobs = case_span.obs();
-    let (naive, naive_ms) = best_of(reps, || Lts::explore_naive_truncated(dfs, MAX_STATES));
     let (engine, engine_ms) = best_of(reps, || Lts::explore_with(dfs, &cfg(&cobs), None));
-    assert_eq!(
-        (naive.len(), naive.is_truncated()),
-        (engine.len(), engine.is_truncated()),
-        "{name}: engine disagrees with the naive explorer"
-    );
     let (quotient_states, quotient_ms) = match way_rotation {
         Some(perm) => {
             let sym = node_rotation_symmetry(dfs, perm)
@@ -153,7 +171,6 @@ fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, ob
         backend: "lts",
         states: engine.len(),
         truncated: engine.is_truncated(),
-        naive_ms,
         engine_ms,
         quotient_states,
         quotient_ms,
@@ -171,6 +188,10 @@ fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, ob
 /// `BENCH_state_space.json` can attribute each case's wall-clock to the
 /// engine. Recording is observation-only: states, truncation and every
 /// assertion are unchanged.
+///
+/// # Panics
+///
+/// When a case's counts differ from its `PINNED` entry.
 #[must_use]
 pub fn run_sweep(quick: bool, obs: &Obs) -> Vec<Case> {
     let reconfig = |n: usize, k: usize| {
@@ -229,6 +250,10 @@ pub fn run_sweep(quick: bool, obs: &Obs) -> Vec<Case> {
             obs,
         ));
     }
+    for c in &cases {
+        check_pinned(&c.name, c.backend, c.states, c.truncated, c.quotient_states)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
     cases
 }
 
@@ -262,19 +287,17 @@ pub fn render_json_with_trace(cases: &[Case], quick: bool, trace: Option<&Snapsh
         out.push_str(&format!("      \"backend\": {},\n", escape(c.backend)));
         out.push_str(&format!("      \"states\": {},\n", c.states));
         out.push_str(&format!("      \"truncated\": {},\n", c.truncated));
-        out.push_str(&format!("      \"naive_ms\": {:.3},\n", c.naive_ms));
         out.push_str(&format!("      \"engine_ms\": {:.3},\n", c.engine_ms));
         match (c.quotient_states, c.quotient_ms) {
             (Some(q), Some(ms)) => {
                 out.push_str(&format!("      \"quotient_states\": {q},\n"));
-                out.push_str(&format!("      \"quotient_ms\": {ms:.3},\n"));
+                out.push_str(&format!("      \"quotient_ms\": {ms:.3}\n"));
             }
             _ => {
                 out.push_str("      \"quotient_states\": null,\n");
-                out.push_str("      \"quotient_ms\": null,\n");
+                out.push_str("      \"quotient_ms\": null\n");
             }
         }
-        out.push_str(&format!("      \"speedup\": {:.3}\n", c.speedup()));
         out.push_str(if i + 1 == cases.len() {
             "    }\n"
         } else {
@@ -282,20 +305,12 @@ pub fn render_json_with_trace(cases: &[Case], quick: bool, trace: Option<&Snapsh
         });
     }
     out.push_str("  ],\n");
-    let min = cases
-        .iter()
-        .map(Case::speedup)
-        .fold(f64::INFINITY, f64::min);
-    let geomean =
-        (cases.iter().map(|c| c.speedup().ln()).sum::<f64>() / cases.len().max(1) as f64).exp();
     let max_quot = cases
         .iter()
         .filter_map(Case::quotient_reduction)
         .fold(1.0f64, f64::max);
     out.push_str("  \"summary\": {\n");
     out.push_str(&format!("    \"cases\": {},\n", cases.len()));
-    out.push_str(&format!("    \"min_speedup\": {min:.3},\n"));
-    out.push_str(&format!("    \"geomean_speedup\": {geomean:.3},\n"));
     out.push_str(&format!("    \"max_quotient_reduction\": {max_quot:.3}\n"));
     out.push_str("  }\n");
     out.push_str("}\n");
@@ -307,17 +322,14 @@ pub fn render_json_with_trace(cases: &[Case], quick: bool, trace: Option<&Snapsh
 pub struct Summary {
     /// Number of sweep cases.
     pub cases: usize,
-    /// Minimum naive/engine speedup across cases.
-    pub min_speedup: f64,
-    /// Geometric-mean speedup across cases.
-    pub geomean_speedup: f64,
     /// Largest full/quotient state-count ratio across cases (1.0 when no
     /// case has a quotient axis).
     pub max_quotient_reduction: f64,
 }
 
-/// Validates a `BENCH_state_space.json` document against the v3 schema and
-/// returns its summary.
+/// Validates a `BENCH_state_space.json` document against the v4 schema —
+/// every case's counts included, against `PINNED` — and returns its
+/// summary.
 ///
 /// # Errors
 ///
@@ -356,7 +368,6 @@ pub fn validate(src: &str) -> Result<Summary, String> {
     if cases.is_empty() {
         return Err("\"cases\" is empty".to_string());
     }
-    let mut min = f64::INFINITY;
     for (i, c) in cases.iter().enumerate() {
         let field = |k: &str| c.get(k).ok_or(format!("case {i}: missing \"{k}\""));
         let backend = field("backend")?
@@ -365,10 +376,10 @@ pub fn validate(src: &str) -> Result<Summary, String> {
         if backend != "petri" && backend != "lts" {
             return Err(format!("case {i}: unknown backend {backend:?}"));
         }
-        field("name")?
+        let name = field("name")?
             .as_str()
             .ok_or(format!("case {i}: \"name\" not a string"))?;
-        field("truncated")?
+        let truncated = field("truncated")?
             .as_bool()
             .ok_or(format!("case {i}: \"truncated\" not a bool"))?;
         let num = |k: &str| -> Result<f64, String> {
@@ -377,20 +388,13 @@ pub fn validate(src: &str) -> Result<Summary, String> {
                 .filter(|x| x.is_finite() && *x >= 0.0)
                 .ok_or(format!("case {i}: \"{k}\" not a non-negative number"))
         };
-        let (states, naive_ms, engine_ms, speedup) = (
-            num("states")?,
-            num("naive_ms")?,
-            num("engine_ms")?,
-            num("speedup")?,
-        );
+        num("engine_ms")?;
+        let states = num("states")?;
         if states < 1.0 {
             return Err(format!("case {i}: zero states"));
         }
-        if engine_ms > 0.0 && (speedup - naive_ms / engine_ms).abs() > 0.05 * speedup.max(1.0) {
-            return Err(format!("case {i}: speedup inconsistent with timings"));
-        }
         let qs = field("quotient_states")?;
-        match qs.as_f64() {
+        let quotient_states = match qs.as_f64() {
             Some(q) => {
                 if !(1.0..=states).contains(&q) {
                     return Err(format!("case {i}: quotient_states outside [1, states]"));
@@ -399,14 +403,17 @@ pub fn validate(src: &str) -> Result<Summary, String> {
                     .as_f64()
                     .filter(|x| x.is_finite() && *x >= 0.0)
                     .ok_or(format!("case {i}: quotient without \"quotient_ms\""))?;
+                Some(q as usize)
             }
             None => {
                 if *qs != Json::Null {
                     return Err(format!("case {i}: \"quotient_states\" not number or null"));
                 }
+                None
             }
-        }
-        min = min.min(speedup);
+        };
+        check_pinned(name, backend, states as usize, truncated, quotient_states)
+            .map_err(|e| format!("case {i}: {e}"))?;
     }
     let summary = doc.get("summary").ok_or("missing \"summary\"")?;
     let get_num = |k: &str| -> Result<f64, String> {
@@ -419,14 +426,8 @@ pub fn validate(src: &str) -> Result<Summary, String> {
     if n as usize != cases.len() {
         return Err("summary case count disagrees with \"cases\"".to_string());
     }
-    let min_speedup = get_num("min_speedup")?;
-    if (min_speedup - min).abs() > 0.05 * min.max(1.0) {
-        return Err("summary min_speedup disagrees with cases".to_string());
-    }
     Ok(Summary {
         cases: cases.len(),
-        min_speedup,
-        geomean_speedup: get_num("geomean_speedup")?,
         max_quotient_reduction: get_num("max_quotient_reduction")?,
     })
 }
@@ -440,22 +441,20 @@ mod tests {
             Case {
                 name: "reconfigurable_depth(2,2)".into(),
                 backend: "petri",
-                states: 1536,
+                states: 1_536,
                 truncated: false,
-                naive_ms: 1.2,
                 engine_ms: 0.4,
                 quotient_states: None,
                 quotient_ms: None,
             },
             Case {
                 name: "wagging(ways=2,depth=1)".into(),
-                backend: "lts",
-                states: 1536,
+                backend: "petri",
+                states: 1_476_774,
                 truncated: false,
-                naive_ms: 2.0,
-                engine_ms: 0.5,
-                quotient_states: Some(800),
-                quotient_ms: Some(0.3),
+                engine_ms: 1_500.0,
+                quotient_states: Some(738_387),
+                quotient_ms: Some(900.0),
             },
         ]
     }
@@ -465,21 +464,33 @@ mod tests {
         let json = render_json(&fake_cases(), true);
         let summary = validate(&json).unwrap();
         assert_eq!(summary.cases, 2);
-        assert!((summary.min_speedup - 3.0).abs() < 0.05);
-        assert!((summary.max_quotient_reduction - 1536.0 / 800.0).abs() < 0.05);
+        assert!((summary.max_quotient_reduction - 2.0).abs() < 0.001);
     }
 
     #[test]
     fn validation_rejects_broken_documents() {
         let good = render_json(&fake_cases(), true);
-        assert!(validate(&good.replace(SCHEMA, "rap/state-space-scaling/v2")).is_err());
+        assert!(validate(&good.replace(SCHEMA, "rap/state-space-scaling/v3")).is_err());
         assert!(validate(&good.replace("\"cases\"", "\"cazes\"")).is_err());
-        assert!(validate(&good.replace("\"speedup\": 3.000", "\"speedup\": 9.000")).is_err());
         assert!(validate(&good.replace("\"engine_ms\": 0.400", "\"engine_ms\": -1")).is_err());
         assert!(
-            validate(&good.replace("\"quotient_states\": 800", "\"quotient_states\": 0")).is_err()
+            validate(&good.replace("\"quotient_states\": 738387", "\"quotient_states\": 0"))
+                .is_err()
         );
         assert!(validate("{}").is_err());
         assert!(validate("not json").is_err());
+        // a case whose counts drift from its pin, or that has no pin
+        assert!(validate(&good.replace("\"states\": 1536", "\"states\": 1537")).is_err());
+        assert!(validate(
+            &good.replace("\"quotient_states\": 738387", "\"quotient_states\": 738388")
+        )
+        .is_err());
+        assert!(
+            validate(&good.replacen("\"truncated\": false", "\"truncated\": true", 1)).is_err()
+        );
+        assert!(
+            validate(&good.replace("reconfigurable_depth(2,2)", "reconfigurable_depth(9,9)"))
+                .is_err()
+        );
     }
 }

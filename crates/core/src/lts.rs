@@ -10,9 +10,9 @@
 //! into two bit-planes (`active`, `false-valued`), and after each event
 //! only the events of *dependent* nodes — the event's own node plus
 //! everything reading it through data edges, R-presets/postsets or guards
-//! — are re-checked for enabledness. The original explorer is retained as
-//! [`Lts::explore_naive_truncated`] for property-based cross-checking and
-//! as the benchmark baseline.
+//! — are re-checked for enabledness. The seed explorer it replaced lives
+//! outside the library, in the dev-only `rap-oracle` crate, as the
+//! reference of the engine-equivalence property tests.
 //!
 //! Symmetric models (wagged replicas) can be explored as a rotation
 //! *quotient* via [`Lts::explore_with`] and a [`StateSymmetry`] built by
@@ -27,8 +27,6 @@ use rap_petri::engine::{
     self, get_bit, set_bit, ExploreConfig, ExploredGraph, StateSymmetry, TransitionSystem,
     NO_PARENT,
 };
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
 
 /// Dense id of a state in an [`Lts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -105,84 +103,6 @@ impl Lts {
             actions: sys.actions.clone(),
             succ,
             symmetry,
-        }
-    }
-
-    /// The original (pre-engine) explorer: `HashMap<DfsState, _>` dedup with
-    /// cloned keys and a full `enabled_events` scan per state.
-    ///
-    /// Retained as the reference implementation for the engine-equivalence
-    /// property tests and the `state_space_scaling` baseline; use
-    /// [`Lts::explore`] / [`Lts::explore_with`] everywhere else.
-    #[must_use]
-    pub fn explore_naive_truncated(dfs: &Dfs, max_states: usize) -> Lts {
-        let sys = DfsSystem::new(dfs);
-        let s0 = DfsState::initial(dfs);
-        let mut index: HashMap<DfsState, LtsStateId> = HashMap::new();
-        let mut states = vec![s0.clone()];
-        let mut edges: Vec<Vec<(Event, LtsStateId)>> = vec![Vec::new()];
-        let mut parents: Vec<(u32, u32)> = vec![(NO_PARENT, 0)];
-        index.insert(s0, LtsStateId(0));
-        let mut queue = VecDeque::from([LtsStateId(0)]);
-        let mut outcome = engine::ExploreOutcome::Complete;
-
-        'bfs: while let Some(s) = queue.pop_front() {
-            let state = states[s.index()].clone();
-            for ev in dfs.enabled_events(&state) {
-                let next = dfs.apply(&state, ev);
-                let succ = match index.entry(next) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        if states.len() >= max_states {
-                            outcome = engine::ExploreOutcome::Truncated { limit: max_states };
-                            break 'bfs;
-                        }
-                        let id = LtsStateId(states.len() as u32);
-                        states.push(e.key().clone());
-                        edges.push(Vec::new());
-                        parents.push((s.0, sys.action_id(ev) as u32));
-                        queue.push_back(id);
-                        e.insert(id);
-                        id
-                    }
-                };
-                edges[s.index()].push((ev, succ));
-            }
-        }
-
-        // deadness by a full event scan of the state; a state with an edge
-        // is skipped, the edge already proves an event enabled
-        let dead = (0..states.len())
-            .filter(|&i| edges[i].is_empty() && dfs.enabled_events(&states[i]).is_empty())
-            .map(|i| i as u32)
-            .collect();
-
-        // pack into the graph representation shared with the engine path
-        let node_count = dfs.node_count();
-        let stride = DfsSystem::stride_for(node_count);
-        let mut arena = Vec::with_capacity(states.len() * stride);
-        let mut buf = vec![0u64; stride];
-        for st in &states {
-            buf.iter_mut().for_each(|w| *w = 0);
-            DfsSystem::encode(st, node_count, &mut buf);
-            arena.extend_from_slice(&buf);
-        }
-        let mut succ_off = Vec::with_capacity(states.len() + 1);
-        let mut succ = Vec::new();
-        succ_off.push(0u32);
-        for row in &edges {
-            succ.extend_from_slice(row);
-            succ_off.push(succ.len() as u32);
-        }
-
-        let graph =
-            ExploredGraph::from_dense(stride, arena, parents, succ_off, Vec::new(), dead, outcome);
-        Lts {
-            node_count,
-            graph,
-            actions: sys.actions,
-            succ,
-            symmetry: None,
         }
     }
 
@@ -462,8 +382,8 @@ fn action_slots(kind: NodeKind) -> u32 {
 /// The affected map is the syntactic dependency closure of the semantics
 /// (eqs. (1)–(5)): the events of node `m` are re-checked after an event of
 /// node `n` iff `n ∈ {m} ∪ preds(m) ∪ ?m ∪ m? ∪ guards(m)`. The
-/// engine-equivalence property tests pin this closure against the naive
-/// full-scan explorer.
+/// engine-equivalence property tests pin this closure against the seed
+/// full-scan explorer of the `rap-oracle` crate.
 struct DfsSystem<'a> {
     dfs: &'a Dfs,
     actions: Vec<Event>,
@@ -739,7 +659,6 @@ mod tests {
         assert!(partial.is_truncated());
         assert!(partial.successors(LtsStateId(1)).is_empty());
         assert!(partial.deadlocks().is_empty());
-        assert!(Lts::explore_naive_truncated(&dfs, 2).deadlocks().is_empty());
     }
 
     #[test]
@@ -761,24 +680,6 @@ mod tests {
         assert!(!lts.deadlocks().is_empty());
         let mismatch = lts.find_state(|s| dfs.has_control_mismatch(s));
         assert!(mismatch.is_some());
-    }
-
-    /// The engine-backed explorer is indistinguishable from the naive
-    /// reference: same numbering, edges, traces and truncation behaviour.
-    #[test]
-    fn engine_matches_naive_reference() {
-        let dfs = ring();
-        for budget in [usize::MAX, 5, 2] {
-            let a = Lts::explore_with(&dfs, &cfg(budget), None);
-            let b = Lts::explore_naive_truncated(&dfs, budget);
-            assert_eq!(a.len(), b.len());
-            assert_eq!(a.is_truncated(), b.is_truncated());
-            for (sa, sb) in a.states().zip(b.states()) {
-                assert_eq!(a.state(sa), b.state(sb));
-                assert_eq!(a.successors(sa), b.successors(sb));
-                assert_eq!(a.trace_to(sa), b.trace_to(sb));
-            }
-        }
     }
 
     /// The swap of two disjoint identical rings is an automorphism; the

@@ -102,23 +102,6 @@ pub fn certify_translation_safety(dfs: &Dfs) -> bool {
         .is_none()
 }
 
-/// Deadlock check only (cheaper than the full report on large models).
-///
-/// # Errors
-///
-/// [`DfsError::StateBudgetExceeded`] on budget overrun.
-pub fn check_deadlock(dfs: &Dfs, config: &VerifyConfig) -> Result<Vec<Counterexample>, DfsError> {
-    let img = to_petri(dfs);
-    let space = explore(
-        &img.net,
-        ExploreConfig {
-            max_states: config.max_states,
-            ..ExploreConfig::default()
-        },
-    )?;
-    Ok(deadlocks(&img, &space))
-}
-
 fn trace_labels(img: &PetriImage, trace: &[rap_petri::TransitionId]) -> Vec<String> {
     trace.iter().map(|&t| img.label(t).to_string()).collect()
 }

@@ -42,9 +42,9 @@
 //!
 //! The front is invariant under all of this: pruning only ever discards
 //! provably-dominated points, and memoization returns bit-identical
-//! structural results, so a single-threaded sweep with pruning and
-//! memoization disabled produces the same fronts (asserted in
-//! `tests/driver_equivalence.rs`).
+//! structural results, so the fronts equal those of evaluating every
+//! configuration on its own, each in a fresh session (asserted against
+//! exactly that oracle in `tests/driver_equivalence.rs`).
 
 use crate::eval::{evaluate_structural, optimistic_bound, period_lower_bound_units};
 use crate::pareto::{pareto_front_indices, Objectives};
@@ -64,12 +64,6 @@ pub struct DseConfig {
     pub threads: usize,
     /// State budget of the per-configuration Petri screen.
     pub check_budget: usize,
-    /// Serve identical configurations from the shared session's caches.
-    /// When `false` every task compiles into a private throw-away session
-    /// (the same code path, no sharing) — the front must not change.
-    pub memoize: bool,
-    /// Skip provably-dominated configurations.
-    pub prune: bool,
 }
 
 impl Default for DseConfig {
@@ -77,8 +71,6 @@ impl Default for DseConfig {
         DseConfig {
             threads: std::thread::available_parallelism().map_or(4, |n| n.get().min(8)),
             check_budget: 20_000,
-            memoize: true,
-            prune: true,
         }
     }
 }
@@ -290,26 +282,18 @@ impl Shared<'_> {
                     return None;
                 }
             };
-            // with memoization, twins intern to one CompiledModel in the
-            // shared session; without, a private throw-away session keeps
-            // the code path identical but shares nothing
-            let model: Arc<CompiledModel> = if self.cfg.memoize {
-                self.session.compile(&dfs)
-            } else {
-                Session::new().compile(&dfs)
-            };
+            // twins intern to one CompiledModel in the shared session
+            let model: Arc<CompiledModel> = self.session.compile(&dfs);
             if !model.analysed() {
                 // not analysed yet (though a twin may be in flight): this
                 // task may still be pruned on its own merits
-                if self.cfg.prune {
-                    let lb = self.period_lower_bound(&config, &dfs);
-                    let bound = optimistic_bound(&config, &dfs, self.cost, lb);
-                    if self.is_dominated(config.workload, &bound) {
-                        self.meter.add("dse.eval.pruned", 1);
-                        self.obs
-                            .note("dse.pruned", &config.label(), model.structural_hash());
-                        return None;
-                    }
+                let lb = self.period_lower_bound(&config, &dfs);
+                let bound = optimistic_bound(&config, &dfs, self.cost, lb);
+                if self.is_dominated(config.workload, &bound) {
+                    self.meter.add("dse.eval.pruned", 1);
+                    self.obs
+                        .note("dse.pruned", &config.label(), model.structural_hash());
+                    return None;
                 }
             }
             // whoever wins the session's in-flight reservation for the

@@ -46,9 +46,10 @@
 //! does not understate (see `Objectives::dominates` and the derivation in
 //! [`eval::optimistic_bound`]), the dominating exact point also strictly
 //! dominates the candidate's true objectives — so the skipped point was
-//! not on the front. Consequently the emitted front is **identical** with
-//! pruning (and memoization, and any thread count) on or off; the
-//! test-suite asserts this equivalence.
+//! not on the front. Consequently the emitted front is **identical** to
+//! the front of evaluating every configuration on its own, in its own
+//! session, at any thread count; the test-suite asserts this against
+//! exactly that oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

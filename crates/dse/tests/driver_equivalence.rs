@@ -1,14 +1,22 @@
 //! The driver's front is invariant under its own optimisations: thread
 //! count, memoization and pruning must never change which points are
-//! reported Pareto-optimal. Also pins the admissibility of the wagged
-//! direct-graph period bound the pruner relies on.
+//! reported Pareto-optimal. The reference is an oracle inside this file
+//! that shares none of them: it evaluates every configuration on its own,
+//! in a fresh session, and takes the O(n²) front. Also pins the
+//! admissibility of the wagged direct-graph period bound the pruner relies
+//! on.
 
 use dfs_core::perf::mcr::maximum_cycle_ratio;
 use dfs_core::perf::{analyse, EventGraph};
 use dfs_core::pipelines::StageDelays;
 use rap_dse::models::wagged_ope;
-use rap_dse::{explore, DesignSpace, DseConfig, DseOutcome, Hardware};
+use rap_dse::{
+    evaluate_structural, explore, naive_front_indices, DesignSpace, DseConfig, DseOutcome,
+    Hardware, Objectives,
+};
+use rap_session::Session;
 use rap_silicon::cost::CostModel;
+use std::collections::BTreeMap;
 
 fn ope_delays() -> StageDelays {
     StageDelays {
@@ -37,11 +45,61 @@ fn small_space() -> DesignSpace {
     }
 }
 
-fn front_signature(outcome: &DseOutcome) -> Vec<(usize, Vec<String>)> {
+/// A front as `(label, objective bits)` per point, in front order, per
+/// workload demand.
+type Fronts = BTreeMap<usize, Vec<(String, [u64; 3])>>;
+
+fn bits(o: &Objectives) -> [u64; 3] {
+    [
+        o.throughput.to_bits(),
+        o.energy_per_item.to_bits(),
+        o.area.to_bits(),
+    ]
+}
+
+fn front_signature(outcome: &DseOutcome) -> Fronts {
     outcome
         .fronts
         .iter()
-        .map(|(w, f)| (*w, f.iter().map(|e| e.label.clone()).collect()))
+        .map(|(w, f)| {
+            let points = f
+                .iter()
+                .map(|e| (e.label.clone(), bits(&e.objectives)))
+                .collect();
+            (*w, points)
+        })
+        .collect()
+}
+
+/// The oracle: every enumerated configuration evaluated with
+/// `evaluate_structural`, each in its own `Session::new()` (no memo, no
+/// pruning), then per demand the O(n²) front over the points with no
+/// violation. Points are taken in (workload, label) order, as the driver
+/// sorts them, so ties keep the same order.
+fn oracle_fronts(space: &DesignSpace, cost: &CostModel, check_budget: usize) -> Fronts {
+    let mut configs = space.enumerate();
+    configs.sort_by_key(|c| (c.workload, c.label()));
+    let mut classes: BTreeMap<usize, Vec<(String, Objectives)>> = BTreeMap::new();
+    for config in configs {
+        let dfs = config.build().expect("every configuration builds");
+        let model = Session::new().compile(&dfs);
+        let eval = evaluate_structural(&model, cost, check_budget).expect("evaluates");
+        if !eval.check_violated {
+            classes
+                .entry(config.workload)
+                .or_default()
+                .push((config.label(), eval.objectives(cost, config.voltage)));
+        }
+    }
+    classes
+        .into_iter()
+        .map(|(w, class)| {
+            let front = naive_front_indices(&class, |(_, o)| *o)
+                .into_iter()
+                .map(|i| (class[i].0.clone(), bits(&class[i].1)))
+                .collect();
+            (w, front)
+        })
         .collect()
 }
 
@@ -49,49 +107,29 @@ fn front_signature(outcome: &DseOutcome) -> Vec<(usize, Vec<String>)> {
 fn parallel_memoized_pruned_sweep_matches_plain_serial() {
     let space = small_space();
     let cost = CostModel::default();
-    let reference = explore(
-        &space,
-        &cost,
-        &DseConfig {
-            threads: 1,
-            check_budget: 4_000,
-            memoize: false,
-            prune: false,
-        },
-    );
-    // the reference evaluates every enumerated configuration in full
-    assert_eq!(reference.stats.full_evaluations, reference.stats.enumerated);
-    assert_eq!(reference.stats.errors, 0);
-    assert!(!reference.fronts.is_empty());
+    let reference = oracle_fronts(&space, &cost, 4_000);
+    assert!(!reference.is_empty());
 
-    for (threads, memoize, prune) in [(1, true, true), (4, true, false), (4, true, true)] {
+    for threads in [1, 4] {
         let outcome = explore(
             &space,
             &cost,
             &DseConfig {
                 threads,
                 check_budget: 4_000,
-                memoize,
-                prune,
             },
         );
-        assert_eq!(
-            front_signature(&outcome),
-            front_signature(&reference),
-            "threads={threads} memoize={memoize} prune={prune}"
+        assert_eq!(front_signature(&outcome), reference, "threads={threads}");
+        assert!(
+            outcome.stats.memo_hits > 0,
+            "voltage replicas must hit the memo"
         );
-        if memoize {
-            assert!(
-                outcome.stats.memo_hits > 0,
-                "voltage replicas must hit the memo"
-            );
-            assert!(outcome.stats.full_evaluations < outcome.stats.enumerated);
-        }
+        assert!(outcome.stats.full_evaluations < outcome.stats.enumerated);
         // accounting: every enumerated point is full, memoized or pruned
         assert_eq!(
             outcome.stats.full_evaluations + outcome.stats.memo_hits + outcome.stats.pruned,
             outcome.stats.enumerated,
-            "threads={threads} memoize={memoize} prune={prune}"
+            "threads={threads}"
         );
     }
 }

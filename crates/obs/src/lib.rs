@@ -36,8 +36,9 @@
 //!
 //! Recording is observation-only. No instrumented subsystem ever keys
 //! dedup, state numbering, or scheduling decisions on recorder state; the
-//! engine's traced≡untraced≡naive equivalence proptests run with a live
-//! [`Collector`] attached to pin exactly that.
+//! engine's equivalence proptests run it with a live [`Collector`]
+//! attached and without, and pin both runs to each other and to the seed
+//! explorers of the dev-only `rap-oracle` crate.
 //!
 //! ## Span and counter taxonomy
 //!
@@ -120,13 +121,6 @@ impl SpanId {
 /// Instrumented code reaches recorders through [`Obs`], which skips the
 /// virtual call entirely when no recorder is attached.
 pub trait Recorder: Send + Sync {
-    /// Whether this recorder is live. [`Obs`] consults the presence of a
-    /// recorder, not this flag, for its fast path; `enabled` exists so
-    /// custom recorders can advertise being switched off dynamically.
-    fn enabled(&self) -> bool {
-        false
-    }
-
     /// Open (or re-enter) the span `name` under `parent`, returning its id.
     /// Spans are aggregated: opening the same `(parent, name)` twice yields
     /// the same id.
@@ -162,12 +156,6 @@ pub trait Recorder: Send + Sync {
         let _ = (kind, label, value);
     }
 }
-
-/// The do-nothing recorder; every method is the trait default.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Noop;
-
-impl Recorder for Noop {}
 
 // ---------------------------------------------------------------------------
 // Obs handle
@@ -463,10 +451,6 @@ impl Collector {
 }
 
 impl Recorder for Collector {
-    fn enabled(&self) -> bool {
-        true
-    }
-
     fn span_open(&self, parent: SpanId, name: &'static str) -> SpanId {
         let mut tree = lock(&self.tree);
         let pid = (parent.0 as usize).min(tree.len().saturating_sub(1));

@@ -9,8 +9,9 @@
 //! event-driven enabledness, and optional symmetry reduction
 //! ([`StateSymmetry`]). One [`ExploreConfig`] carries its state budget,
 //! wall-clock deadline and the `rap-obs` handle it records into. It is
-//! pinned state-for-state against the naive explorers
-//! (`reachability::explore_naive_truncated`, `Lts::explore_naive_truncated`).
+//! pinned state-for-state against the seed explorers of the dev-only
+//! `rap-oracle` crate, which return plain vectors and share none of this
+//! module's code.
 //!
 //! The driver is serial. Parallelism lives one level up, in the design-space
 //! driver (`rap-dse`), whose workers evaluate independent candidates and so
@@ -143,9 +144,8 @@ impl ExploreOutcome {
     }
 }
 
-/// Exploration knobs shared by every explorer of the workspace.
-///
-/// The naive oracles read only `max_states`.
+/// Exploration knobs of the engine, shared by every exploring entry point
+/// of the workspace.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
     /// Maximum number of distinct states to store before truncating.
@@ -246,40 +246,6 @@ pub struct ExploredGraph {
 }
 
 impl ExploredGraph {
-    /// Builds a graph without symmetry rotations from dense parts — used by
-    /// the naive reference explorers. `dead` is the ascending list of
-    /// states with no enabled action ([`ExploredGraph::dead`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `arena` is not exactly `parents.len() * stride` words.
-    #[must_use]
-    pub fn from_dense(
-        stride: usize,
-        arena: Vec<u64>,
-        parents: Vec<(u32, u32)>,
-        succ_off: Vec<u32>,
-        succ: Vec<(u32, u32)>,
-        dead: Vec<u32>,
-        outcome: ExploreOutcome,
-    ) -> Self {
-        assert_eq!(
-            arena.len(),
-            parents.len() * stride,
-            "arena/parents length mismatch"
-        );
-        ExploredGraph {
-            stride,
-            arena,
-            parents,
-            rotations: Vec::new(),
-            succ_off,
-            succ,
-            dead,
-            outcome,
-        }
-    }
-
     /// Number of states discovered.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -71,11 +71,6 @@ impl Marking {
         }
     }
 
-    /// The word-packed bits of this marking.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Overwrites this marking's bits from a word slice of at least
     /// `len().div_ceil(64)` words (extra high words are ignored).
     pub(crate) fn copy_from_words(&mut self, words: &[u64]) {

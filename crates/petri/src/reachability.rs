@@ -9,9 +9,9 @@
 //!
 //! [`explore`] and [`explore_truncated`] run the state-space engine
 //! ([`crate::engine::explore`]) under one [`ExploreConfig`] (state budget,
-//! deadline and the `rap-obs` handle). The original pre-engine explorer
-//! ([`explore_naive_truncated`]) is kept as the reference it is
-//! differentially tested against.
+//! deadline and the `rap-obs` handle). They are differentially tested
+//! against the seed explorer, which lives outside the library in the
+//! dev-only `rap-oracle` crate.
 //!
 //! With a cyclic symmetry of the net (wagged replicas — see
 //! [`crate::symmetry`]), [`explore_quotient_truncated`] explores the
@@ -22,8 +22,6 @@
 
 use crate::engine::{self, ExploredGraph, NetSystem, StateSymmetry, NO_PARENT};
 use crate::{Marking, PetriError, PetriNet, TransitionId};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
 
 pub use crate::engine::ExploreConfig;
 
@@ -319,84 +317,6 @@ pub fn explore_quotient_truncated(
     StateSpace::from_graph(graph, net.place_count(), Some(sym.clone()))
 }
 
-/// The original (pre-engine) explorer: full transition scan per state,
-/// cloned [`Marking`] keys in a `HashMap` dedup index. Reads only
-/// `config.max_states`.
-///
-/// Retained verbatim as the reference implementation: the equivalence
-/// property tests check the engine against it state-for-state, and the
-/// `state_space_scaling` benchmark reports speedups relative to it. Use
-/// [`explore`] / [`explore_truncated`] everywhere else.
-#[must_use]
-pub fn explore_naive_truncated(net: &PetriNet, config: ExploreConfig) -> StateSpace {
-    let m0 = net.initial_marking();
-    let mut index: HashMap<Marking, StateId> = HashMap::new();
-    let mut markings = vec![m0.clone()];
-    let mut parents: Vec<(u32, u32)> = vec![(NO_PARENT, 0)];
-    let mut successors: Vec<Vec<(u32, u32)>> = vec![Vec::new()];
-    index.insert(m0, StateId(0));
-
-    let mut queue = VecDeque::new();
-    queue.push_back(StateId(0));
-    let mut outcome = engine::ExploreOutcome::Complete;
-
-    'bfs: while let Some(s) = queue.pop_front() {
-        let marking = markings[s.index()].clone();
-        for t in net.transitions() {
-            if !net.is_enabled(t, &marking) {
-                continue;
-            }
-            let next = net.fire(t, &marking).expect("enabled transition must fire");
-            let succ = match index.entry(next) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    if markings.len() >= config.max_states {
-                        outcome = engine::ExploreOutcome::Truncated {
-                            limit: config.max_states,
-                        };
-                        break 'bfs;
-                    }
-                    let id = StateId(markings.len() as u32);
-                    markings.push(e.key().clone());
-                    parents.push((s.0, t.index() as u32));
-                    successors.push(Vec::new());
-                    queue.push_back(id);
-                    e.insert(id);
-                    id
-                }
-            };
-            successors[s.index()].push((t.index() as u32, succ.0));
-        }
-    }
-
-    // deadness by a full transition scan of the marking; a state with an
-    // edge is skipped, the edge already proves a transition enabled
-    let dead = (0..markings.len())
-        .filter(|&i| successors[i].is_empty() && net.enabled_transitions(&markings[i]).is_empty())
-        .map(|i| i as u32)
-        .collect();
-
-    // pack into the graph representation shared with the engine path
-    let places = net.place_count();
-    let stride = places.div_ceil(64).max(1);
-    let mut arena = Vec::with_capacity(markings.len() * stride);
-    for m in &markings {
-        let words = m.words();
-        arena.extend_from_slice(words);
-        arena.extend(std::iter::repeat_n(0u64, stride - words.len()));
-    }
-    let mut succ_off = Vec::with_capacity(markings.len() + 1);
-    let mut succ = Vec::new();
-    succ_off.push(0u32);
-    for row in &successors {
-        succ.extend_from_slice(row);
-        succ_off.push(succ.len() as u32);
-    }
-
-    let graph = ExploredGraph::from_dense(stride, arena, parents, succ_off, succ, dead, outcome);
-    StateSpace::from_graph(graph, places, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,28 +443,5 @@ mod tests {
         assert!(space.marking(s).is_marked(p3));
         assert!(space.is_marked(s, p3));
         assert_eq!(space.trace_to(s).len(), 3);
-    }
-
-    /// The engine path must be indistinguishable from the reference
-    /// explorer: same state numbering, same edges, same truncation.
-    #[test]
-    fn engine_matches_naive_reference() {
-        for budget in [usize::MAX, 7, 3] {
-            let net = ring(9);
-            let cfg = ExploreConfig {
-                max_states: budget,
-                ..ExploreConfig::default()
-            };
-            let a = explore_truncated(&net, cfg.clone());
-            let b = explore_naive_truncated(&net, cfg);
-            assert_eq!(a.len(), b.len());
-            assert_eq!(a.is_truncated(), b.is_truncated());
-            for (sa, sb) in a.states().zip(b.states()) {
-                assert_eq!(a.marking(sa), b.marking(sb));
-                assert_eq!(a.successors(sa), b.successors(sb));
-                assert_eq!(a.trace_to(sa), b.trace_to(sb));
-            }
-            assert!(a.dead_states().eq(b.dead_states()));
-        }
     }
 }

@@ -3,9 +3,7 @@
 use proptest::prelude::*;
 use rap_obs::{Collector, Obs};
 use rap_petri::engine::{self, EngineStats, ExploredGraph, Incidence, NetSystem, StateSymmetry};
-use rap_petri::reachability::{
-    explore_naive_truncated, explore_quotient_truncated, explore_truncated, ExploreConfig,
-};
+use rap_petri::reachability::{explore_quotient_truncated, explore_truncated, ExploreConfig};
 use rap_petri::{Marking, PetriNet, PlaceId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -147,6 +145,16 @@ fn canonical(sym: &StateSymmetry, raw: &[u64]) -> Vec<u64> {
     let mut tmp = vec![0u64; raw.len()];
     sym.canonicalize(raw, &mut canon, &mut tmp);
     canon
+}
+
+/// `m` packed into `width` words through its public accessors, one bit per
+/// marked place.
+fn packed(m: &Marking, width: usize) -> Vec<u64> {
+    let mut words = vec![0u64; width];
+    for p in m.iter_marked() {
+        engine::set_bit(&mut words, p.index(), true);
+    }
+    words
 }
 
 /// Strategy: a net over `np` places whose transitions either flip one of
@@ -349,33 +357,33 @@ proptest! {
         }
     }
 
-    /// The quotient against an independent oracle: the naive explorer over
-    /// the full net. The quotient's states are exactly the canonical forms
-    /// of the reachable markings, each stored canonical and once; its dead
-    /// representatives are the canonical forms of the dead markings; and
-    /// every concrete trace fires step by step in the net, from the real
-    /// initial marking to the state's concrete marking.
+    /// The quotient against an independent oracle: the seed explorer of
+    /// `rap-oracle` over the full net. The quotient's states are exactly
+    /// the canonical forms of the reachable markings, each stored canonical
+    /// and once; its dead representatives are the canonical forms of the
+    /// dead markings; and every concrete trace fires step by step in the
+    /// net, from the real initial marking to the state's concrete marking.
     #[test]
     fn quotient_is_the_canonical_image_of_the_full_space(
         base in arb_net(5, 4),
         copies in 2usize..=3,
     ) {
         let (net, sym) = replicated(&base, copies);
-        let full = explore_naive_truncated(&net, cfg(usize::MAX));
+        let full = rap_oracle::explore_net(&net, usize::MAX);
         let quo = explore_quotient_truncated(&net, cfg(usize::MAX), &sym);
-        prop_assert!(!full.is_truncated() && !quo.is_truncated());
+        prop_assert!(!full.truncated && !quo.is_truncated());
 
-        let mut words = vec![0u64; full.word_count()];
-        let mut image = BTreeSet::new();
-        let mut dead_image = BTreeSet::new();
-        for s in full.states() {
-            full.fill_marking_words(s, &mut words);
-            image.insert(canonical(&sym, &words));
-        }
-        for s in full.dead_states() {
-            full.fill_marking_words(s, &mut words);
-            dead_image.insert(canonical(&sym, &words));
-        }
+        let mut words = vec![0u64; quo.word_count()];
+        let image: BTreeSet<Vec<u64>> = full
+            .states
+            .iter()
+            .map(|m| canonical(&sym, &packed(m, words.len())))
+            .collect();
+        let dead_image: BTreeSet<Vec<u64>> = full
+            .dead
+            .iter()
+            .map(|&i| canonical(&sym, &packed(&full.states[i], words.len())))
+            .collect();
 
         let mut reps = BTreeSet::new();
         for s in quo.states() {

@@ -271,6 +271,13 @@ pub(crate) fn encode_check(c: &QuickCheck) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// A witness state index; `None` past `u32`, where [`StateId::from_index`]
+/// would panic.
+fn decode_state(r: &mut Reader<'_>) -> Option<StateId> {
+    let index = u32::try_from(r.u64()?).ok()?;
+    Some(StateId::from_index(index as usize))
+}
+
 pub(crate) fn decode_check(bytes: &[u8]) -> Option<QuickCheck> {
     let mut r = Reader::new(bytes);
     let states = usize::try_from(r.u64()?).ok()?;
@@ -283,7 +290,7 @@ pub(crate) fn decode_check(bytes: &[u8]) -> Option<QuickCheck> {
     let deadlock = match r.u8()? {
         0 => None,
         1 => {
-            let state = StateId::from_index(usize::try_from(r.u64()?).ok()?);
+            let state = decode_state(&mut r)?;
             let marking = decode_marking(&mut r)?;
             let n = usize::try_from(r.u64()?).ok()?;
             let mut trace = Vec::with_capacity(n.min(bytes.len()));
@@ -302,7 +309,7 @@ pub(crate) fn decode_check(bytes: &[u8]) -> Option<QuickCheck> {
     let unsafe_witness = match r.u8()? {
         0 => None,
         1 => {
-            let state = StateId::from_index(usize::try_from(r.u64()?).ok()?);
+            let state = decode_state(&mut r)?;
             let pair = usize::try_from(r.u64()?).ok()?;
             Some((state, pair))
         }
@@ -573,6 +580,48 @@ mod tests {
             // rejected even though the bytes are pristine
             prop_assert!(decode_steady(&bytes, output, marks ^ 1).is_none());
             prop_assert!(decode_steady(&bytes, node_id(node as usize + 1), marks).is_none());
+        }
+    }
+
+    /// A check payload with `index` in the deadlock or the unsafe witness
+    /// slot, well-formed otherwise.
+    fn check_with_witness_index(deadlock_slot: bool, index: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u64(10);
+        w.u8(0);
+        encode_verdict(&mut w, QuickVerdict::Violated);
+        if deadlock_slot {
+            w.u8(1);
+            w.u64(index);
+            encode_marking(&mut w, &Marking::empty(3));
+            w.u64(0);
+        } else {
+            w.u8(0);
+        }
+        encode_verdict(&mut w, QuickVerdict::Violated);
+        if deadlock_slot {
+            w.u8(0);
+        } else {
+            w.u8(1);
+            w.u64(index);
+            w.u64(0);
+        }
+        w.into_bytes()
+    }
+
+    /// A frame whose checksum verifies but whose witness names a state past
+    /// `u32` decodes to `None`, so the caller quarantines and recomputes it
+    /// instead of panicking in `StateId::from_index`.
+    #[test]
+    fn check_decode_rejects_witness_states_past_u32() {
+        for deadlock_slot in [true, false] {
+            let fits = check_with_witness_index(deadlock_slot, u64::from(u32::MAX));
+            assert!(
+                decode_check(&fits).is_some(),
+                "deadlock slot {deadlock_slot}"
+            );
+            let past = check_with_witness_index(deadlock_slot, u64::from(u32::MAX) + 7);
+            assert_eq!(decode_check(&past), None, "deadlock slot {deadlock_slot}");
         }
     }
 

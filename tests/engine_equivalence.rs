@@ -1,23 +1,25 @@
-//! Engine ↔ naive-explorer equivalence, property-tested.
+//! Engine ↔ seed-explorer equivalence, property-tested.
 //!
 //! The shared incremental engine (`rap::petri::engine`) claims to be
-//! observationally identical to the retained naive explorers — same state
+//! observationally identical to the seed explorers it replaced — same state
 //! numbering, same edges, same truncation behaviour, replayable
-//! counterexample traces. This suite pins that claim on random inputs from
-//! both ends of the tool: raw random Petri nets (arbitrary arc structure,
-//! including non-1-safe-looking shapes the firing rule must reject) and the
-//! pipeline generators the paper's flow actually explores (the
-//! `perf_cross_check.rs` shapes: reconfigurable-depth pipelines and wagged
-//! pipelines).
+//! counterexample traces. The seed explorers live in the dev-only
+//! `rap-oracle` crate and return plain vectors, so every check below
+//! compares an engine accessor with the oracle's own data; no accessor is
+//! shared between the two sides. This suite pins that claim on random
+//! inputs from both ends of the tool: raw random Petri nets (arbitrary arc
+//! structure, including non-1-safe-looking shapes the firing rule must
+//! reject) and the pipeline generators the paper's flow actually explores
+//! (the `perf_cross_check.rs` shapes: reconfigurable-depth pipelines and
+//! wagged pipelines), plus a 9-place token ring and a three-register DFS
+//! ring at budgets that cut them.
 
 use proptest::prelude::*;
 use rap::dfs::pipelines::{build_pipeline, PipelineSpec};
 use rap::dfs::wagging::wagged_pipeline;
-use rap::dfs::{to_petri, Dfs, DfsState, Lts};
-use rap::petri::reachability::{
-    explore_naive_truncated, explore_truncated, ExploreConfig, StateSpace,
-};
-use rap::petri::{PetriNet, PlaceId};
+use rap::dfs::{to_petri, Dfs, DfsBuilder, DfsState, Lts};
+use rap::petri::reachability::{explore_truncated, ExploreConfig, StateSpace};
+use rap::petri::{PetriNet, PlaceId, TransitionId};
 
 /// Random net over `np` places and `nt` transitions with small arc lists.
 fn arb_net(np: usize, nt: usize) -> impl Strategy<Value = PetriNet> {
@@ -79,18 +81,27 @@ fn cfg(max_states: usize) -> ExploreConfig {
     }
 }
 
-/// Full equivalence of the Petri explorers, including the replay of every
-/// counterexample (per-state shortest trace). The dead states the engine
-/// records on discovery must equal the naive explorer's full-scan ones.
+/// Full equivalence of the engine's Petri space with the oracle's: count,
+/// truncation, dead states, and per state its marking, its edges and its
+/// trace against the trace along the oracle's parent links. The engine's
+/// traces must also replay through the net's firing rule.
 fn assert_pn_equivalent(net: &PetriNet, max_states: usize) -> Result<(), TestCaseError> {
     let engine = explore_truncated(net, cfg(max_states));
-    let naive = explore_naive_truncated(net, cfg(max_states));
-    prop_assert_eq!(engine.len(), naive.len());
-    prop_assert_eq!(engine.is_truncated(), naive.is_truncated());
-    prop_assert!(engine.dead_states().eq(naive.dead_states()), "dead states");
-    for (a, b) in engine.states().zip(naive.states()) {
-        prop_assert_eq!(&engine.marking(a), &naive.marking(b));
-        prop_assert_eq!(engine.successors(a), naive.successors(b));
+    let oracle = rap_oracle::explore_net(net, max_states);
+    prop_assert_eq!(engine.len(), oracle.len(), "state count");
+    prop_assert_eq!(engine.is_truncated(), oracle.truncated, "truncation");
+    let dead: Vec<usize> = engine.dead_states().map(|s| s.index()).collect();
+    prop_assert_eq!(&dead, &oracle.dead, "dead states");
+    for s in engine.states() {
+        let i = s.index();
+        prop_assert_eq!(&engine.marking(s), &oracle.states[i], "marking of {}", i);
+        let edges: Vec<(TransitionId, usize)> = engine
+            .successors(s)
+            .iter()
+            .map(|&(t, x)| (t, x.index()))
+            .collect();
+        prop_assert_eq!(&edges, &oracle.successors[i], "edges of {}", i);
+        prop_assert_eq!(engine.trace_to(s), oracle.trace_to(i), "trace to {}", i);
     }
     replay_traces(net, &engine)?;
     Ok(())
@@ -110,15 +121,25 @@ fn replay_traces(net: &PetriNet, space: &StateSpace) -> Result<(), TestCaseError
     Ok(())
 }
 
+/// The LTS backend's version of [`assert_pn_equivalent`], with the traces
+/// replayed through the DFS semantics.
 fn assert_lts_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), TestCaseError> {
     let engine = Lts::explore_with(dfs, &cfg(max_states), None);
-    let naive = Lts::explore_naive_truncated(dfs, max_states);
-    prop_assert_eq!(engine.len(), naive.len());
-    prop_assert_eq!(engine.is_truncated(), naive.is_truncated());
-    prop_assert_eq!(engine.deadlocks(), naive.deadlocks());
-    for (a, b) in engine.states().zip(naive.states()) {
-        prop_assert_eq!(&engine.state(a), &naive.state(b));
-        prop_assert_eq!(engine.successors(a), naive.successors(b));
+    let oracle = rap_oracle::explore_dfs(dfs, max_states);
+    prop_assert_eq!(engine.len(), oracle.len(), "state count");
+    prop_assert_eq!(engine.is_truncated(), oracle.truncated, "truncation");
+    let dead: Vec<usize> = engine.deadlocks().iter().map(|s| s.index()).collect();
+    prop_assert_eq!(&dead, &oracle.dead, "dead states");
+    for s in engine.states() {
+        let i = s.index();
+        prop_assert_eq!(&engine.state(s), &oracle.states[i], "state {}", i);
+        let edges: Vec<_> = engine
+            .successors(s)
+            .iter()
+            .map(|&(ev, x)| (ev, x.index()))
+            .collect();
+        prop_assert_eq!(&edges, &oracle.successors[i], "edges of {}", i);
+        prop_assert_eq!(engine.trace_to(s), oracle.trace_to(i), "trace to {}", i);
     }
     // counterexample-trace replay through the semantics
     for s in engine.states() {
@@ -136,7 +157,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random raw nets: the engine's event-driven enabledness updates and
-    /// arena dedup agree with the naive full-scan explorer state-for-state.
+    /// arena dedup agree with the seed full-scan explorer state-for-state.
     #[test]
     fn random_nets_agree(net in arb_net(10, 8)) {
         assert_pn_equivalent(&net, 3_000)?;
@@ -177,18 +198,48 @@ fn wagged_shapes_agree() {
         let w = wagged_pipeline(ways, 1, 1.0).unwrap();
         let img = to_petri(&w.dfs);
         let cap = 30_000;
-        let engine = explore_truncated(&img.net, cfg(cap));
-        let naive = explore_naive_truncated(&img.net, cfg(cap));
-        assert_eq!(engine.len(), naive.len(), "ways={ways}");
-        assert_eq!(engine.is_truncated(), naive.is_truncated());
-        for (a, b) in engine.states().zip(naive.states()) {
-            assert_eq!(engine.successors(a), naive.successors(b));
-        }
-        assert!(engine.dead_states().eq(naive.dead_states()), "ways={ways}");
-        let l_engine = Lts::explore_with(&w.dfs, &cfg(cap), None);
-        let l_naive = Lts::explore_naive_truncated(&w.dfs, cap);
-        assert_eq!(l_engine.len(), l_naive.len(), "ways={ways}");
-        assert_eq!(l_engine.is_truncated(), l_naive.is_truncated());
-        assert_eq!(l_engine.deadlocks(), l_naive.deadlocks(), "ways={ways}");
+        assert_pn_equivalent(&img.net, cap).unwrap_or_else(|e| panic!("petri ways={ways}: {e}"));
+        assert_lts_equivalent(&w.dfs, cap).unwrap_or_else(|e| panic!("lts ways={ways}: {e}"));
     }
+}
+
+/// A ring of `n` places with one token circulating.
+fn place_ring(n: usize) -> PetriNet {
+    let mut net = PetriNet::new();
+    let places: Vec<PlaceId> = (0..n)
+        .map(|i| net.add_place(format!("p{i}"), i == 0))
+        .collect();
+    for i in 0..n {
+        let t = net.add_transition(format!("t{i}"));
+        net.consume(t, places[i]);
+        net.produce(t, places[(i + 1) % n]);
+    }
+    net
+}
+
+/// The 9-place token ring, unbounded and cut at 7 and 3 states, and the
+/// closed three-register DFS ring, unbounded and cut at 5 and 2 states. At
+/// 2 the ring's unexpanded frontier is live, so neither side may list it
+/// as a deadlock.
+#[test]
+fn rings_agree_at_every_budget() {
+    let net = place_ring(9);
+    for budget in [usize::MAX, 7, 3] {
+        assert_pn_equivalent(&net, budget).unwrap_or_else(|e| panic!("budget={budget}: {e}"));
+    }
+
+    let mut b = DfsBuilder::new();
+    let r0 = b.register("a").marked().build();
+    let r1 = b.register("b").build();
+    let r2 = b.register("c").build();
+    b.connect(r0, r1);
+    b.connect(r1, r2);
+    b.connect(r2, r0);
+    let dfs = b.finish().unwrap();
+    for budget in [usize::MAX, 5, 2] {
+        assert_lts_equivalent(&dfs, budget).unwrap_or_else(|e| panic!("budget={budget}: {e}"));
+    }
+    let cut = rap_oracle::explore_dfs(&dfs, 2);
+    assert!(cut.truncated && cut.successors[1].is_empty());
+    assert!(cut.dead.is_empty());
 }

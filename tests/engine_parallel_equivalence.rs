@@ -1,30 +1,31 @@
-//! Traced ↔ untraced ↔ naive equivalence, property-tested.
+//! Traced ↔ untraced ↔ seed-explorer equivalence, property-tested.
 //!
 //! The state-space engine records into `ExploreConfig::obs`, and recording
 //! is observation-only by contract: a run with a live
 //! [`rap::obs::Collector`] attached must produce the same state numbering,
 //! edges, truncation point, dead list and witness traces as the same run
-//! over a detached handle — and both must equal the retained naive
-//! explorers (`explore_naive_truncated`, `Lts::explore_naive_truncated`),
-//! on random inputs from both ends of the tool (raw random Petri nets and
-//! the paper's pipeline generators), including under tiny truncation
-//! budgets. Every traced run also checks that the collector saw it: the
-//! `engine.states` counter equals the returned state count.
+//! over a detached handle — and both must equal the seed explorers of the
+//! dev-only `rap-oracle` crate (`explore_net`, `explore_dfs`), on random
+//! inputs from both ends of the tool (raw random Petri nets and the
+//! paper's pipeline generators), including under tiny truncation budgets.
+//! The oracle returns plain vectors, so each comparison with it reads the
+//! engine's accessors against the oracle's own data; traced against
+//! untraced compares two engine runs through the same accessors. Every
+//! traced run also checks that the collector saw it: the `engine.states`
+//! counter equals the returned state count.
 //!
 //! The test names are kept from the suite's earlier role (pinning a
 //! parallel driver against the serial one); the engine now has one
-//! driver, and these tests pin the recording contract against the naive
-//! oracles instead.
+//! driver, and these tests pin the recording contract against the seed
+//! explorers instead.
 
 use proptest::prelude::*;
 use rap::dfs::pipelines::{build_pipeline, PipelineSpec};
 use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{to_petri, Dfs, Lts};
 use rap::obs::{Collector, Obs};
-use rap::petri::reachability::{
-    explore_naive_truncated, explore_truncated, ExploreConfig, StateSpace,
-};
-use rap::petri::{PetriNet, PlaceId};
+use rap::petri::reachability::{explore_truncated, ExploreConfig, StateSpace};
+use rap::petri::{PetriNet, PlaceId, TransitionId};
 use std::sync::Arc;
 
 /// Random net over `np` places and `nt` transitions with small arc lists.
@@ -102,14 +103,46 @@ fn assert_spaces_identical(a: &StateSpace, b: &StateSpace, ctx: &str) -> Result<
     Ok(())
 }
 
-/// Traced ≡ untraced ≡ naive, for one net and budget; the collector of
+/// The engine's Petri space against the oracle's vectors: count,
+/// truncation, dead states, and per state its marking, its edges and its
+/// trace against the trace along the oracle's parent links.
+fn assert_matches_oracle(
+    space: &StateSpace,
+    net: &PetriNet,
+    max_states: usize,
+    ctx: &str,
+) -> Result<(), TestCaseError> {
+    let oracle = rap_oracle::explore_net(net, max_states);
+    prop_assert_eq!(space.len(), oracle.len(), "{}: state count", ctx);
+    prop_assert_eq!(
+        space.is_truncated(),
+        oracle.truncated,
+        "{}: truncation",
+        ctx
+    );
+    let dead: Vec<usize> = space.dead_states().map(|s| s.index()).collect();
+    prop_assert_eq!(&dead, &oracle.dead, "{}: dead states", ctx);
+    for s in space.states() {
+        let i = s.index();
+        prop_assert_eq!(&space.marking(s), &oracle.states[i], "{}: marking", ctx);
+        let edges: Vec<(TransitionId, usize)> = space
+            .successors(s)
+            .iter()
+            .map(|&(t, x)| (t, x.index()))
+            .collect();
+        prop_assert_eq!(&edges, &oracle.successors[i], "{}: edges", ctx);
+        prop_assert_eq!(space.trace_to(s), oracle.trace_to(i), "{}: trace", ctx);
+    }
+    Ok(())
+}
+
+/// Traced ≡ untraced ≡ oracle, for one net and budget; the collector of
 /// the traced run must have counted every state.
 fn assert_recording_equivalent(net: &PetriNet, max_states: usize) -> Result<(), TestCaseError> {
-    let naive = explore_naive_truncated(net, cfg(max_states, Obs::none()));
     let untraced = explore_truncated(net, cfg(max_states, Obs::none()));
     let collector = Arc::new(Collector::new());
     let traced = explore_truncated(net, cfg(max_states, Obs::collecting(&collector)));
-    assert_spaces_identical(&untraced, &naive, "untraced vs naive")?;
+    assert_matches_oracle(&untraced, net, max_states, "untraced vs oracle")?;
     assert_spaces_identical(&traced, &untraced, "traced vs untraced")?;
     prop_assert_eq!(
         collector.snapshot().counters.get("engine.states"),
@@ -119,23 +152,31 @@ fn assert_recording_equivalent(net: &PetriNet, max_states: usize) -> Result<(), 
     Ok(())
 }
 
-/// The LTS backend's version of [`assert_recording_equivalent`].
+/// The LTS backend's version of [`assert_recording_equivalent`]: traced
+/// and untraced runs each against the oracle.
 fn assert_lts_recording_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), TestCaseError> {
-    let naive = Lts::explore_naive_truncated(dfs, max_states);
+    let oracle = rap_oracle::explore_dfs(dfs, max_states);
     let untraced = Lts::explore_with(dfs, &cfg(max_states, Obs::none()), None);
     let collector = Arc::new(Collector::new());
     let traced = Lts::explore_with(dfs, &cfg(max_states, Obs::collecting(&collector)), None);
     for (run, ctx) in [
-        (&untraced, "untraced vs naive"),
-        (&traced, "traced vs naive"),
+        (&untraced, "untraced vs oracle"),
+        (&traced, "traced vs oracle"),
     ] {
-        prop_assert_eq!(run.len(), naive.len(), "{}: state count", ctx);
-        prop_assert_eq!(run.outcome(), naive.outcome(), "{}: outcome", ctx);
-        prop_assert_eq!(run.deadlocks(), naive.deadlocks(), "{}: dead states", ctx);
-        for (sa, sb) in run.states().zip(naive.states()) {
-            prop_assert_eq!(run.state(sa), naive.state(sb), "{}: state", ctx);
-            prop_assert_eq!(run.successors(sa), naive.successors(sb), "{}: edges", ctx);
-            prop_assert_eq!(run.trace_to(sa), naive.trace_to(sb), "{}: trace", ctx);
+        prop_assert_eq!(run.len(), oracle.len(), "{}: state count", ctx);
+        prop_assert_eq!(run.is_truncated(), oracle.truncated, "{}: truncation", ctx);
+        let dead: Vec<usize> = run.deadlocks().iter().map(|s| s.index()).collect();
+        prop_assert_eq!(&dead, &oracle.dead, "{}: dead states", ctx);
+        for s in run.states() {
+            let i = s.index();
+            prop_assert_eq!(&run.state(s), &oracle.states[i], "{}: state", ctx);
+            let edges: Vec<_> = run
+                .successors(s)
+                .iter()
+                .map(|&(ev, x)| (ev, x.index()))
+                .collect();
+            prop_assert_eq!(&edges, &oracle.successors[i], "{}: edges", ctx);
+            prop_assert_eq!(run.trace_to(s), oracle.trace_to(i), "{}: trace", ctx);
         }
     }
     prop_assert_eq!(
@@ -149,7 +190,7 @@ fn assert_lts_recording_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), T
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random raw nets: traced, untraced and naive runs agree on ids,
+    /// Random raw nets: traced, untraced and oracle runs agree on ids,
     /// edges and traces.
     #[test]
     fn random_nets_parallel_equals_serial(net in arb_net(10, 8)) {
@@ -158,7 +199,7 @@ proptest! {
 
     /// Random nets under tiny budgets: truncation must bite at exactly the
     /// same state whether or not a recorder is attached, and where the
-    /// naive explorer stops.
+    /// oracle stops.
     #[test]
     fn random_nets_truncate_identically(net in arb_net(9, 8)) {
         for cap in [1usize, 2, 7, 40] {
