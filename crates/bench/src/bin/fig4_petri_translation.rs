@@ -40,13 +40,12 @@ fn run(cli: &BenchCli) {
     let space = explore(&img.net, ExploreConfig::default()).unwrap();
     let mt = img.net.transition_by_name("Mt_ctrl+").unwrap();
     let mf = img.net.transition_by_name("Mf_ctrl+").unwrap();
-    // word-level enabledness probes: one reused buffer, no per-state
+    // word-level enabledness probes on the state arena: no per-state
     // Marking materialisation
     let inc = rap_petri::engine::Incidence::from_net(&img.net);
-    let mut w = vec![0u64; space.word_count()];
     let both = space.states().find(|&s| {
-        space.fill_marking_words(s, &mut w);
-        inc.is_enabled(mt, &w) && inc.is_enabled(mf, &w)
+        let w = space.words(s);
+        inc.is_enabled(mt, w) && inc.is_enabled(mf, w)
     });
     println!(
         "\nMt_ctrl+ and Mf_ctrl+ simultaneously enabled in some reachable state: {}",
@@ -55,8 +54,8 @@ fn run(cli: &BenchCli) {
     let ft = img.net.transition_by_name("Mt_filt+").unwrap();
     let ff = img.net.transition_by_name("Mf_filt+").unwrap();
     let filt_conflict = space.states().find(|&s| {
-        space.fill_marking_words(s, &mut w);
-        inc.is_enabled(ft, &w) && inc.is_enabled(ff, &w)
+        let w = space.words(s);
+        inc.is_enabled(ft, w) && inc.is_enabled(ff, w)
     });
     println!(
         "Mt_filt+ and Mf_filt+ ever in conflict (must be false — the control\n\

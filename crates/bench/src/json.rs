@@ -9,6 +9,11 @@
 
 use std::collections::BTreeMap;
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. Parsing
+/// and dropping a document recurse once per level, so deeper input is an
+/// error rather than a stack overflow; our own files nest a few levels.
+const MAX_DEPTH: usize = 512;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -31,11 +36,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A human-readable message with a byte offset on malformed input.
+    /// A human-readable message with a byte offset on malformed input, or
+    /// naming the bound on arrays and objects nested deeper than it.
     pub fn parse(src: &str) -> Result<Json, String> {
         let bytes = src.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -104,11 +110,15 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -178,7 +188,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -187,7 +197,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(out));
     }
     loop {
-        out.push(parse_value(b, pos)?);
+        out.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -200,7 +210,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut out = BTreeMap::new();
     skip_ws(b, pos);
@@ -213,7 +223,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         out.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -271,6 +281,71 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} garbage").is_err());
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
+    }
+
+    /// `n` nested arrays around `0`.
+    fn nested(n: usize) -> String {
+        format!("{}0{}", "[".repeat(n), "]".repeat(n))
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&nested(100_000)).unwrap_err();
+        assert!(
+            err.contains(&format!("deeper than {MAX_DEPTH} levels")),
+            "{err}"
+        );
+        let objects = format!("{}0{}", r#"{"a":"#.repeat(100_000), "}".repeat(100_000));
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn nesting_at_the_bound_parses() {
+        let mut v = &Json::parse(&nested(MAX_DEPTH)).unwrap();
+        for _ in 0..MAX_DEPTH {
+            v = &v.as_arr().unwrap()[0];
+        }
+        assert_eq!(v.as_f64(), Some(0.0));
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+    }
+
+    /// JSON's own tokens mixed with arbitrary ASCII.
+    fn token_soup() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        const TOKENS: &[&str] = &[
+            "{", "}", "[", "]", ":", ",", "\"", "\\", "\"k\"", "true", "false", "null", "0",
+            "-1.5e3", "\\u0041", " ", "\n",
+        ];
+        proptest::collection::vec((any::<bool>(), 0..TOKENS.len(), 0u8..128), 0..48).prop_map(
+            |pieces| {
+                pieces
+                    .into_iter()
+                    .map(|(token, i, c)| {
+                        if token {
+                            TOKENS[i].to_string()
+                        } else {
+                            char::from(c).to_string()
+                        }
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2_000))]
+
+        /// Token soup parses to a value or an error, never a panic.
+        #[test]
+        fn token_soup_never_panics(src in token_soup()) {
+            let _ = Json::parse(&src);
+        }
+
+        /// So do arbitrary bytes, decoded lossily.
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96)) {
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+        }
     }
 
     #[test]

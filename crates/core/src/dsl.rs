@@ -259,4 +259,65 @@ edge out -> in
         let dfs = parse("# nothing\n\nregister a marked # trailing\n").unwrap();
         assert_eq!(dfs.node_count(), 1);
     }
+
+    /// The DSL's own tokens mixed with arbitrary ASCII.
+    fn token_soup() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        const TOKENS: &[&str] = &[
+            "logic",
+            "register",
+            "control",
+            "push",
+            "pop",
+            "edge",
+            "chain",
+            "a",
+            "b",
+            "c",
+            "->",
+            "!",
+            "#",
+            "marked",
+            "marked=true",
+            "marked=false",
+            "delay=1.5",
+            "delay=-1",
+            "delay=NaN",
+            "guard_mode=and",
+            "guard_mode=or",
+            "guard_mode=unanimous",
+            " ",
+            "\n",
+        ];
+        proptest::collection::vec((any::<bool>(), 0..TOKENS.len(), 0u8..128), 0..48).prop_map(
+            |pieces| {
+                pieces
+                    .into_iter()
+                    .map(|(token, i, c)| {
+                        if token {
+                            TOKENS[i].to_string()
+                        } else {
+                            char::from(c).to_string()
+                        }
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2_000))]
+
+        /// Token soup parses to a model or a typed error, never a panic.
+        #[test]
+        fn token_soup_never_panics(src in token_soup()) {
+            let _ = parse(&src);
+        }
+
+        /// So do arbitrary bytes, decoded lossily.
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96)) {
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
+    }
 }

@@ -6,7 +6,6 @@
 
 use crate::node::{Node, NodeId, NodeKind};
 use crate::DfsError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// How a node combines the values of several control guards.
@@ -16,7 +15,7 @@ use std::collections::HashMap;
 /// implement the Boolean-algebra extension mentioned (and deferred) by the
 /// paper: token synchronisation with AND/OR semantics instead of C-element
 /// unanimity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GuardMode {
     /// All guards must agree; a mismatch disables the node (C-element
     /// semantics). This is the paper's base behaviour.
@@ -31,7 +30,7 @@ pub enum GuardMode {
 /// An edge endpoint with the inversion parity accumulated along the logic
 /// path (inverting arcs are part of the Boolean-algebra extension; parity is
 /// `false` everywhere in base-model graphs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RRef {
     /// The register at the far end of the logic path.
     pub node: NodeId,
@@ -40,7 +39,7 @@ pub struct RRef {
 }
 
 /// A direct edge endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeRef {
     /// The adjacent node.
     pub node: NodeId,
@@ -49,7 +48,7 @@ pub struct EdgeRef {
 }
 
 /// An immutable dataflow structure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dfs {
     pub(crate) nodes: Vec<Node>,
     pub(crate) preds: Vec<Vec<EdgeRef>>,
@@ -61,7 +60,6 @@ pub struct Dfs {
     pub(crate) r_postset: Vec<Vec<RRef>>,
     /// Control registers in `?x`, for non-control `x`: the node's guards.
     pub(crate) guards: Vec<Vec<RRef>>,
-    #[serde(skip)]
     pub(crate) name_index: HashMap<String, NodeId>,
 }
 
@@ -154,18 +152,7 @@ impl Dfs {
         self.nodes.iter().filter(|n| n.initial.is_marked()).count()
     }
 
-    /// Rebuilds the name index (after deserialisation).
-    pub fn rebuild_name_index(&mut self) {
-        self.name_index = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.name.clone(), NodeId::from_index(i)))
-            .collect();
-    }
-
-    /// Validates structural well-formedness; called by the builder and
-    /// useful again after deserialisation.
+    /// Validates structural well-formedness; called by the builder.
     ///
     /// # Errors
     ///

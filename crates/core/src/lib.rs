@@ -18,7 +18,7 @@
 //!   insertion — [`optimize`],
 //! * the pipeline design methodology of §III (generic, static and
 //!   reconfigurable stages, Fig. 6) — [`pipelines`],
-//! * a textual DSL, DOT export and serde interchange — [`dsl`], [`mod@dot`],
+//! * a textual DSL and DOT export — [`dsl`], [`mod@dot`],
 //! * the wagging transformation (\[15\] in the paper) — [`wagging`].
 //!
 //! # Quick start
@@ -71,7 +71,7 @@ pub mod wagging;
 pub use builder::{DfsBuilder, NodeBuilder};
 pub use error::DfsError;
 pub use graph::{Dfs, EdgeRef, GuardMode, RRef};
-pub use lts::{node_rotation_symmetry, Lts, LtsStateId};
+pub use lts::{node_rotation_symmetry, Lts};
 pub use node::{InitialMarking, Node, NodeId, NodeKind, TokenValue};
 pub use semantics::{Event, GuardStatus};
 pub use state::DfsState;

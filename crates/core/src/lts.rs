@@ -10,9 +10,11 @@
 //! into two bit-planes (`active`, `false-valued`), and after each event
 //! only the events of *dependent* nodes — the event's own node plus
 //! everything reading it through data edges, R-presets/postsets or guards
-//! — are re-checked for enabledness. The seed explorer it replaced lives
-//! outside the library, in the dev-only `rap-oracle` crate, as the
-//! reference of the engine-equivalence property tests.
+//! — are re-checked for enabledness. The result is the engine's
+//! [`StateSpace`] labelled with [`Event`]s; [`Lts`] derefs to it and adds
+//! only DFS-state decoding. The seed explorer it replaced lives outside
+//! the library, in the dev-only `rap-oracle` crate, as the reference of
+//! the engine-equivalence property tests.
 //!
 //! Symmetric models (wagged replicas) can be explored as a rotation
 //! *quotient* via [`Lts::explore_with`] and a [`StateSymmetry`] built by
@@ -24,35 +26,27 @@ use crate::semantics::Event;
 use crate::state::DfsState;
 use crate::DfsError;
 use rap_petri::engine::{
-    self, get_bit, set_bit, ExploreConfig, ExploredGraph, StateSymmetry, TransitionSystem,
-    NO_PARENT,
+    self, get_bit, set_bit, ExploreConfig, StateId, StateSpace, StateSymmetry, TransitionSystem,
 };
+use std::ops::Deref;
 
-/// Dense id of a state in an [`Lts`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct LtsStateId(u32);
-
-impl LtsStateId {
-    /// Dense index of the state (0 = initial).
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// The reachable labelled transition system of a DFS model.
-///
-/// States live word-packed in the underlying [`ExploredGraph`];
-/// [`Lts::state`] materialises a [`DfsState`] snapshot on demand.
+/// The reachable labelled transition system of a DFS model: the engine's
+/// [`StateSpace`] labelled with [`Event`]s, which it derefs to for every
+/// shared accessor (successors, deadlocks, traces), plus the node count
+/// that decodes its states — [`Lts::state`] materialises a [`DfsState`]
+/// snapshot on demand.
 #[derive(Debug, Clone)]
 pub struct Lts {
+    space: StateSpace<Event>,
     node_count: usize,
-    graph: ExploredGraph,
-    actions: Vec<Event>,
-    succ: Vec<(Event, LtsStateId)>,
-    /// Present when this is a quotient LTS: the symmetry used to
-    /// canonicalize states, needed to make traces concrete again.
-    symmetry: Option<StateSymmetry>,
+}
+
+impl Deref for Lts {
+    type Target = StateSpace<Event>;
+
+    fn deref(&self) -> &StateSpace<Event> {
+        &self.space
+    }
 }
 
 impl Lts {
@@ -80,169 +74,39 @@ impl Lts {
     /// deadline, recorder), optionally as the rotation quotient under
     /// `symmetry` (build one with [`node_rotation_symmetry`]). Returns the
     /// partial LTS when the budget or the deadline cuts the exploration
-    /// ([`Lts::is_truncated`]).
+    /// ([`StateSpace::is_truncated`]).
     #[must_use]
     pub fn explore_with(dfs: &Dfs, cfg: &ExploreConfig, symmetry: Option<&StateSymmetry>) -> Lts {
-        let mut sys = DfsSystem::new(dfs);
-        let graph = engine::explore(&mut sys, cfg, symmetry);
-        Self::from_graph(graph, &sys, symmetry.cloned())
-    }
-
-    fn from_graph(
-        mut g: ExploredGraph,
-        sys: &DfsSystem<'_>,
-        symmetry: Option<StateSymmetry>,
-    ) -> Lts {
-        let succ = std::mem::take(&mut g.succ)
-            .into_iter()
-            .map(|(a, s)| (sys.actions[a as usize], LtsStateId(s)))
-            .collect();
         Lts {
-            node_count: sys.dfs.node_count(),
-            graph: g,
-            actions: sys.actions.clone(),
-            succ,
-            symmetry,
+            space: engine::explore(&mut DfsSystem::new(dfs), cfg, symmetry),
+            node_count: dfs.node_count(),
         }
-    }
-
-    /// Number of reachable states (orbit representatives for a quotient).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.graph.len()
-    }
-
-    /// Always false (the initial state exists); pairs with [`Lts::len`].
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
-    }
-
-    /// Was exploration cut short, by the state budget or the deadline?
-    #[must_use]
-    pub fn is_truncated(&self) -> bool {
-        self.graph.is_truncated()
-    }
-
-    /// How exploration ended (carries the budget or deadline that cut it).
-    #[must_use]
-    pub fn outcome(&self) -> engine::ExploreOutcome {
-        self.graph.outcome()
-    }
-
-    /// The symmetry this LTS is a quotient under, if any.
-    #[must_use]
-    pub fn symmetry(&self) -> Option<&StateSymmetry> {
-        self.symmetry.as_ref()
-    }
-
-    /// The initial state id.
-    #[must_use]
-    pub fn initial(&self) -> LtsStateId {
-        LtsStateId(0)
     }
 
     /// The state snapshot for `id`, decoded from the state arena.
     #[must_use]
-    pub fn state(&self, id: LtsStateId) -> DfsState {
-        let mut out = DfsState {
-            active: vec![false; self.node_count],
-            value: vec![TokenValue::True; self.node_count],
-        };
-        self.fill_state(id, &mut out);
+    pub fn state(&self, id: StateId) -> DfsState {
+        let mut out = self.decode_buffer();
+        DfsSystem::decode_words(self.words(id), self.node_count, &mut out);
         out
-    }
-
-    /// Decodes the state `id` into `out`. `out` must come from the same
-    /// model (same node count).
-    pub fn fill_state(&self, id: LtsStateId, out: &mut DfsState) {
-        assert_eq!(out.active.len(), self.node_count, "state buffer mismatch");
-        DfsSystem::decode_words(self.graph.state(id.index()), self.node_count, out);
-    }
-
-    /// Iterates over all state ids.
-    pub fn states(&self) -> impl Iterator<Item = LtsStateId> {
-        (0..self.graph.len() as u32).map(LtsStateId)
-    }
-
-    /// Outgoing labelled edges of `id`.
-    #[must_use]
-    pub fn successors(&self, id: LtsStateId) -> &[(Event, LtsStateId)] {
-        let i = id.index();
-        &self.succ[self.graph.succ_off[i] as usize..self.graph.succ_off[i + 1] as usize]
-    }
-
-    /// Event sequence from the initial state to `id`.
-    ///
-    /// For a quotient LTS this trace is over orbit *representatives*; use
-    /// [`Lts::concrete_trace_to`] for a replayable sequence of the original
-    /// model.
-    #[must_use]
-    pub fn trace_to(&self, id: LtsStateId) -> Vec<Event> {
-        self.graph
-            .trace_to(id.index())
-            .into_iter()
-            .map(|a| self.actions[a as usize])
-            .collect()
-    }
-
-    /// The symmetry rotation applied when `id` was canonicalized at
-    /// discovery (always 0 outside quotient LTSs).
-    #[must_use]
-    pub fn rotation(&self, id: LtsStateId) -> u32 {
-        self.graph.rotation(id.index())
-    }
-
-    /// An event sequence of the *original* model from its concrete initial
-    /// state to a concrete member of `id`'s orbit. Falls back to
-    /// [`Lts::trace_to`] when this is not a quotient LTS.
-    ///
-    /// Each quotient step fires in the representative's frame; un-rotating
-    /// by the cumulative rotation accumulated along the discovery path
-    /// yields the concrete event — see the soundness argument in the
-    /// [`rap_petri::engine`] docs.
-    #[must_use]
-    pub fn concrete_trace_to(&self, id: LtsStateId) -> Vec<Event> {
-        let Some(sym) = &self.symmetry else {
-            return self.trace_to(id);
-        };
-        let mut path = vec![id.index()];
-        while self.graph.parents[*path.last().expect("non-empty path")].0 != NO_PARENT {
-            path.push(self.graph.parents[*path.last().expect("non-empty path")].0 as usize);
-        }
-        path.reverse();
-        let order = sym.order() as u32;
-        let mut rot = self.graph.rotation(path[0]);
-        let mut out = Vec::with_capacity(path.len() - 1);
-        for &child in &path[1..] {
-            let a = self.graph.parents[child].1;
-            out.push(self.actions[sym.unrotate_action(rot, a) as usize]);
-            rot = (rot + self.graph.rotation(child)) % order;
-        }
-        out
-    }
-
-    /// The deadlocks: states with no enabled event, ascending, as the
-    /// explorer recorded them on discovery ([`ExploredGraph::dead`] — the
-    /// same definition as `rap_petri::analysis::find_deadlocks`). Exact on
-    /// a truncated LTS too, whose unexpanded frontier states have no edges
-    /// but are not dead.
-    #[must_use]
-    pub fn deadlocks(&self) -> Vec<LtsStateId> {
-        self.graph.dead().iter().map(|&s| LtsStateId(s)).collect()
     }
 
     /// Finds a state satisfying `pred`, in BFS (shortest-trace) order,
     /// decoding into a single reused buffer.
-    pub fn find_state(&self, mut pred: impl FnMut(&DfsState) -> bool) -> Option<LtsStateId> {
-        let mut scratch = DfsState {
-            active: vec![false; self.node_count],
-            value: vec![TokenValue::True; self.node_count],
-        };
+    pub fn find_state(&self, mut pred: impl FnMut(&DfsState) -> bool) -> Option<StateId> {
+        let mut scratch = self.decode_buffer();
         self.states().find(|&s| {
-            self.fill_state(s, &mut scratch);
+            DfsSystem::decode_words(self.words(s), self.node_count, &mut scratch);
             pred(&scratch)
         })
+    }
+
+    /// A state buffer of this model's width; decoding overwrites it.
+    fn decode_buffer(&self) -> DfsState {
+        DfsState {
+            active: vec![false; self.node_count],
+            value: vec![TokenValue::True; self.node_count],
+        }
     }
 }
 
@@ -506,12 +370,14 @@ impl<'a> DfsSystem<'a> {
 }
 
 impl TransitionSystem for DfsSystem<'_> {
-    fn state_words(&self) -> usize {
-        Self::stride_for(self.dfs.node_count())
+    type Action = Event;
+
+    fn state_bits(&self) -> usize {
+        Self::stride_for(self.dfs.node_count()) * 64
     }
 
-    fn action_count(&self) -> usize {
-        self.actions.len()
+    fn actions(&self) -> &[Event] {
+        &self.actions
     }
 
     fn write_initial(&mut self, out: &mut [u64]) {
@@ -657,7 +523,7 @@ mod tests {
         let dfs = ring();
         let partial = Lts::explore_with(&dfs, &cfg(2), None);
         assert!(partial.is_truncated());
-        assert!(partial.successors(LtsStateId(1)).is_empty());
+        assert!(partial.successors(StateId::from_index(1)).is_empty());
         assert!(partial.deadlocks().is_empty());
     }
 

@@ -1,12 +1,11 @@
 //! Node kinds of the DFS model (Fig. 2 of the paper).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node within a [`crate::Dfs`] graph.
 ///
 /// Dense indices in insertion order, meaningful only for the owning graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -32,7 +31,7 @@ impl fmt::Display for NodeId {
 
 /// The five DFS node types (Fig. 2): the two *static* kinds inherited from
 /// SDFS, and the three *dynamic* register kinds that model reconfiguration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// Combinational dataflow component (eq. (1)).
     Logic,
@@ -83,7 +82,7 @@ impl fmt::Display for NodeKind {
 /// [`TokenValue::True`] means "received while true-controlled — behaving as a
 /// static register" (the paper's `Mt`), and [`TokenValue::False`] means the
 /// token is being destroyed (push) or is an empty bypass token (pop).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TokenValue {
     /// `Mt` — true / static-behaving token.
     True,
@@ -126,7 +125,7 @@ impl fmt::Display for TokenValue {
 
 /// Initial token state of a register node (the `M0` component of
 /// `DFS = ⟨V, E, M0⟩`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InitialMarking {
     /// No token.
     Empty,
@@ -158,7 +157,7 @@ impl InitialMarking {
 
 /// A DFS node: name, kind, initial marking and a latency used by the timed
 /// simulator and the performance analyser (Fig. 5).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Unique name within the graph.
     pub name: String,

@@ -2,7 +2,6 @@
 
 use crate::graph::Dfs;
 use crate::node::{NodeId, NodeKind, TokenValue};
-use serde::{Deserialize, Serialize};
 
 /// A snapshot of all node state variables.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// Values of unmarked registers are canonicalised to [`TokenValue::True`] so
 /// that state hashing does not distinguish states that differ only in stale
 /// values.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DfsState {
     /// Indexed by node: `C` for logic nodes, `M` for registers.
     pub(crate) active: Vec<bool>,

@@ -148,7 +148,7 @@ fn control_mismatch(dfs: &Dfs, img: &PetriImage, space: &StateSpace) -> Option<C
     if clauses.is_empty() {
         return None;
     }
-    let source = clauses.join(" | ");
+    let source = any_of(&clauses);
     let predicate = Predicate::parse(&source).expect("generated predicate parses");
     let compiled = predicate
         .compile(&img.net)
@@ -157,6 +157,20 @@ fn control_mismatch(dfs: &Dfs, img: &PetriImage, space: &StateSpace) -> Option<C
         trace: trace_labels(img, &w.trace),
         reason: "control mismatch: True and False guard tokens visible simultaneously".to_string(),
     })
+}
+
+/// The disjunction of `clauses` (non-empty), split into parenthesised
+/// halves: its tree grows with the log of the clause count, so a model
+/// with thousands of guard pairs stays inside the Reach parser's depth
+/// bound, which a flat left-deep `a | b | …` chain would not.
+fn any_of(clauses: &[String]) -> String {
+    match clauses {
+        [one] => one.clone(),
+        _ => {
+            let (left, right) = clauses.split_at(clauses.len() / 2);
+            format!("({}) | ({})", any_of(left), any_of(right))
+        }
+    }
 }
 
 /// The value-place name asserting guard `g` effectively reads `want`.

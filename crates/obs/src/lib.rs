@@ -105,12 +105,6 @@ pub struct SpanId(u32);
 impl SpanId {
     /// The implicit root every top-level span is parented under.
     pub const ROOT: SpanId = SpanId(0);
-
-    /// Raw index of this node in the recorder's span table.
-    #[must_use]
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
 }
 
 /// Sink for spans, counters, gauges, latency observations and provenance

@@ -9,10 +9,8 @@
 //! We use a 64-bit multiply-accumulate mix (order-sensitive, so any
 //! reordering or dropped output is detected).
 
-use serde::{Deserialize, Serialize};
-
 /// Order-sensitive checksum accumulator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Accumulator {
     state: u64,
     count: u64,

@@ -6,10 +6,8 @@
 //! polynomial `x³² + x²² + x² + x + 1` (mask `0x8020_0003`), emitting
 //! 16-bit data items from the low half of the state.
 
-use serde::{Deserialize, Serialize};
-
 /// Maximal-length 32-bit Galois LFSR.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Lfsr {
     state: u32,
 }

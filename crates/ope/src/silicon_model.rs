@@ -25,10 +25,9 @@
 
 use rap_silicon::delay::{DelayModel, VoltageProfile};
 use rap_silicon::power::PowerTrace;
-use serde::{Deserialize, Serialize};
 
 /// Stage-synchronisation structure (§IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncStyle {
     /// Linear C-element chain over the active stages — the fabricated
     /// prototype's structure ("inefficient implementation of the
@@ -56,7 +55,7 @@ pub enum PipelineKind {
 }
 
 /// The calibrated chip model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChipTimingModel {
     /// Voltage→delay scaling.
     pub delay: DelayModel,

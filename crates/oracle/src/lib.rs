@@ -19,8 +19,8 @@
 //! They read the models only through their public firing rules
 //! ([`PetriNet::initial_marking`], [`PetriNet::is_enabled`],
 //! [`PetriNet::fire`]; [`DfsState::initial`], [`Dfs::enabled_events`],
-//! [`Dfs::apply`]). They return plain vectors ([`Explored`]), never a
-//! `StateSpace`, an `Lts` or an `ExploredGraph`, so a defect in one of the
+//! [`Dfs::apply`]). They return plain vectors ([`Explored`]), never the
+//! engine's `StateSpace` (which an `Lts` wraps), so a defect in one of the
 //! engine's accessors cannot show up on the oracle's side too.
 
 #![forbid(unsafe_code)]

@@ -8,7 +8,7 @@
 //!
 //! Deadness has one definition here, shared with `dfs-core`'s `Lts`: a
 //! state is dead when its enabled set was empty as the explorer committed
-//! it ([`StateSpace::dead_states`]). No analysis re-derives it from "no
+//! it ([`StateSpace::deadlocks`]). No analysis re-derives it from "no
 //! recorded successors", which would also match the unexpanded frontier
 //! of a truncated exploration.
 
@@ -34,13 +34,14 @@ pub struct Deadlock {
 /// Returns all dead states (often one suffices for debugging, but incorrect
 /// control initialisation in DFS models typically produces families of dead
 /// states; reporting them all mirrors the tool's behaviour). Reads the
-/// explorer's dead list ([`StateSpace::dead_states`]), so a truncated space
+/// explorer's dead list ([`StateSpace::deadlocks`]), so a truncated space
 /// reports only states that are really dead, never its unexpanded frontier.
 #[must_use]
 pub fn find_deadlocks(space: &StateSpace) -> Vec<Deadlock> {
     space
-        .dead_states()
-        .map(|s| Deadlock {
+        .deadlocks()
+        .iter()
+        .map(|&s| Deadlock {
             state: s,
             marking: space.marking(s),
             trace: space.trace_to(s),
@@ -84,7 +85,6 @@ pub fn find_persistence_violations(
     // every ordered pair of concurrently enabled transitions, so avoiding a
     // Marking materialisation per probe matters on large spaces
     let inc = crate::engine::Incidence::from_net(net);
-    let mut after_words = vec![0u64; space.word_count()];
     let mut out = Vec::new();
     for s in space.states() {
         let succs = space.successors(s);
@@ -92,12 +92,12 @@ pub fn find_persistence_violations(
             continue;
         }
         for &(disabler, after) in succs {
-            space.fill_marking_words(after, &mut after_words);
+            let after_words = space.words(after);
             for &(enabled, _) in succs {
                 if enabled == disabler {
                     continue;
                 }
-                if inc.is_enabled(enabled, &after_words) {
+                if inc.is_enabled(enabled, after_words) {
                     continue;
                 }
                 if allowed_conflicts(enabled, disabler) {
@@ -187,7 +187,7 @@ impl QuickCheck {
 /// Truncation is handled soundly in both directions: a violation found in
 /// the prefix is a real violation of the net, and a deadlock is a state
 /// whose enabled set the engine found empty when it committed the state
-/// ([`StateSpace::dead_states`]) — an unexpanded frontier state of a
+/// ([`StateSpace::deadlocks`]) — an unexpanded frontier state of a
 /// truncated exploration is *not* a counterexample. When the budget was
 /// hit and nothing was found, the verdicts say
 /// [`QuickVerdict::Inconclusive`] instead of over-claiming.
@@ -288,7 +288,7 @@ fn verdicts_over(
 ) -> QuickCheck {
     let truncated = space.is_truncated();
 
-    let deadlock = space.dead_states().next().map(|s| Deadlock {
+    let deadlock = space.deadlocks().first().map(|&s| Deadlock {
         state: s,
         marking: space.concrete_marking(s),
         trace: space.concrete_trace_to(s),
@@ -328,12 +328,11 @@ pub fn check_complementary_pairs(
     space: &StateSpace,
     pairs: &[(crate::PlaceId, crate::PlaceId)],
 ) -> Option<(StateId, usize)> {
-    let mut words = vec![0u64; space.word_count()];
     for s in space.states() {
-        space.fill_marking_words(s, &mut words);
+        let words = space.words(s);
         for (i, &(p0, p1)) in pairs.iter().enumerate() {
-            if crate::engine::get_bit(&words, p0.index())
-                == crate::engine::get_bit(&words, p1.index())
+            if crate::engine::get_bit(words, p0.index())
+                == crate::engine::get_bit(words, p1.index())
             {
                 return Some((s, i));
             }

@@ -13,6 +13,15 @@
 //! `rap-oracle` crate, which return plain vectors and share none of this
 //! module's code.
 //!
+//! Its result is the one state-space type of the workspace,
+//! [`StateSpace<A>`](StateSpace), generic over the edge label: the engine
+//! labels each edge with the system's action ([`TransitionSystem::Action`])
+//! as it commits it, and every accessor the two backends share — counts,
+//! successors, dead list, raw state words, traces and rotations — is
+//! defined on it once. Marking accessors are added for nets in
+//! [`crate::reachability`]; `dfs-core`'s `Lts` wraps a `StateSpace<Event>`
+//! with DFS-state decoding.
+//!
 //! The driver is serial. Parallelism lives one level up, in the design-space
 //! driver (`rap-dse`), whose workers evaluate independent candidates and so
 //! need no determinism machinery.
@@ -29,7 +38,7 @@
 //!
 //! The driver holds each state's enabled set at the moment it commits the
 //! state, so it records there, once, whether that set is empty.
-//! [`ExploredGraph::dead`] is the resulting ascending list of dead states.
+//! [`StateSpace::deadlocks`] is the resulting ascending list of dead states.
 //! It covers *every* committed state, frontier states of a truncated run
 //! included, so "dead" never has to be re-derived from the edge list, where
 //! an unexpanded frontier state and a deadlock look alike. In a quotient the
@@ -50,14 +59,14 @@
 //! quotient iff they hold in the full space. Each state records the
 //! rotation applied at its discovery, so concrete (replayable) witness
 //! traces are reconstructed by un-rotating each step's action
-//! ([`StateSymmetry::unrotate_action`]).
+//! ([`StateSymmetry::unrotate_action`], [`StateSpace::concrete_trace_to`]).
 
 use crate::{PetriNet, TransitionId};
 use rap_obs::Obs;
 use std::time::{Duration, Instant};
 
-/// Sentinel parent id of the initial state in [`ExploredGraph::parents`].
-pub const NO_PARENT: u32 = u32::MAX;
+/// Sentinel parent id of the initial state.
+const NO_PARENT: u32 = u32::MAX;
 
 /// Is the word-packed enabled set `en` empty?
 #[inline]
@@ -85,19 +94,24 @@ pub fn set_bit(words: &mut [u64], i: usize, v: bool) {
 
 /// A transition system whose states are fixed-width `u64` bitset slices.
 ///
-/// All slices handed to the methods have length `state_words().max(1)`
-/// (states) or `action_count().div_ceil(64).max(1)` (enabled sets); unused
-/// high bits are zero and must stay zero.
+/// All slices handed to the methods have length
+/// `state_bits().div_ceil(64).max(1)` (states) or
+/// `actions().len().div_ceil(64).max(1)` (enabled sets); unused high bits
+/// are zero and must stay zero.
 ///
 /// Methods take `&mut self` so implementations can keep decode/scratch
 /// buffers without interior mutability; [`explore`] borrows the one
 /// instance for the whole run.
 pub trait TransitionSystem {
-    /// Number of `u64` words a state occupies.
-    fn state_words(&self) -> usize;
+    /// The edge label of the explored [`StateSpace`].
+    type Action: Copy;
 
-    /// Total number of actions (enabled-set width in bits).
-    fn action_count(&self) -> usize;
+    /// Number of bits a state occupies.
+    fn state_bits(&self) -> usize;
+
+    /// The action table: action `a` of the methods below is labelled
+    /// `actions()[a]` (its length is the enabled-set width in bits).
+    fn actions(&self) -> &[Self::Action];
 
     /// Writes the initial state into `out` (pre-zeroed).
     fn write_initial(&mut self, out: &mut [u64]);
@@ -168,9 +182,10 @@ pub struct ExploreConfig {
     /// key.
     pub deadline: Option<Duration>,
     /// Recorder the exploration reports into: one `engine.explore` span
-    /// around the run, and after it the [`EngineStats`] counters and the
+    /// around the run, and after it the `engine.levels`, `engine.states`,
+    /// `engine.edges` and `engine.dedup.known` counters and the
     /// `engine.frontier.peak` gauge. Detached by default. Recording is
-    /// observation-only: the explored graph is bit-identical with or
+    /// observation-only: the explored space is bit-identical with or
     /// without a recorder.
     pub obs: Obs,
 }
@@ -185,68 +200,72 @@ impl Default for ExploreConfig {
     }
 }
 
-/// View over the engine's `rap-obs` counters after an exploration recorded
-/// into a live collector ([`ExploreConfig::obs`]) — the engine-side
-/// member of the workspace's unified stats family (`SessionStats`,
-/// `StoreStats`, `SweepStats` are views the same way).
-///
-/// Recording is observation-only: a traced run produces a bit-identical
-/// graph to an untraced one; these counters merely describe it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// BFS levels processed (`engine.levels`).
-    pub levels: u64,
-    /// Distinct states committed (`engine.states`).
-    pub states: u64,
-    /// Edges committed (`engine.edges`).
-    pub edges: u64,
-    /// Edges whose target was already committed in an earlier level
-    /// (`engine.dedup.known`).
-    pub dedup_known: u64,
-}
+/// Dense id of a state discovered during exploration, in BFS discovery
+/// order (0 = initial state).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct StateId(u32);
 
-impl EngineStats {
-    /// Builds the view from a coherent counter snapshot (taxonomy names in
-    /// the field docs above). Counters accumulate across explorations
-    /// recorded into the same collector.
+impl StateId {
+    /// Dense index of the state (0 = initial state).
     #[must_use]
-    pub fn from_counters(c: &rap_obs::CounterSnapshot) -> EngineStats {
-        EngineStats {
-            levels: c.get("engine.levels"),
-            states: c.get("engine.states"),
-            edges: c.get("engine.edges"),
-            dedup_known: c.get("engine.dedup.known"),
-        }
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    /// Builds a `StateId` from a raw index (see [`PlaceId::from_index`]
+    /// for the caveats: only meaningful against the space that issued the
+    /// index — used by persistence layers that round-trip witnesses).
+    ///
+    /// [`PlaceId::from_index`]: crate::PlaceId::from_index
+    #[must_use]
+    pub fn from_index(index: usize) -> Self {
+        StateId(u32::try_from(index).expect("state index exceeds u32"))
     }
 }
 
-/// The reachable graph produced by [`explore`]: a dense state arena plus
-/// parent links and a CSR successor list, all keyed by dense state ids in
-/// BFS discovery order (0 = initial state).
+/// The reachable state space produced by [`explore`], its edges labelled
+/// with the system's actions `A` ([`TransitionSystem::Action`]):
+/// [`TransitionId`]s for a net, `Event`s for the DFS semantics.
+///
+/// A dense state arena plus parent links, a CSR successor list and the dead
+/// list, all keyed by [`StateId`]s in BFS discovery order. A quotient space
+/// also keeps the symmetry it was explored under and each state's discovery
+/// rotation, so its traces can be made concrete
+/// ([`StateSpace::concrete_trace_to`]). The Petri-only accessors (markings)
+/// live in [`crate::reachability`]; `dfs-core`'s `Lts` adds DFS-state
+/// decoding on top of a `StateSpace<Event>`.
 #[derive(Debug, Clone)]
-pub struct ExploredGraph {
+pub struct StateSpace<A = TransitionId> {
+    /// Bits per state as the system declared them
+    /// ([`TransitionSystem::state_bits`]) — a net's place count.
+    pub(crate) bits: usize,
     /// Words per state (≥ 1 even for zero-width states).
     stride: usize,
     /// State `i` occupies `arena[i * stride..(i + 1) * stride]`.
     arena: Vec<u64>,
-    /// Per state: `(parent, action)`; the initial state has parent
-    /// [`NO_PARENT`].
-    pub parents: Vec<(u32, u32)>,
+    /// Per state: `(parent, action index)`; the initial state has parent
+    /// `NO_PARENT`.
+    parents: Vec<(u32, u32)>,
     /// Per state: the symmetry rotation applied at discovery (empty when
     /// exploring without symmetry — all rotations are then 0).
     rotations: Vec<u16>,
     /// CSR offsets into `succ`, one entry per state plus a final sentinel.
-    pub succ_off: Vec<u32>,
+    succ_off: Vec<u32>,
     /// Outgoing edges `(action, successor)` in firing order.
-    pub succ: Vec<(u32, u32)>,
+    succ: Vec<(A, StateId)>,
     /// Ascending ids of the states with an empty enabled set.
-    dead: Vec<u32>,
+    dead: Vec<StateId>,
     /// How exploration ended.
     outcome: ExploreOutcome,
+    /// The system's action table: raw action `a` is labelled `actions[a]`.
+    actions: Vec<A>,
+    /// The symmetry this space is a quotient under, if any.
+    symmetry: Option<StateSymmetry>,
 }
 
-impl ExploredGraph {
-    /// Number of states discovered.
+impl<A: Copy> StateSpace<A> {
+    /// Number of states discovered (orbit representatives for a quotient
+    /// space).
     #[must_use]
     pub fn len(&self) -> usize {
         self.parents.len()
@@ -259,72 +278,149 @@ impl ExploredGraph {
         self.parents.is_empty()
     }
 
-    /// Words per state.
-    #[must_use]
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// How exploration ended.
-    #[must_use]
-    pub fn outcome(&self) -> ExploreOutcome {
-        self.outcome
-    }
-
-    /// Did exploration stop early, on the state budget or the deadline?
+    /// Did exploration stop early, on [`ExploreConfig::max_states`] or
+    /// [`ExploreConfig::deadline`]?
     #[must_use]
     pub fn is_truncated(&self) -> bool {
         self.outcome.is_truncated()
     }
 
-    /// The states with no enabled action, ascending — recorded as each
-    /// state was committed, so unexpanded frontier states of a truncated
-    /// run are never mistaken for deadlocks.
+    /// How exploration ended (carries the budget or deadline that cut it).
     #[must_use]
-    pub fn dead(&self) -> &[u32] {
-        &self.dead
+    pub fn outcome(&self) -> ExploreOutcome {
+        self.outcome
     }
 
-    /// The bitset words of state `i` (exactly `stride` words).
+    /// The symmetry this space is a quotient under, if any.
     #[must_use]
-    pub fn state(&self, i: usize) -> &[u64] {
-        &self.arena[i * self.stride..(i + 1) * self.stride]
+    pub fn symmetry(&self) -> Option<&StateSymmetry> {
+        self.symmetry.as_ref()
     }
 
-    /// Outgoing edges `(action, successor)` of state `i`.
+    /// The initial state.
     #[must_use]
-    pub fn successors(&self, i: usize) -> &[(u32, u32)] {
+    pub fn initial(&self) -> StateId {
+        StateId(0)
+    }
+
+    /// Iterates over all states, in BFS discovery order.
+    pub fn states(&self) -> impl Iterator<Item = StateId> {
+        (0..self.parents.len() as u32).map(StateId)
+    }
+
+    /// Outgoing edges `(action, successor)` of `state`, in firing order.
+    #[must_use]
+    pub fn successors(&self, state: StateId) -> &[(A, StateId)] {
+        let i = state.index();
         &self.succ[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
     }
 
-    /// Action sequence from the initial state to state `i` (over quotient
-    /// representatives when exploring with symmetry — see
-    /// [`ExploredGraph::rotation`] for making such a trace concrete).
+    /// The word-packed bits of `state` (the same width for every state).
     #[must_use]
-    pub fn trace_to(&self, i: usize) -> Vec<u32> {
-        let mut rev = Vec::new();
-        let mut cur = i;
-        while self.parents[cur].0 != NO_PARENT {
-            let (p, a) = self.parents[cur];
-            rev.push(a);
-            cur = p as usize;
-        }
-        rev.reverse();
-        rev
+    pub fn words(&self, state: StateId) -> &[u64] {
+        let i = state.index();
+        &self.arena[i * self.stride..(i + 1) * self.stride]
     }
 
-    /// The symmetry rotation applied when state `i` was canonicalized at
-    /// discovery (0 without symmetry).
+    /// The dead states — no action enabled — in ascending order, recorded
+    /// as each state was committed (see the [module docs](self)). Exact on
+    /// truncated spaces too: an unexpanded frontier state has no recorded
+    /// successors but is listed only if it is really dead. For a quotient
+    /// space these are dead representatives (deadness is orbit-invariant).
     #[must_use]
-    pub fn rotation(&self, i: usize) -> u32 {
-        self.rotations.get(i).copied().map_or(0, u32::from)
+    pub fn deadlocks(&self) -> &[StateId] {
+        &self.dead
+    }
+
+    /// The symmetry rotation applied when `state` was canonicalized at
+    /// discovery (always 0 outside quotient spaces).
+    #[must_use]
+    pub fn rotation(&self, state: StateId) -> u32 {
+        self.rotations
+            .get(state.index())
+            .copied()
+            .map_or(0, u32::from)
+    }
+
+    /// Action sequence from the initial state to `state`.
+    ///
+    /// For a quotient space this trace is over orbit *representatives* — it
+    /// replays in the quotient, not necessarily from the system's concrete
+    /// initial state. Use [`StateSpace::concrete_trace_to`] for a sequence
+    /// of the original system.
+    #[must_use]
+    pub fn trace_to(&self, state: StateId) -> Vec<A> {
+        self.path(state)[1..]
+            .iter()
+            .map(|s| self.actions[self.parents[s.index()].1 as usize])
+            .collect()
+    }
+
+    /// An action sequence of the *original* system from its concrete
+    /// initial state to a concrete member of `state`'s orbit. Equals
+    /// [`StateSpace::trace_to`] when this is not a quotient space.
+    ///
+    /// Each quotient step fires action `a` in the representative's frame;
+    /// un-rotating by the cumulative rotation `R` accumulated along the
+    /// path (`b = g^-R(a)`, then `R +=` the step's canonicalization
+    /// rotation) yields the concrete action — see the soundness argument in
+    /// the [module docs](self).
+    #[must_use]
+    pub fn concrete_trace_to(&self, state: StateId) -> Vec<A> {
+        let Some(sym) = &self.symmetry else {
+            return self.trace_to(state);
+        };
+        let path = self.path(state);
+        let order = sym.order() as u32;
+        let mut rot = self.rotation(path[0]);
+        path[1..]
+            .iter()
+            .map(|&s| {
+                let a = sym.unrotate_action(rot, self.parents[s.index()].1);
+                rot = (rot + self.rotation(s)) % order;
+                self.actions[a as usize]
+            })
+            .collect()
+    }
+
+    /// The bits of the concrete state [`StateSpace::concrete_trace_to`]
+    /// reaches: `state`'s representative un-rotated by the cumulative
+    /// rotation along its discovery path (a plain copy outside quotient
+    /// spaces).
+    pub(crate) fn concrete_words(&self, state: StateId) -> Vec<u64> {
+        let words = self.words(state);
+        let Some(sym) = &self.symmetry else {
+            return words.to_vec();
+        };
+        let order = sym.order() as u32;
+        let rot = self
+            .path(state)
+            .into_iter()
+            .fold(0, |rot, s| (rot + self.rotation(s)) % order);
+        let mut out = vec![0u64; words.len()];
+        sym.unapply_state(rot, words, &mut out);
+        out
+    }
+
+    /// The discovery path of `state`: the states from the initial state to
+    /// `state`, each the parent of the next.
+    fn path(&self, state: StateId) -> Vec<StateId> {
+        let mut path = vec![state];
+        loop {
+            let (parent, _) = self.parents[path[path.len() - 1].index()];
+            if parent == NO_PARENT {
+                break;
+            }
+            path.push(StateId(parent));
+        }
+        path.reverse();
+        path
     }
 }
 
 /// Multiplicative word mixer (splitmix-style) over a state slice.
 #[inline]
-#[must_use]
-pub fn hash_words(words: &[u64]) -> u64 {
+fn hash_words(words: &[u64]) -> u64 {
     let mut h = 0x9E37_79B9_7F4A_7C15u64;
     for &w in words {
         h ^= w.wrapping_mul(0xA24B_AED4_963E_E407);
@@ -416,12 +512,14 @@ pub fn explore<S: TransitionSystem>(
     sys: &mut S,
     cfg: &ExploreConfig,
     symmetry: Option<&StateSymmetry>,
-) -> ExploredGraph {
+) -> StateSpace<S::Action> {
     let _span = cfg.obs.span("engine.explore");
     let started = Instant::now();
     let max_states = cfg.max_states;
-    let stride = sys.state_words().max(1);
-    let astride = sys.action_count().div_ceil(64).max(1);
+    let bits = sys.state_bits();
+    let stride = bits.div_ceil(64).max(1);
+    let actions = sys.actions().to_vec();
+    let astride = actions.len().div_ceil(64).max(1);
     let sym = symmetry.filter(|s| s.order() > 1);
     if let Some(sy) = sym {
         assert!(
@@ -429,7 +527,7 @@ pub fn explore<S: TransitionSystem>(
             "symmetry permutes more bits than the state holds"
         );
         assert!(
-            sy.action_bits() >= sys.action_count() && sy.action_bits() <= astride * 64,
+            sy.action_bits() >= actions.len() && sy.action_bits() <= astride * 64,
             "symmetry must cover every action"
         );
     }
@@ -455,14 +553,14 @@ pub fn explore<S: TransitionSystem>(
 
     let mut parents: Vec<(u32, u32)> = vec![(NO_PARENT, 0)];
     let mut succ_off: Vec<u32> = vec![0];
-    let mut succ: Vec<(u32, u32)> = Vec::new();
+    let mut succ: Vec<(S::Action, StateId)> = Vec::new();
     let mut table = DedupTable::new();
     table.insert(hash_words(&arena[..stride]), 0, &arena, stride);
 
     let mut outcome = ExploreOutcome::Complete;
-    let mut dead: Vec<u32> = Vec::new();
+    let mut dead: Vec<StateId> = Vec::new();
     if none_enabled(&en_arena) {
-        dead.push(0);
+        dead.push(StateId(0));
     }
     // observability tallies, flushed to the recorder once after the run
     let mut levels = 0u64;
@@ -524,7 +622,7 @@ pub fn explore<S: TransitionSystem>(
                             };
                             en_arena.extend_from_slice(en);
                             if none_enabled(en) {
-                                dead.push(id);
+                                dead.push(StateId(id));
                             }
                             parents.push((s as u32, a as u32));
                             if sym.is_some() {
@@ -536,7 +634,7 @@ pub fn explore<S: TransitionSystem>(
                             id
                         }
                     };
-                    succ.push((a as u32, id));
+                    succ.push((actions[a], StateId(id)));
                 }
             }
             succ_off.push(succ.len() as u32);
@@ -564,7 +662,8 @@ pub fn explore<S: TransitionSystem>(
         #[allow(clippy::cast_precision_loss)]
         obs.gauge("engine.frontier.peak", peak_frontier as f64);
     }
-    ExploredGraph {
+    StateSpace {
+        bits,
         stride,
         arena,
         parents,
@@ -573,6 +672,8 @@ pub fn explore<S: TransitionSystem>(
         succ,
         dead,
         outcome,
+        actions,
+        symmetry: symmetry.cloned(),
     }
 }
 
@@ -971,6 +1072,8 @@ impl Incidence {
 pub struct NetSystem {
     inc: Incidence,
     initial: Vec<u64>,
+    places: usize,
+    transitions: Vec<TransitionId>,
 }
 
 impl NetSystem {
@@ -984,7 +1087,12 @@ impl NetSystem {
                 set_bit(&mut initial, p.index(), true);
             }
         }
-        NetSystem { inc, initial }
+        NetSystem {
+            inc,
+            initial,
+            places: net.place_count(),
+            transitions: net.transitions().collect(),
+        }
     }
 
     /// The underlying incidence index.
@@ -995,12 +1103,14 @@ impl NetSystem {
 }
 
 impl TransitionSystem for NetSystem {
-    fn state_words(&self) -> usize {
-        self.inc.marking_words()
+    type Action = TransitionId;
+
+    fn state_bits(&self) -> usize {
+        self.places
     }
 
-    fn action_count(&self) -> usize {
-        self.inc.transition_count()
+    fn actions(&self) -> &[TransitionId] {
+        &self.transitions
     }
 
     fn write_initial(&mut self, out: &mut [u64]) {
@@ -1065,8 +1175,8 @@ mod tests {
         let inc = Incidence::from_net(&net);
         let mut sys = NetSystem::new(&net);
         let g = explore(&mut sys, &cfg(1_000), None);
-        for i in 0..g.len() {
-            let words = g.state(i);
+        for s in g.states() {
+            let words = g.words(s);
             let m = marking_of(&net, words);
             for t in net.transitions() {
                 assert_eq!(inc.is_enabled(t, words), net.is_enabled(t, &m));
@@ -1080,9 +1190,9 @@ mod tests {
         let inc = Incidence::from_net(&net);
         let mut sys = NetSystem::new(&net);
         let g = explore(&mut sys, &cfg(1_000), None);
-        let mut dst = vec![0u64; g.stride()];
-        for i in 0..g.len() {
-            let words = g.state(i);
+        let mut dst = vec![0u64; g.words(g.initial()).len()];
+        for s in g.states() {
+            let words = g.words(s);
             let m = marking_of(&net, words);
             for t in net.transitions() {
                 if inc.is_enabled(t, words) {
@@ -1101,9 +1211,9 @@ mod tests {
         let inc = Incidence::from_net(&net);
         let mut sys = NetSystem::new(&net);
         let g = explore(&mut sys, &cfg(1_000), None);
-        let mut dst = vec![0u64; g.stride()];
-        for i in 0..g.len() {
-            let words = g.state(i);
+        let mut dst = vec![0u64; g.words(g.initial()).len()];
+        for s in g.states() {
+            let words = g.words(s);
             for t in net.transitions() {
                 if !inc.is_enabled(t, words) {
                     continue;
@@ -1140,7 +1250,10 @@ mod tests {
         let g = explore(&mut sys, &cfg(10), None);
         // `noop` has no arcs: it is enabled and loops on the only state
         assert_eq!(g.len(), 1);
-        assert_eq!(g.successors(0), &[(0, 0)]);
+        assert_eq!(
+            g.successors(g.initial()),
+            &[(TransitionId::from_index(0), g.initial())]
+        );
         assert!(!g.is_truncated());
     }
 
@@ -1176,10 +1289,10 @@ mod tests {
         assert_eq!(quo.len(), 1);
         // concrete trace reconstruction: the quotient self-loop unrotates to
         // a concretely firable transition from the concrete initial state
-        let rep_rot = quo.rotation(0);
-        let mut concrete = vec![0u64; quo.stride()];
-        sym.unapply_state(rep_rot, quo.state(0), &mut concrete);
-        assert_eq!(concrete, full.state(0));
+        let s0 = quo.initial();
+        let mut concrete = vec![0u64; quo.words(s0).len()];
+        sym.unapply_state(quo.rotation(s0), quo.words(s0), &mut concrete);
+        assert_eq!(concrete, full.words(full.initial()));
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Index newtypes for places and transitions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a place within a [`crate::PetriNet`].
 ///
 /// `PlaceId`s are dense indices assigned in insertion order; they are only
 /// meaningful for the net that created them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PlaceId(pub(crate) u32);
 
 /// Identifier of a transition within a [`crate::PetriNet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TransitionId(pub(crate) u32);
 
 impl PlaceId {

@@ -1,14 +1,13 @@
 //! Markings of 1-safe nets, stored as fixed-width bitsets.
 
 use crate::PlaceId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A marking of a 1-safe net: the set of marked places.
 ///
 /// Stored as a `u64` bitset so that markings hash and compare quickly during
 /// state-space exploration. Cloning a marking is a small `Vec` copy.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Marking {
     words: Vec<u64>,
     /// Number of places this marking covers (bits above this are zero).

@@ -9,9 +9,12 @@
 //!
 //! [`explore`] and [`explore_truncated`] run the state-space engine
 //! ([`crate::engine::explore`]) under one [`ExploreConfig`] (state budget,
-//! deadline and the `rap-obs` handle). They are differentially tested
-//! against the seed explorer, which lives outside the library in the
-//! dev-only `rap-oracle` crate.
+//! deadline and the `rap-obs` handle) and return its [`StateSpace`],
+//! labelled with [`TransitionId`]s. This module adds only the marking
+//! accessors of a net's space; everything else (successors, dead list,
+//! traces) is the engine's. The engine is differentially tested against
+//! the seed explorer, which lives outside the library in the dev-only
+//! `rap-oracle` crate.
 //!
 //! With a cyclic symmetry of the net (wagged replicas — see
 //! [`crate::symmetry`]), [`explore_quotient_truncated`] explores the
@@ -20,108 +23,21 @@
 //! to the group order while preserving orbit-invariant verdicts. Concrete
 //! (replayable) traces are recovered via [`StateSpace::concrete_trace_to`].
 
-use crate::engine::{self, ExploredGraph, NetSystem, StateSymmetry, NO_PARENT};
-use crate::{Marking, PetriError, PetriNet, TransitionId};
+use crate::engine::{self, NetSystem, StateSymmetry};
+use crate::{Marking, PetriError, PetriNet, PlaceId, TransitionId};
 
-pub use crate::engine::ExploreConfig;
+pub use crate::engine::{ExploreConfig, StateId, StateSpace};
 
-/// Dense id of a state discovered during exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StateId(u32);
-
-impl StateId {
-    /// Dense index of the state (0 = initial marking).
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// Builds a `StateId` from a raw index (see [`PlaceId::from_index`]
-    /// for the caveats: only meaningful against the space that issued the
-    /// index — used by persistence layers that round-trip witnesses).
-    ///
-    /// [`PlaceId::from_index`]: crate::PlaceId::from_index
-    #[must_use]
-    pub fn from_index(index: usize) -> Self {
-        StateId(u32::try_from(index).expect("state index exceeds u32"))
-    }
-}
-
-/// The reachable state space of a net.
-///
-/// Markings live word-packed in the underlying [`ExploredGraph`]:
-/// [`StateSpace::marking`] materialises a [`Marking`] on demand, and
-/// [`StateSpace::fill_marking`] / [`StateSpace::fill_marking_words`]
-/// copy into caller-owned buffers for allocation-free scans.
-#[derive(Debug, Clone)]
-pub struct StateSpace {
-    places: usize,
-    graph: ExploredGraph,
-    succ: Vec<(TransitionId, StateId)>,
-    /// Present when this is a quotient space: the symmetry that was used to
-    /// canonicalize states, needed to make traces/markings concrete again.
-    symmetry: Option<StateSymmetry>,
-}
-
-impl StateSpace {
-    fn from_graph(mut g: ExploredGraph, places: usize, symmetry: Option<StateSymmetry>) -> Self {
-        let succ = std::mem::take(&mut g.succ)
-            .into_iter()
-            .map(|(a, s)| (TransitionId::from_index(a as usize), StateId(s)))
-            .collect();
-        StateSpace {
-            places,
-            graph: g,
-            succ,
-            symmetry,
-        }
-    }
-
-    /// Number of reachable states discovered (orbit representatives for a
-    /// quotient space).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.graph.len()
-    }
-
-    /// `true` when the net has no reachable states (impossible: the initial
-    /// marking always exists), kept for `len`/`is_empty` pairing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
-    }
-
-    /// Did exploration stop early, on [`ExploreConfig::max_states`] or
-    /// [`ExploreConfig::deadline`]?
-    #[must_use]
-    pub fn is_truncated(&self) -> bool {
-        self.graph.is_truncated()
-    }
-
-    /// How exploration ended (carries the budget or deadline that cut it).
-    #[must_use]
-    pub fn outcome(&self) -> engine::ExploreOutcome {
-        self.graph.outcome()
-    }
-
-    /// The symmetry this space is a quotient under, if any.
-    #[must_use]
-    pub fn symmetry(&self) -> Option<&StateSymmetry> {
-        self.symmetry.as_ref()
-    }
-
-    /// Words per packed marking — the scratch width for
-    /// [`StateSpace::fill_marking_words`].
-    #[must_use]
-    pub fn word_count(&self) -> usize {
-        self.graph.stride()
-    }
-
+/// The marking accessors of a net's state space. Markings live word-packed
+/// in the space's arena, one bit per place: [`StateSpace::marking`]
+/// materialises a [`Marking`] on demand and [`StateSpace::fill_marking`]
+/// copies into a caller-owned one for allocation-free scans
+/// ([`StateSpace::words`] reads the raw bits without copying).
+impl StateSpace<TransitionId> {
     /// The marking of `state`, materialised from the state arena.
     #[must_use]
     pub fn marking(&self, state: StateId) -> Marking {
-        let words = &self.graph.state(state.index())[..self.places.div_ceil(64)];
-        Marking::from_words(words.to_vec(), self.places)
+        self.marking_from(self.words(state).to_vec())
     }
 
     /// Copies the marking of `state` into `out` without allocating.
@@ -130,105 +46,16 @@ impl StateSpace {
     ///
     /// Panics when `out` does not cover exactly this net's places.
     pub fn fill_marking(&self, state: StateId, out: &mut Marking) {
-        assert_eq!(out.len(), self.places, "marking buffer has the wrong width");
-        // zero-place nets: the graph pads to one word, the marking to none,
+        assert_eq!(out.len(), self.bits, "marking buffer has the wrong width");
+        // zero-place nets: the space pads to one word, the marking to none,
         // and `copy_from_words` ignores the padding
-        out.copy_from_words(self.graph.state(state.index()));
-    }
-
-    /// Copies the word-packed marking bits of `state` into `out` (exactly
-    /// [`StateSpace::word_count`] words).
-    pub fn fill_marking_words(&self, state: StateId, out: &mut [u64]) {
-        out.copy_from_slice(self.graph.state(state.index()));
+        out.copy_from_words(self.words(state));
     }
 
     /// Is `place` marked in `state`?
     #[must_use]
-    pub fn is_marked(&self, state: StateId, place: crate::PlaceId) -> bool {
-        engine::get_bit(self.graph.state(state.index()), place.index())
-    }
-
-    /// The initial state.
-    #[must_use]
-    pub fn initial(&self) -> StateId {
-        StateId(0)
-    }
-
-    /// Iterates over all states.
-    pub fn states(&self) -> impl Iterator<Item = StateId> {
-        (0..self.graph.len() as u32).map(StateId)
-    }
-
-    /// The dead states — no transition enabled — in ascending order, as
-    /// the explorer recorded them on discovery ([`ExploredGraph::dead`]).
-    /// Exact on truncated spaces too: an unexpanded frontier state has no
-    /// recorded successors but is listed only if it is really dead. For a
-    /// quotient space these are dead representatives (deadness is
-    /// orbit-invariant).
-    pub fn dead_states(&self) -> impl Iterator<Item = StateId> + '_ {
-        self.graph.dead().iter().map(|&s| StateId(s))
-    }
-
-    /// Outgoing edges `(transition, successor)` of `state`.
-    #[must_use]
-    pub fn successors(&self, state: StateId) -> &[(TransitionId, StateId)] {
-        let i = state.index();
-        &self.succ[self.graph.succ_off[i] as usize..self.graph.succ_off[i + 1] as usize]
-    }
-
-    /// Reconstructs the firing sequence from the initial state to `state`.
-    ///
-    /// For a quotient space this trace is over orbit *representatives* — it
-    /// replays in the quotient, not necessarily from the net's concrete
-    /// initial marking. Use [`StateSpace::concrete_trace_to`] for a firing
-    /// sequence of the original net.
-    #[must_use]
-    pub fn trace_to(&self, state: StateId) -> Vec<TransitionId> {
-        self.graph
-            .trace_to(state.index())
-            .into_iter()
-            .map(|a| TransitionId::from_index(a as usize))
-            .collect()
-    }
-
-    /// The symmetry rotation applied when `state` was canonicalized at
-    /// discovery (always 0 outside quotient spaces).
-    #[must_use]
-    pub fn rotation(&self, state: StateId) -> u32 {
-        self.graph.rotation(state.index())
-    }
-
-    /// A firing sequence of the *original* net from its concrete initial
-    /// marking to a concrete member of `state`'s orbit (that member is
-    /// [`StateSpace::concrete_marking`]). Falls back to
-    /// [`StateSpace::trace_to`] when this is not a quotient space.
-    ///
-    /// Each quotient step fires action `a` in the representative's frame;
-    /// un-rotating by the cumulative rotation `R` accumulated along the
-    /// path (`b = g^-R(a)`, then `R +=` the step's canonicalization
-    /// rotation) yields the concrete firing — see the soundness argument in
-    /// the [`crate::engine`] docs.
-    #[must_use]
-    pub fn concrete_trace_to(&self, state: StateId) -> Vec<TransitionId> {
-        let Some(sym) = &self.symmetry else {
-            return self.trace_to(state);
-        };
-        let mut path = vec![state.index()];
-        while self.graph.parents[*path.last().expect("non-empty path")].0 != NO_PARENT {
-            path.push(self.graph.parents[*path.last().expect("non-empty path")].0 as usize);
-        }
-        path.reverse();
-        let order = sym.order() as u32;
-        let mut rot = self.graph.rotation(path[0]);
-        let mut out = Vec::with_capacity(path.len() - 1);
-        for &child in &path[1..] {
-            let a = self.graph.parents[child].1;
-            out.push(TransitionId::from_index(
-                sym.unrotate_action(rot, a) as usize
-            ));
-            rot = (rot + self.graph.rotation(child)) % order;
-        }
-        out
+    pub fn is_marked(&self, state: StateId, place: PlaceId) -> bool {
+        engine::get_bit(self.words(state), place.index())
     }
 
     /// The concrete marking reached by [`StateSpace::concrete_trace_to`]:
@@ -237,34 +64,23 @@ impl StateSpace {
     /// quotient spaces.
     #[must_use]
     pub fn concrete_marking(&self, state: StateId) -> Marking {
-        let Some(sym) = &self.symmetry else {
-            return self.marking(state);
-        };
-        let order = sym.order() as u32;
-        let mut rot = 0u32;
-        let mut cur = state.index();
-        loop {
-            rot = (rot + self.graph.rotation(cur)) % order;
-            let (p, _) = self.graph.parents[cur];
-            if p == NO_PARENT {
-                break;
-            }
-            cur = p as usize;
-        }
-        let mut words = vec![0u64; self.graph.stride()];
-        sym.unapply_state(rot, self.graph.state(state.index()), &mut words);
-        words.truncate(self.places.div_ceil(64));
-        Marking::from_words(words, self.places)
+        self.marking_from(self.concrete_words(state))
     }
 
     /// Finds a state whose marking satisfies `pred`, if any, scanning in BFS
     /// (shortest-trace) order with a single reused marking buffer.
     pub fn find_state(&self, mut pred: impl FnMut(&Marking) -> bool) -> Option<StateId> {
-        let mut scratch = Marking::empty(self.places);
+        let mut scratch = Marking::empty(self.bits);
         self.states().find(|&s| {
             self.fill_marking(s, &mut scratch);
             pred(&scratch)
         })
+    }
+
+    /// A marking over this net's places from state-width `words`.
+    fn marking_from(&self, mut words: Vec<u64>) -> Marking {
+        words.truncate(self.bits.div_ceil(64));
+        Marking::from_words(words, self.bits)
     }
 }
 
@@ -296,8 +112,7 @@ pub fn explore(net: &PetriNet, config: ExploreConfig) -> Result<StateSpace, Petr
 /// [`ExploreConfig::obs`]).
 #[must_use]
 pub fn explore_truncated(net: &PetriNet, config: ExploreConfig) -> StateSpace {
-    let graph = engine::explore(&mut NetSystem::new(net), &config, None);
-    StateSpace::from_graph(graph, net.place_count(), None)
+    engine::explore(&mut NetSystem::new(net), &config, None)
 }
 
 /// Explores the rotation *quotient* of the net under `sym`: every successor
@@ -313,14 +128,12 @@ pub fn explore_quotient_truncated(
     config: ExploreConfig,
     sym: &StateSymmetry,
 ) -> StateSpace {
-    let graph = engine::explore(&mut NetSystem::new(net), &config, Some(sym));
-    StateSpace::from_graph(graph, net.place_count(), Some(sym.clone()))
+    engine::explore(&mut NetSystem::new(net), &config, Some(sym))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PlaceId;
 
     /// A ring of `n` places with one token circulating.
     fn ring(n: usize) -> PetriNet {

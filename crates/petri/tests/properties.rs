@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rap_obs::{Collector, Obs};
-use rap_petri::engine::{self, EngineStats, ExploredGraph, Incidence, NetSystem, StateSymmetry};
+use rap_petri::engine::{self, Incidence, NetSystem, StateId, StateSpace, StateSymmetry};
 use rap_petri::reachability::{explore_quotient_truncated, explore_truncated, ExploreConfig};
 use rap_petri::{Marking, PetriNet, PlaceId};
 use std::collections::BTreeSet;
@@ -54,39 +54,39 @@ fn cfg(max_states: usize) -> ExploreConfig {
     }
 }
 
-/// Full observational equality: counts, outcome, parent links, CSR edges,
-/// dead states, rotations and every state vector.
-fn assert_identical(a: &ExploredGraph, b: &ExploredGraph, ctx: &str) {
+/// Full observational equality through the public accessors: counts,
+/// outcome, dead states, and per state its vector, its edges in order, its
+/// trace (which fixes the parent attribution) and its rotation.
+fn assert_identical(a: &StateSpace, b: &StateSpace, ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: state count");
     assert_eq!(a.outcome(), b.outcome(), "{ctx}: outcome");
-    assert_eq!(a.parents, b.parents, "{ctx}: parent attribution");
-    assert_eq!(a.succ_off, b.succ_off, "{ctx}: CSR offsets");
-    assert_eq!(a.succ, b.succ, "{ctx}: edge order");
-    assert_eq!(a.dead(), b.dead(), "{ctx}: dead states");
-    for i in 0..a.len() {
-        assert_eq!(a.state(i), b.state(i), "{ctx}: state {i}");
-        assert_eq!(a.rotation(i), b.rotation(i), "{ctx}: rotation {i}");
+    assert_eq!(a.deadlocks(), b.deadlocks(), "{ctx}: dead states");
+    for s in a.states() {
+        let i = s.index();
+        assert_eq!(a.words(s), b.words(s), "{ctx}: state {i}");
+        assert_eq!(a.successors(s), b.successors(s), "{ctx}: edges of {i}");
+        assert_eq!(a.trace_to(s), b.trace_to(s), "{ctx}: trace to {i}");
+        assert_eq!(a.rotation(s), b.rotation(s), "{ctx}: rotation {i}");
     }
 }
 
 /// The dead states of `g` by a full scan: every state whose marking
 /// enables no transition of `net`.
-fn scanned_dead(net: &PetriNet, g: &ExploredGraph) -> Vec<u32> {
+fn scanned_dead(net: &PetriNet, g: &StateSpace) -> Vec<StateId> {
     let inc = Incidence::from_net(net);
-    (0..g.len())
-        .filter(|&i| net.transitions().all(|t| !inc.is_enabled(t, g.state(i))))
-        .map(|i| i as u32)
+    g.states()
+        .filter(|&s| net.transitions().all(|t| !inc.is_enabled(t, g.words(s))))
         .collect()
 }
 
 /// Explores `net` untraced and traced (live collector) under `budget`,
-/// checks the two graphs are identical and the collector counted every
-/// state, and returns the untraced graph.
+/// checks the two spaces are identical and the collector counted every
+/// state, and returns the untraced space.
 fn explore_both_ways(
     net: &PetriNet,
     budget: usize,
     symmetry: Option<&StateSymmetry>,
-) -> ExploredGraph {
+) -> StateSpace {
     let plain = engine::explore(&mut NetSystem::new(net), &cfg(budget), symmetry);
     let collector = Arc::new(Collector::new());
     let recording = ExploreConfig {
@@ -95,9 +95,16 @@ fn explore_both_ways(
     };
     let traced = engine::explore(&mut NetSystem::new(net), &recording, symmetry);
     assert_identical(&plain, &traced, &format!("traced, budget={budget}"));
-    let stats = EngineStats::from_counters(&collector.snapshot().counters);
-    assert_eq!(stats.states, traced.len() as u64, "budget={budget}");
-    assert!(stats.levels > 0, "budget={budget}: no levels recorded");
+    let snap = collector.snapshot();
+    assert_eq!(
+        snap.counter("engine.states"),
+        traced.len() as u64,
+        "budget={budget}"
+    );
+    assert!(
+        snap.counter("engine.levels") > 0,
+        "budget={budget}: no levels recorded"
+    );
     plain
 }
 
@@ -341,7 +348,7 @@ proptest! {
     fn traced_equals_untraced_and_dead_states_match_a_full_scan(net in arb_net(10, 8)) {
         for budget in [2_000usize, 40, 7, 2, 1] {
             let g = explore_both_ways(&net, budget, None);
-            prop_assert_eq!(g.dead(), scanned_dead(&net, &g).as_slice(), "budget={}", budget);
+            prop_assert_eq!(g.deadlocks(), scanned_dead(&net, &g).as_slice(), "budget={}", budget);
         }
     }
 
@@ -353,7 +360,7 @@ proptest! {
         let (net, sym) = replicated(&base, copies);
         for budget in [2_000usize, 40, 7, 2, 1] {
             let g = explore_both_ways(&net, budget, Some(&sym));
-            prop_assert_eq!(g.dead(), scanned_dead(&net, &g).as_slice(), "budget={}", budget);
+            prop_assert_eq!(g.deadlocks(), scanned_dead(&net, &g).as_slice(), "budget={}", budget);
         }
     }
 
@@ -373,31 +380,29 @@ proptest! {
         let quo = explore_quotient_truncated(&net, cfg(usize::MAX), &sym);
         prop_assert!(!full.truncated && !quo.is_truncated());
 
-        let mut words = vec![0u64; quo.word_count()];
+        let width = quo.words(quo.initial()).len();
         let image: BTreeSet<Vec<u64>> = full
             .states
             .iter()
-            .map(|m| canonical(&sym, &packed(m, words.len())))
+            .map(|m| canonical(&sym, &packed(m, width)))
             .collect();
         let dead_image: BTreeSet<Vec<u64>> = full
             .dead
             .iter()
-            .map(|&i| canonical(&sym, &packed(&full.states[i], words.len())))
+            .map(|&i| canonical(&sym, &packed(&full.states[i], width)))
             .collect();
 
         let mut reps = BTreeSet::new();
         for s in quo.states() {
-            quo.fill_marking_words(s, &mut words);
-            prop_assert_eq!(&canonical(&sym, &words), &words, "stored marking not canonical");
-            prop_assert!(reps.insert(words.clone()), "orbit stored twice");
+            let words = quo.words(s);
+            prop_assert_eq!(canonical(&sym, words).as_slice(), words, "stored marking not canonical");
+            prop_assert!(reps.insert(words.to_vec()), "orbit stored twice");
         }
         prop_assert_eq!(&reps, &image, "quotient states vs canonical image");
         let dead_reps: BTreeSet<Vec<u64>> = quo
-            .dead_states()
-            .map(|s| {
-                quo.fill_marking_words(s, &mut words);
-                words.clone()
-            })
+            .deadlocks()
+            .iter()
+            .map(|&s| quo.words(s).to_vec())
             .collect();
         prop_assert_eq!(&dead_reps, &dead_image, "dead representatives");
 

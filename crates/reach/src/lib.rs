@@ -59,7 +59,7 @@ pub use compile::CompiledPredicate;
 pub use glob::glob_match;
 
 use rap_petri::reachability::{StateId, StateSpace};
-use rap_petri::{Marking, PetriNet, TransitionId};
+use rap_petri::{PetriNet, TransitionId};
 use std::error::Error;
 use std::fmt;
 
@@ -74,7 +74,9 @@ impl Predicate {
     ///
     /// # Errors
     ///
-    /// Returns [`ReachError`] with a byte offset on lexical or syntax errors.
+    /// Returns [`ReachError`] with a byte offset on lexical or syntax
+    /// errors, and [`ReachError::TooDeep`] for predicates nested past 256
+    /// levels (operators, atoms and parenthesised groups along one path).
     pub fn parse(src: &str) -> Result<Self, ReachError> {
         parser::parse(src).map(|root| Predicate { root })
     }
@@ -115,13 +117,8 @@ pub fn find_witness(
     space: &StateSpace,
     pred: &CompiledPredicate,
 ) -> Option<Witness> {
-    let mut scratch = Marking::empty(net.place_count());
     space
-        .states()
-        .find(|&s| {
-            space.fill_marking(s, &mut scratch);
-            pred.eval(net, &scratch)
-        })
+        .find_state(|m| pred.eval(net, m))
         .map(|state| Witness {
             state,
             trace: space.trace_to(state),
@@ -167,6 +164,12 @@ pub enum ReachError {
         /// The variable name.
         var: String,
     },
+    /// The predicate nests deeper than the parser's bound: operators,
+    /// atoms and parenthesised groups along one path exceed `limit` levels.
+    TooDeep {
+        /// The bound, in levels.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for ReachError {
@@ -188,6 +191,9 @@ impl fmt::Display for ReachError {
                 write!(f, "variable `{var}` used with the wrong atom kind")
             }
             ReachError::UnboundVariable { var } => write!(f, "unbound variable `{var}`"),
+            ReachError::TooDeep { limit } => {
+                write!(f, "predicate nests deeper than {limit} levels")
+            }
         }
     }
 }

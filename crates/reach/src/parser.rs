@@ -4,10 +4,20 @@ use crate::ast::{Expr, NameRef, SetKind};
 use crate::lexer::{lex, Token, TokenKind};
 use crate::ReachError;
 
+/// Height of the deepest predicate tree [`parse`] builds, counting each
+/// operator, atom and parenthesised group as one level. Parsing, compiling,
+/// evaluating and dropping a tree all recurse on its height, so deeper
+/// input is [`ReachError::TooDeep`] rather than a stack overflow.
+pub(crate) const MAX_DEPTH: usize = 256;
+
 pub(crate) fn parse(src: &str) -> Result<Expr, ReachError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let e = p.iff()?;
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
+    let (e, _) = p.iff()?;
     if p.pos != p.tokens.len() {
         let t = &p.tokens[p.pos];
         return Err(ReachError::UnexpectedToken {
@@ -22,9 +32,43 @@ pub(crate) fn parse(src: &str) -> Result<Expr, ReachError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels above the subtree being parsed.
+    depth: usize,
 }
 
+/// A parsed subtree and its height (an atom has height 1).
+type Sub = (Expr, usize);
+
 impl Parser {
+    /// Parses a child subtree one level down with `f`, failing before the
+    /// tree can outgrow [`MAX_DEPTH`] — checked on the way down, so
+    /// nesting never recurses past the bound.
+    fn below(&mut self, f: fn(&mut Self) -> Result<Sub, ReachError>) -> Result<Sub, ReachError> {
+        if self.depth + 1 >= MAX_DEPTH {
+            return Err(ReachError::TooDeep { limit: MAX_DEPTH });
+        }
+        self.depth += 1;
+        let sub = f(self);
+        self.depth -= 1;
+        sub
+    }
+
+    /// Joins `lhs` and a `rhs` parsed by [`Parser::below`] under the binary
+    /// operator `op`. The left operand was parsed at this level, so a left
+    /// associative chain grows the tree here.
+    fn join(
+        &self,
+        lhs: Sub,
+        rhs: Sub,
+        op: fn(Box<Expr>, Box<Expr>) -> Expr,
+    ) -> Result<Sub, ReachError> {
+        let height = lhs.1.max(rhs.1) + 1;
+        if self.depth + height > MAX_DEPTH {
+            return Err(ReachError::TooDeep { limit: MAX_DEPTH });
+        }
+        Ok((op(Box::new(lhs.0), Box::new(rhs.0)), height))
+    }
+
     fn peek(&self) -> Option<&TokenKind> {
         self.tokens.get(self.pos).map(|t| &t.kind)
     }
@@ -49,84 +93,84 @@ impl Parser {
         }
     }
 
-    fn iff(&mut self) -> Result<Expr, ReachError> {
+    fn iff(&mut self) -> Result<Sub, ReachError> {
         let mut lhs = self.imp()?;
         while self.peek() == Some(&TokenKind::DArrow) {
             self.pos += 1;
-            let rhs = self.imp()?;
-            lhs = Expr::Iff(Box::new(lhs), Box::new(rhs));
+            let rhs = self.below(Self::imp)?;
+            lhs = self.join(lhs, rhs, Expr::Iff)?;
         }
         Ok(lhs)
     }
 
-    fn imp(&mut self) -> Result<Expr, ReachError> {
+    fn imp(&mut self) -> Result<Sub, ReachError> {
         let lhs = self.or()?;
         if self.peek() == Some(&TokenKind::Arrow) {
             self.pos += 1;
             // right associative
-            let rhs = self.imp()?;
-            return Ok(Expr::Imp(Box::new(lhs), Box::new(rhs)));
+            let rhs = self.below(Self::imp)?;
+            return self.join(lhs, rhs, Expr::Imp);
         }
         Ok(lhs)
     }
 
-    fn or(&mut self) -> Result<Expr, ReachError> {
+    fn or(&mut self) -> Result<Sub, ReachError> {
         let mut lhs = self.xor()?;
         while self.peek() == Some(&TokenKind::Pipe) {
             self.pos += 1;
-            let rhs = self.xor()?;
-            lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
+            let rhs = self.below(Self::xor)?;
+            lhs = self.join(lhs, rhs, Expr::Or)?;
         }
         Ok(lhs)
     }
 
-    fn xor(&mut self) -> Result<Expr, ReachError> {
+    fn xor(&mut self) -> Result<Sub, ReachError> {
         let mut lhs = self.and()?;
         while self.peek() == Some(&TokenKind::Caret) {
             self.pos += 1;
-            let rhs = self.and()?;
-            lhs = Expr::Xor(Box::new(lhs), Box::new(rhs));
+            let rhs = self.below(Self::and)?;
+            lhs = self.join(lhs, rhs, Expr::Xor)?;
         }
         Ok(lhs)
     }
 
-    fn and(&mut self) -> Result<Expr, ReachError> {
+    fn and(&mut self) -> Result<Sub, ReachError> {
         let mut lhs = self.not()?;
         while self.peek() == Some(&TokenKind::Amp) {
             self.pos += 1;
-            let rhs = self.not()?;
-            lhs = Expr::And(Box::new(lhs), Box::new(rhs));
+            let rhs = self.below(Self::not)?;
+            lhs = self.join(lhs, rhs, Expr::And)?;
         }
         Ok(lhs)
     }
 
-    fn not(&mut self) -> Result<Expr, ReachError> {
+    fn not(&mut self) -> Result<Sub, ReachError> {
         if self.peek() == Some(&TokenKind::Bang) {
             self.pos += 1;
-            let e = self.not()?;
-            return Ok(Expr::Not(Box::new(e)));
+            let (e, height) = self.below(Self::not)?;
+            return Ok((Expr::Not(Box::new(e)), height + 1));
         }
         self.atom()
     }
 
-    fn atom(&mut self) -> Result<Expr, ReachError> {
+    fn atom(&mut self) -> Result<Sub, ReachError> {
         let t = self.bump()?.clone();
         match t.kind {
             TokenKind::LParen => {
-                let e = self.iff()?;
+                let (e, height) = self.below(Self::iff)?;
                 self.expect(&TokenKind::RParen, "`)`")?;
-                Ok(e)
+                Ok((e, height + 1))
             }
             TokenKind::Ident(ref id) => match id.as_str() {
-                "true" => Ok(Expr::Const(true)),
-                "false" => Ok(Expr::Const(false)),
+                "true" => Ok((Expr::Const(true), 1)),
+                "false" => Ok((Expr::Const(false), 1)),
                 "marked" => {
                     let name = self.name_arg()?;
-                    Ok(Expr::Marked(name))
+                    Ok((Expr::Marked(name), 1))
                 }
                 "enabled" => {
                     let name = self.name_arg()?;
-                    Ok(Expr::Enabled(name))
+                    Ok((Expr::Enabled(name), 1))
                 }
                 "forall" | "exists" => {
                     let is_forall = id == "forall";
@@ -155,8 +199,9 @@ impl Parser {
                     let pattern = self.string("glob pattern")?;
                     self.expect(&TokenKind::RParen, "`)`")?;
                     self.expect(&TokenKind::Colon, "`:`")?;
-                    let body = Box::new(self.not()?);
-                    Ok(if is_forall {
+                    let (body, height) = self.below(Self::not)?;
+                    let body = Box::new(body);
+                    let e = if is_forall {
                         Expr::Forall {
                             var,
                             set,
@@ -170,7 +215,8 @@ impl Parser {
                             pattern,
                             body,
                         }
-                    })
+                    };
+                    Ok((e, height + 1))
                 }
                 _ => Err(ReachError::UnexpectedToken {
                     offset: t.offset,
@@ -293,6 +339,71 @@ mod tests {
     fn missing_paren_errors() {
         assert!(parse(r#"marked("a""#).is_err());
         assert!(parse(r#"(true"#).is_err());
+    }
+
+    fn too_deep() -> Result<Expr, ReachError> {
+        Err(ReachError::TooDeep { limit: MAX_DEPTH })
+    }
+
+    /// `n` nested parentheses around `true`.
+    fn parens(n: usize) -> String {
+        format!("{}true{}", "(".repeat(n), ")".repeat(n))
+    }
+
+    /// `n` negations of `true`.
+    fn bangs(n: usize) -> String {
+        format!("{}true", "!".repeat(n))
+    }
+
+    /// An `n`-term `true & … & true` chain.
+    fn chain(n: usize) -> String {
+        vec!["true"; n].join(" & ")
+    }
+
+    #[test]
+    fn deep_parentheses_are_an_error_not_a_stack_overflow() {
+        assert_eq!(parse(&parens(100_000)), too_deep());
+    }
+
+    #[test]
+    fn deep_negations_are_an_error_not_a_stack_overflow() {
+        assert_eq!(parse(&bangs(100_000)), too_deep());
+    }
+
+    /// The chain parses iteratively, but into a left-deep tree whose drop,
+    /// compilation and evaluation recurse on its length.
+    #[test]
+    fn long_chains_are_an_error_not_a_stack_overflow() {
+        assert_eq!(parse(&chain(100_000)), too_deep());
+    }
+
+    /// Every shape exactly at the bound parses, and past it by one level
+    /// fails; the deepest trees also compile and evaluate.
+    #[test]
+    fn nesting_at_the_bound_parses() {
+        let net = rap_petri::PetriNet::new();
+        let m0 = net.initial_marking();
+        let implications = vec!["true"; MAX_DEPTH].join(" -> ");
+        for (shape, at_bound, past, value) in [
+            ("parens", parens(MAX_DEPTH - 1), parens(MAX_DEPTH), true),
+            (
+                "bangs",
+                bangs(MAX_DEPTH - 1),
+                bangs(MAX_DEPTH),
+                (MAX_DEPTH - 1).is_multiple_of(2),
+            ),
+            ("chain", chain(MAX_DEPTH), chain(MAX_DEPTH + 1), true),
+            (
+                "implications",
+                implications.clone(),
+                implications + " -> true",
+                true,
+            ),
+        ] {
+            let p = crate::Predicate::parse(&at_bound).unwrap_or_else(|e| panic!("{shape}: {e}"));
+            assert_eq!(p.compile(&net).unwrap().eval(&net, &m0), value, "{shape}");
+            assert_eq!(parse(&past), too_deep(), "{shape}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests: the `Display` form of any predicate re-parses to an
-//! equivalent predicate, and evaluation respects Boolean algebra.
+//! equivalent predicate, evaluation respects Boolean algebra, and no input
+//! makes the parser panic.
 
 use proptest::prelude::*;
 use rap_petri::PetriNet;
@@ -26,6 +27,60 @@ fn arb_expr() -> impl Strategy<Value = String> {
             inner.prop_map(|a| format!("!{a}")),
         ]
     })
+}
+
+/// The grammar's own tokens mixed with arbitrary ASCII.
+fn token_soup() -> impl Strategy<Value = String> {
+    const TOKENS: &[&str] = &[
+        "marked",
+        "enabled",
+        "forall",
+        "exists",
+        "in",
+        "places",
+        "transitions",
+        "true",
+        "false",
+        "p",
+        "(",
+        ")",
+        "\"p0\"",
+        "\"t*\"",
+        "\"",
+        "&",
+        "|",
+        "^",
+        "!",
+        "->",
+        "<->",
+        ":",
+        " ",
+    ];
+    proptest::collection::vec((any::<bool>(), 0..TOKENS.len(), 0u8..128), 0..48).prop_map(
+        |pieces| {
+            pieces
+                .into_iter()
+                .map(|(token, i, c)| {
+                    if token {
+                        TOKENS[i].to_string()
+                    } else {
+                        char::from(c).to_string()
+                    }
+                })
+                .collect()
+        },
+    )
+}
+
+/// Parses `src` and, when it parses, compiles and evaluates it on the demo
+/// net: every step returns a value or a typed error.
+fn parse_compile_eval(src: &str) {
+    if let Ok(p) = Predicate::parse(src) {
+        let net = demo_net();
+        if let Ok(c) = p.compile(&net) {
+            let _ = c.eval(&net, &net.initial_marking());
+        }
+    }
 }
 
 fn demo_net() -> PetriNet {
@@ -84,6 +139,22 @@ proptest! {
             eval(&format!("({a} <-> {b})")),
             eval(&format!("!({a} ^ {b})"))
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// Token soup never panics the parser.
+    #[test]
+    fn token_soup_never_panics(src in token_soup()) {
+        parse_compile_eval(&src);
+    }
+
+    /// Neither do arbitrary bytes, decoded lossily.
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
+        parse_compile_eval(&String::from_utf8_lossy(&bytes));
     }
 }
 

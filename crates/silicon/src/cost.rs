@@ -26,10 +26,9 @@
 use crate::delay::DelayModel;
 use crate::power::EnergyModel;
 use dfs_core::{Dfs, Node, NodeKind};
-use serde::{Deserialize, Serialize};
 
 /// Gate-equivalent costs per DFS node kind.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GateCosts {
     /// A static pipeline register (NCL dual-rail latch + completion
     /// detector).
@@ -67,7 +66,7 @@ impl Default for GateCosts {
 
 /// The combined cost model: per-kind gate counts, the `C·V²`/leakage
 /// energy model and the voltage→delay law.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Gate-equivalent areas.
     pub gates: GateCosts,

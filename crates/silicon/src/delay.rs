@@ -15,10 +15,8 @@
 //! progress — the paper observed the chip freezing at 0.34 V and resuming
 //! when the supply was raised (Fig. 9b); we model this as unbounded delay.
 
-use serde::{Deserialize, Serialize};
-
 /// Alpha-power-law delay model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DelayModel {
     /// Nominal supply voltage (V).
     pub v0: f64,
@@ -64,7 +62,7 @@ impl DelayModel {
 }
 
 /// A (possibly time-varying) supply-voltage waveform.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum VoltageProfile {
     /// Constant supply.
     Constant(f64),

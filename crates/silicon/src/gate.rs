@@ -9,11 +9,10 @@
 //! DATA wave until the NULL wave arrives. A C-element is the special case
 //! `m = n`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The primitive cell types of the library.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GateKind {
     /// NCL threshold gate: output ↑ when ≥ `threshold` inputs are 1,
     /// ↓ when all inputs are 0, holds otherwise. `Th { threshold: n }`

@@ -1,11 +1,10 @@
 //! Flat gate-level netlists.
 
 use crate::gate::GateKind;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of a net (wire).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NetId(u32);
 
 impl NetId {
@@ -24,7 +23,7 @@ impl NetId {
 }
 
 /// Identifier of a cell (gate instance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CellId(u32);
 
 impl CellId {
@@ -36,7 +35,7 @@ impl CellId {
 }
 
 /// A gate instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cell {
     /// Instance name (unique).
     pub name: String,
@@ -49,7 +48,7 @@ pub struct Cell {
 }
 
 /// A named wire.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Net {
     /// Net name (unique).
     pub name: String,
@@ -59,13 +58,12 @@ pub struct Net {
 }
 
 /// A flat netlist with named primary inputs and outputs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Netlist {
     pub(crate) nets: Vec<Net>,
     pub(crate) cells: Vec<Cell>,
     pub(crate) inputs: Vec<NetId>,
     pub(crate) outputs: Vec<NetId>,
-    #[serde(skip)]
     net_names: HashMap<String, NetId>,
 }
 
@@ -189,16 +187,6 @@ impl Netlist {
             .iter()
             .map(|c| c.kind.complexity(c.inputs.len()))
             .sum()
-    }
-
-    /// Rebuilds the name lookup (after deserialisation).
-    pub fn rebuild_name_index(&mut self) {
-        self.net_names = self
-            .nets
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.name.clone(), NetId::from_index(i)))
-            .collect();
     }
 }
 

@@ -12,10 +12,8 @@
 //! OPE pipeline at 1.2 V reproduces the paper's reference measurement
 //! (1.22 s, 2.74 mJ for 16M items).
 
-use serde::{Deserialize, Serialize};
-
 /// Energy/power model parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EnergyModel {
     /// Nominal supply (V).
     pub v0: f64,

@@ -117,6 +117,26 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2_000))]
+
+        /// Arbitrary bytes decode to a payload or `None`, never a panic:
+        /// as they are, and behind the first `cut` bytes of a valid header
+        /// and sealed with a valid checksum, so decoding gets past the
+        /// checksum into every header field.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+            cut in 0..=HEADER_LEN,
+        ) {
+            let _ = decode_frame(&bytes, &key());
+            let mut sealed = encode_frame(&key(), &bytes)[..cut].to_vec();
+            sealed.extend_from_slice(&bytes);
+            sealed.extend_from_slice(&checksum(&sealed).to_le_bytes());
+            let _ = decode_frame(&sealed, &key());
+        }
+    }
+
     #[test]
     fn frame_round_trips() {
         let payload = b"throughput 0.25 items/cycle".to_vec();

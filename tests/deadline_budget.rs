@@ -28,14 +28,9 @@ use std::time::Duration;
 type Fingerprint = Vec<(Vec<u64>, Vec<(TransitionId, StateId)>)>;
 
 fn fingerprint(space: &StateSpace) -> Fingerprint {
-    let words = space.word_count();
-    let mut raw = vec![0u64; words];
     space
         .states()
-        .map(|s| {
-            space.fill_marking_words(s, &mut raw);
-            (raw.clone(), space.successors(s).to_vec())
-        })
+        .map(|s| (space.words(s).to_vec(), space.successors(s).to_vec()))
         .collect()
 }
 

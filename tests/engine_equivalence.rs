@@ -90,7 +90,7 @@ fn assert_pn_equivalent(net: &PetriNet, max_states: usize) -> Result<(), TestCas
     let oracle = rap_oracle::explore_net(net, max_states);
     prop_assert_eq!(engine.len(), oracle.len(), "state count");
     prop_assert_eq!(engine.is_truncated(), oracle.truncated, "truncation");
-    let dead: Vec<usize> = engine.dead_states().map(|s| s.index()).collect();
+    let dead: Vec<usize> = engine.deadlocks().iter().map(|s| s.index()).collect();
     prop_assert_eq!(&dead, &oracle.dead, "dead states");
     for s in engine.states() {
         let i = s.index();

@@ -76,7 +76,7 @@ fn parent_name(snap: &Snapshot, i: usize) -> &'static str {
 fn assert_same_space(a: &StateSpace, b: &StateSpace) {
     assert_eq!(a.len(), b.len());
     assert_eq!(a.outcome(), b.outcome());
-    assert!(a.dead_states().eq(b.dead_states()));
+    assert_eq!(a.deadlocks(), b.deadlocks());
     for (sa, sb) in a.states().zip(b.states()) {
         assert_eq!(a.marking(sa), b.marking(sb));
         assert_eq!(a.successors(sa), b.successors(sb));

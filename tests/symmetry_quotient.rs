@@ -123,13 +123,12 @@ fn wagged3_quotient_explores_only_canonical_representatives() {
         },
         &ssym,
     );
-    let words = space.word_count();
-    let mut raw = vec![0u64; words];
+    let words = space.words(space.initial()).len();
     let mut canon = vec![0u64; words];
     let mut tmp = vec![0u64; words];
     for s in space.states() {
-        space.fill_marking_words(s, &mut raw);
-        ssym.canonicalize(&raw, &mut canon, &mut tmp);
+        let raw = space.words(s);
+        ssym.canonicalize(raw, &mut canon, &mut tmp);
         assert_eq!(
             raw, canon,
             "quotient engine stored a non-canonical representative"
