@@ -47,12 +47,13 @@ fn main() {
     let run = run_sweep(quick, cli.cache.as_deref(), &sink.obs());
     let stats = run.outcome.stats;
     println!(
-        "{} configurations in {} ms on {} threads: {} full evaluations, \
-         {} memo hits, {} pruned as provably dominated",
+        "{} configurations in {} ms on {} threads: {} full evaluations \
+         ({} Petri screens), {} memo hits, {} pruned as provably dominated",
         stats.enumerated,
         num(run.elapsed_ms, 0),
         run.threads,
         stats.full_evaluations,
+        run.screens[0],
         stats.memo_hits,
         stats.pruned,
     );

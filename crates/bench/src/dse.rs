@@ -8,8 +8,10 @@
 //! pipelines, a 4-point datapath sizing grid and a 4-point supply grid,
 //! evaluated at every demanded depth 1–6. That is 576 distinct
 //! configurations, of which only the distinct *structures* (64) ever pay
-//! for a full evaluation — the memo and pruning counters in the emitted
-//! JSON record exactly how much work the driver avoided.
+//! for a full evaluation, and only the distinct *untimed* structures (16:
+//! sizing changes delays, never the Petri net) for a Petri screen — the
+//! memo, pruning and screen counters in the emitted JSON record exactly
+//! how much work the driver avoided.
 //!
 //! The acceptance anchor is the paper's design point: the reconfigurable
 //! OPE pipeline, 6 stages, operating at depth 4, nominal sizing and
@@ -30,8 +32,11 @@ use std::time::Instant;
 /// added the `restart` object and store counters: the sweep now runs over
 /// a persistent artifact store, and a *fresh* session over the same
 /// directory — a simulated process restart — must perform zero full
-/// evaluations, every structure served from disk.
-pub const SCHEMA: &str = "rap/dse-pareto/v3";
+/// evaluations, every structure served from disk. `v4` added `screens` to
+/// the cold, warm and restart blocks: the Petri screens each pass ran (the
+/// session's `check_runs`), one per untimed structure in a cold pass,
+/// because timing twins share theirs.
+pub const SCHEMA: &str = "rap/dse-pareto/v4";
 
 /// The label of the paper's design point in the full sweep.
 pub const PAPER_DESIGN_POINT: &str = "reconfigurable(6)@d4 s1 1.2V";
@@ -97,6 +102,9 @@ pub struct SweepRun {
     pub outcome: DseOutcome,
     /// Wall-clock of the cold pass (ms).
     pub elapsed_ms: f64,
+    /// Petri screens run per pass (cold, warm, restart): the session's
+    /// `check_runs` delta over the pass.
+    pub screens: [u64; 3],
     /// Wall-clock of the warm pass (ms).
     pub warm_elapsed_ms: f64,
     /// Counters of the warm pass (full evaluations ≈ 0: every structure
@@ -174,12 +182,14 @@ pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> Swe
     };
     let session = open()
         .unwrap_or_else(|e| panic!("cannot open artifact store {}: {e:?}", store_dir.display()));
+    let check_runs = |session: &rap_session::Session| session.stats().queries.check_runs;
     let t0 = Instant::now();
     let outcome = {
         let pass = obs.span("dse.pass.cold");
         explore_traced(&space, &cost, &cfg, &session, &pass.obs())
     };
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let cold_screens = check_runs(&session);
     // warm pass: the identical space against the populated session — the
     // cross-sweep artifact cache serves every structure, so the fronts
     // must be identical and (almost) no full evaluation happens
@@ -189,6 +199,7 @@ pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> Swe
         explore_traced(&space, &cost, &cfg, &session, &pass.obs())
     };
     let warm_elapsed_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let warm_screens = check_runs(&session) - cold_screens;
     assert_fronts_identical(&outcome, &warm);
     assert!(
         warm.stats.full_evaluations <= outcome.stats.full_evaluations,
@@ -206,6 +217,7 @@ pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> Swe
         explore_traced(&space, &cost, &cfg, &session, &pass.obs())
     };
     let restart_elapsed_ms = t2.elapsed().as_secs_f64() * 1e3;
+    let restart_screens = check_runs(&session);
     assert_fronts_identical(&outcome, &restart);
     assert_eq!(
         restart.stats.full_evaluations, 0,
@@ -251,6 +263,7 @@ pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> Swe
     SweepRun {
         outcome,
         elapsed_ms,
+        screens: [cold_screens, warm_screens, restart_screens],
         warm_elapsed_ms,
         warm_stats: warm.stats,
         restart_elapsed_ms,
@@ -337,9 +350,10 @@ pub fn render_json_with_trace(run: &SweepRun, trace: Option<&Snapshot>) -> Strin
     out.push_str(&format!("    \"memo_hits\": {},\n", stats.memo_hits));
     out.push_str(&format!("    \"pruned\": {},\n", stats.pruned));
     out.push_str(&format!(
-        "    \"check_inconclusive\": {}\n",
+        "    \"check_inconclusive\": {},\n",
         stats.check_inconclusive
     ));
+    out.push_str(&format!("    \"screens\": {}\n", run.screens[0]));
     out.push_str("  },\n");
     out.push_str("  \"warm\": {\n");
     out.push_str(&format!(
@@ -354,7 +368,8 @@ pub fn render_json_with_trace(run: &SweepRun, trace: Option<&Snapshot>) -> Strin
         "    \"memo_hits\": {},\n",
         run.warm_stats.memo_hits
     ));
-    out.push_str(&format!("    \"pruned\": {}\n", run.warm_stats.pruned));
+    out.push_str(&format!("    \"pruned\": {},\n", run.warm_stats.pruned));
+    out.push_str(&format!("    \"screens\": {}\n", run.screens[1]));
     out.push_str("  },\n");
     out.push_str("  \"restart\": {\n");
     out.push_str(&format!(
@@ -370,6 +385,7 @@ pub fn render_json_with_trace(run: &SweepRun, trace: Option<&Snapshot>) -> Strin
         run.restart_stats.memo_hits
     ));
     out.push_str(&format!("    \"pruned\": {},\n", run.restart_stats.pruned));
+    out.push_str(&format!("    \"screens\": {},\n", run.screens[2]));
     out.push_str("    \"store\": {\n");
     out.push_str(&format!(
         "      \"disk_hits\": {},\n",
@@ -486,18 +502,22 @@ pub struct Summary {
     pub memo_hits: usize,
     /// Pruned configurations.
     pub pruned: usize,
+    /// Petri screens run by the cold pass.
+    pub screens: usize,
     /// Per workload: front size.
     pub front_sizes: Vec<(usize, usize)>,
     /// Was the mode's design point on its front?
     pub design_point_on_front: bool,
 }
 
-/// Validates a `BENCH_dse.json` document against the v1 schema and the
+/// Validates a `BENCH_dse.json` document against the [`SCHEMA`] and the
 /// semantic invariants of the sweep, returning its summary.
 ///
 /// Beyond shape checks, this re-verifies that every emitted front is
 /// mutually non-dominated and sorted by descending throughput, that the
-/// work accounting adds up (`full + memo + pruned = configurations`), and
+/// work accounting adds up (`full + memo + pruned = configurations`), that
+/// the cold pass ran at most one screen per full evaluation and the warm
+/// and restart passes none, and
 /// — for full (non-quick) documents — that the sweep covered ≥ 500
 /// configurations, that memoization plus pruning measurably reduced full
 /// evaluations, and that the paper's OPE(6,4) design point sits on the
@@ -564,6 +584,16 @@ pub fn validate(src: &str) -> Result<Summary, String> {
             "work accounting broken: {full_evaluations} + {memo_hits} + {pruned} != {configurations}"
         ));
     }
+    // (v4) every screen belongs to a full evaluation, and a cold pass that
+    // evaluated anything screened something; a re-invocation over a
+    // populated --cache directory evaluates and screens nothing
+    let screens = stat("screens")?;
+    if screens > full_evaluations || (full_evaluations > 0 && screens == 0) {
+        return Err(format!(
+            "cold pass ran {screens} screens for {full_evaluations} full evaluations \
+             (need 1 <= screens <= full_evaluations)"
+        ));
+    }
 
     // the warm pass: same accounting, and the session cache must not
     // *increase* the number of full evaluations
@@ -591,6 +621,9 @@ pub fn validate(src: &str) -> Result<Summary, String> {
         return Err(format!(
             "warm pass performed more full evaluations ({warm_full}) than the cold pass ({full_evaluations})"
         ));
+    }
+    if warm_stat("screens")? != 0 {
+        return Err("warm pass re-ran a screen the session had cached".to_string());
     }
 
     // the restart pass (v3): the crash-safety acceptance — a fresh session
@@ -626,6 +659,9 @@ pub fn validate(src: &str) -> Result<Summary, String> {
             "restarted sweep performed {restart_full} full evaluations (must be 0: \
              every structure is served from the persistent store)"
         ));
+    }
+    if restart_stat("screens")? != 0 {
+        return Err("restarted sweep re-ran a screen the store holds".to_string());
     }
     let store = restart
         .get("store")
@@ -751,6 +787,7 @@ pub fn validate(src: &str) -> Result<Summary, String> {
         full_evaluations,
         memo_hits,
         pruned,
+        screens,
         front_sizes,
         design_point_on_front: on_front,
     })

@@ -18,6 +18,11 @@ fn quick_sweep_emits_valid_json() {
     assert!(json.contains(SCHEMA));
     let summary = validate(&json).expect("emitted JSON validates against the current schema");
     assert_eq!(summary.configurations, 48);
+    // the quick space builds 6 untimed structures (static, reconfigurable
+    // at depths 1–3, 1- and 2-way wagged); each is screened at most once
+    assert!((1..=6).contains(&summary.screens), "{summary:?}");
+    assert_eq!(summary.screens as u64, run.screens[0]);
+    assert_eq!(run.screens[1..], [0, 0], "warm and restart screen nothing");
     assert!(summary.design_point_on_front);
     // every demand class of the quick space produced a front
     assert_eq!(summary.front_sizes.len(), 3);
@@ -72,4 +77,36 @@ fn quick_design_point_has_an_exact_period() {
     assert!(e.period_units > 0.0 && e.period_units.is_finite());
     assert!(e.phases >= 1);
     assert!(!e.check_violated);
+}
+
+/// `json` with the `screens` count of the `pass`-th block (0 cold, 1 warm,
+/// 2 restart) set to `value`.
+fn with_screens(json: &str, pass: usize, value: usize) -> String {
+    let key = "\"screens\": ";
+    let at = json
+        .match_indices(key)
+        .nth(pass)
+        .expect("three screens counts")
+        .0
+        + key.len();
+    let digits = json[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    format!("{}{value}{}", &json[..at], &json[at + digits..])
+}
+
+#[test]
+fn validator_rejects_screen_counts_a_pass_cannot_have() {
+    let run = run_sweep(true, None, &Obs::none());
+    let json = render_json(&run);
+    let full = run.outcome.stats.full_evaluations;
+    for (pass, value, why) in [
+        (0, 0, "need 1 <= screens"),
+        (0, full + 1, "need 1 <= screens"),
+        (1, 1, "warm pass re-ran"),
+        (2, 1, "restarted sweep re-ran"),
+    ] {
+        let err = validate(&with_screens(&json, pass, value)).unwrap_err();
+        assert!(err.contains(why), "{err}");
+    }
+    // the recorded counts themselves validate
+    validate(&with_screens(&json, 0, run.screens[0] as usize)).unwrap();
 }

@@ -50,15 +50,21 @@ impl PetriImage {
     }
 
     /// All complementary `x_0`/`x_1` place pairs (used by the structural
-    /// 1-safety invariant check).
+    /// 1-safety invariant check), in ascending place order: by node, and
+    /// per node its `C`, `M`, `Mt` and `Mf` pairs, as [`to_petri`] creates
+    /// them. The order is fixed because a screen's unsafe witness is an
+    /// index into this list, and that index is persisted.
     #[must_use]
     pub fn complementary_pairs(&self) -> Vec<(PlaceId, PlaceId)> {
-        self.logic_places
+        let mut pairs: Vec<_> = self
+            .logic_places
             .values()
             .chain(self.marking_places.values())
             .copied()
             .chain(self.value_places.values().flat_map(|&(mt, mf)| [mt, mf]))
-            .collect()
+            .collect();
+        pairs.sort_unstable();
+        pairs
     }
 
     /// Pushes a DFS-level node permutation (e.g.
@@ -653,6 +659,24 @@ mod tests {
         let space = explore(&img.net, ExploreConfig::default()).unwrap();
         let pairs = img.complementary_pairs();
         assert!(rap_petri::analysis::check_complementary_pairs(&space, &pairs).is_none());
+    }
+
+    #[test]
+    fn complementary_pairs_come_in_a_fixed_order() {
+        let p = crate::pipelines::build_pipeline(
+            &crate::pipelines::PipelineSpec::reconfigurable_depth(3, 2).unwrap(),
+        )
+        .unwrap();
+        let pairs = to_petri(&p.dfs).complementary_pairs();
+        // every translation lists the same pairs in the same order (each
+        // one builds its maps under a fresh hasher seed)
+        for _ in 0..8 {
+            assert_eq!(to_petri(&p.dfs).complementary_pairs(), pairs);
+        }
+        // by node, then C/M/Mt/Mf: each pair's places are adjacent, and
+        // the pairs ascend
+        assert!(pairs.iter().all(|(p0, p1)| p1.index() == p0.index() + 1));
+        assert!(pairs.windows(2).all(|w| w[0].1 < w[1].0));
     }
 
     #[test]

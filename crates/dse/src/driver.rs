@@ -2,14 +2,25 @@
 //! sharded result collection, session-backed memoization and admissible
 //! pruning.
 //!
-//! * **Work stealing** — tasks (configurations) are dealt round-robin into
-//!   per-worker deques ([`rap_pool::StealQueues`], extracted from this
-//!   driver); each candidate's state-space exploration runs serially on
-//!   the worker that evaluates it, so this pool is the only parallelism
-//!   of a sweep. A worker pops
-//!   its own deque from the front and, when empty, steals from the back of
-//!   the others. No global queue lock on the hot path, and stragglers (the
-//!   big wagged models) end up shared.
+//! * **Work stealing** — tasks are dealt round-robin into per-worker
+//!   deques ([`rap_pool::StealQueues`], extracted from this driver); each
+//!   candidate's state-space exploration runs serially on the worker that
+//!   evaluates it, so this pool is the only parallelism of a sweep. A
+//!   worker pops its own deque from the front and, when empty, steals from
+//!   the back of the others. No global queue lock on the hot path, and
+//!   stragglers (the big wagged models) end up shared.
+//! * **Scheduling** — a task is not one configuration but one *structure
+//!   group*: the configurations with equal [`Config::untimed_key`]
+//!   (hardware and operating depth), which build timing twins that share
+//!   one Petri image and one screen in the session. Groups keep their
+//!   first-appearance order and their configurations keep enumeration
+//!   order, so on one thread the sweep evaluates in enumeration order.
+//!   A worker runs a whole group in sequence, so twins never race: no
+//!   query blocks on a twin's in-flight computation (the session counts
+//!   such blocking as `session.<kind>.wait`). A sweep uses at most one
+//!   worker per group, and a one-group sweep runs inline. A key that split
+//!   twins would cost time, never correctness, because the session does
+//!   the sharing.
 //! * **Sharded collection** — each worker appends to its own result
 //!   vector; vectors are concatenated after the pool joins, then sorted
 //!   canonically, so the output is deterministic regardless of schedule.
@@ -19,11 +30,13 @@
 //!   only in supply voltage — or in demanded depth, for hardware that
 //!   cannot reconfigure — build identical models and share one
 //!   [`CompiledModel`], whose query slots are in-flight reservations (a
-//!   `OnceLock` per artifact): concurrent twins block on the first
-//!   evaluation instead of duplicating it, so each distinct structure is
-//!   fully evaluated at most once per sweep regardless of thread count.
-//!   (The exact full/memo/pruned *split* can still shift marginally under
-//!   parallel scheduling, because pruning races the arrival of
+//!   `OnceLock` per artifact), so each distinct structure is fully
+//!   evaluated at most once per sweep regardless of thread count.
+//!   Configurations that differ in sizing as well are timing twins: each
+//!   has its own throughput analysis and cost, but the session runs their
+//!   shared Petri screen once, so a sweep screens each untimed structure
+//!   once. (The exact full/memo/pruned *split* can still shift marginally
+//!   under parallel scheduling, because pruning races the arrival of
 //!   dominators; the fronts and every per-point value are
 //!   schedule-invariant.) Passing an external session to
 //!   [`explore_with_session`] extends the sharing across sweeps: a warm
@@ -179,7 +192,9 @@ struct Shared<'a> {
     cost: &'a CostModel,
     cfg: &'a DseConfig,
     session: &'a Session,
-    tasks: Vec<Config>,
+    /// The enumerated configurations in structure groups (see
+    /// [`structure_groups`]); the queues deal group indices.
+    groups: Vec<Vec<Config>>,
     queues: StealQueues<usize>,
     /// Exact periods of evaluated reconfigurable points, for the
     /// depth-monotonicity bound: (hardware label, sizing bits) → [(depth,
@@ -252,20 +267,23 @@ impl Shared<'_> {
     }
 
     fn run_worker(&self, me: usize, out: &mut Vec<Evaluation>) {
-        while let Some(idx) = self.queues.next(me) {
-            let config = self.tasks[idx];
-            // panic isolation: a panicking evaluation poisons only its own
-            // result (the point is recorded in `panics` and missing from
-            // the sweep), the worker and the rest of the batch continue.
-            // The shared-state sections (siblings/dominators mutexes,
-            // session slots) only hold locks around plain inserts, so a
-            // panic inside an evaluation cannot poison them mid-update.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.eval_task(config)))
-            {
-                Ok(Some(eval)) => out.push(eval),
-                Ok(None) => {}
-                Err(_) => {
-                    self.meter.add("dse.eval.panic", 1);
+        while let Some(group) = self.queues.next(me) {
+            for &config in &self.groups[group] {
+                // panic isolation: a panicking evaluation poisons only its
+                // own result (the point is recorded in `panics` and missing
+                // from the sweep), the worker and the rest of the batch
+                // continue. The shared-state sections (siblings/dominators
+                // mutexes, session slots) only hold locks around plain
+                // inserts, so a panic inside an evaluation cannot poison
+                // them mid-update.
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    self.eval_task(config)
+                })) {
+                    Ok(Some(eval)) => out.push(eval),
+                    Ok(None) => {}
+                    Err(_) => {
+                        self.meter.add("dse.eval.panic", 1);
+                    }
                 }
             }
         }
@@ -282,11 +300,13 @@ impl Shared<'_> {
                     return None;
                 }
             };
-            // twins intern to one CompiledModel in the shared session
+            // identical configurations intern to one CompiledModel in the
+            // shared session
             let model: Arc<CompiledModel> = self.session.compile(&dfs);
             if !model.analysed() {
-                // not analysed yet (though a twin may be in flight): this
-                // task may still be pruned on its own merits
+                // not analysed yet (though another caller of the session
+                // may have it in flight): this task may still be pruned on
+                // its own merits
                 let lb = self.period_lower_bound(&config, &dfs);
                 let bound = optimistic_bound(&config, &dfs, self.cost, lb);
                 if self.is_dominated(config.workload, &bound) {
@@ -298,7 +318,7 @@ impl Shared<'_> {
             }
             // whoever wins the session's in-flight reservation for the
             // throughput analysis is the task that paid for the structure:
-            // exact work accounting even under concurrent twins
+            // exact work accounting even under concurrent callers
             let (detail, ran_here) = model.perf_detail_computed();
             if detail.is_err() {
                 self.meter.add("dse.eval.error", 1);
@@ -354,6 +374,23 @@ impl Shared<'_> {
     }
 }
 
+/// Splits `tasks` into structure groups by [`Config::untimed_key`]:
+/// groups in first-appearance order, each group's configurations in
+/// `tasks` order. Enumeration is hardware-major, then demand-major, so
+/// every group is a contiguous run of the enumeration.
+fn structure_groups(tasks: Vec<Config>) -> Vec<Vec<Config>> {
+    let mut index: HashMap<(Hardware, usize), usize> = HashMap::new();
+    let mut groups: Vec<Vec<Config>> = Vec::new();
+    for config in tasks {
+        let g = *index.entry(config.untimed_key()).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(config);
+    }
+    groups
+}
+
 /// Runs the sweep over `space` with the given cost model and driver
 /// configuration, in a fresh private session.
 #[must_use]
@@ -400,9 +437,10 @@ pub fn explore_traced(
     let sweep_obs = sweep_span.obs();
     let tasks = space.enumerate();
     let enumerated = tasks.len();
-    let threads = cfg.threads.max(1).min(tasks.len().max(1));
+    let groups = structure_groups(tasks);
+    let threads = cfg.threads.max(1).min(groups.len().max(1));
     let queues = StealQueues::new(threads);
-    queues.deal(0..tasks.len());
+    queues.deal(0..groups.len());
     let meter = Meter::with_obs(sweep_obs.clone());
     meter.add("dse.enumerated", enumerated as u64);
     let shared = Shared {
@@ -410,7 +448,7 @@ pub fn explore_traced(
         cost,
         cfg,
         session,
-        tasks,
+        groups,
         queues,
         siblings: Mutex::new(HashMap::new()),
         dominators: Mutex::new(HashMap::new()),

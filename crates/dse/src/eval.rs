@@ -14,7 +14,8 @@
 //! throughput analysis, Petri translation, verification screen and cost
 //! summary are session queries, so a configuration evaluated for the
 //! sweep shares every artifact with any other caller of the same session
-//! — and twin configurations (same structure) share them with each other.
+//! — identical configurations share all of them with each other, and
+//! timing twins (equal but for delays) the Petri image and screen.
 
 use crate::pareto::Objectives;
 use crate::space::Config;

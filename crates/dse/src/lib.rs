@@ -20,8 +20,8 @@
 //!   deadlock/1-safety screen through `rap_petri`;
 //! * [`pareto`] — the dominance kernel (deterministic, order-independent,
 //!   property-tested against an O(n²) oracle);
-//! * [`driver`] — the work-stealing thread pool with sharded result
-//!   collection, structural memoization and pruning.
+//! * [`driver`] — the work-stealing thread pool (dealing structure groups)
+//!   with sharded result collection, structural memoization and pruning.
 //!
 //! # Guarantees
 //!
@@ -32,8 +32,12 @@
 //! supply voltages, or non-reconfigurable hardware under two workload
 //! demands — share one `CompiledModel` and therefore one evaluation, and
 //! voltage is applied analytically (`period(V) = period(V₀)·factor(V)`
-//! under the uniform alpha-power scaling). Supplying an external session
-//! ([`explore_with_session`]) extends the sharing across sweeps.
+//! under the uniform alpha-power scaling). Points that differ in sizing as
+//! well build timing twins, which the session lets share one Petri image
+//! and one screen, and the driver runs each group of twins on one worker,
+//! so a sweep screens each untimed structure once and twins never race.
+//! Supplying an external session ([`explore_with_session`]) extends the
+//! sharing across sweeps.
 //!
 //! **Pruning is admissible: it never drops a true Pareto point.** A
 //! candidate is skipped only when an *optimistic* bound on its objectives

@@ -24,7 +24,7 @@ use dfs_core::pipelines::{build_pipeline, PipelineSpec, StageDelays};
 use dfs_core::{Dfs, DfsError, NodeId};
 
 /// A hardware candidate (what gets taped out).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Hardware {
     /// A fully static `stages`-stage pipeline: least silicon, fixed
     /// function — it computes its full window whatever the demand.
@@ -167,6 +167,16 @@ impl Config {
         }
     }
 
+    /// The axes that fix the *untimed* structure this configuration
+    /// builds: the hardware and its operating depth. Sizing and voltage
+    /// change only delays and cost, so configurations with equal keys build
+    /// timing twins, which share their Petri image and screen in a
+    /// session.
+    #[must_use]
+    pub fn untimed_key(&self) -> (Hardware, usize) {
+        (self.hardware, self.operating_depth())
+    }
+
     /// A unique, stable label. Sizing and voltage are printed with Rust's
     /// shortest round-trip `f64` formatting — lossless, so two distinct
     /// configurations can never collapse onto one label (the label is
@@ -189,8 +199,11 @@ impl Config {
     /// depth, sizing) — not on the voltage, which scales all delays
     /// uniformly and is applied analytically by the cost model. Two
     /// configs differing only in voltage (or in demand, for hardware that
-    /// cannot reconfigure) therefore build isomorphic models and share one
-    /// memoized evaluation via `Dfs::structural_hash`.
+    /// cannot reconfigure) therefore build identical models and share one
+    /// memoized evaluation in a session. Configs that differ in sizing as
+    /// well build *timing twins* (equal [`untimed_key`](Self::untimed_key),
+    /// different delays): they are analysed apart, but share one Petri
+    /// image and one screen.
     ///
     /// # Errors
     ///

@@ -2,21 +2,24 @@
 //! count, memoization and pruning must never change which points are
 //! reported Pareto-optimal. The reference is an oracle inside this file
 //! that shares none of them: it evaluates every configuration on its own,
-//! in a fresh session, and takes the O(n²) front. Also pins the
-//! admissibility of the wagged direct-graph period bound the pruner relies
-//! on.
+//! in a fresh session, and takes the O(n²) front. Also pins that the
+//! driver's structure groups screen each untimed structure once without
+//! any query blocking on another worker, and the admissibility of the
+//! wagged direct-graph period bound the pruner relies on.
 
 use dfs_core::perf::mcr::maximum_cycle_ratio;
 use dfs_core::perf::{analyse, EventGraph};
 use dfs_core::pipelines::StageDelays;
 use rap_dse::models::wagged_ope;
 use rap_dse::{
-    evaluate_structural, explore, naive_front_indices, DesignSpace, DseConfig, DseOutcome,
-    Hardware, Objectives,
+    evaluate_structural, explore, explore_with_session, naive_front_indices, DesignSpace,
+    DseConfig, DseOutcome, Hardware, Objectives,
 };
+use rap_obs::{Collector, Obs};
 use rap_session::Session;
 use rap_silicon::cost::CostModel;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 fn ope_delays() -> StageDelays {
     StageDelays {
@@ -131,6 +134,60 @@ fn parallel_memoized_pruned_sweep_matches_plain_serial() {
             outcome.stats.enumerated,
             "threads={threads}"
         );
+    }
+}
+
+/// Sizing twins on different workers would race for their shared screen.
+/// The driver deals structure groups instead, so on every thread count no
+/// query blocks on another worker (`session.<kind>.wait` never counts),
+/// the fronts equal the oracle's, and each untimed structure that is
+/// fully evaluated is screened exactly once.
+#[test]
+fn structure_groups_screen_each_net_once_and_never_wait() {
+    let cost = CostModel::default();
+    // an unpaired reconfigurable request: two demands × two voltages, at
+    // two sizings
+    let twins = DesignSpace {
+        hardware: vec![Hardware::Reconfigurable {
+            stages: 3,
+            share_ctrl: true,
+        }],
+        workloads: vec![2, 3],
+        sizings: vec![1.0, 1.5],
+        voltages: vec![0.9, 1.2],
+        delays: ope_delays(),
+    };
+    for space in [twins, small_space()] {
+        let reference = oracle_fronts(&space, &cost, 4_000);
+        for threads in [1, 2, 4] {
+            let collector = Arc::new(Collector::new());
+            let session = Session::with(None, Obs::collecting(&collector));
+            let cfg = DseConfig {
+                threads,
+                check_budget: 4_000,
+            };
+            let outcome = explore_with_session(&space, &cost, &cfg, &session);
+            assert_eq!(front_signature(&outcome), reference, "threads={threads}");
+            let screened: HashSet<_> = outcome
+                .evaluations
+                .iter()
+                .filter(|e| !e.memoized)
+                .map(|e| e.config.untimed_key())
+                .collect();
+            assert_eq!(
+                session.stats().queries.check_runs,
+                screened.len() as u64,
+                "threads={threads}"
+            );
+            let snap = collector.snapshot();
+            let waits: Vec<_> = snap
+                .counters
+                .iter()
+                .filter(|(name, _)| name.ends_with(".wait"))
+                .collect();
+            assert!(waits.is_empty(), "threads={threads}: {waits:?}");
+            assert!(snap.hists.iter().all(|h| h.name != "session.wait_ns"));
+        }
     }
 }
 

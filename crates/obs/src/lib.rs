@@ -55,6 +55,8 @@
 //! | `session.query.<kind>` | span | whole query (`petri`, `perf`, `lts`, `check`, `cost`, `steady`) |
 //! | `session.load` / `session.compute` / `session.commit` | span | store probe / actual analysis / persist-on-commit inside a query |
 //! | `session.<kind>.query` / `.compute` / `.disk_hit` | counter | per-kind lifecycle outcomes (memo hits = query − compute − disk_hit) |
+//! | `session.<kind>.wait` | counter | queries that blocked on another thread's in-flight computation of the same artifact |
+//! | `session.wait_ns` | histogram | time those queries spent blocked |
 //! | `dse.sweep` | span | one `explore*` call |
 //! | `dse.eval` | span | one candidate evaluation task |
 //! | `dse.enumerated`, `dse.eval.full` / `.memo` / `.pruned` / `.error` / `.panic` | counter | sweep work accounting |

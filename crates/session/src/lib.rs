@@ -49,12 +49,25 @@
 //!    reservations (`OnceLock` per key, the same discipline as the DSE
 //!    memo): under concurrent queries from any number of threads, each
 //!    artifact is computed at most once and every other caller blocks on
-//!    that computation instead of repeating it. Results are shareable
-//!    across threads (`&`-references tied to the model, or `Arc`s for the
-//!    budget-keyed artifacts).
-//! 4. **Observability.** [`Session::stats`] aggregates per-model counters
+//!    that computation instead of repeating it. Such blocking is counted
+//!    (`session.<kind>.wait`, with the blocked time in the
+//!    `session.wait_ns` histogram of the `rap-obs` taxonomy). Results are
+//!    shareable across threads (`&`-references tied to the model, or
+//!    `Arc`s for the budget-keyed artifacts).
+//! 4. **Delay-free artifacts are shared by timing twins.** Models equal in
+//!    everything but node delays — verified field by field, like interning
+//!    — are *timing twins*. Neither the Fig. 3 translation nor the
+//!    direct-semantics LTS reads a delay, so twins share one Petri image,
+//!    one LTS per budget and one screen per budget, computed by whichever
+//!    twin asks first; the throughput analysis, cost and steady-state
+//!    queries read delays and stay per model. In a persistent session
+//!    every twin still files the screen under its own key, and looks for
+//!    its own frame before it uses the shared one.
+//! 5. **Observability.** [`Session::stats`] aggregates per-model counters
 //!    of queries vs actual computations, so cache behaviour is testable
-//!    and sweeps can do exact work accounting.
+//!    and sweeps can do exact work accounting. A computation is counted on
+//!    the model whose query ran it, so summed over a twin group the Petri,
+//!    LTS and check counters count each shared artifact once.
 //!
 //! # Quick start
 //!
@@ -142,7 +155,10 @@ pub struct SessionStats {
 /// *bucket* key; actual sharing additionally requires [`same_model`] to
 /// hold, so a hash collision can cost a duplicate compilation but never
 /// serve another model's cache.
-fn exact_digest(dfs: &Dfs) -> u64 {
+///
+/// With `timed == false` the delays are left out: the digest is then the
+/// bucket key of the model's timing-twin group (see [`same_model`]).
+fn exact_digest(dfs: &Dfs, timed: bool) -> u64 {
     use dfs_core::hash::mix64 as mix;
     let mut h = mix(0x5e55_1055 ^ dfs.node_count() as u64);
     let mut fold = |v: u64| h = mix(h ^ mix(v));
@@ -159,7 +175,9 @@ fn exact_digest(dfs: &Dfs) -> u64 {
             Some(dfs_core::TokenValue::True) => 1,
             Some(dfs_core::TokenValue::False) => 2,
         });
-        fold(node.delay.to_bits());
+        if timed {
+            fold(node.delay.to_bits());
+        }
         fold(dfs.guard_mode(id) as u64);
         for e in dfs.preds(id) {
             fold((e.node.index() as u64) << 1 | u64::from(e.inverted));
@@ -169,11 +187,17 @@ fn exact_digest(dfs: &Dfs) -> u64 {
     h
 }
 
-/// Intern buckets keyed by `(structural_hash, exact_digest)`; entries
-/// within a bucket are verified by [`same_model`], so the bit-identity
-/// contract does not rest on 128 hash bits (a collision merely makes the
-/// bucket grow).
-type InternTable = HashMap<(u64, u64), Vec<Arc<CompiledModel>>>;
+/// The session's two intern tables. Entries within a bucket are verified
+/// by [`same_model`], so the bit-identity contract does not rest on hash
+/// bits (a collision merely makes the bucket grow).
+#[derive(Default)]
+struct InternTable {
+    /// Models, bucketed by `(structural_hash, exact_digest(_, true))`.
+    models: HashMap<(u64, u64), Vec<Arc<CompiledModel>>>,
+    /// Timing-twin groups, bucketed by the delay-free identity digest;
+    /// each entry is the first model compiled into its group.
+    twins: HashMap<u64, Vec<Arc<CompiledModel>>>,
+}
 
 /// The query-driven entry point: compiles (interns) models and hands out
 /// [`CompiledModel`]s whose derived artifacts are demand-computed and
@@ -185,7 +209,7 @@ type InternTable = HashMap<(u64, u64), Vec<Arc<CompiledModel>>>;
 /// drop every cache).
 #[derive(Default)]
 pub struct Session {
-    models: Mutex<InternTable>,
+    interned: Mutex<InternTable>,
     /// Compile/intern counters. Only written while the intern lock is
     /// held, and read under it too ([`Session::stats`]), so the
     /// compiles/hits/models triple is always mutually consistent.
@@ -199,14 +223,16 @@ pub struct Session {
 }
 
 /// Field-exact model equality: the verification step behind intern hits.
-fn same_model(a: &Dfs, b: &Dfs) -> bool {
+/// With `timed == false` delays are ignored: the models are then *timing
+/// twins*, which share every delay-free artifact.
+fn same_model(a: &Dfs, b: &Dfs, timed: bool) -> bool {
     a.node_count() == b.node_count()
         && a.nodes().all(|id| {
             let (na, nb) = (a.node(id), b.node(id));
             na.name == nb.name
                 && na.kind == nb.kind
                 && na.initial == nb.initial
-                && na.delay.to_bits() == nb.delay.to_bits()
+                && (!timed || na.delay.to_bits() == nb.delay.to_bits())
                 && a.guard_mode(id) == b.guard_mode(id)
                 && a.preds(id) == b.preds(id)
                 && a.succs(id) == b.succs(id)
@@ -293,6 +319,12 @@ impl Session {
     /// was compiled before, its [`CompiledModel`] — with every artifact
     /// already cached on it — is returned instead of a fresh one.
     ///
+    /// A new model also joins its *timing-twin group*: the models compiled
+    /// so far that equal it in everything but node delays (verified field
+    /// by field, like interning). Twins share the delay-free artifacts —
+    /// the Petri image, the LTS and the screen — see the [crate
+    /// docs](crate).
+    ///
     /// Compilation itself derives nothing: artifacts are computed on first
     /// query. The returned `Arc` is shareable across threads and stays
     /// valid after the session is dropped (caches and all).
@@ -300,32 +332,43 @@ impl Session {
     pub fn compile(&self, dfs: &Dfs) -> Arc<CompiledModel> {
         let _span = self.obs.span("session.compile");
         let structural = dfs.structural_hash();
-        let key = (structural, exact_digest(dfs));
-        let mut models = self.models.lock().expect("session intern table");
-        if let Some(model) = models
+        let key = (structural, exact_digest(dfs, true));
+        let mut guard = self.interned.lock().expect("session intern table");
+        let table = &mut *guard;
+        if let Some(model) = table
+            .models
             .entry(key)
             .or_default()
             .iter()
-            .find(|m| same_model(m.dfs(), dfs))
+            .find(|m| same_model(m.dfs(), dfs, true))
         {
             let model = Arc::clone(model);
             self.meter
                 .bump2("session.compile", "session.compile.hit", true);
             return model;
         }
-        let persist = self.store.as_ref().map(|s| persist::Persist {
-            store: Arc::clone(s),
-            structural,
-            identity: key.1,
-        });
+        let persist = self
+            .store
+            .as_ref()
+            .map(|s| persist::Persist::new(Arc::clone(s), structural, key.1));
+        let twins = table.twins.entry(exact_digest(dfs, false)).or_default();
+        let twin = twins.iter().find(|m| same_model(m.dfs(), dfs, false));
         let model = Arc::new(CompiledModel::new(
             dfs.clone(),
             structural,
             key.1,
+            twin.map(|m| m.untimed()),
             persist,
             self.obs.clone(),
         ));
-        models.entry(key).or_default().push(Arc::clone(&model));
+        if twin.is_none() {
+            twins.push(Arc::clone(&model));
+        }
+        table
+            .models
+            .entry(key)
+            .or_default()
+            .push(Arc::clone(&model));
         self.meter
             .bump2("session.compile", "session.compile.hit", false);
         model
@@ -338,10 +381,10 @@ impl Session {
     /// counters are copied under a single lock).
     #[must_use]
     pub fn stats(&self) -> SessionStats {
-        let models = self.models.lock().expect("session intern table");
+        let table = self.interned.lock().expect("session intern table");
         let mut agg = CounterSnapshot::default();
         let mut count = 0u64;
-        for m in models.values().flatten() {
+        for m in table.models.values().flatten() {
             agg.merge(&m.counter_snapshot());
             count += 1;
         }

@@ -12,6 +12,7 @@ use rap_petri::reachability::ExploreConfig;
 use rap_silicon::cost::CostModel;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// A keyed cache slot. The `Arc` lets a query hold the slot outside the
 /// map lock while it computes; the `OnceLock` is the in-flight
@@ -30,13 +31,43 @@ where
 
 /// Runs `f` through `slot` exactly once; the returned flag is `true` iff
 /// *this* call performed the computation (it won the reservation).
-fn traced_once<T>(slot: &OnceLock<T>, f: impl FnOnce() -> T) -> (&T, bool) {
+///
+/// A call that finds the slot empty and still does not run `f` has blocked
+/// on another thread's in-flight computation: it counts as `wait` in
+/// `meter`, and its blocked time lands in the `session.wait_ns` histogram.
+fn traced_once<'a, T>(
+    slot: &'a OnceLock<T>,
+    meter: &Meter,
+    wait: &'static str,
+    f: impl FnOnce() -> T,
+) -> (&'a T, bool) {
+    if let Some(v) = slot.get() {
+        return (v, false);
+    }
+    let start = Instant::now();
     let mut ran = false;
     let v = slot.get_or_init(|| {
         ran = true;
         f()
     });
+    if !ran {
+        meter.add(wait, 1);
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        meter.obs().observe_ns("session.wait_ns", nanos);
+    }
     (v, ran)
+}
+
+/// The delay-free artifacts of one timing-twin group: models equal in
+/// everything but node delays. Neither the Fig. 3 translation nor the
+/// direct-semantics LTS reads a delay, so the twins share one Petri image,
+/// one LTS per budget and one screen per budget, whichever twin computes
+/// them first.
+#[derive(Default)]
+pub(crate) struct Untimed {
+    petri: OnceLock<PetriImage>,
+    lts: SlotMap<usize, Result<Arc<Lts>, Error>>,
+    checks: SlotMap<usize, Arc<QuickCheck>>,
 }
 
 /// The exploration config of a session query: the state budget, every
@@ -57,8 +88,11 @@ fn explore_config(max_states: usize, obs: &Obs) -> ExploreConfig {
 /// counts actual computations; the difference is the number of calls
 /// served from cache. Because every computation runs under an in-flight
 /// reservation, each computation counter is bounded by the number of
-/// distinct cache keys of its query — `petri_translations` and
-/// `perf_analyses` can never exceed 1 per model.
+/// distinct cache keys of its query: `perf_analyses` never exceeds 1 per
+/// model, and `petri_translations` never exceeds 1 per timing-twin group
+/// (the delay-free artifacts are shared, so a twin's Petri, LTS and check
+/// queries may be served by another twin's computation — summed over the
+/// twins, `lts_explorations` and `check_runs` are at most 1 per budget).
 ///
 /// `ModelStats` is a *view* over the model's `rap-obs` counter set (see
 /// [`ModelStats::from_counters`]); each model's counters are copied under
@@ -179,15 +213,15 @@ pub struct CompiledModel {
     identity_digest: u64,
     /// Store context of a persistent session; `None` = memory-only. The
     /// persisted queries (perf, check, cost, steady) consult the store
-    /// inside their in-flight reservation: a verified disk frame fills the
-    /// slot *without* counting as a computation, so restart-warm sweeps do
-    /// zero full evaluations. The Petri image and LTS are recomputed, not
-    /// persisted — see [`crate::persist`].
+    /// before they compute: a verified disk frame fills the slot *without*
+    /// counting as a computation, so restart-warm sweeps do zero full
+    /// evaluations. The Petri image and LTS are recomputed, not persisted
+    /// — see [`crate::persist`].
     persist: Option<Persist>,
-    petri: OnceLock<PetriImage>,
+    /// The Petri image, LTS and screen slots, shared with every timing
+    /// twin compiled into the same session.
+    untimed: Arc<Untimed>,
     perf: OnceLock<Result<PerfDetail, Error>>,
-    lts: SlotMap<usize, Result<Arc<Lts>, Error>>,
-    checks: SlotMap<usize, Arc<QuickCheck>>,
     costs: SlotMap<u64, Result<CostSummary, Error>>,
     steady: SlotMap<(NodeId, u64), Result<SteadyStatePeriod, Error>>,
     /// Query/computation counters, mirrored into the session's recorder
@@ -217,10 +251,12 @@ impl std::fmt::Debug for CompiledModel {
 }
 
 impl CompiledModel {
+    /// A fresh model joining `twins`' group, or starting its own.
     pub(crate) fn new(
         dfs: Dfs,
         structural_hash: u64,
         identity_digest: u64,
+        twins: Option<Arc<Untimed>>,
         persist: Option<Persist>,
         obs: Obs,
     ) -> Self {
@@ -229,10 +265,8 @@ impl CompiledModel {
             structural_hash,
             identity_digest,
             persist,
-            petri: OnceLock::new(),
+            untimed: twins.unwrap_or_default(),
             perf: OnceLock::new(),
-            lts: Mutex::new(HashMap::new()),
-            checks: Mutex::new(HashMap::new()),
             costs: Mutex::new(HashMap::new()),
             steady: Mutex::new(HashMap::new()),
             meter: Meter::with_obs(obs.clone()),
@@ -244,6 +278,11 @@ impl CompiledModel {
     #[must_use]
     pub fn dfs(&self) -> &Dfs {
         &self.dfs
+    }
+
+    /// The model's timing-twin group, for a twin compiled after it.
+    pub(crate) fn untimed(&self) -> Arc<Untimed> {
+        Arc::clone(&self.untimed)
     }
 
     /// The canonical structural hash the model was interned under
@@ -284,14 +323,17 @@ impl CompiledModel {
         &self.obs
     }
 
-    /// The Petri-net image (Fig. 3 translation) — computed once, equal to
-    /// [`to_petri()`]`(self.dfs())`.
+    /// The Petri-net image (Fig. 3 translation) — computed once per
+    /// timing-twin group, equal to [`to_petri()`]`(self.dfs())`.
     pub fn petri(&self) -> &PetriImage {
         let span = self.obs.span("session.query.petri");
         let qobs = span.obs();
-        let (img, ran) = traced_once(&self.petri, || {
-            qobs.time("session.compute", |_| to_petri(&self.dfs))
-        });
+        let (img, ran) = traced_once(
+            &self.untimed.petri,
+            &self.meter,
+            "session.petri.wait",
+            || qobs.time("session.compute", |_| to_petri(&self.dfs)),
+        );
         self.meter
             .bump2("session.petri.query", "session.petri.compute", ran);
         img
@@ -313,7 +355,7 @@ impl CompiledModel {
 
     /// [`perf_detail`](Self::perf_detail), also reporting whether *this*
     /// call performed the analysis (`true`) or was served from a cache —
-    /// in-memory, in-flight (blocked on a concurrent twin's computation),
+    /// in-memory, in-flight (blocked on a concurrent caller's computation),
     /// or a verified on-disk frame of a persistent session — (`false`).
     /// Sweep drivers use this for exact work accounting; a restart-warm
     /// sweep over an intact store reports `false` throughout.
@@ -322,7 +364,7 @@ impl CompiledModel {
         let qobs = span.obs();
         let mut analysed = false;
         let mut disk_hit = false;
-        let (res, _filled) = traced_once(&self.perf, || {
+        let (res, _filled) = traced_once(&self.perf, &self.meter, "session.perf.wait", || {
             if let Some(p) = &self.persist {
                 if let Some(detail) = qobs.time("session.load", |_| p.load_perf()) {
                     disk_hit = true;
@@ -365,7 +407,7 @@ impl CompiledModel {
     }
 
     /// The reachable LTS of the direct semantics under `budget` —
-    /// computed once per distinct budget, equal to
+    /// computed once per distinct budget and timing-twin group, equal to
     /// [`Lts::explore`]`(self.dfs(), budget)`.
     ///
     /// # Errors
@@ -375,8 +417,8 @@ impl CompiledModel {
     pub fn lts(&self, budget: usize) -> Result<Arc<Lts>, Error> {
         let span = self.obs.span("session.query.lts");
         let qobs = span.obs();
-        let slot = keyed_slot(&self.lts, budget);
-        let (res, ran) = traced_once(&slot, || {
+        let slot = keyed_slot(&self.untimed.lts, budget);
+        let (res, ran) = traced_once(&slot, &self.meter, "session.lts.wait", || {
             qobs.time("session.compute", |o| {
                 let lts = Lts::explore_with(&self.dfs, &explore_config(budget, o), None);
                 if lts.is_truncated() {
@@ -391,41 +433,44 @@ impl CompiledModel {
     }
 
     /// The budgeted deadlock/1-safety screen over the Petri image —
-    /// computed once per distinct budget, equal to
+    /// computed once per distinct budget and timing-twin group, equal to
     /// [`quick_check`](rap_petri::analysis::quick_check)`(&img.net,
     /// &img.complementary_pairs(), budget)`.
     /// Demands [`petri`](Self::petri), so the translation is still
-    /// performed at most once per model.
+    /// performed at most once per group.
+    ///
+    /// In a persistent session every model keeps its own `Check` frame per
+    /// budget: its first query loads that frame if it is on disk, and
+    /// otherwise commits the screen under the model's own key, also when a
+    /// twin computed it.
     #[must_use]
     pub fn quick_check(&self, budget: usize) -> Arc<QuickCheck> {
         let span = self.obs.span("session.query.check");
         let qobs = span.obs();
-        let slot = keyed_slot(&self.checks, budget);
+        let slot = keyed_slot(&self.untimed.checks, budget);
+        let own_frame = self.persist.as_ref().filter(|p| p.claim_check(budget));
+        // a disk hit skips the whole pipeline, including the Petri
+        // translation the in-memory path would demand
+        let loaded = own_frame.and_then(|p| qobs.time("session.load", |_| p.load_check(budget)));
+        let disk_hit = loaded.is_some();
         let mut ran = false;
-        let mut disk_hit = false;
-        let (check, _filled) = traced_once(&slot, || {
-            if let Some(p) = &self.persist {
-                if let Some(check) = qobs.time("session.load", |_| p.load_check(budget)) {
-                    // a disk hit skips the whole pipeline, including the
-                    // Petri translation the in-memory path would demand
-                    disk_hit = true;
-                    return Arc::new(check);
-                }
+        let (check, _filled) = traced_once(&slot, &self.meter, "session.check.wait", || {
+            if let Some(check) = loaded {
+                return Arc::new(check);
             }
             ran = true;
             let img = self.petri();
-            let check = qobs.time("session.compute", |o| {
+            Arc::new(qobs.time("session.compute", |o| {
                 quick_check_with(
                     &img.net,
                     &img.complementary_pairs(),
                     &explore_config(budget, o),
                 )
-            });
-            if let Some(p) = &self.persist {
-                qobs.time("session.commit", |_| p.save_check(budget, &check));
-            }
-            Arc::new(check)
+            }))
         });
+        if let (Some(p), false) = (own_frame, disk_hit) {
+            qobs.time("session.commit", |_| p.save_check(budget, check));
+        }
         self.meter
             .bump2("session.check.query", "session.check.compute", ran);
         if disk_hit {
@@ -449,7 +494,7 @@ impl CompiledModel {
         let slot = keyed_slot(&self.costs, cache_key);
         let mut ran = false;
         let mut disk_hit = false;
-        let (res, _filled) = traced_once(&slot, || {
+        let (res, _filled) = traced_once(&slot, &self.meter, "session.cost.wait", || {
             if let Some(p) = &self.persist {
                 if let Some(summary) = qobs.time("session.load", |_| p.load_cost(cache_key)) {
                     disk_hit = true;
@@ -498,7 +543,7 @@ impl CompiledModel {
         let slot = keyed_slot(&self.steady, (output, max_marks));
         let mut ran = false;
         let mut disk_hit = false;
-        let (res, _filled) = traced_once(&slot, || {
+        let (res, _filled) = traced_once(&slot, &self.meter, "session.steady.wait", || {
             if let Some(p) = &self.persist {
                 if let Some(sp) = qobs.time("session.load", |_| p.load_steady(output, max_marks)) {
                     disk_hit = true;
@@ -521,5 +566,61 @@ impl CompiledModel {
             self.meter.add("session.steady.disk_hit", 1);
         }
         res.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rap_obs::Collector;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A second caller that overlaps an in-flight computation blocks on it
+    /// and counts one wait, with its blocked time in `session.wait_ns`; a
+    /// caller that arrives after the computation finished counts none.
+    #[test]
+    fn a_caller_blocked_on_an_in_flight_computation_counts_one_wait() {
+        let collector = Arc::new(Collector::new());
+        let meter = Meter::with_obs(Obs::collecting(&collector));
+        let (slot, meter) = (&OnceLock::new(), &meter);
+        let (started, first_started) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let (calling, second_calling) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(move || {
+                traced_once(slot, meter, "session.check.wait", || {
+                    started.send(()).unwrap();
+                    released.recv().unwrap();
+                    1
+                })
+                .1
+            });
+            first_started.recv().unwrap();
+            let second = scope.spawn(move || {
+                calling.send(()).unwrap();
+                *traced_once(slot, meter, "session.check.wait", || 2).0
+            });
+            // the second caller checks the slot inside `traced_once`, out
+            // of any channel's reach: the 50 ms hold lets it find the slot
+            // empty before the reservation is released
+            second_calling.recv().unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            release.send(()).unwrap();
+            assert!(first.join().unwrap(), "the first caller computes");
+            assert_eq!(second.join().unwrap(), 1, "the second is served");
+        });
+        let (v, ran) = traced_once(slot, meter, "session.check.wait", || 3);
+        assert_eq!((*v, ran), (1, false));
+        assert_eq!(meter.snapshot().get("session.check.wait"), 1);
+        let snap = collector.snapshot();
+        assert_eq!(snap.counters.get("session.check.wait"), 1);
+        let waits = snap
+            .hists
+            .iter()
+            .find(|h| h.name == "session.wait_ns")
+            .expect("the blocked time is recorded");
+        assert_eq!(waits.count, 1);
+        assert!(waits.total_ns >= 1_000_000, "blocked for the 50 ms hold");
     }
 }

@@ -29,7 +29,8 @@ use rap_petri::reachability::StateId;
 use rap_petri::{Marking, PlaceId, TransitionId};
 use rap_store::codec::{Reader, Writer};
 use rap_store::{ArtifactKey, QueryKind, Store};
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 /// The store context a [`CompiledModel`](crate::CompiledModel) persists
 /// through: the shared store plus the model's two identity digests, fixed
@@ -38,9 +39,31 @@ pub(crate) struct Persist {
     pub store: Arc<Store>,
     pub structural: u64,
     pub identity: u64,
+    /// Budgets whose `Check` frame this model has claimed: loaded, or
+    /// committed. The screen is shared by timing twins, but every twin
+    /// files it under its own key, exactly once per budget.
+    check_frames: Mutex<HashSet<usize>>,
 }
 
 impl Persist {
+    pub fn new(store: Arc<Store>, structural: u64, identity: u64) -> Self {
+        Persist {
+            store,
+            structural,
+            identity,
+            check_frames: Mutex::default(),
+        }
+    }
+
+    /// `true` for the first caller per `budget`: the one that settles this
+    /// model's own `Check` frame.
+    pub fn claim_check(&self, budget: usize) -> bool {
+        self.check_frames
+            .lock()
+            .expect("check frames")
+            .insert(budget)
+    }
+
     fn key(&self, kind: QueryKind, subkey: u64) -> ArtifactKey {
         ArtifactKey {
             structural: self.structural,

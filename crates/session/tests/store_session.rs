@@ -7,7 +7,8 @@
 //! re-run over the same store directory.
 
 use dfs_core::{Dfs, DfsBuilder, NodeId};
-use rap_session::Session;
+use rap_session::store::{ArtifactKey, QueryKind};
+use rap_session::{CompiledModel, Session};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("rap-session-test-{}-{}", std::process::id(), tag))
@@ -183,4 +184,65 @@ fn distinct_budgets_and_models_get_distinct_frames() {
     let stats = session.stats();
     assert_eq!(stats.store.disk_hits, 2);
     assert_eq!(stats.queries.check_runs, 0);
+}
+
+/// The ring of [`model`] with every latency set to `delay`: rings of two
+/// delays are timing twins.
+fn timed_ring(delay: f64) -> Dfs {
+    let mut b = DfsBuilder::new();
+    let a = b.register("a").marked().delay(delay).build();
+    let f = b.logic("f").delay(delay).build();
+    let c = b.register("b").delay(delay).build();
+    let d = b.register("c").delay(delay).build();
+    b.connect(a, f);
+    b.connect(f, c);
+    b.connect(c, d);
+    b.connect(d, a);
+    b.finish().unwrap()
+}
+
+fn check_key(model: &CompiledModel) -> ArtifactKey {
+    ArtifactKey {
+        structural: model.structural_hash(),
+        identity: model.identity_digest(),
+        kind: QueryKind::Check,
+        subkey: BUDGET as u64,
+    }
+}
+
+#[test]
+fn timing_twins_commit_their_own_check_frames() {
+    let dir = TempDir(temp_dir("twins"));
+    let (fast, slow) = (timed_ring(1.0), timed_ring(3.0));
+    let reference = (*Session::new().compile(&fast).quick_check(BUDGET)).clone();
+    {
+        let session = Session::open(&dir.0).unwrap();
+        let (a, b) = (session.compile(&fast), session.compile(&slow));
+        assert_ne!(check_key(&a), check_key(&b));
+        assert_eq!(*a.quick_check(BUDGET), reference);
+        assert_eq!(*b.quick_check(BUDGET), reference);
+        let stats = session.stats();
+        assert_eq!(stats.queries.check_runs, 1, "the twins share one screen");
+        assert_eq!(stats.queries.petri_translations, 1);
+        assert_eq!(stats.store.disk_misses, 2, "each twin probed its own frame");
+        // warm re-queries touch neither the screen nor the disk
+        let _ = (a.quick_check(BUDGET), b.quick_check(BUDGET));
+        assert_eq!(session.stats().store, stats.store);
+        // each twin filed the screen under its own key
+        let store = session.store().unwrap();
+        for m in [&a, &b] {
+            assert!(store.load(&check_key(m)).is_some());
+        }
+    }
+    // restart: each twin is served from its own frame, whichever comes
+    // first, and nothing is screened
+    let session = Session::open(&dir.0).unwrap();
+    assert_eq!(*session.compile(&slow).quick_check(BUDGET), reference);
+    assert_eq!(*session.compile(&fast).quick_check(BUDGET), reference);
+    let stats = session.stats();
+    assert_eq!(stats.queries.check_runs, 0);
+    assert_eq!(stats.queries.petri_queries, 0);
+    assert_eq!(stats.store.disk_hits, 2);
+    assert_eq!(stats.store.disk_misses, 0);
+    assert_eq!(stats.store.bytes_written, 0);
 }

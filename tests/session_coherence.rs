@@ -11,16 +11,18 @@
 //!   computation total, everyone else blocks on it);
 //! * a model queried for `perf`, `quick_check` and `cost` performs
 //!   exactly **one Petri translation and one phase unfolding** (the
-//!   acceptance pin of the session layer, via `Session::stats`).
+//!   acceptance pin of the session layer, via `Session::stats`);
+//! * **timing twins** (models equal in everything but delays) share one
+//!   Petri translation, LTS and screen, and nothing else is shared.
 
 use proptest::prelude::*;
 use rap::dfs::perf::{analyse_with_activity, PerfDetail};
-use rap::dfs::pipelines::{build_pipeline, PipelineSpec};
+use rap::dfs::pipelines::{build_pipeline, PipelineSpec, StageDelays};
 use rap::dfs::timed::{measure_steady_period, ChoicePolicy};
 use rap::dfs::wagging::wagged_pipeline;
-use rap::dfs::{to_petri, Dfs, DfsError, Lts};
+use rap::dfs::{to_petri, Dfs, DfsBuilder, DfsError, Lts};
 use rap::petri::analysis::quick_check;
-use rap::session::{CostModel, CostSummary};
+use rap::session::{CompiledModel, CostModel, CostSummary};
 use rap::{Error, Session};
 use std::sync::Arc;
 
@@ -85,6 +87,23 @@ fn direct_cost(dfs: &Dfs, cost: &CostModel) -> CostSummary {
 fn assert_coherent(dfs: &Dfs, lts_budget: usize, check_budget: usize) {
     let session = Session::new();
     let model = session.compile(dfs);
+    assert_queries_match_direct(&model, dfs, lts_budget, check_budget);
+    let stats = model.stats();
+    assert_eq!(stats.perf_analyses, 1);
+    assert_eq!(stats.petri_translations, 1);
+    assert_eq!(stats.lts_explorations, 1);
+    assert_eq!(stats.check_runs, 1);
+    assert_eq!(stats.cost_evaluations, 1);
+}
+
+/// Every query of `model` equals its direct free function on `dfs`, and
+/// repeated queries return the cached artifact.
+fn assert_queries_match_direct(
+    model: &CompiledModel,
+    dfs: &Dfs,
+    lts_budget: usize,
+    check_budget: usize,
+) {
     let cost = CostModel::default();
 
     // perf_detail == analyse_with_activity, bitwise
@@ -104,8 +123,8 @@ fn assert_coherent(dfs: &Dfs, lts_budget: usize, check_budget: usize) {
     for t in 0..img.net.transition_count() {
         assert_eq!(img.labels[t], want_img.labels[t]);
     }
-    // pair order is HashMap-iteration order (differs even between two
-    // direct calls); the *set* is what the translation defines
+    // the translation fixes the pair order; compared as sets here, and
+    // as lists in `timing_twins_share_the_delay_free_artifacts`
     let sorted = |mut v: Vec<_>| {
         v.sort();
         v
@@ -164,12 +183,6 @@ fn assert_coherent(dfs: &Dfs, lts_budget: usize, check_budget: usize) {
         assert!(Arc::ptr_eq(&lts, &model.lts(lts_budget).unwrap()));
     }
     assert!(Arc::ptr_eq(&check, &model.quick_check(check_budget)));
-    let stats = model.stats();
-    assert_eq!(stats.perf_analyses, 1);
-    assert_eq!(stats.petri_translations, 1);
-    assert_eq!(stats.lts_explorations, 1);
-    assert_eq!(stats.check_runs, 1);
-    assert_eq!(stats.cost_evaluations, 1);
 }
 
 proptest! {
@@ -337,4 +350,89 @@ fn cached_errors_match_direct_errors() {
         Error::Dfs(DfsError::StateBudgetExceeded { budget: 10 })
     ));
     assert_eq!(twin.stats().lts_explorations, 1);
+}
+
+/// A marked ring: register `names[marked]` holds the token, `names[1]` is
+/// a logic stage, every node has latency `delay`.
+fn ring(names: &[&str], marked: usize, delay: f64) -> Dfs {
+    let mut b = DfsBuilder::new();
+    let ids: Vec<_> = names
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let node = if i == 1 {
+                b.logic(*name)
+            } else if i == marked {
+                b.register(*name).marked()
+            } else {
+                b.register(*name)
+            };
+            node.delay(delay).build()
+        })
+        .collect();
+    for i in 0..ids.len() {
+        b.connect(ids[i], ids[(i + 1) % ids.len()]);
+    }
+    b.finish().unwrap()
+}
+
+/// Timing twins — one pipeline under two `StageDelays` — share one Petri
+/// translation, one LTS exploration and one screen, but each has its own
+/// throughput analysis, and each model's answers equal the free functions
+/// on its own `Dfs`. A renamed node or a different initial marking makes
+/// a model that shares nothing.
+#[test]
+fn timing_twins_share_the_delay_free_artifacts() {
+    let spec = PipelineSpec::reconfigurable_depth(3, 2).unwrap();
+    let slow = StageDelays {
+        f: 3.0,
+        g: 5.0,
+        register: 1.5,
+        control: 0.25,
+    };
+    let fast = build_pipeline(&spec.clone().with_delays(StageDelays::default()))
+        .unwrap()
+        .dfs;
+    let slow = build_pipeline(&spec.with_delays(slow)).unwrap().dfs;
+    let session = Session::new();
+    let (a, b) = (session.compile(&fast), session.compile(&slow));
+    assert!(!Arc::ptr_eq(&a, &b), "twins are distinct models");
+    assert_queries_match_direct(&a, &fast, 500_000, 50_000);
+    assert_queries_match_direct(&b, &slow, 500_000, 50_000);
+    assert_ne!(
+        a.perf().unwrap().period.to_bits(),
+        b.perf().unwrap().period.to_bits(),
+        "the delays differ, and so do the periods"
+    );
+    // the shared image lists its pairs exactly as a fresh translation does
+    assert_eq!(
+        b.petri().complementary_pairs(),
+        to_petri(&slow).complementary_pairs()
+    );
+    let stats = session.stats();
+    assert_eq!(stats.models, 2);
+    assert_eq!(stats.queries.petri_translations, 1, "{stats:?}");
+    assert_eq!(stats.queries.lts_explorations, 1, "{stats:?}");
+    assert_eq!(stats.queries.check_runs, 1, "{stats:?}");
+    assert_eq!(stats.queries.perf_analyses, 2, "{stats:?}");
+    assert_eq!(stats.queries.cost_evaluations, 2, "{stats:?}");
+
+    // anything but a delay splits the group
+    let session = Session::new();
+    let names = ["a", "f", "b", "c"];
+    for dfs in [
+        ring(&names, 0, 1.0),
+        ring(&names, 0, 2.0), // a twin of the first
+        ring(&["a", "f", "b", "x"], 0, 1.0),
+        ring(&names, 2, 1.0),
+    ] {
+        let model = session.compile(&dfs);
+        assert_queries_match_direct(&model, &dfs, 10_000, 10_000);
+    }
+    let stats = session.stats();
+    assert_eq!(stats.models, 4);
+    assert_eq!(stats.queries.petri_translations, 3, "{stats:?}");
+    assert_eq!(stats.queries.lts_explorations, 3, "{stats:?}");
+    assert_eq!(stats.queries.check_runs, 3, "{stats:?}");
+    assert_eq!(stats.queries.perf_analyses, 4, "{stats:?}");
 }
