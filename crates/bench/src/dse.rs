@@ -520,8 +520,9 @@ pub struct Summary {
 /// and restart passes none, and
 /// — for full (non-quick) documents — that the sweep covered ≥ 500
 /// configurations, that memoization plus pruning measurably reduced full
-/// evaluations, and that the paper's OPE(6,4) design point sits on the
-/// demand-4 front with its pinned period.
+/// evaluations, that no screen left a verdict inconclusive
+/// (`check_inconclusive` 0), and that the paper's OPE(6,4) design point
+/// sits on the demand-4 front with its pinned period.
 ///
 /// # Errors
 ///
@@ -765,6 +766,14 @@ pub fn validate(src: &str) -> Result<Summary, String> {
         }
         if memo_hits == 0 || full_evaluations >= configurations {
             return Err("memoization/pruning did not reduce full evaluations".to_string());
+        }
+        // the screen decides every paper structure inside its budget
+        let inconclusive = stat("check_inconclusive")?;
+        if inconclusive != 0 {
+            return Err(format!(
+                "check_inconclusive is {inconclusive}: every full evaluation's screen \
+                 must decide both verdicts"
+            ));
         }
         if dp_label != PAPER_DESIGN_POINT {
             return Err(format!(

@@ -114,8 +114,8 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
 fn cfg(obs: &Obs) -> ExploreConfig {
     ExploreConfig {
         max_states: MAX_STATES,
-        deadline: None,
         obs: obs.clone(),
+        ..ExploreConfig::default()
     }
 }
 

@@ -110,3 +110,17 @@ fn validator_rejects_screen_counts_a_pass_cannot_have() {
     // the recorded counts themselves validate
     validate(&with_screens(&json, 0, run.screens[0] as usize)).unwrap();
 }
+
+/// The committed full-sweep document validates, and the validator refuses
+/// a full document whose screens left any verdict inconclusive.
+#[test]
+fn committed_full_sweep_decides_every_screen() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dse.json");
+    let json = std::fs::read_to_string(path).expect("BENCH_dse.json is committed");
+    let summary = validate(&json).expect("the committed document validates");
+    assert_eq!(summary.screens, 16);
+    let undecided = json.replacen("\"check_inconclusive\": 0", "\"check_inconclusive\": 3", 1);
+    assert_ne!(undecided, json, "the document records check_inconclusive 0");
+    let err = validate(&undecided).unwrap_err();
+    assert!(err.contains("check_inconclusive"), "{err}");
+}

@@ -438,48 +438,97 @@ pub fn analyse(dfs: &Dfs) -> Result<PerfReport, DfsError> {
     analyse_with_activity(dfs).map(|d| d.report)
 }
 
-/// [`analyse`] plus the exact per-node activity (see [`PerfDetail`]).
+/// [`analyse`] plus the exact per-node activity (see [`PerfDetail`]):
+/// [`analyse_schedule`] over the model's own [`EventSchedule`].
 ///
 /// # Errors
 ///
 /// Same conditions as [`analyse`].
 pub fn analyse_with_activity(dfs: &Dfs) -> Result<PerfDetail, DfsError> {
-    let choice_free = dfs
-        .nodes()
-        .all(|n| matches!(dfs.kind(n), NodeKind::Logic | NodeKind::Register));
-    if choice_free {
-        let g = EventGraph::build(dfs);
-        let sol = mcr::maximum_cycle_ratio(&g).map_err(|e| e.into_dfs_error(dfs, &g))?;
-        Ok(PerfDetail {
-            report: report(dfs, &g, &sol, sol.ratio, Construction::Direct),
-            activity_per_item: vec![1.0; dfs.node_count()],
-        })
-    } else {
-        let u = unfold::unfold(dfs)?;
-        let sol =
-            mcr::maximum_cycle_ratio(&u.graph).map_err(|e| e.into_dfs_error(dfs, &u.graph))?;
-        // the MCR of the unfolded graph is the duration of one hyper-period
-        let items = f64::from(u.items_per_period.max(1));
-        let period = sol.ratio / items;
-        let mut activity = vec![0.0; dfs.node_count()];
-        for v in &u.graph.vertices {
-            if v.plus {
-                activity[v.node.index()] += 1.0 / items;
-            }
-        }
-        Ok(PerfDetail {
-            report: report(
-                dfs,
-                &u.graph,
-                &sol,
-                period,
-                Construction::PhaseUnfolded {
-                    phases: u.items_per_period,
-                },
-            ),
-            activity_per_item: activity,
+    analyse_schedule(dfs, &EventSchedule::build(dfs)?)
+}
+
+/// The delay-free half of the analysis: the event graph of a model —
+/// direct for choice-free models, phase-unfolded otherwise — whose shape
+/// (vertices, arcs, token offsets, phases) no delay affects. Each arc's
+/// weight is the delay of its target event's node, and nothing else in the
+/// graph reads a delay, so models equal in everything but delays (timing
+/// twins) share one schedule: [`analyse_schedule`] re-weights its arcs with
+/// each twin's own delays.
+#[derive(Debug, Clone)]
+pub struct EventSchedule {
+    /// The event graph, weighted with the delays of the model it was built
+    /// from.
+    graph: EventGraph,
+    /// Which construction produced it.
+    construction: Construction,
+}
+
+impl EventSchedule {
+    /// The schedule of `dfs`: the direct event graph for a choice-free
+    /// model, the phase unfolding otherwise.
+    ///
+    /// # Errors
+    ///
+    /// The unfolding's [`DfsError::SimulationStalled`] /
+    /// [`DfsError::StateBudgetExceeded`] (see [`analyse`]).
+    pub fn build(dfs: &Dfs) -> Result<Self, DfsError> {
+        let choice_free = dfs
+            .nodes()
+            .all(|n| matches!(dfs.kind(n), NodeKind::Logic | NodeKind::Register));
+        let (graph, construction) = if choice_free {
+            (EventGraph::build(dfs), Construction::Direct)
+        } else {
+            let u = unfold::unfold(dfs)?;
+            let phases = u.items_per_period;
+            (u.graph, Construction::PhaseUnfolded { phases })
+        };
+        // the adjacency is weight-free: build it once, and every
+        // re-weighted copy inherits it
+        let _ = graph.out_adjacency();
+        Ok(EventSchedule {
+            graph,
+            construction,
         })
     }
+}
+
+/// The exact throughput analysis with per-node activity of `dfs` on
+/// `schedule`, which must be the [`EventSchedule`] of `dfs` or of a timing
+/// twin of it (equal in everything but node delays): the arcs are
+/// re-weighted with `dfs`'s delays and the maximum cycle ratio solved.
+/// Bit-identical to solving the graph built from `dfs` itself.
+///
+/// # Errors
+///
+/// [`DfsError::TokenFreeCycle`] (see [`analyse`]).
+///
+/// # Panics
+///
+/// When `schedule` names a node `dfs` does not have.
+pub fn analyse_schedule(dfs: &Dfs, schedule: &EventSchedule) -> Result<PerfDetail, DfsError> {
+    let mut g = schedule.graph.clone();
+    for arc in &mut g.arcs {
+        arc.weight = dfs.node(g.vertices[arc.to].node).delay;
+    }
+    let sol = mcr::maximum_cycle_ratio(&g).map_err(|e| e.into_dfs_error(dfs, &g))?;
+    let (period, activity_per_item) = match schedule.construction {
+        Construction::Direct => (sol.ratio, vec![1.0; dfs.node_count()]),
+        Construction::PhaseUnfolded { phases } => {
+            // the MCR of the unfolded graph is the duration of one
+            // hyper-period
+            let items = f64::from(phases.max(1));
+            let mut activity = vec![0.0; dfs.node_count()];
+            for v in g.vertices.iter().filter(|v| v.plus) {
+                activity[v.node.index()] += 1.0 / items;
+            }
+            (sol.ratio / items, activity)
+        }
+    };
+    Ok(PerfDetail {
+        report: report(dfs, &g, &sol, period, schedule.construction),
+        activity_per_item,
+    })
 }
 
 fn report(

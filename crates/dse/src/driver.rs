@@ -292,8 +292,8 @@ impl Shared<'_> {
     fn eval_task(&self, config: Config) -> Option<Evaluation> {
         let _eval_span = self.obs.span("dse.eval");
         {
-            let dfs = match config.build() {
-                Ok(dfs) => dfs,
+            let (dfs, way_rotation) = match config.build_with_rotation() {
+                Ok(built) => built,
                 Err(_) => {
                     self.meter.add("dse.eval.error", 1);
                     self.obs.note("dse.error", &config.label(), 0);
@@ -326,7 +326,12 @@ impl Shared<'_> {
                     .note("dse.error", &config.label(), model.structural_hash());
                 return None;
             }
-            let eval = match evaluate_structural(&model, self.cost, self.cfg.check_budget) {
+            let eval = match evaluate_structural(
+                &model,
+                self.cost,
+                self.cfg.check_budget,
+                way_rotation.as_deref(),
+            ) {
                 Ok(eval) => eval,
                 Err(_) => {
                     self.meter.add("dse.eval.error", 1);

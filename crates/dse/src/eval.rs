@@ -5,23 +5,25 @@
 //! supply voltage: the steady-state period in model time units (exact, via
 //! `dfs_core::perf`), the switched gate equivalents per item (exact, via
 //! the activity hook), the gate-equivalent area, and a budgeted
-//! deadlock/1-safety screen through the Petri-net backend. Voltage is then
-//! applied analytically — every latency scales by the same alpha-power
-//! factor, so `period(V) = period(V₀) · factor(V)` exactly — which is what
-//! makes memoizing structural evaluations across the voltage axis sound.
+//! deadlock/1-safety screen through the Petri-net backend (stubborn sets,
+//! on the way-rotation quotient for wagged hardware, and 1-safety from the
+//! structural certificate). Voltage is then applied analytically — every
+//! latency scales by the same alpha-power factor, so
+//! `period(V) = period(V₀) · factor(V)` exactly — which is what makes
+//! memoizing structural evaluations across the voltage axis sound.
 //!
 //! Evaluation runs on a [`CompiledModel`] from `rap-session`: the
 //! throughput analysis, Petri translation, verification screen and cost
 //! summary are session queries, so a configuration evaluated for the
 //! sweep shares every artifact with any other caller of the same session
 //! — identical configurations share all of them with each other, and
-//! timing twins (equal but for delays) the Petri image and screen.
+//! timing twins (equal but for delays) the Petri image, the screen and the
+//! delay-free event schedule of the throughput analysis.
 
 use crate::pareto::Objectives;
 use crate::space::Config;
 use dfs_core::perf::Construction;
 use dfs_core::Dfs;
-use rap_petri::analysis::QuickVerdict;
 use rap_session::{CompiledModel, Error};
 use rap_silicon::cost::CostModel;
 
@@ -37,9 +39,12 @@ pub struct StructuralEval {
     pub area: f64,
     /// Gate equivalents switched per item (activity-weighted).
     pub switched_ge: f64,
-    /// States explored by the verification screen.
+    /// States explored by the verification screen (of its reduced space).
     pub check_states: usize,
-    /// Whether the screen's budget truncated the exploration.
+    /// Whether the screen's budget truncated the exploration. A screen
+    /// that was not truncated decided both verdicts: deadlock-freedom by
+    /// the complete reduced exploration, 1-safety by the structural
+    /// certificate, which every DFS translation passes.
     pub check_truncated: bool,
     /// Whether the screen found a deadlock or a 1-safety violation
     /// (violations in a truncated prefix are real).
@@ -66,25 +71,29 @@ impl StructuralEval {
 }
 
 /// Evaluates a compiled configuration exactly: throughput analysis with
-/// activity, cost-model area/switching, and the budgeted Petri screen —
-/// all as (cached) session queries, so repeated or concurrent evaluation
-/// of the same structure performs each derivation exactly once.
+/// activity, cost-model area/switching, and the budgeted Petri screen
+/// ([`CompiledModel::screen`], on the quotient under `way_rotation` when
+/// the hardware has one — [`Config::build_with_rotation`]) — all as
+/// (cached) session queries, so repeated or concurrent evaluation of the
+/// same structure performs each derivation exactly once.
 ///
 /// # Errors
 ///
 /// Propagates the session [`Error`] of the performance analysis (e.g. a
-/// token-free cycle in a structurally dead candidate).
+/// token-free cycle in a structurally dead candidate), and of the screen
+/// (a `way_rotation` that is no automorphism of the Petri image).
 pub fn evaluate_structural(
     model: &CompiledModel,
     cost: &CostModel,
     check_budget: usize,
+    way_rotation: Option<&[u32]>,
 ) -> Result<StructuralEval, Error> {
     let detail = model.perf_detail()?;
     let phases = match detail.report.construction {
         Construction::Direct => 1,
         Construction::PhaseUnfolded { phases } => phases,
     };
-    let check = model.quick_check(check_budget);
+    let check = model.screen(check_budget, way_rotation)?;
     let summary = model.cost(cost)?;
     Ok(StructuralEval {
         period_units: detail.report.period,
@@ -93,8 +102,7 @@ pub fn evaluate_structural(
         switched_ge: summary.switched_ge_per_item,
         check_states: check.states,
         check_truncated: check.truncated,
-        check_violated: check.deadlock_free == QuickVerdict::Violated
-            || check.safe == QuickVerdict::Violated,
+        check_violated: !check.no_violation(),
     })
 }
 
@@ -158,7 +166,7 @@ mod tests {
     use rap_session::Session;
 
     fn eval_direct(dfs: &Dfs, cost: &CostModel, budget: usize) -> Result<StructuralEval, Error> {
-        evaluate_structural(&Session::new().compile(dfs), cost, budget)
+        evaluate_structural(&Session::new().compile(dfs), cost, budget, None)
     }
 
     fn ope_space() -> DesignSpace {
@@ -228,6 +236,33 @@ mod tests {
         let eval = eval_direct(&dfs, &cost, 5).unwrap();
         assert!(eval.check_truncated);
         assert!(!eval.check_violated);
+    }
+
+    /// Wagged hardware is screened on its way-rotation quotient: the
+    /// rotation from `Config` is accepted, and a permutation that is no
+    /// automorphism is a typed error, not an unreduced run.
+    #[test]
+    fn wagged_screens_run_on_the_rotation_quotient() {
+        let cost = CostModel::default();
+        let config = ope_space().enumerate()[4];
+        assert!(matches!(config.hardware, Hardware::Wagged { ways: 2, .. }));
+        let (dfs, rotation) = config.build_with_rotation().unwrap();
+        let rotation = rotation.expect("two ways rotate");
+        let model = Session::new().compile(&dfs);
+        let quotient = evaluate_structural(&model, &cost, 20_000, Some(&rotation)).unwrap();
+        let plain = evaluate_structural(&model, &cost, 20_000, None).unwrap();
+        assert!(!quotient.check_truncated && !quotient.check_violated);
+        assert!(quotient.check_states < plain.check_states);
+        let mut broken = rotation.clone();
+        broken.swap(0, 1);
+        let err = evaluate_structural(&model, &cost, 20_000, Some(&broken)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Petri(rap_petri::PetriError::InvalidSymmetry { .. })
+            ),
+            "{err}"
+        );
     }
 
     /// Voltage scaling is analytic: halving the supply factor must move

@@ -32,6 +32,13 @@ pub struct WaggedOpe {
     pub entries: Vec<NodeId>,
     /// Per way: the exit pop.
     pub exits: Vec<NodeId>,
+    /// The way-rotation node permutation (`way_rotation[n]` = image of node
+    /// `n`), as [`dfs_core::wagging::Wagged::way_rotation`] has it for the
+    /// plain fixture: way `w` maps to way `w+1 (mod ways)`, both control
+    /// rings rotate by one guard position, and the shared environment maps
+    /// to itself. A structural automorphism of order `ways` (identity for
+    /// one way); the screen explores the rotation quotient with it.
+    pub way_rotation: Vec<u32>,
 }
 
 /// Builds a closed `ways`-way wagged pipeline whose replicated unit is a
@@ -136,6 +143,7 @@ pub fn wagged_ope(
     }
 
     let dfs = b.finish()?;
+    let way_rotation = way_rotation(&dfs, ways);
     Ok(WaggedOpe {
         dfs,
         ways,
@@ -143,7 +151,36 @@ pub fn wagged_ope(
         output,
         entries,
         exits,
+        way_rotation,
     })
+}
+
+/// The way rotation of a [`wagged_ope`] model, by node name: a replica
+/// node `w{w}_…` maps to `w{w+1}_…`, a ring register `dc{i}`/`cc{i}` one
+/// guard position (three registers) on, and every shared node to itself.
+fn way_rotation(dfs: &Dfs, ways: usize) -> Vec<u32> {
+    let image = |name: &str| -> Option<String> {
+        for ring in ["dc", "cc"] {
+            if let Some(i) = name
+                .strip_prefix(ring)
+                .and_then(|i| i.parse::<usize>().ok())
+            {
+                return Some(format!("{ring}{}", (i + 3) % (3 * ways)));
+            }
+        }
+        let rest = name.strip_prefix('w')?;
+        let (w, part) = rest.split_once('_')?;
+        let w: usize = w.parse().ok()?;
+        Some(format!("w{}_{part}", (w + 1) % ways))
+    };
+    dfs.nodes()
+        .map(|n| {
+            let img = image(&dfs.node(n).name)
+                .and_then(|name| dfs.node_by_name(&name))
+                .unwrap_or(n);
+            img.index() as u32
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -211,6 +248,26 @@ mod tests {
         let qc = quick_check(&img.net, &img.complementary_pairs(), 300_000);
         assert!(qc.truncated, "2-way space is far larger than the budget");
         assert!(qc.no_violation(), "{qc:?}");
+    }
+
+    /// The way rotation is a structural automorphism of order `ways`, and
+    /// it survives the Petri translation with the pair set closed under
+    /// it — what the screen's quotient needs.
+    #[test]
+    fn way_rotation_is_an_automorphism_of_the_model_and_its_net() {
+        for ways in 1..=3 {
+            let w = wagged_ope(ways, 2, ope_delays(), &[1.0, 1.0]).unwrap();
+            let sym = dfs_core::node_rotation_symmetry(&w.dfs, &w.way_rotation).unwrap();
+            assert_eq!(sym.order(), ways);
+            assert_eq!(
+                w.way_rotation[w.entries[0].index()],
+                w.entries[1 % ways].index() as u32
+            );
+            let img = dfs_core::to_petri(&w.dfs);
+            let net_sym = img.induced_symmetry(&w.way_rotation).unwrap();
+            assert_eq!(net_sym.order(), ways);
+            assert!(net_sym.pairs_closed(&img.complementary_pairs()));
+        }
     }
 
     /// The analysis of the new topology is held to the same standard as

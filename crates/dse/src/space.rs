@@ -210,19 +210,33 @@ impl Config {
     /// Propagates [`DfsError`] from the model builders (degenerate
     /// parameters are [`DfsError::InvalidSpec`]).
     pub fn build(&self) -> Result<Dfs, DfsError> {
+        self.build_with_rotation().map(|(dfs, _)| dfs)
+    }
+
+    /// [`build`](Self::build), plus the model's way rotation when the
+    /// hardware replicates ways (wagged hardware with at least two ways;
+    /// see [`WaggedOpe::way_rotation`](crate::models::WaggedOpe::way_rotation)).
+    /// The screen explores the rotation quotient under it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`build`](Self::build).
+    pub fn build_with_rotation(&self) -> Result<(Dfs, Option<Vec<u32>>), DfsError> {
         let d = self.scaled_delays();
         match self.hardware {
-            Hardware::Static { stages } => {
-                Ok(build_pipeline(&PipelineSpec::fully_static(stages).with_delays(d))?.dfs)
-            }
+            Hardware::Static { stages } => Ok((
+                build_pipeline(&PipelineSpec::fully_static(stages).with_delays(d))?.dfs,
+                None,
+            )),
             Hardware::Reconfigurable { stages, share_ctrl } => {
                 let mut spec =
                     PipelineSpec::reconfigurable_depth(stages, self.workload)?.with_delays(d);
                 spec.share_ctrl_after_static = share_ctrl;
-                Ok(build_pipeline(&spec)?.dfs)
+                Ok((build_pipeline(&spec)?.dfs, None))
             }
             Hardware::Wagged { ways, stages } => {
-                Ok(wagged_ope(ways, stages, d, &vec![d.f; stages])?.dfs)
+                let w = wagged_ope(ways, stages, d, &vec![d.f; stages])?;
+                Ok((w.dfs, (ways > 1).then_some(w.way_rotation)))
             }
         }
     }

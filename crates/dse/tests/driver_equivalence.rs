@@ -84,9 +84,12 @@ fn oracle_fronts(space: &DesignSpace, cost: &CostModel, check_budget: usize) -> 
     configs.sort_by_key(|c| (c.workload, c.label()));
     let mut classes: BTreeMap<usize, Vec<(String, Objectives)>> = BTreeMap::new();
     for config in configs {
-        let dfs = config.build().expect("every configuration builds");
+        let (dfs, rotation) = config
+            .build_with_rotation()
+            .expect("every configuration builds");
         let model = Session::new().compile(&dfs);
-        let eval = evaluate_structural(&model, cost, check_budget).expect("evaluates");
+        let eval = evaluate_structural(&model, cost, check_budget, rotation.as_deref())
+            .expect("evaluates");
         if !eval.check_violated {
             classes
                 .entry(config.workload)

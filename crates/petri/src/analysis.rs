@@ -16,7 +16,7 @@ use crate::reachability::{
     explore_quotient_truncated, explore_truncated, ExploreConfig, StateId, StateSpace,
 };
 use crate::symmetry::Symmetry;
-use crate::{Marking, PetriNet, PlaceId, TransitionId};
+use crate::{Marking, PetriError, PetriNet, PlaceId, TransitionId};
 
 /// A reachable deadlock: a state with no enabled transitions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,6 +127,9 @@ pub enum QuickVerdict {
     /// No violation found, but the state budget truncated the exploration —
     /// the property holds on the explored prefix only. Carries the budget
     /// that was hit so callers can report (or retry past) the exact bound.
+    /// [`screen`] also reports 1-safety over uncertified pairs this way,
+    /// truncated or not: its reduced space need not hold the unsafe
+    /// marking.
     Inconclusive {
         /// The `max_states` budget that stopped exploration.
         budget: usize,
@@ -175,8 +178,9 @@ impl QuickCheck {
     }
 }
 
-/// Budget-bounded deadlock and 1-safety check — the cheap screen a design
-/// sweep runs on every candidate before trusting its performance numbers.
+/// Budget-bounded deadlock and 1-safety check over the *full* state space.
+/// (The design sweep's cheaper screen, which decides deadlock-freedom on a
+/// stubborn-set reduction, is [`screen`].)
 ///
 /// Explores at most `max_states` markings (never erroring on overrun,
 /// unlike [`crate::reachability::explore`]) and checks the explored prefix
@@ -229,7 +233,7 @@ pub fn quick_check_with(
     cfg: &ExploreConfig,
 ) -> QuickCheck {
     let space = explore_truncated(net, cfg.clone());
-    verdicts_over(net, &space, pairs, cfg.max_states)
+    verdicts_over(net, &space, pairs, cfg.max_states, Derivation::Full)
 }
 
 /// Symmetry-reduced [`quick_check`]: explores the rotation *quotient* under
@@ -272,19 +276,92 @@ pub fn quick_check_quotient(
         },
         &ssym,
     );
-    verdicts_over(net, &space, pairs, max_states)
+    verdicts_over(net, &space, pairs, max_states, Derivation::Full)
 }
 
-/// Shared verdict step of [`quick_check`] / [`quick_check_quotient`]: the
-/// first dead state is the witness, and the pairs are scanned only when
-/// they fail the structural certificate (a quotient needs nothing more:
-/// the pair set is closed under the symmetry, so every pair of a
-/// representative's marking is a certified pair of a reachable marking).
+/// The design-space screen: deadlock-freedom decided on a stubborn-set
+/// reduced exploration ([`ExploreConfig::stubborn`], see
+/// [`crate::engine`]), on the rotation quotient under `sym` when one is
+/// given, and 1-safety over `pairs` taken from the structural P-invariant
+/// certificate ([`crate::invariants::certify_complementary_pairs`]).
+///
+/// The reduction keeps every reachable dead state and no other state
+/// property, so the verdicts read:
+///
+/// - deadlock-freedom: [`QuickVerdict::Violated`] with a concrete,
+///   replayable witness when a dead state was found,
+///   [`QuickVerdict::Holds`] when the reduced exploration completed
+///   without one, [`QuickVerdict::Inconclusive`] when the budget or the
+///   deadline cut it first;
+/// - 1-safety: [`QuickVerdict::Holds`] whenever the certificate holds,
+///   truncated or not. Otherwise the explored markings are scanned, and a
+///   violation found there is real ([`QuickVerdict::Violated`]); finding
+///   none is [`QuickVerdict::Inconclusive`] (carrying the state budget),
+///   even on a completed run, because the reduced space need not contain
+///   the unsafe marking.
+///
+/// `states` counts the states of the *reduced* space. `cfg`'s other
+/// knobs (budget, deadline, recorder) apply unchanged; its `stubborn`
+/// flag is ignored, the screen always sets it.
+///
+/// # Errors
+///
+/// [`PetriError::InvalidSymmetry`] when `pairs` is not closed under `sym`
+/// (the quotient's 1-safety scan would be unsound); a symmetry that is
+/// not a net automorphism cannot be built in the first place
+/// ([`Symmetry::new`]).
+pub fn screen(
+    net: &PetriNet,
+    pairs: &[(PlaceId, PlaceId)],
+    cfg: &ExploreConfig,
+    sym: Option<&Symmetry>,
+) -> Result<QuickCheck, PetriError> {
+    if sym.is_some_and(|sym| !sym.pairs_closed(pairs)) {
+        return Err(PetriError::InvalidSymmetry {
+            reason: "the complementary-pair set is not closed under it".into(),
+        });
+    }
+    let reduced = ExploreConfig {
+        stubborn: true,
+        ..cfg.clone()
+    };
+    let space = match sym {
+        Some(sym) => explore_quotient_truncated(net, reduced, &sym.state_symmetry()),
+        None => explore_truncated(net, reduced),
+    };
+    let derivation = Derivation::Reduced;
+    Ok(verdicts_over(
+        net,
+        &space,
+        pairs,
+        cfg.max_states,
+        derivation,
+    ))
+}
+
+/// How the space a verdict reads was explored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Derivation {
+    /// Every reachable state (or orbit): both properties are decided by
+    /// a complete run.
+    Full,
+    /// A stubborn-set reduction: only the dead states are complete.
+    Reduced,
+}
+
+/// Shared verdict step of [`quick_check`], [`quick_check_quotient`] and
+/// [`screen`]: the first dead state is the witness, and the pairs are
+/// scanned only when they fail the structural certificate (a quotient
+/// needs nothing more: the pair set is closed under the symmetry, so every
+/// pair of a representative's marking is a certified pair of a reachable
+/// marking). Over a full space a clean, complete run decides 1-safety; a
+/// reduced one decides it only through the certificate.
 fn verdicts_over(
     net: &PetriNet,
     space: &StateSpace,
     pairs: &[(PlaceId, PlaceId)],
     max_states: usize,
+    derivation: Derivation,
 ) -> QuickCheck {
     let truncated = space.is_truncated();
 
@@ -299,12 +376,20 @@ fn verdicts_over(
         (None, true) => QuickVerdict::Inconclusive { budget: max_states },
     };
 
-    let unsafe_witness = crate::invariants::certify_complementary_pairs(net, pairs)
-        .and_then(|_| check_complementary_pairs(space, pairs));
-    let safe = match (&unsafe_witness, truncated) {
+    let certified = crate::invariants::certify_complementary_pairs(net, pairs).is_none();
+    let unsafe_witness = if certified {
+        None
+    } else {
+        check_complementary_pairs(space, pairs)
+    };
+    let decided = match derivation {
+        Derivation::Full => !truncated,
+        Derivation::Reduced => certified,
+    };
+    let safe = match (&unsafe_witness, decided) {
         (Some(_), _) => QuickVerdict::Violated,
-        (None, false) => QuickVerdict::Holds,
-        (None, true) => QuickVerdict::Inconclusive { budget: max_states },
+        (None, true) => QuickVerdict::Holds,
+        (None, false) => QuickVerdict::Inconclusive { budget: max_states },
     };
 
     QuickCheck {
@@ -577,6 +662,64 @@ mod tests {
         let sym = Symmetry::new(&net, perm).unwrap();
         let p = |i: usize| PlaceId::from_index(i);
         let _ = quick_check_quotient(&net, &[(p(0), p(1))], 1_000, &sym);
+    }
+
+    /// The screen decides deadlocks on its reduced space and takes
+    /// 1-safety from the certificate: an uncertified pair set is
+    /// `Inconclusive` unless a violation was found, even when the reduced
+    /// run completed.
+    #[test]
+    fn screen_decides_deadlocks_and_takes_safety_from_the_certificate() {
+        let cfg = ExploreConfig::default();
+        let (net, _, c) = dead_end_net();
+        let qc = screen(&net, &[], &cfg, None).unwrap();
+        assert_eq!(qc.deadlock_free, QuickVerdict::Violated);
+        assert!(qc.deadlock.unwrap().marking.is_marked(c));
+
+        // a two-place ring whose pair is safe, but uncertified: a dead
+        // transition marks one side alone
+        let mut ring = live_ring_net(2);
+        let p = |i: usize| PlaceId::from_index(i);
+        let never = ring.add_place("never", false);
+        let stray = ring.add_transition("stray");
+        ring.consume(stray, never);
+        ring.produce(stray, p(1));
+        let qc = screen(&ring, &[(p(0), p(1))], &cfg, None).unwrap();
+        assert!(!qc.truncated);
+        assert_eq!(qc.deadlock_free, QuickVerdict::Holds);
+        assert_eq!(qc.safe, QuickVerdict::Inconclusive { budget: 2_000_000 });
+        let qc = screen(&ring, &[(p(0), p(0))], &cfg, None).unwrap();
+        assert_eq!(qc.safe, QuickVerdict::Violated);
+
+        // a certified pair set holds even on a truncated screen
+        let mut flip = PetriNet::new();
+        let (x0, x1) = (flip.add_place("x_0", true), flip.add_place("x_1", false));
+        let (up, down) = (flip.add_transition("x+"), flip.add_transition("x-"));
+        flip.consume(up, x0);
+        flip.produce(up, x1);
+        flip.consume(down, x1);
+        flip.produce(down, x0);
+        let tiny = ExploreConfig {
+            max_states: 1,
+            ..ExploreConfig::default()
+        };
+        let qc = screen(&flip, &[(x0, x1)], &tiny, None).unwrap();
+        assert!(qc.truncated);
+        assert_eq!(qc.deadlock_free, QuickVerdict::Inconclusive { budget: 1 });
+        assert_eq!(qc.safe, QuickVerdict::Holds);
+    }
+
+    #[test]
+    fn screen_refuses_a_quotient_over_an_unclosed_pair_set() {
+        let net = live_ring_net(4);
+        let perm: Vec<u32> = (0..4u32).map(|i| (i + 1) % 4).collect();
+        let sym = Symmetry::new(&net, perm).unwrap();
+        let p = |i: usize| PlaceId::from_index(i);
+        let cfg = ExploreConfig::default();
+        let err = screen(&net, &[(p(0), p(1))], &cfg, Some(&sym)).unwrap_err();
+        assert!(matches!(err, PetriError::InvalidSymmetry { .. }), "{err}");
+        let qc = screen(&net, &[], &cfg, Some(&sym)).unwrap();
+        assert_eq!((qc.states, qc.deadlock_free), (1, QuickVerdict::Holds));
     }
 
     #[test]

@@ -60,9 +60,49 @@
 //! rotation applied at its discovery, so concrete (replayable) witness
 //! traces are reconstructed by un-rotating each step's action
 //! ([`StateSymmetry::unrotate_action`], [`StateSpace::concrete_trace_to`]).
+//!
+//! # Stubborn sets
+//!
+//! With [`ExploreConfig::stubborn`] the driver expands, in each state, only
+//! the enabled members of a *strong stubborn set*
+//! ([`TransitionSystem::write_stubborn`]; Valmari, "Stubborn sets for
+//! reduced state space generation", 1990). For a net it is built from the
+//! [`Incidence`] masks, starting from one enabled seed and closing under
+//! two conditions:
+//!
+//! - an **enabled** member `t` brings in every transition that can disable
+//!   it (unmarks one of `t`'s `need` places or marks one of its `forbid`
+//!   places) and every transition `t` can disable. Whatever fires outside
+//!   the set then neither disables `t` nor fails to commute with it;
+//! - a **disabled** member brings in every transition that can repair one
+//!   of its failing conditions (empty a marked `forbid` place, or mark an
+//!   empty `need` place), choosing the condition with the fewest such
+//!   transitions not yet in the set — the first such condition, with the
+//!   `forbid` places before the `need` places, each in place order.
+//!   Nothing outside the set can then enable it.
+//!
+//! Seeds are tried in a fixed order — first the transitions the
+//! discovering firing newly enabled, then the rest, in index order — and
+//! the set with the fewest enabled members wins, the search stopping at
+//! the first singleton. Such a set preserves every reachable dead state:
+//! from any state, some path to each reachable deadlock starts with a
+//! member of the set. It does **not** preserve state properties, so a
+//! reduced space answers "which dead states are reachable" and nothing
+//! else. Dead states stay exact because they are still recorded from each
+//! committed state's *full* enabled set; only the expansion is reduced.
+//!
+//! The reduction composes with the quotient (Emerson, Jha & Peled,
+//! "Combining partial order and symmetry reductions", 1997): the set is
+//! computed on the representative, whose own enabled set the driver
+//! keeps, and the rotation is a net automorphism, so the image of a
+//! reduced path is again a path. Every representative's stubborn set is
+//! a valid stubborn set of a state reachable up to rotation, and the dead
+//! representatives are exactly the canonical images of the reachable dead
+//! states.
 
 use crate::{PetriNet, TransitionId};
 use rap_obs::Obs;
+use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
 /// Sentinel parent id of the initial state.
@@ -128,6 +168,17 @@ pub trait TransitionSystem {
     /// enabled set — after action `a` produced `state`. Only actions whose
     /// conditions intersect the variables changed by `a` need re-checking.
     fn update_enabled(&mut self, a: usize, state: &[u64], enabled: &mut [u64]);
+
+    /// Writes into `out` the actions to expand in `state` under
+    /// [`ExploreConfig::stubborn`]: the enabled members of a
+    /// deadlock-preserving stubborn set, at least one of them whenever
+    /// `enabled` is non-empty. `first` (a subset of `enabled`) holds the
+    /// actions to try first as seeds. The default expands all of
+    /// `enabled`, which is always such a set.
+    fn write_stubborn(&mut self, state: &[u64], enabled: &[u64], first: &[u64], out: &mut [u64]) {
+        let _ = (state, first);
+        out.copy_from_slice(enabled);
+    }
 }
 
 /// How an exploration ended.
@@ -188,6 +239,12 @@ pub struct ExploreConfig {
     /// observation-only: the explored space is bit-identical with or
     /// without a recorder.
     pub obs: Obs,
+    /// Expand only a deadlock-preserving stubborn subset of each state's
+    /// enabled set (see [Stubborn sets](crate::engine#stubborn-sets)). Off by
+    /// default. The reduced space keeps every reachable dead state and
+    /// nothing else: state counts, edges and any state property other than
+    /// deadness are those of the reduced graph, not of the system.
+    pub stubborn: bool,
 }
 
 impl Default for ExploreConfig {
@@ -196,6 +253,7 @@ impl Default for ExploreConfig {
             max_states: 2_000_000,
             deadline: None,
             obs: Obs::none(),
+            stubborn: false,
         }
     }
 }
@@ -537,6 +595,11 @@ pub fn explore<S: TransitionSystem>(
     let mut tmp = vec![0u64; stride];
     let mut en_scratch = vec![0u64; astride];
     let mut en_rotated = vec![0u64; astride];
+    let mut stubborn = Expansion {
+        first: vec![0u64; astride],
+        before: vec![0u64; astride],
+        actions: vec![0u64; astride],
+    };
 
     // the initial state, canonicalized under symmetry; its enabled set is
     // computed from scratch directly on the representative
@@ -580,8 +643,23 @@ pub fn explore<S: TransitionSystem>(
         peak_frontier = peak_frontier.max(level_end - level_start);
         for s in level_start..level_end {
             let en_base = s * astride;
+            if cfg.stubborn {
+                let (parent, _) = parents[s];
+                let p = parent as usize * astride;
+                stubborn.choose(
+                    sys,
+                    &arena[s * stride..(s + 1) * stride],
+                    &en_arena[en_base..en_base + astride],
+                    (parent != NO_PARENT).then(|| &en_arena[p..p + astride]),
+                    sym.map(|sy| (sy, u32::from(rotations[s]))),
+                );
+            }
             for wi in 0..astride {
-                let mut bits = en_arena[en_base + wi];
+                let mut bits = if cfg.stubborn {
+                    stubborn.actions[wi]
+                } else {
+                    en_arena[en_base + wi]
+                };
                 while bits != 0 {
                     let a = wi * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
@@ -674,6 +752,50 @@ pub fn explore<S: TransitionSystem>(
         outcome,
         actions,
         symmetry: symmetry.cloned(),
+    }
+}
+
+/// The stubborn-set expansion of one state, and its scratch (see
+/// [Stubborn sets](crate::engine#stubborn-sets)). Kept out of line, so the
+/// driver's loop stays as small as it is without the reduction.
+struct Expansion {
+    /// The seeds to try first: what the discovering firing newly enabled.
+    first: Vec<u64>,
+    /// The parent's enabled set, rotated into the representative's frame.
+    before: Vec<u64>,
+    /// The actions to expand.
+    actions: Vec<u64>,
+}
+
+impl Expansion {
+    /// Chooses the actions to expand in `state`, whose enabled set is
+    /// `enabled`. `parent` is the enabled set of the state whose expansion
+    /// discovered it (none for the initial state), in the frame of the raw
+    /// successor, and `rotation` the symmetry and the rotation that
+    /// canonicalized that successor.
+    #[inline(never)]
+    fn choose<S: TransitionSystem>(
+        &mut self,
+        sys: &mut S,
+        state: &[u64],
+        enabled: &[u64],
+        parent: Option<&[u64]>,
+        rotation: Option<(&StateSymmetry, u32)>,
+    ) {
+        self.first.fill(0);
+        if let Some(parent) = parent {
+            let before = match rotation {
+                Some((sym, r)) if r > 0 => {
+                    sym.apply_enabled(r, parent, &mut self.before);
+                    &self.before[..]
+                }
+                _ => parent,
+            };
+            for (f, (&now, &was)) in self.first.iter_mut().zip(enabled.iter().zip(before)) {
+                *f = now & !was;
+            }
+        }
+        sys.write_stubborn(state, enabled, &self.first, &mut self.actions);
     }
 }
 
@@ -817,11 +939,29 @@ impl StateSymmetry {
     /// is scratch of the same width.
     pub fn canonicalize(&self, raw: &[u64], canon: &mut [u64], tmp: &mut [u64]) -> u32 {
         canon.copy_from_slice(raw);
+        let bits = self.state_bits();
         let mut best = 0u32;
         for j in 1..self.order {
-            tmp.fill(0);
-            permute_bits(&self.bit_pow[j - 1], raw, tmp);
-            if *tmp < *canon {
+            // g^j(raw) a word at a time, each bit gathered from its preimage
+            // under g^-j = g^(order-j), abandoned at the first word that
+            // compares greater than the best rotation so far
+            let preimage = &self.bit_pow[self.order - j - 1];
+            let mut ord = Ordering::Equal;
+            for (wi, out) in tmp.iter_mut().enumerate() {
+                let lo = (wi * 64).min(bits);
+                let mut w = 0u64;
+                for (b, &src) in preimage[lo..(lo + 64).min(bits)].iter().enumerate() {
+                    w |= (raw[src as usize / 64] >> (src % 64) & 1) << b;
+                }
+                *out = w;
+                if ord == Ordering::Equal {
+                    ord = w.cmp(&canon[wi]);
+                    if ord == Ordering::Greater {
+                        break;
+                    }
+                }
+            }
+            if ord == Ordering::Less {
                 canon.copy_from_slice(tmp);
                 best = j as u32;
             }
@@ -1067,6 +1207,268 @@ impl Incidence {
     }
 }
 
+/// The places of `(word, mask)` pairs, in ascending order.
+fn places_of(row: impl Iterator<Item = (u32, u64)>) -> impl Iterator<Item = usize> {
+    row.flat_map(|(w, m)| {
+        std::iter::successors((m != 0).then_some(m), |&b| {
+            let rest = b & (b - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |b| w as usize * 64 + b.trailing_zeros() as usize)
+    })
+}
+
+/// The places of mask row `t` of `csr`, in ascending order.
+fn row(csr: &MaskCsr, t: usize) -> impl Iterator<Item = usize> + '_ {
+    places_of(csr.row(t).iter().copied())
+}
+
+/// A list per row, CSR-packed: `data[off[i]..off[i+1]]`.
+#[derive(Debug, Clone)]
+struct Lists {
+    off: Vec<u32>,
+    data: Vec<u32>,
+}
+
+impl Lists {
+    fn from_rows(rows: Vec<Vec<u32>>) -> Self {
+        let mut off = Vec::with_capacity(rows.len() + 1);
+        let mut data = Vec::new();
+        off.push(0);
+        for row in rows {
+            data.extend_from_slice(&row);
+            off.push(data.len() as u32);
+        }
+        Lists { off, data }
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[u32] {
+        &self.data[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+}
+
+/// A transition set under construction: its bits, its members (to clear
+/// it fast) and the members still to process.
+#[derive(Debug, Clone)]
+struct Members {
+    bits: Vec<u64>,
+    list: Vec<u32>,
+    stack: Vec<u32>,
+}
+
+impl Members {
+    fn add(&mut self, t: u32) {
+        if !get_bit(&self.bits, t as usize) {
+            set_bit(&mut self.bits, t as usize, true);
+            self.list.push(t);
+            self.stack.push(t);
+        }
+    }
+
+    fn add_all(&mut self, ts: &[u32]) {
+        for &t in ts {
+            self.add(t);
+        }
+    }
+
+    /// How many of `ts` are not members yet.
+    fn outside(&self, ts: &[u32]) -> usize {
+        ts.iter()
+            .filter(|&&t| !get_bit(&self.bits, t as usize))
+            .count()
+    }
+
+    fn clear(&mut self) {
+        for &t in &self.list {
+            set_bit(&mut self.bits, t as usize, false);
+        }
+        self.list.clear();
+        self.stack.clear();
+    }
+}
+
+/// The static relations behind a net's stubborn sets (see the
+/// [module docs](crate::engine#stubborn-sets)), plus the set under construction.
+#[derive(Debug, Clone)]
+struct StubbornIndex {
+    /// Per place: the transitions that mark it (produce it without
+    /// consuming it) — the repairs of an empty `need` place.
+    markers: Lists,
+    /// Per place: the transitions that empty it (consume it without
+    /// producing it) — the repairs of a marked `forbid` place.
+    unmarkers: Lists,
+    /// Per transition: every other transition that can disable it or that
+    /// it can disable.
+    dependent: Lists,
+    set: Members,
+}
+
+impl StubbornIndex {
+    fn new(inc: &Incidence, places: usize) -> Self {
+        let nt = inc.transitions;
+        let empties = |t: usize| {
+            let set = inc.set.row(t);
+            places_of(inc.clear.row(t).iter().map(move |&(w, m)| {
+                let produced = set
+                    .iter()
+                    .find(|&&(sw, _)| sw == w)
+                    .map_or(0, |&(_, sm)| sm);
+                (w, m & !produced)
+            }))
+        };
+        let mut markers = vec![Vec::new(); places];
+        let mut unmarkers = vec![Vec::new(); places];
+        let mut needers = vec![Vec::new(); places];
+        for t in 0..nt {
+            // `forbid` is exactly "produced, not consumed": the places t marks
+            for p in row(&inc.forbid, t) {
+                markers[p].push(t as u32);
+            }
+            for p in row(&inc.need, t) {
+                needers[p].push(t as u32);
+            }
+            for p in empties(t) {
+                unmarkers[p].push(t as u32);
+            }
+        }
+        let dependent = (0..nt)
+            .map(|t| {
+                let mut deps: Vec<u32> = Vec::new();
+                // who can disable t: empties a place t needs, or marks a
+                // place t forbids (t marks it too, so this also covers the
+                // transitions t disables by marking a place they forbid)
+                for p in row(&inc.need, t) {
+                    deps.extend_from_slice(&unmarkers[p]);
+                }
+                for p in row(&inc.forbid, t) {
+                    deps.extend_from_slice(&markers[p]);
+                }
+                // whom t can disable by emptying a place they need
+                for p in empties(t) {
+                    deps.extend_from_slice(&needers[p]);
+                }
+                deps.sort_unstable();
+                deps.dedup();
+                deps.retain(|&u| u as usize != t);
+                deps
+            })
+            .collect();
+        StubbornIndex {
+            markers: Lists::from_rows(markers),
+            unmarkers: Lists::from_rows(unmarkers),
+            dependent: Lists::from_rows(dependent),
+            set: Members {
+                bits: vec![0; nt.div_ceil(64).max(1)],
+                list: Vec::new(),
+                stack: Vec::new(),
+            },
+        }
+    }
+
+    /// Closes the set around `seed`: the number of its enabled members, or
+    /// `None` as soon as that reaches `bound`.
+    fn close(
+        &mut self,
+        inc: &Incidence,
+        state: &[u64],
+        enabled: &[u64],
+        seed: usize,
+        bound: usize,
+    ) -> Option<usize> {
+        let StubbornIndex {
+            markers,
+            unmarkers,
+            dependent,
+            set,
+        } = self;
+        set.add(seed as u32);
+        let mut count = 0usize;
+        while let Some(t) = set.stack.pop() {
+            let t = t as usize;
+            if get_bit(enabled, t) {
+                count += 1;
+                if count >= bound {
+                    return None;
+                }
+                set.add_all(dependent.row(t));
+                continue;
+            }
+            // a disabled member: the failing condition with the fewest
+            // repairs outside the set — a marked `forbid` place, repaired
+            // by its unmarkers, or an empty `need` place, by its markers
+            let empty_needs = places_of(
+                inc.need
+                    .row(t)
+                    .iter()
+                    .map(|&(w, m)| (w, m & !state[w as usize])),
+            )
+            .map(|p| markers.row(p));
+            let marked_forbids = places_of(
+                inc.forbid
+                    .row(t)
+                    .iter()
+                    .map(|&(w, m)| (w, m & state[w as usize])),
+            )
+            .map(|p| unmarkers.row(p));
+            let mut best: &[u32] = &[];
+            let mut best_n = usize::MAX;
+            for repairs in marked_forbids.chain(empty_needs) {
+                let n = set.outside(repairs);
+                if n < best_n {
+                    (best, best_n) = (repairs, n);
+                    if n == 0 {
+                        break;
+                    }
+                }
+            }
+            set.add_all(best);
+        }
+        Some(count)
+    }
+
+    /// The enabled members of the smallest set the seed search finds (see
+    /// the [module docs](crate::engine#stubborn-sets)), into `out`.
+    fn write(
+        &mut self,
+        inc: &Incidence,
+        state: &[u64],
+        enabled: &[u64],
+        first: &[u64],
+        out: &mut [u64],
+    ) {
+        let mut best = usize::MAX;
+        for pass in 0..2 {
+            for wi in 0..enabled.len() {
+                let mut seeds = if pass == 0 {
+                    first[wi]
+                } else {
+                    enabled[wi] & !first[wi]
+                };
+                while seeds != 0 {
+                    let seed = wi * 64 + seeds.trailing_zeros() as usize;
+                    seeds &= seeds - 1;
+                    if let Some(n) = self.close(inc, state, enabled, seed, best) {
+                        best = n;
+                        for (o, (&e, &m)) in out.iter_mut().zip(enabled.iter().zip(&self.set.bits))
+                        {
+                            *o = e & m;
+                        }
+                    }
+                    self.set.clear();
+                    if best == 1 {
+                        return;
+                    }
+                }
+            }
+        }
+        if best == usize::MAX {
+            // nothing enabled: nothing to expand
+            out.fill(0);
+        }
+    }
+}
+
 /// [`TransitionSystem`] view of a [`PetriNet`]: actions are transitions,
 /// states are word-packed markings.
 pub struct NetSystem {
@@ -1074,6 +1476,8 @@ pub struct NetSystem {
     initial: Vec<u64>,
     places: usize,
     transitions: Vec<TransitionId>,
+    /// Built on the first stubborn-set request.
+    stubborn: Option<StubbornIndex>,
 }
 
 impl NetSystem {
@@ -1092,6 +1496,7 @@ impl NetSystem {
             initial,
             places: net.place_count(),
             transitions: net.transitions().collect(),
+            stubborn: None,
         }
     }
 
@@ -1140,6 +1545,13 @@ impl TransitionSystem for NetSystem {
                     .is_enabled(TransitionId::from_index(t2 as usize), state),
             );
         }
+    }
+
+    fn write_stubborn(&mut self, state: &[u64], enabled: &[u64], first: &[u64], out: &mut [u64]) {
+        let inc = &self.inc;
+        self.stubborn
+            .get_or_insert_with(|| StubbornIndex::new(inc, self.places))
+            .write(inc, state, enabled, first, out);
     }
 }
 

@@ -26,6 +26,13 @@ pub enum PetriError {
         /// The configured deadline.
         deadline: std::time::Duration,
     },
+    /// A symmetry handed to a reduced exploration does not fit the net: it
+    /// is not an automorphism, or the 1-safety pair set is not closed under
+    /// it.
+    InvalidSymmetry {
+        /// Why the symmetry was refused.
+        reason: String,
+    },
 }
 
 impl fmt::Display for PetriError {
@@ -45,6 +52,7 @@ impl fmt::Display for PetriError {
                     "state-space exploration ran past its deadline of {deadline:?}"
                 )
             }
+            PetriError::InvalidSymmetry { reason } => write!(f, "invalid symmetry: {reason}"),
         }
     }
 }

@@ -146,6 +146,69 @@ fn replicated(base: &PetriNet, copies: usize) -> (PetriNet, StateSymmetry) {
     (net, sym)
 }
 
+/// Per base transition: the `(consumes, produces, reads)` place indices of
+/// the next copy it also has arcs to.
+type Links = Vec<(Vec<usize>, Vec<usize>, Vec<usize>)>;
+
+/// Strategy: a base net over `np` places and `nt` transitions, with
+/// [`Links`] from each transition into the *next* copy's places.
+fn arb_linked_net(np: usize, nt: usize) -> impl Strategy<Value = (PetriNet, Links)> {
+    let links = proptest::collection::vec(
+        (
+            proptest::collection::vec(0..np, 0..2),
+            proptest::collection::vec(0..np, 0..2),
+            proptest::collection::vec(0..np, 0..2),
+        ),
+        nt,
+    );
+    (arb_net(np, nt), links)
+}
+
+/// [`replicated`] with cross-copy arcs: transition `t` of copy `c` also
+/// consumes, produces and reads `links[t]`'s places of copy `c + 1`. The
+/// rotation stays an automorphism.
+fn linked(base: &PetriNet, links: &Links, copies: usize) -> (PetriNet, StateSymmetry) {
+    let (plain, sym) = replicated(base, copies);
+    let np = base.place_count();
+    let mut net = PetriNet::new();
+    for p in plain.places() {
+        net.add_place(plain.place(p).name.clone(), plain.place(p).initially_marked);
+    }
+    for t in plain.transitions() {
+        let tr = plain.transition(t);
+        let nt_id = net.add_transition(tr.name.clone());
+        for &p in tr.consumes() {
+            net.consume(nt_id, p);
+        }
+        for &p in tr.produces() {
+            net.produce(nt_id, p);
+        }
+        for &p in tr.reads() {
+            net.read(nt_id, p);
+        }
+        let c = t.index() / base.transition_count();
+        let next = |p: usize| PlaceId::from_index((c + 1) % copies * np + p);
+        let (cons, prod, reads) = &links[t.index() % base.transition_count()];
+        for &p in cons {
+            net.consume(nt_id, next(p));
+        }
+        for &p in prod {
+            net.produce(nt_id, next(p));
+        }
+        for &p in reads {
+            net.read(nt_id, next(p));
+        }
+    }
+    (net, sym)
+}
+
+fn stubborn(max_states: usize) -> ExploreConfig {
+    ExploreConfig {
+        stubborn: true,
+        ..cfg(max_states)
+    }
+}
+
 /// The lexicographically-least rotation of `raw` under `sym`.
 fn canonical(sym: &StateSymmetry, raw: &[u64]) -> Vec<u64> {
     let mut canon = vec![0u64; raw.len()];
@@ -434,6 +497,107 @@ proptest! {
                 net.enabled_transitions(&m).is_empty(),
                 "replayed trace must land in the dead state"
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Canonicalization picks the least rotation, the first one on ties,
+    /// exactly as applying every power of the generator and comparing
+    /// whole states does — on block rotations spanning several words.
+    #[test]
+    fn canonicalize_matches_a_scan_of_every_rotation(
+        block in 1usize..70,
+        copies in 2usize..=4,
+        seed in proptest::collection::vec(any::<u64>(), 5),
+    ) {
+        let n = block * copies;
+        let perm: Vec<u32> = (0..n).map(|i| ((i + block) % n) as u32).collect();
+        let sym = StateSymmetry::new(perm, vec![0]).unwrap();
+        let words = n.div_ceil(64);
+        let mut raw: Vec<u64> = seed[..words].to_vec();
+        if !n.is_multiple_of(64) {
+            raw[words - 1] &= (1u64 << (n % 64)) - 1;
+        }
+        let (mut canon, mut tmp) = (vec![0u64; words], vec![0u64; words]);
+        let j = sym.canonicalize(&raw, &mut canon, &mut tmp);
+        let (mut best, mut best_j) = (raw.clone(), 0);
+        let mut rotated = vec![0u64; words];
+        for k in 1..sym.order() as u32 {
+            sym.apply_state(k, &raw, &mut rotated);
+            if rotated < best {
+                (best, best_j) = (rotated.clone(), k);
+            }
+        }
+        prop_assert_eq!(&canon, &best);
+        prop_assert_eq!(j, best_j);
+    }
+
+    /// Stubborn sets preserve deadlocks: on random nets with read arcs the
+    /// reduced exploration reaches exactly the full exploration's dead
+    /// markings, visits only reachable markings, and every dead state's
+    /// trace replays to its dead marking.
+    #[test]
+    fn stubborn_dead_set_equals_the_full_dead_set(net in arb_net(10, 9)) {
+        let full = explore_truncated(&net, cfg(usize::MAX));
+        let reduced = explore_truncated(&net, stubborn(usize::MAX));
+        prop_assert!(!full.is_truncated() && !reduced.is_truncated());
+        let markings = |g: &StateSpace, ids: &mut dyn Iterator<Item = StateId>| -> BTreeSet<Vec<u64>> {
+            ids.map(|s| g.words(s).to_vec()).collect()
+        };
+        let reachable = markings(&full, &mut full.states());
+        prop_assert!(markings(&reduced, &mut reduced.states()).is_subset(&reachable));
+        prop_assert_eq!(
+            markings(&reduced, &mut reduced.deadlocks().iter().copied()),
+            markings(&full, &mut full.deadlocks().iter().copied()),
+            "dead markings"
+        );
+        for dead in rap_petri::analysis::find_deadlocks(&reduced) {
+            let mut m = net.initial_marking();
+            for t in &dead.trace {
+                prop_assert!(net.is_enabled(*t, &m), "trace step not enabled");
+                m = net.fire(*t, &m).unwrap();
+            }
+            prop_assert_eq!(&m, &dead.marking);
+            prop_assert!(net.enabled_transitions(&m).is_empty());
+        }
+    }
+
+    /// Stubborn sets on the quotient: on rotated copies with cross-copy
+    /// arcs, the reduced quotient's dead representatives are exactly the
+    /// canonical image of the full space's dead markings, and every
+    /// concrete witness trace fires in the net from the real initial
+    /// marking into a dead marking.
+    #[test]
+    fn stubborn_quotient_dead_representatives_are_the_canonical_dead_image(
+        (base, links) in arb_linked_net(4, 4),
+        copies in 2usize..=3,
+    ) {
+        let (net, sym) = linked(&base, &links, copies);
+        let full = explore_truncated(&net, cfg(usize::MAX));
+        let reduced = explore_quotient_truncated(&net, stubborn(usize::MAX), &sym);
+        prop_assert!(!full.is_truncated() && !reduced.is_truncated());
+        let dead_image: BTreeSet<Vec<u64>> = full
+            .deadlocks()
+            .iter()
+            .map(|&s| canonical(&sym, full.words(s)))
+            .collect();
+        let dead_reps: BTreeSet<Vec<u64>> = reduced
+            .deadlocks()
+            .iter()
+            .map(|&s| reduced.words(s).to_vec())
+            .collect();
+        prop_assert_eq!(&dead_reps, &dead_image, "dead representatives");
+        for &s in reduced.deadlocks() {
+            let mut m = net.initial_marking();
+            for t in reduced.concrete_trace_to(s) {
+                prop_assert!(net.is_enabled(t, &m), "concrete trace step not enabled");
+                m = net.fire(t, &m).unwrap();
+            }
+            prop_assert_eq!(&m, &reduced.concrete_marking(s));
+            prop_assert!(net.enabled_transitions(&m).is_empty(), "witness is not dead");
         }
     }
 }

@@ -19,6 +19,7 @@
 //!   [`lts`](CompiledModel::lts), [`perf`](CompiledModel::perf),
 //!   [`perf_detail`](CompiledModel::perf_detail),
 //!   [`quick_check`](CompiledModel::quick_check),
+//!   [`screen`](CompiledModel::screen),
 //!   [`cost`](CompiledModel::cost),
 //!   [`steady_period`](CompiledModel::steady_period) — is **demand
 //!   computed and memoized**: the first call computes, every later call
@@ -56,13 +57,15 @@
 //!    `Arc`s for the budget-keyed artifacts).
 //! 4. **Delay-free artifacts are shared by timing twins.** Models equal in
 //!    everything but node delays — verified field by field, like interning
-//!    — are *timing twins*. Neither the Fig. 3 translation nor the
-//!    direct-semantics LTS reads a delay, so twins share one Petri image,
-//!    one LTS per budget and one screen per budget, computed by whichever
-//!    twin asks first; the throughput analysis, cost and steady-state
-//!    queries read delays and stay per model. In a persistent session
-//!    every twin still files the screen under its own key, and looks for
-//!    its own frame before it uses the shared one.
+//!    — are *timing twins*. Neither the Fig. 3 translation, the
+//!    direct-semantics LTS nor the shape of the event graph reads a delay,
+//!    so twins share one Petri image, one LTS per budget, one check and
+//!    one screen per budget, and one event schedule, computed by whichever
+//!    twin asks first. Each twin solves the throughput analysis on the
+//!    shared schedule with its own delays; cost and steady-state queries
+//!    stay per model. In a persistent session every twin still files its
+//!    checks under its own keys, and looks for its own frame before it
+//!    uses the shared one.
 //! 5. **Observability.** [`Session::stats`] aggregates per-model counters
 //!    of queries vs actual computations, so cache behaviour is testable
 //!    and sweeps can do exact work accounting. A computation is counted on

@@ -1,13 +1,13 @@
 //! [`CompiledModel`]: one interned DFS model with demand-computed, memoized
 //! derived artifacts.
 
-use crate::persist::Persist;
+use crate::persist::{CheckDerivation, Persist};
 use crate::Error;
-use dfs_core::perf::{analyse_with_activity, PerfDetail, PerfReport};
+use dfs_core::perf::{analyse_schedule, EventSchedule, PerfDetail, PerfReport};
 use dfs_core::timed::{measure_steady_period, ChoicePolicy, SteadyStatePeriod};
 use dfs_core::{to_petri, Dfs, DfsError, Lts, NodeId, PetriImage};
 use rap_obs::{CounterSnapshot, Meter, Obs};
-use rap_petri::analysis::{quick_check_with, QuickCheck};
+use rap_petri::analysis::{quick_check_with, screen, QuickCheck};
 use rap_petri::reachability::ExploreConfig;
 use rap_silicon::cost::CostModel;
 use std::collections::HashMap;
@@ -59,15 +59,40 @@ fn traced_once<'a, T>(
 }
 
 /// The delay-free artifacts of one timing-twin group: models equal in
-/// everything but node delays. Neither the Fig. 3 translation nor the
-/// direct-semantics LTS reads a delay, so the twins share one Petri image,
-/// one LTS per budget and one screen per budget, whichever twin computes
+/// everything but node delays. Neither the Fig. 3 translation, the
+/// direct-semantics LTS nor the shape of the event graph reads a delay, so
+/// the twins share one Petri image, one LTS per budget, one full check and
+/// one screen per budget, and one event schedule, whichever twin computes
 /// them first.
 #[derive(Default)]
 pub(crate) struct Untimed {
     petri: OnceLock<PetriImage>,
     lts: SlotMap<usize, Result<Arc<Lts>, Error>>,
-    checks: SlotMap<usize, Arc<QuickCheck>>,
+    checks: SlotMap<CheckKey, Result<Arc<QuickCheck>, Error>>,
+    schedule: OnceLock<Result<EventSchedule, Error>>,
+}
+
+/// The cache key of a verification query: the full check per budget, the
+/// screen per budget and rotation.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum CheckKey {
+    Full(usize),
+    Screen(usize, Option<Vec<u32>>),
+}
+
+impl CheckKey {
+    fn budget(&self) -> usize {
+        match *self {
+            CheckKey::Full(budget) | CheckKey::Screen(budget, _) => budget,
+        }
+    }
+
+    fn derivation(&self) -> CheckDerivation {
+        match self {
+            CheckKey::Full(_) => CheckDerivation::Full,
+            CheckKey::Screen(_, rotation) => CheckDerivation::reduced(rotation.as_deref()),
+        }
+    }
 }
 
 /// The exploration config of a session query: the state budget, every
@@ -86,13 +111,17 @@ fn explore_config(max_states: usize, obs: &Obs) -> ExploreConfig {
 ///
 /// For every query kind, `*_queries` counts calls and the second field
 /// counts actual computations; the difference is the number of calls
-/// served from cache. Because every computation runs under an in-flight
-/// reservation, each computation counter is bounded by the number of
-/// distinct cache keys of its query: `perf_analyses` never exceeds 1 per
-/// model, and `petri_translations` never exceeds 1 per timing-twin group
-/// (the delay-free artifacts are shared, so a twin's Petri, LTS and check
-/// queries may be served by another twin's computation — summed over the
-/// twins, `lts_explorations` and `check_runs` are at most 1 per budget).
+/// served from cache. The `check` pair counts both verification queries,
+/// [`quick_check`](CompiledModel::quick_check) and
+/// [`screen`](CompiledModel::screen). Because every computation runs
+/// under an in-flight reservation, each computation counter is bounded by
+/// the number of distinct cache keys of its query: `perf_analyses` never
+/// exceeds 1 per model, and `petri_translations` never exceeds 1 per
+/// timing-twin group (the delay-free artifacts are shared, so a twin's
+/// Petri, LTS and check queries may be served by another twin's
+/// computation — summed over the twins, `lts_explorations` is at most 1
+/// per budget, and `check_runs` 1 per budget for each of the two checks
+/// and each rotation).
 ///
 /// `ModelStats` is a *view* over the model's `rap-obs` counter set (see
 /// [`ModelStats::from_counters`]); each model's counters are copied under
@@ -174,7 +203,8 @@ impl ModelStats {
 /// voltage-independent quantities every energy/area objective builds on.
 /// Bit-identical to calling [`CostModel::area`] and
 /// [`CostModel::switched_ge_per_item`] (with the exact activity from
-/// [`analyse_with_activity`]) directly.
+/// [`analyse_with_activity`](dfs_core::perf::analyse_with_activity))
+/// directly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostSummary {
     /// Total gate-equivalent area (excluded stages included: silicon is
@@ -340,9 +370,11 @@ impl CompiledModel {
     }
 
     /// The exact throughput analysis with per-node activity — computed
-    /// once, equal to [`analyse_with_activity`]`(self.dfs())`. For models
-    /// with dynamic registers this is the single phase unfolding every
-    /// perf/cost query shares.
+    /// once, equal to
+    /// [`analyse_with_activity`](dfs_core::perf::analyse_with_activity)`(self.dfs())`.
+    /// The delay-free [`EventSchedule`] (for models with dynamic registers,
+    /// the phase unfolding) is built once per timing-twin group; each twin
+    /// re-weights it with its own delays and solves the cycle ratio.
     ///
     /// # Errors
     ///
@@ -373,7 +405,14 @@ impl CompiledModel {
             }
             analysed = true;
             let r = qobs.time("session.compute", |_| {
-                analyse_with_activity(&self.dfs).map_err(Error::from)
+                let (schedule, _) = traced_once(
+                    &self.untimed.schedule,
+                    &self.meter,
+                    "session.perf.wait",
+                    || EventSchedule::build(&self.dfs).map_err(Error::from),
+                );
+                analyse_schedule(&self.dfs, schedule.as_ref().map_err(Clone::clone)?)
+                    .map_err(Error::from)
             });
             if let (Some(p), Ok(detail)) = (&self.persist, &r) {
                 qobs.time("session.commit", |_| p.save_perf(detail));
@@ -432,51 +471,113 @@ impl CompiledModel {
         res.clone()
     }
 
-    /// The budgeted deadlock/1-safety screen over the Petri image —
-    /// computed once per distinct budget and timing-twin group, equal to
+    /// The budgeted deadlock/1-safety check over the Petri image's *full*
+    /// state space — computed once per distinct budget and timing-twin
+    /// group, equal to
     /// [`quick_check`](rap_petri::analysis::quick_check)`(&img.net,
-    /// &img.complementary_pairs(), budget)`.
-    /// Demands [`petri`](Self::petri), so the translation is still
-    /// performed at most once per group.
+    /// &img.complementary_pairs(), budget)`, so its `states` count the
+    /// whole reachable set. Demands [`petri`](Self::petri), so the
+    /// translation is still performed at most once per group. The design
+    /// sweep's cheaper screen is [`screen`](Self::screen).
     ///
-    /// In a persistent session every model keeps its own `Check` frame per
-    /// budget: its first query loads that frame if it is on disk, and
-    /// otherwise commits the screen under the model's own key, also when a
-    /// twin computed it.
+    /// In a persistent session every model keeps its own frame per budget
+    /// (kind [`FullCheck`](rap_store::QueryKind::FullCheck)): its first
+    /// query loads that frame if it is on disk, and otherwise commits the
+    /// check under the model's own key, also when a twin computed it.
     #[must_use]
     pub fn quick_check(&self, budget: usize) -> Arc<QuickCheck> {
+        let check = self.check_query(CheckKey::Full(budget), |img, cfg| {
+            Ok(quick_check_with(&img.net, &img.complementary_pairs(), cfg))
+        });
+        check.expect("the full check has no error path")
+    }
+
+    /// The design-space screen: deadlock-freedom from a stubborn-set
+    /// reduced exploration of the Petri image, on the rotation quotient
+    /// when `rotation` (a node permutation, like
+    /// [`Wagged::way_rotation`](dfs_core::wagging::Wagged::way_rotation))
+    /// is given, and 1-safety from the structural certificate — equal to
+    /// [`screen`](rap_petri::analysis::screen)`(&img.net,
+    /// &img.complementary_pairs(), cfg, sym)` with `sym` =
+    /// [`img.induced_symmetry(rotation)`](PetriImage::induced_symmetry)
+    /// (see there for what each verdict means on a reduced space). Computed
+    /// once per distinct budget and rotation per timing-twin group.
+    ///
+    /// In a persistent session each model files the screen under its own
+    /// `(Check, budget)` key, exactly as [`quick_check`](Self::quick_check)
+    /// files its frames; the frame records how it was derived (reduced,
+    /// and under which rotation) and is served only to the same query.
+    ///
+    /// # Errors
+    ///
+    /// [`PetriError::InvalidSymmetry`](rap_petri::PetriError::InvalidSymmetry)
+    /// (cached like a result) when `rotation` does not induce a net
+    /// automorphism, or the complementary pairs are not closed under it.
+    /// An invalid rotation is never replaced by an unreduced run.
+    pub fn screen(
+        &self,
+        budget: usize,
+        rotation: Option<&[u32]>,
+    ) -> Result<Arc<QuickCheck>, Error> {
+        let key = CheckKey::Screen(budget, rotation.map(<[u32]>::to_vec));
+        self.check_query(key, |img, cfg| {
+            let sym = rotation
+                .map(|r| img.induced_symmetry(r))
+                .transpose()
+                .map_err(|reason| rap_petri::PetriError::InvalidSymmetry { reason })?;
+            Ok(screen(
+                &img.net,
+                &img.complementary_pairs(),
+                cfg,
+                sym.as_ref(),
+            )?)
+        })
+    }
+
+    /// The shared body of [`quick_check`](Self::quick_check) and
+    /// [`screen`](Self::screen): one `session.query.check` span, the
+    /// model's own frame loaded or committed once per budget and
+    /// derivation, and `run` computing on the Petri image otherwise.
+    fn check_query(
+        &self,
+        key: CheckKey,
+        run: impl FnOnce(&PetriImage, &ExploreConfig) -> Result<QuickCheck, Error>,
+    ) -> Result<Arc<QuickCheck>, Error> {
+        let (budget, derivation) = (key.budget(), key.derivation());
+        let slot = keyed_slot(&self.untimed.checks, key);
         let span = self.obs.span("session.query.check");
         let qobs = span.obs();
-        let slot = keyed_slot(&self.untimed.checks, budget);
-        let own_frame = self.persist.as_ref().filter(|p| p.claim_check(budget));
+        let own_frame = self
+            .persist
+            .as_ref()
+            .filter(|p| p.claim_check(budget, derivation));
         // a disk hit skips the whole pipeline, including the Petri
         // translation the in-memory path would demand
-        let loaded = own_frame.and_then(|p| qobs.time("session.load", |_| p.load_check(budget)));
+        let loaded =
+            own_frame.and_then(|p| qobs.time("session.load", |_| p.load_check(budget, derivation)));
         let disk_hit = loaded.is_some();
         let mut ran = false;
         let (check, _filled) = traced_once(&slot, &self.meter, "session.check.wait", || {
             if let Some(check) = loaded {
-                return Arc::new(check);
+                return Ok(Arc::new(check));
             }
             ran = true;
             let img = self.petri();
-            Arc::new(qobs.time("session.compute", |o| {
-                quick_check_with(
-                    &img.net,
-                    &img.complementary_pairs(),
-                    &explore_config(budget, o),
-                )
-            }))
+            qobs.time("session.compute", |o| {
+                run(img, &explore_config(budget, o)).map(Arc::new)
+            })
         });
-        if let (Some(p), false) = (own_frame, disk_hit) {
-            qobs.time("session.commit", |_| p.save_check(budget, check));
+        if let (Some(p), false, Ok(check)) = (own_frame, disk_hit, check) {
+            qobs.time("session.commit", |_| {
+                p.save_check(budget, derivation, check)
+            });
         }
         self.meter
             .bump2("session.check.query", "session.check.compute", ran);
         if disk_hit {
             self.meter.add("session.check.disk_hit", 1);
         }
-        Arc::clone(check)
+        check.clone()
     }
 
     /// Area and switched-GE of the model under `cost` — computed once per

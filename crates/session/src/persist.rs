@@ -17,8 +17,8 @@
 //! answer. The LTS query is deliberately **not** persisted: a state space
 //! is the one artifact routinely larger than the model that produced it,
 //! and re-exploring is exactly the cheap-and-safe degradation this layer
-//! promises (the quick-check screen, which callers actually persist,
-//! captures the verdicts).
+//! promises (the checks, which callers actually persist, capture the
+//! verdicts).
 
 use crate::model::CostSummary;
 use dfs_core::perf::{Construction, CriticalCycle, PerfDetail, PerfReport};
@@ -39,10 +39,46 @@ pub(crate) struct Persist {
     pub store: Arc<Store>,
     pub structural: u64,
     pub identity: u64,
-    /// Budgets whose `Check` frame this model has claimed: loaded, or
-    /// committed. The screen is shared by timing twins, but every twin
-    /// files it under its own key, exactly once per budget.
-    check_frames: Mutex<HashSet<usize>>,
+    /// The check frames this model has claimed, by kind and budget:
+    /// loaded, or committed. Checks are shared by timing twins, but every
+    /// twin files them under its own key, exactly once per budget.
+    check_frames: Mutex<HashSet<(QueryKind, usize)>>,
+}
+
+/// How a persisted check was derived. A check payload starts with it and
+/// [`decode_check`] serves a frame only to a query of the same derivation,
+/// so a frame never answers for another exploration (or for a parent
+/// build's full-space frame under the screen's key, which carries no
+/// derivation at all).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CheckDerivation {
+    /// `quick_check`: the full state space.
+    Full,
+    /// `screen`: stubborn sets, on the quotient under the rotation whose
+    /// digest this is, if any.
+    Reduced { rotation: Option<u64> },
+}
+
+impl CheckDerivation {
+    /// The screen's derivation under `rotation`.
+    pub fn reduced(rotation: Option<&[u32]>) -> Self {
+        use dfs_core::hash::mix64;
+        CheckDerivation::Reduced {
+            rotation: rotation.map(|r| {
+                r.iter().fold(mix64(0x5c4e_e11d ^ r.len() as u64), |h, &i| {
+                    mix64(h ^ u64::from(i))
+                })
+            }),
+        }
+    }
+
+    /// The store kind the derivation files under.
+    fn kind(self) -> QueryKind {
+        match self {
+            CheckDerivation::Full => QueryKind::FullCheck,
+            CheckDerivation::Reduced { .. } => QueryKind::Check,
+        }
+    }
 }
 
 impl Persist {
@@ -55,13 +91,13 @@ impl Persist {
         }
     }
 
-    /// `true` for the first caller per `budget`: the one that settles this
-    /// model's own `Check` frame.
-    pub fn claim_check(&self, budget: usize) -> bool {
+    /// `true` for the first caller per kind and `budget`: the one that
+    /// settles this model's own check frame.
+    pub fn claim_check(&self, budget: usize, derivation: CheckDerivation) -> bool {
         self.check_frames
             .lock()
             .expect("check frames")
-            .insert(budget)
+            .insert((derivation.kind(), budget))
     }
 
     fn key(&self, kind: QueryKind, subkey: u64) -> ArtifactKey {
@@ -95,14 +131,16 @@ impl Persist {
             .save(&self.key(QueryKind::Perf, 0), &encode_perf(detail));
     }
 
-    pub fn load_check(&self, budget: usize) -> Option<QuickCheck> {
-        self.load_with(&self.key(QueryKind::Check, budget as u64), decode_check)
+    pub fn load_check(&self, budget: usize, derivation: CheckDerivation) -> Option<QuickCheck> {
+        self.load_with(&self.key(derivation.kind(), budget as u64), |b| {
+            decode_check(b, derivation)
+        })
     }
 
-    pub fn save_check(&self, budget: usize, check: &QuickCheck) {
+    pub fn save_check(&self, budget: usize, derivation: CheckDerivation, check: &QuickCheck) {
         self.store.save(
-            &self.key(QueryKind::Check, budget as u64),
-            &encode_check(check),
+            &self.key(derivation.kind(), budget as u64),
+            &encode_check(check, derivation),
         );
     }
 
@@ -265,8 +303,41 @@ fn decode_marking(r: &mut Reader<'_>) -> Option<Marking> {
     Some(m)
 }
 
-pub(crate) fn encode_check(c: &QuickCheck) -> Vec<u8> {
+/// Opens every check payload: a payload without it predates derivation
+/// records.
+const CHECK_MAGIC: u32 = 0x4b43_4852;
+
+fn encode_derivation(w: &mut Writer, d: CheckDerivation) {
+    w.u32(CHECK_MAGIC);
+    match d {
+        CheckDerivation::Full => w.u8(0),
+        CheckDerivation::Reduced { rotation: None } => w.u8(1),
+        CheckDerivation::Reduced {
+            rotation: Some(digest),
+        } => {
+            w.u8(2);
+            w.u64(digest);
+        }
+    }
+}
+
+fn decode_derivation(r: &mut Reader<'_>) -> Option<CheckDerivation> {
+    if r.u32()? != CHECK_MAGIC {
+        return None;
+    }
+    Some(match r.u8()? {
+        0 => CheckDerivation::Full,
+        1 => CheckDerivation::Reduced { rotation: None },
+        2 => CheckDerivation::Reduced {
+            rotation: Some(r.u64()?),
+        },
+        _ => return None,
+    })
+}
+
+pub(crate) fn encode_check(c: &QuickCheck, derivation: CheckDerivation) -> Vec<u8> {
     let mut w = Writer::new();
+    encode_derivation(&mut w, derivation);
     w.u64(c.states as u64);
     w.u8(u8::from(c.truncated));
     encode_verdict(&mut w, c.deadlock_free);
@@ -301,8 +372,13 @@ fn decode_state(r: &mut Reader<'_>) -> Option<StateId> {
     Some(StateId::from_index(index as usize))
 }
 
-pub(crate) fn decode_check(bytes: &[u8]) -> Option<QuickCheck> {
+/// Decodes a check payload of exactly `derivation`; `None` for any other
+/// derivation, and for a payload that records none.
+pub(crate) fn decode_check(bytes: &[u8], derivation: CheckDerivation) -> Option<QuickCheck> {
     let mut r = Reader::new(bytes);
+    if decode_derivation(&mut r)? != derivation {
+        return None;
+    }
     let states = usize::try_from(r.u64()?).ok()?;
     let truncated = match r.u8()? {
         0 => false,
@@ -554,18 +630,29 @@ mod tests {
         }
 
         #[test]
-        fn check_round_trips_bit_exact(check in arb_check()) {
-            let bytes = encode_check(&check);
-            let back = decode_check(&bytes).expect("round trip");
+        fn check_round_trips_bit_exact_and_only_to_its_derivation(
+            check in arb_check(),
+            (kind, digest, other) in (0u8..3, any::<u64>(), 0u8..2),
+        ) {
+            let derivation = derivation_of(kind, digest);
+            let bytes = encode_check(&check, derivation);
+            let back = decode_check(&bytes, derivation).expect("round trip");
             prop_assert_eq!(check, back);
+            // another kind, or the same quotient under another rotation
+            let other = derivation_of((kind + 1 + other) % 3, digest);
+            prop_assert!(decode_check(&bytes, other).is_none());
+            if kind == 2 {
+                prop_assert!(decode_check(&bytes, derivation_of(2, digest ^ 1)).is_none());
+            }
         }
 
         #[test]
         fn check_decode_is_total_on_truncation(check in arb_check(), cut in any::<u32>()) {
-            let bytes = encode_check(&check);
+            let derivation = CheckDerivation::reduced(Some(&[1, 0]));
+            let bytes = encode_check(&check, derivation);
             let cut = cut as usize % (bytes.len() + 1);
             if cut < bytes.len() {
-                prop_assert!(decode_check(&bytes[..cut]).is_none());
+                prop_assert!(decode_check(&bytes[..cut], derivation).is_none());
             }
         }
 
@@ -610,6 +697,7 @@ mod tests {
     /// slot, well-formed otherwise.
     fn check_with_witness_index(deadlock_slot: bool, index: u64) -> Vec<u8> {
         let mut w = Writer::new();
+        encode_derivation(&mut w, CheckDerivation::Full);
         w.u64(10);
         w.u8(0);
         encode_verdict(&mut w, QuickVerdict::Violated);
@@ -640,11 +728,47 @@ mod tests {
         for deadlock_slot in [true, false] {
             let fits = check_with_witness_index(deadlock_slot, u64::from(u32::MAX));
             assert!(
-                decode_check(&fits).is_some(),
+                decode_check(&fits, CheckDerivation::Full).is_some(),
                 "deadlock slot {deadlock_slot}"
             );
             let past = check_with_witness_index(deadlock_slot, u64::from(u32::MAX) + 7);
-            assert_eq!(decode_check(&past), None, "deadlock slot {deadlock_slot}");
+            assert_eq!(
+                decode_check(&past, CheckDerivation::Full),
+                None,
+                "deadlock slot {deadlock_slot}"
+            );
+        }
+    }
+
+    /// The derivation `kind` (0 full, 1 reduced, 2 reduced on a quotient
+    /// whose rotation digests to `digest`).
+    fn derivation_of(kind: u8, digest: u64) -> CheckDerivation {
+        match kind {
+            0 => CheckDerivation::Full,
+            1 => CheckDerivation::Reduced { rotation: None },
+            _ => CheckDerivation::Reduced {
+                rotation: Some(digest),
+            },
+        }
+    }
+
+    /// A payload written before checks recorded their derivation — the
+    /// parent layout, states first — is served to no derivation, so an
+    /// old full-space frame under the screen's key is recomputed.
+    #[test]
+    fn a_payload_without_a_derivation_is_not_served() {
+        let check = QuickCheck {
+            states: 20_000,
+            truncated: true,
+            deadlock_free: QuickVerdict::Inconclusive { budget: 20_000 },
+            deadlock: None,
+            safe: QuickVerdict::Inconclusive { budget: 20_000 },
+            unsafe_witness: None,
+        };
+        let current = encode_check(&check, CheckDerivation::Full);
+        let old = &current[5..];
+        for kind in 0..3 {
+            assert_eq!(decode_check(old, derivation_of(kind, 7)), None);
         }
     }
 

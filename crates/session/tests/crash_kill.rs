@@ -49,7 +49,7 @@ fn query_bits(session: &Session, dfs: &Dfs, out: NodeId) -> Vec<u64> {
     let detail = m.perf_detail().unwrap();
     let cost = m.cost(&rap_session::CostModel::default()).unwrap();
     let steady = m.steady_period(out, MARKS).unwrap();
-    let check = m.quick_check(BUDGET);
+    let check = m.screen(BUDGET, None).expect("screen");
     vec![
         detail.report.period.to_bits(),
         cost.area.to_bits(),

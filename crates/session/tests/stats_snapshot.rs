@@ -8,6 +8,7 @@
 use dfs_core::{Dfs, DfsBuilder};
 use rap_session::{Session, SessionStats};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 /// A small marked ring, distinguishable by `tag` (node names are part of
 /// the model identity, so each tag compiles to a distinct model).
@@ -54,11 +55,28 @@ fn stats_snapshots_never_tear_under_concurrent_queries() {
     const ROUNDS: usize = 40;
     let session = Session::new();
     let done = AtomicBool::new(false);
+    // the workers start only once the reader has taken its first
+    // snapshot, so the reader can never miss the whole run
+    let reader_running = Barrier::new(WORKERS + 1);
 
     std::thread::scope(|scope| {
+        let session = &session;
+        let done = &done;
+        let reader_running = &reader_running;
+        let reader = scope.spawn(move || {
+            assert_coherent(&session.stats());
+            let mut seen = 1u32;
+            reader_running.wait();
+            while !done.load(Ordering::Relaxed) {
+                assert_coherent(&session.stats());
+                seen += 1;
+            }
+            seen
+        });
+
         for w in 0..WORKERS {
-            let session = &session;
             scope.spawn(move || {
+                reader_running.wait();
                 for r in 0..ROUNDS {
                     // mix fresh compiles with intern hits and repeat
                     // queries so every counter pair moves concurrently
@@ -70,17 +88,6 @@ fn stats_snapshots_never_tear_under_concurrent_queries() {
                 }
             });
         }
-
-        let session = &session;
-        let done = &done;
-        let reader = scope.spawn(move || {
-            let mut seen = 0u32;
-            while !done.load(Ordering::Relaxed) {
-                assert_coherent(&session.stats());
-                seen += 1;
-            }
-            seen
-        });
 
         // wait until every worker's last compile has landed, then flag
         // the reader down (the scope would deadlock joining the reader

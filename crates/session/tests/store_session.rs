@@ -60,7 +60,7 @@ fn query_all(session: &Session, dfs: &Dfs, out: NodeId) -> Answers {
             .iter()
             .map(|a| a.to_bits())
             .collect(),
-        check: (*m.quick_check(BUDGET)).clone(),
+        check: (*m.screen(BUDGET, None).unwrap()).clone(),
         area_bits: cost.area.to_bits(),
         switched_bits: cost.switched_ge_per_item.to_bits(),
         steady_bits: steady.period.to_bits(),
@@ -171,19 +171,92 @@ fn distinct_budgets_and_models_get_distinct_frames() {
     {
         let session = Session::open(&dir.0).unwrap();
         let m = session.compile(&dfs);
-        let c1 = m.quick_check(1_000);
-        let c2 = m.quick_check(2_000);
+        let c1 = m.screen(1_000, None).unwrap();
+        let c2 = m.screen(2_000, None).unwrap();
         // budgets are part of the artifact key, so both persist
         assert_eq!(session.stats().store.disk_misses, 2);
         drop((c1, c2));
     }
     let session = Session::open(&dir.0).unwrap();
     let m = session.compile(&dfs);
-    let _ = m.quick_check(1_000);
-    let _ = m.quick_check(2_000);
+    let _ = m.screen(1_000, None).unwrap();
+    let _ = m.screen(2_000, None).unwrap();
     let stats = session.stats();
     assert_eq!(stats.store.disk_hits, 2);
     assert_eq!(stats.queries.check_runs, 0);
+}
+
+/// The full-space `quick_check` and the screen file separate frames
+/// (`FullCheck` and `Check`), so neither is ever served as the other, and
+/// a restart serves each from its own.
+#[test]
+fn the_full_check_and_the_screen_keep_separate_frames() {
+    let dir = TempDir(temp_dir("full-and-screen"));
+    let (dfs, _) = model();
+    let full = (*Session::new().compile(&dfs).quick_check(BUDGET)).clone();
+    let reduced = (*Session::new().compile(&dfs).screen(BUDGET, None).unwrap()).clone();
+    {
+        let session = Session::open(&dir.0).unwrap();
+        let m = session.compile(&dfs);
+        assert_eq!(*m.quick_check(BUDGET), full);
+        assert_eq!(*m.screen(BUDGET, None).unwrap(), reduced);
+        let stats = session.stats();
+        assert_eq!((stats.queries.check_runs, stats.store.disk_misses), (2, 2));
+        let store = session.store().unwrap();
+        for kind in [QueryKind::Check, QueryKind::FullCheck] {
+            let key = ArtifactKey {
+                kind,
+                ..check_key(&m)
+            };
+            assert!(store.load(&key).is_some(), "{kind:?}");
+        }
+    }
+    let session = Session::open(&dir.0).unwrap();
+    let m = session.compile(&dfs);
+    assert_eq!(*m.screen(BUDGET, None).unwrap(), reduced);
+    assert_eq!(*m.quick_check(BUDGET), full);
+    let stats = session.stats();
+    assert_eq!((stats.queries.check_runs, stats.store.disk_hits), (0, 2));
+}
+
+/// A `Check` frame written before checks recorded their derivation — a
+/// full-space `quick_check` in the old payload layout, states first — is
+/// never served as a screen: it is quarantined, the screen is recomputed
+/// and its own frame takes the key.
+#[test]
+fn an_old_full_check_frame_is_not_served_as_a_screen() {
+    use rap_session::store::codec::Writer;
+    let dir = TempDir(temp_dir("old-frame"));
+    let (dfs, _) = model();
+    let reference = (*Session::new().compile(&dfs).screen(BUDGET, None).unwrap()).clone();
+    {
+        let session = Session::open(&dir.0).unwrap();
+        let key = check_key(&session.compile(&dfs));
+        // the old layout of a clean, exhaustive check of 5 states
+        let mut w = Writer::new();
+        w.u64(5);
+        w.u8(0); // not truncated
+        w.u8(0); // deadlock-free: holds
+        w.u8(0); // no deadlock witness
+        w.u8(0); // safe: holds
+        w.u8(0); // no unsafe witness
+        assert!(session.store().unwrap().save(&key, &w.into_bytes()));
+    }
+    let session = Session::open(&dir.0).unwrap();
+    let m = session.compile(&dfs);
+    assert_eq!(*m.screen(BUDGET, None).unwrap(), reference);
+    let stats = session.stats();
+    assert_eq!(stats.queries.check_runs, 1, "the old frame was not served");
+    assert_eq!(m.counter_snapshot().get("session.check.disk_hit"), 0);
+    assert_eq!(stats.store.corrupt_recovered, 1, "it was quarantined");
+    drop((m, session));
+    // the recomputed screen now owns the key
+    let session = Session::open(&dir.0).unwrap();
+    assert_eq!(
+        *session.compile(&dfs).screen(BUDGET, None).unwrap(),
+        reference
+    );
+    assert_eq!(session.stats().queries.check_runs, 0);
 }
 
 /// The ring of [`model`] with every latency set to `delay`: rings of two
@@ -214,19 +287,19 @@ fn check_key(model: &CompiledModel) -> ArtifactKey {
 fn timing_twins_commit_their_own_check_frames() {
     let dir = TempDir(temp_dir("twins"));
     let (fast, slow) = (timed_ring(1.0), timed_ring(3.0));
-    let reference = (*Session::new().compile(&fast).quick_check(BUDGET)).clone();
+    let reference = (*Session::new().compile(&fast).screen(BUDGET, None).unwrap()).clone();
     {
         let session = Session::open(&dir.0).unwrap();
         let (a, b) = (session.compile(&fast), session.compile(&slow));
         assert_ne!(check_key(&a), check_key(&b));
-        assert_eq!(*a.quick_check(BUDGET), reference);
-        assert_eq!(*b.quick_check(BUDGET), reference);
+        assert_eq!(*a.screen(BUDGET, None).unwrap(), reference);
+        assert_eq!(*b.screen(BUDGET, None).unwrap(), reference);
         let stats = session.stats();
         assert_eq!(stats.queries.check_runs, 1, "the twins share one screen");
         assert_eq!(stats.queries.petri_translations, 1);
         assert_eq!(stats.store.disk_misses, 2, "each twin probed its own frame");
         // warm re-queries touch neither the screen nor the disk
-        let _ = (a.quick_check(BUDGET), b.quick_check(BUDGET));
+        let _ = (a.screen(BUDGET, None), b.screen(BUDGET, None));
         assert_eq!(session.stats().store, stats.store);
         // each twin filed the screen under its own key
         let store = session.store().unwrap();
@@ -237,8 +310,14 @@ fn timing_twins_commit_their_own_check_frames() {
     // restart: each twin is served from its own frame, whichever comes
     // first, and nothing is screened
     let session = Session::open(&dir.0).unwrap();
-    assert_eq!(*session.compile(&slow).quick_check(BUDGET), reference);
-    assert_eq!(*session.compile(&fast).quick_check(BUDGET), reference);
+    assert_eq!(
+        *session.compile(&slow).screen(BUDGET, None).unwrap(),
+        reference
+    );
+    assert_eq!(
+        *session.compile(&fast).screen(BUDGET, None).unwrap(),
+        reference
+    );
     let stats = session.stats();
     assert_eq!(stats.queries.check_runs, 0);
     assert_eq!(stats.queries.petri_queries, 0);

@@ -67,8 +67,10 @@ use std::time::Instant;
 pub enum QueryKind {
     /// Throughput analysis with per-node activity (`perf_detail`).
     Perf = 1,
-    /// Budgeted deadlock/1-safety screen (`quick_check`); the subkey is
-    /// the state budget.
+    /// The design sweep's budgeted deadlock/1-safety screen (`screen`); the
+    /// subkey is the state budget. Until the screen was reduced this kind
+    /// held `quick_check`'s full-space frames; a payload records how it was
+    /// derived, so such an old frame is never served as a screen.
     Check = 2,
     /// Silicon cost summary (`cost`); the subkey is the cost model's
     /// cache key.
@@ -76,6 +78,9 @@ pub enum QueryKind {
     /// Timed-simulator steady-state recurrence (`steady_period`); the
     /// subkey digests the watched node and mark budget.
     Steady = 4,
+    /// Budgeted deadlock/1-safety check over the full state space
+    /// (`quick_check`); the subkey is the state budget.
+    FullCheck = 5,
 }
 
 impl QueryKind {
@@ -85,6 +90,7 @@ impl QueryKind {
             2 => Some(QueryKind::Check),
             3 => Some(QueryKind::Cost),
             4 => Some(QueryKind::Steady),
+            5 => Some(QueryKind::FullCheck),
             _ => None,
         }
     }

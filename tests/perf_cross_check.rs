@@ -257,3 +257,77 @@ fn periods_scale_exactly_with_the_delays() {
         }
     }
 }
+
+/// Timing twins share one event schedule: over the paper sweep's 16
+/// untimed structures, each sizing's analysis on the schedule another
+/// sizing built is bit-identical to its own `analyse_with_activity`, and
+/// its period equals, bit for bit, the cycle ratio of the event graph
+/// built from its own model (`EventGraph::build` or `unfold`) — the
+/// replay the benchmark pins the sweep's periods against.
+#[cfg(feature = "dse")]
+#[test]
+fn timing_twins_share_one_event_schedule() {
+    use rap::dfs::perf::mcr::maximum_cycle_ratio;
+    use rap::dfs::perf::unfold::unfold;
+    use rap::dfs::perf::{analyse_schedule, analyse_with_activity, EventGraph, EventSchedule};
+    use rap::dse::{Config, Hardware};
+    let hardware = [
+        Hardware::Static { stages: 6 },
+        Hardware::Reconfigurable {
+            stages: 6,
+            share_ctrl: true,
+        },
+        Hardware::Reconfigurable {
+            stages: 6,
+            share_ctrl: false,
+        },
+        Hardware::Wagged { ways: 1, stages: 6 },
+        Hardware::Wagged { ways: 2, stages: 6 },
+        Hardware::Wagged { ways: 3, stages: 6 },
+    ];
+    let config = |hardware, workload, sizing| Config {
+        hardware,
+        workload,
+        sizing,
+        voltage: 1.2,
+        delays: ope_delays(1.0, 1.0),
+    };
+    for hw in hardware {
+        let depths = match hw {
+            Hardware::Reconfigurable { .. } => 1..=6,
+            _ => 6..=6,
+        };
+        for depth in depths {
+            let shared = EventSchedule::build(&config(hw, depth, 0.75).build().unwrap()).unwrap();
+            for sizing in [0.75, 1.0, 1.5, 2.0] {
+                let label = format!("{} d{depth} s{sizing}", hw.label());
+                let dfs = config(hw, depth, sizing).build().unwrap();
+                let own = analyse_with_activity(&dfs).unwrap();
+                let twin = analyse_schedule(&dfs, &shared).unwrap();
+                assert_eq!(
+                    twin.report.period.to_bits(),
+                    own.report.period.to_bits(),
+                    "{label}"
+                );
+                assert_eq!(
+                    twin.report.critical.delay.to_bits(),
+                    own.report.critical.delay.to_bits(),
+                    "{label}"
+                );
+                assert_eq!(twin.report.critical.nodes, own.report.critical.nodes);
+                assert_eq!(twin.report.construction, own.report.construction);
+                let bits = |a: &[f64]| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&twin.activity_per_item), bits(&own.activity_per_item));
+                let (graph, items) = match own.report.construction {
+                    Construction::Direct => (EventGraph::build(&dfs), 1),
+                    Construction::PhaseUnfolded { .. } => {
+                        let u = unfold(&dfs).unwrap();
+                        (u.graph, u.items_per_period)
+                    }
+                };
+                let direct = maximum_cycle_ratio(&graph).unwrap().ratio / f64::from(items.max(1));
+                assert_eq!(twin.report.period.to_bits(), direct.to_bits(), "{label}");
+            }
+        }
+    }
+}

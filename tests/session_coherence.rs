@@ -21,7 +21,8 @@ use rap::dfs::pipelines::{build_pipeline, PipelineSpec, StageDelays};
 use rap::dfs::timed::{measure_steady_period, ChoicePolicy};
 use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{to_petri, Dfs, DfsBuilder, DfsError, Lts};
-use rap::petri::analysis::quick_check;
+use rap::petri::analysis::{quick_check, screen};
+use rap::petri::reachability::ExploreConfig;
 use rap::session::{CompiledModel, CostModel, CostSummary};
 use rap::{Error, Session};
 use std::sync::Arc;
@@ -92,7 +93,8 @@ fn assert_coherent(dfs: &Dfs, lts_budget: usize, check_budget: usize) {
     assert_eq!(stats.perf_analyses, 1);
     assert_eq!(stats.petri_translations, 1);
     assert_eq!(stats.lts_explorations, 1);
-    assert_eq!(stats.check_runs, 1);
+    // the full check and the screen, once each
+    assert_eq!(stats.check_runs, 2);
     assert_eq!(stats.cost_evaluations, 1);
 }
 
@@ -164,6 +166,19 @@ fn assert_queries_match_direct(
             .map(|d| (d.state, d.trace.clone()))
     );
     assert_eq!(check.unsafe_witness, want_check.unsafe_witness);
+
+    // screen == the reduced screen over the direct image, every field
+    let reduced = model.screen(check_budget, None).unwrap();
+    let cfg = ExploreConfig {
+        max_states: check_budget,
+        ..ExploreConfig::default()
+    };
+    let want_reduced = screen(&want_img.net, &want_img.complementary_pairs(), &cfg, None);
+    assert_eq!(*reduced, want_reduced.unwrap());
+    assert!(Arc::ptr_eq(
+        &reduced,
+        &model.screen(check_budget, None).unwrap()
+    ));
 
     // cost == the two direct CostModel calls, bitwise
     let summary = model.cost(&cost).unwrap();
@@ -413,7 +428,8 @@ fn timing_twins_share_the_delay_free_artifacts() {
     assert_eq!(stats.models, 2);
     assert_eq!(stats.queries.petri_translations, 1, "{stats:?}");
     assert_eq!(stats.queries.lts_explorations, 1, "{stats:?}");
-    assert_eq!(stats.queries.check_runs, 1, "{stats:?}");
+    // the full check and the screen, once each for the group
+    assert_eq!(stats.queries.check_runs, 2, "{stats:?}");
     assert_eq!(stats.queries.perf_analyses, 2, "{stats:?}");
     assert_eq!(stats.queries.cost_evaluations, 2, "{stats:?}");
 
@@ -433,6 +449,40 @@ fn timing_twins_share_the_delay_free_artifacts() {
     assert_eq!(stats.models, 4);
     assert_eq!(stats.queries.petri_translations, 3, "{stats:?}");
     assert_eq!(stats.queries.lts_explorations, 3, "{stats:?}");
-    assert_eq!(stats.queries.check_runs, 3, "{stats:?}");
+    assert_eq!(stats.queries.check_runs, 2 * 3, "{stats:?}");
     assert_eq!(stats.queries.perf_analyses, 4, "{stats:?}");
+}
+
+/// The screen on a way rotation equals the direct quotient screen, and a
+/// rotation that is no automorphism is a typed error, cached like a
+/// result and never replaced by an unreduced run.
+#[test]
+fn screens_on_the_way_rotation_equal_the_direct_quotient_screen() {
+    let cfg = ExploreConfig {
+        max_states: 20_000,
+        ..ExploreConfig::default()
+    };
+    for ways in [2, 3] {
+        let w = wagged_pipeline(ways, 1, 1.0).unwrap();
+        let model = Session::new().compile(&w.dfs);
+        let img = to_petri(&w.dfs);
+        let sym = img.induced_symmetry(&w.way_rotation).unwrap();
+        let want = screen(&img.net, &img.complementary_pairs(), &cfg, Some(&sym)).unwrap();
+        let got = model.screen(cfg.max_states, Some(&w.way_rotation)).unwrap();
+        assert_eq!(*got, want, "{ways} ways");
+
+        let mut broken = w.way_rotation.clone();
+        broken.swap(0, 1);
+        for _ in 0..2 {
+            let err = model.screen(cfg.max_states, Some(&broken)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::Petri(rap::petri::PetriError::InvalidSymmetry { .. })
+                ),
+                "{err}"
+            );
+        }
+        assert_eq!(model.stats().check_runs, 2, "one screen, one cached error");
+    }
 }

@@ -76,7 +76,7 @@ fn query_all(session: &Session, dfs: &Dfs, out: NodeId) -> Answers {
             .iter()
             .map(|a| a.to_bits())
             .collect(),
-        check: (*m.quick_check(BUDGET)).clone(),
+        check: (*m.screen(BUDGET, None).unwrap()).clone(),
         area_bits: cost.area.to_bits(),
         switched_bits: cost.switched_ge_per_item.to_bits(),
         steady_bits: steady.period.to_bits(),
