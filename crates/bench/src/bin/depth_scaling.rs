@@ -9,7 +9,7 @@ use rap_ope::{ChipTimingModel, PipelineKind, SyncStyle};
 
 fn main() {
     let cli = BenchCli::parse("depth_scaling", None);
-    rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
+    rap_bench::trace::with_trace(&cli, || run(&cli));
 }
 
 fn run(cli: &BenchCli) {

@@ -17,7 +17,7 @@ const COMP_DELAY: f64 = 5.0;
 
 fn main() {
     let cli = BenchCli::parse("fig1_motivating", None);
-    rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
+    rap_bench::trace::with_trace(&cli, || run(&cli));
 }
 
 fn run(cli: &BenchCli) {

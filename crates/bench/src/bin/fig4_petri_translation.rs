@@ -14,7 +14,7 @@ use rap_petri::reachability::{explore, ExploreConfig};
 
 fn main() {
     let cli = BenchCli::parse("fig4_petri_translation", None);
-    rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
+    rap_bench::trace::with_trace(&cli, || run(&cli));
 }
 
 fn run(cli: &BenchCli) {

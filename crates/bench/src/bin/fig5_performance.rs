@@ -28,7 +28,7 @@ fn construction_tag(c: Construction) -> String {
 
 fn main() {
     let cli = BenchCli::parse("fig5_performance", None);
-    rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
+    rap_bench::trace::with_trace(&cli, || run(&cli));
 }
 
 fn run(cli: &BenchCli) {

@@ -15,7 +15,7 @@ use rap_bench::cli::BenchCli;
 
 fn main() {
     let cli = BenchCli::parse("fig7_verification", None);
-    rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
+    rap_bench::trace::with_trace(&cli, || run(&cli));
 }
 
 fn run(cli: &BenchCli) {

@@ -14,7 +14,7 @@ const SEED: u32 = 0x5EED_0001;
 
 fn main() {
     let cli = BenchCli::parse("fig8_chip", None);
-    rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
+    rap_bench::trace::with_trace(&cli, || run(&cli));
 }
 
 fn run(cli: &BenchCli) {

@@ -13,7 +13,7 @@ use rap_silicon::VoltageProfile;
 
 fn main() {
     let cli = BenchCli::parse("fig9b_power_trace", None);
-    rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
+    rap_bench::trace::with_trace(&cli, || run(&cli));
 }
 
 fn run(cli: &BenchCli) {

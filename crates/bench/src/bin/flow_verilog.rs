@@ -12,7 +12,7 @@ use rap_silicon::verilog::to_verilog;
 
 fn main() {
     let cli = BenchCli::parse("flow_verilog", None);
-    rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
+    rap_bench::trace::with_trace(&cli, || run(&cli));
 }
 
 fn run(cli: &BenchCli) {

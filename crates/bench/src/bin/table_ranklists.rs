@@ -16,7 +16,7 @@ use rap_ope::reference::{rank_list, windows_ranked};
 fn main() {
     // already instant; --quick is accepted for CLI uniformity
     let cli = BenchCli::parse("table_ranklists", None);
-    rap_bench::trace::with_trace(&cli, |_obs| run());
+    rap_bench::trace::with_trace(&cli, run);
 }
 
 fn run() {

@@ -20,7 +20,7 @@
 
 use crate::json::{escape, Json};
 use rap_dse::pareto::Objectives;
-use rap_dse::{explore_traced, DesignSpace, DseConfig, DseOutcome, Hardware};
+use rap_dse::{explore_with_session, DesignSpace, DseConfig, DseOutcome, Hardware};
 use rap_obs::{Obs, Snapshot};
 use rap_ope::dfs_model::ope_stage_delays;
 use rap_silicon::cost::CostModel;
@@ -136,10 +136,10 @@ pub struct SweepRun {
 /// evaluations.
 ///
 /// The three passes open `dse.pass.cold` / `dse.pass.warm` /
-/// `dse.pass.restart` spans under `obs`, each sweep's `dse.sweep`/`dse.eval`
-/// spans and provenance events nest inside its pass, and the sessions and
-/// stores record into `obs` too, so the full query lifecycle (`session.*`)
-/// and disk latencies (`store.*_ns`) land in the same collector. Recording
+/// `dse.pass.restart` spans in `obs`, and the sessions and stores record
+/// into `obs` too, so each sweep's spans and events, the query lifecycle
+/// (`session.*`, under the `dse.eval` that asked) and the disk latencies
+/// (`store.*_ns`) land in the same collector, inside their pass. Recording
 /// is observation-only: the returned fronts are bit-identical to a run
 /// over [`Obs::none`] (this very function asserts front equality across
 /// its own passes either way, and `tests/trace_schema.rs` asserts it
@@ -185,8 +185,8 @@ pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> Swe
     let check_runs = |session: &rap_session::Session| session.stats().queries.check_runs;
     let t0 = Instant::now();
     let outcome = {
-        let pass = obs.span("dse.pass.cold");
-        explore_traced(&space, &cost, &cfg, &session, &pass.obs())
+        let _pass = obs.span("dse.pass.cold");
+        explore_with_session(&space, &cost, &cfg, &session)
     };
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
     let cold_screens = check_runs(&session);
@@ -195,8 +195,8 @@ pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> Swe
     // must be identical and (almost) no full evaluation happens
     let t1 = Instant::now();
     let warm = {
-        let pass = obs.span("dse.pass.warm");
-        explore_traced(&space, &cost, &cfg, &session, &pass.obs())
+        let _pass = obs.span("dse.pass.warm");
+        explore_with_session(&space, &cost, &cfg, &session)
     };
     let warm_elapsed_ms = t1.elapsed().as_secs_f64() * 1e3;
     let warm_screens = check_runs(&session) - cold_screens;
@@ -213,8 +213,8 @@ pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> Swe
     let session = open().unwrap_or_else(|e| panic!("cannot reopen artifact store: {e:?}"));
     let t2 = Instant::now();
     let restart = {
-        let pass = obs.span("dse.pass.restart");
-        explore_traced(&space, &cost, &cfg, &session, &pass.obs())
+        let _pass = obs.span("dse.pass.restart");
+        explore_with_session(&space, &cost, &cfg, &session)
     };
     let restart_elapsed_ms = t2.elapsed().as_secs_f64() * 1e3;
     let restart_screens = check_runs(&session);

@@ -123,10 +123,9 @@ fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, 
     // one span per case; the engine and quotient explorations below feed
     // their `engine.explore` spans into it, so a traced
     // BENCH_state_space.json can attribute each case's time to the engine
-    let case_span = obs.span("bench.case.petri");
-    let cobs = case_span.obs();
+    let _case = obs.span("bench.case.petri");
     let img = to_petri(dfs);
-    let (engine, engine_ms) = best_of(reps, || explore_truncated(&img.net, cfg(&cobs)));
+    let (engine, engine_ms) = best_of(reps, || explore_truncated(&img.net, cfg(obs)));
     let (quotient_states, quotient_ms) = match way_rotation {
         Some(perm) => {
             let sym = img
@@ -134,7 +133,7 @@ fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, 
                 .expect("way rotation induces a net automorphism")
                 .state_symmetry();
             let (quo, ms) = best_of(reps, || {
-                explore_quotient_truncated(&img.net, cfg(&cobs), &sym)
+                explore_quotient_truncated(&img.net, cfg(obs), &sym)
             });
             assert!(!quo.is_truncated(), "{name}: quotient truncated");
             (Some(quo.len()), Some(ms))
@@ -153,14 +152,13 @@ fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, 
 }
 
 fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, obs: &Obs) -> Case {
-    let case_span = obs.span("bench.case.lts");
-    let cobs = case_span.obs();
-    let (engine, engine_ms) = best_of(reps, || Lts::explore_with(dfs, &cfg(&cobs), None));
+    let _case = obs.span("bench.case.lts");
+    let (engine, engine_ms) = best_of(reps, || Lts::explore_with(dfs, &cfg(obs), None));
     let (quotient_states, quotient_ms) = match way_rotation {
         Some(perm) => {
             let sym = node_rotation_symmetry(dfs, perm)
                 .expect("way rotation is a structural automorphism");
-            let (quo, ms) = best_of(reps, || Lts::explore_with(dfs, &cfg(&cobs), Some(&sym)));
+            let (quo, ms) = best_of(reps, || Lts::explore_with(dfs, &cfg(obs), Some(&sym)));
             assert!(!quo.is_truncated(), "{name}: quotient truncated");
             (Some(quo.len()), Some(ms))
         }
@@ -182,8 +180,8 @@ fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, ob
 /// `reconfigurable_depth(3,3)` and the 2-way wagged pipeline (~1.5M
 /// states).
 ///
-/// Each case opens a `bench.case.petri` / `bench.case.lts` span under
-/// `obs`, and the engine and quotient explorations inside it emit one
+/// Each case opens a `bench.case.petri` / `bench.case.lts` span in `obs`,
+/// and the engine and quotient explorations inside it emit one
 /// `engine.explore` span each plus the `engine.*` counters — so a traced
 /// `BENCH_state_space.json` can attribute each case's wall-clock to the
 /// engine. Recording is observation-only: states, truncation and every

@@ -475,17 +475,12 @@ impl TraceSink {
 /// Runs `body` under a single `bench.main` span, honouring the CLI's
 /// `--trace-out`. Most experiment binaries are one phase end to end, so
 /// this is their entire tracing story: the span accounts for the whole
-/// run (keeping [`validate`]'s coverage floor trivially satisfied), any
-/// spans the body emits through the passed [`Obs`] nest inside it, and
+/// run (keeping [`validate`]'s coverage floor trivially satisfied), and
 /// the trace is rendered, self-validated and written after `body`
-/// returns. Without `--trace-out` the `Obs` handle is detached and every
-/// recording call in the body compiles to a no-op.
-pub fn with_trace(cli: &BenchCli, body: impl FnOnce(&Obs)) {
+/// returns. Without `--trace-out` nothing is recorded.
+pub fn with_trace(cli: &BenchCli, body: impl FnOnce()) {
     let sink = TraceSink::from_cli(cli);
-    {
-        let main_span = sink.obs().span("bench.main");
-        body(&main_span.obs());
-    }
+    sink.obs().time("bench.main", body);
     sink.finish();
 }
 
@@ -497,15 +492,14 @@ mod tests {
         let collector = Arc::new(Collector::new());
         let obs = Obs::collecting(&collector);
         {
-            let outer = obs.span("bench.main");
-            let inner = outer.obs();
-            inner.time("session.compute", |o| {
-                o.add("session.petri.compute", 1);
+            let _outer = obs.span("bench.main");
+            obs.time("session.compute", || {
+                obs.add("session.petri.compute", 1);
                 std::thread::sleep(std::time::Duration::from_millis(2));
             });
-            inner.observe_ns("store.read_ns", 4096);
-            inner.note("dse.full", "static/d4", 0xbaf0_0d11);
-            inner.gauge("engine.frontier.peak", 96.0);
+            obs.observe_ns("store.read_ns", 4096);
+            obs.note("dse.full", "static/d4", 0xbaf0_0d11);
+            obs.gauge("engine.frontier.peak", 96.0);
         }
         collector.snapshot()
     }

@@ -1,7 +1,8 @@
 //! Tracing acceptance suite, mirroring `dse_schema.rs` for the trace
 //! exporter: a live-collector quick sweep must (a) leave the Pareto fronts
 //! bit-identical to a run over a detached handle (recording is
-//! observation-only), and (b) produce a `rap/trace/v1` document that
+//! observation-only), (b) nest every session span under the `dse.eval`
+//! that asked for it, and (c) produce a `rap/trace/v1` document that
 //! passes the schema validator with span coverage at or above the floor.
 //! That a detached handle costs nothing is pinned per call by `rap-obs`'s
 //! `noop_overhead` bench.
@@ -18,8 +19,8 @@ fn traced_sweep_is_schema_valid_and_front_identical() {
     let traced = {
         // everything under one top span, exactly like the bins do, so the
         // snapshot's coverage reflects the whole run
-        let main_span = root.span("bench.main");
-        run_sweep(true, None, &main_span.obs())
+        let _main = root.span("bench.main");
+        run_sweep(true, None, &root)
     };
     // snapshot before anything else runs: the collector's wall-clock keeps
     // ticking, so later work would dilute the coverage figure
@@ -42,6 +43,47 @@ fn traced_sweep_is_schema_valid_and_front_identical() {
         );
     }
     assert!(snap.counters.get("dse.enumerated") > 0);
+
+    // spans nest by the thread's context, so every span the session opens
+    // (`session.open` is the bench's, around the store) sits inside the
+    // `dse.eval` that asked for it, and the engine inside a query's compute
+    let spans = &snap.spans;
+    let name = |i: usize| spans[i].name;
+    let ancestors = |mut i: usize| {
+        std::iter::from_fn(move || {
+            i = spans[i].parent? as usize;
+            Some(i)
+        })
+    };
+    let mut session_spans = 0;
+    for (i, span) in spans.iter().enumerate() {
+        if span.name.starts_with("session.") && span.name != "session.open" {
+            session_spans += 1;
+            assert!(
+                ancestors(i).any(|a| name(a) == "dse.eval"),
+                "{} (span {i}) has no dse.eval ancestor",
+                span.name
+            );
+        }
+        if span.name == "dse.eval" {
+            assert!(
+                span.children
+                    .iter()
+                    .any(|&c| name(c as usize) == "dse.build"),
+                "dse.eval (span {i}) has no dse.build child"
+            );
+        }
+        if span.name == "engine.explore" {
+            assert_eq!(name(span.parent.unwrap() as usize), "session.compute");
+        }
+    }
+    for name in ["session.compile", "session.query.check", "engine.explore"] {
+        assert!(
+            snap.spans.iter().any(|s| s.name == name),
+            "span {name:?} missing from trace"
+        );
+    }
+    assert!(session_spans > 0);
 
     let json = render(&snap);
     assert!(json.contains(SCHEMA));

@@ -67,6 +67,12 @@ pub enum DfsError {
         /// Watched tokens produced while searching.
         marks: u64,
     },
+    /// An invariant of this crate's own translation failed: a bug, never a
+    /// property of the input model.
+    Internal {
+        /// What failed.
+        reason: String,
+    },
 }
 
 impl fmt::Display for DfsError {
@@ -98,6 +104,7 @@ impl fmt::Display for DfsError {
             DfsError::NoSteadyState { marks } => {
                 write!(f, "no steady-state recurrence within {marks} output tokens")
             }
+            DfsError::Internal { reason } => write!(f, "internal error: {reason}"),
         }
     }
 }

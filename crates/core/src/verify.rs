@@ -19,7 +19,7 @@ use crate::to_petri::{to_petri, PetriImage};
 use crate::DfsError;
 use rap_petri::analysis as pn_analysis;
 use rap_petri::reachability::{explore, ExploreConfig, StateSpace};
-use rap_reach::Predicate;
+use rap_reach::{Expr, NameRef, Predicate};
 
 /// Verification limits.
 #[derive(Debug, Clone, Copy)]
@@ -72,7 +72,8 @@ impl VerificationReport {
 /// # Errors
 ///
 /// [`DfsError::StateBudgetExceeded`] when the reachable space exceeds
-/// `config.max_states`.
+/// `config.max_states`; [`DfsError::Internal`] if the control-mismatch
+/// predicate names a place the translation lacks (a translation bug).
 pub fn verify(dfs: &Dfs, config: &VerifyConfig) -> Result<VerificationReport, DfsError> {
     let img = to_petri(dfs);
     let space = explore(
@@ -85,7 +86,7 @@ pub fn verify(dfs: &Dfs, config: &VerifyConfig) -> Result<VerificationReport, Df
     Ok(VerificationReport {
         states: space.len(),
         deadlocks: deadlocks(&img, &space),
-        control_mismatch: control_mismatch(dfs, &img, &space),
+        control_mismatch: control_mismatch(dfs, &img, &space)?,
         hazards: hazards(dfs, &img, &space),
     })
 }
@@ -117,10 +118,18 @@ fn deadlocks(img: &PetriImage, space: &StateSpace) -> Vec<Counterexample> {
 }
 
 /// Builds the Reach predicate "some node has marked guards with both
-/// values" and searches for a witness.
-fn control_mismatch(dfs: &Dfs, img: &PetriImage, space: &StateSpace) -> Option<Counterexample> {
+/// values" and searches for a witness. The predicate is a syntax tree over
+/// literal place names, never source text, so no node name the DSL accepts
+/// (quotes and backslashes included) can break it.
+fn control_mismatch(
+    dfs: &Dfs,
+    img: &PetriImage,
+    space: &StateSpace,
+) -> Result<Option<Counterexample>, DfsError> {
     // Generate the disjunction over all guard pairs of all nodes. Inverted
     // guards contribute their flipped value places.
+    let marked = |place: String| Expr::Marked(NameRef::Literal(place));
+    let both = |a: String, b: String| Expr::And(Box::new(marked(a)), Box::new(marked(b)));
     let mut clauses = Vec::new();
     for n in dfs.nodes() {
         if dfs.guard_mode(n) != GuardMode::Unanimous {
@@ -132,45 +141,43 @@ fn control_mismatch(dfs: &Dfs, img: &PetriImage, space: &StateSpace) -> Option<C
                 if a.node == b.node && a.inverted != b.inverted {
                     // same register read with both parities: any marking of
                     // it is a mismatch
-                    clauses.push(format!("marked(\"M_{}_1\")", dfs.node(a.node).name));
+                    clauses.push(marked(format!("M_{}_1", dfs.node(a.node).name)));
                     continue;
                 }
-                let a_true = place_name(dfs, a, true);
-                let a_false = place_name(dfs, a, false);
-                let b_true = place_name(dfs, b, true);
-                let b_false = place_name(dfs, b, false);
-                clauses.push(format!(
-                    "(marked(\"{a_true}\") & marked(\"{b_false}\")) | (marked(\"{a_false}\") & marked(\"{b_true}\"))"
+                clauses.push(Expr::Or(
+                    Box::new(both(place_name(dfs, a, true), place_name(dfs, b, false))),
+                    Box::new(both(place_name(dfs, a, false), place_name(dfs, b, true))),
                 ));
             }
         }
     }
     if clauses.is_empty() {
-        return None;
+        return Ok(None);
     }
-    let source = any_of(&clauses);
-    let predicate = Predicate::parse(&source).expect("generated predicate parses");
-    let compiled = predicate
+    // every literal names a place `to_petri` created, so only a
+    // translation bug can leave one unresolved
+    let compiled = Predicate::from(any_of(clauses))
         .compile(&img.net)
-        .expect("generated names resolve");
-    rap_reach::find_witness(&img.net, space, &compiled).map(|w| Counterexample {
+        .map_err(|e| DfsError::Internal {
+            reason: format!("control-mismatch predicate: {e}"),
+        })?;
+    let witness = rap_reach::find_witness(&img.net, space, &compiled);
+    Ok(witness.map(|w| Counterexample {
         trace: trace_labels(img, &w.trace),
         reason: "control mismatch: True and False guard tokens visible simultaneously".to_string(),
-    })
+    }))
 }
 
-/// The disjunction of `clauses` (non-empty), split into parenthesised
-/// halves: its tree grows with the log of the clause count, so a model
-/// with thousands of guard pairs stays inside the Reach parser's depth
-/// bound, which a flat left-deep `a | b | …` chain would not.
-fn any_of(clauses: &[String]) -> String {
-    match clauses {
-        [one] => one.clone(),
-        _ => {
-            let (left, right) = clauses.split_at(clauses.len() / 2);
-            format!("({}) | ({})", any_of(left), any_of(right))
-        }
+/// The disjunction of `clauses`, split into halves: its tree grows with the
+/// log of the clause count, so a model with thousands of guard pairs stays
+/// shallow, which a flat left-deep `a | b | …` chain would not.
+fn any_of(mut clauses: Vec<Expr>) -> Expr {
+    let right = clauses.split_off(clauses.len() / 2);
+    if clauses.is_empty() {
+        // at most one clause: itself, or the empty disjunction
+        return right.into_iter().next().unwrap_or(Expr::Const(false));
     }
+    Expr::Or(Box::new(any_of(clauses)), Box::new(any_of(right)))
 }
 
 /// The value-place name asserting guard `g` effectively reads `want`.

@@ -1,56 +1,98 @@
-//! Property test: every constructible DFS model round-trips through the
+//! Property tests: every constructible DFS model round-trips through the
 //! DSL (`to_text` → `parse`) preserving structure, semantics-relevant
-//! attributes, and — on small models — the entire reachable LTS size.
+//! attributes, and — on small models — the entire reachable LTS size; and
+//! verification reads a model's structure, never its node names.
 
+use dfs_core::verify::{verify, VerifyConfig};
 use dfs_core::{dsl, Dfs, DfsBuilder, Lts, TokenValue};
 use proptest::prelude::*;
 use rap_petri::reachability::ExploreConfig;
 
-fn arb_dfs() -> impl Strategy<Value = Dfs> {
+/// One model's draws: node kinds, markings, delays and edges.
+type Draws = (
+    Vec<u8>,
+    Vec<(bool, bool)>,
+    Vec<u8>,
+    Vec<(usize, usize, bool)>,
+);
+
+fn arb_draws() -> impl Strategy<Value = Draws> {
     let kinds = proptest::collection::vec(0u8..5, 2..7);
     let marks = proptest::collection::vec(any::<(bool, bool)>(), 2..7);
     let delays = proptest::collection::vec(0u8..4, 2..7);
     let edges = proptest::collection::vec((0usize..7, 0usize..7, any::<bool>()), 1..10);
-    (kinds, marks, delays, edges).prop_filter_map(
-        "invalid model",
-        |(kinds, marks, delays, edges)| {
-            let mut b = DfsBuilder::new();
-            let n = kinds.len().min(marks.len()).min(delays.len());
-            let ids: Vec<_> = (0..n)
-                .map(|i| {
-                    let name = format!("n{i}");
-                    let nb = match kinds[i] {
-                        0 => b.logic(name),
-                        1 => b.register(name),
-                        2 => b.control(name),
-                        3 => b.push(name),
-                        _ => b.pop(name),
-                    };
-                    let nb = nb.delay(f64::from(delays[i]) * 0.5 + 0.5);
-                    let (marked, value) = marks[i];
-                    if marked && kinds[i] != 0 {
-                        if kinds[i] == 1 {
-                            nb.marked().build()
-                        } else {
-                            nb.marked_with(TokenValue::from(value)).build()
-                        }
-                    } else {
-                        nb.build()
-                    }
-                })
-                .collect();
-            for (from, to, inv) in edges {
-                if from < n && to < n && from != to {
-                    if inv {
-                        b.connect_inverted(ids[from], ids[to]);
-                    } else {
-                        b.connect(ids[from], ids[to]);
-                    }
+    (kinds, marks, delays, edges)
+}
+
+/// The model `draws` describe, its node `i` named `name(i)`; `None` when
+/// `DfsBuilder::finish` rejects it.
+fn build((kinds, marks, delays, edges): &Draws, name: impl Fn(usize) -> String) -> Option<Dfs> {
+    let mut b = DfsBuilder::new();
+    let n = kinds.len().min(marks.len()).min(delays.len());
+    let ids: Vec<_> = (0..n)
+        .map(|i| {
+            let name = name(i);
+            let nb = match kinds[i] {
+                0 => b.logic(name),
+                1 => b.register(name),
+                2 => b.control(name),
+                3 => b.push(name),
+                _ => b.pop(name),
+            };
+            let nb = nb.delay(f64::from(delays[i]) * 0.5 + 0.5);
+            let (marked, value) = marks[i];
+            if marked && kinds[i] != 0 {
+                if kinds[i] == 1 {
+                    nb.marked().build()
+                } else {
+                    nb.marked_with(TokenValue::from(value)).build()
                 }
+            } else {
+                nb.build()
             }
-            b.finish().ok()
-        },
-    )
+        })
+        .collect();
+    for &(from, to, inv) in edges {
+        if from < n && to < n && from != to {
+            if inv {
+                b.connect_inverted(ids[from], ids[to]);
+            } else {
+                b.connect(ids[from], ids[to]);
+            }
+        }
+    }
+    b.finish().ok()
+}
+
+/// [`arb_draws`] with every node and edge kept: `n` nodes and `n..2n` edges
+/// between them, dense enough that nodes with two control guards, whose
+/// control-mismatch predicate names both, come up.
+fn arb_dense_draws() -> impl Strategy<Value = Draws> {
+    (3usize..7).prop_flat_map(|n| {
+        (
+            proptest::collection::vec(0u8..5, n),
+            proptest::collection::vec(any::<(bool, bool)>(), n),
+            proptest::collection::vec(0u8..4, n),
+            proptest::collection::vec((0..n, 0..n, any::<bool>()), n..2 * n),
+        )
+    })
+}
+
+fn plain_name(i: usize) -> String {
+    format!("n{i}")
+}
+
+fn arb_dfs() -> impl Strategy<Value = Dfs> {
+    arb_draws().prop_filter_map("invalid model", |d| build(&d, plain_name))
+}
+
+/// Seven node names over non-whitespace characters that the Reach and DSL
+/// syntaxes give a meaning to, the quote and the backslash among them.
+fn arb_names() -> impl Strategy<Value = Vec<String>> {
+    const ALPHABET: [char; 12] = ['"', '\\', 'c', '1', '_', '(', ')', '|', '&', '!', '*', '#'];
+    let name = proptest::collection::vec(0..ALPHABET.len(), 1..5)
+        .prop_map(|cs| cs.into_iter().map(|c| ALPHABET[c]).collect::<String>());
+    proptest::collection::vec(name, 7)
 }
 
 proptest! {
@@ -80,5 +122,32 @@ proptest! {
         let b = Lts::explore_with(&again, &cfg, None);
         prop_assume!(!a.is_truncated());
         prop_assert_eq!(a.len(), b.len());
+    }
+
+    /// Names reach verification only as place names, which the
+    /// control-mismatch predicate quotes: any name the DSL accepts, quotes
+    /// and backslashes included, verifies without a panic and with the
+    /// same verdicts as the plainly named model.
+    #[test]
+    fn verification_is_blind_to_node_names(
+        draws in arb_dense_draws()
+            .prop_filter_map("invalid model", |d| build(&d, plain_name).map(|_| d)),
+        names in arb_names(),
+    ) {
+        let plain = build(&draws, plain_name).expect("filtered to build");
+        // names may collide, which `DfsBuilder::finish` rejects
+        let renamed = build(&draws, |i| names[i].clone());
+        prop_assume!(renamed.is_some());
+        let renamed = renamed.expect("assumed");
+        let cfg = VerifyConfig { max_states: 5_000 };
+        match (verify(&plain, &cfg), verify(&renamed, &cfg)) {
+            (Ok(a), Ok(b)) => {
+                prop_assert_eq!(a.states, b.states);
+                prop_assert_eq!(a.deadlocks.len(), b.deadlocks.len());
+                prop_assert_eq!(a.control_mismatch.is_some(), b.control_mismatch.is_some());
+                prop_assert_eq!(a.hazards.len(), b.hazards.len());
+            }
+            (a, b) => prop_assert_eq!(a.err(), b.err()),
+        }
     }
 }

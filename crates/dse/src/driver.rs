@@ -202,12 +202,12 @@ struct Shared<'a> {
     siblings: Mutex<HashMap<SiblingKey, Vec<(usize, f64)>>>,
     /// Exact, violation-free objective vectors per workload class.
     dominators: Mutex<HashMap<usize, Vec<Objectives>>>,
-    /// Sweep counters, mirrored into the attached recorder (if any).
+    /// Sweep counters, mirrored into the session's collector (if any).
     /// Observation-only: never consulted by pruning or memoization, so a
-    /// live recorder cannot perturb the fronts.
+    /// live collector cannot perturb the fronts.
     meter: Meter,
-    /// Recorder handle parented under the `dse.sweep` span; per-candidate
-    /// `dse.eval` spans and provenance events hang off it.
+    /// The session's recorder handle: per-candidate `dse.eval` spans and
+    /// provenance events.
     obs: Obs,
 }
 
@@ -292,7 +292,8 @@ impl Shared<'_> {
     fn eval_task(&self, config: Config) -> Option<Evaluation> {
         let _eval_span = self.obs.span("dse.eval");
         {
-            let (dfs, way_rotation) = match config.build_with_rotation() {
+            let built = self.obs.time("dse.build", || config.build_with_rotation());
+            let (dfs, way_rotation) = match built {
                 Ok(built) => built,
                 Err(_) => {
                     self.meter.add("dse.eval.error", 1);
@@ -410,6 +411,18 @@ pub fn explore(space: &DesignSpace, cost: &CostModel, cfg: &DseConfig) -> DseOut
 /// session performs **zero** new structural analyses — only the Pareto
 /// assembly and (cheap) pruning bounds are recomputed — which is what the
 /// recorded `BENCH_dse.json` cold/warm split measures.
+///
+/// The sweep records into the session's recorder
+/// ([`Session::recorder`]): a `dse.sweep` span under the span the calling
+/// thread has open (a caller's pass span, say), which every worker enters,
+/// a `dse.eval` span per candidate, with its model construction in a
+/// `dse.build` span and its session queries nested inside, a provenance
+/// event per candidate (`dse.full` / `dse.memo` / `dse.pruned` /
+/// `dse.error`, labelled with the configuration and its structural hash),
+/// and the `dse.*` counters of [`SweepStats`], mirrored live. Recording is
+/// observation-only — it is never consulted by pruning, memoization or
+/// scheduling — so the emitted evaluations and fronts are bit-identical to
+/// an untraced run.
 #[must_use]
 pub fn explore_with_session(
     space: &DesignSpace,
@@ -417,36 +430,15 @@ pub fn explore_with_session(
     cfg: &DseConfig,
     session: &Session,
 ) -> DseOutcome {
-    explore_traced(space, cost, cfg, session, &session.recorder().clone())
-}
-
-/// [`explore_with_session`] with an explicit recorder handle: the sweep
-/// opens a `dse.sweep` span under `obs`'s parent (letting callers nest
-/// sweeps under their own pass spans), every candidate gets a `dse.eval`
-/// span plus a provenance event (`dse.full` / `dse.memo` / `dse.pruned` /
-/// `dse.error`, labelled with the configuration and its structural hash),
-/// and the `dse.*` counters of [`SweepStats`] are mirrored live.
-///
-/// Recording is observation-only — it is never consulted by pruning,
-/// memoization or scheduling — so the emitted evaluations and fronts are
-/// bit-identical to an untraced run.
-#[must_use]
-pub fn explore_traced(
-    space: &DesignSpace,
-    cost: &CostModel,
-    cfg: &DseConfig,
-    session: &Session,
-    obs: &Obs,
-) -> DseOutcome {
+    let obs = session.recorder();
     let sweep_span = obs.span("dse.sweep");
-    let sweep_obs = sweep_span.obs();
     let tasks = space.enumerate();
     let enumerated = tasks.len();
     let groups = structure_groups(tasks);
     let threads = cfg.threads.max(1).min(groups.len().max(1));
     let queues = StealQueues::new(threads);
     queues.deal(0..groups.len());
-    let meter = Meter::with_obs(sweep_obs.clone());
+    let meter = Meter::with_obs(obs.clone());
     meter.add("dse.enumerated", enumerated as u64);
     let shared = Shared {
         space,
@@ -458,11 +450,14 @@ pub fn explore_traced(
         siblings: Mutex::new(HashMap::new()),
         dominators: Mutex::new(HashMap::new()),
         meter,
-        obs: sweep_obs,
+        obs: obs.clone(),
     };
 
     let mut evaluations: Vec<Evaluation> = Vec::new();
+    let sweep = sweep_span.id();
     for result in rap_pool::run_workers(threads, |me| {
+        // a worker thread nests its `dse.eval` spans under the sweep span
+        let _sweep = obs.enter(sweep);
         let mut out = Vec::new();
         shared.run_worker(me, &mut out);
         out

@@ -64,9 +64,7 @@ pub mod models;
 pub mod pareto;
 pub mod space;
 
-pub use driver::{
-    explore, explore_traced, explore_with_session, DseConfig, DseOutcome, Evaluation, SweepStats,
-};
+pub use driver::{explore, explore_with_session, DseConfig, DseOutcome, Evaluation, SweepStats};
 pub use eval::{evaluate_structural, StructuralEval};
 pub use models::{wagged_ope, WaggedOpe};
 pub use pareto::{naive_front_indices, pareto_front_indices, Objectives};

@@ -4,33 +4,36 @@
 //! (`rap-petri`), the query cache (`rap-session`), the design-space driver
 //! (`rap-dse`) and the persistent artifact store (`rap-store`).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
-//! * [`Recorder`] — the trait instrumented code talks to. Every method has a
-//!   guaranteed-free no-op default, so a recorder only overrides what it
-//!   cares about and the disabled path costs nothing (see *Overhead* below).
-//! * [`Collector`] — the standard thread-safe recorder. It aggregates spans
-//!   into a tree keyed by `(parent, name)` (bounded memory however many
-//!   times a span is entered), keeps named counters and gauges under a single
-//!   lock (so a [`Collector::snapshot`] is coherent, not torn), fixed
-//!   64-bucket log2 latency histograms, and a bounded provenance event list.
-//! * [`Obs`] — the cheap cloneable handle threaded through APIs. It pairs an
-//!   optional recorder with a parent [`SpanId`], so nested layers attach
-//!   their spans in the right place without global state.
+//! * [`Collector`] — the thread-safe sink. It aggregates spans into a tree
+//!   keyed by `(parent, name)` (bounded memory however many times a span
+//!   is entered), keeps named counters and gauges under a single lock (so
+//!   a [`Collector::snapshot`] is coherent, not torn), fixed 64-bucket log2
+//!   latency histograms, and a bounded provenance event list.
+//! * [`Obs`] — the cheap cloneable handle threaded through APIs: a
+//!   collector, or nothing ([`Obs::none`]).
 //!
 //! The JSON exporter for `rap/trace/v1` lives in `rap_bench::trace` (it
 //! reuses the workspace's schema-validation JSON parser); this crate only
 //! produces the plain-data [`Snapshot`].
 //!
+//! ## Nesting
+//!
+//! A span's parent is the span the calling thread has open in the same
+//! collector (the root if none), as in Dapper's context propagation: a
+//! session query opened inside a sweep's `dse.eval` nests under it with no
+//! parent passed down. A pool worker continues its spawner's span with
+//! [`Obs::enter`].
+//!
 //! ## Overhead
 //!
-//! `Obs::none()` carries no recorder. Every instrumentation method begins
-//! with an `#[inline]` check of that `Option` and returns immediately when it
-//! is `None` — no clock read, no allocation, no locking. [`Obs::span`] only
-//! calls `Instant::now` when a recorder is attached. The
-//! `benches/noop_overhead.rs` benchmark pins this, and the bench-suite test
-//! `trace_schema.rs` bounds the end-to-end cost of an untraced handle on a
-//! real sweep.
+//! `Obs::none()` carries no collector. Every instrumentation method begins
+//! with an `#[inline]` check of that `Option` and returns immediately when
+//! it is `None` — no clock read, no thread-local access, no allocation, no
+//! locking. The `benches/noop_overhead.rs` benchmark pins this, and the
+//! bench-suite test `trace_schema.rs` bounds the end-to-end cost of an
+//! untraced handle on a real sweep.
 //!
 //! ## Determinism
 //!
@@ -51,14 +54,16 @@
 //! | `engine.levels` / `engine.states` / `engine.edges` | counter | BFS totals |
 //! | `engine.dedup.known` | counter | edges whose target was committed in an earlier BFS level |
 //! | `engine.frontier.peak` | gauge | widest BFS frontier seen |
-//! | `session.compile` / `session.compile.hit` | counter | model compilations / intern-table hits |
+//! | `session.compile` / `session.compile.hit` | span + counter / counter | model compilations / intern-table hits |
 //! | `session.query.<kind>` | span | whole query (`petri`, `perf`, `lts`, `check`, `cost`, `steady`) |
 //! | `session.load` / `session.compute` / `session.commit` | span | store probe / actual analysis / persist-on-commit inside a query |
+//! | `session.wait` | span | a query blocked on another thread's in-flight computation of the same artifact, inside the query |
 //! | `session.<kind>.query` / `.compute` / `.disk_hit` | counter | per-kind lifecycle outcomes (memo hits = query − compute − disk_hit) |
 //! | `session.<kind>.wait` | counter | queries that blocked on another thread's in-flight computation of the same artifact |
 //! | `session.wait_ns` | histogram | time those queries spent blocked |
-//! | `dse.sweep` | span | one `explore*` call |
+//! | `dse.sweep` | span | one `explore_with_session` call |
 //! | `dse.eval` | span | one candidate evaluation task |
+//! | `dse.build` | span | building one candidate's model, inside its `dse.eval` |
 //! | `dse.enumerated`, `dse.eval.full` / `.memo` / `.pruned` / `.error` / `.panic` | counter | sweep work accounting |
 //! | `dse.check.violation` / `dse.check.inconclusive` | counter | verification outcomes across full evaluations |
 //! | `dse.full` / `dse.memo` / `dse.pruned` / `dse.error` | event | per-candidate provenance; label = config label, value = structural hash |
@@ -82,8 +87,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -97,10 +104,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Identifier of an aggregated span-tree node inside a recorder.
+/// Identifier of an aggregated span-tree node inside a collector.
 ///
-/// `SpanId` is only meaningful to the recorder that issued it. The root of
-/// every tree is [`SpanId::ROOT`].
+/// `SpanId` is only meaningful to the collector that issued it. The root
+/// of every tree is [`SpanId::ROOT`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct SpanId(u32);
 
@@ -109,48 +116,22 @@ impl SpanId {
     pub const ROOT: SpanId = SpanId(0);
 }
 
-/// Sink for spans, counters, gauges, latency observations and provenance
-/// events.
-///
-/// Every method defaults to a no-op so `impl Recorder for MySink {}` is a
-/// valid (if useless) recorder and partial implementations stay cheap.
-/// Instrumented code reaches recorders through [`Obs`], which skips the
-/// virtual call entirely when no recorder is attached.
-pub trait Recorder: Send + Sync {
-    /// Open (or re-enter) the span `name` under `parent`, returning its id.
-    /// Spans are aggregated: opening the same `(parent, name)` twice yields
-    /// the same id.
-    fn span_open(&self, parent: SpanId, name: &'static str) -> SpanId {
-        let _ = (parent, name);
-        SpanId::ROOT
-    }
+thread_local! {
+    /// The spans this thread has open, innermost last, with their collector
+    /// (an address, never dereferenced: each entry's guard keeps it alive).
+    static OPEN: RefCell<Vec<(*const Collector, SpanId)>> = const { RefCell::new(Vec::new()) };
+}
 
-    /// Record one completion of `span` that took `nanos` wall-clock.
-    fn span_close(&self, span: SpanId, nanos: u64) {
-        let _ = (span, nanos);
-    }
-
-    /// Add `delta` to the named counter.
-    fn add(&self, counter: &'static str, delta: u64) {
-        let _ = (counter, delta);
-    }
-
-    /// Set the named gauge to `value` (last write wins).
-    fn gauge(&self, gauge: &'static str, value: f64) {
-        let _ = (gauge, value);
-    }
-
-    /// Record one `nanos` observation in the named log2 latency histogram.
-    fn observe(&self, hist: &'static str, nanos: u64) {
-        let _ = (hist, nanos);
-    }
-
-    /// Record a provenance event: `kind` is a taxonomy name, `label` a
-    /// free-form subject (e.g. a DSE config label), `value` a 64-bit payload
-    /// (e.g. a structural hash).
-    fn note(&self, kind: &'static str, label: &str, value: u64) {
-        let _ = (kind, label, value);
-    }
+/// The span the calling thread has open in `rec`, or the root.
+fn current(rec: &Arc<Collector>) -> SpanId {
+    let me = Arc::as_ptr(rec);
+    OPEN.with(|open| {
+        open.borrow()
+            .iter()
+            .rev()
+            .find(|(c, _)| *c == me)
+            .map_or(SpanId::ROOT, |&(_, id)| id)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -159,21 +140,19 @@ pub trait Recorder: Send + Sync {
 
 /// Cheap cloneable handle instrumented code records through.
 ///
-/// An `Obs` is either *detached* ([`Obs::none`], the [`Default`]) or carries
-/// a shared recorder plus the [`SpanId`] new spans should be parented under.
-/// All methods are `#[inline]` and return immediately when detached — no
-/// clock reads, no locks, no allocation.
+/// An `Obs` is either *detached* ([`Obs::none`], the [`Default`]) or
+/// carries a shared [`Collector`]. All methods are `#[inline]` and return
+/// immediately when detached — no clock reads, no thread-local access, no
+/// locks, no allocation.
 #[derive(Clone, Default)]
 pub struct Obs {
-    rec: Option<Arc<dyn Recorder>>,
-    parent: SpanId,
+    rec: Option<Arc<Collector>>,
 }
 
 impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs")
             .field("enabled", &self.rec.is_some())
-            .field("parent", &self.parent)
             .finish()
     }
 }
@@ -182,57 +161,66 @@ impl Obs {
     /// The detached handle: every operation is free.
     #[must_use]
     pub fn none() -> Obs {
-        Obs {
-            rec: None,
-            parent: SpanId::ROOT,
-        }
+        Obs { rec: None }
     }
 
-    /// Handle recording into an arbitrary [`Recorder`], parented at the root.
-    #[must_use]
-    pub fn attached(rec: Arc<dyn Recorder>) -> Obs {
-        Obs {
-            rec: Some(rec),
-            parent: SpanId::ROOT,
-        }
-    }
-
-    /// Handle recording into a shared [`Collector`], parented at the root.
+    /// Handle recording into a shared [`Collector`].
     #[must_use]
     pub fn collecting(collector: &Arc<Collector>) -> Obs {
-        Obs::attached(collector.clone() as Arc<dyn Recorder>)
+        Obs {
+            rec: Some(Arc::clone(collector)),
+        }
     }
 
-    /// Whether a recorder is attached (the fast-path test every method uses).
+    /// Whether a collector is attached (the fast-path test every method
+    /// uses).
     #[inline]
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.rec.is_some()
     }
 
-    /// Open the span `name` under this handle's parent. The returned guard
-    /// closes the span with its elapsed wall-clock when dropped; use
-    /// [`SpanTimer::obs`] to parent nested work under it. When detached this
-    /// does not read the clock.
+    /// Open the span `name` under the calling thread's current span in this
+    /// handle's collector (the root if none). The guard is the thread's
+    /// current span until it drops, then records the span's wall-clock.
+    /// When detached this reads neither the clock nor the thread's context.
     #[inline]
     pub fn span(&self, name: &'static str) -> SpanTimer {
         match &self.rec {
-            None => SpanTimer { inner: None },
+            None => SpanTimer(None, PhantomData),
             Some(rec) => {
-                let id = rec.span_open(self.parent, name);
-                SpanTimer {
-                    inner: Some((rec.clone(), id, Instant::now())),
-                }
+                let id = rec.span_open(current(rec), name);
+                SpanTimer::push(rec, id, Some(Instant::now()))
             }
         }
     }
 
-    /// Run `f` inside the span `name`; `f` receives a handle parented under
-    /// the new span.
+    /// Make `span` (a [`SpanTimer::id`] of this handle's collector, open on
+    /// another thread) the calling thread's current span until the guard
+    /// drops, without timing it: how a pool worker continues its spawner's.
     #[inline]
-    pub fn time<T>(&self, name: &'static str, f: impl FnOnce(&Obs) -> T) -> T {
-        let timer = self.span(name);
-        f(&timer.obs())
+    pub fn enter(&self, span: SpanId) -> SpanTimer {
+        match &self.rec {
+            None => SpanTimer(None, PhantomData),
+            Some(rec) => SpanTimer::push(rec, span, None),
+        }
+    }
+
+    /// Record one completion of the span `name`, already measured as
+    /// `nanos`, under the calling thread's current span.
+    #[inline]
+    pub fn record_span(&self, name: &'static str, nanos: u64) {
+        if let Some(rec) = &self.rec {
+            let id = rec.span_open(current(rec), name);
+            rec.span_close(id, nanos);
+        }
+    }
+
+    /// Run `f` inside the span `name`.
+    #[inline]
+    pub fn time<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
+        let _span = self.span(name);
+        f()
     }
 
     /// Add `delta` to the named counter.
@@ -259,9 +247,10 @@ impl Obs {
         }
     }
 
-    /// Record a provenance event. The `label` is only rendered to an owned
-    /// string when a recorder is attached, so callers may pass borrowed data
-    /// from hot paths.
+    /// Record a provenance event (`kind`, a free-form `label`, a 64-bit
+    /// `value`). The `label` is only rendered to an owned string when a
+    /// collector is attached, so callers may pass borrowed data from hot
+    /// paths.
     #[inline]
     pub fn note(&self, kind: &'static str, label: &str, value: u64) {
         if let Some(rec) = &self.rec {
@@ -270,41 +259,42 @@ impl Obs {
     }
 }
 
-/// Guard returned by [`Obs::span`]; records the span's wall-clock on drop.
-pub struct SpanTimer {
-    inner: Option<(Arc<dyn Recorder>, SpanId, Instant)>,
-}
+/// Guard returned by [`Obs::span`] and [`Obs::enter`]: the calling
+/// thread's current span in its collector until it drops (a guard from
+/// [`Obs::span`] then records the span's wall-clock). The marker makes it
+/// `!Send`: it must drop on the thread whose context it changed.
+pub struct SpanTimer(
+    Option<(Arc<Collector>, SpanId, Option<Instant>)>,
+    PhantomData<*const ()>,
+);
 
 impl SpanTimer {
-    /// Handle parented under this span, for instrumenting nested work.
+    fn push(rec: &Arc<Collector>, id: SpanId, start: Option<Instant>) -> SpanTimer {
+        OPEN.with(|open| open.borrow_mut().push((Arc::as_ptr(rec), id)));
+        SpanTimer(Some((Arc::clone(rec), id, start)), PhantomData)
+    }
+
+    /// The span's id in its collector ([`SpanId::ROOT`] when detached),
+    /// for [`Obs::enter`] on another thread.
     #[inline]
     #[must_use]
-    pub fn obs(&self) -> Obs {
-        match &self.inner {
-            None => Obs::none(),
-            Some((rec, id, _)) => Obs {
-                rec: Some(rec.clone()),
-                parent: *id,
-            },
-        }
+    pub fn id(&self) -> SpanId {
+        self.0.as_ref().map_or(SpanId::ROOT, |(_, id, _)| *id)
     }
 
     /// Whether this guard will record anything on drop.
     #[inline]
     #[must_use]
     pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
+        matches!(self.0, Some((_, _, Some(_))))
     }
 }
 
 impl Drop for SpanTimer {
     #[inline]
     fn drop(&mut self) {
-        if let Some((rec, id, start)) = self.inner.take() {
-            rec.span_close(
-                id,
-                u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
+        if let Some((rec, id, start)) = self.0.take() {
+            rec.leave(id, start);
         }
     }
 }
@@ -336,7 +326,7 @@ struct EventBuf {
     dropped: u64,
 }
 
-/// The standard thread-safe [`Recorder`].
+/// The thread-safe sink every [`Obs`] records into.
 ///
 /// Spans aggregate into a tree keyed by `(parent, name)` — re-entering a
 /// span merges into the existing node, so a million-level BFS produces a
@@ -444,9 +434,10 @@ impl Collector {
             dropped_events: ev.dropped,
         }
     }
-}
 
-impl Recorder for Collector {
+    /// Open (or re-enter) the span `name` under `parent`, returning its id.
+    /// Spans are aggregated: opening the same `(parent, name)` twice yields
+    /// the same id.
     fn span_open(&self, parent: SpanId, name: &'static str) -> SpanId {
         let mut tree = lock(&self.tree);
         let pid = (parent.0 as usize).min(tree.len().saturating_sub(1));
@@ -470,6 +461,25 @@ impl Recorder for Collector {
         SpanId(id)
     }
 
+    /// Close a guard of `span`: record its wall-clock since `start`, if any,
+    /// and take it off the thread's open spans. Out of line, so that the
+    /// guard's inlined drop stays one call.
+    fn leave(&self, span: SpanId, start: Option<Instant>) {
+        if let Some(start) = start {
+            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.span_close(span, nanos);
+        }
+        let entry = (self as *const Collector, span);
+        // a guard dropped while the thread tears down has no context
+        let _ = OPEN.try_with(|open| {
+            let mut open = open.borrow_mut();
+            if let Some(i) = open.iter().rposition(|e| *e == entry) {
+                open.remove(i);
+            }
+        });
+    }
+
+    /// Record one completion of `span` that took `nanos` wall-clock.
     fn span_close(&self, span: SpanId, nanos: u64) {
         let mut tree = lock(&self.tree);
         if let Some(node) = tree.get_mut(span.0 as usize) {
@@ -548,7 +558,7 @@ pub struct HistSnapshot {
     pub buckets: Vec<(u32, u64)>,
 }
 
-/// One provenance event (see [`Recorder::note`]).
+/// One provenance event (see [`Obs::note`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// Taxonomy kind, e.g. `"dse.memo"`.
@@ -675,14 +685,14 @@ impl CounterSnapshot {
 // ---------------------------------------------------------------------------
 
 /// A subsystem's named-counter set with a coherent snapshot, optionally
-/// mirrored into a recorder.
+/// mirrored into a collector.
 ///
 /// This is what the legacy per-crate stats structs (`SessionStats`,
 /// `StoreStats`, `SweepStats`, …) are views over: the subsystem increments a
 /// `Meter`, `snapshot()` takes **one** lock (so related counters can never
 /// tear apart), and the stats struct is built from the resulting
 /// [`CounterSnapshot`]. When an [`Obs`] is attached, every increment is also
-/// forwarded to the recorder so the same names appear in exported traces.
+/// forwarded to its collector so the same names appear in exported traces.
 #[derive(Default)]
 pub struct Meter {
     map: Mutex<BTreeMap<&'static str, u64>>,
@@ -698,7 +708,7 @@ impl std::fmt::Debug for Meter {
 }
 
 impl Meter {
-    /// Fresh meter with no recorder mirror.
+    /// Fresh meter with no collector mirror.
     #[must_use]
     pub fn new() -> Meter {
         Meter::default()
@@ -713,13 +723,13 @@ impl Meter {
         }
     }
 
-    /// Attach (or replace) the recorder mirror. Requires exclusive access,
+    /// Attach (or replace) the collector mirror. Requires exclusive access,
     /// so it is only possible before the meter is shared.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
 
-    /// The recorder mirror handle (detached if none was attached).
+    /// The collector mirror handle (detached if none was attached).
     #[must_use]
     pub fn obs(&self) -> &Obs {
         &self.obs
@@ -773,7 +783,9 @@ mod tests {
         assert!(!obs.is_enabled());
         let t = obs.span("engine.explore");
         assert!(!t.is_recording());
-        assert!(!t.obs().is_enabled());
+        assert_eq!(t.id(), SpanId::ROOT);
+        drop(obs.enter(t.id()));
+        obs.record_span("session.wait", 5);
         obs.add("engine.states", 5);
         obs.gauge("engine.frontier.peak", 3.0);
         obs.observe_ns("store.read_ns", 100);
@@ -786,7 +798,7 @@ mod tests {
         let obs = Obs::collecting(&c);
         for _ in 0..3 {
             let outer = obs.span("dse.sweep");
-            let inner = outer.obs().span("dse.eval");
+            let inner = obs.span("dse.eval");
             drop(inner);
             drop(outer);
         }
@@ -810,14 +822,85 @@ mod tests {
         let c = Arc::new(Collector::new());
         let obs = Obs::collecting(&c);
         let a = obs.span("dse.pass.cold");
-        drop(a.obs().span("dse.sweep"));
+        drop(obs.span("dse.sweep"));
         drop(a);
         let b = obs.span("dse.pass.warm");
-        drop(b.obs().span("dse.sweep"));
+        drop(obs.span("dse.sweep"));
         drop(b);
         let snap = c.snapshot();
         let sweeps = snap.spans.iter().filter(|s| s.name == "dse.sweep").count();
         assert_eq!(sweeps, 2);
+    }
+
+    /// The parent of span `name` in `snap`, by name.
+    fn parent_of(snap: &Snapshot, name: &str) -> &'static str {
+        let node = snap.spans.iter().find(|s| s.name == name).unwrap();
+        snap.spans[node.parent.unwrap() as usize].name
+    }
+
+    #[test]
+    fn a_span_opened_while_nothing_is_open_hangs_off_root() {
+        let c = Arc::new(Collector::new());
+        let obs = Obs::collecting(&c);
+        drop(obs.span("first"));
+        let outer = obs.span("outer");
+        drop(obs.span("inner"));
+        drop(outer);
+        // the closed guards restored the thread's context
+        drop(obs.span("after"));
+        let snap = c.snapshot();
+        assert_eq!(parent_of(&snap, "first"), "root");
+        assert_eq!(parent_of(&snap, "inner"), "outer");
+        assert_eq!(parent_of(&snap, "after"), "root");
+    }
+
+    #[test]
+    fn a_worker_that_enters_its_spawners_span_nests_under_it() {
+        let c = Arc::new(Collector::new());
+        let obs = Obs::collecting(&c);
+        let sweep = obs.span("dse.sweep");
+        let id = sweep.id();
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                let _sweep = obs.enter(id);
+                drop(obs.span("dse.eval"));
+            });
+            // a thread that enters nothing has nothing open
+            scope.spawn(|| drop(obs.span("stray")));
+        });
+        drop(sweep);
+        let snap = c.snapshot();
+        assert_eq!(parent_of(&snap, "dse.eval"), "dse.sweep");
+        assert_eq!(parent_of(&snap, "stray"), "root");
+        let sweep = snap.spans.iter().find(|s| s.name == "dse.sweep").unwrap();
+        assert_eq!(sweep.count, 1, "entering a span does not time it again");
+    }
+
+    #[test]
+    fn spans_of_each_collector_nest_under_its_own_current_span() {
+        let (a, b) = (Arc::new(Collector::new()), Arc::new(Collector::new()));
+        let (oa, ob) = (Obs::collecting(&a), Obs::collecting(&b));
+        let outer_a = oa.span("a.outer");
+        let outer_b = ob.span("b.outer");
+        // B's span is the innermost open one, but A's go under A's
+        drop(oa.span("a.inner"));
+        oa.record_span("a.measured", 700);
+        drop(ob.span("b.inner"));
+        // guards may close out of order
+        drop(outer_a);
+        drop(ob.span("b.after"));
+        drop(outer_b);
+        drop(oa.span("a.after"));
+        let (sa, sb) = (a.snapshot(), b.snapshot());
+        assert_eq!(parent_of(&sa, "a.inner"), "a.outer");
+        assert_eq!(parent_of(&sa, "a.measured"), "a.outer");
+        assert_eq!(parent_of(&sa, "a.after"), "root");
+        assert_eq!(parent_of(&sb, "b.inner"), "b.outer");
+        assert_eq!(parent_of(&sb, "b.after"), "b.outer");
+        assert!(sa.spans.iter().all(|s| !s.name.starts_with("b.")));
+        assert!(sb.spans.iter().all(|s| !s.name.starts_with("a.")));
+        let measured = sa.spans.iter().find(|s| s.name == "a.measured").unwrap();
+        assert_eq!((measured.count, measured.total_ns), (1, 700));
     }
 
     #[test]

@@ -243,19 +243,21 @@ pub fn quick_check_with(
 /// Soundness: deadlock-freedom is orbit-invariant (a representative is dead
 /// iff every member of its orbit is), and the engine's quotient discovers
 /// exactly the canonical image of the reachable set, so the deadlock
-/// verdict transfers unchanged. The 1-safety verdict over `pairs` transfers
-/// **iff the pair set is closed under the symmetry** — this function
-/// panics otherwise rather than return an unsound verdict (DFS wagging
-/// replicates every variable's complementary pair into each way, so the
-/// pair sets it produces are closed by construction).
+/// verdict transfers unchanged, whatever the pairs. The 1-safety scan
+/// reads each representative's concrete marking
+/// ([`check_complementary_pairs`]), a reachable marking, so a violation it
+/// finds is real; a clean scan decides 1-safety over `pairs` only when
+/// **the pair set is closed under the symmetry** (DFS wagging replicates
+/// every variable's complementary pair into each way, so the pair sets it
+/// produces are closed by construction). Over a pair set it does not
+/// close, 1-safety follows the [`screen`]'s rule: [`QuickVerdict::Holds`]
+/// from the structural certificate, [`QuickVerdict::Violated`] when a
+/// concrete marking breaks a pair, and [`QuickVerdict::Inconclusive`]
+/// otherwise.
 ///
 /// Counterexamples are made concrete before being reported: the attached
 /// deadlock trace replays on the original net from its real initial
 /// marking ([`StateSpace::concrete_trace_to`]).
-///
-/// # Panics
-///
-/// When `pairs` is not closed under `sym` (see above).
 #[must_use]
 pub fn quick_check_quotient(
     net: &PetriNet,
@@ -263,10 +265,6 @@ pub fn quick_check_quotient(
     max_states: usize,
     sym: &Symmetry,
 ) -> QuickCheck {
-    assert!(
-        sym.pairs_closed(pairs),
-        "complementary-pair set is not closed under the symmetry; the quotient verdict would be unsound"
-    );
     let ssym = sym.state_symmetry();
     let space = explore_quotient_truncated(
         net,
@@ -276,7 +274,12 @@ pub fn quick_check_quotient(
         },
         &ssym,
     );
-    verdicts_over(net, &space, pairs, max_states, Derivation::Full)
+    let derivation = if sym.pairs_closed(pairs) {
+        Derivation::Full
+    } else {
+        Derivation::Reduced
+    };
+    verdicts_over(net, &space, pairs, max_states, derivation)
 }
 
 /// The design-space screen: deadlock-freedom decided on a stubborn-set
@@ -342,20 +345,21 @@ pub fn screen(
 /// How the space a verdict reads was explored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Derivation {
-    /// Every reachable state (or orbit): both properties are decided by
-    /// a complete run.
+    /// Every reachable state (or orbit, under a symmetry that closes the
+    /// pair set): both properties are decided by a complete run.
     Full,
-    /// A stubborn-set reduction: only the dead states are complete.
+    /// A stubborn-set reduction, or a quotient under a symmetry that does
+    /// not close the pair set: only the dead states are complete.
     Reduced,
 }
 
 /// Shared verdict step of [`quick_check`], [`quick_check_quotient`] and
 /// [`screen`]: the first dead state is the witness, and the pairs are
 /// scanned only when they fail the structural certificate (a quotient
-/// needs nothing more: the pair set is closed under the symmetry, so every
-/// pair of a representative's marking is a certified pair of a reachable
-/// marking). Over a full space a clean, complete run decides 1-safety; a
-/// reduced one decides it only through the certificate.
+/// needs nothing more when the pair set is closed under the symmetry: a
+/// reachable marking then breaks a pair iff its orbit's scanned concrete
+/// marking breaks one). Over a full space a clean, complete run decides
+/// 1-safety; a reduced one decides it only through the certificate.
 fn verdicts_over(
     net: &PetriNet,
     space: &StateSpace,
@@ -408,13 +412,27 @@ fn verdicts_over(
 ///
 /// The DFS translation introduces `x_0`/`x_1` place pairs per state variable;
 /// this check is the structural invariant that validates the translation.
+///
+/// In a quotient space each state is read as its concrete marking
+/// ([`StateSpace::concrete_marking`]), which is reachable even when the
+/// representative is not (an asymmetric initial marking), so the witness
+/// state's concrete marking breaks the reported pair. That scan covers
+/// every reachable marking only when the pair set is closed under the
+/// symmetry.
 #[must_use]
 pub fn check_complementary_pairs(
     space: &StateSpace,
     pairs: &[(crate::PlaceId, crate::PlaceId)],
 ) -> Option<(StateId, usize)> {
+    let quotient = space.symmetry().is_some();
     for s in space.states() {
-        let words = space.words(s);
+        let concrete;
+        let words = if quotient {
+            concrete = space.concrete_words(s);
+            &concrete[..]
+        } else {
+            space.words(s)
+        };
         for (i, &(p0, p1)) in pairs.iter().enumerate() {
             if crate::engine::get_bit(words, p0.index())
                 == crate::engine::get_bit(words, p1.index())
@@ -654,14 +672,112 @@ mod tests {
         let _ = (a0, b0, a1, b1);
     }
 
+    /// Over a pair set the symmetry does not close, the quotient keeps the
+    /// full check's deadlock verdict and never claims more about 1-safety
+    /// than it knows: `Holds` only from the certificate, `Violated` when a
+    /// concrete marking breaks a pair, `Inconclusive` otherwise — where the
+    /// full check, which sees every marking, decides.
     #[test]
-    #[should_panic(expected = "not closed under the symmetry")]
-    fn quotient_rejects_unclosed_pair_sets() {
+    fn quotient_over_unclosed_pair_sets_takes_safety_from_the_certificate() {
+        let p = |i: usize| PlaceId::from_index(i);
         let net = live_ring_net(4);
         let perm: Vec<u32> = (0..4u32).map(|i| (i + 1) % 4).collect();
         let sym = Symmetry::new(&net, perm).unwrap();
+        for (pairs, safe) in [
+            // the token leaves p0 and p1 empty: the full check finds it,
+            // the one representative does not
+            (
+                vec![(p(0), p(1))],
+                QuickVerdict::Inconclusive { budget: 1_000 },
+            ),
+            // every marking breaks it, the representative included
+            (vec![(p(0), p(0))], QuickVerdict::Violated),
+        ] {
+            assert!(!sym.pairs_closed(&pairs));
+            let full = quick_check(&net, &pairs, 1_000);
+            let qc = quick_check_quotient(&net, &pairs, 1_000, &sym);
+            assert_eq!(full.safe, QuickVerdict::Violated);
+            assert_eq!(qc.safe, safe, "{pairs:?}");
+            assert_eq!(qc.deadlock_free, full.deadlock_free);
+            assert_eq!(qc.deadlock_free, QuickVerdict::Holds);
+        }
+
+        // two independent flip-flops swapped by the symmetry; the pair of
+        // one alone is unclosed but certified, so it holds on the quotient
+        // as on the full space
+        let mut flips = PetriNet::new();
+        for name in ["a", "b"] {
+            let lo = flips.add_place(format!("{name}_0"), true);
+            let hi = flips.add_place(format!("{name}_1"), false);
+            let (up, down) = (
+                flips.add_transition(format!("{name}+")),
+                flips.add_transition(format!("{name}-")),
+            );
+            flips.consume(up, lo);
+            flips.produce(up, hi);
+            flips.consume(down, hi);
+            flips.produce(down, lo);
+        }
+        let sym = Symmetry::new(&flips, vec![2, 3, 0, 1]).unwrap();
+        let pairs = [(p(0), p(1))];
+        assert!(!sym.pairs_closed(&pairs));
+        let full = quick_check(&flips, &pairs, 1_000);
+        let qc = quick_check_quotient(&flips, &pairs, 1_000, &sym);
+        assert_eq!(full.safe, QuickVerdict::Holds);
+        assert_eq!(qc.safe, QuickVerdict::Holds);
+        assert_eq!(qc.deadlock_free, full.deadlock_free);
+        assert!(qc.states < full.states, "the quotient is smaller");
+    }
+
+    /// With an asymmetric initial marking a representative need not be
+    /// reachable, so an unclosed pair set is judged on concrete markings.
+    /// `a` and `b` are swapped; `xa -> a_1` and `xb -> b_1` never fire
+    /// (nothing marks `xa` or `xb`) but break the certificate of
+    /// `(a_0, a_1)`. The two mirror-image initial markings share one orbit,
+    /// so one representative, which breaks the pair for exactly one of
+    /// them: the quotient must agree with the full check on both.
+    #[test]
+    fn quotient_judges_unclosed_pairs_on_reachable_markings() {
         let p = |i: usize| PlaceId::from_index(i);
-        let _ = quick_check_quotient(&net, &[(p(0), p(1))], 1_000, &sym);
+        let pairs = [(p(0), p(1))];
+        // initial tokens on (a_0, a_1, b_0, b_1): the pair holds, then breaks
+        for (marks, want) in [
+            (
+                [true, false, true, true],
+                QuickVerdict::Inconclusive { budget: 100 },
+            ),
+            ([true, true, true, false], QuickVerdict::Violated),
+        ] {
+            let mut net = PetriNet::new();
+            let ab: Vec<PlaceId> = ["a_0", "a_1", "b_0", "b_1"]
+                .into_iter()
+                .zip(marks)
+                .map(|(name, marked)| net.add_place(name, marked))
+                .collect();
+            for (x, target) in [("xa", ab[1]), ("xb", ab[3])] {
+                let source = net.add_place(x, false);
+                let t = net.add_transition(format!("{x}+"));
+                net.consume(t, source);
+                net.produce(t, target);
+            }
+            let sym = Symmetry::new(&net, vec![2, 3, 0, 1, 5, 4]).unwrap();
+            assert!(!sym.pairs_closed(&pairs));
+            let full = quick_check(&net, &pairs, 100);
+            let qc = quick_check_quotient(&net, &pairs, 100, &sym);
+            assert_eq!((full.states, qc.states), (1, 1));
+            assert_eq!(qc.safe, want, "{marks:?}");
+            assert_eq!(full.safe.is_violated(), want.is_violated(), "{marks:?}");
+            assert_eq!(qc.deadlock_free, full.deadlock_free);
+            if let Some((s, i)) = qc.unsafe_witness {
+                let cfg = ExploreConfig {
+                    max_states: 100,
+                    ..ExploreConfig::default()
+                };
+                let space = explore_quotient_truncated(&net, cfg, &sym.state_symmetry());
+                let m = space.concrete_marking(s);
+                assert_eq!(m.is_marked(pairs[i].0), m.is_marked(pairs[i].1));
+            }
+        }
     }
 
     /// The screen decides deadlocks on its reduced space and takes

@@ -54,7 +54,7 @@ mod glob;
 mod lexer;
 mod parser;
 
-pub use ast::{Expr, SetKind};
+pub use ast::{Expr, NameRef, SetKind};
 pub use compile::CompiledPredicate;
 pub use glob::glob_match;
 
@@ -89,6 +89,14 @@ impl Predicate {
     /// or a quantified variable is used with the wrong atom kind.
     pub fn compile(&self, net: &PetriNet) -> Result<CompiledPredicate, ReachError> {
         compile::compile(&self.root, net)
+    }
+}
+
+/// A predicate built as a syntax tree rather than parsed from text: no
+/// quoting of names, so any place name is a valid literal.
+impl From<Expr> for Predicate {
+    fn from(root: Expr) -> Self {
+        Predicate { root }
     }
 }
 

@@ -270,11 +270,12 @@ impl Session {
     /// memory-only session.
     ///
     /// With a live `obs`, every query of every compiled model wraps itself
-    /// in `session.query.<kind>` spans, mirrors its counters into the
-    /// recorder (see the `rap-obs` crate docs for the taxonomy) and hands
-    /// its `session.compute` span to the engine, and the store records
+    /// in a `session.query.<kind>` span under the span the calling thread
+    /// has open (a sweep's `dse.eval`, say), mirrors its counters into the
+    /// collector (see the `rap-obs` crate docs for the taxonomy) and runs
+    /// the engine under its `session.compute` span, and the store records
     /// read/write latency histograms and quarantine events into the same
-    /// recorder. Recording is observation-only — results, caching and
+    /// collector. Recording is observation-only — results, caching and
     /// scheduling are bit-identical to a session over [`Obs::none`].
     #[must_use]
     pub fn with(store: Option<Store>, obs: Obs) -> Self {

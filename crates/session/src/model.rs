@@ -34,7 +34,8 @@ where
 ///
 /// A call that finds the slot empty and still does not run `f` has blocked
 /// on another thread's in-flight computation: it counts as `wait` in
-/// `meter`, and its blocked time lands in the `session.wait_ns` histogram.
+/// `meter`, and its blocked time lands in the `session.wait_ns` histogram
+/// and in a `session.wait` span under the calling thread's current span.
 fn traced_once<'a, T>(
     slot: &'a OnceLock<T>,
     meter: &Meter,
@@ -54,6 +55,7 @@ fn traced_once<'a, T>(
         meter.add(wait, 1);
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         meter.obs().observe_ns("session.wait_ns", nanos);
+        meter.obs().record_span("session.wait", nanos);
     }
     (v, ran)
 }
@@ -96,8 +98,8 @@ impl CheckKey {
 }
 
 /// The exploration config of a session query: the state budget, every
-/// other knob at its default, recording under the query's `session.compute`
-/// span.
+/// other knob at its default, recording into `obs` (under the query's
+/// `session.compute` span, the one open on the calling thread).
 fn explore_config(max_states: usize, obs: &Obs) -> ExploreConfig {
     ExploreConfig {
         max_states,
@@ -258,11 +260,11 @@ pub struct CompiledModel {
     /// (if any) under the `session.*` taxonomy names.
     meter: Meter,
     /// The session's recorder handle; every query wraps itself in a
-    /// `session.query.<kind>` span with `session.load` / `session.compute`
-    /// / `session.commit` children, and the explorations hand their
-    /// `session.compute` span to the engine as [`ExploreConfig::obs`].
-    /// Recording is observation-only — it never changes what is computed
-    /// or cached.
+    /// `session.query.<kind>` span, under the span the calling thread has
+    /// open, with `session.load` / `session.compute` / `session.commit`
+    /// children, and the engine's `engine.explore` span nests under
+    /// `session.compute`. Recording is observation-only — it never changes
+    /// what is computed or cached.
     obs: Obs,
 }
 
@@ -346,23 +348,15 @@ impl CompiledModel {
         self.meter.snapshot()
     }
 
-    /// The recorder handle this model records into (detached unless the
-    /// owning session was built by `Session::with` with a live one).
-    #[must_use]
-    pub fn recorder(&self) -> &Obs {
-        &self.obs
-    }
-
     /// The Petri-net image (Fig. 3 translation) — computed once per
     /// timing-twin group, equal to [`to_petri()`]`(self.dfs())`.
     pub fn petri(&self) -> &PetriImage {
-        let span = self.obs.span("session.query.petri");
-        let qobs = span.obs();
+        let _span = self.obs.span("session.query.petri");
         let (img, ran) = traced_once(
             &self.untimed.petri,
             &self.meter,
             "session.petri.wait",
-            || qobs.time("session.compute", |_| to_petri(&self.dfs)),
+            || self.obs.time("session.compute", || to_petri(&self.dfs)),
         );
         self.meter
             .bump2("session.petri.query", "session.petri.compute", ran);
@@ -392,19 +386,18 @@ impl CompiledModel {
     /// Sweep drivers use this for exact work accounting; a restart-warm
     /// sweep over an intact store reports `false` throughout.
     pub fn perf_detail_computed(&self) -> (Result<&PerfDetail, Error>, bool) {
-        let span = self.obs.span("session.query.perf");
-        let qobs = span.obs();
+        let _span = self.obs.span("session.query.perf");
         let mut analysed = false;
         let mut disk_hit = false;
         let (res, _filled) = traced_once(&self.perf, &self.meter, "session.perf.wait", || {
             if let Some(p) = &self.persist {
-                if let Some(detail) = qobs.time("session.load", |_| p.load_perf()) {
+                if let Some(detail) = self.obs.time("session.load", || p.load_perf()) {
                     disk_hit = true;
                     return Ok(detail);
                 }
             }
             analysed = true;
-            let r = qobs.time("session.compute", |_| {
+            let r = self.obs.time("session.compute", || {
                 let (schedule, _) = traced_once(
                     &self.untimed.schedule,
                     &self.meter,
@@ -415,7 +408,7 @@ impl CompiledModel {
                     .map_err(Error::from)
             });
             if let (Some(p), Ok(detail)) = (&self.persist, &r) {
-                qobs.time("session.commit", |_| p.save_perf(detail));
+                self.obs.time("session.commit", || p.save_perf(detail));
             }
             r
         });
@@ -454,12 +447,11 @@ impl CompiledModel {
     /// The cached [`DfsError::StateBudgetExceeded`] when the state space
     /// exceeds `budget`.
     pub fn lts(&self, budget: usize) -> Result<Arc<Lts>, Error> {
-        let span = self.obs.span("session.query.lts");
-        let qobs = span.obs();
+        let _span = self.obs.span("session.query.lts");
         let slot = keyed_slot(&self.untimed.lts, budget);
         let (res, ran) = traced_once(&slot, &self.meter, "session.lts.wait", || {
-            qobs.time("session.compute", |o| {
-                let lts = Lts::explore_with(&self.dfs, &explore_config(budget, o), None);
+            self.obs.time("session.compute", || {
+                let lts = Lts::explore_with(&self.dfs, &explore_config(budget, &self.obs), None);
                 if lts.is_truncated() {
                     return Err(DfsError::StateBudgetExceeded { budget }.into());
                 }
@@ -545,16 +537,17 @@ impl CompiledModel {
     ) -> Result<Arc<QuickCheck>, Error> {
         let (budget, derivation) = (key.budget(), key.derivation());
         let slot = keyed_slot(&self.untimed.checks, key);
-        let span = self.obs.span("session.query.check");
-        let qobs = span.obs();
+        let _span = self.obs.span("session.query.check");
         let own_frame = self
             .persist
             .as_ref()
             .filter(|p| p.claim_check(budget, derivation));
         // a disk hit skips the whole pipeline, including the Petri
         // translation the in-memory path would demand
-        let loaded =
-            own_frame.and_then(|p| qobs.time("session.load", |_| p.load_check(budget, derivation)));
+        let loaded = own_frame.and_then(|p| {
+            self.obs
+                .time("session.load", || p.load_check(budget, derivation))
+        });
         let disk_hit = loaded.is_some();
         let mut ran = false;
         let (check, _filled) = traced_once(&slot, &self.meter, "session.check.wait", || {
@@ -563,14 +556,13 @@ impl CompiledModel {
             }
             ran = true;
             let img = self.petri();
-            qobs.time("session.compute", |o| {
-                run(img, &explore_config(budget, o)).map(Arc::new)
+            self.obs.time("session.compute", || {
+                run(img, &explore_config(budget, &self.obs)).map(Arc::new)
             })
         });
         if let (Some(p), false, Ok(check)) = (own_frame, disk_hit, check) {
-            qobs.time("session.commit", |_| {
-                p.save_check(budget, derivation, check)
-            });
+            self.obs
+                .time("session.commit", || p.save_check(budget, derivation, check));
         }
         self.meter
             .bump2("session.check.query", "session.check.compute", ran);
@@ -589,28 +581,28 @@ impl CompiledModel {
     ///
     /// Propagates the cached error of the throughput analysis.
     pub fn cost(&self, cost: &CostModel) -> Result<CostSummary, Error> {
-        let span = self.obs.span("session.query.cost");
-        let qobs = span.obs();
+        let _span = self.obs.span("session.query.cost");
         let cache_key = cost.cache_key();
         let slot = keyed_slot(&self.costs, cache_key);
         let mut ran = false;
         let mut disk_hit = false;
         let (res, _filled) = traced_once(&slot, &self.meter, "session.cost.wait", || {
             if let Some(p) = &self.persist {
-                if let Some(summary) = qobs.time("session.load", |_| p.load_cost(cache_key)) {
+                if let Some(summary) = self.obs.time("session.load", || p.load_cost(cache_key)) {
                     disk_hit = true;
                     return Ok(summary);
                 }
             }
             ran = true;
             let detail = self.perf_detail()?;
-            let summary = qobs.time("session.compute", |_| CostSummary {
+            let summary = self.obs.time("session.compute", || CostSummary {
                 area: cost.area(&self.dfs),
                 switched_ge_per_item: cost
                     .switched_ge_per_item(&self.dfs, &detail.activity_per_item),
             });
             if let Some(p) = &self.persist {
-                qobs.time("session.commit", |_| p.save_cost(cache_key, &summary));
+                self.obs
+                    .time("session.commit", || p.save_cost(cache_key, &summary));
             }
             Ok(summary)
         });
@@ -639,25 +631,28 @@ impl CompiledModel {
         output: NodeId,
         max_marks: u64,
     ) -> Result<SteadyStatePeriod, Error> {
-        let span = self.obs.span("session.query.steady");
-        let qobs = span.obs();
+        let _span = self.obs.span("session.query.steady");
         let slot = keyed_slot(&self.steady, (output, max_marks));
         let mut ran = false;
         let mut disk_hit = false;
         let (res, _filled) = traced_once(&slot, &self.meter, "session.steady.wait", || {
             if let Some(p) = &self.persist {
-                if let Some(sp) = qobs.time("session.load", |_| p.load_steady(output, max_marks)) {
+                if let Some(sp) = self
+                    .obs
+                    .time("session.load", || p.load_steady(output, max_marks))
+                {
                     disk_hit = true;
                     return Ok(sp);
                 }
             }
             ran = true;
-            let r = qobs.time("session.compute", |_| {
+            let r = self.obs.time("session.compute", || {
                 measure_steady_period(&self.dfs, output, max_marks, ChoicePolicy::AlwaysTrue)
                     .map_err(Error::from)
             });
             if let (Some(p), Ok(sp)) = (&self.persist, &r) {
-                qobs.time("session.commit", |_| p.save_steady(output, max_marks, sp));
+                self.obs
+                    .time("session.commit", || p.save_steady(output, max_marks, sp));
             }
             r
         });
@@ -678,8 +673,9 @@ mod tests {
     use std::time::Duration;
 
     /// A second caller that overlaps an in-flight computation blocks on it
-    /// and counts one wait, with its blocked time in `session.wait_ns`; a
-    /// caller that arrives after the computation finished counts none.
+    /// and counts one wait, with its blocked time in `session.wait_ns` and
+    /// in one `session.wait` span; a caller that arrives after the
+    /// computation finished counts none.
     #[test]
     fn a_caller_blocked_on_an_in_flight_computation_counts_one_wait() {
         let collector = Arc::new(Collector::new());
@@ -723,5 +719,13 @@ mod tests {
             .expect("the blocked time is recorded");
         assert_eq!(waits.count, 1);
         assert!(waits.total_ns >= 1_000_000, "blocked for the 50 ms hold");
+        let spans: Vec<_> = snap
+            .spans
+            .iter()
+            .filter(|s| s.name == "session.wait")
+            .collect();
+        assert_eq!(spans.len(), 1, "one session.wait span node");
+        assert_eq!(spans[0].count, 1, "recording one blocked interval");
+        assert_eq!(spans[0].total_ns, waits.total_ns);
     }
 }

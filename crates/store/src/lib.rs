@@ -335,13 +335,6 @@ impl Store {
         self.meter.set_obs(obs);
     }
 
-    /// The attached recorder handle (detached unless
-    /// [`set_recorder`](Store::set_recorder) was called).
-    #[must_use]
-    pub fn recorder(&self) -> &Obs {
-        self.meter.obs()
-    }
-
     /// Removes `*.tmp` leftovers of commits that died before their rename
     /// — they were never visible as artifacts, so this is pure hygiene.
     fn sweep_orphan_temps(&self) {

@@ -15,8 +15,9 @@
 //! * [`obs`] (`rap-obs`) — the tracing/metrics layer: attach a
 //!   [`obs::Collector`] to a session with [`Session::with`], or to a single
 //!   exploration through [`petri::reachability::ExploreConfig::obs`], to
-//!   profile where a sweep spends its time (see the crate docs for the span
-//!   taxonomy);
+//!   profile where a sweep spends its time; spans nest under the span the
+//!   calling thread has open, so a session query lands under the sweep
+//!   candidate that issued it (see the crate docs for the span taxonomy);
 //! * [`session`] (`rap-session`) — **the recommended entry point**: compile
 //!   models once, run typed queries (Petri image, LTS, throughput,
 //!   verification screen, silicon cost) with cross-query artifact caching

@@ -3,7 +3,7 @@
 //! Each entry point that explores a state space takes its `rap-obs` handle
 //! from `ExploreConfig::obs` — directly (`explore_truncated`,
 //! `explore_quotient_truncated`, `quick_check_with`, `Lts::explore_with`)
-//! or through a session, whose queries hand the engine their
+//! or through a session, whose queries run the engine inside their
 //! `session.compute` span. For each one this suite attaches a live
 //! collector and checks three things:
 //!
@@ -46,8 +46,9 @@ fn cfg(max_states: usize, obs: Obs) -> ExploreConfig {
 fn recorded<T>(max_states: usize, f: impl FnOnce(ExploreConfig) -> T) -> (T, Snapshot) {
     let collector = Arc::new(Collector::new());
     let out = {
-        let caller = Obs::collecting(&collector).span(CALLER);
-        f(cfg(max_states, caller.obs()))
+        let obs = Obs::collecting(&collector);
+        let _caller = obs.span(CALLER);
+        f(cfg(max_states, obs.clone()))
     };
     (out, collector.snapshot())
 }
@@ -153,8 +154,8 @@ fn lts_explore_with_records_into_the_config() {
     }
 }
 
-/// Session queries hand the engine their `session.compute` span, which
-/// itself sits under the query's `session.query.<kind>` span.
+/// Session queries run the engine inside their `session.compute` span,
+/// which itself sits under the query's `session.query.<kind>` span.
 #[test]
 fn session_queries_nest_the_engine_under_session_compute() {
     let dfs = pipeline();
