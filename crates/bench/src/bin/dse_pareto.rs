@@ -48,14 +48,13 @@ fn main() {
     let stats = run.outcome.stats;
     println!(
         "{} configurations in {} ms on {} threads: {} full evaluations \
-         ({} Petri screens), {} memo hits, {} pruned as provably dominated",
+         ({} Petri screens), {} memo hits",
         stats.enumerated,
         num(run.elapsed_ms, 0),
         run.threads,
         stats.full_evaluations,
         run.screens[0],
         stats.memo_hits,
-        stats.pruned,
     );
     println!(
         "warm re-sweep against the same session: {} ms, {} full evaluations \
@@ -166,11 +165,10 @@ fn main() {
         std::process::exit(1);
     });
     println!(
-        "\n{} configurations ({} full, {} memoized, {} pruned) — written to {}",
+        "\n{} configurations ({} full, {} memoized) — written to {}",
         summary.configurations,
         summary.full_evaluations,
         summary.memo_hits,
-        summary.pruned,
         out.display()
     );
 }

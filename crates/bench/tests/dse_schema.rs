@@ -33,16 +33,10 @@ fn memoization_collapses_voltage_and_demand_replicas() {
     let run = run_sweep(true, None, &Obs::none());
     let stats = run.outcome.stats;
     // the warm pass ran the identical space against the populated
-    // session: every structure analysed in the cold pass is an
-    // artifact-cache hit (run_sweep has already asserted the fronts are
-    // bit-identical). Only structures the cold pass *pruned* can still be
-    // evaluated, and then only when parallel scheduling lets one slip
-    // past the warm pruner — on one thread the count is exactly 0.
-    assert!(
-        run.warm_stats.full_evaluations <= stats.pruned,
-        "{:?}",
-        run.warm_stats
-    );
+    // session: every structure was analysed in the cold pass, so every
+    // configuration is an artifact-cache hit (run_sweep has already
+    // asserted the fronts are bit-identical)
+    assert_eq!(run.warm_stats.full_evaluations, 0, "{:?}", run.warm_stats);
     assert!(
         run.warm_stats.memo_hits >= stats.memo_hits,
         "{:?}",
@@ -51,9 +45,8 @@ fn memoization_collapses_voltage_and_demand_replicas() {
     // 48 enumerated configurations share only 12 distinct structures
     // (2 sizings × (1 static + 3 reconfigurable depths + 2 wagged)), and
     // the memo's in-flight reservation guarantees each structure is fully
-    // evaluated at most once *regardless of thread scheduling* — so this
-    // bound is exact, not a heuristic margin
-    assert!(stats.full_evaluations <= 12, "{stats:?}");
+    // evaluated exactly once *regardless of thread scheduling*
+    assert_eq!(stats.full_evaluations, 12, "{stats:?}");
     assert!(stats.memo_hits > 0, "{stats:?}");
     assert_eq!(
         stats.full_evaluations + stats.memo_hits + stats.pruned,

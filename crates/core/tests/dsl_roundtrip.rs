@@ -1,34 +1,33 @@
 //! Property tests: every constructible DFS model round-trips through the
 //! DSL (`to_text` → `parse`) preserving structure, semantics-relevant
-//! attributes, and — on small models — the entire reachable LTS size; and
-//! verification reads a model's structure, never its node names.
+//! attributes (guards and guard modes among them), and — on small models —
+//! the entire reachable LTS size; and verification reads a model's
+//! structure, never its node names.
 
 use dfs_core::verify::{verify, VerifyConfig};
-use dfs_core::{dsl, Dfs, DfsBuilder, Lts, TokenValue};
+use dfs_core::{dsl, Dfs, DfsBuilder, GuardMode, Lts, NodeId, TokenValue};
 use proptest::prelude::*;
 use rap_petri::reachability::ExploreConfig;
 
-/// One model's draws: node kinds, markings, delays and edges.
+/// One model's draws: per node its kind, marking, delay and guard mode,
+/// then the edges between the nodes.
 type Draws = (
     Vec<u8>,
     Vec<(bool, bool)>,
     Vec<u8>,
+    Vec<u8>,
     Vec<(usize, usize, bool)>,
 );
 
-fn arb_draws() -> impl Strategy<Value = Draws> {
-    let kinds = proptest::collection::vec(0u8..5, 2..7);
-    let marks = proptest::collection::vec(any::<(bool, bool)>(), 2..7);
-    let delays = proptest::collection::vec(0u8..4, 2..7);
-    let edges = proptest::collection::vec((0usize..7, 0usize..7, any::<bool>()), 1..10);
-    (kinds, marks, delays, edges)
-}
-
 /// The model `draws` describe, its node `i` named `name(i)`; `None` when
 /// `DfsBuilder::finish` rejects it.
-fn build((kinds, marks, delays, edges): &Draws, name: impl Fn(usize) -> String) -> Option<Dfs> {
+fn build(
+    (kinds, marks, delays, modes, edges): &Draws,
+    name: impl Fn(usize) -> String,
+) -> Option<Dfs> {
+    const MODES: [GuardMode; 3] = [GuardMode::Unanimous, GuardMode::And, GuardMode::Or];
     let mut b = DfsBuilder::new();
-    let n = kinds.len().min(marks.len()).min(delays.len());
+    let n = kinds.len();
     let ids: Vec<_> = (0..n)
         .map(|i| {
             let name = name(i);
@@ -39,7 +38,9 @@ fn build((kinds, marks, delays, edges): &Draws, name: impl Fn(usize) -> String) 
                 3 => b.push(name),
                 _ => b.pop(name),
             };
-            let nb = nb.delay(f64::from(delays[i]) * 0.5 + 0.5);
+            let nb = nb
+                .delay(f64::from(delays[i]) * 0.5 + 0.5)
+                .guard_mode(MODES[usize::from(modes[i])]);
             let (marked, value) = marks[i];
             if marked && kinds[i] != 0 {
                 if kinds[i] == 1 {
@@ -53,7 +54,7 @@ fn build((kinds, marks, delays, edges): &Draws, name: impl Fn(usize) -> String) 
         })
         .collect();
     for &(from, to, inv) in edges {
-        if from < n && to < n && from != to {
+        if from != to {
             if inv {
                 b.connect_inverted(ids[from], ids[to]);
             } else {
@@ -64,15 +65,16 @@ fn build((kinds, marks, delays, edges): &Draws, name: impl Fn(usize) -> String) 
     b.finish().ok()
 }
 
-/// [`arb_draws`] with every node and edge kept: `n` nodes and `n..2n` edges
-/// between them, dense enough that nodes with two control guards, whose
-/// control-mismatch predicate names both, come up.
+/// `n` nodes and `n..2n` edges between them, dense enough that nodes with
+/// two control guards come up: their control-mismatch predicate names
+/// both, and their guard mode decides how the guards combine.
 fn arb_dense_draws() -> impl Strategy<Value = Draws> {
     (3usize..7).prop_flat_map(|n| {
         (
             proptest::collection::vec(0u8..5, n),
             proptest::collection::vec(any::<(bool, bool)>(), n),
             proptest::collection::vec(0u8..4, n),
+            proptest::collection::vec(0u8..3, n),
             proptest::collection::vec((0..n, 0..n, any::<bool>()), n..2 * n),
         )
     })
@@ -83,7 +85,18 @@ fn plain_name(i: usize) -> String {
 }
 
 fn arb_dfs() -> impl Strategy<Value = Dfs> {
-    arb_draws().prop_filter_map("invalid model", |d| build(&d, plain_name))
+    arb_dense_draws().prop_filter_map("invalid model", |d| build(&d, plain_name))
+}
+
+/// The guards of `n`, as sorted `(source name, inverted)` pairs.
+fn guard_names(dfs: &Dfs, n: NodeId) -> Vec<(String, bool)> {
+    let mut guards: Vec<_> = dfs
+        .guards(n)
+        .iter()
+        .map(|g| (dfs.node(g.node).name.clone(), g.inverted))
+        .collect();
+    guards.sort();
+    guards
 }
 
 /// Seven node names over non-whitespace characters that the Reach and DSL
@@ -111,7 +124,7 @@ proptest! {
             prop_assert_eq!(again.node(m).initial, node.initial);
             prop_assert!((again.node(m).delay - node.delay).abs() < 1e-12);
             prop_assert_eq!(again.guard_mode(m), dfs.guard_mode(n));
-            prop_assert_eq!(again.guards(m).len(), dfs.guards(n).len());
+            prop_assert_eq!(guard_names(&again, m), guard_names(&dfs, n));
         }
         // behavioural equality (cheap proxy): identical LTS sizes
         let cfg = ExploreConfig {

@@ -1,5 +1,4 @@
-//! Exact evaluation of one structural configuration, and the admissible
-//! optimistic bounds the pruner compares against the front.
+//! Exact evaluation of one structural configuration.
 //!
 //! A **structural evaluation** is everything that does not depend on the
 //! supply voltage: the steady-state period in model time units (exact, via
@@ -21,9 +20,7 @@
 //! delay-free event schedule of the throughput analysis.
 
 use crate::pareto::Objectives;
-use crate::space::Config;
 use dfs_core::perf::Construction;
-use dfs_core::Dfs;
 use rap_session::{CompiledModel, Error};
 use rap_silicon::cost::CostModel;
 
@@ -73,9 +70,10 @@ impl StructuralEval {
 /// Evaluates a compiled configuration exactly: throughput analysis with
 /// activity, cost-model area/switching, and the budgeted Petri screen
 /// ([`CompiledModel::screen`], on the quotient under `way_rotation` when
-/// the hardware has one — [`Config::build_with_rotation`]) — all as
-/// (cached) session queries, so repeated or concurrent evaluation of the
-/// same structure performs each derivation exactly once.
+/// the hardware has one — see
+/// [`Config::build_with_rotation`](crate::Config::build_with_rotation)) —
+/// all as (cached) session queries, so repeated or concurrent evaluation
+/// of the same structure performs each derivation exactly once.
 ///
 /// # Errors
 ///
@@ -106,63 +104,12 @@ pub fn evaluate_structural(
     })
 }
 
-/// An **admissible optimistic bound** on the objectives of an unevaluated
-/// configuration: throughput is never under-, energy and area never
-/// over-stated relative to the exact evaluation. A candidate whose bound
-/// is already dominated by an exactly-evaluated point therefore cannot be
-/// on the Pareto front, and the driver may skip its full evaluation
-/// without ever dropping a true Pareto point.
-///
-/// Construction, given a period lower bound `period_lb_units` (see
-/// [`period_lower_bound_units`] and the driver's sibling-monotonicity
-/// refinement):
-///
-/// * `throughput ≤ 1 / period_seconds(period_lb)`;
-/// * `energy ≥ E_switch(switched_ge_lb, V) + P_leak · period_seconds(period_lb)`,
-///   where `switched_ge_lb` weights the cost model by the family's
-///   [`Config::activity_lower_bound`];
-/// * area is exact (structure is known without any analysis).
-#[must_use]
-pub fn optimistic_bound(
-    config: &Config,
-    dfs: &Dfs,
-    cost: &CostModel,
-    period_lb_units: f64,
-) -> Objectives {
-    let v = config.voltage;
-    let period_s = cost.period_seconds(period_lb_units, v);
-    let switched_lb = cost.switched_ge_per_item(dfs, &config.activity_lower_bound(dfs));
-    let area = cost.area(dfs);
-    Objectives {
-        throughput: if period_s > 0.0 {
-            1.0 / period_s
-        } else {
-            f64::INFINITY
-        },
-        energy_per_item: cost.energy_from_parts(switched_lb, area, period_s, v),
-        area,
-    }
-}
-
-/// A cheap lower bound on the per-item period in model time units, without
-/// any unfolding: every node that provably fires `r` times per item
-/// contributes its alternation cycle, whose per-item ratio is `2·delay·r`
-/// (the `+`/`-` self-alternation exists in the exact unfolded event graph
-/// phase by phase). The maximum over nodes is a valid single-cycle MCR
-/// lower bound on the true maximum cycle ratio.
-#[must_use]
-pub fn period_lower_bound_units(config: &Config, dfs: &Dfs) -> f64 {
-    let lb = config.activity_lower_bound(dfs);
-    dfs.nodes()
-        .map(|n| 2.0 * dfs.node(n).delay * lb[n.index()])
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::space::{DesignSpace, Hardware};
     use dfs_core::pipelines::StageDelays;
+    use dfs_core::Dfs;
     use rap_session::Session;
 
     fn eval_direct(dfs: &Dfs, cost: &CostModel, budget: usize) -> Result<StructuralEval, Error> {
@@ -188,37 +135,6 @@ mod tests {
                 register: 1.0,
                 control: 0.5,
             },
-        }
-    }
-
-    /// The bound must be admissible against the exact evaluation on every
-    /// family: throughput never under-, energy/area never over-stated.
-    #[test]
-    fn optimistic_bound_is_admissible() {
-        let cost = CostModel::default();
-        for config in ope_space().enumerate() {
-            let dfs = config.build().unwrap();
-            let eval = eval_direct(&dfs, &cost, 10_000).unwrap();
-            let exact = eval.objectives(&cost, config.voltage);
-            let period_lb = period_lower_bound_units(&config, &dfs);
-            assert!(
-                period_lb <= eval.period_units + 1e-9,
-                "{}: period bound {period_lb} exceeds exact {}",
-                config.label(),
-                eval.period_units
-            );
-            let bound = optimistic_bound(&config, &dfs, &cost, period_lb);
-            assert!(
-                bound.throughput >= exact.throughput - 1e-9 * exact.throughput,
-                "{}: throughput bound below exact",
-                config.label()
-            );
-            assert!(
-                bound.energy_per_item <= exact.energy_per_item * (1.0 + 1e-9),
-                "{}: energy bound above exact",
-                config.label()
-            );
-            assert!((bound.area - exact.area).abs() < 1e-9);
         }
     }
 

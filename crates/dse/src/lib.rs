@@ -20,8 +20,9 @@
 //!   deadlock/1-safety screen through `rap_petri`;
 //! * [`pareto`] — the dominance kernel (deterministic, order-independent,
 //!   property-tested against an O(n²) oracle);
-//! * [`driver`] — the work-stealing thread pool (dealing structure groups)
-//!   with sharded result collection, structural memoization and pruning.
+//! * [`driver`] — the sweep's workers, taking structure groups from one
+//!   shared cursor, with sharded result collection and structural
+//!   memoization.
 //!
 //! # Guarantees
 //!
@@ -39,18 +40,11 @@
 //! Supplying an external session ([`explore_with_session`]) extends the
 //! sharing across sweeps.
 //!
-//! **Pruning is admissible: it never drops a true Pareto point.** A
-//! candidate is skipped only when an *optimistic* bound on its objectives
-//! — throughput bounded above via a certified period **lower** bound,
-//! energy bounded below via the family's activity lower bound and the
-//! same period bound, area exact — is dominated by an already-evaluated
-//! exact point of the same workload class. Since the bound is at least as
-//! good as the candidate's true objectives on every axis, and dominance
-//! against the bound is required to be strict on an axis where the bound
-//! does not understate (see `Objectives::dominates` and the derivation in
-//! [`eval::optimistic_bound`]), the dominating exact point also strictly
-//! dominates the candidate's true objectives — so the skipped point was
-//! not on the front. Consequently the emitted front is **identical** to
+//! **Every distinct structure is evaluated once, whatever the thread
+//! count.** The session's in-flight reservations let exactly one
+//! configuration per distinct model run its analysis; every other one is a
+//! memo hit. No configuration is skipped, so the sweep's counters are a
+//! function of the space alone, and the emitted front is **identical** to
 //! the front of evaluating every configuration on its own, in its own
 //! session, at any thread count; the test-suite asserts this against
 //! exactly that oracle.

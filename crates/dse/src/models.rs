@@ -296,7 +296,7 @@ mod tests {
     /// Replication pays once the replicated column is the bottleneck
     /// (slow stages); with fast stages the shared distribution/collection
     /// environment floors the period and extra ways are wasted silicon —
-    /// exactly the dominated region the DSE pruner later discards.
+    /// a region the DSE fronts leave out as dominated.
     #[test]
     fn replication_buys_throughput_on_slow_columns() {
         let slow = StageDelays {

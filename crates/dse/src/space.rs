@@ -21,7 +21,7 @@
 
 use crate::models::wagged_ope;
 use dfs_core::pipelines::{build_pipeline, PipelineSpec, StageDelays};
-use dfs_core::{Dfs, DfsError, NodeId};
+use dfs_core::{Dfs, DfsError};
 
 /// A hardware candidate (what gets taped out).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -240,64 +240,6 @@ impl Config {
             }
         }
     }
-
-    /// A per-node **lower bound** on the steady-state activity (firings
-    /// per item), derived from what the schedule of this family provably
-    /// executes: the environment and every included stage run once per
-    /// item, each wagged replica serves every `ways`-th item, and anything
-    /// uncertain (control loops, excluded stages) is bounded by zero. Never
-    /// overestimates — the admissibility requirement of the pruning bound
-    /// (checked against the exact activity in the test-suite).
-    #[must_use]
-    pub fn activity_lower_bound(&self, dfs: &Dfs) -> Vec<f64> {
-        let mut lb = vec![0.0; dfs.node_count()];
-        let set = |lb: &mut Vec<f64>, n: Option<NodeId>, v: f64| {
-            if let Some(n) = n {
-                lb[n.index()] = v;
-            }
-        };
-        for name in ["in", "out", "agg"] {
-            set(&mut lb, dfs.node_by_name(name), 1.0);
-        }
-        match self.hardware {
-            Hardware::Static { stages } => {
-                for s in 1..=stages {
-                    for part in ["local_in", "f", "local_out", "global_in", "g", "global_out"] {
-                        set(&mut lb, dfs.node_by_name(&format!("s{s}_{part}")), 1.0);
-                    }
-                }
-            }
-            Hardware::Reconfigurable { .. } => {
-                for s in 1..=self.operating_depth() {
-                    for part in ["local_in", "f", "local_out", "global_in", "g", "global_out"] {
-                        set(&mut lb, dfs.node_by_name(&format!("s{s}_{part}")), 1.0);
-                    }
-                }
-            }
-            Hardware::Wagged { ways, stages } => {
-                for name in ["env_buf1", "env_buf2", "env_buf3"] {
-                    set(&mut lb, dfs.node_by_name(name), 1.0);
-                }
-                let share = 1.0 / ways as f64;
-                for w in 0..ways {
-                    set(&mut lb, dfs.node_by_name(&format!("w{w}_in")), 1.0);
-                    set(&mut lb, dfs.node_by_name(&format!("w{w}_out")), 1.0);
-                    set(&mut lb, dfs.node_by_name(&format!("w{w}_agg")), share);
-                    set(&mut lb, dfs.node_by_name(&format!("w{w}_res")), share);
-                    for s in 1..=stages {
-                        for part in ["local_in", "f", "local_out", "global_in", "g", "global_out"] {
-                            set(
-                                &mut lb,
-                                dfs.node_by_name(&format!("w{w}_s{s}_{part}")),
-                                share,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        lb
-    }
 }
 
 #[cfg(test)]
@@ -375,25 +317,5 @@ mod tests {
             .find(|c| c.label() == "static(3)@d1 s2 0.9V")
             .unwrap();
         assert_ne!(hash(a), hash(s2));
-    }
-
-    #[test]
-    fn activity_lower_bound_never_exceeds_exact_activity() {
-        use dfs_core::perf::analyse_with_activity;
-        for config in small_space().enumerate().iter().step_by(4) {
-            let dfs = config.build().unwrap();
-            let exact = analyse_with_activity(&dfs).unwrap().activity_per_item;
-            let lb = config.activity_lower_bound(&dfs);
-            for n in dfs.nodes() {
-                assert!(
-                    lb[n.index()] <= exact[n.index()] + 1e-12,
-                    "{}: node {} bound {} exceeds exact {}",
-                    config.label(),
-                    dfs.node(n).name,
-                    lb[n.index()],
-                    exact[n.index()]
-                );
-            }
-        }
     }
 }

@@ -1,11 +1,11 @@
-//! The driver's front is invariant under its own optimisations: thread
-//! count, memoization and pruning must never change which points are
-//! reported Pareto-optimal. The reference is an oracle inside this file
-//! that shares none of them: it evaluates every configuration on its own,
-//! in a fresh session, and takes the O(n²) front. Also pins that the
-//! driver's structure groups screen each untimed structure once without
-//! any query blocking on another worker, and the admissibility of the
-//! wagged direct-graph period bound the pruner relies on.
+//! The driver's front is invariant under its own optimisations: neither
+//! thread count nor memoization may change which points are reported
+//! Pareto-optimal. The reference is an oracle inside this file that shares
+//! none of them: it evaluates every configuration on its own, in a fresh
+//! session, and takes the O(n²) front. Also pins that the driver's
+//! structure groups screen each untimed structure once without any query
+//! blocking on another worker, that its counters do not depend on the
+//! thread count, and why wagged hardware needs the phase unfolding.
 
 use dfs_core::perf::mcr::maximum_cycle_ratio;
 use dfs_core::perf::{analyse, EventGraph};
@@ -75,8 +75,8 @@ fn front_signature(outcome: &DseOutcome) -> Fronts {
 }
 
 /// The oracle: every enumerated configuration evaluated with
-/// `evaluate_structural`, each in its own `Session::new()` (no memo, no
-/// pruning), then per demand the O(n²) front over the points with no
+/// `evaluate_structural`, each in its own `Session::new()` (no memo),
+/// then per demand the O(n²) front over the points with no
 /// violation. Points are taken in (workload, label) order, as the driver
 /// sorts them, so ties keep the same order.
 fn oracle_fronts(space: &DesignSpace, cost: &CostModel, check_budget: usize) -> Fronts {
@@ -110,13 +110,14 @@ fn oracle_fronts(space: &DesignSpace, cost: &CostModel, check_budget: usize) -> 
 }
 
 #[test]
-fn parallel_memoized_pruned_sweep_matches_plain_serial() {
+fn parallel_memoized_sweep_matches_plain_serial() {
     let space = small_space();
     let cost = CostModel::default();
     let reference = oracle_fronts(&space, &cost, 4_000);
     assert!(!reference.is_empty());
 
-    for threads in [1, 4] {
+    let mut serial_stats = None;
+    for threads in [1, 2, 4] {
         let outcome = explore(
             &space,
             &cost,
@@ -131,20 +132,26 @@ fn parallel_memoized_pruned_sweep_matches_plain_serial() {
             "voltage replicas must hit the memo"
         );
         assert!(outcome.stats.full_evaluations < outcome.stats.enumerated);
-        // accounting: every enumerated point is full, memoized or pruned
+        // accounting: every enumerated point is full or memoized
+        assert_eq!(outcome.stats.pruned, 0, "threads={threads}");
         assert_eq!(
-            outcome.stats.full_evaluations + outcome.stats.memo_hits + outcome.stats.pruned,
+            outcome.stats.full_evaluations + outcome.stats.memo_hits,
             outcome.stats.enumerated,
             "threads={threads}"
         );
+        // the counters are a function of the space, not of the schedule
+        let serial = *serial_stats.get_or_insert(outcome.stats);
+        assert_eq!(outcome.stats, serial, "threads={threads}");
     }
 }
 
 /// Sizing twins on different workers would race for their shared screen.
 /// The driver deals structure groups instead, so on every thread count no
 /// query blocks on another worker (`session.<kind>.wait` never counts),
-/// the fronts equal the oracle's, and each untimed structure that is
-/// fully evaluated is screened exactly once.
+/// the fronts equal the oracle's, each untimed structure that is fully
+/// evaluated is screened exactly once, and every distinct structure (an
+/// untimed structure at one sizing) is fully evaluated exactly once, so
+/// the counters equal the one-thread run's.
 #[test]
 fn structure_groups_screen_each_net_once_and_never_wait() {
     let cost = CostModel::default();
@@ -162,6 +169,12 @@ fn structure_groups_screen_each_net_once_and_never_wait() {
     };
     for space in [twins, small_space()] {
         let reference = oracle_fronts(&space, &cost, 4_000);
+        let structures: HashSet<_> = space
+            .enumerate()
+            .iter()
+            .map(|c| (c.untimed_key(), c.sizing.to_bits()))
+            .collect();
+        let mut serial_stats = None;
         for threads in [1, 2, 4] {
             let collector = Arc::new(Collector::new());
             let session = Session::with(None, Obs::collecting(&collector));
@@ -190,12 +203,20 @@ fn structure_groups_screen_each_net_once_and_never_wait() {
                 .collect();
             assert!(waits.is_empty(), "threads={threads}: {waits:?}");
             assert!(snap.hists.iter().all(|h| h.name != "session.wait_ns"));
+            assert_eq!(outcome.stats.pruned, 0, "threads={threads}");
+            assert_eq!(
+                outcome.stats.full_evaluations,
+                structures.len(),
+                "threads={threads}"
+            );
+            let serial = *serial_stats.get_or_insert(outcome.stats);
+            assert_eq!(outcome.stats, serial, "threads={threads}");
         }
     }
 }
 
-/// Objective vectors (not just labels) agree between a parallel pruned
-/// sweep and the serial reference, for every front member.
+/// Objective vectors (not just labels) agree between a parallel sweep and
+/// the serial reference, for every front member.
 #[test]
 fn front_objectives_are_bitwise_stable_across_schedules() {
     let space = small_space();
@@ -227,14 +248,12 @@ fn front_objectives_are_bitwise_stable_across_schedules() {
     }
 }
 
-/// Why the pruner does NOT use the direct (single-phase) event-graph MCR
-/// as its period lower bound: the all-true abstraction is optimistic when
-/// a replicated column is the bottleneck, but **pessimistic** when the
-/// shared steering environment is — so it is not an admissible bound in
-/// either direction. This pins the concrete counterexample (fast 2×2
-/// columns: direct 11.0 > exact 10.5); if it ever stops over-shooting,
-/// the comment in `driver::Shared::period_lower_bound` should be
-/// revisited rather than this test weakened.
+/// Why wagged hardware needs the phase unfolding: the direct
+/// (single-phase) event-graph MCR's all-true abstraction is optimistic
+/// when a replicated column is the bottleneck, but **pessimistic** when
+/// the shared steering environment is, so it bounds the period in neither
+/// direction. This pins the concrete counterexample (fast 2×2 columns:
+/// direct 11.0 > exact 10.5).
 #[test]
 fn wagged_direct_graph_period_is_not_an_admissible_bound() {
     let w = wagged_ope(2, 2, ope_delays(), &[1.0, 1.0]).unwrap();

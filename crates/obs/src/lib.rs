@@ -64,9 +64,9 @@
 //! | `dse.sweep` | span | one `explore_with_session` call |
 //! | `dse.eval` | span | one candidate evaluation task |
 //! | `dse.build` | span | building one candidate's model, inside its `dse.eval` |
-//! | `dse.enumerated`, `dse.eval.full` / `.memo` / `.pruned` / `.error` / `.panic` | counter | sweep work accounting |
+//! | `dse.enumerated`, `dse.eval.full` / `.memo` / `.error` / `.panic` | counter | sweep work accounting |
 //! | `dse.check.violation` / `dse.check.inconclusive` | counter | verification outcomes across full evaluations |
-//! | `dse.full` / `dse.memo` / `dse.pruned` / `dse.error` | event | per-candidate provenance; label = config label, value = structural hash |
+//! | `dse.full` / `dse.memo` / `dse.error` | event | per-candidate provenance; label = config label, value = structural hash |
 //! | `store.read_ns` / `store.write_ns` | histogram | artifact read / write+fsync+rename latency |
 //! | `store.read.hit` / `.miss` / `.error` / `.bytes` | counter | load outcomes |
 //! | `store.write.bytes` / `store.write.error` | counter | save outcomes |

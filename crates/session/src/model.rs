@@ -431,13 +431,6 @@ impl CompiledModel {
         self.perf_detail().map(|d| &d.report)
     }
 
-    /// Whether the throughput analysis has already completed (either way);
-    /// `false` while a concurrent computation is still in flight.
-    #[must_use]
-    pub fn analysed(&self) -> bool {
-        self.perf.get().is_some()
-    }
-
     /// The reachable LTS of the direct semantics under `budget` —
     /// computed once per distinct budget and timing-twin group, equal to
     /// [`Lts::explore`]`(self.dfs(), budget)`.

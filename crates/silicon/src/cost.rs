@@ -182,9 +182,9 @@ impl CostModel {
     /// equivalents plus leakage of `area` integrated over `period_s`
     /// seconds, at supply `v`. Infinite when `period_s` is (frozen
     /// supply). This is the **single** place the per-item energy formula
-    /// lives — [`CostModel::energy_per_item`] and the DSE objective and
-    /// pruning-bound computations in `rap-dse` all delegate here, so a
-    /// model change cannot silently diverge between them.
+    /// lives — [`CostModel::energy_per_item`] and the DSE objective
+    /// computation in `rap-dse` both delegate here, so a model change
+    /// cannot silently diverge between them.
     #[must_use]
     pub fn energy_from_parts(&self, switched_ge: f64, area: f64, period_s: f64, v: f64) -> f64 {
         if !period_s.is_finite() {
