@@ -3,9 +3,10 @@
 //! Times the state-space engine on both backends — Petri-net reachability
 //! and the direct-semantics LTS — over `reconfigurable_depth(n,k)`
 //! pipelines and wagged pipelines, asserting every state count against its
-//! pinned value. Wagged shapes additionally record the symmetry-quotient
-//! state count. Prints a table and persists the measurements to
-//! `BENCH_state_space.json` (schema v4) at the repository root (the
+//! pinned value, and records the heap each explored space retains. Wagged
+//! shapes additionally record the symmetry-quotient state count. Prints a
+//! table and persists the measurements to
+//! `BENCH_state_space.json` (schema v5) at the repository root (the
 //! recorded perf trajectory of the verification hot path).
 //!
 //! Usage: `state_space_scaling [--quick] [--out PATH] [--trace-out PATH]`
@@ -36,7 +37,7 @@ fn main() {
     });
     let cases = run_sweep(quick, &sink.obs());
 
-    let widths = [27usize, 6, 9, 11, 10, 13];
+    let widths = [27usize, 6, 9, 11, 10, 10, 13];
     println!(
         "{}",
         row(
@@ -45,6 +46,7 @@ fn main() {
                 "backend".into(),
                 "states".into(),
                 "engine[ms]".into(),
+                "space[MB]".into(),
                 "quotient".into(),
                 "quotient[ms]".into(),
             ],
@@ -64,6 +66,7 @@ fn main() {
                     c.backend.into(),
                     format!("{}", c.states),
                     num(c.engine_ms, 2),
+                    num(c.space_mb, 1),
                     quotient,
                     quotient_ms,
                 ],

@@ -1,12 +1,14 @@
 //! The `state_space_scaling` sweep: engine timings over the paper's
-//! pipeline shapes, persisted as `BENCH_state_space.json` (schema v4).
+//! pipeline shapes, persisted as `BENCH_state_space.json` (schema v5).
 //!
 //! The sweep drives both state-space backends — Petri-net reachability and
 //! the direct-semantics LTS — over `PipelineSpec::reconfigurable_depth`
 //! instances and wagged pipelines. Per case it times:
 //!
 //! * the state-space engine, asserting its state count and truncation
-//!   against the values pinned in `PINNED`;
+//!   against the values pinned in `PINNED`, and records what the explored
+//!   space retains on the heap (`space_mb`, from
+//!   `StateSpace::heap_bytes`);
 //! * for wagged shapes, the symmetry **quotient** (one state per way-rotation
 //!   orbit), recording the reduced state count — the `quotient_states` axis,
 //!   pinned too.
@@ -27,7 +29,7 @@ use rap_petri::reachability::{explore_quotient_truncated, explore_truncated, Exp
 use std::time::Instant;
 
 /// Schema tag embedded in (and required from) the emitted JSON.
-pub const SCHEMA: &str = "rap/state-space-scaling/v4";
+pub const SCHEMA: &str = "rap/state-space-scaling/v5";
 
 /// State budget for every sweep case (none of the swept shapes truncate).
 pub const MAX_STATES: usize = 16_000_000;
@@ -83,6 +85,9 @@ pub struct Case {
     pub truncated: bool,
     /// Best-of-N wall-clock of the state-space engine, milliseconds.
     pub engine_ms: f64,
+    /// Heap the explored space retains (`StateSpace::heap_bytes`), in MB
+    /// (10^6 bytes).
+    pub space_mb: f64,
     /// Orbit representatives of the symmetry quotient (wagged shapes only).
     pub quotient_states: Option<usize>,
     /// Best-of-N wall-clock of the quotient exploration, milliseconds.
@@ -108,6 +113,11 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
         best = best.min(t0.elapsed().as_secs_f64() * 1e3);
     }
     (last.expect("reps >= 1"), best)
+}
+
+/// `bytes` in MB (10^6 bytes).
+fn megabytes(bytes: usize) -> f64 {
+    bytes as f64 / 1e6
 }
 
 /// The sweep's exploration config, recording into `obs`.
@@ -146,6 +156,7 @@ fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, 
         states: engine.len(),
         truncated: engine.is_truncated(),
         engine_ms,
+        space_mb: megabytes(engine.heap_bytes()),
         quotient_states,
         quotient_ms,
     }
@@ -170,6 +181,7 @@ fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, ob
         states: engine.len(),
         truncated: engine.is_truncated(),
         engine_ms,
+        space_mb: megabytes(engine.heap_bytes()),
         quotient_states,
         quotient_ms,
     }
@@ -286,6 +298,7 @@ pub fn render_json_with_trace(cases: &[Case], quick: bool, trace: Option<&Snapsh
         out.push_str(&format!("      \"states\": {},\n", c.states));
         out.push_str(&format!("      \"truncated\": {},\n", c.truncated));
         out.push_str(&format!("      \"engine_ms\": {:.3},\n", c.engine_ms));
+        out.push_str(&format!("      \"space_mb\": {:.3},\n", c.space_mb));
         match (c.quotient_states, c.quotient_ms) {
             (Some(q), Some(ms)) => {
                 out.push_str(&format!("      \"quotient_states\": {q},\n"));
@@ -325,9 +338,9 @@ pub struct Summary {
     pub max_quotient_reduction: f64,
 }
 
-/// Validates a `BENCH_state_space.json` document against the v4 schema —
-/// every case's counts included, against `PINNED` — and returns its
-/// summary.
+/// Validates a `BENCH_state_space.json` document against the v5 schema —
+/// every case's counts included, against `PINNED`, and a positive
+/// `space_mb` — and returns its summary.
 ///
 /// # Errors
 ///
@@ -387,6 +400,9 @@ pub fn validate(src: &str) -> Result<Summary, String> {
                 .ok_or(format!("case {i}: \"{k}\" not a non-negative number"))
         };
         num("engine_ms")?;
+        if num("space_mb")? <= 0.0 {
+            return Err(format!("case {i}: \"space_mb\" not positive"));
+        }
         let states = num("states")?;
         if states < 1.0 {
             return Err(format!("case {i}: zero states"));
@@ -442,6 +458,7 @@ mod tests {
                 states: 1_536,
                 truncated: false,
                 engine_ms: 0.4,
+                space_mb: 0.05,
                 quotient_states: None,
                 quotient_ms: None,
             },
@@ -451,6 +468,7 @@ mod tests {
                 states: 1_476_774,
                 truncated: false,
                 engine_ms: 1_500.0,
+                space_mb: 45.0,
                 quotient_states: Some(738_387),
                 quotient_ms: Some(900.0),
             },
@@ -468,9 +486,12 @@ mod tests {
     #[test]
     fn validation_rejects_broken_documents() {
         let good = render_json(&fake_cases(), true);
-        assert!(validate(&good.replace(SCHEMA, "rap/state-space-scaling/v3")).is_err());
+        assert!(validate(&good.replace(SCHEMA, "rap/state-space-scaling/v4")).is_err());
         assert!(validate(&good.replace("\"cases\"", "\"cazes\"")).is_err());
         assert!(validate(&good.replace("\"engine_ms\": 0.400", "\"engine_ms\": -1")).is_err());
+        // the retained heap is required, and positive
+        assert!(validate(&good.replace("\"space_mb\"", "\"space\"")).is_err());
+        assert!(validate(&good.replace("\"space_mb\": 0.050", "\"space_mb\": 0")).is_err());
         assert!(
             validate(&good.replace("\"quotient_states\": 738387", "\"quotient_states\": 0"))
                 .is_err()

@@ -19,9 +19,9 @@ fn quick_sweep_emits_valid_json() {
     assert!(!cases.is_empty());
     let json = render_json(&cases, true);
     assert!(json.contains(SCHEMA));
-    let summary = validate(&json).expect("emitted JSON validates against the v4 schema");
+    let summary = validate(&json).expect("emitted JSON validates against the v5 schema");
     assert_eq!(summary.cases, cases.len());
-    assert!(!json.contains("naive"), "v4 times the engine only");
+    assert!(!json.contains("naive"), "v5 times the engine only");
     assert!(summary.max_quotient_reduction >= 1.0);
 }
 

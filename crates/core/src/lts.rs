@@ -35,7 +35,13 @@ use std::ops::Deref;
 /// shared accessor (successors, deadlocks, traces), plus the node count
 /// that decodes its states — [`Lts::state`] materialises a [`DfsState`]
 /// snapshot on demand.
-#[derive(Debug, Clone)]
+///
+/// Like every engine space it stores states, not edges:
+/// [`StateSpace::successors`] re-expands a state under the direct
+/// semantics each time it is called, from a copy of the model the space
+/// keeps, and a truncated LTS lists no successors for the states its run
+/// never expanded.
+#[derive(Debug)]
 pub struct Lts {
     space: StateSpace<Event>,
     node_count: usize,
@@ -78,7 +84,7 @@ impl Lts {
     #[must_use]
     pub fn explore_with(dfs: &Dfs, cfg: &ExploreConfig, symmetry: Option<&StateSymmetry>) -> Lts {
         Lts {
-            space: engine::explore(&mut DfsSystem::new(dfs), cfg, symmetry),
+            space: engine::explore(DfsSystem::new(dfs), cfg, symmetry),
             node_count: dfs.node_count(),
         }
     }
@@ -248,8 +254,10 @@ fn action_slots(kind: NodeKind) -> u32 {
 /// node `n` iff `n ∈ {m} ∪ preds(m) ∪ ?m ∪ m? ∪ guards(m)`. The
 /// engine-equivalence property tests pin this closure against the seed
 /// full-scan explorer of the `rap-oracle` crate.
-struct DfsSystem<'a> {
-    dfs: &'a Dfs,
+struct DfsSystem {
+    /// The system's own copy of the model: the explored space keeps the
+    /// system to re-expand states.
+    dfs: Dfs,
     actions: Vec<Event>,
     /// First action index of each node.
     base: Vec<u32>,
@@ -259,8 +267,8 @@ struct DfsSystem<'a> {
     evbuf: Vec<Event>,
 }
 
-impl<'a> DfsSystem<'a> {
-    fn new(dfs: &'a Dfs) -> Self {
+impl DfsSystem {
+    fn new(dfs: &Dfs) -> Self {
         let n = dfs.node_count();
         let mut actions = Vec::new();
         let mut base = Vec::with_capacity(n);
@@ -302,7 +310,7 @@ impl<'a> DfsSystem<'a> {
         }
 
         DfsSystem {
-            dfs,
+            dfs: dfs.clone(),
             actions,
             base,
             dependents,
@@ -369,7 +377,7 @@ impl<'a> DfsSystem<'a> {
     }
 }
 
-impl TransitionSystem for DfsSystem<'_> {
+impl TransitionSystem for DfsSystem {
     type Action = Event;
 
     fn state_bits(&self) -> usize {
@@ -381,7 +389,7 @@ impl TransitionSystem for DfsSystem<'_> {
     }
 
     fn write_initial(&mut self, out: &mut [u64]) {
-        let s0 = DfsState::initial(self.dfs);
+        let s0 = DfsState::initial(&self.dfs);
         Self::encode(&s0, self.dfs.node_count(), out);
     }
 

@@ -110,7 +110,7 @@ proptest! {
             for (ev, succ) in lts.successors(id) {
                 // a register that stays marked across an unrelated event
                 // keeps its value
-                let t = lts.state(*succ);
+                let t = lts.state(succ);
                 for n in dfs.nodes() {
                     if n != ev.node() && s.is_marked(n) {
                         prop_assert_eq!(s.token_value(n), t.token_value(n));

@@ -9,8 +9,8 @@
 //! Deadness has one definition here, shared with `dfs-core`'s `Lts`: a
 //! state is dead when its enabled set was empty as the explorer committed
 //! it ([`StateSpace::deadlocks`]). No analysis re-derives it from "no
-//! recorded successors", which would also match the unexpanded frontier
-//! of a truncated exploration.
+//! successors", which would also match the unexpanded frontier of a
+//! truncated exploration.
 
 use crate::reachability::{
     explore_quotient_truncated, explore_truncated, ExploreConfig, StateId, StateSpace,
@@ -51,6 +51,11 @@ pub fn find_deadlocks(space: &StateSpace) -> Vec<Deadlock> {
 
 /// A persistence violation: in `state`, both `enabled` and `disabler` were
 /// enabled, but firing `disabler` disabled `enabled` without it having fired.
+///
+/// On a quotient space `state` is the representative, and the rest is
+/// concrete: `trace` ([`StateSpace::concrete_trace_to`]) replays on the net
+/// into the marking [`StateSpace::concrete_marking`] gives, and `enabled`
+/// and `disabler` are the conflicting transitions there.
 #[derive(Debug, Clone)]
 pub struct PersistenceViolation {
     /// State in which the conflict occurs.
@@ -75,6 +80,16 @@ pub struct PersistenceViolation {
 /// control register fed by a data predicate); the predicate receives both
 /// transition ids and should return `true` when the pair is an intended
 /// choice rather than a hazard.
+///
+/// Each state's conflicts are read from its own marking: every disabler
+/// among its successors' actions is fired from [`StateSpace::words`] into
+/// a scratch marking, and the other actions are checked there. The check
+/// never reads a successor's stored state, which on a quotient is a
+/// rotated representative in another frame. On a quotient the pairs are
+/// un-rotated to the concrete state before the predicate sees them (see
+/// [`PersistenceViolation`]); a conflict of one orbit member is a
+/// conflict of every member, rotated, so the quotient reports a
+/// violation exactly when the full space does.
 #[must_use]
 pub fn find_persistence_violations(
     net: &PetriNet,
@@ -85,21 +100,34 @@ pub fn find_persistence_violations(
     // every ordered pair of concurrently enabled transitions, so avoiding a
     // Marking materialisation per probe matters on large spaces
     let inc = crate::engine::Incidence::from_net(net);
+    let mut after = vec![0u64; space.words(space.initial()).len()];
     let mut out = Vec::new();
     for s in space.states() {
-        let succs = space.successors(s);
-        if succs.len() < 2 {
+        let fired: Vec<TransitionId> = space.successors(s).iter().map(|(t, _)| t).collect();
+        if fired.len() < 2 {
             continue;
         }
-        for &(disabler, after) in succs {
-            let after_words = space.words(after);
-            for &(enabled, _) in succs {
-                if enabled == disabler {
+        let words = space.words(s);
+        // the un-rotation into the concrete frame, found on first use
+        let mut rotation = None;
+        for &disabler in &fired {
+            inc.fire_into(disabler, words, &mut after);
+            for &enabled in &fired {
+                if enabled == disabler || inc.is_enabled(enabled, &after) {
                     continue;
                 }
-                if inc.is_enabled(enabled, after_words) {
-                    continue;
-                }
+                let (enabled, disabler) = match space.symmetry() {
+                    Some(sym) => {
+                        let r = *rotation.get_or_insert_with(|| space.path_rotation(s));
+                        let concrete = |t: TransitionId| {
+                            TransitionId::from_index(
+                                sym.unrotate_action(r, t.index() as u32) as usize
+                            )
+                        };
+                        (concrete(enabled), concrete(disabler))
+                    }
+                    None => (enabled, disabler),
+                };
                 if allowed_conflicts(enabled, disabler) {
                     continue;
                 }
@@ -107,7 +135,7 @@ pub fn find_persistence_violations(
                     state: s,
                     enabled,
                     disabler,
-                    trace: space.trace_to(s),
+                    trace: space.concrete_trace_to(s),
                 });
             }
         }
@@ -486,7 +514,7 @@ mod tests {
     }
 
     /// An unexpanded frontier state of a truncated exploration has no
-    /// recorded successors but is not dead.
+    /// successors but is not dead.
     #[test]
     fn truncated_frontier_is_not_a_deadlock() {
         let net = live_ring_net(8);
@@ -612,7 +640,7 @@ mod tests {
     #[test]
     fn quick_check_is_sound_under_truncation() {
         // the dead-end net truncated to 2 of its 3 states: state b has no
-        // recorded successors but t2 is enabled there — not a deadlock
+        // successors but t2 is enabled there — not a deadlock
         let (net, _, _) = dead_end_net();
         let qc = quick_check(&net, &[], 2);
         assert!(qc.truncated);

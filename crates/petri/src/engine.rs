@@ -14,17 +14,37 @@
 //! module's code.
 //!
 //! Its result is the one state-space type of the workspace,
-//! [`StateSpace<A>`](StateSpace), generic over the edge label: the engine
-//! labels each edge with the system's action ([`TransitionSystem::Action`])
-//! as it commits it, and every accessor the two backends share — counts,
-//! successors, dead list, raw state words, traces and rotations — is
-//! defined on it once. Marking accessors are added for nets in
+//! [`StateSpace<A>`](StateSpace), generic over the edge label (the system's
+//! [`TransitionSystem::Action`]), and every accessor the two backends share
+//! — counts, successors, dead list, raw state words, traces and rotations —
+//! is defined on it once. Marking accessors are added for nets in
 //! [`crate::reachability`]; `dfs-core`'s `Lts` wraps a `StateSpace<Event>`
 //! with DFS-state decoding.
 //!
 //! The driver is serial. Parallelism lives one level up, in the design-space
 //! driver (`rap-dse`), whose workers evaluate independent candidates and so
 //! need no determinism machinery.
+//!
+//! # States, not edges
+//!
+//! A space stores its states — the arena, each state's parent and
+//! discovering action, the dead list — and the dedup index over them, but
+//! no edge: the largest spaces hold several times more edges than states
+//! (8.5M edges for the 1.48M states of the 2-way wagged pipeline), and
+//! nearly every query reads states only. Like explicit-state checkers that
+//! store states and regenerate transitions on demand (Murφ, SPIN), the
+//! space keeps the system it was explored from, and
+//! [`StateSpace::successors`] re-expands a state from its bits when asked:
+//! its enabled set (or, on a reduced space, the stubborn subset chosen
+//! again from the state and the parent that discovered it), each action
+//! fired, canonicalized on a quotient and looked up in the index. Each
+//! listing pays one expansion, with the enabled set computed from scratch
+//! (the driver updates it incrementally), and answers exactly what the
+//! driver explored, truncated runs included (see
+//! [`StateSpace::successors`]). Listing every state's successors of the
+//! 1.48M-state wagged space takes 2.4 s on the Petri net and 2.8 s on the
+//! LTS (release build, 2-core container). `engine.edges` still counts the
+//! edges the run expanded.
 //!
 //! # Determinism
 //!
@@ -40,7 +60,7 @@
 //! state, so it records there, once, whether that set is empty.
 //! [`StateSpace::deadlocks`] is the resulting ascending list of dead states.
 //! It covers *every* committed state, frontier states of a truncated run
-//! included, so "dead" never has to be re-derived from the edge list, where
+//! included, so "dead" never has to be re-derived from the successors, where
 //! an unexpanded frontier state and a deadlock look alike. In a quotient the
 //! recorded set is the representative's, and deadness is orbit-invariant.
 //!
@@ -103,6 +123,8 @@
 use crate::{PetriNet, TransitionId};
 use rap_obs::Obs;
 use std::cmp::Ordering;
+use std::fmt;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Sentinel parent id of the initial state.
@@ -140,8 +162,9 @@ pub fn set_bit(words: &mut [u64], i: usize, v: bool) {
 /// are zero and must stay zero.
 ///
 /// Methods take `&mut self` so implementations can keep decode/scratch
-/// buffers without interior mutability; [`explore`] borrows the one
-/// instance for the whole run.
+/// buffers without interior mutability; [`explore`] takes the instance
+/// and the space it returns keeps it, to re-expand states for
+/// [`StateSpace::successors`].
 pub trait TransitionSystem {
     /// The edge label of the explored [`StateSpace`].
     type Action: Copy;
@@ -157,7 +180,8 @@ pub trait TransitionSystem {
     fn write_initial(&mut self, out: &mut [u64]);
 
     /// Computes the enabled set of `state` from scratch (pre-zeroed `out`).
-    /// Called once, for the initial state.
+    /// The driver calls it for the initial state only;
+    /// [`StateSpace::successors`] calls it to re-expand a state.
     fn write_enabled_full(&mut self, state: &[u64], out: &mut [u64]);
 
     /// Applies the (enabled) action `a` to `state`, writing the successor
@@ -285,14 +309,16 @@ impl StateId {
 /// with the system's actions `A` ([`TransitionSystem::Action`]):
 /// [`TransitionId`]s for a net, `Event`s for the DFS semantics.
 ///
-/// A dense state arena plus parent links, a CSR successor list and the dead
-/// list, all keyed by [`StateId`]s in BFS discovery order. A quotient space
+/// A dense state arena plus parent links, the dead list and the dedup
+/// index, all keyed by [`StateId`]s in BFS discovery order. It stores no
+/// edges: it keeps the system it was explored from, and
+/// [`StateSpace::successors`] re-expands a state on each call (see
+/// [States, not edges](crate::engine#states-not-edges)). A quotient space
 /// also keeps the symmetry it was explored under and each state's discovery
 /// rotation, so its traces can be made concrete
 /// ([`StateSpace::concrete_trace_to`]). The Petri-only accessors (markings)
 /// live in [`crate::reachability`]; `dfs-core`'s `Lts` adds DFS-state
 /// decoding on top of a `StateSpace<Event>`.
-#[derive(Debug, Clone)]
 pub struct StateSpace<A = TransitionId> {
     /// Bits per state as the system declared them
     /// ([`TransitionSystem::state_bits`]) — a net's place count.
@@ -307,10 +333,13 @@ pub struct StateSpace<A = TransitionId> {
     /// Per state: the symmetry rotation applied at discovery (empty when
     /// exploring without symmetry — all rotations are then 0).
     rotations: Vec<u16>,
-    /// CSR offsets into `succ`, one entry per state plus a final sentinel.
-    succ_off: Vec<u32>,
-    /// Outgoing edges `(action, successor)` in firing order.
-    succ: Vec<(A, StateId)>,
+    /// The dedup index over `arena`, where re-expanded targets are looked
+    /// up.
+    index: DedupTable,
+    /// The states below this id were expanded (the last of them only in
+    /// part when the budget cut the run); the rest have no successors. The
+    /// state the budget interrupted counts only if it had listed an edge.
+    expanded: usize,
     /// Ascending ids of the states with an empty enabled set.
     dead: Vec<StateId>,
     /// How exploration ended.
@@ -319,6 +348,21 @@ pub struct StateSpace<A = TransitionId> {
     actions: Vec<A>,
     /// The symmetry this space is a quotient under, if any.
     symmetry: Option<StateSymmetry>,
+    /// Whether the run expanded stubborn subsets ([`ExploreConfig::stubborn`]).
+    stubborn: bool,
+    /// The system the space was explored from, which re-expands states.
+    /// Behind a lock because spaces are shared across threads and the
+    /// system's methods keep scratch buffers.
+    system: Mutex<Box<dyn TransitionSystem<Action = A> + Send>>,
+}
+
+impl<A> fmt::Debug for StateSpace<A> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StateSpace")
+            .field("states", &self.parents.len())
+            .field("outcome", &self.outcome)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<A: Copy> StateSpace<A> {
@@ -366,11 +410,100 @@ impl<A: Copy> StateSpace<A> {
         (0..self.parents.len() as u32).map(StateId)
     }
 
-    /// Outgoing edges `(action, successor)` of `state`, in firing order.
+    /// Outgoing edges `(action, successor)` of `state`, in firing order:
+    /// the edges the exploration expanded, re-expanded from the state's
+    /// bits each time they are listed (see
+    /// [States, not edges](crate::engine#states-not-edges)). Each listing
+    /// computes the state's enabled set from scratch (on a reduced space
+    /// its parent's too, to choose the stubborn set again), then fires
+    /// each listed action once and looks its target up;
+    /// [`Successors::is_empty`] fires nothing.
+    ///
+    /// A truncated space answers what the run explored: a state it never
+    /// expanded — the frontier a deadline left, or everything after the
+    /// state the budget interrupted — has no successors, and the
+    /// interrupted state keeps the edges it had listed, up to the first
+    /// target the budget kept out of the index.
     #[must_use]
-    pub fn successors(&self, state: StateId) -> &[(A, StateId)] {
-        let i = state.index();
-        &self.succ[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
+    pub fn successors(&self, state: StateId) -> Successors<'_, A> {
+        Successors { space: self, state }
+    }
+
+    /// Heap bytes the space retains: the capacities of its state arena,
+    /// parent links, rotations, dead list and dedup index (not the system
+    /// it keeps for re-expansion, whose size does not grow with the
+    /// states).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.arena.capacity() * size_of::<u64>()
+            + self.parents.capacity() * size_of::<(u32, u32)>()
+            + self.rotations.capacity() * size_of::<u16>()
+            + self.dead.capacity() * size_of::<StateId>()
+            + self.index.slots.capacity() * size_of::<u32>()
+    }
+
+    /// Does `state` have outgoing edges? Read from the expansion frontier
+    /// and the dead list, without firing: every expanded state that is not
+    /// dead lists at least one edge.
+    fn has_successors(&self, state: StateId) -> bool {
+        state.index() < self.expanded && self.dead.binary_search(&state).is_err()
+    }
+
+    /// Re-expands `state` (see [`StateSpace::successors`]).
+    fn expand(&self, state: StateId) -> Vec<(A, StateId)> {
+        let mut edges = Vec::new();
+        if !self.has_successors(state) {
+            return edges;
+        }
+        // a system method that panicked may have left its scratch (a
+        // half-built stubborn set) dirty, so a poisoned lock is a bug
+        let mut sys = self
+            .system
+            .lock()
+            .expect("no earlier re-expansion panicked");
+        let sys = &mut **sys;
+        let astride = self.actions.len().div_ceil(64).max(1);
+        let sym = self.symmetry.as_ref().filter(|s| s.order() > 1);
+        // the enabled sets the driver held: the state's, and for the
+        // stubborn choice its parent's
+        let enabled = |sys: &mut dyn TransitionSystem<Action = A>, s: StateId| {
+            let mut en = vec![0u64; astride];
+            sys.write_enabled_full(self.words(s), &mut en);
+            en
+        };
+        let words = self.words(state);
+        let mut fire = enabled(sys, state);
+        if self.stubborn {
+            let (parent, _) = self.parents[state.index()];
+            let before = (parent != NO_PARENT).then(|| enabled(sys, StateId(parent)));
+            let rotation = sym.map(|sy| (sy, self.rotation(state)));
+            let mut choice = Expansion::new(astride);
+            choice.choose(sys, words, &fire, before.as_deref(), rotation);
+            fire = choice.actions;
+        }
+        let (mut raw, mut canon, mut tmp) = (
+            vec![0; self.stride],
+            vec![0; self.stride],
+            vec![0; self.stride],
+        );
+        for a in places_of(fire.iter().enumerate().map(|(w, &m)| (w as u32, m))) {
+            sys.apply(a, words, &mut raw);
+            let cand = match sym {
+                Some(sy) => {
+                    sy.canonicalize(&raw, &mut canon, &mut tmp);
+                    &canon
+                }
+                None => &raw,
+            };
+            // a target the budget kept out ends the interrupted state's list
+            let hash = hash_words(cand);
+            let Some(id) = self.index.find(hash, cand, &self.arena, self.stride) else {
+                break;
+            };
+            edges.push((self.actions[a], StateId(id)));
+        }
+        edges
     }
 
     /// The word-packed bits of `state` (the same width for every state).
@@ -382,7 +515,7 @@ impl<A: Copy> StateSpace<A> {
 
     /// The dead states — no action enabled — in ascending order, recorded
     /// as each state was committed (see the [module docs](self)). Exact on
-    /// truncated spaces too: an unexpanded frontier state has no recorded
+    /// truncated spaces too: an unexpanded frontier state has no
     /// successors but is listed only if it is really dead. For a quotient
     /// space these are dead representatives (deadness is orbit-invariant).
     #[must_use]
@@ -450,14 +583,23 @@ impl<A: Copy> StateSpace<A> {
         let Some(sym) = &self.symmetry else {
             return words.to_vec();
         };
-        let order = sym.order() as u32;
-        let rot = self
-            .path(state)
-            .into_iter()
-            .fold(0, |rot, s| (rot + self.rotation(s)) % order);
         let mut out = vec![0u64; words.len()];
-        sym.unapply_state(rot, words, &mut out);
+        sym.unapply_state(self.path_rotation(state), words, &mut out);
         out
+    }
+
+    /// The cumulative rotation along `state`'s discovery path: un-rotating
+    /// by it maps `state`'s representative, and the actions fired from it,
+    /// to the concrete state [`StateSpace::concrete_trace_to`] reaches (0
+    /// outside quotient spaces).
+    pub(crate) fn path_rotation(&self, state: StateId) -> u32 {
+        let Some(sym) = &self.symmetry else {
+            return 0;
+        };
+        let order = sym.order() as u32;
+        self.path(state)
+            .into_iter()
+            .fold(0, |rot, s| (rot + self.rotation(s)) % order)
     }
 
     /// The discovery path of `state`: the states from the initial state to
@@ -473,6 +615,62 @@ impl<A: Copy> StateSpace<A> {
         }
         path.reverse();
         path
+    }
+}
+
+/// The outgoing edges of one state, as [`StateSpace::successors`] lists
+/// them: a small handle that re-expands the state whenever the edges are
+/// read, and answers [`Successors::is_empty`] without firing.
+pub struct Successors<'a, A> {
+    space: &'a StateSpace<A>,
+    state: StateId,
+}
+
+impl<A: Copy> Successors<'_, A> {
+    /// Does the state have no outgoing edges? Answered from the expansion
+    /// frontier and the dead list, without re-expanding the state.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        !self.space.has_successors(self.state)
+    }
+
+    /// Number of outgoing edges (re-expands the state).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.to_vec().len()
+    }
+
+    /// The edges `(action, successor)` in firing order (re-expands the
+    /// state).
+    #[must_use]
+    pub fn to_vec(&self) -> Vec<(A, StateId)> {
+        self.space.expand(self.state)
+    }
+
+    /// Iterates over the edges in firing order (re-expands the state).
+    pub fn iter(&self) -> std::vec::IntoIter<(A, StateId)> {
+        self.to_vec().into_iter()
+    }
+}
+
+impl<A: Copy> IntoIterator for Successors<'_, A> {
+    type Item = (A, StateId);
+    type IntoIter = std::vec::IntoIter<(A, StateId)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<A: Copy + PartialEq> PartialEq for Successors<'_, A> {
+    fn eq(&self, other: &Self) -> bool {
+        self.to_vec() == other.to_vec()
+    }
+}
+
+impl<A: Copy + fmt::Debug> fmt::Debug for Successors<'_, A> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -550,11 +748,12 @@ impl DedupTable {
 }
 
 /// Breadth-first exploration of `sys` under `cfg` — the engine's one
-/// driver.
+/// driver. The returned space keeps `sys`, to re-expand states for
+/// [`StateSpace::successors`].
 ///
 /// Truncation: when storing state number `cfg.max_states` would be
 /// required, exploration stops immediately — successors of the state being
-/// expanded that were found *before* the overflow stay recorded, the
+/// expanded that were found *before* the overflow stay listed, the
 /// overflowing edge does not. The deadline is consulted once each BFS level
 /// is fully expanded (see [`ExploreConfig::deadline`]). With `symmetry`,
 /// explores the rotation quotient instead, canonicalizing the initial state
@@ -566,8 +765,8 @@ impl DedupTable {
 /// # Panics
 ///
 /// Panics when `symmetry` does not cover the system's state/action bits.
-pub fn explore<S: TransitionSystem>(
-    sys: &mut S,
+pub fn explore<S: TransitionSystem + Send + 'static>(
+    mut sys: S,
     cfg: &ExploreConfig,
     symmetry: Option<&StateSymmetry>,
 ) -> StateSpace<S::Action> {
@@ -595,11 +794,7 @@ pub fn explore<S: TransitionSystem>(
     let mut tmp = vec![0u64; stride];
     let mut en_scratch = vec![0u64; astride];
     let mut en_rotated = vec![0u64; astride];
-    let mut stubborn = Expansion {
-        first: vec![0u64; astride],
-        before: vec![0u64; astride],
-        actions: vec![0u64; astride],
-    };
+    let mut stubborn = Expansion::new(astride);
 
     // the initial state, canonicalized under symmetry; its enabled set is
     // computed from scratch directly on the representative
@@ -615,8 +810,6 @@ pub fn explore<S: TransitionSystem>(
     sys.write_enabled_full(&arena, &mut en_arena);
 
     let mut parents: Vec<(u32, u32)> = vec![(NO_PARENT, 0)];
-    let mut succ_off: Vec<u32> = vec![0];
-    let mut succ: Vec<(S::Action, StateId)> = Vec::new();
     let mut table = DedupTable::new();
     table.insert(hash_words(&arena[..stride]), 0, &arena, stride);
 
@@ -629,6 +822,9 @@ pub fn explore<S: TransitionSystem>(
     let mut levels = 0u64;
     let mut peak_frontier = 0usize;
     let mut dedup_known = 0u64;
+    let mut edges = 0u64;
+    // the states below this id were expanded (see `StateSpace::expanded`)
+    let mut expanded = 0usize;
 
     // States are discovered in BFS order, so each level is the id range
     // the previous one appended: everything below `level_start` is
@@ -643,11 +839,12 @@ pub fn explore<S: TransitionSystem>(
         peak_frontier = peak_frontier.max(level_end - level_start);
         for s in level_start..level_end {
             let en_base = s * astride;
+            let edges_before = edges;
             if cfg.stubborn {
                 let (parent, _) = parents[s];
                 let p = parent as usize * astride;
                 stubborn.choose(
-                    sys,
+                    &mut sys,
                     &arena[s * stride..(s + 1) * stride],
                     &en_arena[en_base..en_base + astride],
                     (parent != NO_PARENT).then(|| &en_arena[p..p + astride]),
@@ -672,16 +869,18 @@ pub fn explore<S: TransitionSystem>(
                         None => (&scratch, 0),
                     };
                     let hash = hash_words(cand);
-                    let id = match table.find(hash, cand, &arena, stride) {
+                    match table.find(hash, cand, &arena, stride) {
                         Some(id) => {
                             if (id as usize) < level_end {
                                 dedup_known += 1;
                             }
-                            id
                         }
                         None => {
                             if parents.len() >= max_states {
                                 outcome = ExploreOutcome::Truncated { limit: max_states };
+                                // the interrupted state keeps the edges it
+                                // listed, if any
+                                expanded = s + usize::from(edges > edges_before);
                                 break 'bfs;
                             }
                             let id = parents.len() as u32;
@@ -709,14 +908,13 @@ pub fn explore<S: TransitionSystem>(
                                 rotations.push(rotation as u16);
                             }
                             table.insert(hash, id, &arena, stride);
-                            id
                         }
-                    };
-                    succ.push((actions[a], StateId(id)));
+                    }
+                    edges += 1;
                 }
             }
-            succ_off.push(succ.len() as u32);
         }
+        expanded = level_end;
         // wall-clock deadline, consulted only here — between levels — so
         // the explored prefix is always a complete-level prefix of the BFS
         // order (see `ExploreConfig::deadline`)
@@ -726,16 +924,11 @@ pub fn explore<S: TransitionSystem>(
         }
         level_start = level_end;
     }
-    // close offsets of states that were never (or only partially) expanded
-    while succ_off.len() < parents.len() + 1 {
-        succ_off.push(succ.len() as u32);
-    }
-
     let obs = &cfg.obs;
     if obs.is_enabled() {
         obs.add("engine.levels", levels);
         obs.add("engine.states", parents.len() as u64);
-        obs.add("engine.edges", succ.len() as u64);
+        obs.add("engine.edges", edges);
         obs.add("engine.dedup.known", dedup_known);
         #[allow(clippy::cast_precision_loss)]
         obs.gauge("engine.frontier.peak", peak_frontier as f64);
@@ -746,12 +939,14 @@ pub fn explore<S: TransitionSystem>(
         arena,
         parents,
         rotations,
-        succ_off,
-        succ,
+        index: table,
+        expanded,
         dead,
         outcome,
         actions,
         symmetry: symmetry.cloned(),
+        stubborn: cfg.stubborn,
+        system: Mutex::new(Box::new(sys)),
     }
 }
 
@@ -768,13 +963,21 @@ struct Expansion {
 }
 
 impl Expansion {
+    fn new(astride: usize) -> Self {
+        Expansion {
+            first: vec![0u64; astride],
+            before: vec![0u64; astride],
+            actions: vec![0u64; astride],
+        }
+    }
+
     /// Chooses the actions to expand in `state`, whose enabled set is
     /// `enabled`. `parent` is the enabled set of the state whose expansion
     /// discovered it (none for the initial state), in the frame of the raw
     /// successor, and `rotation` the symmetry and the rotation that
     /// canonicalized that successor.
     #[inline(never)]
-    fn choose<S: TransitionSystem>(
+    fn choose<S: TransitionSystem + ?Sized>(
         &mut self,
         sys: &mut S,
         state: &[u64],
@@ -1207,7 +1410,8 @@ impl Incidence {
     }
 }
 
-/// The places of `(word, mask)` pairs, in ascending order.
+/// The set bits (places, or actions) of `(word, mask)` pairs, in ascending
+/// order.
 fn places_of(row: impl Iterator<Item = (u32, u64)>) -> impl Iterator<Item = usize> {
     row.flat_map(|(w, m)| {
         std::iter::successors((m != 0).then_some(m), |&b| {
@@ -1585,8 +1789,7 @@ mod tests {
     fn incidence_agrees_with_net_enabledness() {
         let net = ring(5);
         let inc = Incidence::from_net(&net);
-        let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, &cfg(1_000), None);
+        let g = explore(NetSystem::new(&net), &cfg(1_000), None);
         for s in g.states() {
             let words = g.words(s);
             let m = marking_of(&net, words);
@@ -1600,8 +1803,7 @@ mod tests {
     fn fire_into_matches_net_fire() {
         let net = ring(4);
         let inc = Incidence::from_net(&net);
-        let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, &cfg(1_000), None);
+        let g = explore(NetSystem::new(&net), &cfg(1_000), None);
         let mut dst = vec![0u64; g.words(g.initial()).len()];
         for s in g.states() {
             let words = g.words(s);
@@ -1621,8 +1823,7 @@ mod tests {
         // changes the enabledness of transitions in affected(t)
         let net = ring(6);
         let inc = Incidence::from_net(&net);
-        let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, &cfg(1_000), None);
+        let g = explore(NetSystem::new(&net), &cfg(1_000), None);
         let mut dst = vec![0u64; g.words(g.initial()).len()];
         for s in g.states() {
             let words = g.words(s);
@@ -1648,8 +1849,7 @@ mod tests {
     fn dedup_table_grows_correctly() {
         // a ring large enough to force several table growths
         let net = ring(3000);
-        let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, &cfg(10_000), None);
+        let g = explore(NetSystem::new(&net), &cfg(10_000), None);
         assert_eq!(g.len(), 3000);
         assert!(!g.is_truncated());
     }
@@ -1658,13 +1858,12 @@ mod tests {
     fn zero_place_net_has_single_state() {
         let mut net = PetriNet::new();
         net.add_transition("noop");
-        let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, &cfg(10), None);
+        let g = explore(NetSystem::new(&net), &cfg(10), None);
         // `noop` has no arcs: it is enabled and loops on the only state
         assert_eq!(g.len(), 1);
         assert_eq!(
-            g.successors(g.initial()),
-            &[(TransitionId::from_index(0), g.initial())]
+            g.successors(g.initial()).to_vec(),
+            [(TransitionId::from_index(0), g.initial())]
         );
         assert!(!g.is_truncated());
     }
@@ -1672,9 +1871,60 @@ mod tests {
     #[test]
     fn truncation_reports_the_limit() {
         let net = ring(10);
-        let g = explore(&mut NetSystem::new(&net), &cfg(4), None);
+        let g = explore(NetSystem::new(&net), &cfg(4), None);
         assert_eq!(g.outcome(), ExploreOutcome::Truncated { limit: 4 });
         assert_eq!(g.len(), 4);
+    }
+
+    /// Three independent one-shot transitions: the initial state has three
+    /// successors, each a new state.
+    fn fan() -> PetriNet {
+        let mut net = PetriNet::new();
+        for i in 0..3 {
+            let p = net.add_place(format!("p{i}"), true);
+            let t = net.add_transition(format!("t{i}"));
+            net.consume(t, p);
+        }
+        net
+    }
+
+    /// The state the budget interrupts keeps the edges it listed before
+    /// the overflow, re-expanded up to the first target the budget kept
+    /// out; the states after it were never expanded and list nothing,
+    /// though none of them is dead.
+    #[test]
+    fn budget_cut_keeps_the_interrupted_prefix() {
+        let t = TransitionId::from_index;
+        let full = explore(NetSystem::new(&fan()), &cfg(100), None);
+        assert_eq!(full.len(), 8);
+        let s = StateId::from_index;
+        assert_eq!(
+            full.successors(s(0)).to_vec(),
+            [(t(0), s(1)), (t(1), s(2)), (t(2), s(3))]
+        );
+
+        let cut = explore(NetSystem::new(&fan()), &cfg(3), None);
+        assert_eq!(cut.len(), 3);
+        assert_eq!(cut.successors(s(0)).to_vec(), [(t(0), s(1)), (t(1), s(2))]);
+        assert_eq!(cut.successors(s(0)).len(), 2);
+        for later in [s(1), s(2)] {
+            assert!(cut.successors(later).is_empty());
+            assert_eq!(cut.successors(later).to_vec(), []);
+        }
+        assert!(cut.deadlocks().is_empty());
+
+        // the overflow at the first target: the initial state lists nothing
+        let first = explore(NetSystem::new(&fan()), &cfg(1), None);
+        assert!(first.successors(s(0)).is_empty());
+        assert_eq!(first.successors(s(0)).to_vec(), []);
+        assert!(first.deadlocks().is_empty());
+    }
+
+    /// What a space retains: at least its arena and parent links.
+    #[test]
+    fn heap_bytes_covers_the_states() {
+        let g = explore(NetSystem::new(&ring(100)), &cfg(1_000), None);
+        assert!(g.heap_bytes() >= g.len() * (8 + 8));
     }
 
     fn cfg(max_states: usize) -> ExploreConfig {
@@ -1695,8 +1945,8 @@ mod tests {
         let act_perm = bit_perm.clone();
         let sym = StateSymmetry::new(bit_perm, act_perm).unwrap();
         assert_eq!(sym.order(), n);
-        let full = explore(&mut NetSystem::new(&net), &cfg(1_000), None);
-        let quo = explore(&mut NetSystem::new(&net), &cfg(1_000), Some(&sym));
+        let full = explore(NetSystem::new(&net), &cfg(1_000), None);
+        let quo = explore(NetSystem::new(&net), &cfg(1_000), Some(&sym));
         assert_eq!(full.len(), n);
         assert_eq!(quo.len(), 1);
         // concrete trace reconstruction: the quotient self-loop unrotates to

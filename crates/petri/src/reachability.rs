@@ -112,7 +112,7 @@ pub fn explore(net: &PetriNet, config: ExploreConfig) -> Result<StateSpace, Petr
 /// [`ExploreConfig::obs`]).
 #[must_use]
 pub fn explore_truncated(net: &PetriNet, config: ExploreConfig) -> StateSpace {
-    engine::explore(&mut NetSystem::new(net), &config, None)
+    engine::explore(NetSystem::new(net), &config, None)
 }
 
 /// Explores the rotation *quotient* of the net under `sym`: every successor
@@ -128,7 +128,7 @@ pub fn explore_quotient_truncated(
     config: ExploreConfig,
     sym: &StateSymmetry,
 ) -> StateSpace {
-    engine::explore(&mut NetSystem::new(net), &config, Some(sym))
+    engine::explore(NetSystem::new(net), &config, Some(sym))
 }
 
 #[cfg(test)]

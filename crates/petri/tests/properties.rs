@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use rap_obs::{Collector, Obs};
+use rap_petri::analysis::find_persistence_violations;
 use rap_petri::engine::{self, Incidence, NetSystem, StateId, StateSpace, StateSymmetry};
 use rap_petri::reachability::{explore_quotient_truncated, explore_truncated, ExploreConfig};
 use rap_petri::{Marking, PetriNet, PlaceId};
@@ -87,13 +88,13 @@ fn explore_both_ways(
     budget: usize,
     symmetry: Option<&StateSymmetry>,
 ) -> StateSpace {
-    let plain = engine::explore(&mut NetSystem::new(net), &cfg(budget), symmetry);
+    let plain = engine::explore(NetSystem::new(net), &cfg(budget), symmetry);
     let collector = Arc::new(Collector::new());
     let recording = ExploreConfig {
         obs: Obs::collecting(&collector),
         ..cfg(budget)
     };
-    let traced = engine::explore(&mut NetSystem::new(net), &recording, symmetry);
+    let traced = engine::explore(NetSystem::new(net), &recording, symmetry);
     assert_identical(&plain, &traced, &format!("traced, budget={budget}"));
     let snap = collector.snapshot();
     assert_eq!(
@@ -598,6 +599,52 @@ proptest! {
             }
             prop_assert_eq!(&m, &reduced.concrete_marking(s));
             prop_assert!(net.enabled_transitions(&m).is_empty(), "witness is not dead");
+        }
+    }
+
+    /// Persistence on the quotient: on rotated copies, with or without
+    /// cross-copy arcs, the representatives the quotient reports are
+    /// exactly the canonical forms of the markings the full space reports,
+    /// so it finds a violation exactly when the full space does. Every
+    /// report replays: its trace fires from the real initial marking into
+    /// a marking that enables both transitions, and firing the disabler
+    /// there disables the other.
+    #[test]
+    fn quotient_persistence_violations_are_the_full_ones(
+        (base, links) in arb_linked_net(4, 4),
+        copies in 2usize..=3,
+        cross in any::<bool>(),
+    ) {
+        let (net, sym) = if cross {
+            linked(&base, &links, copies)
+        } else {
+            replicated(&base, copies)
+        };
+        let full = explore_truncated(&net, cfg(usize::MAX));
+        let quo = explore_quotient_truncated(&net, cfg(usize::MAX), &sym);
+        prop_assert!(!full.is_truncated() && !quo.is_truncated());
+        let in_full = find_persistence_violations(&net, &full, |_, _| false);
+        let in_quo = find_persistence_violations(&net, &quo, |_, _| false);
+        let full_states: BTreeSet<Vec<u64>> = in_full
+            .iter()
+            .map(|v| canonical(&sym, full.words(v.state)))
+            .collect();
+        let quo_states: BTreeSet<Vec<u64>> =
+            in_quo.iter().map(|v| quo.words(v.state).to_vec()).collect();
+        prop_assert_eq!(&quo_states, &full_states, "violating states");
+        prop_assert_eq!(in_quo.is_empty(), in_full.is_empty());
+        for (space, found) in [(&full, &in_full), (&quo, &in_quo)] {
+            for v in found {
+                let mut m = net.initial_marking();
+                for &t in &v.trace {
+                    prop_assert!(net.is_enabled(t, &m), "trace step not enabled");
+                    m = net.fire(t, &m).unwrap();
+                }
+                prop_assert_eq!(&m, &space.concrete_marking(v.state));
+                prop_assert!(net.is_enabled(v.enabled, &m) && net.is_enabled(v.disabler, &m));
+                let after = net.fire(v.disabler, &m).unwrap();
+                prop_assert!(!net.is_enabled(v.enabled, &after), "{:?} stays enabled", v.enabled);
+            }
         }
     }
 }

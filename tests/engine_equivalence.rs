@@ -98,7 +98,7 @@ fn assert_pn_equivalent(net: &PetriNet, max_states: usize) -> Result<(), TestCas
         let edges: Vec<(TransitionId, usize)> = engine
             .successors(s)
             .iter()
-            .map(|&(t, x)| (t, x.index()))
+            .map(|(t, x)| (t, x.index()))
             .collect();
         prop_assert_eq!(&edges, &oracle.successors[i], "edges of {}", i);
         prop_assert_eq!(engine.trace_to(s), oracle.trace_to(i), "trace to {}", i);
@@ -136,7 +136,7 @@ fn assert_lts_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), TestCaseErr
         let edges: Vec<_> = engine
             .successors(s)
             .iter()
-            .map(|&(ev, x)| (ev, x.index()))
+            .map(|(ev, x)| (ev, x.index()))
             .collect();
         prop_assert_eq!(&edges, &oracle.successors[i], "edges of {}", i);
         prop_assert_eq!(engine.trace_to(s), oracle.trace_to(i), "trace to {}", i);

@@ -128,7 +128,7 @@ fn assert_matches_oracle(
         let edges: Vec<(TransitionId, usize)> = space
             .successors(s)
             .iter()
-            .map(|&(t, x)| (t, x.index()))
+            .map(|(t, x)| (t, x.index()))
             .collect();
         prop_assert_eq!(&edges, &oracle.successors[i], "{}: edges", ctx);
         prop_assert_eq!(space.trace_to(s), oracle.trace_to(i), "{}: trace", ctx);
@@ -173,7 +173,7 @@ fn assert_lts_recording_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), T
             let edges: Vec<_> = run
                 .successors(s)
                 .iter()
-                .map(|&(ev, x)| (ev, x.index()))
+                .map(|(ev, x)| (ev, x.index()))
                 .collect();
             prop_assert_eq!(&edges, &oracle.successors[i], "{}: edges", ctx);
             prop_assert_eq!(run.trace_to(s), oracle.trace_to(i), "{}: trace", ctx);

@@ -11,8 +11,11 @@
 
 use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{node_rotation_symmetry, to_petri, Lts};
-use rap::petri::analysis::{quick_check, quick_check_quotient, QuickVerdict};
-use rap::petri::reachability::ExploreConfig;
+use rap::petri::analysis::{
+    find_persistence_violations, quick_check, quick_check_quotient, QuickVerdict,
+};
+use rap::petri::reachability::{explore_quotient_truncated, explore_truncated, ExploreConfig};
+use rap::petri::TransitionId;
 
 /// Full reachable state count of the 2-way wagged pipeline (comp depth 1)
 /// and its rotation quotient. The orbit of every reachable state off the
@@ -133,5 +136,35 @@ fn wagged3_quotient_explores_only_canonical_representatives() {
             raw, canon,
             "quotient engine stored a non-canonical representative"
         );
+    }
+}
+
+/// Persistence on the wagged quotients, under `dfs::verify`'s exemption of
+/// the intended `Mt_x+`/`Mf_x+` choices: at a 20k budget the 2- and 3-way
+/// quotients report no hazard, as the full spaces do. (The check once read
+/// each successor's stored representative, rotated into another frame, and
+/// reported 16,513 and 25,096 false hazards here.)
+#[test]
+fn wagged_quotients_report_the_hazards_of_the_full_space() {
+    let cfg = ExploreConfig {
+        max_states: 20_000,
+        ..ExploreConfig::default()
+    };
+    for ways in [2, 3] {
+        let w = wagged_pipeline(ways, 1, 1.0).unwrap();
+        let img = to_petri(&w.dfs);
+        let sym = img.induced_symmetry(&w.way_rotation).unwrap();
+        let choice = |en: TransitionId, dis: TransitionId| {
+            let (a, b) = (img.label(en), img.label(dis));
+            a.ends_with('+')
+                && b.ends_with('+')
+                && (a.strip_prefix("Mt_") == b.strip_prefix("Mf_")
+                    || a.strip_prefix("Mf_") == b.strip_prefix("Mt_"))
+        };
+        let quo = explore_quotient_truncated(&img.net, cfg.clone(), &sym.state_symmetry());
+        let full = explore_truncated(&img.net, cfg.clone());
+        assert!(quo.is_truncated() && full.is_truncated(), "{ways}-way");
+        let hazards = |space| find_persistence_violations(&img.net, space, choice).len();
+        assert_eq!((hazards(&quo), hazards(&full)), (0, 0), "{ways}-way");
     }
 }
