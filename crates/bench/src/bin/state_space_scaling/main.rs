@@ -3,11 +3,12 @@
 //! Times the state-space engine on both backends — Petri-net reachability
 //! and the direct-semantics LTS — over `reconfigurable_depth(n,k)`
 //! pipelines and wagged pipelines, asserting every state count against its
-//! pinned value, and records the heap each explored space retains. Wagged
-//! shapes additionally record the symmetry-quotient state count. Prints a
-//! table and persists the measurements to
-//! `BENCH_state_space.json` (schema v5) at the repository root (the
-//! recorded perf trajectory of the verification hot path).
+//! pinned value, and records the heap each explored space retains and the
+//! most heap live while it was explored, counted by this bin's global
+//! allocator ([`peak_heap::Counting`]). Wagged shapes additionally record
+//! the symmetry-quotient state count. Prints a table and persists the
+//! measurements to `BENCH_state_space.json` (schema v6) at the repository
+//! root (the recorded perf trajectory of the verification hot path).
 //!
 //! Usage: `state_space_scaling [--quick] [--out PATH] [--trace-out PATH]`
 //!
@@ -19,10 +20,15 @@
 //! embeds its summary into the BENCH json; recording is observation-only,
 //! so every measured number is unchanged.
 
+mod peak_heap;
+
 use rap_bench::cli::BenchCli;
 use rap_bench::state_space::{render_json_with_trace, run_sweep, validate};
 use rap_bench::trace::TraceSink;
 use rap_bench::{banner, num, row};
+
+#[global_allocator]
+static HEAP: peak_heap::Counting = peak_heap::Counting;
 
 fn main() {
     let cli = BenchCli::parse("state_space_scaling", Some("BENCH_state_space.json"));
@@ -35,9 +41,9 @@ fn main() {
     } else {
         "State-space scaling: engine"
     });
-    let cases = run_sweep(quick, &sink.obs());
+    let cases = run_sweep(quick, &sink.obs(), peak_heap::peak_during);
 
-    let widths = [27usize, 6, 9, 11, 10, 10, 13];
+    let widths = [27usize, 6, 9, 11, 10, 9, 10, 13];
     println!(
         "{}",
         row(
@@ -47,6 +53,7 @@ fn main() {
                 "states".into(),
                 "engine[ms]".into(),
                 "space[MB]".into(),
+                "peak[MB]".into(),
                 "quotient".into(),
                 "quotient[ms]".into(),
             ],
@@ -67,6 +74,7 @@ fn main() {
                     format!("{}", c.states),
                     num(c.engine_ms, 2),
                     num(c.space_mb, 1),
+                    num(c.peak_mb, 1),
                     quotient,
                     quotient_ms,
                 ],

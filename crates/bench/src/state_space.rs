@@ -1,5 +1,5 @@
 //! The `state_space_scaling` sweep: engine timings over the paper's
-//! pipeline shapes, persisted as `BENCH_state_space.json` (schema v5).
+//! pipeline shapes, persisted as `BENCH_state_space.json` (schema v6).
 //!
 //! The sweep drives both state-space backends — Petri-net reachability and
 //! the direct-semantics LTS — over `PipelineSpec::reconfigurable_depth`
@@ -8,7 +8,8 @@
 //! * the state-space engine, asserting its state count and truncation
 //!   against the values pinned in `PINNED`, and records what the explored
 //!   space retains on the heap (`space_mb`, from
-//!   `StateSpace::heap_bytes`);
+//!   `StateSpace::heap_bytes`) and the most heap live during the
+//!   exploration (`peak_mb`, from a [`HeapProbe`]);
 //! * for wagged shapes, the symmetry **quotient** (one state per way-rotation
 //!   orbit), recording the reduced state count — the `quotient_states` axis,
 //!   pinned too.
@@ -29,7 +30,7 @@ use rap_petri::reachability::{explore_quotient_truncated, explore_truncated, Exp
 use std::time::Instant;
 
 /// Schema tag embedded in (and required from) the emitted JSON.
-pub const SCHEMA: &str = "rap/state-space-scaling/v5";
+pub const SCHEMA: &str = "rap/state-space-scaling/v6";
 
 /// State budget for every sweep case (none of the swept shapes truncate).
 pub const MAX_STATES: usize = 16_000_000;
@@ -88,6 +89,10 @@ pub struct Case {
     /// Heap the explored space retains (`StateSpace::heap_bytes`), in MB
     /// (10^6 bytes).
     pub space_mb: f64,
+    /// Peak live heap during the exploration, above what was live before
+    /// it, in MB: at least `space_mb`, since the space is live when the
+    /// exploration returns.
+    pub peak_mb: f64,
     /// Orbit representatives of the symmetry quotient (wagged shapes only).
     pub quotient_states: Option<usize>,
     /// Best-of-N wall-clock of the quotient exploration, milliseconds.
@@ -120,6 +125,20 @@ fn megabytes(bytes: usize) -> f64 {
     bytes as f64 / 1e6
 }
 
+/// Runs a call and returns the most heap live during it above what was
+/// live when it began, in bytes. The measurement needs a counting global
+/// allocator, which the `state_space_scaling` bin installs (the library
+/// forbids the unsafe code one takes).
+pub type HeapProbe = fn(&mut dyn FnMut()) -> usize;
+
+/// `f`'s result and the peak heap `heap` measured during it.
+fn with_peak<R>(heap: HeapProbe, f: impl FnOnce() -> R) -> (R, usize) {
+    let mut f = Some(f);
+    let mut out = None;
+    let peak = heap(&mut || out = f.take().map(|f| f()));
+    (out.expect("the probe runs the call"), peak)
+}
+
 /// The sweep's exploration config, recording into `obs`.
 fn cfg(obs: &Obs) -> ExploreConfig {
     ExploreConfig {
@@ -129,13 +148,22 @@ fn cfg(obs: &Obs) -> ExploreConfig {
     }
 }
 
-fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, obs: &Obs) -> Case {
+fn petri_case(
+    name: &str,
+    dfs: &Dfs,
+    reps: usize,
+    way_rotation: Option<&[u32]>,
+    obs: &Obs,
+    heap: HeapProbe,
+) -> Case {
     // one span per case; the engine and quotient explorations below feed
     // their `engine.explore` spans into it, so a traced
     // BENCH_state_space.json can attribute each case's time to the engine
     let _case = obs.span("bench.case.petri");
     let img = to_petri(dfs);
-    let (engine, engine_ms) = best_of(reps, || explore_truncated(&img.net, cfg(obs)));
+    let ((engine, peak), engine_ms) = best_of(reps, || {
+        with_peak(heap, || explore_truncated(&img.net, cfg(obs)))
+    });
     let (quotient_states, quotient_ms) = match way_rotation {
         Some(perm) => {
             let sym = img
@@ -157,14 +185,24 @@ fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, 
         truncated: engine.is_truncated(),
         engine_ms,
         space_mb: megabytes(engine.heap_bytes()),
+        peak_mb: megabytes(peak),
         quotient_states,
         quotient_ms,
     }
 }
 
-fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, obs: &Obs) -> Case {
+fn lts_case(
+    name: &str,
+    dfs: &Dfs,
+    reps: usize,
+    way_rotation: Option<&[u32]>,
+    obs: &Obs,
+    heap: HeapProbe,
+) -> Case {
     let _case = obs.span("bench.case.lts");
-    let (engine, engine_ms) = best_of(reps, || Lts::explore_with(dfs, &cfg(obs), None));
+    let ((engine, peak), engine_ms) = best_of(reps, || {
+        with_peak(heap, || Lts::explore_with(dfs, &cfg(obs), None))
+    });
     let (quotient_states, quotient_ms) = match way_rotation {
         Some(perm) => {
             let sym = node_rotation_symmetry(dfs, perm)
@@ -182,6 +220,7 @@ fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, ob
         truncated: engine.is_truncated(),
         engine_ms,
         space_mb: megabytes(engine.heap_bytes()),
+        peak_mb: megabytes(peak),
         quotient_states,
         quotient_ms,
     }
@@ -197,13 +236,13 @@ fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, ob
 /// `engine.explore` span each plus the `engine.*` counters — so a traced
 /// `BENCH_state_space.json` can attribute each case's wall-clock to the
 /// engine. Recording is observation-only: states, truncation and every
-/// assertion are unchanged.
+/// assertion are unchanged. `heap` measures each case's `peak_mb`.
 ///
 /// # Panics
 ///
 /// When a case's counts differ from its `PINNED` entry.
 #[must_use]
-pub fn run_sweep(quick: bool, obs: &Obs) -> Vec<Case> {
+pub fn run_sweep(quick: bool, obs: &Obs, heap: HeapProbe) -> Vec<Case> {
     let reconfig = |n: usize, k: usize| {
         build_pipeline(&PipelineSpec::reconfigurable_depth(n, k).expect("valid sweep shape"))
             .expect("pipeline builds")
@@ -218,6 +257,7 @@ pub fn run_sweep(quick: bool, obs: &Obs) -> Vec<Case> {
         5,
         None,
         obs,
+        heap,
     ));
     cases.push(lts_case(
         "reconfigurable_depth(2,2)",
@@ -225,9 +265,17 @@ pub fn run_sweep(quick: bool, obs: &Obs) -> Vec<Case> {
         5,
         None,
         obs,
+        heap,
     ));
     let w1 = wagged(1);
-    cases.push(petri_case("wagging(ways=1,depth=1)", &w1.dfs, 3, None, obs));
+    cases.push(petri_case(
+        "wagging(ways=1,depth=1)",
+        &w1.dfs,
+        3,
+        None,
+        obs,
+        heap,
+    ));
     if !quick {
         cases.push(petri_case(
             "reconfigurable_depth(3,2)",
@@ -235,6 +283,7 @@ pub fn run_sweep(quick: bool, obs: &Obs) -> Vec<Case> {
             2,
             None,
             obs,
+            heap,
         ));
         cases.push(petri_case(
             "reconfigurable_depth(3,3)",
@@ -242,6 +291,7 @@ pub fn run_sweep(quick: bool, obs: &Obs) -> Vec<Case> {
             3,
             None,
             obs,
+            heap,
         ));
         cases.push(lts_case(
             "reconfigurable_depth(3,3)",
@@ -249,8 +299,16 @@ pub fn run_sweep(quick: bool, obs: &Obs) -> Vec<Case> {
             2,
             None,
             obs,
+            heap,
         ));
-        cases.push(lts_case("wagging(ways=1,depth=1)", &w1.dfs, 3, None, obs));
+        cases.push(lts_case(
+            "wagging(ways=1,depth=1)",
+            &w1.dfs,
+            3,
+            None,
+            obs,
+            heap,
+        ));
         let w2 = wagged(2);
         cases.push(petri_case(
             "wagging(ways=2,depth=1)",
@@ -258,6 +316,7 @@ pub fn run_sweep(quick: bool, obs: &Obs) -> Vec<Case> {
             1,
             Some(&w2.way_rotation),
             obs,
+            heap,
         ));
     }
     for c in &cases {
@@ -299,6 +358,7 @@ pub fn render_json_with_trace(cases: &[Case], quick: bool, trace: Option<&Snapsh
         out.push_str(&format!("      \"truncated\": {},\n", c.truncated));
         out.push_str(&format!("      \"engine_ms\": {:.3},\n", c.engine_ms));
         out.push_str(&format!("      \"space_mb\": {:.3},\n", c.space_mb));
+        out.push_str(&format!("      \"peak_mb\": {:.3},\n", c.peak_mb));
         match (c.quotient_states, c.quotient_ms) {
             (Some(q), Some(ms)) => {
                 out.push_str(&format!("      \"quotient_states\": {q},\n"));
@@ -338,9 +398,9 @@ pub struct Summary {
     pub max_quotient_reduction: f64,
 }
 
-/// Validates a `BENCH_state_space.json` document against the v5 schema —
-/// every case's counts included, against `PINNED`, and a positive
-/// `space_mb` — and returns its summary.
+/// Validates a `BENCH_state_space.json` document against the v6 schema —
+/// every case's counts included, against `PINNED`, a positive `space_mb`
+/// and a `peak_mb` of at least `space_mb` — and returns its summary.
 ///
 /// # Errors
 ///
@@ -400,8 +460,12 @@ pub fn validate(src: &str) -> Result<Summary, String> {
                 .ok_or(format!("case {i}: \"{k}\" not a non-negative number"))
         };
         num("engine_ms")?;
-        if num("space_mb")? <= 0.0 {
+        let space_mb = num("space_mb")?;
+        if space_mb <= 0.0 {
             return Err(format!("case {i}: \"space_mb\" not positive"));
+        }
+        if num("peak_mb")? < space_mb {
+            return Err(format!("case {i}: \"peak_mb\" below \"space_mb\""));
         }
         let states = num("states")?;
         if states < 1.0 {
@@ -459,6 +523,7 @@ mod tests {
                 truncated: false,
                 engine_ms: 0.4,
                 space_mb: 0.05,
+                peak_mb: 0.08,
                 quotient_states: None,
                 quotient_ms: None,
             },
@@ -469,6 +534,7 @@ mod tests {
                 truncated: false,
                 engine_ms: 1_500.0,
                 space_mb: 45.0,
+                peak_mb: 55.0,
                 quotient_states: Some(738_387),
                 quotient_ms: Some(900.0),
             },
@@ -486,12 +552,16 @@ mod tests {
     #[test]
     fn validation_rejects_broken_documents() {
         let good = render_json(&fake_cases(), true);
-        assert!(validate(&good.replace(SCHEMA, "rap/state-space-scaling/v4")).is_err());
+        assert!(validate(&good.replace(SCHEMA, "rap/state-space-scaling/v5")).is_err());
         assert!(validate(&good.replace("\"cases\"", "\"cazes\"")).is_err());
         assert!(validate(&good.replace("\"engine_ms\": 0.400", "\"engine_ms\": -1")).is_err());
         // the retained heap is required, and positive
         assert!(validate(&good.replace("\"space_mb\"", "\"space\"")).is_err());
         assert!(validate(&good.replace("\"space_mb\": 0.050", "\"space_mb\": 0")).is_err());
+        // so is the peak heap, and it covers the retained heap
+        assert!(validate(&good.replace("\"peak_mb\"", "\"peak\"")).is_err());
+        assert!(validate(&good.replace("\"peak_mb\": 0.080", "\"peak_mb\": 0.049")).is_err());
+        assert!(validate(&good.replace("\"peak_mb\": 0.080", "\"peak_mb\": 0.050")).is_ok());
         assert!(
             validate(&good.replace("\"quotient_states\": 738387", "\"quotient_states\": 0"))
                 .is_err()

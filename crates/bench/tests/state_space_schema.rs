@@ -2,9 +2,13 @@
 //! pinned state counts, and the engine must beat the seed explorer on
 //! every swept shape (no regression is tolerated anywhere).
 //!
-//! Runs the quick sweep in-process — the CI workflow additionally runs the
-//! binary itself (`state_space_scaling --quick`), which re-validates what it
-//! wrote to disk.
+//! Runs the quick sweep in-process, under the bin's counting allocator —
+//! the CI workflow additionally runs the binary itself
+//! (`state_space_scaling --quick`), which re-validates what it wrote to
+//! disk.
+
+#[path = "../src/bin/state_space_scaling/peak_heap.rs"]
+mod peak_heap;
 
 use dfs_core::pipelines::{build_pipeline, PipelineSpec};
 use dfs_core::to_petri;
@@ -13,15 +17,18 @@ use rap_bench::state_space::{render_json, run_sweep, validate, MAX_STATES, SCHEM
 use rap_obs::Obs;
 use std::time::Instant;
 
+#[global_allocator]
+static HEAP: peak_heap::Counting = peak_heap::Counting;
+
 #[test]
 fn quick_sweep_emits_valid_json() {
-    let cases = run_sweep(true, &Obs::none());
+    let cases = run_sweep(true, &Obs::none(), peak_heap::peak_during);
     assert!(!cases.is_empty());
     let json = render_json(&cases, true);
     assert!(json.contains(SCHEMA));
-    let summary = validate(&json).expect("emitted JSON validates against the v5 schema");
+    let summary = validate(&json).expect("emitted JSON validates against the v6 schema");
     assert_eq!(summary.cases, cases.len());
-    assert!(!json.contains("naive"), "v5 times the engine only");
+    assert!(!json.contains("naive"), "v6 times the engine only");
     assert!(summary.max_quotient_reduction >= 1.0);
 }
 
@@ -43,7 +50,7 @@ fn engine_never_regresses_on_quick_shapes() {
     // sub-millisecond, so demand only "not grossly slower" (one preempted
     // sample must not fail the suite); the seed explorer is timed here, on
     // the sweep's own shapes, from the dev-only oracle crate
-    for c in run_sweep(true, &Obs::none()) {
+    for c in run_sweep(true, &Obs::none(), peak_heap::peak_during) {
         let dfs = match c.name.as_str() {
             "reconfigurable_depth(2,2)" => {
                 let spec = PipelineSpec::reconfigurable_depth(2, 2).expect("valid shape");

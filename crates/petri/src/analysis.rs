@@ -82,9 +82,11 @@ pub struct PersistenceViolation {
 /// choice rather than a hazard.
 ///
 /// Each state's conflicts are read from its own marking: every disabler
-/// among its successors' actions is fired from [`StateSpace::words`] into
-/// a scratch marking, and the other actions are checked there. The check
-/// never reads a successor's stored state, which on a quotient is a
+/// among its edges' actions
+/// ([`Successors::actions`](crate::engine::Successors::actions), which
+/// neither fires them nor looks up their targets) is fired from [`StateSpace::words`]
+/// into a scratch marking, and the other actions are checked there. The
+/// check never reads a successor's stored state, which on a quotient is a
 /// rotated representative in another frame. On a quotient the pairs are
 /// un-rotated to the concrete state before the predicate sees them (see
 /// [`PersistenceViolation`]); a conflict of one orbit member is a
@@ -103,7 +105,7 @@ pub fn find_persistence_violations(
     let mut after = vec![0u64; space.words(space.initial()).len()];
     let mut out = Vec::new();
     for s in space.states() {
-        let fired: Vec<TransitionId> = space.successors(s).iter().map(|(t, _)| t).collect();
+        let fired = space.successors(s).actions();
         if fired.len() < 2 {
             continue;
         }

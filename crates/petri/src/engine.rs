@@ -43,8 +43,29 @@
 //! driver explored, truncated runs included (see
 //! [`StateSpace::successors`]). Listing every state's successors of the
 //! 1.48M-state wagged space takes 2.4 s on the Petri net and 2.8 s on the
-//! LTS (release build, 2-core container). `engine.edges` still counts the
-//! edges the run expanded.
+//! LTS (release build, 2-core container). A reader that needs only the
+//! actions, as the persistence check does, takes
+//! [`Successors::actions`], which reads them off the chosen set without
+//! firing or looking up a target. `engine.edges` still counts the edges
+//! the run expanded.
+//!
+//! # What a state costs
+//!
+//! A stored state costs its words (`stride` × 8 bytes: 16 for a net of up
+//! to 128 places), an 8-byte parent link (parent id and discovering
+//! action), 2 to 4 bytes of discovery rotation on a quotient (a vector
+//! that doubles), and 8 to 16 bytes of dedup index, whose 4-byte slots
+//! double at 50% load. Nothing else grows with the space: the driver
+//! holds enabled sets for three BFS levels only — the level it expands,
+//! its parents' level (which the stubborn choice reads) and the level it
+//! discovers — and drops them when the run ends. The words and the
+//! parent links live in blocks of [`BLOCK_STATES`] states that are
+//! appended and never moved, so the space keeps at most one block of
+//! slack and growing it copies nothing; only the first block grows like
+//! a vector, so a small screen reserves no more than it holds up to
+//! doubling. The 1.48M-state Petri space of the 2-way wagged pipeline
+//! thus retains 52.6 MB ([`StateSpace::heap_bytes`]): 23.9 MB of words,
+//! 11.9 MB of parent links and 16.8 MB of index.
 //!
 //! # Determinism
 //!
@@ -56,8 +77,10 @@
 //!
 //! # Dead states
 //!
-//! The driver holds each state's enabled set at the moment it commits the
-//! state, so it records there, once, whether that set is empty.
+//! The driver computes each state's enabled set when it commits the state
+//! and keeps it only until the level after the state's own has been
+//! expanded (see [What a state costs](self#what-a-state-costs)), so it
+//! records at the commit, once, whether that set is empty.
 //! [`StateSpace::deadlocks`] is the resulting ascending list of dead states.
 //! It covers *every* committed state, frontier states of a truncated run
 //! included, so "dead" never has to be re-derived from the successors, where
@@ -124,7 +147,7 @@ use crate::{PetriNet, TransitionId};
 use rap_obs::Obs;
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Sentinel parent id of the initial state.
@@ -309,10 +332,11 @@ impl StateId {
 /// with the system's actions `A` ([`TransitionSystem::Action`]):
 /// [`TransitionId`]s for a net, `Event`s for the DFS semantics.
 ///
-/// A dense state arena plus parent links, the dead list and the dedup
-/// index, all keyed by [`StateId`]s in BFS discovery order. It stores no
-/// edges: it keeps the system it was explored from, and
-/// [`StateSpace::successors`] re-expands a state on each call (see
+/// The states' words and parent links (in blocks that never move), the
+/// dead list and the dedup index, all keyed by [`StateId`]s in BFS
+/// discovery order. It stores no edges: it keeps the system it was
+/// explored from, and [`StateSpace::successors`] re-expands a state on
+/// each call (see
 /// [States, not edges](crate::engine#states-not-edges)). A quotient space
 /// also keeps the symmetry it was explored under and each state's discovery
 /// rotation, so its traces can be made concrete
@@ -325,11 +349,11 @@ pub struct StateSpace<A = TransitionId> {
     pub(crate) bits: usize,
     /// Words per state (≥ 1 even for zero-width states).
     stride: usize,
-    /// State `i` occupies `arena[i * stride..(i + 1) * stride]`.
-    arena: Vec<u64>,
+    /// Per state: its `stride` words.
+    arena: Rows<u64>,
     /// Per state: `(parent, action index)`; the initial state has parent
     /// `NO_PARENT`.
-    parents: Vec<(u32, u32)>,
+    parents: Rows<(u32, u32)>,
     /// Per state: the symmetry rotation applied at discovery (empty when
     /// exploring without symmetry — all rotations are then 0).
     rotations: Vec<u16>,
@@ -377,7 +401,7 @@ impl<A: Copy> StateSpace<A> {
     /// always exists); kept for `len`/`is_empty` pairing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.parents.is_empty()
+        self.len() == 0
     }
 
     /// Did exploration stop early, on [`ExploreConfig::max_states`] or
@@ -417,7 +441,7 @@ impl<A: Copy> StateSpace<A> {
     /// computes the state's enabled set from scratch (on a reduced space
     /// its parent's too, to choose the stubborn set again), then fires
     /// each listed action once and looks its target up;
-    /// [`Successors::is_empty`] fires nothing.
+    /// [`Successors::is_empty`] and [`Successors::actions`] fire nothing.
     ///
     /// A truncated space answers what the run explored: a state it never
     /// expanded — the frontier a deadline left, or everything after the
@@ -429,15 +453,15 @@ impl<A: Copy> StateSpace<A> {
         Successors { space: self, state }
     }
 
-    /// Heap bytes the space retains: the capacities of its state arena,
-    /// parent links, rotations, dead list and dedup index (not the system
-    /// it keeps for re-expansion, whose size does not grow with the
-    /// states).
+    /// Heap bytes the space retains: the capacities of its blocks of state
+    /// words and parent links, its rotations, dead list and dedup index
+    /// (not the block tables, 24 bytes a block, nor the system it keeps for
+    /// re-expansion, whose size does not grow with the states).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.arena.capacity() * size_of::<u64>()
-            + self.parents.capacity() * size_of::<(u32, u32)>()
+        self.arena.capacity_bytes()
+            + self.parents.capacity_bytes()
             + self.rotations.capacity() * size_of::<u16>()
             + self.dead.capacity() * size_of::<StateId>()
             + self.index.slots.capacity() * size_of::<u32>()
@@ -450,44 +474,60 @@ impl<A: Copy> StateSpace<A> {
         state.index() < self.expanded && self.dead.binary_search(&state).is_err()
     }
 
+    /// The system, to re-expand a state with.
+    fn system(&self) -> MutexGuard<'_, Box<dyn TransitionSystem<Action = A> + Send>> {
+        // a system method that panicked may have left its scratch (a
+        // half-built stubborn set) dirty, so a poisoned lock is a bug
+        self.system
+            .lock()
+            .expect("no earlier re-expansion panicked")
+    }
+
+    /// The raw actions the run fired in `state`, in firing order: its
+    /// enabled set, or on a reduced space the stubborn subset chosen again
+    /// from the state and the enabled set of the parent that discovered it.
+    fn fired(&self, sys: &mut dyn TransitionSystem<Action = A>, state: StateId) -> Vec<usize> {
+        let astride = self.actions.len().div_ceil(64).max(1);
+        let enabled = |sys: &mut dyn TransitionSystem<Action = A>, s: StateId| {
+            let mut en = vec![0u64; astride];
+            sys.write_enabled_full(self.words(s), &mut en);
+            en
+        };
+        let mut fire = enabled(sys, state);
+        if self.stubborn {
+            let (parent, _) = self.parents.row(state.index());
+            let before = (parent != NO_PARENT).then(|| enabled(sys, StateId(parent)));
+            let sym = self.symmetry.as_ref().filter(|s| s.order() > 1);
+            let mut choice = Expansion::new(astride);
+            choice.choose(
+                sys,
+                self.words(state),
+                &fire,
+                before.as_deref(),
+                sym.map(|sy| (sy, self.rotation(state))),
+            );
+            fire = choice.actions;
+        }
+        places_of(fire.iter().enumerate().map(|(w, &m)| (w as u32, m))).collect()
+    }
+
     /// Re-expands `state` (see [`StateSpace::successors`]).
     fn expand(&self, state: StateId) -> Vec<(A, StateId)> {
         let mut edges = Vec::new();
         if !self.has_successors(state) {
             return edges;
         }
-        // a system method that panicked may have left its scratch (a
-        // half-built stubborn set) dirty, so a poisoned lock is a bug
-        let mut sys = self
-            .system
-            .lock()
-            .expect("no earlier re-expansion panicked");
+        let mut sys = self.system();
         let sys = &mut **sys;
-        let astride = self.actions.len().div_ceil(64).max(1);
+        let fired = self.fired(sys, state);
         let sym = self.symmetry.as_ref().filter(|s| s.order() > 1);
-        // the enabled sets the driver held: the state's, and for the
-        // stubborn choice its parent's
-        let enabled = |sys: &mut dyn TransitionSystem<Action = A>, s: StateId| {
-            let mut en = vec![0u64; astride];
-            sys.write_enabled_full(self.words(s), &mut en);
-            en
-        };
         let words = self.words(state);
-        let mut fire = enabled(sys, state);
-        if self.stubborn {
-            let (parent, _) = self.parents[state.index()];
-            let before = (parent != NO_PARENT).then(|| enabled(sys, StateId(parent)));
-            let rotation = sym.map(|sy| (sy, self.rotation(state)));
-            let mut choice = Expansion::new(astride);
-            choice.choose(sys, words, &fire, before.as_deref(), rotation);
-            fire = choice.actions;
-        }
         let (mut raw, mut canon, mut tmp) = (
             vec![0; self.stride],
             vec![0; self.stride],
             vec![0; self.stride],
         );
-        for a in places_of(fire.iter().enumerate().map(|(w, &m)| (w as u32, m))) {
+        for a in fired {
             sys.apply(a, words, &mut raw);
             let cand = match sym {
                 Some(sy) => {
@@ -497,8 +537,7 @@ impl<A: Copy> StateSpace<A> {
                 None => &raw,
             };
             // a target the budget kept out ends the interrupted state's list
-            let hash = hash_words(cand);
-            let Some(id) = self.index.find(hash, cand, &self.arena, self.stride) else {
+            let Some(id) = self.index.find(hash_words(cand), cand, &self.arena) else {
                 break;
             };
             edges.push((self.actions[a], StateId(id)));
@@ -506,11 +545,26 @@ impl<A: Copy> StateSpace<A> {
         edges
     }
 
+    /// The actions of `state`'s edges (see [`Successors::actions`]).
+    fn listed_actions(&self, state: StateId) -> Vec<A> {
+        if !self.has_successors(state) {
+            return Vec::new();
+        }
+        // the state the budget interrupted lists only the prefix whose
+        // targets made it into the index
+        let interrupted = matches!(self.outcome, ExploreOutcome::Truncated { .. })
+            && state.index() + 1 == self.expanded;
+        if interrupted {
+            return self.expand(state).into_iter().map(|(a, _)| a).collect();
+        }
+        let fired = self.fired(&mut **self.system(), state);
+        fired.into_iter().map(|a| self.actions[a]).collect()
+    }
+
     /// The word-packed bits of `state` (the same width for every state).
     #[must_use]
     pub fn words(&self, state: StateId) -> &[u64] {
-        let i = state.index();
-        &self.arena[i * self.stride..(i + 1) * self.stride]
+        self.arena.get(state.index())
     }
 
     /// The dead states — no action enabled — in ascending order, recorded
@@ -543,7 +597,7 @@ impl<A: Copy> StateSpace<A> {
     pub fn trace_to(&self, state: StateId) -> Vec<A> {
         self.path(state)[1..]
             .iter()
-            .map(|s| self.actions[self.parents[s.index()].1 as usize])
+            .map(|s| self.actions[self.parents.row(s.index()).1 as usize])
             .collect()
     }
 
@@ -567,7 +621,7 @@ impl<A: Copy> StateSpace<A> {
         path[1..]
             .iter()
             .map(|&s| {
-                let a = sym.unrotate_action(rot, self.parents[s.index()].1);
+                let a = sym.unrotate_action(rot, self.parents.row(s.index()).1);
                 rot = (rot + self.rotation(s)) % order;
                 self.actions[a as usize]
             })
@@ -607,7 +661,7 @@ impl<A: Copy> StateSpace<A> {
     fn path(&self, state: StateId) -> Vec<StateId> {
         let mut path = vec![state];
         loop {
-            let (parent, _) = self.parents[path[path.len() - 1].index()];
+            let (parent, _) = self.parents.row(path[path.len() - 1].index());
             if parent == NO_PARENT {
                 break;
             }
@@ -651,6 +705,16 @@ impl<A: Copy> Successors<'_, A> {
     pub fn iter(&self) -> std::vec::IntoIter<(A, StateId)> {
         self.to_vec().into_iter()
     }
+
+    /// The edges' actions in firing order, without firing them or looking
+    /// up their targets: the state's enabled set, or its stubborn choice,
+    /// read off directly. Only the state the budget interrupted is
+    /// re-expanded, since its list ends at the first target the budget
+    /// kept out of the index.
+    #[must_use]
+    pub fn actions(&self) -> Vec<A> {
+        self.space.listed_actions(self.state)
+    }
 }
 
 impl<A: Copy> IntoIterator for Successors<'_, A> {
@@ -685,11 +749,80 @@ fn hash_words(words: &[u64]) -> u64 {
     h ^ (h >> 32)
 }
 
+/// States per storage block: a space's state words and parent links grow
+/// a block at a time, and a block, once reserved, never moves (see
+/// [What a state costs](self#what-a-state-costs)).
+pub const BLOCK_STATES: usize = 1 << 14;
+
+/// Fixed-width per-state rows in blocks of [`BLOCK_STATES`] rows, appended
+/// and never moved. The first block grows like a vector, up to a block;
+/// every later block is reserved whole.
+struct Rows<T> {
+    /// Elements per row.
+    width: usize,
+    blocks: Vec<Vec<T>>,
+    len: usize,
+}
+
+impl<T: Copy> Rows<T> {
+    fn new(width: usize) -> Self {
+        Rows {
+            width,
+            blocks: vec![Vec::new()],
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Row `i`.
+    #[inline]
+    fn get(&self, i: usize) -> &[T] {
+        let start = (i % BLOCK_STATES) * self.width;
+        &self.blocks[i / BLOCK_STATES][start..start + self.width]
+    }
+
+    /// Row `i` of one-element rows.
+    #[inline]
+    fn row(&self, i: usize) -> T {
+        self.get(i)[0]
+    }
+
+    fn push(&mut self, row: &[T]) {
+        let full = BLOCK_STATES * self.width;
+        let last = self
+            .blocks
+            .last_mut()
+            .expect("the first block always exists");
+        if last.len() == full {
+            let mut block = Vec::with_capacity(full);
+            block.extend_from_slice(row);
+            self.blocks.push(block);
+        } else {
+            if last.len() == last.capacity() {
+                // only the first block is short: double it, up to a block
+                let grown = (2 * last.capacity()).clamp(self.width, full);
+                last.reserve_exact(grown - last.len());
+            }
+            last.extend_from_slice(row);
+        }
+        self.len += 1;
+    }
+
+    /// Bytes the blocks reserve.
+    fn capacity_bytes(&self) -> usize {
+        let rows: usize = self.blocks.iter().map(Vec::capacity).sum();
+        rows * std::mem::size_of::<T>()
+    }
+}
+
 const EMPTY_SLOT: u32 = u32::MAX;
 
-/// Open-addressing dedup table over arena-resident states. Slots store
-/// state ids; collisions are resolved by comparing the actual arena
-/// slices, so the compact hash never mis-identifies a state.
+/// Open-addressing dedup table over the stored states. Slots store state
+/// ids; collisions are resolved by comparing the states' words, so the
+/// compact hash never mis-identifies a state.
 struct DedupTable {
     slots: Vec<u32>,
     mask: usize,
@@ -706,15 +839,14 @@ impl DedupTable {
         }
     }
 
-    fn find(&self, hash: u64, cand: &[u64], arena: &[u64], stride: usize) -> Option<u32> {
+    fn find(&self, hash: u64, cand: &[u64], states: &Rows<u64>) -> Option<u32> {
         let mut i = (hash as usize) & self.mask;
         loop {
             let slot = self.slots[i];
             if slot == EMPTY_SLOT {
                 return None;
             }
-            let s = slot as usize * stride;
-            if &arena[s..s + stride] == cand {
+            if states.get(slot as usize) == cand {
                 return Some(slot);
             }
             i = (i + 1) & self.mask;
@@ -731,15 +863,14 @@ impl DedupTable {
 
     /// Inserts a freshly appended state, growing at 50% load (cheap probes
     /// beat memory here: slots are 4 bytes). State ids are dense, so growth
-    /// rehashes by re-reading the arena.
-    fn insert(&mut self, hash: u64, id: u32, arena: &[u64], stride: usize) {
+    /// rehashes by re-reading the stored states.
+    fn insert(&mut self, hash: u64, id: u32, states: &Rows<u64>) {
         if (self.len + 1) * 2 > self.slots.len() {
             let cap = self.slots.len() * 2;
             self.slots = vec![EMPTY_SLOT; cap];
             self.mask = cap - 1;
-            for prev in 0..self.len as u32 {
-                let s = prev as usize * stride;
-                self.insert_raw(hash_words(&arena[s..s + stride]), prev);
+            for prev in 0..self.len {
+                self.insert_raw(hash_words(states.get(prev)), prev as u32);
             }
         }
         self.insert_raw(hash, id);
@@ -798,24 +929,32 @@ pub fn explore<S: TransitionSystem + Send + 'static>(
 
     // the initial state, canonicalized under symmetry; its enabled set is
     // computed from scratch directly on the representative
-    let mut arena = vec![0u64; stride];
-    sys.write_initial(&mut arena);
+    let mut initial = vec![0u64; stride];
+    sys.write_initial(&mut initial);
     let mut rotations: Vec<u16> = Vec::new();
     if let Some(sy) = sym {
-        scratch.copy_from_slice(&arena);
-        let r = sy.canonicalize(&scratch, &mut arena, &mut tmp);
+        scratch.copy_from_slice(&initial);
+        let r = sy.canonicalize(&scratch, &mut initial, &mut tmp);
         rotations.push(r as u16);
     }
-    let mut en_arena = vec![0u64; astride];
-    sys.write_enabled_full(&arena, &mut en_arena);
-
-    let mut parents: Vec<(u32, u32)> = vec![(NO_PARENT, 0)];
+    let mut arena = Rows::new(stride);
+    arena.push(&initial);
+    let mut parents = Rows::new(1);
+    parents.push(&[(NO_PARENT, 0)]);
     let mut table = DedupTable::new();
-    table.insert(hash_words(&arena[..stride]), 0, &arena, stride);
+    table.insert(hash_words(&initial), 0, &arena);
+
+    // Enabled sets of three levels, each indexed from its level's first
+    // id: the level being expanded, its parents' level (the stubborn
+    // choice reads a state's parent), and the level being discovered.
+    let mut en_level = vec![0u64; astride];
+    sys.write_enabled_full(&initial, &mut en_level);
+    let mut en_parents: Vec<u64> = Vec::new();
+    let mut en_next: Vec<u64> = Vec::new();
 
     let mut outcome = ExploreOutcome::Complete;
     let mut dead: Vec<StateId> = Vec::new();
-    if none_enabled(&en_arena) {
+    if none_enabled(&en_level) {
         dead.push(StateId(0));
     }
     // observability tallies, flushed to the recorder once after the run
@@ -828,8 +967,10 @@ pub fn explore<S: TransitionSystem + Send + 'static>(
 
     // States are discovered in BFS order, so each level is the id range
     // the previous one appended: everything below `level_start` is
-    // expanded, everything from `level_end` on is the next frontier.
+    // expanded, everything from `level_end` on is the next frontier, and
+    // the parents of the level are the ids from `parents_start`.
     let mut level_start = 0usize;
+    let mut parents_start = 0usize;
     'bfs: loop {
         let level_end = parents.len();
         if level_end == level_start {
@@ -838,16 +979,20 @@ pub fn explore<S: TransitionSystem + Send + 'static>(
         levels += 1;
         peak_frontier = peak_frontier.max(level_end - level_start);
         for s in level_start..level_end {
-            let en_base = s * astride;
+            let en_base = (s - level_start) * astride;
+            let enabled = &en_level[en_base..en_base + astride];
             let edges_before = edges;
             if cfg.stubborn {
-                let (parent, _) = parents[s];
-                let p = parent as usize * astride;
+                let (parent, _) = parents.row(s);
+                let before = (parent != NO_PARENT).then(|| {
+                    let p = (parent as usize - parents_start) * astride;
+                    &en_parents[p..p + astride]
+                });
                 stubborn.choose(
                     &mut sys,
-                    &arena[s * stride..(s + 1) * stride],
-                    &en_arena[en_base..en_base + astride],
-                    (parent != NO_PARENT).then(|| &en_arena[p..p + astride]),
+                    arena.get(s),
+                    enabled,
+                    before,
                     sym.map(|sy| (sy, u32::from(rotations[s]))),
                 );
             }
@@ -855,12 +1000,12 @@ pub fn explore<S: TransitionSystem + Send + 'static>(
                 let mut bits = if cfg.stubborn {
                     stubborn.actions[wi]
                 } else {
-                    en_arena[en_base + wi]
+                    enabled[wi]
                 };
                 while bits != 0 {
                     let a = wi * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    sys.apply(a, &arena[s * stride..(s + 1) * stride], &mut scratch);
+                    sys.apply(a, arena.get(s), &mut scratch);
                     let (cand, rotation): (&[u64], u32) = match sym {
                         Some(sy) => {
                             let r = sy.canonicalize(&scratch, &mut canon, &mut tmp);
@@ -869,7 +1014,7 @@ pub fn explore<S: TransitionSystem + Send + 'static>(
                         None => (&scratch, 0),
                     };
                     let hash = hash_words(cand);
-                    match table.find(hash, cand, &arena, stride) {
+                    match table.find(hash, cand, &arena) {
                         Some(id) => {
                             if (id as usize) < level_end {
                                 dedup_known += 1;
@@ -884,11 +1029,11 @@ pub fn explore<S: TransitionSystem + Send + 'static>(
                                 break 'bfs;
                             }
                             let id = parents.len() as u32;
-                            arena.extend_from_slice(cand);
+                            arena.push(cand);
                             // the incremental update is valid for the raw
                             // successor; rotate the result into the
                             // representative's frame
-                            en_scratch.copy_from_slice(&en_arena[en_base..en_base + astride]);
+                            en_scratch.copy_from_slice(enabled);
                             sys.update_enabled(a, &scratch, &mut en_scratch);
                             let en = match sym {
                                 Some(sy) if rotation > 0 => {
@@ -897,17 +1042,17 @@ pub fn explore<S: TransitionSystem + Send + 'static>(
                                 }
                                 _ => &en_scratch,
                             };
-                            en_arena.extend_from_slice(en);
+                            en_next.extend_from_slice(en);
                             if none_enabled(en) {
                                 dead.push(StateId(id));
                             }
-                            parents.push((s as u32, a as u32));
+                            parents.push(&[(s as u32, a as u32)]);
                             if sym.is_some() {
                                 // lossless: rotations are below the order,
                                 // which is at most `MAX_SYMMETRY_ORDER`
                                 rotations.push(rotation as u16);
                             }
-                            table.insert(hash, id, &arena, stride);
+                            table.insert(hash, id, &arena);
                         }
                     }
                     edges += 1;
@@ -922,6 +1067,12 @@ pub fn explore<S: TransitionSystem + Send + 'static>(
             outcome = ExploreOutcome::DeadlineExpired { deadline };
             break;
         }
+        // the expanded level becomes the parents' level, the discovered one
+        // the level to expand, and the oldest buffer is reused
+        std::mem::swap(&mut en_parents, &mut en_level);
+        std::mem::swap(&mut en_level, &mut en_next);
+        en_next.clear();
+        parents_start = level_start;
         level_start = level_end;
     }
     let obs = &cfg.obs;
@@ -1920,11 +2071,35 @@ mod tests {
         assert!(first.deadlocks().is_empty());
     }
 
-    /// What a space retains: at least its arena and parent links.
+    /// What a space retains: its states' own rows (words and parent
+    /// links) and the index, and past them at most one block of slack,
+    /// where doubling would leave up to as much again as the space holds.
+    /// The net is `fan` widened to 15 one-shot transitions beside a 3-place
+    /// ring: 3 × 2^15 states, six blocks, which doubling would round up to
+    /// eight.
     #[test]
-    fn heap_bytes_covers_the_states() {
-        let g = explore(NetSystem::new(&ring(100)), &cfg(1_000), None);
-        assert!(g.heap_bytes() >= g.len() * (8 + 8));
+    fn heap_bytes_keeps_at_most_one_block_of_slack() {
+        let mut net = ring(3);
+        for i in 0..15 {
+            let p = net.add_place(format!("q{i}"), true);
+            let t = net.add_transition(format!("u{i}"));
+            net.consume(t, p);
+        }
+        // a state's row: its words and its parent link
+        let held = |g: &StateSpace| {
+            let row = g.stride * 8 + 8;
+            (g.len() * row + g.index.slots.capacity() * 4, row)
+        };
+        let g = explore(NetSystem::new(&net), &cfg(usize::MAX), None);
+        assert_eq!(g.len(), 3 << 15);
+        let (rows, row) = held(&g);
+        assert!(g.heap_bytes() >= rows);
+        assert!(g.heap_bytes() - rows <= BLOCK_STATES * row);
+        // a small space reserves no whole block
+        let small = explore(NetSystem::new(&ring(100)), &cfg(1_000), None);
+        let (rows, row) = held(&small);
+        assert!(small.heap_bytes() >= rows);
+        assert!(small.heap_bytes() - rows <= small.len() * row);
     }
 
     fn cfg(max_states: usize) -> ExploreConfig {

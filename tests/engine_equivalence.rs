@@ -12,7 +12,8 @@
 //! reject) and the pipeline generators the paper's flow actually explores
 //! (the `perf_cross_check.rs` shapes: reconfigurable-depth pipelines and
 //! wagged pipelines), plus a 9-place token ring and a three-register DFS
-//! ring at budgets that cut them.
+//! ring at budgets that cut them, and a three-block pipeline cut around a
+//! storage-block boundary.
 
 use proptest::prelude::*;
 use rap::dfs::pipelines::{build_pipeline, PipelineSpec};
@@ -200,6 +201,29 @@ fn wagged_shapes_agree() {
         let cap = 30_000;
         assert_pn_equivalent(&img.net, cap).unwrap_or_else(|e| panic!("petri ways={ways}: {e}"));
         assert_lts_equivalent(&w.dfs, cap).unwrap_or_else(|e| panic!("lts ways={ways}: {e}"));
+    }
+}
+
+/// `reconfigurable_depth(3,1)`'s 34,704 states fill three storage blocks
+/// on both backends: unbounded, and cut one below, at and one above the
+/// first block boundary, so states on both sides of it and a budget stop
+/// right after it are read back through the blocks.
+#[test]
+fn block_boundaries_agree() {
+    let dfs = build_pipeline(&PipelineSpec::reconfigurable_depth(3, 1).unwrap())
+        .unwrap()
+        .dfs;
+    let net = to_petri(&dfs).net;
+    let block = rap::petri::engine::BLOCK_STATES;
+    assert_eq!(
+        explore_truncated(&net, cfg(usize::MAX))
+            .len()
+            .div_ceil(block),
+        3
+    );
+    for budget in [usize::MAX, block - 1, block, block + 1] {
+        assert_pn_equivalent(&net, budget).unwrap_or_else(|e| panic!("petri {budget}: {e}"));
+        assert_lts_equivalent(&dfs, budget).unwrap_or_else(|e| panic!("lts {budget}: {e}"));
     }
 }
 
