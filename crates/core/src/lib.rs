@@ -11,7 +11,7 @@
 //! * a translation to 1-safe Petri nets with read arcs (Fig. 3) —
 //!   [`mod@to_petri`],
 //! * formal verification (deadlock, control mismatch, persistence) through
-//!   the `rap-petri` explorer and `rap-reach` predicates — [`verify`],
+//!   the one `rap-petri` check, decided in one exploration — [`verify`],
 //! * interactive and timed simulation — [`sim`], [`timed`],
 //! * performance analysis: maximum-cycle-ratio throughput bounds and
 //!   bottleneck cycles (Fig. 5) — [`perf`], with automatic buffer

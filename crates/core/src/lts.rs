@@ -84,7 +84,7 @@ impl Lts {
     #[must_use]
     pub fn explore_with(dfs: &Dfs, cfg: &ExploreConfig, symmetry: Option<&StateSymmetry>) -> Lts {
         Lts {
-            space: engine::explore(DfsSystem::new(dfs), cfg, symmetry),
+            space: engine::explore(DfsSystem::new(dfs), cfg, symmetry, &mut ()),
             node_count: dfs.node_count(),
         }
     }

@@ -1,15 +1,15 @@
 //! Formal verification of DFS models (§II-B, §II-D, §III-A).
 //!
-//! A model is mechanically translated into its Petri net (Fig. 3) and the
-//! standard properties are decided by the `rap-petri` explorer — standing in
-//! for the MPSAT backend:
+//! A model is mechanically translated into its Petri net (Fig. 3), and one
+//! [`rap_petri::analysis::check`] decides the standard properties during
+//! one exhaustive exploration — standing in for the MPSAT backend:
 //!
 //! * **deadlock** — a reachable marking with no enabled transition;
 //! * **control mismatch** — some node sees both a True and a False guard
-//!   token simultaneously (the "disabled node" condition of §II-B),
-//!   expressed as a generated Reach predicate over the `Mt_*`/`Mf_*` places;
-//! * **non-persistence** — an enabled event disabled by another firing
-//!   (a hazard at the dataflow level; intended free choices of control
+//!   token simultaneously (the "disabled node" condition of §II-B), a
+//!   marking that must never be reached: sets of `Mt_*`/`Mf_*` places;
+//! * **non-persistence** — an enabled event disabled by another firing (a
+//!   hazard at the dataflow level; intended free choices of control
 //!   registers are exempted).
 //!
 //! Counterexamples are mapped back to DFS event labels.
@@ -17,9 +17,9 @@
 use crate::graph::{Dfs, GuardMode};
 use crate::to_petri::{to_petri, PetriImage};
 use crate::DfsError;
-use rap_petri::analysis as pn_analysis;
-use rap_petri::reachability::{explore, ExploreConfig, StateSpace};
-use rap_reach::{Expr, NameRef, Predicate};
+use rap_petri::analysis::{check, Properties};
+use rap_petri::reachability::ExploreConfig;
+use rap_petri::{PlaceId, TransitionId};
 
 /// Verification limits.
 #[derive(Debug, Clone, Copy)]
@@ -67,27 +67,68 @@ impl VerificationReport {
     }
 }
 
-/// Runs all checks on `dfs`.
+/// Runs all checks on `dfs`: every dead state with its trace, the first
+/// control-mismatch state in BFS order, and every hazard.
 ///
 /// # Errors
 ///
 /// [`DfsError::StateBudgetExceeded`] when the reachable space exceeds
-/// `config.max_states`; [`DfsError::Internal`] if the control-mismatch
-/// predicate names a place the translation lacks (a translation bug).
+/// `config.max_states`.
 pub fn verify(dfs: &Dfs, config: &VerifyConfig) -> Result<VerificationReport, DfsError> {
     let img = to_petri(dfs);
-    let space = explore(
-        &img.net,
-        ExploreConfig {
-            max_states: config.max_states,
-            ..ExploreConfig::default()
-        },
-    )?;
+    let mismatches = mismatch_sets(dfs, &img);
+    // intended choices: the Mt_x+/Mf_x+ pair of the same dynamic register
+    let choice = |en: TransitionId, dis: TransitionId| {
+        let (a, b) = (img.label(en), img.label(dis));
+        a.ends_with('+')
+            && b.ends_with('+')
+            && (a.strip_prefix("Mt_") == b.strip_prefix("Mf_")
+                || a.strip_prefix("Mf_") == b.strip_prefix("Mt_"))
+    };
+    let props = Properties {
+        unreachable: &mismatches,
+        persistence: Some(&choice),
+        ..Properties::default()
+    };
+    let cfg = ExploreConfig {
+        max_states: config.max_states,
+        ..ExploreConfig::default()
+    };
+    let report = check(&img.net, &props, &cfg, None);
+    if report.truncated {
+        return Err(DfsError::StateBudgetExceeded {
+            budget: config.max_states,
+        });
+    }
+    let counterexample = |trace: &[TransitionId], reason: String| Counterexample {
+        trace: trace.iter().map(|&t| img.label(t).to_string()).collect(),
+        reason,
+    };
     Ok(VerificationReport {
-        states: space.len(),
-        deadlocks: deadlocks(&img, &space),
-        control_mismatch: control_mismatch(dfs, &img, &space)?,
-        hazards: hazards(dfs, &img, &space),
+        states: report.states,
+        deadlocks: report
+            .deadlocks
+            .iter()
+            .map(|d| counterexample(&d.trace, "deadlock: no event enabled".to_string()))
+            .collect(),
+        control_mismatch: report.reached.map(|w| {
+            counterexample(
+                &w.trace,
+                "control mismatch: True and False guard tokens visible simultaneously".to_string(),
+            )
+        }),
+        hazards: report
+            .conflicts
+            .iter()
+            .map(|v| {
+                let reason = format!(
+                    "non-persistence: {} disabled by {}",
+                    img.label(v.enabled),
+                    img.label(v.disabler)
+                );
+                counterexample(&v.trace, reason)
+            })
+            .collect(),
     })
 }
 
@@ -103,34 +144,23 @@ pub fn certify_translation_safety(dfs: &Dfs) -> bool {
         .is_none()
 }
 
-fn trace_labels(img: &PetriImage, trace: &[rap_petri::TransitionId]) -> Vec<String> {
-    trace.iter().map(|&t| img.label(t).to_string()).collect()
-}
-
-fn deadlocks(img: &PetriImage, space: &StateSpace) -> Vec<Counterexample> {
-    pn_analysis::find_deadlocks(space)
-        .into_iter()
-        .map(|d| Counterexample {
-            trace: trace_labels(img, &d.trace),
-            reason: "deadlock: no event enabled".to_string(),
-        })
-        .collect()
-}
-
-/// Builds the Reach predicate "some node has marked guards with both
-/// values" and searches for a witness. The predicate is a syntax tree over
-/// literal place names, never source text, so no node name the DSL accepts
-/// (quotes and backslashes included) can break it.
-fn control_mismatch(
-    dfs: &Dfs,
-    img: &PetriImage,
-    space: &StateSpace,
-) -> Result<Option<Counterexample>, DfsError> {
-    // Generate the disjunction over all guard pairs of all nodes. Inverted
-    // guards contribute their flipped value places.
-    let marked = |place: String| Expr::Marked(NameRef::Literal(place));
-    let both = |a: String, b: String| Expr::And(Box::new(marked(a)), Box::new(marked(b)));
-    let mut clauses = Vec::new();
+/// The markings "some node has marked guards with both values": per guard
+/// pair of a unanimous node, the two value places that assert opposite
+/// readings, in both assignments, or a register's own `M_x_1` when the node
+/// reads it with both parities. Inverted guards contribute their flipped
+/// value places.
+fn mismatch_sets(dfs: &Dfs, img: &PetriImage) -> Vec<Vec<PlaceId>> {
+    // the `Mt_x_1` (`want`) or `Mf_x_1` value place guard `g` marks when
+    // it effectively reads `want`
+    let value = |g: &crate::graph::RRef, want: bool| {
+        let ((_, mt1), (_, mf1)) = img.value_places[&g.node];
+        if want ^ g.inverted {
+            mt1
+        } else {
+            mf1
+        }
+    };
+    let mut sets = Vec::new();
     for n in dfs.nodes() {
         if dfs.guard_mode(n) != GuardMode::Unanimous {
             continue;
@@ -141,74 +171,15 @@ fn control_mismatch(
                 if a.node == b.node && a.inverted != b.inverted {
                     // same register read with both parities: any marking of
                     // it is a mismatch
-                    clauses.push(marked(format!("M_{}_1", dfs.node(a.node).name)));
+                    sets.push(vec![img.marking_places[&a.node].1]);
                     continue;
                 }
-                clauses.push(Expr::Or(
-                    Box::new(both(place_name(dfs, a, true), place_name(dfs, b, false))),
-                    Box::new(both(place_name(dfs, a, false), place_name(dfs, b, true))),
-                ));
+                sets.push(vec![value(a, true), value(b, false)]);
+                sets.push(vec![value(a, false), value(b, true)]);
             }
         }
     }
-    if clauses.is_empty() {
-        return Ok(None);
-    }
-    // every literal names a place `to_petri` created, so only a
-    // translation bug can leave one unresolved
-    let compiled = Predicate::from(any_of(clauses))
-        .compile(&img.net)
-        .map_err(|e| DfsError::Internal {
-            reason: format!("control-mismatch predicate: {e}"),
-        })?;
-    let witness = rap_reach::find_witness(&img.net, space, &compiled);
-    Ok(witness.map(|w| Counterexample {
-        trace: trace_labels(img, &w.trace),
-        reason: "control mismatch: True and False guard tokens visible simultaneously".to_string(),
-    }))
-}
-
-/// The disjunction of `clauses`, split into halves: its tree grows with the
-/// log of the clause count, so a model with thousands of guard pairs stays
-/// shallow, which a flat left-deep `a | b | …` chain would not.
-fn any_of(mut clauses: Vec<Expr>) -> Expr {
-    let right = clauses.split_off(clauses.len() / 2);
-    if clauses.is_empty() {
-        // at most one clause: itself, or the empty disjunction
-        return right.into_iter().next().unwrap_or(Expr::Const(false));
-    }
-    Expr::Or(Box::new(any_of(clauses)), Box::new(any_of(right)))
-}
-
-/// The value-place name asserting guard `g` effectively reads `want`.
-fn place_name(dfs: &Dfs, g: &crate::graph::RRef, want: bool) -> String {
-    let eff = want ^ g.inverted;
-    let prefix = if eff { "Mt" } else { "Mf" };
-    format!("{prefix}_{}_1", dfs.node(g.node).name)
-}
-
-fn hazards(dfs: &Dfs, img: &PetriImage, space: &StateSpace) -> Vec<Counterexample> {
-    // Intended choices: the Mt_x+/Mf_x+ pair of the same dynamic register.
-    let is_choice_pair = |a: &str, b: &str| -> bool {
-        a.ends_with('+')
-            && b.ends_with('+')
-            && (a.strip_prefix("Mt_") == b.strip_prefix("Mf_")
-                || a.strip_prefix("Mf_") == b.strip_prefix("Mt_"))
-    };
-    let _ = dfs;
-    pn_analysis::find_persistence_violations(&img.net, space, |en, dis| {
-        is_choice_pair(img.label(en), img.label(dis))
-    })
-    .into_iter()
-    .map(|v| Counterexample {
-        trace: trace_labels(img, &v.trace),
-        reason: format!(
-            "non-persistence: {} disabled by {}",
-            img.label(v.enabled),
-            img.label(v.disabler)
-        ),
-    })
-    .collect()
+    sets
 }
 
 #[cfg(test)]

@@ -54,6 +54,7 @@
 //! | `engine.levels` / `engine.states` / `engine.edges` | counter | BFS totals |
 //! | `engine.dedup.known` | counter | edges whose target was committed in an earlier BFS level |
 //! | `engine.frontier.peak` | gauge | widest BFS frontier seen |
+//! | `petri.incidence` | span | building a net's incidence index for one `analysis::check`, beside its `engine.explore` |
 //! | `session.compile` / `session.compile.hit` | span + counter / counter | model compilations / intern-table hits |
 //! | `session.query.<kind>` | span | whole query (`petri`, `perf`, `lts`, `check`, `cost`, `steady`) |
 //! | `session.load` / `session.compute` / `session.commit` | span | store probe / actual analysis / persist-on-commit inside a query |

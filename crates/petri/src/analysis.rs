@@ -1,52 +1,54 @@
-//! Standard verification analyses: deadlock and persistence.
+//! The one net check: deadlock-freedom, 1-safety, unreachable markings and
+//! persistence, decided in one exploration.
 //!
-//! These are the "standard properties" the paper verifies through MPSAT
-//! (§II-D): deadlock freedom, and persistence (absence of hazards — an
-//! enabled event must not be disabled by another event firing). Custom
-//! functional properties are expressed in the Reach-style language of the
-//! `rap-reach` crate and evaluated over the same state space.
+//! These are the paper's standard properties (§II-D): deadlock freedom,
+//! control mismatch (a marking that must never be reached) and persistence
+//! (no enabled event is disabled by another firing), with the 1-safety of
+//! the translation's complementary place pairs. [`check`] decides what it
+//! is asked ([`Properties`]) while the states stream past, through the
+//! engine's [`Watch`] hook, as SPIN and Murφ do:
+//! deadness is recorded as each state commits ([`StateSpace::deadlocks`],
+//! never "no successors", which a truncated run's frontier also has), each
+//! committed state is tested against the `unreachable` sets as word masks,
+//! and each listed edge `a` reports the other enabled transitions `a`'s
+//! row of [`Incidence::disabling_masks`](engine::Incidence::disabling_masks)
+//! holds. Traces, concrete markings and un-rotated quotient witnesses are
+//! built after the run, for what was found. Only 1-safety reads the stored
+//! states afterwards, and only when the pairs fail the P-invariant
+//! certificate ([`crate::invariants::certify_complementary_pairs`]), which
+//! every DFS translation passes.
 //!
-//! Deadness has one definition here, shared with `dfs-core`'s `Lts`: a
-//! state is dead when its enabled set was empty as the explorer committed
-//! it ([`StateSpace::deadlocks`]). No analysis re-derives it from "no
-//! successors", which would also match the unexpanded frontier of a
-//! truncated exploration.
+//! # Derivation
+//!
+//! A verdict is [`QuickVerdict::Violated`] when the run found a violation,
+//! whose witness is reachable and replays on the net. Otherwise it is
+//! [`QuickVerdict::Holds`] when the question is decided, and
+//! [`QuickVerdict::Inconclusive`] (carrying the state budget) when not:
+//!
+//! - a complete run decides deadlock-freedom, reduced or not;
+//! - it decides the other questions only when it was not stubborn-reduced
+//!   ([`ExploreConfig::stubborn`]) and, on a quotient, the symmetry closes
+//!   the question: [`Symmetry::pairs_closed`] for the pairs, for
+//!   persistence an exemption that treats each conflict found like its
+//!   rotations (each conflict is un-rotated to the concrete state before
+//!   the exemption sees it). A quotient never decides, nor tests, the
+//!   `unreachable` sets: a representative need not be reachable;
+//! - otherwise 1-safety holds only through the certificate.
 
-use crate::reachability::{
-    explore_quotient_truncated, explore_truncated, ExploreConfig, StateId, StateSpace,
-};
+use crate::engine::{self, NetSystem, Watch};
+use crate::reachability::{ExploreConfig, StateId, StateSpace};
 use crate::symmetry::Symmetry;
-use crate::{Marking, PetriError, PetriNet, PlaceId, TransitionId};
+use crate::{Marking, PetriNet, PlaceId, TransitionId};
 
 /// A reachable deadlock: a state with no enabled transitions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Deadlock {
-    /// The dead state.
+    /// The dead state (the representative, on a quotient).
     pub state: StateId,
-    /// The dead marking itself.
+    /// The dead marking itself, concrete.
     pub marking: Marking,
-    /// Firing sequence from the initial marking to the dead state.
+    /// Firing sequence from the initial marking to the dead marking.
     pub trace: Vec<TransitionId>,
-}
-
-/// Searches the state space for deadlocks.
-///
-/// Returns all dead states (often one suffices for debugging, but incorrect
-/// control initialisation in DFS models typically produces families of dead
-/// states; reporting them all mirrors the tool's behaviour). Reads the
-/// explorer's dead list ([`StateSpace::deadlocks`]), so a truncated space
-/// reports only states that are really dead, never its unexpanded frontier.
-#[must_use]
-pub fn find_deadlocks(space: &StateSpace) -> Vec<Deadlock> {
-    space
-        .deadlocks()
-        .iter()
-        .map(|&s| Deadlock {
-            state: s,
-            marking: space.marking(s),
-            trace: space.trace_to(s),
-        })
-        .collect()
 }
 
 /// A persistence violation: in `state`, both `enabled` and `disabler` were
@@ -56,7 +58,7 @@ pub fn find_deadlocks(space: &StateSpace) -> Vec<Deadlock> {
 /// concrete: `trace` ([`StateSpace::concrete_trace_to`]) replays on the net
 /// into the marking [`StateSpace::concrete_marking`] gives, and `enabled`
 /// and `disabler` are the conflicting transitions there.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistenceViolation {
     /// State in which the conflict occurs.
     pub state: StateId,
@@ -68,100 +70,32 @@ pub struct PersistenceViolation {
     pub trace: Vec<TransitionId>,
 }
 
-/// Checks persistence over the reachable state space.
-///
-/// A net is *persistent* when no enabled transition can be disabled by the
-/// firing of a different transition. Non-persistence in the PN image of a
-/// DFS model indicates a hazard (§III-A: "several cases of deadlock and
-/// non-persistent behaviour ... were identified").
-///
-/// `allowed_conflicts` lets the caller exempt transition pairs that are
-/// *intended* choices (e.g. the non-deterministic `Mt+`/`Mf+` evaluation of a
-/// control register fed by a data predicate); the predicate receives both
-/// transition ids and should return `true` when the pair is an intended
-/// choice rather than a hazard.
-///
-/// Each state's conflicts are read from its own marking: every disabler
-/// among its edges' actions
-/// ([`Successors::actions`](crate::engine::Successors::actions), which
-/// neither fires them nor looks up their targets) is fired from [`StateSpace::words`]
-/// into a scratch marking, and the other actions are checked there. The
-/// check never reads a successor's stored state, which on a quotient is a
-/// rotated representative in another frame. On a quotient the pairs are
-/// un-rotated to the concrete state before the predicate sees them (see
-/// [`PersistenceViolation`]); a conflict of one orbit member is a
-/// conflict of every member, rotated, so the quotient reports a
-/// violation exactly when the full space does.
-#[must_use]
-pub fn find_persistence_violations(
-    net: &PetriNet,
-    space: &StateSpace,
-    mut allowed_conflicts: impl FnMut(TransitionId, TransitionId) -> bool,
-) -> Vec<PersistenceViolation> {
-    // word-level enabledness via the incidence index: the check runs over
-    // every ordered pair of concurrently enabled transitions, so avoiding a
-    // Marking materialisation per probe matters on large spaces
-    let inc = crate::engine::Incidence::from_net(net);
-    let mut after = vec![0u64; space.words(space.initial()).len()];
-    let mut out = Vec::new();
-    for s in space.states() {
-        let fired = space.successors(s).actions();
-        if fired.len() < 2 {
-            continue;
-        }
-        let words = space.words(s);
-        // the un-rotation into the concrete frame, found on first use
-        let mut rotation = None;
-        for &disabler in &fired {
-            inc.fire_into(disabler, words, &mut after);
-            for &enabled in &fired {
-                if enabled == disabler || inc.is_enabled(enabled, &after) {
-                    continue;
-                }
-                let (enabled, disabler) = match space.symmetry() {
-                    Some(sym) => {
-                        let r = *rotation.get_or_insert_with(|| space.path_rotation(s));
-                        let concrete = |t: TransitionId| {
-                            TransitionId::from_index(
-                                sym.unrotate_action(r, t.index() as u32) as usize
-                            )
-                        };
-                        (concrete(enabled), concrete(disabler))
-                    }
-                    None => (enabled, disabler),
-                };
-                if allowed_conflicts(enabled, disabler) {
-                    continue;
-                }
-                out.push(PersistenceViolation {
-                    state: s,
-                    enabled,
-                    disabler,
-                    trace: space.concrete_trace_to(s),
-                });
-            }
-        }
-    }
-    out
+/// A reachable marking that marks every place of one of the
+/// [`Properties::unreachable`] sets.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reached {
+    /// The first such state in BFS order.
+    pub state: StateId,
+    /// The index of the first set it marks.
+    pub set: usize,
+    /// Trace from the initial marking to `state`.
+    pub trace: Vec<TransitionId>,
 }
 
-/// Outcome of one property of a budget-bounded [`quick_check`].
+/// Outcome of one property of a [`check`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuickVerdict {
-    /// The property holds over the *entire* reachable space (the budget was
-    /// not hit, so the exploration was exhaustive).
+    /// The property holds over the *entire* reachable space (see
+    /// [Derivation](self#derivation) for when a run decides it).
     Holds,
     /// A genuine violation was found (violations found within a truncated
-    /// prefix are still real).
+    /// prefix or a reduced space are still real).
     Violated,
-    /// No violation found, but the state budget truncated the exploration —
-    /// the property holds on the explored prefix only. Carries the budget
-    /// that was hit so callers can report (or retry past) the exact bound.
-    /// [`screen`] also reports 1-safety over uncertified pairs this way,
-    /// truncated or not: its reduced space need not hold the unsafe
-    /// marking.
+    /// No violation found, but the run does not decide the property (see
+    /// [Derivation](self#derivation)): the budget or the deadline cut it,
+    /// or its reduction keeps too little. Carries the state budget.
     Inconclusive {
-        /// The `max_states` budget that stopped exploration.
+        /// The `max_states` budget of the run.
         budget: usize,
     },
 }
@@ -174,7 +108,8 @@ impl QuickVerdict {
     }
 }
 
-/// Result of a budget-bounded deadlock + 1-safety check.
+/// The deadlock and 1-safety part of a [`CheckReport`], with its first
+/// deadlock only: what the session caches and persists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuickCheck {
     /// States explored.
@@ -208,86 +143,267 @@ impl QuickCheck {
     }
 }
 
-/// Budget-bounded deadlock and 1-safety check over the *full* state space.
-/// (The design sweep's cheaper screen, which decides deadlock-freedom on a
-/// stubborn-set reduction, is [`screen`].)
+impl From<CheckReport> for QuickCheck {
+    fn from(r: CheckReport) -> Self {
+        QuickCheck {
+            states: r.states,
+            truncated: r.truncated,
+            deadlock_free: r.deadlock_free,
+            deadlock: r.deadlocks.into_iter().next(),
+            safe: r.safe,
+            unsafe_witness: r.unsafe_witness,
+        }
+    }
+}
+
+/// The questions a [`check`] answers besides deadlock-freedom, which it
+/// always decides. The default asks nothing more.
+#[derive(Clone, Copy, Default)]
+pub struct Properties<'a> {
+    /// 1-safety over complementary place pairs: exactly one place of each
+    /// pair is marked (see [`check_complementary_pairs`]).
+    pub pairs: &'a [(PlaceId, PlaceId)],
+    /// Markings that must never be reached: a marking is bad when it marks
+    /// every place of some set — the shape of a DFS control mismatch. A set
+    /// naming a place the net lacks is never marked.
+    pub unreachable: &'a [Vec<PlaceId>],
+    /// Persistence, when given: no enabled transition is disabled by the
+    /// firing of another. The exemption receives the transition that loses
+    /// its enabledness and the one that disables it, and returns `true` for
+    /// an intended choice rather than a hazard (e.g. the non-deterministic
+    /// `Mt+`/`Mf+` evaluation of a control register fed by a data
+    /// predicate).
+    pub persistence: Option<&'a dyn Fn(TransitionId, TransitionId) -> bool>,
+}
+
+/// Everything a [`check`] decided, with concrete witnesses. It holds no
+/// state space: the run's space is dropped before the report is returned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckReport {
+    /// States explored (orbit representatives on a quotient, the reduced
+    /// space's states on a stubborn run).
+    pub states: usize,
+    /// Whether the budget or the deadline truncated the exploration.
+    pub truncated: bool,
+    /// Deadlock-freedom verdict.
+    pub deadlock_free: QuickVerdict,
+    /// Every dead state found, ascending, each with its concrete marking
+    /// and a trace that replays into it.
+    pub deadlocks: Vec<Deadlock>,
+    /// 1-safety verdict over [`Properties::pairs`].
+    pub safe: QuickVerdict,
+    /// On a safety violation: the offending state and pair index.
+    pub unsafe_witness: Option<(StateId, usize)>,
+    /// Verdict on [`Properties::unreachable`]: `Holds` when no marking
+    /// marks a whole set.
+    pub unreachable: QuickVerdict,
+    /// The first state in BFS order that marks a whole set, if any.
+    pub reached: Option<Reached>,
+    /// Persistence verdict; `None` when it was not asked.
+    pub persistent: Option<QuickVerdict>,
+    /// Every non-exempt conflict found, by state in BFS order, then by
+    /// disabler, then by disabled transition.
+    pub conflicts: Vec<PersistenceViolation>,
+}
+
+/// Checks `net` for everything `props` asks, in one exploration under `cfg`
+/// (its budget, deadline, recorder and [`stubborn`](ExploreConfig::stubborn)
+/// reduction), on the rotation quotient under `sym` when one is given. See
+/// the [module docs](self) for what is decided during the run and how each
+/// verdict is derived.
 ///
-/// Explores at most `max_states` markings (never erroring on overrun,
-/// unlike [`crate::reachability::explore`]) and checks the explored prefix
-/// for deadlocks and for violations of the complementary-pair 1-safety
-/// invariant (see [`check_complementary_pairs`]; DFS translations obtain
-/// the pairs from `PetriImage::complementary_pairs`).
-///
-/// Truncation is handled soundly in both directions: a violation found in
-/// the prefix is a real violation of the net, and a deadlock is a state
-/// whose enabled set the engine found empty when it committed the state
-/// ([`StateSpace::deadlocks`]) — an unexpanded frontier state of a
-/// truncated exploration is *not* a counterexample. When the budget was
-/// hit and nothing was found, the verdicts say
-/// [`QuickVerdict::Inconclusive`] instead of over-claiming.
-///
-/// Neither verdict costs a pass over the explored states. The deadlock
-/// witness is the first entry of the dead list. The 1-safety scan
-/// ([`check_complementary_pairs`]) runs only when the pairs fail the
-/// structural P-invariant certificate
-/// ([`crate::invariants::certify_complementary_pairs`]); a certified pair
-/// set holds on every reachable marking, so the scan could find nothing.
-/// Every DFS translation certifies.
+/// Building the net's system is recorded as the `petri.incidence` span in
+/// `cfg.obs`, beside the engine's `engine.explore`.
+#[must_use]
+pub fn check(
+    net: &PetriNet,
+    props: &Properties<'_>,
+    cfg: &ExploreConfig,
+    sym: Option<&Symmetry>,
+) -> CheckReport {
+    let sys = cfg.obs.time("petri.incidence", || NetSystem::new(net));
+    let mut found = Found {
+        // a representative that marks a set need not be reachable
+        sets: (props.unreachable.iter())
+            .filter(|_| sym.is_none())
+            .map(|set| {
+                set.iter()
+                    .map(|p| (p.index() / 64, 1 << (p.index() % 64)))
+                    .collect()
+            })
+            .collect(),
+        reached: None,
+        disables: (props.persistence).map_or_else(Vec::new, |_| sys.incidence().disabling_masks()),
+        stride: net.transition_count().div_ceil(64).max(1),
+        conflicts: Vec::new(),
+    };
+    let ssym = sym.map(Symmetry::state_symmetry);
+    let space = if found.sets.is_empty() && found.disables.is_empty() {
+        engine::explore(sys, cfg, ssym.as_ref(), &mut ())
+    } else {
+        engine::explore(sys, cfg, ssym.as_ref(), &mut found)
+    };
+
+    let budget = cfg.max_states;
+    let verdict = |violated: bool, decided: bool| match (violated, decided) {
+        (true, _) => QuickVerdict::Violated,
+        (false, true) => QuickVerdict::Holds,
+        (false, false) => QuickVerdict::Inconclusive { budget },
+    };
+    let complete = !space.is_truncated();
+    // does a complete run see every reachable marking, up to the symmetry?
+    let exhaustive = !cfg.stubborn;
+
+    let deadlocks: Vec<Deadlock> = space
+        .deadlocks()
+        .iter()
+        .map(|&s| Deadlock {
+            state: s,
+            marking: space.concrete_marking(s),
+            trace: space.concrete_trace_to(s),
+        })
+        .collect();
+
+    let certified = crate::invariants::certify_complementary_pairs(net, props.pairs).is_none();
+    let unsafe_witness = if certified {
+        None
+    } else {
+        check_complementary_pairs(&space, props.pairs)
+    };
+    let safe_by_run = exhaustive && sym.is_none_or(|sym| sym.pairs_closed(props.pairs));
+
+    let reached = found.reached.map(|(state, set)| Reached {
+        state,
+        set,
+        trace: space.concrete_trace_to(state),
+    });
+
+    let (conflicts, orbits_agree) = match props.persistence {
+        Some(exempt) => concrete_conflicts(&space, sym, found.conflicts, exempt),
+        None => (Vec::new(), true),
+    };
+
+    CheckReport {
+        states: space.len(),
+        truncated: !complete,
+        deadlock_free: verdict(!deadlocks.is_empty(), complete),
+        deadlocks,
+        safe: verdict(
+            unsafe_witness.is_some(),
+            if safe_by_run { complete } else { certified },
+        ),
+        unsafe_witness,
+        unreachable: verdict(reached.is_some(), exhaustive && sym.is_none() && complete),
+        reached,
+        persistent: props.persistence.map(|_| {
+            verdict(
+                !conflicts.is_empty(),
+                exhaustive && orbits_agree && complete,
+            )
+        }),
+        conflicts,
+    }
+}
+
+/// What [`check`] watches for while the engine explores: the first state
+/// that marks a whole set, and every conflict of a listed edge.
+struct Found {
+    /// Per watched set: its places as `(word, bit)` masks.
+    sets: Vec<Vec<(usize, u64)>>,
+    /// The first committed state that marks a whole set, and that set.
+    reached: Option<(StateId, usize)>,
+    /// Per transition, the transitions its firing disables (see
+    /// [`Incidence::disabling_masks`](engine::Incidence::disabling_masks));
+    /// empty when persistence is not asked.
+    disables: Vec<u64>,
+    /// Words per row of `disables`.
+    stride: usize,
+    /// `(state, enabled, disabler)` in the state's frame, in listing order.
+    conflicts: Vec<(StateId, u32, u32)>,
+}
+
+impl Watch for Found {
+    fn commit(&mut self, state: StateId, words: &[u64]) {
+        if self.reached.is_none() {
+            // a place past the state's words is one the net lacks: never marked
+            let marked = |&(w, m): &(usize, u64)| words.get(w).is_some_and(|x| x & m != 0);
+            self.reached = self
+                .sets
+                .iter()
+                .position(|set| set.iter().all(marked))
+                .map(|i| (state, i));
+        }
+    }
+
+    fn fire(&mut self, state: StateId, enabled: &[u64], a: usize) {
+        if self.disables.is_empty() {
+            return;
+        }
+        let disabled = &self.disables[a * self.stride..(a + 1) * self.stride];
+        for (w, (&d, &e)) in disabled.iter().zip(enabled).enumerate() {
+            let mut hit = d & e;
+            if w == a / 64 {
+                hit &= !(1 << (a % 64));
+            }
+            while hit != 0 {
+                let t = w * 64 + hit.trailing_zeros() as usize;
+                hit &= hit - 1;
+                self.conflicts.push((state, t as u32, a as u32));
+            }
+        }
+    }
+}
+
+/// The non-exempt conflicts among the `raw` ones the run found, made
+/// concrete: each pair un-rotated to the state
+/// [`StateSpace::concrete_trace_to`] reaches before `exempt` sees it, with
+/// that trace. Also answers whether `exempt` treats every conflict like
+/// all of its rotations, which makes a quotient's answer the full space's.
+fn concrete_conflicts(
+    space: &StateSpace,
+    sym: Option<&Symmetry>,
+    raw: Vec<(StateId, u32, u32)>,
+    exempt: &dyn Fn(TransitionId, TransitionId) -> bool,
+) -> (Vec<PersistenceViolation>, bool) {
+    let mut out = Vec::new();
+    let mut orbits_agree = true;
+    for (s, enabled, disabler) in raw {
+        let r = space.path_rotation(s);
+        let concrete = |t: u32| {
+            let t = space
+                .symmetry()
+                .map_or(t, |ssym| ssym.unrotate_action(r, t));
+            TransitionId::from_index(t as usize)
+        };
+        let (enabled, disabler) = (concrete(enabled), concrete(disabler));
+        let exempted = exempt(enabled, disabler);
+        if let Some(sym) = sym {
+            let (mut e, mut d) = (enabled, disabler);
+            for _ in 1..sym.order() {
+                (e, d) = (sym.map_transition(e), sym.map_transition(d));
+                orbits_agree &= exempt(e, d) == exempted;
+            }
+        }
+        if !exempted {
+            out.push(PersistenceViolation {
+                state: s,
+                enabled,
+                disabler,
+                trace: space.concrete_trace_to(s),
+            });
+        }
+    }
+    (out, orbits_agree)
+}
+
+/// [`check`] of deadlock-freedom and 1-safety over `pairs`, on the full
+/// space under a state budget.
 #[must_use]
 pub fn quick_check(net: &PetriNet, pairs: &[(PlaceId, PlaceId)], max_states: usize) -> QuickCheck {
-    quick_check_with(
-        net,
-        pairs,
-        &ExploreConfig {
-            max_states,
-            ..ExploreConfig::default()
-        },
-    )
+    check_pairs(net, pairs, max_states, None)
 }
 
-/// [`quick_check`] under an explicit [`ExploreConfig`] — the variant that
-/// exposes the wall-clock [`deadline`](ExploreConfig::deadline) and the
-/// recorder ([`obs`](ExploreConfig::obs)) in addition to the state budget.
-///
-/// A deadline expiry degrades the verdicts like a budget hit: the
-/// exploration stops between two BFS levels and the verdicts over the
-/// (complete-level, deterministic) prefix say
-/// [`QuickVerdict::Inconclusive`] unless a genuine violation was already
-/// found — a runaway check never over-claims, and never runs past its
-/// time box to the state cap. The reported `Inconclusive` budget is the
-/// state budget in force when the clock cut the run.
-#[must_use]
-pub fn quick_check_with(
-    net: &PetriNet,
-    pairs: &[(PlaceId, PlaceId)],
-    cfg: &ExploreConfig,
-) -> QuickCheck {
-    let space = explore_truncated(net, cfg.clone());
-    verdicts_over(net, &space, pairs, cfg.max_states, Derivation::Full)
-}
-
-/// Symmetry-reduced [`quick_check`]: explores the rotation *quotient* under
-/// `sym` (up to `sym.order()`× fewer states for the same verdicts) and
-/// checks the same two properties on the representatives.
-///
-/// Soundness: deadlock-freedom is orbit-invariant (a representative is dead
-/// iff every member of its orbit is), and the engine's quotient discovers
-/// exactly the canonical image of the reachable set, so the deadlock
-/// verdict transfers unchanged, whatever the pairs. The 1-safety scan
-/// reads each representative's concrete marking
-/// ([`check_complementary_pairs`]), a reachable marking, so a violation it
-/// finds is real; a clean scan decides 1-safety over `pairs` only when
-/// **the pair set is closed under the symmetry** (DFS wagging replicates
-/// every variable's complementary pair into each way, so the pair sets it
-/// produces are closed by construction). Over a pair set it does not
-/// close, 1-safety follows the [`screen`]'s rule: [`QuickVerdict::Holds`]
-/// from the structural certificate, [`QuickVerdict::Violated`] when a
-/// concrete marking breaks a pair, and [`QuickVerdict::Inconclusive`]
-/// otherwise.
-///
-/// Counterexamples are made concrete before being reported: the attached
-/// deadlock trace replays on the original net from its real initial
-/// marking ([`StateSpace::concrete_trace_to`]).
+/// [`quick_check`] on the rotation quotient under `sym`.
 #[must_use]
 pub fn quick_check_quotient(
     net: &PetriNet,
@@ -295,153 +411,31 @@ pub fn quick_check_quotient(
     max_states: usize,
     sym: &Symmetry,
 ) -> QuickCheck {
-    let ssym = sym.state_symmetry();
-    let space = explore_quotient_truncated(
-        net,
-        ExploreConfig {
-            max_states,
-            ..ExploreConfig::default()
-        },
-        &ssym,
-    );
-    let derivation = if sym.pairs_closed(pairs) {
-        Derivation::Full
-    } else {
-        Derivation::Reduced
-    };
-    verdicts_over(net, &space, pairs, max_states, derivation)
+    check_pairs(net, pairs, max_states, Some(sym))
 }
 
-/// The design-space screen: deadlock-freedom decided on a stubborn-set
-/// reduced exploration ([`ExploreConfig::stubborn`], see
-/// [`crate::engine`]), on the rotation quotient under `sym` when one is
-/// given, and 1-safety over `pairs` taken from the structural P-invariant
-/// certificate ([`crate::invariants::certify_complementary_pairs`]).
-///
-/// The reduction keeps every reachable dead state and no other state
-/// property, so the verdicts read:
-///
-/// - deadlock-freedom: [`QuickVerdict::Violated`] with a concrete,
-///   replayable witness when a dead state was found,
-///   [`QuickVerdict::Holds`] when the reduced exploration completed
-///   without one, [`QuickVerdict::Inconclusive`] when the budget or the
-///   deadline cut it first;
-/// - 1-safety: [`QuickVerdict::Holds`] whenever the certificate holds,
-///   truncated or not. Otherwise the explored markings are scanned, and a
-///   violation found there is real ([`QuickVerdict::Violated`]); finding
-///   none is [`QuickVerdict::Inconclusive`] (carrying the state budget),
-///   even on a completed run, because the reduced space need not contain
-///   the unsafe marking.
-///
-/// `states` counts the states of the *reduced* space. `cfg`'s other
-/// knobs (budget, deadline, recorder) apply unchanged; its `stubborn`
-/// flag is ignored, the screen always sets it.
-///
-/// # Errors
-///
-/// [`PetriError::InvalidSymmetry`] when `pairs` is not closed under `sym`
-/// (the quotient's 1-safety scan would be unsound); a symmetry that is
-/// not a net automorphism cannot be built in the first place
-/// ([`Symmetry::new`]).
-pub fn screen(
+/// [`check`] of 1-safety over `pairs` under a state budget, everything
+/// else at its default.
+fn check_pairs(
     net: &PetriNet,
-    pairs: &[(PlaceId, PlaceId)],
-    cfg: &ExploreConfig,
-    sym: Option<&Symmetry>,
-) -> Result<QuickCheck, PetriError> {
-    if sym.is_some_and(|sym| !sym.pairs_closed(pairs)) {
-        return Err(PetriError::InvalidSymmetry {
-            reason: "the complementary-pair set is not closed under it".into(),
-        });
-    }
-    let reduced = ExploreConfig {
-        stubborn: true,
-        ..cfg.clone()
-    };
-    let space = match sym {
-        Some(sym) => explore_quotient_truncated(net, reduced, &sym.state_symmetry()),
-        None => explore_truncated(net, reduced),
-    };
-    let derivation = Derivation::Reduced;
-    Ok(verdicts_over(
-        net,
-        &space,
-        pairs,
-        cfg.max_states,
-        derivation,
-    ))
-}
-
-/// How the space a verdict reads was explored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Derivation {
-    /// Every reachable state (or orbit, under a symmetry that closes the
-    /// pair set): both properties are decided by a complete run.
-    Full,
-    /// A stubborn-set reduction, or a quotient under a symmetry that does
-    /// not close the pair set: only the dead states are complete.
-    Reduced,
-}
-
-/// Shared verdict step of [`quick_check`], [`quick_check_quotient`] and
-/// [`screen`]: the first dead state is the witness, and the pairs are
-/// scanned only when they fail the structural certificate (a quotient
-/// needs nothing more when the pair set is closed under the symmetry: a
-/// reachable marking then breaks a pair iff its orbit's scanned concrete
-/// marking breaks one). Over a full space a clean, complete run decides
-/// 1-safety; a reduced one decides it only through the certificate.
-fn verdicts_over(
-    net: &PetriNet,
-    space: &StateSpace,
     pairs: &[(PlaceId, PlaceId)],
     max_states: usize,
-    derivation: Derivation,
+    sym: Option<&Symmetry>,
 ) -> QuickCheck {
-    let truncated = space.is_truncated();
-
-    let deadlock = space.deadlocks().first().map(|&s| Deadlock {
-        state: s,
-        marking: space.concrete_marking(s),
-        trace: space.concrete_trace_to(s),
-    });
-    let deadlock_free = match (&deadlock, truncated) {
-        (Some(_), _) => QuickVerdict::Violated,
-        (None, false) => QuickVerdict::Holds,
-        (None, true) => QuickVerdict::Inconclusive { budget: max_states },
+    let props = Properties {
+        pairs,
+        ..Properties::default()
     };
-
-    let certified = crate::invariants::certify_complementary_pairs(net, pairs).is_none();
-    let unsafe_witness = if certified {
-        None
-    } else {
-        check_complementary_pairs(space, pairs)
+    let cfg = ExploreConfig {
+        max_states,
+        ..ExploreConfig::default()
     };
-    let decided = match derivation {
-        Derivation::Full => !truncated,
-        Derivation::Reduced => certified,
-    };
-    let safe = match (&unsafe_witness, decided) {
-        (Some(_), _) => QuickVerdict::Violated,
-        (None, true) => QuickVerdict::Holds,
-        (None, false) => QuickVerdict::Inconclusive { budget: max_states },
-    };
-
-    QuickCheck {
-        states: space.len(),
-        truncated,
-        deadlock_free,
-        deadlock,
-        safe,
-        unsafe_witness,
-    }
+    check(net, &props, &cfg, sym).into()
 }
 
-/// Verifies that every reachable marking keeps the net 1-safe with respect to
-/// a set of *complementary place pairs*: for each pair exactly one of the two
-/// places is marked.
-///
-/// The DFS translation introduces `x_0`/`x_1` place pairs per state variable;
-/// this check is the structural invariant that validates the translation.
+/// Verifies that every explored marking keeps the net 1-safe with respect
+/// to a set of *complementary place pairs* (the DFS translation's `x_0`/`x_1`
+/// pair per state variable): exactly one place of each pair is marked.
 ///
 /// In a quotient space each state is read as its concrete marking
 /// ([`StateSpace::concrete_marking`]), which is reachable even when the
@@ -477,42 +471,37 @@ pub fn check_complementary_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reachability::{explore, ExploreConfig};
+    use crate::reachability::{explore, explore_quotient_truncated, ExploreConfig};
     use crate::PetriNet;
+
+    /// `check` of `props` on the full space, default budget.
+    fn full(net: &PetriNet, props: &Properties<'_>) -> CheckReport {
+        check(net, props, &ExploreConfig::default(), None)
+    }
+
+    fn stubborn(max_states: usize) -> ExploreConfig {
+        ExploreConfig {
+            max_states,
+            stubborn: true,
+            ..ExploreConfig::default()
+        }
+    }
 
     #[test]
     fn detects_deadlock_with_trace() {
-        // a -> b -> (dead)
-        let mut net = PetriNet::new();
-        let a = net.add_place("a", true);
-        let b = net.add_place("b", false);
-        let c = net.add_place("c", false);
-        let t1 = net.add_transition("t1");
-        net.consume(t1, a);
-        net.produce(t1, b);
-        let t2 = net.add_transition("t2");
-        net.consume(t2, b);
-        net.produce(t2, c);
-        let space = explore(&net, ExploreConfig::default()).unwrap();
-        let dls = find_deadlocks(&space);
-        assert_eq!(dls.len(), 1);
-        assert_eq!(dls[0].trace, vec![t1, t2]);
-        assert!(dls[0].marking.is_marked(c));
+        let (net, _, c) = dead_end_net();
+        let report = full(&net, &Properties::default());
+        assert_eq!(report.deadlocks.len(), 1);
+        let t = |i| TransitionId::from_index(i);
+        assert_eq!(report.deadlocks[0].trace, vec![t(0), t(1)]);
+        assert!(report.deadlocks[0].marking.is_marked(c));
     }
 
     #[test]
     fn live_ring_has_no_deadlock() {
-        let mut net = PetriNet::new();
-        let a = net.add_place("a", true);
-        let b = net.add_place("b", false);
-        let t1 = net.add_transition("t1");
-        net.consume(t1, a);
-        net.produce(t1, b);
-        let t2 = net.add_transition("t2");
-        net.consume(t2, b);
-        net.produce(t2, a);
-        let space = explore(&net, ExploreConfig::default()).unwrap();
-        assert!(find_deadlocks(&space).is_empty());
+        let report = full(&live_ring_net(2), &Properties::default());
+        assert!(report.deadlocks.is_empty());
+        assert_eq!(report.deadlock_free, QuickVerdict::Holds);
     }
 
     /// An unexpanded frontier state of a truncated exploration has no
@@ -520,21 +509,25 @@ mod tests {
     #[test]
     fn truncated_frontier_is_not_a_deadlock() {
         let net = live_ring_net(8);
-        let space = crate::reachability::explore_truncated(
-            &net,
-            ExploreConfig {
-                max_states: 3,
-                ..ExploreConfig::default()
-            },
-        );
+        let cfg = ExploreConfig {
+            max_states: 3,
+            ..ExploreConfig::default()
+        };
+        let space = crate::reachability::explore_truncated(&net, cfg.clone());
         assert!(space.is_truncated());
         assert!(space.successors(StateId::from_index(2)).is_empty());
-        assert!(find_deadlocks(&space).is_empty());
+        let report = check(&net, &Properties::default(), &cfg, None);
+        assert!(report.deadlocks.is_empty());
+        assert_eq!(
+            report.deadlock_free,
+            QuickVerdict::Inconclusive { budget: 3 }
+        );
     }
 
+    /// One token, two competing consumers: a classic conflict, reported in
+    /// both orders unless the exemption accepts it.
     #[test]
     fn detects_choice_as_persistence_violation() {
-        // one token, two competing consumers => classic conflict
         let mut net = PetriNet::new();
         let a = net.add_place("a", true);
         let b = net.add_place("b", false);
@@ -545,12 +538,33 @@ mod tests {
         let t2 = net.add_transition("t2");
         net.consume(t2, a);
         net.produce(t2, c);
-        let space = explore(&net, ExploreConfig::default()).unwrap();
-        let v = find_persistence_violations(&net, &space, |_, _| false);
-        // both orderings are reported
-        assert_eq!(v.len(), 2);
-        let allowed = find_persistence_violations(&net, &space, |_, _| true);
-        assert!(allowed.is_empty());
+        let hazard = |_: TransitionId, _: TransitionId| false;
+        let report = full(
+            &net,
+            &Properties {
+                persistence: Some(&hazard),
+                ..Properties::default()
+            },
+        );
+        assert_eq!(report.persistent, Some(QuickVerdict::Violated));
+        let pairs: Vec<_> = report
+            .conflicts
+            .iter()
+            .map(|v| (v.enabled, v.disabler))
+            .collect();
+        assert_eq!(pairs, [(t2, t1), (t1, t2)]);
+        let choice = |_: TransitionId, _: TransitionId| true;
+        let report = full(
+            &net,
+            &Properties {
+                persistence: Some(&choice),
+                ..Properties::default()
+            },
+        );
+        assert_eq!(report.persistent, Some(QuickVerdict::Holds));
+        assert!(report.conflicts.is_empty());
+        // not asked, not answered
+        assert_eq!(full(&net, &Properties::default()).persistent, None);
     }
 
     #[test]
@@ -566,8 +580,128 @@ mod tests {
         let t2 = net.add_transition("t2");
         net.consume(t2, b);
         net.produce(t2, b1);
-        let space = explore(&net, ExploreConfig::default()).unwrap();
-        assert!(find_persistence_violations(&net, &space, |_, _| false).is_empty());
+        let hazard = |_: TransitionId, _: TransitionId| false;
+        let report = full(
+            &net,
+            &Properties {
+                persistence: Some(&hazard),
+                ..Properties::default()
+            },
+        );
+        assert_eq!(report.persistent, Some(QuickVerdict::Holds));
+    }
+
+    /// A marking that marks a whole set is found at the first state in BFS
+    /// order, with its trace; on a stubborn run finding none is
+    /// inconclusive, on a quotient the sets are not decided at all.
+    #[test]
+    fn unreachable_sets_are_found_at_the_first_state_that_marks_them() {
+        let net = live_ring_net(4);
+        let p = |i: usize| PlaceId::from_index(i);
+        let t = |i: usize| TransitionId::from_index(i);
+        let sets = [vec![p(0), p(1)], vec![p(2)], vec![p(3)]];
+        let report = full(
+            &net,
+            &Properties {
+                unreachable: &sets,
+                ..Properties::default()
+            },
+        );
+        assert_eq!(report.unreachable, QuickVerdict::Violated);
+        let reached = report.reached.expect("p2 is marked after two firings");
+        assert_eq!((reached.state, reached.set), (StateId::from_index(2), 1));
+        assert_eq!(reached.trace, [t(0), t(1)]);
+
+        let never = [vec![p(0), p(1)], vec![PlaceId::from_index(99)]];
+        let props = Properties {
+            unreachable: &never,
+            ..Properties::default()
+        };
+        assert_eq!(full(&net, &props).unreachable, QuickVerdict::Holds);
+        let reduced = check(&net, &props, &stubborn(100), None);
+        assert_eq!(
+            reduced.unreachable,
+            QuickVerdict::Inconclusive { budget: 100 }
+        );
+        let perm: Vec<u32> = (0..4u32).map(|i| (i + 1) % 4).collect();
+        let sym = Symmetry::new(&net, perm).unwrap();
+        let props = Properties {
+            unreachable: &sets,
+            ..Properties::default()
+        };
+        let quo = check(&net, &props, &ExploreConfig::default(), Some(&sym));
+        assert_eq!(
+            quo.unreachable,
+            QuickVerdict::Inconclusive { budget: 2_000_000 }
+        );
+        assert!(quo.reached.is_none());
+    }
+
+    /// On a quotient each conflict is un-rotated before the exemption sees
+    /// it, and an exemption that treats a conflict unlike its rotation
+    /// leaves the quotient's persistence undecided. Two copies, swapped by
+    /// the symmetry, race for one token `m`; the winner then chooses
+    /// between `l` and `r`. The quotient sees copy 0 choose, the full
+    /// space either copy.
+    #[test]
+    fn quotient_conflicts_are_concrete_and_need_a_closed_exemption() {
+        let mut net = PetriNet::new();
+        let copies: Vec<[PlaceId; 4]> = (0..2)
+            .map(|c| ["p", "q", "b", "c"].map(|x| net.add_place(format!("{x}{c}"), x == "p")))
+            .collect();
+        let m = net.add_place("m", true);
+        for (c, [p, q, b, d]) in copies.into_iter().enumerate() {
+            let start = net.add_transition(format!("s{c}"));
+            net.consume(start, p);
+            net.consume(start, m);
+            net.produce(start, q);
+            for (name, to) in [("l", b), ("r", d)] {
+                let t = net.add_transition(format!("{name}{c}"));
+                net.consume(t, q);
+                net.produce(t, to);
+            }
+        }
+        let sym = Symmetry::new(&net, vec![4, 5, 6, 7, 0, 1, 2, 3, 8]).unwrap();
+        let run = |exempt: &dyn Fn(TransitionId, TransitionId) -> bool| {
+            let props = Properties {
+                persistence: Some(exempt),
+                ..Properties::default()
+            };
+            let quo = check(&net, &props, &ExploreConfig::default(), Some(&sym));
+            (full(&net, &props), quo)
+        };
+
+        let (all, quo) = run(&|_, _| false);
+        assert_eq!((all.states, quo.states), (7, 4));
+        assert_eq!(quo.persistent, Some(QuickVerdict::Violated));
+        assert_eq!(quo.conflicts.len(), 4, "the race and copy 0's choice");
+        for v in &quo.conflicts {
+            let mut m = net.initial_marking();
+            for &t in &v.trace {
+                m = net.fire(t, &m).unwrap();
+            }
+            assert!(net.is_enabled(v.enabled, &m) && net.is_enabled(v.disabler, &m));
+            assert!(!net.is_enabled(v.enabled, &net.fire(v.disabler, &m).unwrap()));
+        }
+
+        // transitions s0, l0, r0, s1, l1, r1
+        let either = |e: TransitionId, d: TransitionId, a: usize, b: usize| {
+            let (e, d) = (e.index(), d.index());
+            (e, d) == (a, b) || (e, d) == (b, a)
+        };
+        // exempting the race and copy 0's choice only: the full space sees
+        // copy 1 choose too, the quotient cannot tell
+        let (all, quo) = run(&|e, d| either(e, d, 0, 3) || either(e, d, 1, 2));
+        assert_eq!(all.persistent, Some(QuickVerdict::Violated));
+        assert_eq!(
+            quo.persistent,
+            Some(QuickVerdict::Inconclusive { budget: 2_000_000 })
+        );
+        assert!(quo.conflicts.is_empty());
+        let (all, quo) =
+            run(&|e, d| either(e, d, 0, 3) || either(e, d, 1, 2) || either(e, d, 4, 5));
+        assert_eq!(all.persistent, Some(QuickVerdict::Holds));
+        assert_eq!(quo.persistent, Some(QuickVerdict::Holds));
     }
 
     #[test]
@@ -671,35 +805,45 @@ mod tests {
         assert_eq!(quo.states, 1, "all 6 token positions are one orbit");
     }
 
+    /// Every dead witness of a quotient replays on the original net into
+    /// its concrete dead marking: on two dead-end chains swapped by the
+    /// symmetry, with both chains marked, and with only way 1's marked, so
+    /// that the representative's trace `[t0]` cannot fire from the
+    /// initial marking.
     #[test]
     fn quotient_deadlock_traces_are_concrete() {
-        // two independent dead-end chains a->b (way 0 / way 1), swap-symmetric
-        let mut net = PetriNet::new();
-        let a0 = net.add_place("a0", true);
-        let b0 = net.add_place("b0", false);
-        let a1 = net.add_place("a1", true);
-        let b1 = net.add_place("b1", false);
-        let t0 = net.add_transition("t0");
-        net.consume(t0, a0);
-        net.produce(t0, b0);
-        let t1 = net.add_transition("t1");
-        net.consume(t1, a1);
-        net.produce(t1, b1);
-        // generator: swap ways (a0<->a1, b0<->b1)
-        let sym = Symmetry::new(&net, vec![2, 3, 0, 1]).unwrap();
-        assert_eq!(sym.order(), 2);
-        let qc = quick_check_quotient(&net, &[], 1_000, &sym);
-        assert_eq!(qc.deadlock_free, QuickVerdict::Violated);
-        let dl = qc.deadlock.expect("deadlock witness");
-        // the concrete trace replays on the original net into the concrete
-        // dead marking
-        let mut m = net.initial_marking();
-        for t in &dl.trace {
-            m = net.fire(*t, &m).unwrap();
+        for way0_marked in [true, false] {
+            let mut net = PetriNet::new();
+            let a0 = net.add_place("a0", way0_marked);
+            let b0 = net.add_place("b0", false);
+            let a1 = net.add_place("a1", true);
+            let b1 = net.add_place("b1", false);
+            let t0 = net.add_transition("t0");
+            net.consume(t0, a0);
+            net.produce(t0, b0);
+            let t1 = net.add_transition("t1");
+            net.consume(t1, a1);
+            net.produce(t1, b1);
+            // generator: swap ways (a0<->a1, b0<->b1)
+            let sym = Symmetry::new(&net, vec![2, 3, 0, 1]).unwrap();
+            assert_eq!(sym.order(), 2);
+            let report = check(
+                &net,
+                &Properties::default(),
+                &ExploreConfig::default(),
+                Some(&sym),
+            );
+            assert_eq!(report.deadlock_free, QuickVerdict::Violated);
+            assert!(!report.deadlocks.is_empty());
+            for dl in &report.deadlocks {
+                let mut m = net.initial_marking();
+                for t in &dl.trace {
+                    m = net.fire(*t, &m).expect("the witness trace replays");
+                }
+                assert_eq!(m, dl.marking, "way 0 marked: {way0_marked}");
+                assert!(net.enabled_transitions(&m).is_empty());
+            }
         }
-        assert_eq!(m, dl.marking);
-        assert!(net.enabled_transitions(&m).is_empty());
-        let _ = (a0, b0, a1, b1);
     }
 
     /// Over a pair set the symmetry does not close, the quotient keeps the
@@ -730,6 +874,14 @@ mod tests {
             assert_eq!(qc.safe, safe, "{pairs:?}");
             assert_eq!(qc.deadlock_free, full.deadlock_free);
             assert_eq!(qc.deadlock_free, QuickVerdict::Holds);
+            // the stubborn quotient is just as sound
+            let props = Properties {
+                pairs: &pairs,
+                ..Properties::default()
+            };
+            let reduced = check(&net, &props, &stubborn(1_000), Some(&sym));
+            assert_eq!(reduced.safe, safe, "{pairs:?}");
+            assert_eq!(reduced.deadlock_free, QuickVerdict::Holds);
         }
 
         // two independent flip-flops swapped by the symmetry; the pair of
@@ -810,17 +962,17 @@ mod tests {
         }
     }
 
-    /// The screen decides deadlocks on its reduced space and takes
+    /// A stubborn run decides deadlocks on its reduced space and takes
     /// 1-safety from the certificate: an uncertified pair set is
     /// `Inconclusive` unless a violation was found, even when the reduced
     /// run completed.
     #[test]
-    fn screen_decides_deadlocks_and_takes_safety_from_the_certificate() {
-        let cfg = ExploreConfig::default();
+    fn stubborn_check_decides_deadlocks_and_takes_safety_from_the_certificate() {
+        let cfg = stubborn(2_000_000);
         let (net, _, c) = dead_end_net();
-        let qc = screen(&net, &[], &cfg, None).unwrap();
+        let qc = check(&net, &Properties::default(), &cfg, None);
         assert_eq!(qc.deadlock_free, QuickVerdict::Violated);
-        assert!(qc.deadlock.unwrap().marking.is_marked(c));
+        assert!(qc.deadlocks[0].marking.is_marked(c));
 
         // a two-place ring whose pair is safe, but uncertified: a dead
         // transition marks one side alone
@@ -830,11 +982,17 @@ mod tests {
         let stray = ring.add_transition("stray");
         ring.consume(stray, never);
         ring.produce(stray, p(1));
-        let qc = screen(&ring, &[(p(0), p(1))], &cfg, None).unwrap();
+        fn pairs(pairs: &[(PlaceId, PlaceId)]) -> Properties<'_> {
+            Properties {
+                pairs,
+                ..Properties::default()
+            }
+        }
+        let qc = check(&ring, &pairs(&[(p(0), p(1))]), &cfg, None);
         assert!(!qc.truncated);
         assert_eq!(qc.deadlock_free, QuickVerdict::Holds);
         assert_eq!(qc.safe, QuickVerdict::Inconclusive { budget: 2_000_000 });
-        let qc = screen(&ring, &[(p(0), p(0))], &cfg, None).unwrap();
+        let qc = check(&ring, &pairs(&[(p(0), p(0))]), &cfg, None);
         assert_eq!(qc.safe, QuickVerdict::Violated);
 
         // a certified pair set holds even on a truncated screen
@@ -845,27 +1003,36 @@ mod tests {
         flip.produce(up, x1);
         flip.consume(down, x1);
         flip.produce(down, x0);
-        let tiny = ExploreConfig {
-            max_states: 1,
-            ..ExploreConfig::default()
-        };
-        let qc = screen(&flip, &[(x0, x1)], &tiny, None).unwrap();
+        let qc = check(&flip, &pairs(&[(x0, x1)]), &stubborn(1), None);
         assert!(qc.truncated);
         assert_eq!(qc.deadlock_free, QuickVerdict::Inconclusive { budget: 1 });
         assert_eq!(qc.safe, QuickVerdict::Holds);
-    }
 
-    #[test]
-    fn screen_refuses_a_quotient_over_an_unclosed_pair_set() {
-        let net = live_ring_net(4);
-        let perm: Vec<u32> = (0..4u32).map(|i| (i + 1) % 4).collect();
-        let sym = Symmetry::new(&net, perm).unwrap();
-        let p = |i: usize| PlaceId::from_index(i);
-        let cfg = ExploreConfig::default();
-        let err = screen(&net, &[(p(0), p(1))], &cfg, Some(&sym)).unwrap_err();
-        assert!(matches!(err, PetriError::InvalidSymmetry { .. }), "{err}");
-        let qc = screen(&net, &[], &cfg, Some(&sym)).unwrap();
-        assert_eq!((qc.states, qc.deadlock_free), (1, QuickVerdict::Holds));
+        // two independent flip-flops `a` and `b`, the pair `(b_1, c)`: the
+        // full check finds `b_1` and `c` marked together, the reduction
+        // never fires `b`'s transitions, so a clean reduced run decides
+        // nothing
+        let mut net = PetriNet::new();
+        let places: Vec<PlaceId> = [("a0", true), ("a1", false), ("b0", true), ("b1", false)]
+            .into_iter()
+            .map(|(name, marked)| net.add_place(name, marked))
+            .collect();
+        let c = net.add_place("c", true);
+        for (from, to) in [(0, 1), (1, 0), (2, 3), (3, 2)] {
+            let t = net.add_transition(format!("t{from}{to}"));
+            net.consume(t, places[from]);
+            net.produce(t, places[to]);
+        }
+        let unsafe_pair = [(places[3], c)];
+        let props = pairs(&unsafe_pair);
+        let all = check(&net, &props, &ExploreConfig::default(), None);
+        assert_eq!((all.states, all.safe), (4, QuickVerdict::Violated));
+        let reduced = check(&net, &props, &stubborn(2_000_000), None);
+        assert_eq!(reduced.states, 2);
+        assert_eq!(
+            reduced.safe,
+            QuickVerdict::Inconclusive { budget: 2_000_000 }
+        );
     }
 
     #[test]

@@ -43,11 +43,8 @@
 //! driver explored, truncated runs included (see
 //! [`StateSpace::successors`]). Listing every state's successors of the
 //! 1.48M-state wagged space takes 2.4 s on the Petri net and 2.8 s on the
-//! LTS (release build, 2-core container). A reader that needs only the
-//! actions, as the persistence check does, takes
-//! [`Successors::actions`], which reads them off the chosen set without
-//! firing or looking up a target. `engine.edges` still counts the edges
-//! the run expanded.
+//! LTS (release build, 2-core container). `engine.edges` still counts the
+//! edges the run expanded.
 //!
 //! # What a state costs
 //!
@@ -86,6 +83,13 @@
 //! included, so "dead" never has to be re-derived from the successors, where
 //! an unexpanded frontier state and a deadlock look alike. In a quotient the
 //! recorded set is the representative's, and deadness is orbit-invariant.
+//!
+//! # Watching the run
+//!
+//! A caller that decides properties as the states stream past passes a
+//! [`Watch`] to [`explore`], which shows it each state as it commits and
+//! each edge as it is listed, with the enabled set of the state expanded.
+//! A watch only observes. The no-op `()` compiles to the plain loop.
 //!
 //! # Symmetry reduction
 //!
@@ -441,7 +445,7 @@ impl<A: Copy> StateSpace<A> {
     /// computes the state's enabled set from scratch (on a reduced space
     /// its parent's too, to choose the stubborn set again), then fires
     /// each listed action once and looks its target up;
-    /// [`Successors::is_empty`] and [`Successors::actions`] fire nothing.
+    /// [`Successors::is_empty`] fires nothing.
     ///
     /// A truncated space answers what the run explored: a state it never
     /// expanded — the frontier a deadline left, or everything after the
@@ -483,35 +487,9 @@ impl<A: Copy> StateSpace<A> {
             .expect("no earlier re-expansion panicked")
     }
 
-    /// The raw actions the run fired in `state`, in firing order: its
+    /// Re-expands `state` (see [`StateSpace::successors`]): fires its
     /// enabled set, or on a reduced space the stubborn subset chosen again
     /// from the state and the enabled set of the parent that discovered it.
-    fn fired(&self, sys: &mut dyn TransitionSystem<Action = A>, state: StateId) -> Vec<usize> {
-        let astride = self.actions.len().div_ceil(64).max(1);
-        let enabled = |sys: &mut dyn TransitionSystem<Action = A>, s: StateId| {
-            let mut en = vec![0u64; astride];
-            sys.write_enabled_full(self.words(s), &mut en);
-            en
-        };
-        let mut fire = enabled(sys, state);
-        if self.stubborn {
-            let (parent, _) = self.parents.row(state.index());
-            let before = (parent != NO_PARENT).then(|| enabled(sys, StateId(parent)));
-            let sym = self.symmetry.as_ref().filter(|s| s.order() > 1);
-            let mut choice = Expansion::new(astride);
-            choice.choose(
-                sys,
-                self.words(state),
-                &fire,
-                before.as_deref(),
-                sym.map(|sy| (sy, self.rotation(state))),
-            );
-            fire = choice.actions;
-        }
-        places_of(fire.iter().enumerate().map(|(w, &m)| (w as u32, m))).collect()
-    }
-
-    /// Re-expands `state` (see [`StateSpace::successors`]).
     fn expand(&self, state: StateId) -> Vec<(A, StateId)> {
         let mut edges = Vec::new();
         if !self.has_successors(state) {
@@ -519,8 +497,23 @@ impl<A: Copy> StateSpace<A> {
         }
         let mut sys = self.system();
         let sys = &mut **sys;
-        let fired = self.fired(sys, state);
+        let astride = self.actions.len().div_ceil(64).max(1);
+        let mut enabled = |s: StateId| {
+            let mut en = vec![0u64; astride];
+            sys.write_enabled_full(self.words(s), &mut en);
+            en
+        };
+        let mut fire = enabled(state);
         let sym = self.symmetry.as_ref().filter(|s| s.order() > 1);
+        if self.stubborn {
+            let (parent, _) = self.parents.row(state.index());
+            let before = (parent != NO_PARENT).then(|| enabled(StateId(parent)));
+            let mut choice = Expansion::new(astride);
+            let rotation = sym.map(|sy| (sy, self.rotation(state)));
+            choice.choose(sys, self.words(state), &fire, before.as_deref(), rotation);
+            fire = choice.actions;
+        }
+        let fired = places_of(fire.iter().enumerate().map(|(w, &m)| (w as u32, m)));
         let words = self.words(state);
         let (mut raw, mut canon, mut tmp) = (
             vec![0; self.stride],
@@ -543,22 +536,6 @@ impl<A: Copy> StateSpace<A> {
             edges.push((self.actions[a], StateId(id)));
         }
         edges
-    }
-
-    /// The actions of `state`'s edges (see [`Successors::actions`]).
-    fn listed_actions(&self, state: StateId) -> Vec<A> {
-        if !self.has_successors(state) {
-            return Vec::new();
-        }
-        // the state the budget interrupted lists only the prefix whose
-        // targets made it into the index
-        let interrupted = matches!(self.outcome, ExploreOutcome::Truncated { .. })
-            && state.index() + 1 == self.expanded;
-        if interrupted {
-            return self.expand(state).into_iter().map(|(a, _)| a).collect();
-        }
-        let fired = self.fired(&mut **self.system(), state);
-        fired.into_iter().map(|a| self.actions[a]).collect()
     }
 
     /// The word-packed bits of `state` (the same width for every state).
@@ -643,10 +620,12 @@ impl<A: Copy> StateSpace<A> {
     }
 
     /// The cumulative rotation along `state`'s discovery path: un-rotating
-    /// by it maps `state`'s representative, and the actions fired from it,
-    /// to the concrete state [`StateSpace::concrete_trace_to`] reaches (0
-    /// outside quotient spaces).
-    pub(crate) fn path_rotation(&self, state: StateId) -> u32 {
+    /// by it ([`StateSymmetry::unrotate_action`]) maps `state`'s
+    /// representative, and the actions fired from it, to the concrete
+    /// state [`StateSpace::concrete_trace_to`] reaches (0 outside quotient
+    /// spaces).
+    #[must_use]
+    pub fn path_rotation(&self, state: StateId) -> u32 {
         let Some(sym) = &self.symmetry else {
             return 0;
         };
@@ -704,16 +683,6 @@ impl<A: Copy> Successors<'_, A> {
     /// Iterates over the edges in firing order (re-expands the state).
     pub fn iter(&self) -> std::vec::IntoIter<(A, StateId)> {
         self.to_vec().into_iter()
-    }
-
-    /// The edges' actions in firing order, without firing them or looking
-    /// up their targets: the state's enabled set, or its stubborn choice,
-    /// read off directly. Only the state the budget interrupted is
-    /// re-expanded, since its list ends at the first target the budget
-    /// kept out of the index.
-    #[must_use]
-    pub fn actions(&self) -> Vec<A> {
-        self.space.listed_actions(self.state)
     }
 }
 
@@ -878,9 +847,32 @@ impl DedupTable {
     }
 }
 
+/// What [`explore`] shows its caller while it runs (see
+/// [Watching the run](crate::engine#watching-the-run)).
+pub trait Watch {
+    /// The driver committed `state`, whose bits are `words` (the
+    /// representative, on a quotient), in id order.
+    #[inline]
+    fn commit(&mut self, state: StateId, words: &[u64]) {
+        let _ = (state, words);
+    }
+
+    /// Expanding `state`, whose enabled set is `enabled`, the driver listed
+    /// the edge of raw action `a`, in listing order; the edge a budget cut
+    /// keeps out is not shown.
+    #[inline]
+    fn fire(&mut self, state: StateId, enabled: &[u64], a: usize) {
+        let _ = (state, enabled, a);
+    }
+}
+
+/// Watches nothing.
+impl Watch for () {}
+
 /// Breadth-first exploration of `sys` under `cfg` — the engine's one
 /// driver. The returned space keeps `sys`, to re-expand states for
-/// [`StateSpace::successors`].
+/// [`StateSpace::successors`]. `watch` sees each state and edge as the
+/// run lists it (see [`Watch`]); pass `&mut ()` to watch nothing.
 ///
 /// Truncation: when storing state number `cfg.max_states` would be
 /// required, exploration stops immediately — successors of the state being
@@ -896,10 +888,11 @@ impl DedupTable {
 /// # Panics
 ///
 /// Panics when `symmetry` does not cover the system's state/action bits.
-pub fn explore<S: TransitionSystem + Send + 'static>(
+pub fn explore<S: TransitionSystem + Send + 'static, W: Watch + ?Sized>(
     mut sys: S,
     cfg: &ExploreConfig,
     symmetry: Option<&StateSymmetry>,
+    watch: &mut W,
 ) -> StateSpace<S::Action> {
     let _span = cfg.obs.span("engine.explore");
     let started = Instant::now();
@@ -943,6 +936,7 @@ pub fn explore<S: TransitionSystem + Send + 'static>(
     parents.push(&[(NO_PARENT, 0)]);
     let mut table = DedupTable::new();
     table.insert(hash_words(&initial), 0, &arena);
+    watch.commit(StateId(0), &initial);
 
     // Enabled sets of three levels, each indexed from its level's first
     // id: the level being expanded, its parents' level (the stubborn
@@ -1053,8 +1047,10 @@ pub fn explore<S: TransitionSystem + Send + 'static>(
                                 rotations.push(rotation as u16);
                             }
                             table.insert(hash, id, &arena);
+                            watch.commit(StateId(id), cand);
                         }
                     }
+                    watch.fire(StateId(s as u32), enabled, a);
                     edges += 1;
                 }
             }
@@ -1559,6 +1555,40 @@ impl Incidence {
         let ti = t.index();
         &self.affected[self.affected_off[ti] as usize..self.affected_off[ti + 1] as usize]
     }
+
+    /// Per transition `a`, the word-packed set of the transitions firing
+    /// `a` disables wherever it fires: among its affected transitions,
+    /// those that need a place `a` empties (consumes without producing) or
+    /// forbid a place `a` marks (produces without consuming). Wherever `a`
+    /// fires, an enabled transition loses its enabledness exactly when it
+    /// is in row `a`, the `a`-th run of `transition_count().div_ceil(64)
+    /// .max(1)` words.
+    #[must_use]
+    pub fn disabling_masks(&self) -> Vec<u64> {
+        let stride = self.transitions.div_ceil(64).max(1);
+        let mut masks = vec![0u64; self.transitions * stride];
+        let dense = |rows: &MaskCsr, a: usize| {
+            let mut out = vec![0u64; self.words];
+            rows.row(a).iter().for_each(|&(w, m)| out[w as usize] |= m);
+            out
+        };
+        for a in 0..self.transitions {
+            let (clear, set) = (dense(&self.clear, a), dense(&self.set, a));
+            let meets = |rows: &MaskCsr, t: usize, on: &[u64], off: &[u64]| {
+                rows.row(t).iter().any(|&(w, m)| {
+                    let w = w as usize;
+                    m & on[w] & !off[w] != 0
+                })
+            };
+            for &t in self.affected(TransitionId::from_index(a)) {
+                let t = t as usize;
+                if meets(&self.need, t, &clear, &set) || meets(&self.forbid, t, &set, &clear) {
+                    set_bit(&mut masks[a * stride..(a + 1) * stride], t, true);
+                }
+            }
+        }
+        masks
+    }
 }
 
 /// The set bits (places, or actions) of `(word, mask)` pairs, in ascending
@@ -1940,7 +1970,7 @@ mod tests {
     fn incidence_agrees_with_net_enabledness() {
         let net = ring(5);
         let inc = Incidence::from_net(&net);
-        let g = explore(NetSystem::new(&net), &cfg(1_000), None);
+        let g = explore(NetSystem::new(&net), &cfg(1_000), None, &mut ());
         for s in g.states() {
             let words = g.words(s);
             let m = marking_of(&net, words);
@@ -1954,7 +1984,7 @@ mod tests {
     fn fire_into_matches_net_fire() {
         let net = ring(4);
         let inc = Incidence::from_net(&net);
-        let g = explore(NetSystem::new(&net), &cfg(1_000), None);
+        let g = explore(NetSystem::new(&net), &cfg(1_000), None, &mut ());
         let mut dst = vec![0u64; g.words(g.initial()).len()];
         for s in g.states() {
             let words = g.words(s);
@@ -1974,7 +2004,7 @@ mod tests {
         // changes the enabledness of transitions in affected(t)
         let net = ring(6);
         let inc = Incidence::from_net(&net);
-        let g = explore(NetSystem::new(&net), &cfg(1_000), None);
+        let g = explore(NetSystem::new(&net), &cfg(1_000), None, &mut ());
         let mut dst = vec![0u64; g.words(g.initial()).len()];
         for s in g.states() {
             let words = g.words(s);
@@ -1996,11 +2026,51 @@ mod tests {
         }
     }
 
+    /// Brute-force cross-check: among the transitions enabled in a
+    /// reachable marking, firing `t` disables exactly those in `t`'s row of
+    /// the disabling masks — on a ring and on a choice with a read arc and
+    /// a contact (a transition marking a place another forbids).
+    #[test]
+    fn disabling_masks_are_exact() {
+        let mut choice = PetriNet::new();
+        let (a, b, c) = (
+            choice.add_place("a", true),
+            choice.add_place("b", false),
+            choice.add_place("c", false),
+        );
+        for (name, from, to) in [("ab", a, b), ("ac", a, c)] {
+            let t = choice.add_transition(name);
+            choice.consume(t, from);
+            choice.produce(t, to);
+        }
+        let reader = choice.add_transition("read_a");
+        choice.read(reader, a);
+        choice.produce(reader, c);
+        for net in [ring(6), choice] {
+            let inc = Incidence::from_net(&net);
+            let masks = inc.disabling_masks();
+            let stride = net.transition_count().div_ceil(64).max(1);
+            let g = explore(NetSystem::new(&net), &cfg(1_000), None, &mut ());
+            let mut dst = vec![0u64; g.words(g.initial()).len()];
+            for s in g.states() {
+                let words = g.words(s);
+                for t in net.transitions().filter(|&t| inc.is_enabled(t, words)) {
+                    inc.fire_into(t, words, &mut dst);
+                    let row = &masks[t.index() * stride..(t.index() + 1) * stride];
+                    for u in net.transitions().filter(|&u| inc.is_enabled(u, words)) {
+                        let disabled = !inc.is_enabled(u, &dst);
+                        assert_eq!(get_bit(row, u.index()), disabled, "{t:?} on {u:?}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn dedup_table_grows_correctly() {
         // a ring large enough to force several table growths
         let net = ring(3000);
-        let g = explore(NetSystem::new(&net), &cfg(10_000), None);
+        let g = explore(NetSystem::new(&net), &cfg(10_000), None, &mut ());
         assert_eq!(g.len(), 3000);
         assert!(!g.is_truncated());
     }
@@ -2009,7 +2079,7 @@ mod tests {
     fn zero_place_net_has_single_state() {
         let mut net = PetriNet::new();
         net.add_transition("noop");
-        let g = explore(NetSystem::new(&net), &cfg(10), None);
+        let g = explore(NetSystem::new(&net), &cfg(10), None, &mut ());
         // `noop` has no arcs: it is enabled and loops on the only state
         assert_eq!(g.len(), 1);
         assert_eq!(
@@ -2022,7 +2092,7 @@ mod tests {
     #[test]
     fn truncation_reports_the_limit() {
         let net = ring(10);
-        let g = explore(NetSystem::new(&net), &cfg(4), None);
+        let g = explore(NetSystem::new(&net), &cfg(4), None, &mut ());
         assert_eq!(g.outcome(), ExploreOutcome::Truncated { limit: 4 });
         assert_eq!(g.len(), 4);
     }
@@ -2046,7 +2116,7 @@ mod tests {
     #[test]
     fn budget_cut_keeps_the_interrupted_prefix() {
         let t = TransitionId::from_index;
-        let full = explore(NetSystem::new(&fan()), &cfg(100), None);
+        let full = explore(NetSystem::new(&fan()), &cfg(100), None, &mut ());
         assert_eq!(full.len(), 8);
         let s = StateId::from_index;
         assert_eq!(
@@ -2054,7 +2124,7 @@ mod tests {
             [(t(0), s(1)), (t(1), s(2)), (t(2), s(3))]
         );
 
-        let cut = explore(NetSystem::new(&fan()), &cfg(3), None);
+        let cut = explore(NetSystem::new(&fan()), &cfg(3), None, &mut ());
         assert_eq!(cut.len(), 3);
         assert_eq!(cut.successors(s(0)).to_vec(), [(t(0), s(1)), (t(1), s(2))]);
         assert_eq!(cut.successors(s(0)).len(), 2);
@@ -2065,7 +2135,7 @@ mod tests {
         assert!(cut.deadlocks().is_empty());
 
         // the overflow at the first target: the initial state lists nothing
-        let first = explore(NetSystem::new(&fan()), &cfg(1), None);
+        let first = explore(NetSystem::new(&fan()), &cfg(1), None, &mut ());
         assert!(first.successors(s(0)).is_empty());
         assert_eq!(first.successors(s(0)).to_vec(), []);
         assert!(first.deadlocks().is_empty());
@@ -2090,13 +2160,13 @@ mod tests {
             let row = g.stride * 8 + 8;
             (g.len() * row + g.index.slots.capacity() * 4, row)
         };
-        let g = explore(NetSystem::new(&net), &cfg(usize::MAX), None);
+        let g = explore(NetSystem::new(&net), &cfg(usize::MAX), None, &mut ());
         assert_eq!(g.len(), 3 << 15);
         let (rows, row) = held(&g);
         assert!(g.heap_bytes() >= rows);
         assert!(g.heap_bytes() - rows <= BLOCK_STATES * row);
         // a small space reserves no whole block
-        let small = explore(NetSystem::new(&ring(100)), &cfg(1_000), None);
+        let small = explore(NetSystem::new(&ring(100)), &cfg(1_000), None, &mut ());
         let (rows, row) = held(&small);
         assert!(small.heap_bytes() >= rows);
         assert!(small.heap_bytes() - rows <= small.len() * row);
@@ -2120,8 +2190,8 @@ mod tests {
         let act_perm = bit_perm.clone();
         let sym = StateSymmetry::new(bit_perm, act_perm).unwrap();
         assert_eq!(sym.order(), n);
-        let full = explore(NetSystem::new(&net), &cfg(1_000), None);
-        let quo = explore(NetSystem::new(&net), &cfg(1_000), Some(&sym));
+        let full = explore(NetSystem::new(&net), &cfg(1_000), None, &mut ());
+        let quo = explore(NetSystem::new(&net), &cfg(1_000), Some(&sym), &mut ());
         assert_eq!(full.len(), n);
         assert_eq!(quo.len(), 1);
         // concrete trace reconstruction: the quotient self-loop unrotates to

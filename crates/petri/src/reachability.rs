@@ -4,7 +4,8 @@
 //! of a [`PetriNet`], recording for every state its predecessor so that a
 //! firing trace (counterexample) can be reconstructed for any reached state.
 //!
-//! This is the workhorse behind deadlock detection, persistence checking and
+//! The same engine runs under the one net check ([`crate::analysis::check`],
+//! which decides its properties during the exploration) and under
 //! Reach-predicate queries, standing in for the paper's MPSAT backend.
 //!
 //! [`explore`] and [`explore_truncated`] run the state-space engine
@@ -67,16 +68,6 @@ impl StateSpace<TransitionId> {
         self.marking_from(self.concrete_words(state))
     }
 
-    /// Finds a state whose marking satisfies `pred`, if any, scanning in BFS
-    /// (shortest-trace) order with a single reused marking buffer.
-    pub fn find_state(&self, mut pred: impl FnMut(&Marking) -> bool) -> Option<StateId> {
-        let mut scratch = Marking::empty(self.bits);
-        self.states().find(|&s| {
-            self.fill_marking(s, &mut scratch);
-            pred(&scratch)
-        })
-    }
-
     /// A marking over this net's places from state-width `words`.
     fn marking_from(&self, mut words: Vec<u64>) -> Marking {
         words.truncate(self.bits.div_ceil(64));
@@ -112,7 +103,7 @@ pub fn explore(net: &PetriNet, config: ExploreConfig) -> Result<StateSpace, Petr
 /// [`ExploreConfig::obs`]).
 #[must_use]
 pub fn explore_truncated(net: &PetriNet, config: ExploreConfig) -> StateSpace {
-    engine::explore(NetSystem::new(net), &config, None)
+    engine::explore(NetSystem::new(net), &config, None, &mut ())
 }
 
 /// Explores the rotation *quotient* of the net under `sym`: every successor
@@ -128,7 +119,7 @@ pub fn explore_quotient_truncated(
     config: ExploreConfig,
     sym: &StateSymmetry,
 ) -> StateSpace {
-    engine::explore(NetSystem::new(net), &config, Some(sym))
+    engine::explore(NetSystem::new(net), &config, Some(sym), &mut ())
 }
 
 #[cfg(test)]
@@ -245,16 +236,5 @@ mod tests {
         }
         let space = explore(&net, ExploreConfig::default()).unwrap();
         assert_eq!(space.len(), 4);
-    }
-
-    #[test]
-    fn find_state_locates_marking() {
-        let net = ring(6);
-        let space = explore(&net, ExploreConfig::default()).unwrap();
-        let p3 = net.place_by_name("p3").unwrap();
-        let s = space.find_state(|m| m.is_marked(p3)).unwrap();
-        assert!(space.marking(s).is_marked(p3));
-        assert!(space.is_marked(s, p3));
-        assert_eq!(space.trace_to(s).len(), 3);
     }
 }

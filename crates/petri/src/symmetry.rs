@@ -149,7 +149,7 @@ impl Symmetry {
     /// `(σa, σb)` — in either order — is also present.) Closure is the
     /// side-condition that makes a quotient 1-safety verdict over the pairs
     /// transfer to the full space; see
-    /// [`crate::analysis::quick_check_quotient`].
+    /// [`crate::analysis::check`].
     #[must_use]
     pub fn pairs_closed(&self, pairs: &[(PlaceId, PlaceId)]) -> bool {
         use std::collections::HashSet;

@@ -2,10 +2,11 @@
 
 use proptest::prelude::*;
 use rap_obs::{Collector, Obs};
-use rap_petri::analysis::find_persistence_violations;
+use rap_petri::analysis::{check, Properties};
 use rap_petri::engine::{self, Incidence, NetSystem, StateId, StateSpace, StateSymmetry};
 use rap_petri::reachability::{explore_quotient_truncated, explore_truncated, ExploreConfig};
-use rap_petri::{Marking, PetriNet, PlaceId};
+use rap_petri::symmetry::Symmetry;
+use rap_petri::{Marking, PetriNet, PlaceId, TransitionId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -88,13 +89,13 @@ fn explore_both_ways(
     budget: usize,
     symmetry: Option<&StateSymmetry>,
 ) -> StateSpace {
-    let plain = engine::explore(NetSystem::new(net), &cfg(budget), symmetry);
+    let plain = engine::explore(NetSystem::new(net), &cfg(budget), symmetry, &mut ());
     let collector = Arc::new(Collector::new());
     let recording = ExploreConfig {
         obs: Obs::collecting(&collector),
         ..cfg(budget)
     };
-    let traced = engine::explore(NetSystem::new(net), &recording, symmetry);
+    let traced = engine::explore(NetSystem::new(net), &recording, symmetry, &mut ());
     assert_identical(&plain, &traced, &format!("traced, budget={budget}"));
     let snap = collector.snapshot();
     assert_eq!(
@@ -485,8 +486,8 @@ proptest! {
     /// trace reaches its dead marking, in which nothing is enabled.
     #[test]
     fn counterexample_traces_replay_to_offending_state(net in arb_net(9, 8)) {
-        let space = explore_truncated(&net, ExploreConfig { max_states: 4_000, ..ExploreConfig::default() });
-        for dead in rap_petri::analysis::find_deadlocks(&space) {
+        let space = explore_truncated(&net, cfg(4_000));
+        for dead in check(&net, &Properties::default(), &cfg(4_000), None).deadlocks {
             let mut m = net.initial_marking();
             for t in &dead.trace {
                 prop_assert!(net.is_enabled(*t, &m), "trace step must be enabled");
@@ -555,7 +556,7 @@ proptest! {
             markings(&full, &mut full.deadlocks().iter().copied()),
             "dead markings"
         );
-        for dead in rap_petri::analysis::find_deadlocks(&reduced) {
+        for dead in check(&net, &Properties::default(), &stubborn(usize::MAX), None).deadlocks {
             let mut m = net.initial_marking();
             for t in &dead.trace {
                 prop_assert!(net.is_enabled(*t, &m), "trace step not enabled");
@@ -620,11 +621,24 @@ proptest! {
         } else {
             replicated(&base, copies)
         };
+        // the net-level symmetry `check` takes: the same copy rotation, its
+        // transition map induced from the places
+        let places = net.place_count();
+        let step = places / copies;
+        let perm = (0..places).map(|i| ((i + step) % places) as u32).collect();
+        let net_sym = Symmetry::new(&net, perm);
+        // identical arc signatures make the induced transition map ambiguous
+        prop_assume!(net_sym.is_ok());
+        let net_sym = net_sym.unwrap();
         let full = explore_truncated(&net, cfg(usize::MAX));
         let quo = explore_quotient_truncated(&net, cfg(usize::MAX), &sym);
         prop_assert!(!full.is_truncated() && !quo.is_truncated());
-        let in_full = find_persistence_violations(&net, &full, |_, _| false);
-        let in_quo = find_persistence_violations(&net, &quo, |_, _| false);
+        let hazard = |_: TransitionId, _: TransitionId| false;
+        let props = Properties { persistence: Some(&hazard), ..Properties::default() };
+        let full_check = check(&net, &props, &cfg(usize::MAX), None);
+        let quo_check = check(&net, &props, &cfg(usize::MAX), Some(&net_sym));
+        prop_assert_eq!(full_check.persistent, quo_check.persistent);
+        let (in_full, in_quo) = (full_check.conflicts, quo_check.conflicts);
         let full_states: BTreeSet<Vec<u64>> = in_full
             .iter()
             .map(|v| canonical(&sym, full.words(v.state)))

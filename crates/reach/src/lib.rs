@@ -109,28 +109,33 @@ impl fmt::Display for Predicate {
 /// A state satisfying a predicate, with its witness trace.
 #[derive(Debug, Clone)]
 pub struct Witness {
-    /// The satisfying state.
+    /// The satisfying state (the representative, on a quotient).
     pub state: StateId,
-    /// Firing sequence from the initial marking to the satisfying state.
+    /// Firing sequence from the initial marking to the satisfying marking.
     pub trace: Vec<TransitionId>,
 }
 
 /// Searches `space` for a state satisfying `pred` (compiled against `net`).
 ///
 /// Returns the first satisfying state in BFS order — i.e. a shortest-trace
-/// witness — or `None` when the predicate is unreachable.
+/// witness — or `None` when no explored marking satisfies it. Each state is
+/// judged by its concrete marking ([`StateSpace::concrete_marking`]), so
+/// every witness is reachable and its trace replays on `net`. A quotient
+/// holds one concrete member of each orbit: there `None` proves the
+/// predicate unreachable only when it is closed under the symmetry.
 #[must_use]
 pub fn find_witness(
     net: &PetriNet,
     space: &StateSpace,
     pred: &CompiledPredicate,
 ) -> Option<Witness> {
-    space
-        .find_state(|m| pred.eval(net, m))
-        .map(|state| Witness {
-            state,
-            trace: space.trace_to(state),
-        })
+    let state = space
+        .states()
+        .find(|&s| pred.eval(net, &space.concrete_marking(s)))?;
+    Some(Witness {
+        state,
+        trace: space.concrete_trace_to(state),
+    })
 }
 
 /// Errors from parsing or compiling a predicate.
@@ -207,3 +212,42 @@ impl fmt::Display for ReachError {
 }
 
 impl Error for ReachError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rap_petri::reachability::{explore_quotient_truncated, ExploreConfig};
+    use rap_petri::symmetry::Symmetry;
+
+    /// Two one-shot chains `a0 -> b0` and `a1 -> b1`, swapped by the
+    /// symmetry, with only `a1` marked: the quotient's representatives are
+    /// `{a0}` and `{b0}`, the reachable markings `{a1}` and `{b1}`. A
+    /// witness must be reachable and replay.
+    #[test]
+    fn quotient_witnesses_are_reachable_and_replay() {
+        let mut net = PetriNet::new();
+        let a0 = net.add_place("a0", false);
+        let b0 = net.add_place("b0", false);
+        let a1 = net.add_place("a1", true);
+        let b1 = net.add_place("b1", false);
+        for (from, to) in [(a0, b0), (a1, b1)] {
+            let t = net.add_transition(format!("t{}", to.index()));
+            net.consume(t, from);
+            net.produce(t, to);
+        }
+        let sym = Symmetry::new(&net, vec![2, 3, 0, 1]).unwrap();
+        let space =
+            explore_quotient_truncated(&net, ExploreConfig::default(), &sym.state_symmetry());
+        let witness = |place: &str| {
+            let pred = Predicate::parse(&format!("marked(\"{place}\")")).unwrap();
+            find_witness(&net, &space, &pred.compile(&net).unwrap())
+        };
+        let w = witness("b1").expect("t1 marks b1");
+        let mut m = net.initial_marking();
+        for &t in &w.trace {
+            m = net.fire(t, &m).expect("the witness trace replays");
+        }
+        assert!(m.is_marked(b1));
+        assert!(witness("b0").is_none(), "b0 is never marked");
+    }
+}

@@ -5,7 +5,7 @@
 //! verification → event graph / phase unfolding → performance → silicon
 //! cost — but the per-stage free functions ([`dfs_core::to_petri()`],
 //! [`dfs_core::Lts::explore`], [`dfs_core::perf::analyse`],
-//! [`rap_petri::analysis::quick_check`], the [`rap_silicon::cost`] model)
+//! [`rap_petri::analysis::check`], the [`rap_silicon::cost`] model)
 //! make every caller re-derive the same intermediates. A [`Session`] turns
 //! the flow into *queries over compiled models*, the
 //! incremental-compilation shape:

@@ -7,7 +7,7 @@ use dfs_core::perf::{analyse_schedule, EventSchedule, PerfDetail, PerfReport};
 use dfs_core::timed::{measure_steady_period, ChoicePolicy, SteadyStatePeriod};
 use dfs_core::{to_petri, Dfs, DfsError, Lts, NodeId, PetriImage};
 use rap_obs::{CounterSnapshot, Meter, Obs};
-use rap_petri::analysis::{quick_check_with, screen, QuickCheck};
+use rap_petri::analysis::{check, Properties, QuickCheck};
 use rap_petri::reachability::ExploreConfig;
 use rap_silicon::cost::CostModel;
 use std::collections::HashMap;
@@ -458,12 +458,12 @@ impl CompiledModel {
 
     /// The budgeted deadlock/1-safety check over the Petri image's *full*
     /// state space — computed once per distinct budget and timing-twin
-    /// group, equal to
-    /// [`quick_check`](rap_petri::analysis::quick_check)`(&img.net,
-    /// &img.complementary_pairs(), budget)`, so its `states` count the
-    /// whole reachable set. Demands [`petri`](Self::petri), so the
-    /// translation is still performed at most once per group. The design
-    /// sweep's cheaper screen is [`screen`](Self::screen).
+    /// group, equal to [`check`](rap_petri::analysis::check) of 1-safety
+    /// over [`img.complementary_pairs()`](PetriImage::complementary_pairs)
+    /// under `budget`, so its `states` count the whole reachable set.
+    /// Demands [`petri`](Self::petri), so the translation is still
+    /// performed at most once per group. The design sweep's cheaper screen
+    /// is [`screen`](Self::screen).
     ///
     /// In a persistent session every model keeps its own frame per budget
     /// (kind [`FullCheck`](rap_store::QueryKind::FullCheck)): its first
@@ -471,22 +471,20 @@ impl CompiledModel {
     /// check under the model's own key, also when a twin computed it.
     #[must_use]
     pub fn quick_check(&self, budget: usize) -> Arc<QuickCheck> {
-        let check = self.check_query(CheckKey::Full(budget), |img, cfg| {
-            Ok(quick_check_with(&img.net, &img.complementary_pairs(), cfg))
-        });
-        check.expect("the full check has no error path")
+        self.check_query(CheckKey::Full(budget))
+            .expect("the full check has no error path")
     }
 
-    /// The design-space screen: deadlock-freedom from a stubborn-set
-    /// reduced exploration of the Petri image, on the rotation quotient
+    /// The design-space screen: the same check on a stubborn-set reduced
+    /// exploration ([`ExploreConfig::stubborn`]), on the rotation quotient
     /// when `rotation` (a node permutation, like
     /// [`Wagged::way_rotation`](dfs_core::wagging::Wagged::way_rotation))
-    /// is given, and 1-safety from the structural certificate — equal to
-    /// [`screen`](rap_petri::analysis::screen)`(&img.net,
-    /// &img.complementary_pairs(), cfg, sym)` with `sym` =
-    /// [`img.induced_symmetry(rotation)`](PetriImage::induced_symmetry)
-    /// (see there for what each verdict means on a reduced space). Computed
-    /// once per distinct budget and rotation per timing-twin group.
+    /// is given — [`check`](rap_petri::analysis::check) with `sym` =
+    /// [`img.induced_symmetry(rotation)`](PetriImage::induced_symmetry).
+    /// Deadlock-freedom is decided on the reduced space, and 1-safety comes
+    /// from the structural certificate (see the
+    /// [derivation rule](rap_petri::analysis#derivation)). Computed once
+    /// per distinct budget and rotation per timing-twin group.
     ///
     /// In a persistent session each model files the screen under its own
     /// `(Check, budget)` key, exactly as [`quick_check`](Self::quick_check)
@@ -497,39 +495,23 @@ impl CompiledModel {
     ///
     /// [`PetriError::InvalidSymmetry`](rap_petri::PetriError::InvalidSymmetry)
     /// (cached like a result) when `rotation` does not induce a net
-    /// automorphism, or the complementary pairs are not closed under it.
-    /// An invalid rotation is never replaced by an unreduced run.
+    /// automorphism. An invalid rotation is never replaced by an unreduced
+    /// run.
     pub fn screen(
         &self,
         budget: usize,
         rotation: Option<&[u32]>,
     ) -> Result<Arc<QuickCheck>, Error> {
-        let key = CheckKey::Screen(budget, rotation.map(<[u32]>::to_vec));
-        self.check_query(key, |img, cfg| {
-            let sym = rotation
-                .map(|r| img.induced_symmetry(r))
-                .transpose()
-                .map_err(|reason| rap_petri::PetriError::InvalidSymmetry { reason })?;
-            Ok(screen(
-                &img.net,
-                &img.complementary_pairs(),
-                cfg,
-                sym.as_ref(),
-            )?)
-        })
+        self.check_query(CheckKey::Screen(budget, rotation.map(<[u32]>::to_vec)))
     }
 
     /// The shared body of [`quick_check`](Self::quick_check) and
     /// [`screen`](Self::screen): one `session.query.check` span, the
     /// model's own frame loaded or committed once per budget and
-    /// derivation, and `run` computing on the Petri image otherwise.
-    fn check_query(
-        &self,
-        key: CheckKey,
-        run: impl FnOnce(&PetriImage, &ExploreConfig) -> Result<QuickCheck, Error>,
-    ) -> Result<Arc<QuickCheck>, Error> {
+    /// derivation, and the check computed on the Petri image otherwise.
+    fn check_query(&self, key: CheckKey) -> Result<Arc<QuickCheck>, Error> {
         let (budget, derivation) = (key.budget(), key.derivation());
-        let slot = keyed_slot(&self.untimed.checks, key);
+        let slot = keyed_slot(&self.untimed.checks, key.clone());
         let _span = self.obs.span("session.query.check");
         let own_frame = self
             .persist
@@ -550,7 +532,24 @@ impl CompiledModel {
             ran = true;
             let img = self.petri();
             self.obs.time("session.compute", || {
-                run(img, &explore_config(budget, &self.obs)).map(Arc::new)
+                let (stubborn, sym) = match &key {
+                    CheckKey::Full(_) => (false, None),
+                    CheckKey::Screen(_, rotation) => (true, rotation.as_deref()),
+                };
+                let sym = sym
+                    .map(|r| img.induced_symmetry(r))
+                    .transpose()
+                    .map_err(|reason| rap_petri::PetriError::InvalidSymmetry { reason })?;
+                let cfg = ExploreConfig {
+                    stubborn,
+                    ..explore_config(budget, &self.obs)
+                };
+                let pairs = img.complementary_pairs();
+                let props = Properties {
+                    pairs: &pairs,
+                    ..Properties::default()
+                };
+                Ok(Arc::new(check(&img.net, &props, &cfg, sym.as_ref()).into()))
             })
         });
         if let (Some(p), false, Ok(check)) = (own_frame, disk_hit, check) {

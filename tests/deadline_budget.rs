@@ -19,7 +19,7 @@
 
 use rap::dfs::pipelines::{build_pipeline, PipelineSpec};
 use rap::dfs::to_petri;
-use rap::petri::analysis::{quick_check, quick_check_with, QuickVerdict};
+use rap::petri::analysis::{check, quick_check, Properties, QuickVerdict};
 use rap::petri::engine::ExploreOutcome;
 use rap::petri::reachability::{explore, explore_truncated, ExploreConfig, StateId, StateSpace};
 use rap::petri::{PetriError, TransitionId};
@@ -114,14 +114,19 @@ fn deadline_cut_quick_check_degrades_to_inconclusive_not_wrong() {
     assert!(exhaustive.is_clean());
     // a time-boxed check over a tiny prefix must say Inconclusive (the
     // prefix holds), never Violated, never Holds
-    let cut = quick_check_with(
+    let props = Properties {
+        pairs: &pairs,
+        ..Properties::default()
+    };
+    let cut = check(
         &img.net,
-        &pairs,
+        &props,
         &ExploreConfig {
             max_states: 1_000_000,
             deadline: Some(Duration::ZERO),
             ..ExploreConfig::default()
         },
+        None,
     );
     assert!(cut.truncated);
     assert_eq!(
@@ -129,7 +134,7 @@ fn deadline_cut_quick_check_degrades_to_inconclusive_not_wrong() {
         QuickVerdict::Inconclusive { budget: 1_000_000 }
     );
     assert_eq!(cut.safe, QuickVerdict::Inconclusive { budget: 1_000_000 });
-    assert!(cut.deadlock.is_none());
+    assert!(cut.deadlocks.is_empty());
     assert!(cut.unsafe_witness.is_none());
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Each entry point that explores a state space takes its `rap-obs` handle
 //! from `ExploreConfig::obs` — directly (`explore_truncated`,
-//! `explore_quotient_truncated`, `quick_check_with`, `Lts::explore_with`)
+//! `explore_quotient_truncated`, `analysis::check`, `Lts::explore_with`)
 //! or through a session, whose queries run the engine inside their
 //! `session.compute` span. For each one this suite attaches a live
 //! collector and checks three things:
@@ -17,7 +17,7 @@ use rap::dfs::pipelines::{build_pipeline, PipelineSpec};
 use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{to_petri, Dfs, Lts};
 use rap::obs::{Collector, Obs, Snapshot};
-use rap::petri::analysis::quick_check_with;
+use rap::petri::analysis::{check, Properties};
 use rap::petri::reachability::{
     explore_quotient_truncated, explore_truncated, ExploreConfig, StateSpace,
 };
@@ -125,17 +125,28 @@ fn explore_quotient_truncated_records_into_the_config() {
     assert_same_space(&space, &detached);
 }
 
+/// `check` also times building the net's system, as the leaf span
+/// `petri.incidence` beside `engine.explore`.
 #[test]
-fn quick_check_with_records_into_the_config() {
+fn check_records_into_the_config() {
     let img = to_petri(&pipeline());
     let pairs = img.complementary_pairs();
+    let props = Properties {
+        pairs: &pairs,
+        ..Properties::default()
+    };
     for budget in [100_000usize, 300] {
-        let (check, snap) = recorded(budget, |c| quick_check_with(&img.net, &pairs, &c));
-        assert_eq!(snap.counter("engine.states"), check.states as u64);
+        let (report, snap) = recorded(budget, |c| check(&img.net, &props, &c, None));
+        assert_eq!(snap.counter("engine.states"), report.states as u64);
         assert_eq!(snap.spans[engine_parent(&snap)].name, CALLER);
+        let incidence: Vec<usize> = (0..snap.spans.len())
+            .filter(|&i| snap.spans[i].name == "petri.incidence")
+            .collect();
+        assert_eq!(incidence.len(), 1, "one petri.incidence span node");
+        assert_eq!(parent_name(&snap, incidence[0]), CALLER);
         assert_eq!(
-            check,
-            quick_check_with(&img.net, &pairs, &cfg(budget, Obs::none()))
+            report,
+            check(&img.net, &props, &cfg(budget, Obs::none()), None)
         );
     }
 }

@@ -20,9 +20,10 @@ use rap::dfs::perf::{analyse_with_activity, PerfDetail};
 use rap::dfs::pipelines::{build_pipeline, PipelineSpec, StageDelays};
 use rap::dfs::timed::{measure_steady_period, ChoicePolicy};
 use rap::dfs::wagging::wagged_pipeline;
-use rap::dfs::{to_petri, Dfs, DfsBuilder, DfsError, Lts};
-use rap::petri::analysis::{quick_check, screen};
+use rap::dfs::{to_petri, Dfs, DfsBuilder, DfsError, Lts, PetriImage};
+use rap::petri::analysis::{check, quick_check, Properties, QuickCheck};
 use rap::petri::reachability::ExploreConfig;
+use rap::petri::symmetry::Symmetry;
 use rap::session::{CompiledModel, CostModel, CostSummary};
 use rap::{Error, Session};
 use std::sync::Arc;
@@ -167,14 +168,9 @@ fn assert_queries_match_direct(
     );
     assert_eq!(check.unsafe_witness, want_check.unsafe_witness);
 
-    // screen == the reduced screen over the direct image, every field
+    // screen == the stubborn check over the direct image, every field
     let reduced = model.screen(check_budget, None).unwrap();
-    let cfg = ExploreConfig {
-        max_states: check_budget,
-        ..ExploreConfig::default()
-    };
-    let want_reduced = screen(&want_img.net, &want_img.complementary_pairs(), &cfg, None);
-    assert_eq!(*reduced, want_reduced.unwrap());
+    assert_eq!(*reduced, stubborn_check(&want_img, check_budget, None));
     assert!(Arc::ptr_eq(
         &reduced,
         &model.screen(check_budget, None).unwrap()
@@ -453,6 +449,22 @@ fn timing_twins_share_the_delay_free_artifacts() {
     assert_eq!(stats.queries.perf_analyses, 4, "{stats:?}");
 }
 
+/// The check a screen runs: 1-safety over the image's pairs, on a
+/// stubborn-set reduced exploration under `budget`.
+fn stubborn_check(img: &PetriImage, budget: usize, sym: Option<&Symmetry>) -> QuickCheck {
+    let pairs = img.complementary_pairs();
+    let props = Properties {
+        pairs: &pairs,
+        ..Properties::default()
+    };
+    let cfg = ExploreConfig {
+        max_states: budget,
+        stubborn: true,
+        ..ExploreConfig::default()
+    };
+    check(&img.net, &props, &cfg, sym).into()
+}
+
 /// The screen on a way rotation equals the direct quotient screen, and a
 /// rotation that is no automorphism is a typed error, cached like a
 /// result and never replaced by an unreduced run.
@@ -467,7 +479,7 @@ fn screens_on_the_way_rotation_equal_the_direct_quotient_screen() {
         let model = Session::new().compile(&w.dfs);
         let img = to_petri(&w.dfs);
         let sym = img.induced_symmetry(&w.way_rotation).unwrap();
-        let want = screen(&img.net, &img.complementary_pairs(), &cfg, Some(&sym)).unwrap();
+        let want = stubborn_check(&img, cfg.max_states, Some(&sym));
         let got = model.screen(cfg.max_states, Some(&w.way_rotation)).unwrap();
         assert_eq!(*got, want, "{ways} ways");
 

@@ -7,8 +7,7 @@
 //! successor list, in order, for those spaces — complete and cut by the
 //! budget — so any change to how the engine answers `successors` must
 //! reproduce the recorded digests exactly. The digests were recorded from
-//! the engine that kept its edge list. Every state's `actions()`, listed
-//! without firing, must be the actions of its edges.
+//! the engine that kept its edge list.
 
 use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{node_rotation_symmetry, to_petri, Dfs, Lts};
@@ -42,8 +41,7 @@ impl Fnv {
 
 /// The digest of a space's successor lists: the state count, then per
 /// state its edge count and each edge's action and target. Also checks
-/// that `is_empty` agrees with the listed edges, and that `actions`, which
-/// fires nothing, lists their actions.
+/// that `is_empty` agrees with the listed edges.
 fn digest<A: std::fmt::Debug + Copy + PartialEq>(space: &StateSpace<A>, label: &str) -> u64 {
     let mut h = Fnv::new();
     h.num(space.len());
@@ -53,13 +51,6 @@ fn digest<A: std::fmt::Debug + Copy + PartialEq>(space: &StateSpace<A>, label: &
             succ.is_empty(),
             succ.iter().next().is_none(),
             "{label}: is_empty of state {}",
-            s.index()
-        );
-        let fired: Vec<A> = succ.iter().map(|(action, _)| action).collect();
-        assert_eq!(
-            succ.actions(),
-            fired,
-            "{label}: actions of state {}",
             s.index()
         );
         h.num(succ.len());

@@ -11,10 +11,8 @@
 
 use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{node_rotation_symmetry, to_petri, Lts};
-use rap::petri::analysis::{
-    find_persistence_violations, quick_check, quick_check_quotient, QuickVerdict,
-};
-use rap::petri::reachability::{explore_quotient_truncated, explore_truncated, ExploreConfig};
+use rap::petri::analysis::{check, quick_check, quick_check_quotient, Properties, QuickVerdict};
+use rap::petri::reachability::ExploreConfig;
 use rap::petri::TransitionId;
 
 /// Full reachable state count of the 2-way wagged pipeline (comp depth 1)
@@ -161,10 +159,15 @@ fn wagged_quotients_report_the_hazards_of_the_full_space() {
                 && (a.strip_prefix("Mt_") == b.strip_prefix("Mf_")
                     || a.strip_prefix("Mf_") == b.strip_prefix("Mt_"))
         };
-        let quo = explore_quotient_truncated(&img.net, cfg.clone(), &sym.state_symmetry());
-        let full = explore_truncated(&img.net, cfg.clone());
-        assert!(quo.is_truncated() && full.is_truncated(), "{ways}-way");
-        let hazards = |space| find_persistence_violations(&img.net, space, choice).len();
-        assert_eq!((hazards(&quo), hazards(&full)), (0, 0), "{ways}-way");
+        let props = Properties {
+            persistence: Some(&choice),
+            ..Properties::default()
+        };
+        let quo = check(&img.net, &props, &cfg, Some(&sym));
+        let full = check(&img.net, &props, &cfg, None);
+        assert!(quo.truncated && full.truncated, "{ways}-way");
+        let hazards = |c: &rap::petri::analysis::CheckReport| (c.conflicts.len(), c.persistent);
+        let none = (0, Some(QuickVerdict::Inconclusive { budget: 20_000 }));
+        assert_eq!((hazards(&quo), hazards(&full)), (none, none), "{ways}-way");
     }
 }
