@@ -77,13 +77,13 @@ impl VerificationReport {
 pub fn verify(dfs: &Dfs, config: &VerifyConfig) -> Result<VerificationReport, DfsError> {
     let img = to_petri(dfs);
     let mismatches = mismatch_sets(dfs, &img);
-    // intended choices: the Mt_x+/Mf_x+ pair of the same dynamic register
+    // intended choices: the Mt_x+/Mf_x+ pair of one dynamic register x
     let choice = |en: TransitionId, dis: TransitionId| {
         let (a, b) = (img.label(en), img.label(dis));
-        a.ends_with('+')
-            && b.ends_with('+')
-            && (a.strip_prefix("Mt_") == b.strip_prefix("Mf_")
-                || a.strip_prefix("Mf_") == b.strip_prefix("Mt_"))
+        let pair = |t: &str, f: &str| {
+            (t.strip_prefix("Mt_").zip(f.strip_prefix("Mf_"))).is_some_and(|(x, y)| x == y)
+        };
+        a.ends_with('+') && b.ends_with('+') && (pair(a, b) || pair(b, a))
     };
     let props = Properties {
         unreachable: &mismatches,
@@ -267,5 +267,26 @@ mod tests {
         let report = verify_default(&b.finish().unwrap());
         assert!(report.hazards.is_empty(), "{:?}", report.hazards);
         assert!(report.deadlocks.is_empty());
+    }
+
+    /// Only the `Mt_x+`/`Mf_x+` choice of one register `x` is exempt: a
+    /// register's marking disabled by another node's `Mf+` is a hazard.
+    #[test]
+    fn choice_of_another_node_is_a_hazard() {
+        let mut b = DfsBuilder::new();
+        let pop = b.pop("n0").marked_with(TokenValue::True).build();
+        let reg = b.register("n1").build();
+        let ctrl = b.control("n2").marked_with(TokenValue::False).build();
+        b.connect(reg, pop);
+        b.connect(ctrl, pop);
+        let report = verify_default(&b.finish().unwrap());
+        let hazards: Vec<(&str, &[String])> = (report.hazards.iter())
+            .map(|h| (h.reason.as_str(), &h.trace[..]))
+            .collect();
+        let trace = ["Mf_n2-", "Mt_n0-", "Mf_n2+"].map(String::from);
+        assert_eq!(
+            hazards,
+            [("non-persistence: M_n1+ disabled by Mf_n0+", &trace[..])]
+        );
     }
 }

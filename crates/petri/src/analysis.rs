@@ -254,16 +254,6 @@ pub fn check(
     // does a complete run see every reachable marking, up to the symmetry?
     let exhaustive = !cfg.stubborn;
 
-    let deadlocks: Vec<Deadlock> = space
-        .deadlocks()
-        .iter()
-        .map(|&s| Deadlock {
-            state: s,
-            marking: space.concrete_marking(s),
-            trace: space.concrete_trace_to(s),
-        })
-        .collect();
-
     let certified = crate::invariants::certify_complementary_pairs(net, props.pairs).is_none();
     let unsafe_witness = if certified {
         None
@@ -272,16 +262,40 @@ pub fn check(
     };
     let safe_by_run = exhaustive && sym.is_none_or(|sym| sym.pairs_closed(props.pairs));
 
-    let reached = found.reached.map(|(state, set)| Reached {
-        state,
-        set,
-        trace: space.concrete_trace_to(state),
-    });
-
     let (conflicts, orbits_agree) = match props.persistence {
         Some(exempt) => concrete_conflicts(&space, sym, found.conflicts, exempt),
         None => (Vec::new(), true),
     };
+
+    // every witness trace in one batch, which derives each path state's
+    // discovering action once
+    let dead = space.deadlocks();
+    let witnesses: Vec<StateId> = (dead.iter().copied())
+        .chain(found.reached.map(|(state, _)| state))
+        .chain(conflicts.iter().map(|&(state, ..)| state))
+        .collect();
+    let mut traces = space.concrete_traces_to(&witnesses).into_iter();
+    let mut trace = || traces.next().expect("one trace per witness");
+    let deadlocks: Vec<Deadlock> = (dead.iter())
+        .map(|&s| Deadlock {
+            state: s,
+            marking: space.concrete_marking(s),
+            trace: trace(),
+        })
+        .collect();
+    let reached = found.reached.map(|(state, set)| Reached {
+        state,
+        set,
+        trace: trace(),
+    });
+    let conflicts: Vec<PersistenceViolation> = (conflicts.into_iter())
+        .map(|(state, enabled, disabler)| PersistenceViolation {
+            state,
+            enabled,
+            disabler,
+            trace: trace(),
+        })
+        .collect();
 
     CheckReport {
         states: space.len(),
@@ -355,16 +369,16 @@ impl Watch for Found {
 }
 
 /// The non-exempt conflicts among the `raw` ones the run found, made
-/// concrete: each pair un-rotated to the state
-/// [`StateSpace::concrete_trace_to`] reaches before `exempt` sees it, with
-/// that trace. Also answers whether `exempt` treats every conflict like
-/// all of its rotations, which makes a quotient's answer the full space's.
+/// concrete: each pair `(state, enabled, disabler)` un-rotated to the state
+/// [`StateSpace::concrete_trace_to`] reaches before `exempt` sees it. Also
+/// answers whether `exempt` treats every conflict like all of its
+/// rotations, which makes a quotient's answer the full space's.
 fn concrete_conflicts(
     space: &StateSpace,
     sym: Option<&Symmetry>,
     raw: Vec<(StateId, u32, u32)>,
     exempt: &dyn Fn(TransitionId, TransitionId) -> bool,
-) -> (Vec<PersistenceViolation>, bool) {
+) -> (Vec<(StateId, TransitionId, TransitionId)>, bool) {
     let mut out = Vec::new();
     let mut orbits_agree = true;
     for (s, enabled, disabler) in raw {
@@ -385,12 +399,7 @@ fn concrete_conflicts(
             }
         }
         if !exempted {
-            out.push(PersistenceViolation {
-                state: s,
-                enabled,
-                disabler,
-                trace: space.concrete_trace_to(s),
-            });
+            out.push((s, enabled, disabler));
         }
     }
     (out, orbits_agree)

@@ -27,8 +27,8 @@
 //!
 //! # States, not edges
 //!
-//! A space stores its states — the arena, each state's parent and
-//! discovering action, the dead list — and the dedup index over them, but
+//! A space stores its states — the arena, each state's parent, the dead
+//! list — and the dedup index over them, but
 //! no edge: the largest spaces hold several times more edges than states
 //! (8.5M edges for the 1.48M states of the 2-way wagged pipeline), and
 //! nearly every query reads states only. Like explicit-state checkers that
@@ -46,23 +46,32 @@
 //! LTS (release build, 2-core container). `engine.edges` still counts the
 //! edges the run expanded.
 //!
+//! Nor does a space store the action that discovered each state, which
+//! only witness traces read. A trace re-derives each step from the
+//! stored states (Holzmann, "The model checker SPIN", 1997): the step's
+//! action is the first one its parent fires, in firing order, whose
+//! target is the step's state — by construction the one that discovered
+//! it ([`StateSpace::trace_to`]). [`StateSpace::concrete_traces_to`]
+//! derives each path state's action once for a whole batch of traces,
+//! which is how [`crate::analysis::check`] builds its witnesses.
+//!
 //! # What a state costs
 //!
 //! A stored state costs its words (`stride` × 8 bytes: 16 for a net of up
-//! to 128 places), an 8-byte parent link (parent id and discovering
-//! action), 2 to 4 bytes of discovery rotation on a quotient (a vector
-//! that doubles), and 8 to 16 bytes of dedup index, whose 4-byte slots
-//! double at 50% load. Nothing else grows with the space: the driver
+//! to 128 places), a 4-byte parent id, 2 to 4 bytes of discovery rotation
+//! on a quotient (a vector that doubles), and 6.7 to 13.3 bytes of dedup
+//! index, whose 5-byte slots (a state id and a one-byte hash tag) double
+//! past 3/4 load. Nothing else grows with the space: [`explore`]
 //! holds enabled sets for three BFS levels only — the level it expands,
 //! its parents' level (which the stubborn choice reads) and the level it
 //! discovers — and drops them when the run ends. The words and the
-//! parent links live in blocks of [`BLOCK_STATES`] states that are
+//! parent ids live in blocks of [`BLOCK_STATES`] states that are
 //! appended and never moved, so the space keeps at most one block of
 //! slack and growing it copies nothing; only the first block grows like
 //! a vector, so a small screen reserves no more than it holds up to
 //! doubling. The 1.48M-state Petri space of the 2-way wagged pipeline
-//! thus retains 52.6 MB ([`StateSpace::heap_bytes`]): 23.9 MB of words,
-//! 11.9 MB of parent links and 16.8 MB of index.
+//! thus retains 40.3 MB ([`StateSpace::heap_bytes`]): 23.9 MB of words,
+//! 6.0 MB of parent ids and 10.5 MB of index (2^21 slots).
 //!
 //! # Determinism
 //!
@@ -150,6 +159,7 @@
 use crate::{PetriNet, TransitionId};
 use rap_obs::Obs;
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -336,11 +346,13 @@ impl StateId {
 /// with the system's actions `A` ([`TransitionSystem::Action`]):
 /// [`TransitionId`]s for a net, `Event`s for the DFS semantics.
 ///
-/// The states' words and parent links (in blocks that never move), the
-/// dead list and the dedup index, all keyed by [`StateId`]s in BFS
-/// discovery order. It stores no edges: it keeps the system it was
-/// explored from, and [`StateSpace::successors`] re-expands a state on
-/// each call (see
+/// The states' words and parent ids (in blocks that never move), the dead
+/// list and the dedup index, all keyed by [`StateId`]s in BFS discovery
+/// order. It stores no edges and no discovering actions: it keeps the
+/// system it was explored from, [`StateSpace::successors`] re-expands a
+/// state on each call, and each step of a trace re-expands its parent
+/// ([`StateSpace::trace_to`]; [`StateSpace::concrete_traces_to`] shares
+/// those expansions across a batch, as the net check's witnesses do; see
 /// [States, not edges](crate::engine#states-not-edges)). A quotient space
 /// also keeps the symmetry it was explored under and each state's discovery
 /// rotation, so its traces can be made concrete
@@ -355,9 +367,10 @@ pub struct StateSpace<A = TransitionId> {
     stride: usize,
     /// Per state: its `stride` words.
     arena: Rows<u64>,
-    /// Per state: `(parent, action index)`; the initial state has parent
-    /// `NO_PARENT`.
-    parents: Rows<(u32, u32)>,
+    /// Per state: the id of the state whose expansion discovered it; the
+    /// initial state has `NO_PARENT`. The discovering action is re-derived
+    /// ([`StateSpace::trace_to`]).
+    parents: Rows<u32>,
     /// Per state: the symmetry rotation applied at discovery (empty when
     /// exploring without symmetry — all rotations are then 0).
     rotations: Vec<u16>,
@@ -381,8 +394,11 @@ pub struct StateSpace<A = TransitionId> {
     /// The system the space was explored from, which re-expands states.
     /// Behind a lock because spaces are shared across threads and the
     /// system's methods keep scratch buffers.
-    system: Mutex<Box<dyn TransitionSystem<Action = A> + Send>>,
+    system: Mutex<Box<DynSystem<A>>>,
 }
+
+/// The system a [`StateSpace`] keeps, to re-expand its states.
+type DynSystem<A> = dyn TransitionSystem<Action = A> + Send;
 
 impl<A> fmt::Debug for StateSpace<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -458,9 +474,11 @@ impl<A: Copy> StateSpace<A> {
     }
 
     /// Heap bytes the space retains: the capacities of its blocks of state
-    /// words and parent links, its rotations, dead list and dedup index
-    /// (not the block tables, 24 bytes a block, nor the system it keeps for
-    /// re-expansion, whose size does not grow with the states).
+    /// words and parent ids, its rotations, dead list and dedup index (a
+    /// 4-byte id and a 1-byte tag a slot), but not the block tables, 24
+    /// bytes a block, nor the system it keeps for re-expansion, whose size
+    /// does not grow with the states. No discovering action is stored:
+    /// traces re-derive them (see [`StateSpace::trace_to`]).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -468,7 +486,7 @@ impl<A: Copy> StateSpace<A> {
             + self.parents.capacity_bytes()
             + self.rotations.capacity() * size_of::<u16>()
             + self.dead.capacity() * size_of::<StateId>()
-            + self.index.slots.capacity() * size_of::<u32>()
+            + self.index.capacity_bytes()
     }
 
     /// Does `state` have outgoing edges? Read from the expansion frontier
@@ -479,7 +497,7 @@ impl<A: Copy> StateSpace<A> {
     }
 
     /// The system, to re-expand a state with.
-    fn system(&self) -> MutexGuard<'_, Box<dyn TransitionSystem<Action = A> + Send>> {
+    fn system(&self) -> MutexGuard<'_, Box<DynSystem<A>>> {
         // a system method that panicked may have left its scratch (a
         // half-built stubborn set) dirty, so a poisoned lock is a bug
         self.system
@@ -487,55 +505,83 @@ impl<A: Copy> StateSpace<A> {
             .expect("no earlier re-expansion panicked")
     }
 
-    /// Re-expands `state` (see [`StateSpace::successors`]): fires its
-    /// enabled set, or on a reduced space the stubborn subset chosen again
-    /// from the state and the enabled set of the parent that discovered it.
+    /// Re-expands `state` (see [`StateSpace::successors`]).
     fn expand(&self, state: StateId) -> Vec<(A, StateId)> {
         let mut edges = Vec::new();
         if !self.has_successors(state) {
             return edges;
         }
-        let mut sys = self.system();
-        let sys = &mut **sys;
+        self.refire(&mut **self.system(), state, |a, target| {
+            // a target the budget kept out ends the interrupted state's list
+            let found = self.index.find(hash_words(target), target, &self.arena);
+            if let Some(id) = found {
+                edges.push((self.actions[a], StateId(id)));
+            }
+            found.is_some()
+        });
+        edges
+    }
+
+    /// Fires what the run fired in `state` — its enabled set, or on a
+    /// reduced space the stubborn subset chosen again from the state and
+    /// the enabled set of the parent that discovered it — in firing order,
+    /// showing `each` every action and its target (canonical, on a
+    /// quotient) until `each` returns `false`.
+    fn refire(
+        &self,
+        sys: &mut DynSystem<A>,
+        state: StateId,
+        mut each: impl FnMut(usize, &[u64]) -> bool,
+    ) {
         let astride = self.actions.len().div_ceil(64).max(1);
-        let mut enabled = |s: StateId| {
+        let enabled = |sys: &mut DynSystem<A>, s: StateId| {
             let mut en = vec![0u64; astride];
             sys.write_enabled_full(self.words(s), &mut en);
             en
         };
-        let mut fire = enabled(state);
+        let mut fire = enabled(sys, state);
         let sym = self.symmetry.as_ref().filter(|s| s.order() > 1);
         if self.stubborn {
-            let (parent, _) = self.parents.row(state.index());
-            let before = (parent != NO_PARENT).then(|| enabled(StateId(parent)));
+            let parent = self.parents.row(state.index());
+            let before = (parent != NO_PARENT).then(|| enabled(sys, StateId(parent)));
             let mut choice = Expansion::new(astride);
             let rotation = sym.map(|sy| (sy, self.rotation(state)));
             choice.choose(sys, self.words(state), &fire, before.as_deref(), rotation);
             fire = choice.actions;
         }
-        let fired = places_of(fire.iter().enumerate().map(|(w, &m)| (w as u32, m)));
         let words = self.words(state);
         let (mut raw, mut canon, mut tmp) = (
             vec![0; self.stride],
             vec![0; self.stride],
             vec![0; self.stride],
         );
-        for a in fired {
+        for a in places_of(fire.iter().enumerate().map(|(w, &m)| (w as u32, m))) {
             sys.apply(a, words, &mut raw);
-            let cand = match sym {
+            let target = match sym {
                 Some(sy) => {
                     sy.canonicalize(&raw, &mut canon, &mut tmp);
                     &canon
                 }
                 None => &raw,
             };
-            // a target the budget kept out ends the interrupted state's list
-            let Some(id) = self.index.find(hash_words(cand), cand, &self.arena) else {
+            if !each(a, target) {
                 break;
-            };
-            edges.push((self.actions[a], StateId(id)));
+            }
         }
-        edges
+    }
+
+    /// The raw action whose firing discovered `state` (not the initial
+    /// state): the first action its parent fired, in firing order, whose
+    /// target is `state`. Any earlier one would have discovered it.
+    fn discovering_action(&self, sys: &mut DynSystem<A>, state: StateId) -> u32 {
+        let parent = StateId(self.parents.row(state.index()));
+        let words = self.words(state);
+        let mut found = None;
+        self.refire(sys, parent, |a, target| {
+            found = (target == words).then_some(a as u32);
+            found.is_none()
+        });
+        found.expect("a state's parent fires an action that reaches it")
     }
 
     /// The word-packed bits of `state` (the same width for every state).
@@ -564,7 +610,15 @@ impl<A: Copy> StateSpace<A> {
             .map_or(0, u32::from)
     }
 
-    /// Action sequence from the initial state to `state`.
+    /// Action sequence from the initial state to `state`, along its
+    /// discovery path.
+    ///
+    /// The space stores each state's parent, not the action that
+    /// discovered it, so each step re-expands its parent (as
+    /// [`StateSpace::successors`] does) up to the first action whose
+    /// target is the step's state, which is the discovering one. A path of
+    /// `n` steps costs `n` expansions; [`StateSpace::concrete_traces_to`]
+    /// shares them across a batch of traces.
     ///
     /// For a quotient space this trace is over orbit *representatives* — it
     /// replays in the quotient, not necessarily from the system's concrete
@@ -572,15 +626,13 @@ impl<A: Copy> StateSpace<A> {
     /// of the original system.
     #[must_use]
     pub fn trace_to(&self, state: StateId) -> Vec<A> {
-        self.path(state)[1..]
-            .iter()
-            .map(|s| self.actions[self.parents.row(s.index()).1 as usize])
-            .collect()
+        self.traces(&[state], false).swap_remove(0)
     }
 
     /// An action sequence of the *original* system from its concrete
     /// initial state to a concrete member of `state`'s orbit. Equals
-    /// [`StateSpace::trace_to`] when this is not a quotient space.
+    /// [`StateSpace::trace_to`] when this is not a quotient space, and
+    /// re-derives its steps as that does.
     ///
     /// Each quotient step fires action `a` in the representative's frame;
     /// un-rotating by the cumulative rotation `R` accumulated along the
@@ -589,18 +641,44 @@ impl<A: Copy> StateSpace<A> {
     /// the [module docs](self).
     #[must_use]
     pub fn concrete_trace_to(&self, state: StateId) -> Vec<A> {
-        let Some(sym) = &self.symmetry else {
-            return self.trace_to(state);
-        };
-        let path = self.path(state);
-        let order = sym.order() as u32;
-        let mut rot = self.rotation(path[0]);
-        path[1..]
+        self.concrete_traces_to(&[state]).swap_remove(0)
+    }
+
+    /// [`StateSpace::concrete_trace_to`] of each of `states`, in order, as
+    /// one batch: each state on any of their paths has its discovering
+    /// action derived once, however many paths share it. Witness traces
+    /// share long prefixes, so a batch of them costs about one expansion
+    /// per distinct path state instead of one per step.
+    #[must_use]
+    pub fn concrete_traces_to(&self, states: &[StateId]) -> Vec<Vec<A>> {
+        self.traces(states, true)
+    }
+
+    /// The traces to `states` from one memo of discovering actions:
+    /// concrete when `concrete` is set and this is a quotient space, over
+    /// representatives otherwise.
+    fn traces(&self, states: &[StateId], concrete: bool) -> Vec<Vec<A>> {
+        let sym = self.symmetry.as_ref().filter(|_| concrete);
+        let mut sys = self.system();
+        let mut memo: HashMap<StateId, u32> = HashMap::new();
+        states
             .iter()
-            .map(|&s| {
-                let a = sym.unrotate_action(rot, self.parents.row(s.index()).1);
-                rot = (rot + self.rotation(s)) % order;
-                self.actions[a as usize]
+            .map(|&state| {
+                let path = self.path(state);
+                let mut rot = self.rotation(path[0]);
+                path[1..]
+                    .iter()
+                    .map(|&s| {
+                        let mut a = *memo
+                            .entry(s)
+                            .or_insert_with(|| self.discovering_action(&mut **sys, s));
+                        if let Some(sym) = sym {
+                            a = sym.unrotate_action(rot, a);
+                            rot = (rot + self.rotation(s)) % sym.order() as u32;
+                        }
+                        self.actions[a as usize]
+                    })
+                    .collect()
             })
             .collect()
     }
@@ -640,7 +718,7 @@ impl<A: Copy> StateSpace<A> {
     fn path(&self, state: StateId) -> Vec<StateId> {
         let mut path = vec![state];
         loop {
-            let (parent, _) = self.parents.row(path[path.len() - 1].index());
+            let parent = self.parents.row(path[path.len() - 1].index());
             if parent == NO_PARENT {
                 break;
             }
@@ -718,7 +796,7 @@ fn hash_words(words: &[u64]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// States per storage block: a space's state words and parent links grow
+/// States per storage block: a space's state words and parent ids grow
 /// a block at a time, and a block, once reserved, never moves (see
 /// [What a state costs](self#what-a-state-costs)).
 pub const BLOCK_STATES: usize = 1 << 14;
@@ -787,63 +865,88 @@ impl<T: Copy> Rows<T> {
     }
 }
 
-const EMPTY_SLOT: u32 = u32::MAX;
+/// The tag of an empty slot.
+const EMPTY_TAG: u8 = 0;
 
-/// Open-addressing dedup table over the stored states. Slots store state
-/// ids; collisions are resolved by comparing the states' words, so the
-/// compact hash never mis-identifies a state.
+/// The one-byte tag a state's hash leaves beside its slot: the hash's top
+/// byte, which no slot position reaches, moved off [`EMPTY_TAG`].
+#[inline]
+fn tag_of(hash: u64) -> u8 {
+    ((hash >> 56) as u8).max(1)
+}
+
+/// Open-addressing dedup table over the stored states. Each slot holds a
+/// state id and a one-byte tag of the state's hash (Laarman, van de Pol &
+/// Weber, "Boosting multi-core reachability performance with shared hash
+/// tables", 2010): a probe reads a state's words only where the tags
+/// match, and compares them there, so the compact hash never
+/// mis-identifies a state and the table can run at 3/4 load.
 struct DedupTable {
-    slots: Vec<u32>,
+    /// Per slot: the tag of the state it holds, or [`EMPTY_TAG`].
+    tags: Vec<u8>,
+    /// Per slot: the id of the state it holds (unread where the slot is
+    /// empty).
+    ids: Vec<u32>,
     mask: usize,
     len: usize,
 }
 
 impl DedupTable {
     fn new() -> Self {
-        let cap = 1024;
+        Self::with_slots(1024)
+    }
+
+    fn with_slots(cap: usize) -> Self {
         DedupTable {
-            slots: vec![EMPTY_SLOT; cap],
+            tags: vec![EMPTY_TAG; cap],
+            ids: vec![0; cap],
             mask: cap - 1,
             len: 0,
         }
     }
 
     fn find(&self, hash: u64, cand: &[u64], states: &Rows<u64>) -> Option<u32> {
+        let tag = tag_of(hash);
         let mut i = (hash as usize) & self.mask;
         loop {
-            let slot = self.slots[i];
-            if slot == EMPTY_SLOT {
-                return None;
+            match self.tags[i] {
+                EMPTY_TAG => return None,
+                t if t == tag && states.get(self.ids[i] as usize) == cand => {
+                    return Some(self.ids[i]);
+                }
+                _ => i = (i + 1) & self.mask,
             }
-            if states.get(slot as usize) == cand {
-                return Some(slot);
-            }
-            i = (i + 1) & self.mask;
         }
     }
 
     fn insert_raw(&mut self, hash: u64, id: u32) {
         let mut i = (hash as usize) & self.mask;
-        while self.slots[i] != EMPTY_SLOT {
+        while self.tags[i] != EMPTY_TAG {
             i = (i + 1) & self.mask;
         }
-        self.slots[i] = id;
+        self.tags[i] = tag_of(hash);
+        self.ids[i] = id;
     }
 
-    /// Inserts a freshly appended state, growing at 50% load (cheap probes
-    /// beat memory here: slots are 4 bytes). State ids are dense, so growth
-    /// rehashes by re-reading the stored states.
+    /// Inserts a freshly appended state, doubling the table past 3/4 load.
+    /// State ids are dense, so growth rehashes by re-reading the stored
+    /// states.
     fn insert(&mut self, hash: u64, id: u32, states: &Rows<u64>) {
-        if (self.len + 1) * 2 > self.slots.len() {
-            let cap = self.slots.len() * 2;
-            self.slots = vec![EMPTY_SLOT; cap];
-            self.mask = cap - 1;
-            for prev in 0..self.len {
+        if (self.len + 1) * 4 > self.tags.len() * 3 {
+            let len = self.len;
+            *self = Self::with_slots(self.tags.len() * 2);
+            for prev in 0..len {
                 self.insert_raw(hash_words(states.get(prev)), prev as u32);
             }
+            self.len = len;
         }
         self.insert_raw(hash, id);
         self.len += 1;
+    }
+
+    /// Bytes the slots reserve.
+    fn capacity_bytes(&self) -> usize {
+        self.tags.capacity() + self.ids.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -933,7 +1036,7 @@ pub fn explore<S: TransitionSystem + Send + 'static, W: Watch + ?Sized>(
     let mut arena = Rows::new(stride);
     arena.push(&initial);
     let mut parents = Rows::new(1);
-    parents.push(&[(NO_PARENT, 0)]);
+    parents.push(&[NO_PARENT]);
     let mut table = DedupTable::new();
     table.insert(hash_words(&initial), 0, &arena);
     watch.commit(StateId(0), &initial);
@@ -977,7 +1080,7 @@ pub fn explore<S: TransitionSystem + Send + 'static, W: Watch + ?Sized>(
             let enabled = &en_level[en_base..en_base + astride];
             let edges_before = edges;
             if cfg.stubborn {
-                let (parent, _) = parents.row(s);
+                let parent = parents.row(s);
                 let before = (parent != NO_PARENT).then(|| {
                     let p = (parent as usize - parents_start) * astride;
                     &en_parents[p..p + astride]
@@ -1040,7 +1143,7 @@ pub fn explore<S: TransitionSystem + Send + 'static, W: Watch + ?Sized>(
                             if none_enabled(en) {
                                 dead.push(StateId(id));
                             }
-                            parents.push(&[(s as u32, a as u32)]);
+                            parents.push(&[s as u32]);
                             if sym.is_some() {
                                 // lossless: rotations are below the order,
                                 // which is at most `MAX_SYMMETRY_ORDER`
@@ -2075,6 +2178,49 @@ mod tests {
         assert!(!g.is_truncated());
     }
 
+    /// The index where every tag collides: one-word states chosen so that
+    /// all their hashes carry the same tag, inserted through three growths
+    /// at the 3/4 threshold, with `find` checked against a `HashMap` after
+    /// every insertion that crosses it, for every stored state and for
+    /// absent states of the same tag. Only the words can tell these states
+    /// apart.
+    #[test]
+    fn dedup_table_compares_words_where_tags_collide() {
+        let tag = tag_of(hash_words(&[0]));
+        let mut same_tag = (1u64..).filter(|&w| tag_of(hash_words(&[w])) == tag);
+        let absent: Vec<u64> = same_tag.by_ref().take(64).collect();
+        let mut states = Rows::new(1);
+        let mut table = DedupTable::new();
+        let mut reference: HashMap<u64, u32> = HashMap::new();
+        let check = |table: &DedupTable, states: &Rows<u64>, reference: &HashMap<u64, u32>| {
+            for (&w, &id) in reference {
+                assert_eq!(table.find(hash_words(&[w]), &[w], states), Some(id));
+            }
+            for &w in &absent {
+                assert_eq!(table.find(hash_words(&[w]), &[w], states), None);
+            }
+        };
+        let mut growths = 0;
+        for (id, w) in same_tag.take(5_000).enumerate() {
+            let (hash, id) = (hash_words(&[w]), id as u32);
+            assert_eq!(tag_of(hash), tag);
+            assert_eq!(table.find(hash, &[w], &states), None);
+            let slots = table.tags.len();
+            states.push(&[w]);
+            table.insert(hash, id, &states);
+            reference.insert(w, id);
+            if table.tags.len() != slots {
+                // the state that would fill the table past 3/4 doubles it
+                assert_eq!((reference.len() - 1) * 4, slots * 3);
+                assert_eq!(table.tags.len(), 2 * slots);
+                growths += 1;
+                check(&table, &states, &reference);
+            }
+        }
+        assert_eq!(growths, 3);
+        check(&table, &states, &reference);
+    }
+
     #[test]
     fn zero_place_net_has_single_state() {
         let mut net = PetriNet::new();
@@ -2141,12 +2287,11 @@ mod tests {
         assert!(first.deadlocks().is_empty());
     }
 
-    /// What a space retains: its states' own rows (words and parent
-    /// links) and the index, and past them at most one block of slack,
-    /// where doubling would leave up to as much again as the space holds.
-    /// The net is `fan` widened to 15 one-shot transitions beside a 3-place
-    /// ring: 3 × 2^15 states, six blocks, which doubling would round up to
-    /// eight.
+    /// What a space retains: its states' own rows (words and parent ids)
+    /// and the index, and past them at most one block of slack, where
+    /// doubling would leave up to as much again as the space holds. The net
+    /// is `fan` widened to 15 one-shot transitions beside a 3-place ring:
+    /// 3 × 2^15 states, six blocks, which doubling would round up to eight.
     #[test]
     fn heap_bytes_keeps_at_most_one_block_of_slack() {
         let mut net = ring(3);
@@ -2155,10 +2300,11 @@ mod tests {
             let t = net.add_transition(format!("u{i}"));
             net.consume(t, p);
         }
-        // a state's row: its words and its parent link
+        // a state's row: its words and its 4-byte parent id; an index slot:
+        // a 4-byte id and a 1-byte tag
         let held = |g: &StateSpace| {
-            let row = g.stride * 8 + 8;
-            (g.len() * row + g.index.slots.capacity() * 4, row)
+            let row = g.stride * 8 + 4;
+            (g.len() * row + g.index.tags.len() * 5, row)
         };
         let g = explore(NetSystem::new(&net), &cfg(usize::MAX), None, &mut ());
         assert_eq!(g.len(), 3 << 15);

@@ -154,10 +154,10 @@ fn wagged_quotients_report_the_hazards_of_the_full_space() {
         let sym = img.induced_symmetry(&w.way_rotation).unwrap();
         let choice = |en: TransitionId, dis: TransitionId| {
             let (a, b) = (img.label(en), img.label(dis));
-            a.ends_with('+')
-                && b.ends_with('+')
-                && (a.strip_prefix("Mt_") == b.strip_prefix("Mf_")
-                    || a.strip_prefix("Mf_") == b.strip_prefix("Mt_"))
+            let pair = |t: &str, f: &str| {
+                (t.strip_prefix("Mt_").zip(f.strip_prefix("Mf_"))).is_some_and(|(x, y)| x == y)
+            };
+            a.ends_with('+') && b.ends_with('+') && (pair(a, b) || pair(b, a))
         };
         let props = Properties {
             persistence: Some(&choice),

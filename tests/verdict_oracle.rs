@@ -435,12 +435,12 @@ fn place_name(dfs: &Dfs, g: &RRef, want: bool) -> String {
 }
 
 fn former_hazards(img: &PetriImage, space: &StateSpace) -> Vec<Counterexample> {
-    // Intended choices: the Mt_x+/Mf_x+ pair of the same dynamic register.
+    // Intended choices: the Mt_x+/Mf_x+ pair of one dynamic register x.
     let is_choice_pair = |a: &str, b: &str| -> bool {
-        a.ends_with('+')
-            && b.ends_with('+')
-            && (a.strip_prefix("Mt_") == b.strip_prefix("Mf_")
-                || a.strip_prefix("Mf_") == b.strip_prefix("Mt_"))
+        let pair = |t: &str, f: &str| {
+            (t.strip_prefix("Mt_").zip(f.strip_prefix("Mf_"))).is_some_and(|(x, y)| x == y)
+        };
+        a.ends_with('+') && b.ends_with('+') && (pair(a, b) || pair(b, a))
     };
     find_persistence_violations(&img.net, space, |en, dis| {
         is_choice_pair(img.label(en), img.label(dis))
