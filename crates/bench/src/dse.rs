@@ -172,12 +172,18 @@ pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> Swe
             (dir, true)
         }
     };
-    // store opens do real I/O (dir creation, lock fsync, orphan sweep):
-    // keep them inside spans so cold-cache runs stay fully accounted
+    // a store open does real I/O (dir creation, the lock file, one read
+    // of the frame log, and a compaction when superseded records outweigh
+    // live ones), and a store's drop syncs the log its tenancy appended
+    // to: keep both inside spans so cold-cache runs stay fully accounted
     let open = || {
         let _span = obs.span("session.open");
         rap_session::Store::open(&store_dir)
             .map(|store| rap_session::Session::with(Some(store), obs.clone()))
+    };
+    let close = |session: rap_session::Session| {
+        let _span = obs.span("session.close");
+        drop(session);
     };
     let session = open()
         .unwrap_or_else(|e| panic!("cannot open artifact store {}: {e:?}", store_dir.display()));
@@ -204,11 +210,11 @@ pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> Swe
         warm.stats.full_evaluations, 0,
         "a warm re-sweep over the same session must recompute nothing"
     );
-    // restart pass: drop the session (releasing the store lock), open a
-    // fresh one over the same directory and re-sweep — every structure is
-    // served from disk, so the fronts are bit-identical at zero full
-    // evaluations: the crash-safety contract, measured
-    drop(session);
+    // restart pass: close the session (syncing the log and releasing the
+    // store lock), open a fresh one over the same directory and re-sweep —
+    // every structure is served from disk, so the fronts are bit-identical
+    // at zero full evaluations: the crash-safety contract, measured
+    close(session);
     let session = open().unwrap_or_else(|e| panic!("cannot reopen artifact store: {e:?}"));
     let t2 = Instant::now();
     let restart = {
@@ -227,7 +233,7 @@ pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> Swe
         restart_store.disk_hits > 0,
         "the restart pass never touched the store"
     );
-    drop(session);
+    close(session);
     if scratch {
         let _span = obs.span("bench.cleanup");
         let _ = std::fs::remove_dir_all(&store_dir);

@@ -45,8 +45,9 @@ fn traced_sweep_is_schema_valid_and_front_identical() {
     assert!(snap.counters.get("dse.enumerated") > 0);
 
     // spans nest by the thread's context, so every span the session opens
-    // (`session.open` is the bench's, around the store) sits inside the
-    // `dse.eval` that asked for it, and the engine inside a query's compute
+    // (`session.open` and `session.close` are the bench's, around the
+    // store's open and its drop-time sync) sits inside the `dse.eval` that
+    // asked for it, and the engine inside a query's compute
     let spans = &snap.spans;
     let name = |i: usize| spans[i].name;
     let ancestors = |mut i: usize| {
@@ -57,7 +58,10 @@ fn traced_sweep_is_schema_valid_and_front_identical() {
     };
     let mut session_spans = 0;
     for (i, span) in spans.iter().enumerate() {
-        if span.name.starts_with("session.") && span.name != "session.open" {
+        if span.name.starts_with("session.")
+            && span.name != "session.open"
+            && span.name != "session.close"
+        {
             session_spans += 1;
             assert!(
                 ancestors(i).any(|a| name(a) == "dse.eval"),

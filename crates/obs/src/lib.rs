@@ -68,11 +68,14 @@
 //! | `dse.enumerated`, `dse.eval.full` / `.memo` / `.error` / `.panic` | counter | sweep work accounting |
 //! | `dse.check.violation` / `dse.check.inconclusive` | counter | verification outcomes across full evaluations |
 //! | `dse.full` / `dse.memo` / `dse.error` | event | per-candidate provenance; label = config label, value = structural hash |
-//! | `store.read_ns` / `store.write_ns` | histogram | artifact read / write+fsync+rename latency |
+//! | `store.read_ns` / `store.write_ns` | histogram | record read (one positioned read, verified) / append latency |
 //! | `store.read.hit` / `.miss` / `.error` / `.bytes` | counter | load outcomes |
-//! | `store.write.bytes` / `store.write.error` | counter | save outcomes |
-//! | `store.quarantine` | counter + event | corrupt artifacts moved aside (label = file name) |
+//! | `store.write.bytes` / `store.write.error` | counter | append outcomes (a failed compaction is a write error too) |
+//! | `store.quarantine` | counter + event | corrupt records and cut log tails set aside in `quarantine/` (label = file name, value = log offset) |
+//! | `store.sync` | span | a store's one sync, as it drops: the log's fdatasync, and the directory's fsync when the tenancy created the log |
+//! | `store.compact` | span | rewriting the frame log as its live records at open (recorded when the recorder is attached) |
 //! | `store.lock.stale_broken` | counter | stale lock files broken at open |
+//! | `session.open` / `session.close` | span | a bench opening a store-backed session / dropping it (the store's sync inside) |
 //! | `bench.main` | span | whole-bin umbrella span in simple `rap-bench` bins |
 //! | `dse.pass.cold` / `.warm` / `.restart` | span | the three passes of the `dse_pareto` sweep |
 //! | `bench.case.petri` / `bench.case.lts` | span | per-backend cases in `state_space_scaling` |

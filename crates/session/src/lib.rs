@@ -259,12 +259,14 @@ impl Session {
 
     /// A session over an optional artifact `store`, recording into `obs`.
     ///
-    /// With a store, every successful perf / quick-check / cost /
-    /// steady-state artifact is committed to it (crash-safely — temp file,
-    /// fsync, atomic rename), and every such query consults the store
-    /// before computing, so warm-sweep guarantees extend across process
-    /// restarts: a restarted sweep over an intact store performs zero full
-    /// evaluations. Store degradation (corrupt frames, full disk, I/O
+    /// With a store, every successful perf / check / cost / steady-state
+    /// artifact is appended to its frame log, and every such query
+    /// consults the store's index before computing, so warm-sweep
+    /// guarantees extend across process restarts: a restarted sweep over an
+    /// intact store performs zero full evaluations. The store syncs once,
+    /// when the session drops its last handle to it: a process crash loses
+    /// no frame, and a machine crash at most the frames of the tenancy's
+    /// last, unsynced stretch, which recompute. Store degradation (corrupt frames, full disk, I/O
     /// errors) never changes an answer — only whether it was recomputed —
     /// and is observable via [`SessionStats::store`]. `None` is a
     /// memory-only session.

@@ -1,18 +1,21 @@
 //! Real-process crash smoke: a child process holding the store lock is
-//! SIGKILLed with a torn artifact frame on disk, and a fresh session over
-//! the directory must recover everything — break the dead holder's lock,
-//! quarantine the torn frame, recompute exactly that artifact, and return
-//! bit-identical answers.
+//! SIGKILLed with a torn record at the end of its frame log, and a fresh
+//! session over the directory must recover everything — break the dead
+//! holder's lock, cut and quarantine the torn record, recompute exactly
+//! that artifact, and return bit-identical answers.
 //!
 //! The child is this same test binary re-invoked with `RAP_CRASH_CHILD_DIR`
-//! set: it runs a full store-backed sweep (the real commit path — temp
-//! file, fsync, rename), then tears the committed perf frame at a seeded
-//! byte offset (`RAP_CRASH_SEED`) to simulate a power cut mid-write, drops
-//! a `ready` marker file, and sleeps holding the lock until the parent
-//! kills it — SIGKILL, so no destructor ever releases the lock. (A marker
-//! file, not stdout: the child's test harness captures its output.)
+//! set: it runs a full store-backed sweep (the real commit path — one
+//! append per frame, no sync until the store drops), then tears the log's
+//! last record, the only record a crash mid-append can tear, at a seeded
+//! byte offset (`RAP_CRASH_SEED`), drops a `ready` marker file, and sleeps
+//! holding the lock until the parent kills it — SIGKILL, so no destructor
+//! ever syncs the log or releases the lock, and the reopen shows that a
+//! process crash loses nothing else. (A marker file, not stdout: the
+//! child's test harness captures its output.)
 
 use dfs_core::{Dfs, DfsBuilder, NodeId};
+use rap_session::store::frame::split_frame;
 use rap_session::Session;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -60,31 +63,27 @@ fn query_bits(session: &Session, dfs: &Dfs, out: NodeId) -> Vec<u64> {
     ]
 }
 
-/// The child half: sweep, tear the perf frame, announce, hold the lock.
+/// The child half: sweep, tear the last record, announce, hold the lock.
 fn child_main(dir: &std::path::Path, seed: u64) -> ! {
     let session = Session::open(dir).expect("child takes the lock");
     let (dfs, out) = model();
     query_bits(&session, &dfs, out);
 
-    // tear the perf frame (kind 0x01) at a seeded offset: every proper
-    // prefix of a frame must fail verification on reload
-    let perf_frame = std::fs::read_dir(dir)
-        .unwrap()
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .find(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("a01-") && n.ends_with(".rap"))
-        })
-        .expect("the cold sweep committed a perf frame");
-    let len = std::fs::metadata(&perf_frame).unwrap().len();
-    let cut = seed % len.max(1);
-    let f = std::fs::OpenOptions::new()
-        .write(true)
-        .open(&perf_frame)
-        .unwrap();
+    // find the last record of the log, and cut it at a seeded offset that
+    // keeps a proper, nonempty prefix of it: every such prefix must fail
+    // verification on reload
+    let log = session.store().unwrap().log_path().to_path_buf();
+    let bytes = std::fs::read(&log).unwrap();
+    let (mut start, mut last) = (0, 0);
+    while let Some((_, _, len)) = split_frame(&bytes[start..]) {
+        last = start;
+        start += len;
+    }
+    assert_eq!(start, bytes.len(), "the cold sweep left a clean log");
+    let len = (start - last) as u64;
+    let cut = last as u64 + 1 + seed % (len - 1);
+    let f = std::fs::OpenOptions::new().write(true).open(&log).unwrap();
     f.set_len(cut).unwrap();
-    f.sync_all().unwrap();
 
     std::fs::write(dir.join("ready"), b"").unwrap();
     // hold the lock until SIGKILL — the Store must never drop cleanly
@@ -128,7 +127,7 @@ fn sigkill_mid_commit_recovers_on_reopen() {
                 "seed {seed}: child never reported ready"
             );
             if let Some(status) = child.try_wait().expect("poll child") {
-                panic!("seed {seed}: child died before tearing the frame: {status}");
+                panic!("seed {seed}: child died before tearing the record: {status}");
             }
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
@@ -140,8 +139,9 @@ fn sigkill_mid_commit_recovers_on_reopen() {
         let lock = std::fs::read_to_string(dir.0.join("writer.lock")).unwrap();
         assert_eq!(lock.trim().parse::<u32>().unwrap(), child.id());
 
-        // recovery: stale lock broken, torn frame quarantined, exactly the
-        // torn artifact recomputed, answers bit-identical
+        // recovery: stale lock broken, torn record cut and quarantined,
+        // exactly the torn artifact (the screen, the sweep's last commit)
+        // recomputed, answers bit-identical
         let session =
             Session::open(&dir.0).unwrap_or_else(|e| panic!("seed {seed}: reopen failed: {e:?}"));
         assert_eq!(query_bits(&session, &dfs, out), reference, "seed {seed}");
@@ -150,8 +150,11 @@ fn sigkill_mid_commit_recovers_on_reopen() {
         assert_eq!(stats.store.corrupt_recovered, 1, "seed {seed}");
         assert_eq!(stats.store.disk_hits, 3, "seed {seed}");
         assert_eq!(stats.store.disk_misses, 1, "seed {seed}");
-        assert_eq!(stats.queries.perf_analyses, 1, "seed {seed}");
-        assert_eq!(stats.queries.computations(), 1, "seed {seed}");
+        assert_eq!(stats.queries.check_runs, 1, "seed {seed}");
+        // the screen runs on the model's Petri image, which is never
+        // persisted: its recompute translates the model again
+        assert_eq!(stats.queries.petri_translations, 1, "seed {seed}");
+        assert_eq!(stats.queries.computations(), 2, "seed {seed}");
         assert_eq!(session.store().unwrap().quarantined_frames(), 1);
     }
 }

@@ -1,6 +1,7 @@
 //! The on-disk frame format and its checksum.
 //!
-//! A frame is the unit of persistence — one artifact, one file:
+//! A frame is the unit of persistence — one artifact, one record of the
+//! store's log, which is nothing but frames back to back:
 //!
 //! ```text
 //! offset  size  field
@@ -15,11 +16,13 @@
 //! 48+n    8     checksum (u64 LE): FNV-1a 64 over bytes [0, 48+n)
 //! ```
 //!
-//! The header repeats the full [`ArtifactKey`], so a frame that lands at
-//! the wrong path (alien frame) is rejected on read even though its
-//! checksum is fine. The checksum covers header *and* payload, so a torn
-//! write at any byte offset is detected. [`decode_frame`] returns `None`
-//! for every defect — the store maps that to quarantine-and-recompute.
+//! The header carries the full [`ArtifactKey`], so the log needs no index
+//! of its own: [`split_frame`] reads a record's key and length from the
+//! record itself, and a record served for another key is rejected even
+//! though its checksum is fine. The checksum covers header *and* payload,
+//! so a torn append at any byte offset is detected. [`split_frame`] and
+//! [`decode_frame`] return `None` for every defect — the store maps that
+//! to quarantine-and-recompute.
 
 use crate::codec::{Reader, Writer};
 use crate::{ArtifactKey, QueryKind};
@@ -63,20 +66,14 @@ pub fn encode_frame(key: &ArtifactKey, payload: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// Verifies `bytes` as a frame for exactly `expect` and returns its
-/// payload. `None` means the frame is corrupt, truncated, of a different
-/// format version, or keyed for a different artifact.
+/// Verifies the frame at the start of `bytes` (magic, version, query kind,
+/// checksum) and returns its key, its payload and its length in bytes.
+/// Bytes after the frame are not looked at. `None` means no whole, valid
+/// frame starts there: it is corrupt, cut short, or of a different format
+/// version.
 #[must_use]
-pub fn decode_frame(bytes: &[u8], expect: &ArtifactKey) -> Option<Vec<u8>> {
-    if bytes.len() < HEADER_LEN + 8 {
-        return None;
-    }
-    let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored_sum = u64::from_le_bytes(sum_bytes.try_into().ok()?);
-    if checksum(body) != stored_sum {
-        return None;
-    }
-    let mut r = Reader::new(body);
+pub fn split_frame(bytes: &[u8]) -> Option<(ArtifactKey, &[u8], usize)> {
+    let mut r = Reader::new(bytes.get(..HEADER_LEN)?);
     for want in MAGIC {
         if r.u8()? != want {
             return None;
@@ -86,22 +83,29 @@ pub fn decode_frame(bytes: &[u8], expect: &ArtifactKey) -> Option<Vec<u8>> {
         return None;
     }
     let kind = QueryKind::from_tag(u8::try_from(r.u32()?).ok()?)?;
-    let structural = r.u64()?;
-    let identity = r.u64()?;
-    let subkey = r.u64()?;
-    if kind != expect.kind
-        || structural != expect.structural
-        || identity != expect.identity
-        || subkey != expect.subkey
-    {
+    let key = ArtifactKey {
+        structural: r.u64()?,
+        identity: r.u64()?,
+        kind,
+        subkey: r.u64()?,
+    };
+    let body_len = HEADER_LEN.checked_add(usize::try_from(r.u64()?).ok()?)?;
+    let body = bytes.get(..body_len)?;
+    let sum_bytes = bytes.get(body_len..body_len.checked_add(8)?)?;
+    if checksum(body) != u64::from_le_bytes(sum_bytes.try_into().ok()?) {
         return None;
     }
-    let len = usize::try_from(r.u64()?).ok()?;
-    let payload = body.get(HEADER_LEN..)?;
-    if payload.len() != len {
-        return None;
-    }
-    Some(payload.to_vec())
+    Some((key, &body[HEADER_LEN..], body_len + 8))
+}
+
+/// Verifies `bytes` as a frame for exactly `expect` and returns its
+/// payload. `None` means the frame is corrupt, truncated, followed by
+/// stray bytes, of a different format version, or keyed for a different
+/// artifact.
+#[must_use]
+pub fn decode_frame(bytes: &[u8], expect: &ArtifactKey) -> Option<Vec<u8>> {
+    let (key, payload, len) = split_frame(bytes)?;
+    (key == *expect && len == bytes.len()).then(|| payload.to_vec())
 }
 
 #[cfg(test)]
@@ -142,6 +146,21 @@ mod tests {
         let payload = b"throughput 0.25 items/cycle".to_vec();
         let frame = encode_frame(&key(), &payload);
         assert_eq!(decode_frame(&frame, &key()), Some(payload));
+    }
+
+    #[test]
+    fn split_frame_reads_the_first_record_of_a_log() {
+        let first = encode_frame(&key(), b"first");
+        let mut other = key();
+        other.subkey = 7;
+        let mut log = first.clone();
+        log.extend_from_slice(&encode_frame(&other, b"second"));
+        let (k, payload, len) = split_frame(&log).unwrap();
+        assert_eq!((k, payload, len), (key(), &b"first"[..], first.len()));
+        let (k, payload, _) = split_frame(&log[len..]).unwrap();
+        assert_eq!((k, payload), (other, &b"second"[..]));
+        // a frame followed by stray bytes is not a frame for decode_frame
+        assert_eq!(decode_frame(&log, &key()), None);
     }
 
     #[test]

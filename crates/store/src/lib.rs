@@ -2,40 +2,61 @@
 //!
 //! `rap-session` memoizes every derived artifact (throughput analysis,
 //! verification screen, silicon cost, …) in memory; this crate makes those
-//! artifacts survive process restarts. A [`Store`] is a directory of
-//! checksummed, versioned **frames**, one per artifact, keyed by the same
-//! identity the session caches under: the model's structural hash, its
-//! byte-exact identity digest, the query kind, and the query's own cache
-//! key (state budget, cost-model key, …) — see [`ArtifactKey`].
+//! artifacts survive process restarts. A [`Store`] is a directory holding
+//! one append-only log, `frames.log`, of checksummed, versioned **frames**,
+//! one per artifact, keyed by the same identity the session caches under:
+//! the model's structural hash, its byte-exact identity digest, the query
+//! kind, and the query's own cache key (state budget, cost-model key, …) —
+//! see [`ArtifactKey`]. [`Store::open`] reads the log once into an
+//! in-memory index from key to record (a Bitcask-style keydir), so a miss
+//! costs no I/O and a hit one positioned read.
 //!
 //! # Durability contract
 //!
-//! 1. **Atomic commits.** An artifact is written as a complete frame to a
-//!    temporary file, fsynced, then atomically renamed into place (and the
-//!    directory fsynced). Readers never observe a half-written frame at
-//!    the final path under a crash of the *writer process*; a torn frame
-//!    can still appear if the machine itself dies with dirty page cache,
-//!    which is why reads verify, not trust.
-//! 2. **Verify on read.** Every load re-checks the magic, the schema
-//!    version, the full checksum, and that the frame's embedded key equals
-//!    the requested key. A corrupt, truncated, stale-versioned or alien
-//!    frame is **quarantined** (moved to `quarantine/`) and reported as a
-//!    miss, so the caller transparently recomputes and rewrites it.
+//! 1. **One log, one sync per tenancy.** A save appends its frame to the
+//!    log with one write and nothing else: no temp file, no rename, no
+//!    fsync. When the [`Store`] drops, before it releases the lock, it
+//!    fdatasyncs the log once if this tenancy appended to it, and fsyncs
+//!    the directory once if this tenancy created the log (group commit).
+//!    - A process crash, SIGKILL included, loses nothing: appended bytes
+//!      are in the OS cache, and the next open reads them.
+//!    - A machine crash can lose what the tenancy appended since its last
+//!      sync. Contract 4 makes a lost frame a recompute, and the next open
+//!      cuts a torn tail (contract 2).
+//! 2. **Verify on read.** Open verifies every record as a load verifies
+//!    it: the magic, the schema version, the full checksum, and the key the
+//!    frame embeds. The first record that fails, or is cut short, ends the
+//!    scan; the log is truncated there and the cut bytes are set aside as
+//!    one file in `quarantine/` (created on first use). A later record of a
+//!    key supersedes an earlier one, and when superseded bytes outweigh
+//!    live ones the open compacts the log: the live records go to a temp
+//!    file with one write and one fsync, which is renamed over the log
+//!    before the directory is fsynced. Every load reads its record again
+//!    and re-verifies it; a record that fails is dropped from the index,
+//!    **quarantined** (its bytes set aside in `quarantine/`) and reported
+//!    as a miss, so the caller transparently recomputes and re-appends it.
+//!    Files of the per-frame layout that preceded the log (`a*.rap`) are
+//!    ignored: a miss costs a recompute.
 //! 3. **Single writer.** A pid-stamped `writer.lock` file guards the
-//!    directory. Locks left behind by dead processes (SIGKILL mid-commit)
+//!    directory. Locks left behind by dead processes (SIGKILL mid-sweep)
 //!    are detected by a liveness probe and broken; a lock held by a live
-//!    process makes [`Store::open`] fail with [`StoreError::Locked`].
+//!    process makes [`Store::open`] fail with [`StoreError::Locked`]. The
+//!    lock file is never synced: it names a live process, and after a
+//!    machine crash every holder is dead, so whether the file survived
+//!    changes nothing.
 //! 4. **Graceful degradation.** No I/O failure is ever allowed to change
-//!    an answer — only its cost. Failed writes (ENOSPC, crash injection)
-//!    are counted and dropped; failed or corrupt reads are counted and
-//!    recomputed. The differential fault-injection suite in the facade
-//!    pins this: a session over an arbitrarily faulted store returns
-//!    bit-identical artifacts to a fresh in-memory session.
+//!    an answer — only its cost. Failed appends (ENOSPC, EIO) are counted
+//!    and dropped; failed or corrupt reads are counted and recomputed; a
+//!    failed compaction leaves the log as the rename left it. The
+//!    differential fault-injection suite in the facade pins this: a
+//!    session over an arbitrarily faulted store returns bit-identical
+//!    artifacts to a fresh in-memory session.
 //!
 //! All I/O goes through the [`Storage`] trait. Production uses
 //! [`DiskStorage`]; tests wrap it in [`FaultyStorage`], which injects torn
-//! writes (kill-at-byte-k), ENOSPC, read EIO, crash-before/after-rename
-//! and stale/live lock scenarios on demand.
+//! appends (kill-at-byte-k), ENOSPC, read EIO, crashes around compaction's
+//! rename, machine crashes that lose every unsynced append, and stale/live
+//! lock scenarios on demand.
 //!
 //! The frame format and checksum live in [`frame`]; the little-endian
 //! byte codec shared with the payload encoders lives in [`codec`].
@@ -51,17 +72,18 @@ mod storage;
 pub use faults::FaultyStorage;
 pub use storage::{DiskStorage, Storage};
 
-use frame::{decode_frame, encode_frame};
+use frame::{decode_frame, encode_frame, split_frame};
 use rap_obs::{CounterSnapshot, Meter, Obs};
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// The query kinds a store distinguishes. The discriminants are part of
-/// the on-disk format (they appear in file names and frame headers), so
-/// they are assigned explicitly and must never be reused.
+/// the on-disk format (they appear in frame headers), so they are assigned
+/// explicitly and must never be reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum QueryKind {
@@ -117,15 +139,6 @@ pub struct ArtifactKey {
     pub subkey: u64,
 }
 
-impl ArtifactKey {
-    fn file_name(&self) -> String {
-        format!(
-            "a{:02x}-{:016x}-{:016x}-{:016x}.rap",
-            self.kind as u8, self.structural, self.identity, self.subkey
-        )
-    }
-}
-
 /// Why a store could not be opened.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
@@ -165,22 +178,24 @@ impl std::error::Error for StoreError {}
 /// the two counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Loads served from a verified on-disk frame.
+    /// Loads served from a verified record of the log.
     pub disk_hits: u64,
-    /// Loads that found no frame (the artifact was never persisted, or a
-    /// corrupt predecessor was quarantined earlier).
+    /// Loads that found no record (the artifact was never persisted, was
+    /// lost in a machine crash, or a corrupt predecessor was quarantined).
     pub disk_misses: u64,
-    /// Corrupt / truncated / stale-versioned / alien frames quarantined
-    /// and reported as misses — each one is transparently recomputed by
-    /// the caller, so this is the count of *recovered* frames.
+    /// Corrupt / torn / stale-versioned records set aside in `quarantine/`:
+    /// a log tail cut at open, or a record that failed verification on
+    /// load. Each one is transparently recomputed by the caller, so this is
+    /// the count of *recovered* records.
     pub corrupt_recovered: u64,
     /// Reads that failed with an I/O error (treated as misses).
     pub read_errors: u64,
-    /// Frame bytes successfully committed.
+    /// Frame bytes successfully appended.
     pub bytes_written: u64,
     /// Frame bytes of verified loads.
     pub bytes_read: u64,
-    /// Writes dropped because of an I/O error (ENOSPC, injected crash…).
+    /// Appends dropped, and compactions abandoned, because of an I/O error
+    /// (ENOSPC, an injected crash…).
     pub write_errors: u64,
     /// Stale locks of dead writers broken during [`Store::open`].
     pub stale_locks_broken: u64,
@@ -210,21 +225,59 @@ impl StoreStats {
 }
 
 const LOCK_FILE: &str = "writer.lock";
+const LOG_FILE: &str = "frames.log";
+/// Where a compaction writes the live records before renaming them over
+/// the log; a crash can leave it behind, and the next compaction
+/// overwrites it.
+const COMPACT_FILE: &str = "frames.log.compact";
 const QUARANTINE_DIR: &str = "quarantine";
-const TMP_SUFFIX: &str = ".tmp";
+
+/// Where a key's live record sits in the log: its offset and length.
+type Record = (u64, usize);
+
+/// The in-memory index of the log, and whether this tenancy has appended.
+#[derive(Default)]
+struct Log {
+    index: HashMap<ArtifactKey, Record>,
+    appended: bool,
+}
+
+/// Indexes the valid records at the start of `bytes`, a later record of a
+/// key superseding an earlier one. Returns the index and where the first
+/// record that fails verification, or is cut short, begins (`bytes.len()`
+/// when every record verifies).
+fn scan(bytes: &[u8]) -> (HashMap<ArtifactKey, Record>, usize) {
+    let mut index = HashMap::new();
+    let mut at = 0;
+    while let Some((key, _, len)) = split_frame(&bytes[at..]) {
+        index.insert(key, (at as u64, len));
+        at += len;
+    }
+    (index, at)
+}
 
 /// A content-addressed artifact cache over one directory — see the
 /// [crate docs](crate) for the durability contract.
 ///
 /// A `Store` holds the directory's single-writer lock from
-/// [`open`](Store::open) until it is dropped. It is `Send + Sync`; the
-/// session layer shares one store across all compiled models via `Arc`.
+/// [`open`](Store::open) until it is dropped, and syncs what it appended
+/// as it drops. It is `Send + Sync`; the session layer shares one store
+/// across all compiled models via `Arc`, and appends from many threads
+/// take one mutex, which also guards the index.
 pub struct Store {
     dir: PathBuf,
+    log_path: PathBuf,
     storage: Arc<dyn Storage>,
     meter: Meter,
     /// The pid written into the lock file — removed again on drop.
     lock_pid: u32,
+    /// No log existed at open: a tenancy that appends creates it, and
+    /// then syncs the directory too.
+    fresh_log: bool,
+    /// How long the open's compaction took, until a recorder is attached
+    /// to receive it as a `store.compact` span.
+    compact_ns: Option<u64>,
+    log: Mutex<Log>,
 }
 
 impl fmt::Debug for Store {
@@ -236,9 +289,13 @@ impl fmt::Debug for Store {
     }
 }
 
+fn elapsed_ns(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 impl Store {
     /// Opens (creating if necessary) the store at `dir` on the real
-    /// filesystem.
+    /// filesystem, and reads its log into the index.
     ///
     /// # Errors
     ///
@@ -264,9 +321,6 @@ impl Store {
         storage
             .create_dir_all(&dir)
             .map_err(|e| io_err("create store dir", e))?;
-        storage
-            .create_dir_all(&dir.join(QUARANTINE_DIR))
-            .map_err(|e| io_err("create quarantine dir", e))?;
 
         let lock_pid = std::process::id();
         let lock_path = dir.join(LOCK_FILE);
@@ -310,41 +364,110 @@ impl Store {
             }
         }
 
-        let store = Store {
+        let mut store = Store {
+            log_path: dir.join(LOG_FILE),
             dir,
             storage,
             meter: Meter::new(),
             lock_pid,
+            fresh_log: false,
+            compact_ns: None,
+            log: Mutex::default(),
         };
         if stale_broken > 0 {
             store.meter.add("store.lock.stale_broken", stale_broken);
         }
-        store.sweep_orphan_temps();
+        store.read_log(true);
         Ok(store)
     }
 
+    /// Reads the log into the index: cuts a torn or corrupt tail off, and
+    /// compacts when `may_compact` and superseded bytes outweigh live ones.
+    /// An unreadable log leaves the index empty — every load a miss.
+    fn read_log(&mut self, may_compact: bool) {
+        let bytes = match self.storage.read(&self.log_path) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                self.fresh_log = e.kind() == io::ErrorKind::NotFound;
+                if !self.fresh_log {
+                    self.meter.add("store.read.error", 1);
+                }
+                return;
+            }
+        };
+        let (index, end) = scan(&bytes);
+        if end < bytes.len() {
+            self.set_aside(Some(&bytes[end..]), end as u64);
+            let _ = self.storage.truncate(&self.log_path, end as u64);
+        }
+        let live: usize = index.values().map(|&(_, len)| len).sum();
+        self.log_mut().index = index;
+        if may_compact && end - live > live {
+            let t0 = Instant::now();
+            self.compact(&bytes);
+            self.compact_ns = Some(elapsed_ns(t0));
+        }
+    }
+
+    /// Rewrites the log as its live records alone, in log order.
+    fn compact(&mut self, bytes: &[u8]) {
+        let mut live: Vec<(ArtifactKey, Record)> =
+            self.log_mut().index.iter().map(|(k, &r)| (*k, r)).collect();
+        live.sort_unstable_by_key(|&(_, (offset, _))| offset);
+        let mut out = Vec::with_capacity(live.iter().map(|&(_, (_, len))| len).sum());
+        let mut index = HashMap::with_capacity(live.len());
+        for (key, (offset, len)) in live {
+            index.insert(key, (out.len() as u64, len));
+            let at = offset as usize;
+            out.extend_from_slice(&bytes[at..at + len]);
+        }
+        let tmp = self.dir.join(COMPACT_FILE);
+        let written = self
+            .storage
+            .write(&tmp, &out)
+            .and_then(|()| self.storage.sync(&tmp));
+        if written.is_err() {
+            // the log is untouched, and so is its index
+            self.meter.add("store.write.error", 1);
+            let _ = self.storage.remove(&tmp);
+            return;
+        }
+        if self.storage.rename(&tmp, &self.log_path).is_err() {
+            // the rename may or may not have landed: trust only what the
+            // log now holds
+            self.meter.add("store.write.error", 1);
+            let _ = self.storage.remove(&tmp);
+            self.read_log(false);
+            return;
+        }
+        let _ = self.storage.sync(&self.dir);
+        self.log_mut().index = index;
+    }
+
+    fn log(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn log_mut(&mut self) -> &mut Log {
+        self.log.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Attaches a recorder: I/O counters are mirrored into it (under the
-    /// same `store.*` taxonomy names), read/write latency is observed in
-    /// the `store.read_ns` / `store.write_ns` log2 histograms, and every
-    /// quarantined frame emits a `store.quarantine` event naming the file.
+    /// same `store.*` taxonomy names), read/append latency is observed in
+    /// the `store.read_ns` / `store.write_ns` log2 histograms, every
+    /// quarantined record emits a `store.quarantine` event naming the file
+    /// it was set aside in, the drop-time sync is a `store.sync` span, and
+    /// a compaction the open ran is recorded as a `store.compact` span
+    /// under the span the calling thread has open.
     ///
     /// Must be called before the store is shared (it takes `&mut self`).
     /// `Session::with(Some(store), obs)` calls it with the session's own
     /// handle, so a session and its store record into one recorder.
     pub fn set_recorder(&mut self, obs: Obs) {
-        self.meter.set_obs(obs);
-    }
-
-    /// Removes `*.tmp` leftovers of commits that died before their rename
-    /// — they were never visible as artifacts, so this is pure hygiene.
-    fn sweep_orphan_temps(&self) {
-        if let Ok(entries) = self.storage.list(&self.dir) {
-            for p in entries {
-                if p.to_string_lossy().ends_with(TMP_SUFFIX) {
-                    let _ = self.storage.remove(&p);
-                }
-            }
+        if let Some(ns) = self.compact_ns.take() {
+            obs.record_span("store.compact", ns);
         }
+        self.meter.set_obs(obs);
     }
 
     /// The directory this store manages.
@@ -353,122 +476,144 @@ impl Store {
         &self.dir
     }
 
-    /// The final on-disk path of `key`'s frame (diagnostics and the crash
-    /// harness; the file need not exist).
+    /// The path of the frame log (diagnostics and the crash harness; the
+    /// file need not exist yet).
     #[must_use]
-    pub fn artifact_path(&self, key: &ArtifactKey) -> PathBuf {
-        self.dir.join(key.file_name())
+    pub fn log_path(&self) -> &Path {
+        &self.log_path
     }
 
     /// Loads and verifies the payload stored under `key`.
     ///
-    /// Returns `None` on a miss — including every failure mode: no frame,
-    /// unreadable frame (I/O error), or a frame that fails verification
-    /// (bad magic/version/checksum or a key mismatch), in which case the
-    /// frame is quarantined first. A `None` therefore always means
-    /// "recompute (and [`save`](Store::save)) this artifact".
+    /// Returns `None` on a miss — including every failure mode: no record
+    /// (answered from the index, with no I/O), an unreadable record (I/O
+    /// error), or a record that fails verification (bad magic, version or
+    /// checksum, or a key mismatch), which is quarantined first. A `None`
+    /// therefore always means "recompute (and [`save`](Store::save)) this
+    /// artifact".
     #[must_use]
     pub fn load(&self, key: &ArtifactKey) -> Option<Vec<u8>> {
         let start = self.meter.obs().is_enabled().then(Instant::now);
         let result = self.load_inner(key);
         if let Some(t0) = start {
-            self.meter.obs().observe_ns(
-                "store.read_ns",
-                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
+            self.meter.obs().observe_ns("store.read_ns", elapsed_ns(t0));
         }
         result
     }
 
     fn load_inner(&self, key: &ArtifactKey) -> Option<Vec<u8>> {
-        let path = self.artifact_path(key);
-        let bytes = match self.storage.read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.meter.add("store.read.miss", 1);
-                return None;
+        let found = self.log().index.get(key).copied();
+        let Some(at @ (offset, len)) = found else {
+            self.meter.add("store.read.miss", 1);
+            return None;
+        };
+        // appends never move a record, so the read needs no lock
+        let payload = match self.storage.read_at(&self.log_path, offset, len) {
+            Ok(bytes) => {
+                let payload = decode_frame(&bytes, key);
+                if payload.is_none() {
+                    self.forget(key, at);
+                    self.set_aside(Some(&bytes), offset);
+                } else {
+                    self.meter.add("store.read.bytes", len as u64);
+                }
+                payload
             }
             Err(_) => {
-                // unreadable (EIO…): count, try to get the bad frame out of
-                // the way so the rewrite is not blocked, report a miss
+                // unreadable (EIO…): count it and stop serving the record,
+                // so the recompute's append takes the key
                 self.meter.add("store.read.error", 1);
-                self.meter.add("store.read.miss", 1);
-                self.quarantine_path(&path);
-                return None;
-            }
-        };
-        match decode_frame(&bytes, key) {
-            Some(payload) => {
-                self.meter.add("store.read.hit", 1);
-                self.meter.add("store.read.bytes", bytes.len() as u64);
-                Some(payload)
-            }
-            None => {
-                self.quarantine(key);
-                self.meter.add("store.read.miss", 1);
+                self.forget(key, at);
                 None
             }
+        };
+        let outcome = if payload.is_some() {
+            "store.read.hit"
+        } else {
+            "store.read.miss"
+        };
+        self.meter.add(outcome, 1);
+        payload
+    }
+
+    /// Drops `key` from the index if it still names the record `at` (a
+    /// concurrent save may have appended a newer one).
+    fn forget(&self, key: &ArtifactKey, at: Record) {
+        let mut log = self.log();
+        if log.index.get(key) == Some(&at) {
+            log.index.remove(key);
         }
     }
 
-    /// Commits `payload` under `key`: frame to a temp file, fsync, atomic
-    /// rename. Best-effort — a failed write is counted
-    /// ([`StoreStats::write_errors`]) and dropped, never surfaced to the
-    /// query that computed the artifact. Returns whether the commit
-    /// succeeded.
+    /// Appends `payload` under `key` to the log, with one write and no
+    /// sync: the store syncs once, when it drops. Best-effort — a failed
+    /// append is counted ([`StoreStats::write_errors`]) and dropped, never
+    /// surfaced to the query that computed the artifact. Returns whether
+    /// the append succeeded.
     pub fn save(&self, key: &ArtifactKey, payload: &[u8]) -> bool {
         let start = self.meter.obs().is_enabled().then(Instant::now);
         let frame = encode_frame(key, payload);
-        let final_path = self.artifact_path(key);
-        let tmp_path = self.dir.join(format!("{}{}", key.file_name(), TMP_SUFFIX));
-        let committed = self
-            .storage
-            .write(&tmp_path, &frame)
-            .and_then(|()| self.storage.rename(&tmp_path, &final_path));
-        let ok = match committed {
-            Ok(()) => {
-                self.meter.add("store.write.bytes", frame.len() as u64);
-                true
+        let appended = {
+            let mut log = self.log();
+            let appended = self.storage.append(&self.log_path, &frame);
+            if let Ok(offset) = appended {
+                log.index.insert(*key, (offset, frame.len()));
+                log.appended = true;
             }
-            Err(_) => {
-                self.meter.add("store.write.error", 1);
-                let _ = self.storage.remove(&tmp_path);
-                false
-            }
+            appended.is_ok()
         };
-        if let Some(t0) = start {
-            self.meter.obs().observe_ns(
-                "store.write_ns",
-                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
+        if appended {
+            self.meter.add("store.write.bytes", frame.len() as u64);
+        } else {
+            self.meter.add("store.write.error", 1);
         }
-        ok
+        if let Some(t0) = start {
+            self.meter
+                .obs()
+                .observe_ns("store.write_ns", elapsed_ns(t0));
+        }
+        appended
     }
 
-    /// Moves `key`'s frame into `quarantine/` (falling back to deletion)
-    /// and counts it as a recovered corrupt frame. Exposed for payload
-    /// decoders: a frame whose *checksum* verifies but whose payload fails
-    /// schema decoding is equally corrupt from the caller's point of view.
+    /// Drops `key`'s record from the index, sets its bytes aside in
+    /// `quarantine/` and counts it as a recovered corrupt record. Exposed
+    /// for payload decoders: a record whose *checksum* verifies but whose
+    /// payload fails schema decoding is equally corrupt from the caller's
+    /// point of view.
     pub fn quarantine(&self, key: &ArtifactKey) {
-        self.quarantine_path(&self.artifact_path(key));
-    }
-
-    fn quarantine_path(&self, path: &Path) {
-        let Some(name) = path.file_name() else {
+        let Some(at @ (offset, len)) = self.log().index.get(key).copied() else {
             return;
         };
-        let dest = self.dir.join(QUARANTINE_DIR).join(name);
-        if self.storage.rename(path, &dest).is_err() {
-            // a frame we cannot move must not keep serving corrupt bytes
-            let _ = self.storage.remove(path);
-        }
+        let bytes = self.storage.read_at(&self.log_path, offset, len).ok();
+        self.forget(key, at);
+        self.set_aside(bytes.as_deref(), offset);
+    }
+
+    /// Keeps `bytes`, cut from the log at `offset`, as a new file in
+    /// `quarantine/` for post-mortems (nothing is kept when they could not
+    /// be read), and counts one quarantined record.
+    fn set_aside(&self, bytes: Option<&[u8]>, offset: u64) {
+        let dir = self.dir.join(QUARANTINE_DIR);
+        let kept = bytes.and_then(|bytes| {
+            self.storage.create_dir_all(&dir).ok()?;
+            let mut n = self.quarantined_frames();
+            loop {
+                let name = format!("{n:06}.rap");
+                match self.storage.create_exclusive(&dir.join(&name), bytes) {
+                    Ok(()) => return Some(name),
+                    Err(e) if e.kind() == io::ErrorKind::AlreadyExists => n += 1,
+                    Err(_) => return None,
+                }
+            }
+        });
         self.meter.add("store.quarantine", 1);
         self.meter
             .obs()
-            .note("store.quarantine", &name.to_string_lossy(), 0);
+            .note("store.quarantine", kept.as_deref().unwrap_or("-"), offset);
     }
 
-    /// Number of frames currently quarantined in this store's directory.
+    /// Number of records and log tails currently set aside in this store's
+    /// `quarantine/` directory.
     #[must_use]
     pub fn quarantined_frames(&self) -> usize {
         self.storage
@@ -487,6 +632,15 @@ impl Store {
 
 impl Drop for Store {
     fn drop(&mut self) {
+        // the tenancy's one sync, while the lock still keeps other
+        // writers out
+        if self.log_mut().appended {
+            let _span = self.meter.obs().span("store.sync");
+            let _ = self.storage.sync(&self.log_path);
+            if self.fresh_log {
+                let _ = self.storage.sync(&self.dir);
+            }
+        }
         // release the single-writer lock, but only if it is still ours —
         // never clobber a successor that legitimately broke a stale lock
         let lock_path = self.dir.join(LOCK_FILE);

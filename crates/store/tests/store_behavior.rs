@@ -1,11 +1,12 @@
-//! Store-level behavior: commit/load round-trips, quarantine of every
-//! corruption class, lock discipline, and the `FaultyStorage` matrix at
-//! the raw store layer (the session-level differential suite lives in the
-//! facade tests).
+//! Store-level behavior: append/load round-trips, quarantine of every
+//! corruption class, supersession and compaction of the frame log, lock
+//! discipline, the `FaultyStorage` matrix at the raw store layer (the
+//! session-level differential suite lives in the facade tests), and a
+//! property test of the log scan over corrupted logs.
 
 use rap_store::frame::{encode_frame, HEADER_LEN};
 use rap_store::{ArtifactKey, DiskStorage, FaultyStorage, QueryKind, Store};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -76,56 +77,106 @@ fn artifacts_survive_reopen() {
 }
 
 #[test]
-fn truncated_frame_is_quarantined_and_recomputed() {
+fn truncated_record_is_quarantined_and_recomputed() {
     let dir = TempDir::new("truncate");
     let store = Store::open(&dir.0).unwrap();
     assert!(store.save(&key(7), b"whole frame"));
-    let path = store.artifact_path(&key(7));
-    let bytes = std::fs::read(&path).unwrap();
-    // cut inside the payload: header intact, checksum unverifiable
-    std::fs::write(&path, &bytes[..HEADER_LEN + 3]).unwrap();
+    // cut the log inside the record's payload: header intact, checksum
+    // unverifiable
+    let log = store.log_path().to_path_buf();
+    truncate(&log, HEADER_LEN + 3);
 
     assert_eq!(store.load(&key(7)), None);
-    assert!(!path.exists(), "corrupt frame must leave the artifact path");
     assert_eq!(store.quarantined_frames(), 1);
     let s = store.stats();
     assert_eq!(s.corrupt_recovered, 1);
     assert_eq!(s.disk_misses, 1);
+    // the record left the index: the next load misses without reading it
+    assert_eq!(store.load(&key(7)), None);
+    assert_eq!(store.stats().corrupt_recovered, 1);
 
-    // the recompute path rewrites and the store is healthy again
+    // the recompute path appends and the store is healthy again
     assert!(store.save(&key(7), b"whole frame"));
     assert_eq!(store.load(&key(7)), Some(b"whole frame".to_vec()));
+    drop(store);
+
+    // the reopen's scan ends at the torn record and cuts it off, with the
+    // record appended after it: both recompute
+    let store = Store::open(&dir.0).unwrap();
+    assert_eq!(store.stats().corrupt_recovered, 1);
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), 0);
+    assert_eq!(store.load(&key(7)), None);
+    assert_eq!(store.quarantined_frames(), 2);
 }
 
 #[test]
-fn alien_frame_at_the_wrong_path_is_quarantined() {
-    let dir = TempDir::new("alien");
+fn a_later_record_of_a_key_supersedes_an_earlier_one() {
+    let dir = TempDir::new("supersede");
+    let log = {
+        let store = Store::open(&dir.0).unwrap();
+        assert!(store.save(&key(3), b"first"));
+        assert!(store.save(&key(4), b"other"));
+        assert!(store.save(&key(3), b"second"));
+        assert_eq!(store.load(&key(3)), Some(b"second".to_vec()));
+        store.log_path().to_path_buf()
+    };
     let store = Store::open(&dir.0).unwrap();
-    // a perfectly valid frame for a *different* key, dropped at key(3)'s path
-    let alien = encode_frame(&key(99), b"alien payload");
-    std::fs::write(store.artifact_path(&key(3)), alien).unwrap();
-
-    assert_eq!(store.load(&key(3)), None);
-    assert_eq!(store.stats().corrupt_recovered, 1);
-    assert_eq!(store.quarantined_frames(), 1);
+    assert_eq!(store.load(&key(3)), Some(b"second".to_vec()));
+    assert_eq!(store.load(&key(4)), Some(b"other".to_vec()));
+    drop(store);
+    // a record appended behind the store's back is read like any other:
+    // the key comes from the record, not from where it lies
+    append(&log, &encode_frame(&key(3), b"third"));
+    let store = Store::open(&dir.0).unwrap();
+    assert_eq!(store.load(&key(3)), Some(b"third".to_vec()));
+    assert_eq!(store.load(&key(4)), Some(b"other".to_vec()));
+    assert_eq!(store.stats().corrupt_recovered, 0);
 }
 
 #[test]
 fn bit_flip_anywhere_is_rejected() {
     let dir = TempDir::new("bitflip");
-    let store = Store::open(&dir.0).unwrap();
-    assert!(store.save(&key(5), b"sensitive"));
-    let path = store.artifact_path(&key(5));
-    let good = std::fs::read(&path).unwrap();
+    let good = encode_frame(&key(5), b"sensitive");
+    let log = dir.0.join("frames.log");
     for i in (0..good.len()).step_by(7) {
         let mut bad = good.clone();
         bad[i] ^= 0x40;
-        std::fs::write(&path, &bad).unwrap();
+        // caught by the open's scan…
+        std::fs::create_dir_all(&dir.0).unwrap();
+        std::fs::write(&log, &bad).unwrap();
+        let store = Store::open(&dir.0).unwrap();
         assert_eq!(store.load(&key(5)), None, "flip at byte {i} accepted");
-        // restore for the next iteration
-        std::fs::write(&path, &good).unwrap();
+        assert_eq!(store.stats().corrupt_recovered, 1, "flip at byte {i}");
+        // …and by the load's re-verification
+        assert!(store.save(&key(5), b"sensitive"));
+        let log_len = std::fs::metadata(&log).unwrap().len();
+        assert_eq!(log_len, good.len() as u64, "the scan cut the bad record");
+        flip(&log, i, 0x40);
+        assert_eq!(store.load(&key(5)), None, "flip at byte {i} accepted");
+        assert_eq!(store.stats().corrupt_recovered, 2, "flip at byte {i}");
     }
+    std::fs::write(&log, &good).unwrap();
+    let store = Store::open(&dir.0).unwrap();
     assert_eq!(store.load(&key(5)), Some(b"sensitive".to_vec()));
+}
+
+#[test]
+fn files_of_the_per_frame_layout_are_ignored() {
+    let dir = TempDir::new("oldlayout");
+    std::fs::create_dir_all(&dir.0).unwrap();
+    let k = key(6);
+    let old_name = format!(
+        "a{:02x}-{:016x}-{:016x}-{:016x}.rap",
+        k.kind as u8, k.structural, k.identity, k.subkey
+    );
+    std::fs::write(dir.0.join(old_name), encode_frame(&k, b"old layout")).unwrap();
+    let store = Store::open(&dir.0).unwrap();
+    assert_eq!(store.load(&k), None);
+    let s = store.stats();
+    assert_eq!(
+        (s.disk_misses, s.corrupt_recovered, s.read_errors),
+        (1, 0, 0)
+    );
 }
 
 #[test]
@@ -191,27 +242,27 @@ fn drop_releases_lock_for_next_opener() {
 }
 
 #[test]
-fn torn_write_is_silent_then_caught_on_read() {
+fn torn_append_is_silent_then_caught_on_read() {
     let dir = TempDir::new("torn");
     let faulty = FaultyStorage::new(Arc::new(DiskStorage));
     let store = Store::open_with(&dir.0, faulty.clone()).unwrap();
-    faulty.arm_torn_write(HEADER_LEN + 2);
-    // the torn commit reports success — silent corruption
+    faulty.arm_torn_append(HEADER_LEN + 2);
+    // the torn append reports success — silent corruption
     assert!(store.save(&key(11), b"will be torn"));
     assert_eq!(faulty.faults_fired(), 1);
     assert_eq!(store.load(&key(11)), None);
     assert_eq!(store.stats().corrupt_recovered, 1);
-    // recompute-and-rewrite heals it
+    // recompute-and-append heals it
     assert!(store.save(&key(11), b"will be torn"));
     assert_eq!(store.load(&key(11)), Some(b"will be torn".to_vec()));
 }
 
 #[test]
-fn enospc_drops_the_write_but_never_errors_the_caller() {
+fn enospc_drops_the_append_but_never_errors_the_caller() {
     let dir = TempDir::new("enospc");
     let faulty = FaultyStorage::new(Arc::new(DiskStorage));
     let store = Store::open_with(&dir.0, faulty.clone()).unwrap();
-    faulty.arm_enospc_writes(1);
+    faulty.arm_enospc_appends(1);
     assert!(!store.save(&key(12), b"no space"));
     assert_eq!(store.stats().write_errors, 1);
     assert_eq!(store.load(&key(12)), None);
@@ -230,43 +281,217 @@ fn eio_read_is_a_miss_not_a_failure() {
     assert_eq!(store.load(&key(13)), None);
     let s = store.stats();
     assert_eq!(s.read_errors, 1);
-    // the unreadable frame was moved aside; a rewrite + read succeeds
+    // the unreadable record left the index; an append + read succeeds
     assert!(store.save(&key(13), b"readable later"));
     assert_eq!(store.load(&key(13)), Some(b"readable later".to_vec()));
 }
 
-#[test]
-fn crash_before_rename_leaves_no_artifact_and_sweeps_the_temp() {
-    let dir = TempDir::new("crashbefore");
-    let faulty = FaultyStorage::new(Arc::new(DiskStorage));
-    let store = Store::open_with(&dir.0, faulty.clone()).unwrap();
-    faulty.arm_crash_before_rename();
-    assert!(!store.save(&key(14), b"never lands"));
-    assert_eq!(store.stats().write_errors, 1);
-    assert_eq!(store.load(&key(14)), None);
-    drop(store);
-    // reopen: any orphan temp is swept, store fully usable
-    let store = Store::open(&dir.0).unwrap();
-    let temps: Vec<_> = std::fs::read_dir(&dir.0)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().to_string_lossy().ends_with(".tmp"))
-        .collect();
-    assert!(temps.is_empty(), "orphan temp files not swept: {temps:?}");
-    assert!(store.save(&key(14), b"lands now"));
-    assert_eq!(store.load(&key(14)), Some(b"lands now".to_vec()));
+/// A log of three records of `key(14)`: two superseded, one live, so the
+/// next open compacts it.
+fn bloated_log(dir: &Path) -> PathBuf {
+    let store = Store::open(dir).unwrap();
+    for payload in [&b"v1"[..], b"v2", b"v3"] {
+        assert!(store.save(&key(14), payload));
+    }
+    store.log_path().to_path_buf()
 }
 
 #[test]
-fn crash_after_rename_keeps_the_committed_artifact() {
-    let dir = TempDir::new("crashafter");
-    let faulty = FaultyStorage::new(Arc::new(DiskStorage));
-    let store = Store::open_with(&dir.0, faulty.clone()).unwrap();
-    faulty.arm_crash_after_rename();
-    // the writer believes the commit failed…
-    assert!(!store.save(&key(15), b"landed anyway"));
-    // …but the frame is durable and verifies on the next open
-    drop(store);
+fn compaction_keeps_only_the_live_records() {
+    let dir = TempDir::new("compact");
+    let log = bloated_log(&dir.0);
+    assert!(Store::open(&dir.0).unwrap().save(&key(15), b"kept"));
     let store = Store::open(&dir.0).unwrap();
-    assert_eq!(store.load(&key(15)), Some(b"landed anyway".to_vec()));
+    let live = encode_frame(&key(14), b"v3").len() + encode_frame(&key(15), b"kept").len();
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), live as u64);
+    assert_eq!(store.load(&key(14)), Some(b"v3".to_vec()));
+    assert_eq!(store.load(&key(15)), Some(b"kept".to_vec()));
+    assert!(!dir.0.join("frames.log.compact").exists());
+}
+
+#[test]
+fn crash_before_compaction_rename_keeps_the_log() {
+    let dir = TempDir::new("crashbefore");
+    let log = bloated_log(&dir.0);
+    let bloated = std::fs::read(&log).unwrap();
+    let faulty = FaultyStorage::new(Arc::new(DiskStorage));
+    faulty.arm_crash_before_rename();
+    let store = Store::open_with(&dir.0, faulty.clone()).unwrap();
+    assert_eq!(faulty.faults_fired(), 1);
+    assert_eq!(store.stats().write_errors, 1);
+    // nothing moved: the old log serves, and no temp file is left over
+    assert_eq!(std::fs::read(&log).unwrap(), bloated);
+    assert!(!dir.0.join("frames.log.compact").exists());
+    assert_eq!(store.load(&key(14)), Some(b"v3".to_vec()));
+    drop(store);
+    // the next open compacts
+    let store = Store::open(&dir.0).unwrap();
+    let live = encode_frame(&key(14), b"v3").len();
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), live as u64);
+    assert_eq!(store.load(&key(14)), Some(b"v3".to_vec()));
+}
+
+#[test]
+fn crash_after_compaction_rename_serves_the_compacted_log() {
+    let dir = TempDir::new("crashafter");
+    let log = bloated_log(&dir.0);
+    let faulty = FaultyStorage::new(Arc::new(DiskStorage));
+    faulty.arm_crash_after_rename();
+    // the store believes the compaction failed…
+    let store = Store::open_with(&dir.0, faulty.clone()).unwrap();
+    assert_eq!(faulty.faults_fired(), 1);
+    assert_eq!(store.stats().write_errors, 1);
+    // …but the compacted log landed, and the store reads what it holds
+    let live = encode_frame(&key(14), b"v3").len();
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), live as u64);
+    assert_eq!(store.load(&key(14)), Some(b"v3".to_vec()));
+    assert_eq!(store.stats().corrupt_recovered, 0);
+}
+
+#[test]
+fn machine_crash_loses_only_what_was_appended_since_the_last_sync() {
+    let dir = TempDir::new("machinecrash");
+    let faulty = FaultyStorage::new(Arc::new(DiskStorage));
+    {
+        let store = Store::open_with(&dir.0, faulty.clone()).unwrap();
+        assert!(store.save(&key(16), b"synced at drop"));
+    }
+    {
+        let store = Store::open_with(&dir.0, faulty.clone()).unwrap();
+        assert!(store.save(&key(17), b"lost with the cache"));
+        // the machine dies where this tenancy would have synced
+        faulty.arm_machine_crash();
+    }
+    assert_eq!(faulty.faults_fired(), 1);
+    let store = Store::open(&dir.0).unwrap();
+    assert_eq!(store.load(&key(16)), Some(b"synced at drop".to_vec()));
+    assert_eq!(store.load(&key(17)), None);
+    assert_eq!(store.stats().corrupt_recovered, 0);
+}
+
+fn truncate(path: &Path, len: usize) {
+    let f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+    f.set_len(len as u64).unwrap();
+}
+
+fn append(path: &Path, bytes: &[u8]) {
+    use std::io::Write as _;
+    let mut f = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+    f.write_all(bytes).unwrap();
+}
+
+fn flip(path: &Path, at: usize, mask: u8) {
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[at] ^= mask;
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// One way a log goes bad.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// Random bytes after the last record.
+    Garbage,
+    /// Cut at an offset.
+    Cut,
+    /// One bit flipped in a record.
+    Flip,
+    /// A copy of a record inserted between two records.
+    Duplicate,
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+    /// The open's scan over a log of valid records with one kind of
+    /// damage: it never panics, every key loads the payload of its last
+    /// record before the first bad one (and nothing else), and the log is
+    /// left as exactly that prefix — or as the prefix's live records when
+    /// superseded bytes outweigh them and the open compacted.
+    #[test]
+    fn the_log_scan_keeps_exactly_the_valid_prefix(
+        records in proptest::collection::vec(
+            (0u64..4, proptest::collection::vec(proptest::prelude::any::<u8>(), 0..40)),
+            1..10,
+        ),
+        damage in proptest::prop_oneof![
+            proptest::strategy::Just(Damage::Garbage),
+            proptest::strategy::Just(Damage::Cut),
+            proptest::strategy::Just(Damage::Flip),
+            proptest::strategy::Just(Damage::Duplicate),
+        ],
+        pick in proptest::prelude::any::<u64>(),
+        place in proptest::prelude::any::<u64>(),
+        garbage in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..48),
+    ) {
+        let mut frames: Vec<(u64, Vec<u8>, Vec<u8>)> = records
+            .into_iter()
+            .map(|(k, payload)| (k, encode_frame(&key(k), &payload), payload))
+            .collect();
+        // the records that must survive, in log order, and the damaged log
+        let n = frames.len();
+        let (valid, log): (usize, Vec<u8>) = match damage {
+            Damage::Garbage => {
+                let mut log: Vec<u8> = frames.iter().flat_map(|f| f.1.clone()).collect();
+                log.extend_from_slice(&garbage);
+                (n, log)
+            }
+            Damage::Cut => {
+                let log: Vec<u8> = frames.iter().flat_map(|f| f.1.clone()).collect();
+                let cut = (pick % (log.len() as u64 + 1)) as usize;
+                let mut end = 0;
+                let whole = frames
+                    .iter()
+                    .take_while(|f| {
+                        end += f.1.len();
+                        end <= cut
+                    })
+                    .count();
+                (whole, log[..cut].to_vec())
+            }
+            Damage::Flip => {
+                let i = (pick % n as u64) as usize;
+                let at = (place % frames[i].1.len() as u64) as usize;
+                let mut log = Vec::new();
+                for (j, f) in frames.iter().enumerate() {
+                    let start = log.len();
+                    log.extend_from_slice(&f.1);
+                    if j == i {
+                        log[start + at] ^= 1 << (place % 8);
+                    }
+                }
+                (i, log)
+            }
+            Damage::Duplicate => {
+                let copy = frames[(pick % n as u64) as usize].clone();
+                frames.insert((place % (n as u64 + 1)) as usize, copy);
+                (n + 1, frames.iter().flat_map(|f| f.1.clone()).collect())
+            }
+        };
+        let prefix = &frames[..valid];
+
+        let dir = TempDir::new("scan");
+        std::fs::create_dir_all(&dir.0).unwrap();
+        let path = dir.0.join("frames.log");
+        std::fs::write(&path, &log).unwrap();
+        let store = Store::open(&dir.0).unwrap();
+
+        // the live record of each key: the last one in the prefix
+        let mut live: Vec<usize> = (0..4)
+            .filter_map(|k| prefix.iter().rposition(|f| f.0 == k))
+            .collect();
+        live.sort_unstable();
+        for k in 0..4 {
+            let want = prefix.iter().rev().find(|f| f.0 == k).map(|f| f.2.clone());
+            proptest::prop_assert_eq!(store.load(&key(k)), want, "key {}", k);
+        }
+        let prefix_bytes: Vec<u8> = prefix.iter().flat_map(|f| f.1.clone()).collect();
+        // a cut tail is set aside as one quarantined file
+        let cut = u64::from(prefix_bytes.len() < log.len());
+        let live_bytes: Vec<u8> = live.iter().flat_map(|&i| prefix[i].1.clone()).collect();
+        let dead = prefix_bytes.len() - live_bytes.len();
+        let want_log = if dead > live_bytes.len() { live_bytes } else { prefix_bytes };
+        proptest::prop_assert!(std::fs::read(&path).unwrap() == want_log, "log after open");
+        proptest::prop_assert_eq!(store.stats().corrupt_recovered, cut);
+        proptest::prop_assert_eq!(store.quarantined_frames() as u64, cut);
+    }
 }
