@@ -18,6 +18,7 @@ use crate::graph::{Dfs, EdgeRef, GuardMode};
 use crate::node::{InitialMarking, Node, NodeId, NodeKind, TokenValue};
 use crate::DfsError;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Incremental builder for [`Dfs`] graphs.
 #[derive(Debug, Default)]
@@ -175,6 +176,7 @@ impl DfsBuilder {
             r_postset: Vec::new(),
             guards: Vec::new(),
             name_index: self.names,
+            rule: OnceLock::new(),
         };
         dfs.validate()?;
         dfs.compute_derived();

@@ -2,11 +2,14 @@
 //!
 //! A [`Dfs`] is immutable once built (see [`crate::DfsBuilder`]); all derived
 //! structure — R-presets, R-postsets, guards — is computed at build time so
-//! the simulators and analysers run over plain index lookups.
+//! the simulators and analysers run over plain index lookups, and the
+//! firing rule stated over them ([`mod@crate::semantics`]) on first use.
 
 use crate::node::{Node, NodeId, NodeKind};
+use crate::semantics::Rule;
 use crate::DfsError;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// How a node combines the values of several control guards.
 ///
@@ -61,6 +64,8 @@ pub struct Dfs {
     /// Control registers in `?x`, for non-control `x`: the node's guards.
     pub(crate) guards: Vec<Vec<RRef>>,
     pub(crate) name_index: HashMap<String, NodeId>,
+    /// The firing rule (eqs. (1)–(5)), derived on first use.
+    pub(crate) rule: OnceLock<Rule>,
 }
 
 impl Dfs {

@@ -73,6 +73,6 @@ pub use error::DfsError;
 pub use graph::{Dfs, EdgeRef, GuardMode, RRef};
 pub use lts::{node_rotation_symmetry, Lts};
 pub use node::{InitialMarking, Node, NodeId, NodeKind, TokenValue};
-pub use semantics::{Event, GuardStatus};
+pub use semantics::Event;
 pub use state::DfsState;
 pub use to_petri::{to_petri, PetriImage};

@@ -7,10 +7,11 @@
 //!
 //! Exploration runs on the shared state-space engine of
 //! [`rap_petri::engine`] under one [`ExploreConfig`]: states are packed
-//! into two bit-planes (`active`, `false-valued`), and after each event
-//! only the events of *dependent* nodes — the event's own node plus
-//! everything reading it through data edges, R-presets/postsets or guards
-//! — are re-checked for enabledness. The result is the engine's
+//! into two bit-planes (`active`, `false-valued`), the actions are the
+//! events of the model's firing rule ([`mod@crate::semantics`]) in its
+//! order, and after each event only the events of *dependent* nodes — the
+//! nodes whose rule literals name the event's node — are re-checked for
+//! enabledness. The result is the engine's
 //! [`StateSpace`] labelled with [`Event`]s; [`Lts`] derefs to it and adds
 //! only DFS-state decoding. The seed explorer it replaced lives outside
 //! the library, in the dev-only `rap-oracle` crate, as the reference of
@@ -21,8 +22,8 @@
 //! [`node_rotation_symmetry`] from a node permutation.
 
 use crate::graph::Dfs;
-use crate::node::{NodeId, NodeKind, TokenValue};
-use crate::semantics::Event;
+use crate::node::{NodeId, TokenValue};
+use crate::semantics::{Event, NodeBits};
 use crate::state::DfsState;
 use crate::DfsError;
 use rap_petri::engine::{
@@ -209,32 +210,18 @@ pub fn node_rotation_symmetry(dfs: &Dfs, node_perm: &[u32]) -> Result<StateSymme
         bit_perm[w * 64 + i] = (w * 64) as u32 + p;
     }
 
-    // action permutation: slot s of node i maps to slot s of its image
-    // (same kind, hence the same slot layout)
-    let mut base = Vec::with_capacity(n);
-    let mut total = 0u32;
+    // action permutation: event k of node i maps to event k of its image
+    // (same kind, hence the same events)
+    let rule = dfs.rule();
+    let mut act_perm = vec![0u32; rule.events().len()];
     for node in dfs.nodes() {
-        base.push(total);
-        total += action_slots(dfs.kind(node));
-    }
-    let mut act_perm = vec![0u32; total as usize];
-    for node in dfs.nodes() {
-        let i = node.index();
-        let j = node_perm[i] as usize;
-        for s in 0..action_slots(dfs.kind(node)) {
-            act_perm[(base[i] + s) as usize] = base[j] + s;
+        let img = NodeId::from_index(node_perm[node.index()] as usize);
+        for k in 0..rule.node_events(node).len() {
+            act_perm[rule.first_event(node) + k] = (rule.first_event(img) + k) as u32;
         }
     }
 
     StateSymmetry::new(bit_perm, act_perm)
-}
-
-/// Maximum actions a node can offer, by kind (see the action layout below).
-fn action_slots(kind: NodeKind) -> u32 {
-    match kind {
-        NodeKind::Logic | NodeKind::Register => 2,
-        NodeKind::Control | NodeKind::Push | NodeKind::Pop => 3,
-    }
 }
 
 /// [`TransitionSystem`] view of a DFS model for the shared engine.
@@ -242,80 +229,49 @@ fn action_slots(kind: NodeKind) -> u32 {
 /// States are two bit-planes over the nodes: plane 0 holds `active`
 /// (`C`/`M`), plane 1 holds "marked with a False token" (zero whenever the
 /// node is inactive, matching [`DfsState`]'s canonicalisation). The action
-/// table enumerates, per node and in [`Dfs::enabled_events`] order, every
-/// event the node can ever offer:
+/// table is the firing rule's event list: per node, in
+/// [`Dfs::enabled_events`] order, every event the node can ever offer:
 ///
 /// * logic — `Eval`, `Reset`;
 /// * plain register — `Mark(True)`, `Unmark`;
 /// * control/push/pop — `Mark(True)`, `Mark(False)`, `Unmark`.
 ///
-/// The affected map is the syntactic dependency closure of the semantics
-/// (eqs. (1)–(5)): the events of node `m` are re-checked after an event of
-/// node `n` iff `n ∈ {m} ∪ preds(m) ∪ ?m ∪ m? ∪ guards(m)`. The
-/// engine-equivalence property tests pin this closure against the seed
-/// full-scan explorer of the `rap-oracle` crate.
+/// The events of node `m` are re-checked after an event of node `n` iff one
+/// of `m`'s literals names `n`. The engine-equivalence property tests pin
+/// this closure against the seed full-scan explorer of the `rap-oracle`
+/// crate.
 struct DfsSystem {
     /// The system's own copy of the model: the explored space keeps the
     /// system to re-expand states.
     dfs: Dfs,
     actions: Vec<Event>,
-    /// First action index of each node.
-    base: Vec<u32>,
     /// Per node: the nodes whose events must be re-checked after it changes.
     dependents: Vec<Vec<u32>>,
-    scratch: DfsState,
-    evbuf: Vec<Event>,
 }
 
 impl DfsSystem {
     fn new(dfs: &Dfs) -> Self {
-        let n = dfs.node_count();
-        let mut actions = Vec::new();
-        let mut base = Vec::with_capacity(n);
-        for node in dfs.nodes() {
-            base.push(actions.len() as u32);
-            match dfs.kind(node) {
-                NodeKind::Logic => {
-                    actions.push(Event::Eval(node));
-                    actions.push(Event::Reset(node));
-                }
-                NodeKind::Register => {
-                    actions.push(Event::Mark(node, TokenValue::True));
-                    actions.push(Event::Unmark(node));
-                }
-                NodeKind::Control | NodeKind::Push | NodeKind::Pop => {
-                    actions.push(Event::Mark(node, TokenValue::True));
-                    actions.push(Event::Mark(node, TokenValue::False));
-                    actions.push(Event::Unmark(node));
-                }
-            }
-        }
-
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let rule = dfs.rule();
+        let actions = rule.events().iter().map(|e| e.event).collect();
+        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); dfs.node_count()];
         for m in dfs.nodes() {
             let mut deps: Vec<NodeId> = vec![m];
-            deps.extend(dfs.preds(m).iter().map(|e| e.node));
-            deps.extend(dfs.r_preset(m).iter().map(|r| r.node));
-            deps.extend(dfs.r_postset(m).iter().map(|r| r.node));
-            deps.extend(dfs.guards(m).iter().map(|r| r.node));
+            for e in rule.node_events(m) {
+                for clause in rule.clauses(e) {
+                    deps.extend(clause.reads().iter().map(|l| l.node));
+                }
+            }
             deps.sort_unstable();
             deps.dedup();
             for d in deps {
                 dependents[d.index()].push(m.index() as u32);
             }
         }
-        for row in &mut dependents {
-            row.sort_unstable();
-            row.dedup();
-        }
 
         DfsSystem {
             dfs: dfs.clone(),
             actions,
-            base,
             dependents,
-            scratch: DfsState::initial(dfs),
-            evbuf: Vec::new(),
         }
     }
 
@@ -351,29 +307,30 @@ impl DfsSystem {
             };
         }
     }
+}
 
-    /// The action id of `ev` (which must be one of `ev.node()`'s slots).
-    fn action_id(&self, ev: Event) -> usize {
-        let node = ev.node();
-        let offset = match ev {
-            Event::Eval(_) => 0,
-            Event::Reset(_) => 1,
-            Event::Mark(n, v) => {
-                if self.dfs.kind(n) == NodeKind::Register || v == TokenValue::True {
-                    0
-                } else {
-                    1
-                }
-            }
-            Event::Unmark(n) => {
-                if self.dfs.kind(n) == NodeKind::Register {
-                    1
-                } else {
-                    2
-                }
-            }
-        };
-        self.base[node.index()] as usize + offset
+/// A packed state's two planes, read node by node.
+struct Planes<'a> {
+    active: &'a [u64],
+    is_false: &'a [u64],
+}
+
+impl<'a> Planes<'a> {
+    fn of(words: &'a [u64], node_count: usize) -> Self {
+        let (active, is_false) = words.split_at(DfsSystem::plane_words(node_count));
+        Planes { active, is_false }
+    }
+}
+
+impl NodeBits for Planes<'_> {
+    #[inline]
+    fn active(&self, n: NodeId) -> bool {
+        get_bit(self.active, n.index())
+    }
+
+    #[inline]
+    fn is_false(&self, n: NodeId) -> bool {
+        get_bit(self.is_false, n.index())
     }
 }
 
@@ -394,9 +351,12 @@ impl TransitionSystem for DfsSystem {
     }
 
     fn write_enabled_full(&mut self, state: &[u64], out: &mut [u64]) {
-        Self::decode_words(state, self.dfs.node_count(), &mut self.scratch);
-        for ev in self.dfs.enabled_events(&self.scratch) {
-            set_bit(out, self.action_id(ev), true);
+        let planes = Planes::of(state, self.dfs.node_count());
+        let rule = self.dfs.rule();
+        for (a, e) in rule.events().iter().enumerate() {
+            if rule.is_enabled(e, &planes) {
+                set_bit(out, a, true);
+            }
         }
     }
 
@@ -417,18 +377,14 @@ impl TransitionSystem for DfsSystem {
     }
 
     fn update_enabled(&mut self, a: usize, state: &[u64], enabled: &mut [u64]) {
-        Self::decode_words(state, self.dfs.node_count(), &mut self.scratch);
+        let planes = Planes::of(state, self.dfs.node_count());
+        let rule = self.dfs.rule();
         let node = self.actions[a].node();
         for &mi in &self.dependents[node.index()] {
             let m = NodeId::from_index(mi as usize);
-            let b = self.base[mi as usize] as usize;
-            for slot in 0..action_slots(self.dfs.kind(m)) {
-                set_bit(enabled, b + slot as usize, false);
-            }
-            self.evbuf.clear();
-            self.dfs.node_events(&self.scratch, m, &mut self.evbuf);
-            for i in 0..self.evbuf.len() {
-                set_bit(enabled, self.action_id(self.evbuf[i]), true);
+            let first = rule.first_event(m);
+            for (k, e) in rule.node_events(m).iter().enumerate() {
+                set_bit(enabled, first + k, rule.is_enabled(e, &planes));
             }
         }
     }

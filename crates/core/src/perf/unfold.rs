@@ -10,21 +10,24 @@
 //! choice schedule instead:
 //!
 //! 1. **Replay.** The untimed operational semantics is replayed with a
-//!    deterministic scheduler (first enabled event in node order) and the
-//!    `AlwaysTrue` resolution of data-dependent free choices. Guard values
+//!    deterministic scheduler (first enabled event in the rule's order,
+//!    which resolves data-dependent free choices `AlwaysTrue`). Guard values
 //!    copied around control rings make the schedule of every choice
 //!    deterministic, so the replay reaches a periodic orbit: the state
 //!    recurs, and the events fired between two recurrences are one
 //!    *hyper-period* of the steady-state schedule (k items for k-way
 //!    round-robin wagging).
 //! 2. **Cause extraction.** During one further period every fired event
-//!    records, per enabling condition of its semantic rule — the rules of
-//!    eqs. (1)–(5) *split by token variant*, so a false-controlled push's
-//!    consume-and-destroy timing differs from its true-controlled
-//!    mark — the occurrence of the neighbouring event that last established
-//!    that condition. Conditions that never lapse during a period (an
-//!    excluded stage's frozen control loop) impose no steady-state timing
-//!    constraint and produce no arc.
+//!    records, per causal literal of the firing-rule clause that enabled it
+//!    ([`mod@crate::semantics`]; the clauses of eqs. (1)–(5) are *split by
+//!    token variant*, so a false-controlled push's consume-and-destroy
+//!    timing differs from its true-controlled mark), the occurrence of the
+//!    neighbouring event that last established that literal. A clause's
+//!    guard-value literals are no causes: each names a register whose
+//!    presence literal already is one, established by the same mark.
+//!    Conditions that never lapse during a period (an excluded stage's
+//!    frozen control loop) impose no steady-state timing constraint and
+//!    produce no arc.
 //! 3. **Unfolded graph.** Every event that fires `R` times per hyper-period
 //!    becomes `R` phase-replicated vertices; each recorded cause becomes an
 //!    arc between the right phase copies, weighted by the target's latency
@@ -42,10 +45,10 @@
 //! the equality of the two is pinned across the wagging/reconfigurable
 //! shape grid in `tests/perf_cross_check.rs`.
 
-use super::{dedup, EventArc, EventGraph, EventVertex};
+use super::{EventArc, EventGraph, EventVertex};
 use crate::graph::Dfs;
-use crate::node::{NodeId, NodeKind, TokenValue};
-use crate::semantics::Event;
+use crate::node::{NodeId, TokenValue};
+use crate::semantics::{Clause, Event, Pred, Rule};
 use crate::state::DfsState;
 use crate::DfsError;
 use std::collections::HashMap;
@@ -67,45 +70,13 @@ pub struct Unfolding {
     pub steps_per_period: usize,
 }
 
-/// State predicates the operational semantics conditions events on. Each is
-/// established by exactly one event family of its node: positive predicates
-/// by the `+` event (eval/mark), negative ones by the `-` event
-/// (reset/unmark).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pred {
-    /// `C(l)` — logic evaluated.
-    Active,
-    /// `!C(l)` — logic reset.
-    Inactive,
-    /// `M(r)` — register marked (any value).
-    Marked,
-    /// `!M(r)` — register empty.
-    Unmarked,
-    /// `Mt(r)` — marked with a true token.
-    TrueMarked,
-    /// `!Mt(r)` — not holding a true token (established by the unmark that
-    /// releases a true token; a false mark keeps it true without
-    /// re-establishing it).
-    NotTrueMarked,
-}
-
-const PRED_COUNT: usize = 6;
-
 fn pred_slot(n: NodeId, p: Pred) -> usize {
-    n.index() * PRED_COUNT + p as usize
-}
-
-fn establisher_plus(p: Pred) -> bool {
-    matches!(p, Pred::Active | Pred::Marked | Pred::TrueMarked)
+    n.index() * Pred::COUNT + p as usize
 }
 
 /// Event-family slot: `2·node` for the `+` event, `2·node + 1` for `-`.
 fn ev_slot(n: NodeId, plus: bool) -> usize {
     n.index() * 2 + usize::from(!plus)
-}
-
-fn event_plus(ev: Event) -> bool {
-    matches!(ev, Event::Eval(_) | Event::Mark(..))
 }
 
 /// One fired event of the extraction window with its direct causes.
@@ -129,12 +100,12 @@ struct Firing {
 ///   [`STEP_BUDGET`] steps.
 pub fn unfold(dfs: &Dfs) -> Result<Unfolding, DfsError> {
     let n = dfs.node_count();
+    let rule = dfs.rule();
     let mut state = DfsState::initial(dfs);
-    let mut est: Vec<Option<(u64, u64)>> = vec![None; n * PRED_COUNT];
+    let mut est: Vec<Option<(u64, u64)>> = vec![None; n * Pred::COUNT];
     let mut counts: Vec<u64> = vec![0; n * 2];
     let mut seen: HashMap<DfsState, u64> = HashMap::new();
     let mut step: u64 = 0;
-    let mut conds: Vec<(NodeId, Pred)> = Vec::new();
 
     // phase 1: drive the deterministic replay onto its periodic orbit
     let regime_start = loop {
@@ -147,7 +118,7 @@ pub fn unfold(dfs: &Dfs) -> Result<Unfolding, DfsError> {
             break prev;
         }
         seen.insert(state.clone(), step);
-        let Some(ev) = pick_event(dfs, &state) else {
+        let Some((ev, _)) = pick(rule, &state) else {
             return Err(DfsError::SimulationStalled {
                 time: 0.0,
                 produced: 0,
@@ -162,17 +133,19 @@ pub fn unfold(dfs: &Dfs) -> Result<Unfolding, DfsError> {
     let start_counts = counts.clone();
     let mut firings: Vec<Firing> = Vec::with_capacity(period_len as usize);
     for _ in 0..period_len {
-        let ev = pick_event(dfs, &state).expect("a periodic orbit cannot stall");
-        conditions(dfs, &state, ev, &mut conds);
-        let causes = conds
+        let (ev, clause) = pick(rule, &state).expect("a periodic orbit cannot stall");
+        let causes = clause
+            .causes()
             .iter()
-            .filter_map(|&(q, p)| {
-                est[pred_slot(q, p)].map(|(occ, st)| (ev_slot(q, establisher_plus(p)), occ, st))
+            .filter_map(|l| {
+                est[pred_slot(l.node, l.pred)]
+                    .map(|(occ, st)| (ev_slot(l.node, l.pred.established_by_plus()), occ, st))
             })
             .collect();
+        let slot = ev_slot(ev.node(), ev.is_plus());
         firings.push(Firing {
-            slot: ev_slot(ev.node(), event_plus(ev)),
-            occ: counts[ev_slot(ev.node(), event_plus(ev))],
+            slot,
+            occ: counts[slot],
             causes,
         });
         fire(dfs, &mut state, ev, &mut est, &mut counts, step);
@@ -188,15 +161,15 @@ pub fn unfold(dfs: &Dfs) -> Result<Unfolding, DfsError> {
     ))
 }
 
-/// The deterministic replay scheduler: the first enabled event in node
-/// order, with data-dependent free choices resolved to `True` (the policy
-/// the simulator cross-checks use).
-fn pick_event(dfs: &Dfs, s: &DfsState) -> Option<Event> {
-    let enabled = dfs.enabled_events(s);
-    enabled.iter().copied().find(|&ev| {
-        !matches!(ev, Event::Mark(c, TokenValue::False)
-            if enabled.contains(&Event::Mark(c, TokenValue::True)))
-    })
+/// The deterministic replay scheduler: the first enabled event in the
+/// rule's order, with the first of its clauses that holds. A control
+/// register's `Mark(c, True)` comes before its `Mark(c, False)`, so
+/// data-dependent free choices resolve to `True` (the policy the simulator
+/// cross-checks use).
+fn pick<'r>(rule: &'r Rule, s: &DfsState) -> Option<(Event, Clause<'r>)> {
+    rule.events()
+        .iter()
+        .find_map(|e| rule.clauses(e).find(|c| c.holds(s)).map(|c| (e.event, c)))
 }
 
 /// Applies `ev` and updates occurrence counts and the
@@ -212,7 +185,7 @@ fn fire(
     let node = ev.node();
     // `!Mt` is established only by the unmark that releases a *true* token
     let released_true = matches!(ev, Event::Unmark(r) if state.is_true_marked(r));
-    let slot = ev_slot(node, event_plus(ev));
+    let slot = ev_slot(node, ev.is_plus());
     let occ = counts[slot];
     *state = dfs.apply(state, ev);
     counts[slot] += 1;
@@ -222,9 +195,12 @@ fn fire(
         Event::Reset(_) => est[pred_slot(node, Pred::Inactive)] = stamp,
         Event::Mark(_, v) => {
             est[pred_slot(node, Pred::Marked)] = stamp;
-            if v == TokenValue::True {
-                est[pred_slot(node, Pred::TrueMarked)] = stamp;
-            }
+            let valued = if v == TokenValue::True {
+                Pred::TrueMarked
+            } else {
+                Pred::FalseMarked
+            };
+            est[pred_slot(node, valued)] = stamp;
         }
         Event::Unmark(_) => {
             est[pred_slot(node, Pred::Unmarked)] = stamp;
@@ -232,156 +208,6 @@ fn fire(
                 est[pred_slot(node, Pred::NotTrueMarked)] = stamp;
             }
         }
-    }
-}
-
-/// The enabling conditions of `ev` in `s`, mirroring the rule branches of
-/// [`crate::semantics`] — crucially *split by token variant*: a
-/// false-controlled push or pop conditions on a strictly smaller predicate
-/// set than its true-controlled sibling.
-fn conditions(dfs: &Dfs, s: &DfsState, ev: Event, out: &mut Vec<(NodeId, Pred)>) {
-    out.clear();
-    match ev {
-        Event::Eval(l) => {
-            out.push((l, Pred::Inactive));
-            for e in dfs.preds(l) {
-                out.push((
-                    e.node,
-                    match dfs.kind(e.node) {
-                        NodeKind::Logic => Pred::Active,
-                        NodeKind::Push => Pred::TrueMarked,
-                        _ => Pred::Marked,
-                    },
-                ));
-            }
-        }
-        Event::Reset(l) => {
-            out.push((l, Pred::Active));
-            for e in dfs.preds(l) {
-                out.push((
-                    e.node,
-                    match dfs.kind(e.node) {
-                        NodeKind::Logic => Pred::Inactive,
-                        NodeKind::Push => Pred::NotTrueMarked,
-                        // registers share the `C`/`M` state variable: the
-                        // reset waits for the register to *unmark*
-                        _ => Pred::Unmarked,
-                    },
-                ));
-            }
-        }
-        Event::Mark(r, v) => {
-            out.push((r, Pred::Unmarked));
-            match (dfs.kind(r), v) {
-                (NodeKind::Push, TokenValue::False) => {
-                    // consume-and-destroy: preset half only (eq. (3))
-                    mark_core_preset(dfs, r, out);
-                }
-                (NodeKind::Pop, TokenValue::False) => {
-                    // spontaneous empty token: guards ready, postset empty;
-                    // the data preset is not consulted (eq. (4))
-                    for g in dedup(dfs.guards(r)) {
-                        out.push((g, Pred::Marked));
-                    }
-                    for q in dedup(dfs.r_postset(r)) {
-                        out.push((q, Pred::Unmarked));
-                    }
-                }
-                _ => {
-                    mark_core_preset(dfs, r, out);
-                    for q in dedup(dfs.r_postset(r)) {
-                        out.push((q, Pred::Unmarked));
-                    }
-                }
-            }
-        }
-        Event::Unmark(r) => {
-            out.push((r, Pred::Marked));
-            let false_token = s.token_value(r) == Some(TokenValue::False);
-            match (dfs.kind(r), false_token) {
-                (NodeKind::Push, true) => {
-                    // destroy once the preset withdraws; the R-postset
-                    // never saw the token
-                    for e in dfs.preds(r) {
-                        if dfs.kind(e.node) == NodeKind::Logic {
-                            out.push((e.node, Pred::Inactive));
-                        }
-                    }
-                    for q in dedup(dfs.r_preset(r)) {
-                        out.push((q, Pred::Unmarked));
-                    }
-                }
-                (NodeKind::Pop, true) => {
-                    // empty token moves on once the guard released and the
-                    // downstream accepted
-                    for g in dedup(dfs.guards(r)) {
-                        out.push((g, Pred::Unmarked));
-                    }
-                    for q in dedup(dfs.r_postset(r)) {
-                        out.push((
-                            q,
-                            if dfs.kind(q) == NodeKind::Pop {
-                                Pred::TrueMarked
-                            } else {
-                                Pred::Marked
-                            },
-                        ));
-                    }
-                }
-                _ => unmark_core_conditions(dfs, r, out),
-            }
-        }
-    }
-}
-
-/// The preset half of `M↑` (eqs. (2)/(4)): preset logic evaluated, `?r`
-/// marked with pushes tested via `Mt`.
-fn mark_core_preset(dfs: &Dfs, r: NodeId, out: &mut Vec<(NodeId, Pred)>) {
-    for e in dfs.preds(r) {
-        if dfs.kind(e.node) == NodeKind::Logic {
-            out.push((e.node, Pred::Active));
-        }
-    }
-    for q in dedup(dfs.r_preset(r)) {
-        out.push((
-            q,
-            if dfs.kind(q) == NodeKind::Push {
-                Pred::TrueMarked
-            } else {
-                Pred::Marked
-            },
-        ));
-    }
-}
-
-/// The static `M↓` conditions (eqs. (2)/(4)) including the pop-`Mt`
-/// refinement and its control-register exemption.
-fn unmark_core_conditions(dfs: &Dfs, r: NodeId, out: &mut Vec<(NodeId, Pred)>) {
-    let exempt_pops = dfs.kind(r) == NodeKind::Control;
-    for e in dfs.preds(r) {
-        if dfs.kind(e.node) == NodeKind::Logic {
-            out.push((e.node, Pred::Inactive));
-        }
-    }
-    for q in dedup(dfs.r_preset(r)) {
-        out.push((
-            q,
-            if dfs.kind(q) == NodeKind::Push {
-                Pred::NotTrueMarked
-            } else {
-                Pred::Unmarked
-            },
-        ));
-    }
-    for q in dedup(dfs.r_postset(r)) {
-        out.push((
-            q,
-            if dfs.kind(q) == NodeKind::Pop && !exempt_pops {
-                Pred::TrueMarked
-            } else {
-                Pred::Marked
-            },
-        ));
     }
 }
 

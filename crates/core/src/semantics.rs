@@ -3,14 +3,51 @@
 //! The paper defines node behaviour through set/reset functions refined for
 //! dynamic registers; this module implements them as an interleaving
 //! event semantics: at each step one state variable changes (a logic node
-//! evaluates or resets, a register accepts or releases a token). The PN
-//! translation in [`mod@crate::to_petri`] encodes exactly the same conditions as
-//! read arcs, and the two are checked to be bisimilar in the integration
-//! tests.
+//! evaluates or resets, a register accepts or releases a token).
 //!
-//! See `DESIGN.md` §3.1 for the resolution of the ambiguities the preprint
-//! leaves open (guard-edge synchronisation and the pop-`Mt` exemption for
-//! control registers).
+//! The enabling conditions are stated once, as data: the firing rule of a
+//! model, derived on first use and kept with it. Per node it lists the
+//! node's events in a fixed order (the LTS backend's action order), and per
+//! event the *clauses* that enable it. A clause is a conjunction of literals
+//! `(node, Pred)` over the state variables `C`, `M`, `Mt` and `Mf`; its
+//! first literal tests the event's own node. An event is enabled when one
+//! of its clauses holds. Four readers share the rule:
+//!
+//! * [`Dfs::enabled_events`] evaluates the literals on a [`DfsState`];
+//! * [`mod@crate::to_petri`] emits one transition per clause (Fig. 3): the
+//!   own literal becomes the flip of the node's places, every other literal
+//!   one read arc;
+//! * the phase unfolding ([`crate::perf::unfold`]) takes the causal
+//!   literals of the clause that holds as the event's causes;
+//! * the LTS backend re-checks, after an event of node `n`, the events of
+//!   the nodes whose literals name `n`.
+//!
+//! The net and the direct semantics are checked to be bisimilar in the
+//! integration tests, and the dev-only `rap-oracle` crate keeps an
+//! independent, hand-written statement of the same conditions that the
+//! engine-equivalence tests compare against.
+//!
+//! # What the preprint leaves open
+//!
+//! * **Guard-edge synchronisation.** A node's guards are the control
+//!   registers in its R-preset, and they take part in its `M↑` handshake
+//!   like any R-preset register: a push or pop takes a token only while
+//!   every guard holds one, and reads their values, through the inversion
+//!   parity of the path, in that step. Under [`GuardMode::Unanimous`] a
+//!   mismatch disables the node (§II-B); under `And` and `Or` the value
+//!   that needs only one witness guard gets one clause per guard. A guard
+//!   releases its token like any register, once its R-postset has taken
+//!   theirs, so one control token steers one item.
+//! * **The pop-`Mt` exemption for control registers.** A register's `M↓`
+//!   waits for a pop in its R-postset to hold a *true* token (eq. (4)),
+//!   unless the register is a control register: a control register guarding
+//!   a pop must move on when the pop produced an empty (false) token, or an
+//!   excluded stage's control loop would deadlock.
+//! * **The false-push reading.** A push holding a false token is invisible
+//!   downstream (eq. (3)): every test a node makes of a push in its preset
+//!   or R-preset goes through `Mt`. Such a push neither enables an
+//!   evaluation or a mark nor blocks a reset or a release — the release of
+//!   a false-marked push included, which waits for its preset to withdraw.
 
 use crate::graph::{Dfs, GuardMode, RRef};
 use crate::node::{NodeId, NodeKind, TokenValue};
@@ -37,239 +74,451 @@ impl Event {
             Event::Eval(n) | Event::Reset(n) | Event::Mark(n, _) | Event::Unmark(n) => n,
         }
     }
-}
 
-/// Result of combining a node's control guards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuardStatus {
-    /// All guards present and combined to this value.
-    Ready(TokenValue),
-    /// Some guard has no token yet.
-    Waiting,
-    /// Guards are all present but hold mismatched values under
-    /// [`GuardMode::Unanimous`] — the node is disabled (§II-B).
-    Disabled,
-}
-
-impl Dfs {
-    /// Combines the control guards of `n` in state `s`.
-    ///
-    /// A node without guards is true-controlled by default (it behaves as a
-    /// static node).
-    #[must_use]
-    pub fn guard_status(&self, s: &DfsState, n: NodeId) -> GuardStatus {
-        combine(self.guard_mode(n), self.guards(n), s)
+    /// Is this a `+` event (evaluate or mark)?
+    pub(crate) fn is_plus(self) -> bool {
+        matches!(self, Event::Eval(_) | Event::Mark(..))
     }
+}
 
-    /// Combines the *value sources* of a control register (the control
-    /// registers in `?c`, eq. (5)). `None` when there are none — the value
-    /// choice is then non-deterministic (a data-dependent predicate, as for
-    /// `ctrl` in Fig. 1b).
-    #[must_use]
-    pub fn control_sources_status(&self, s: &DfsState, c: NodeId) -> Option<GuardStatus> {
-        let sources: Vec<RRef> = self
-            .r_preset(c)
-            .iter()
-            .copied()
-            .filter(|r| self.kind(r.node) == NodeKind::Control)
-            .collect();
-        if sources.is_empty() {
-            None
-        } else {
-            Some(combine(self.guard_mode(c), &sources, s))
+/// A state predicate of one node, as a literal of the firing rule tests it.
+/// Each is established by one event family of its node: `Active`,
+/// `Marked`, `TrueMarked` and `FalseMarked` by the `+` event (eval/mark),
+/// the others by the `-` event (reset/unmark).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pred {
+    /// `C(l)` — logic evaluated.
+    Active,
+    /// `!C(l)` — logic reset.
+    Inactive,
+    /// `M(r)` — register marked (any value).
+    Marked,
+    /// `!M(r)` — register empty.
+    Unmarked,
+    /// `Mt(r)` — marked with a true token.
+    TrueMarked,
+    /// `!Mt(r)` — not holding a true token (established by the unmark that
+    /// releases a true token; a false mark keeps it true without
+    /// re-establishing it).
+    NotTrueMarked,
+    /// `Mf(r)` — marked with a false token.
+    FalseMarked,
+}
+
+impl Pred {
+    /// Number of predicates.
+    pub(crate) const COUNT: usize = 7;
+
+    /// Does node `n` satisfy the predicate in `s`?
+    #[inline]
+    fn holds(self, s: &impl NodeBits, n: NodeId) -> bool {
+        match self {
+            Pred::Active | Pred::Marked => s.active(n),
+            Pred::Inactive | Pred::Unmarked => !s.active(n),
+            Pred::TrueMarked => s.active(n) && !s.is_false(n),
+            Pred::NotTrueMarked => !s.active(n) || s.is_false(n),
+            Pred::FalseMarked => s.active(n) && s.is_false(n),
         }
     }
 
-    /// `C↑` condition (eqs. (1), (3)): may `l` evaluate?
-    fn can_eval(&self, s: &DfsState, l: NodeId) -> bool {
-        !s.is_active(l)
-            && self.preds(l).iter().all(|e| {
-                let p = e.node;
-                match self.kind(p) {
-                    NodeKind::Logic => s.is_active(p),
-                    NodeKind::Push => s.is_true_marked(p),
-                    _ => s.is_marked(p),
+    /// Is the predicate established by its node's `+` event?
+    pub(crate) fn established_by_plus(self) -> bool {
+        matches!(
+            self,
+            Pred::Active | Pred::Marked | Pred::TrueMarked | Pred::FalseMarked
+        )
+    }
+}
+
+/// A state the rule's literals are evaluated on: per node, whether it is
+/// active (`C`/`M`) and whether it holds a false token. The LTS backend
+/// reads both from its packed state words, without decoding a
+/// [`DfsState`].
+pub(crate) trait NodeBits {
+    /// Is node `n` active (`C`/`M`)?
+    fn active(&self, n: NodeId) -> bool;
+    /// Does node `n` hold a false token?
+    fn is_false(&self, n: NodeId) -> bool;
+}
+
+impl NodeBits for DfsState {
+    #[inline]
+    fn active(&self, n: NodeId) -> bool {
+        self.active[n.index()]
+    }
+
+    #[inline]
+    fn is_false(&self, n: NodeId) -> bool {
+        self.is_false_marked(n)
+    }
+}
+
+/// One literal of a clause: node `node` satisfies `pred`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Lit {
+    pub(crate) node: NodeId,
+    pub(crate) pred: Pred,
+}
+
+/// Where one clause's literals lie in [`Rule::lits`]: `start..end`, the
+/// causal ones `start..causes`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    causes: u32,
+    end: u32,
+}
+
+/// One clause of an event: a conjunction of literals, the first on the
+/// event's own node. The literals after the causal ones read guard values;
+/// each names a register a causal literal already requires to be marked.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Clause<'a> {
+    lits: &'a [Lit],
+    causes: usize,
+}
+
+impl<'a> Clause<'a> {
+    /// The literal on the event's own node: the state it leaves.
+    pub(crate) fn own(self) -> Lit {
+        self.lits[0]
+    }
+
+    /// Every literal but the own one.
+    pub(crate) fn reads(self) -> &'a [Lit] {
+        &self.lits[1..]
+    }
+
+    /// The causal literals, the own one first: what the event waits for.
+    pub(crate) fn causes(self) -> &'a [Lit] {
+        &self.lits[..self.causes]
+    }
+
+    /// Does every literal hold in `s`?
+    #[inline]
+    pub(crate) fn holds(self, s: &impl NodeBits) -> bool {
+        self.lits.iter().all(|l| l.pred.holds(s, l.node))
+    }
+}
+
+/// One event of the rule with the range of its clauses.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EventRule {
+    pub(crate) event: Event,
+    /// The clauses are one per witness guard (the value of an `And` or
+    /// `Or` node that one guard decides); the net names their transitions
+    /// with a `~k` suffix.
+    pub(crate) witnessed: bool,
+    clauses: (u32, u32),
+}
+
+/// The firing rule of a model: eqs. (1)–(5) stated per node as clauses
+/// (see the [module docs](self)).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Rule {
+    /// Node `n`'s events are `events[first[n]..first[n + 1]]`.
+    first: Vec<u32>,
+    events: Vec<EventRule>,
+    spans: Vec<Span>,
+    lits: Vec<Lit>,
+}
+
+impl Rule {
+    /// Every event of the model, by node and in each node's event order:
+    /// the LTS backend's action table.
+    pub(crate) fn events(&self) -> &[EventRule] {
+        &self.events
+    }
+
+    /// Index in [`Rule::events`] of node `n`'s first event.
+    pub(crate) fn first_event(&self, n: NodeId) -> usize {
+        self.first[n.index()] as usize
+    }
+
+    /// The events of node `n`, in order.
+    pub(crate) fn node_events(&self, n: NodeId) -> &[EventRule] {
+        &self.events[self.first[n.index()] as usize..self.first[n.index() + 1] as usize]
+    }
+
+    /// The clauses of `e`, in order.
+    pub(crate) fn clauses(&self, e: &EventRule) -> impl Iterator<Item = Clause<'_>> + '_ {
+        self.spans[e.clauses.0 as usize..e.clauses.1 as usize]
+            .iter()
+            .map(|sp| Clause {
+                lits: &self.lits[sp.start as usize..sp.end as usize],
+                causes: (sp.causes - sp.start) as usize,
+            })
+    }
+
+    /// Is `e` enabled in `s` (does one of its clauses hold)?
+    #[inline]
+    pub(crate) fn is_enabled(&self, e: &EventRule, s: &impl NodeBits) -> bool {
+        self.clauses(e).any(|c| c.holds(s))
+    }
+
+    /// States eqs. (1)–(5) for every node of `dfs`.
+    fn derive(dfs: &Dfs) -> Rule {
+        let mut rule = Rule::default();
+        // scratch: the causal literals of `M↑`, of `M↓` and of a false
+        // variant
+        let (mut ready, mut release, mut other) = (Vec::new(), Vec::new(), Vec::new());
+        for n in dfs.nodes() {
+            rule.first.push(rule.events.len() as u32);
+            let own = |pred| Lit { node: n, pred };
+            let kind = dfs.kind(n);
+            if kind == NodeKind::Logic {
+                // eqs. (1), (3): evaluate once the preset has, reset once
+                // it has withdrawn
+                ready.clear();
+                ready.extend(dfs.preds(n).iter().map(|e| present(dfs, e.node)));
+                release.clear();
+                release.extend(dfs.preds(n).iter().map(|e| absent(dfs, e.node)));
+                rule.event(Event::Eval(n), false);
+                rule.clause(own(Pred::Inactive), &ready, []);
+                rule.event(Event::Reset(n), false);
+                rule.clause(own(Pred::Active), &release, []);
+                continue;
+            }
+            // eqs. (2), (4): take a token once the preset is ready and the
+            // R-postset empty, release it once the preset has withdrawn and
+            // the R-postset has taken it
+            ready.clear();
+            preset_ready(dfs, n, &mut ready);
+            postset_empty(dfs, n, &mut ready);
+            release.clear();
+            preset_withdrawn(dfs, n, &mut release);
+            postset_taken(dfs, n, &mut release);
+            let mode = dfs.guard_mode(n);
+            match kind {
+                NodeKind::Register => {
+                    rule.event(Event::Mark(n, TokenValue::True), false);
+                    rule.clause(own(Pred::Unmarked), &ready, []);
+                    rule.event(Event::Unmark(n), false);
+                    rule.clause(own(Pred::Marked), &release, []);
                 }
-            })
+                NodeKind::Control => {
+                    // eq. (5): the value is that of the control registers
+                    // in `?c`; without any, a free (data-dependent) choice
+                    let sources: Vec<RRef> = dfs
+                        .r_preset(n)
+                        .iter()
+                        .copied()
+                        .filter(|r| dfs.kind(r.node) == NodeKind::Control)
+                        .collect();
+                    for v in [TokenValue::True, TokenValue::False] {
+                        rule.guarded(own(Pred::Unmarked), v, &sources, mode, &ready);
+                    }
+                    rule.event(Event::Unmark(n), false);
+                    rule.clause(own(Pred::TrueMarked), &release, []);
+                    rule.clause(own(Pred::FalseMarked), &release, []);
+                }
+                _ => {
+                    // push or pop: true-controlled, it behaves as a register
+                    let guards = dfs.guards(n);
+                    rule.guarded(own(Pred::Unmarked), TokenValue::True, guards, mode, &ready);
+                    other.clear();
+                    if kind == NodeKind::Push {
+                        // consume-and-destroy: the R-postset never sees the
+                        // token
+                        preset_ready(dfs, n, &mut other);
+                    } else {
+                        // an empty token: the data preset is not consulted
+                        other.extend(distinct(guards).map(|g| Lit {
+                            node: g,
+                            pred: Pred::Marked,
+                        }));
+                        postset_empty(dfs, n, &mut other);
+                    }
+                    if guards.is_empty() {
+                        // an unguarded node is true-controlled
+                        rule.event(Event::Mark(n, TokenValue::False), false);
+                    } else {
+                        rule.guarded(own(Pred::Unmarked), TokenValue::False, guards, mode, &other);
+                    }
+                    rule.event(Event::Unmark(n), false);
+                    rule.clause(own(Pred::TrueMarked), &release, []);
+                    other.clear();
+                    if kind == NodeKind::Push {
+                        // a false token is destroyed once the preset has
+                        // withdrawn
+                        preset_withdrawn(dfs, n, &mut other);
+                    } else {
+                        // an empty token moves on once the guards have
+                        // released and the R-postset has taken it
+                        other.extend(distinct(guards).map(|g| Lit {
+                            node: g,
+                            pred: Pred::Unmarked,
+                        }));
+                        postset_taken(dfs, n, &mut other);
+                    }
+                    rule.clause(own(Pred::FalseMarked), &other, []);
+                }
+            }
+        }
+        rule.first.push(rule.events.len() as u32);
+        rule
     }
 
-    /// `C↓` condition (eqs. (1), (3)): may `l` reset?
-    ///
-    /// Push registers are tested via `Mt` (eq. (3)): a false-marked push is
-    /// invisible downstream — it neither triggers evaluation nor blocks the
-    /// return-to-NULL, exactly like a sunk data wave in the circuit.
-    fn can_reset(&self, s: &DfsState, l: NodeId) -> bool {
-        s.is_active(l)
-            && self.preds(l).iter().all(|e| match self.kind(e.node) {
-                NodeKind::Push => !s.is_true_marked(e.node),
-                _ => !s.is_active(e.node),
-            })
+    /// Opens the next event of the node being stated.
+    fn event(&mut self, event: Event, witnessed: bool) {
+        let at = self.spans.len() as u32;
+        self.events.push(EventRule {
+            event,
+            witnessed,
+            clauses: (at, at),
+        });
     }
 
-    /// The static part of `M↑` (eqs. (2), (4)) without the `!M(r)` check.
-    fn mark_core(&self, s: &DfsState, r: NodeId) -> bool {
-        self.mark_core_preset(s, r) && self.r_postset(r).iter().all(|q| !s.is_marked(q.node))
+    /// Adds a clause to the open event: `own`, the causal literals
+    /// `causes`, then the guard-value literals `values`.
+    fn clause(&mut self, own: Lit, causes: &[Lit], values: impl IntoIterator<Item = Lit>) {
+        let start = self.lits.len() as u32;
+        self.lits.push(own);
+        self.lits.extend_from_slice(causes);
+        let causes = self.lits.len() as u32;
+        self.lits.extend(values);
+        self.spans.push(Span {
+            start,
+            causes,
+            end: self.lits.len() as u32,
+        });
+        if let Some(open) = self.events.last_mut() {
+            open.clauses.1 = self.spans.len() as u32;
+        }
     }
 
-    /// The preset half of `M↑`: preset logic evaluated, `?r` marked (pushes
-    /// true-marked). A **false-controlled push** uses only this half — it
-    /// destroys the incoming token and never interacts with its R-postset,
-    /// just as the corresponding circuit sinks the data wave without a
-    /// downstream handshake.
-    fn mark_core_preset(&self, s: &DfsState, r: NodeId) -> bool {
-        self.preds(r)
-            .iter()
-            .filter(|e| self.kind(e.node) == NodeKind::Logic)
-            .all(|e| s.is_active(e.node))
-            && self.r_preset(r).iter().all(|q| match self.kind(q.node) {
-                NodeKind::Push => s.is_true_marked(q.node),
-                _ => s.is_marked(q.node),
-            })
+    /// The event `Mark(n, v)` of `own`'s node `n` under its value sources,
+    /// with causal literals `core`: one clause reading every source's
+    /// value, or, for the value one witness decides (`False` under `And`,
+    /// `True` under `Or`), one clause per witness.
+    fn guarded(
+        &mut self,
+        own: Lit,
+        v: TokenValue,
+        sources: &[RRef],
+        mode: GuardMode,
+        core: &[Lit],
+    ) {
+        let value = move |g: &RRef| Lit {
+            node: g.node,
+            pred: if (v == TokenValue::True) != g.inverted {
+                Pred::TrueMarked
+            } else {
+                Pred::FalseMarked
+            },
+        };
+        let witnessed = !sources.is_empty()
+            && matches!(
+                (mode, v),
+                (GuardMode::And, TokenValue::False) | (GuardMode::Or, TokenValue::True)
+            );
+        self.event(Event::Mark(own.node, v), witnessed);
+        if witnessed {
+            for g in sources {
+                self.clause(own, core, [value(g)]);
+            }
+        } else {
+            self.clause(own, core, sources.iter().map(value));
+        }
     }
+}
 
-    /// The static part of `M↓` (eqs. (2), (4)) without the `M(r)` check.
-    ///
-    /// The pop-`Mt` refinement of eq. (4) applies only when `r` itself is
-    /// not a control register: a control register guarding a pop must be
-    /// able to move on even when the pop produced an empty (false) token,
-    /// otherwise an excluded stage's control loop would deadlock.
-    fn unmark_core(&self, s: &DfsState, r: NodeId) -> bool {
-        let exempt_pops = self.kind(r) == NodeKind::Control;
-        self.preds(r)
-            .iter()
-            .filter(|e| self.kind(e.node) == NodeKind::Logic)
-            .all(|e| !s.is_active(e.node))
-            && self.r_preset(r).iter().all(|q| match self.kind(q.node) {
-                // eq. (4): pushes are tested via Mt — a false token does
-                // not hold the downstream register's release hostage
-                NodeKind::Push => !s.is_true_marked(q.node),
-                _ => !s.is_marked(q.node),
-            })
-            && self.r_postset(r).iter().all(|q| match self.kind(q.node) {
-                NodeKind::Pop if !exempt_pops => s.is_true_marked(q.node),
-                _ => s.is_marked(q.node),
-            })
+/// "`q` holds a token downstream nodes see": `C` for logic, `Mt` for a push
+/// (a false-marked push is invisible downstream, eq. (3)), `M` otherwise.
+fn present(dfs: &Dfs, q: NodeId) -> Lit {
+    let pred = match dfs.kind(q) {
+        NodeKind::Logic => Pred::Active,
+        NodeKind::Push => Pred::TrueMarked,
+        _ => Pred::Marked,
+    };
+    Lit { node: q, pred }
+}
+
+/// The negation of [`present`].
+fn absent(dfs: &Dfs, q: NodeId) -> Lit {
+    let pred = match dfs.kind(q) {
+        NodeKind::Logic => Pred::Inactive,
+        NodeKind::Push => Pred::NotTrueMarked,
+        _ => Pred::Unmarked,
+    };
+    Lit { node: q, pred }
+}
+
+/// The registers of a sorted R-set, each once (a register reached along
+/// paths of both parities is listed twice).
+fn distinct(rs: &[RRef]) -> impl Iterator<Item = NodeId> + '_ {
+    rs.iter()
+        .enumerate()
+        .filter(move |&(i, r)| i == 0 || rs[i - 1].node != r.node)
+        .map(|(_, r)| r.node)
+}
+
+/// The preset half of `M↑`: preset logic evaluated, `?r` present.
+fn preset_ready(dfs: &Dfs, r: NodeId, out: &mut Vec<Lit>) {
+    let logic = dfs
+        .preds(r)
+        .iter()
+        .filter(|e| dfs.kind(e.node) == NodeKind::Logic);
+    out.extend(logic.map(|e| present(dfs, e.node)));
+    out.extend(distinct(dfs.r_preset(r)).map(|q| present(dfs, q)));
+}
+
+/// The postset half of `M↑`: `r?` empty.
+fn postset_empty(dfs: &Dfs, r: NodeId, out: &mut Vec<Lit>) {
+    out.extend(distinct(dfs.r_postset(r)).map(|q| Lit {
+        node: q,
+        pred: Pred::Unmarked,
+    }));
+}
+
+/// The preset half of `M↓`: preset logic reset, `?r` absent.
+fn preset_withdrawn(dfs: &Dfs, r: NodeId, out: &mut Vec<Lit>) {
+    let logic = dfs
+        .preds(r)
+        .iter()
+        .filter(|e| dfs.kind(e.node) == NodeKind::Logic);
+    out.extend(logic.map(|e| absent(dfs, e.node)));
+    out.extend(distinct(dfs.r_preset(r)).map(|q| absent(dfs, q)));
+}
+
+/// The postset half of `M↓`: `r?` marked, a pop with a true token unless
+/// `r` is a control register (the pop-`Mt` exemption).
+fn postset_taken(dfs: &Dfs, r: NodeId, out: &mut Vec<Lit>) {
+    let exempt_pops = dfs.kind(r) == NodeKind::Control;
+    out.extend(distinct(dfs.r_postset(r)).map(|q| Lit {
+        node: q,
+        pred: if dfs.kind(q) == NodeKind::Pop && !exempt_pops {
+            Pred::TrueMarked
+        } else {
+            Pred::Marked
+        },
+    }));
+}
+
+impl Dfs {
+    /// The firing rule of this model, derived on first use.
+    pub(crate) fn rule(&self) -> &Rule {
+        self.rule.get_or_init(|| Rule::derive(self))
     }
 
     /// All events enabled in `s`, in deterministic (node, kind) order.
     #[must_use]
     pub fn enabled_events(&self, s: &DfsState) -> Vec<Event> {
-        let mut out = Vec::new();
-        for n in self.nodes() {
-            self.node_events(s, n, &mut out);
-        }
-        out
-    }
-
-    /// Appends the events of node `n` enabled in `s` to `out`.
-    pub(crate) fn node_events(&self, s: &DfsState, n: NodeId, out: &mut Vec<Event>) {
-        match self.kind(n) {
-            NodeKind::Logic => {
-                if self.can_eval(s, n) {
-                    out.push(Event::Eval(n));
-                }
-                if self.can_reset(s, n) {
-                    out.push(Event::Reset(n));
-                }
-            }
-            NodeKind::Register => {
-                if !s.is_marked(n) && self.mark_core(s, n) {
-                    out.push(Event::Mark(n, TokenValue::True));
-                }
-                if s.is_marked(n) && self.unmark_core(s, n) {
-                    out.push(Event::Unmark(n));
-                }
-            }
-            NodeKind::Control => {
-                if !s.is_marked(n) && self.mark_core(s, n) {
-                    match self.control_sources_status(s, n) {
-                        None => {
-                            // data-dependent predicate: free choice
-                            out.push(Event::Mark(n, TokenValue::True));
-                            out.push(Event::Mark(n, TokenValue::False));
-                        }
-                        Some(GuardStatus::Ready(v)) => out.push(Event::Mark(n, v)),
-                        Some(_) => {}
-                    }
-                }
-                if s.is_marked(n) && self.unmark_core(s, n) {
-                    out.push(Event::Unmark(n));
-                }
-            }
-            NodeKind::Push => {
-                if !s.is_marked(n) {
-                    match self.guard_status(s, n) {
-                        GuardStatus::Ready(TokenValue::True) if self.mark_core(s, n) => {
-                            out.push(Event::Mark(n, TokenValue::True));
-                        }
-                        // consume-and-destroy: the R-postset is not
-                        // involved at all
-                        GuardStatus::Ready(TokenValue::False) if self.mark_core_preset(s, n) => {
-                            out.push(Event::Mark(n, TokenValue::False));
-                        }
-                        _ => {}
-                    }
-                }
-                if s.is_marked(n) {
-                    let may = match s.token_value(n) {
-                        Some(TokenValue::True) => self.unmark_core(s, n),
-                        // false-marked push: destroy the token as soon as the
-                        // preset withdraws; the R-postset never saw it
-                        _ => {
-                            self.preds(n)
-                                .iter()
-                                .filter(|e| self.kind(e.node) == NodeKind::Logic)
-                                .all(|e| !s.is_active(e.node))
-                                && self.r_preset(n).iter().all(|q| !s.is_marked(q.node))
-                        }
-                    };
-                    if may {
-                        out.push(Event::Unmark(n));
-                    }
-                }
-            }
-            NodeKind::Pop => {
-                if !s.is_marked(n) {
-                    match self.guard_status(s, n) {
-                        GuardStatus::Ready(TokenValue::True) if self.mark_core(s, n) => {
-                            out.push(Event::Mark(n, TokenValue::True));
-                        }
-                        // spontaneous empty token: ignores the data preset
-                        GuardStatus::Ready(TokenValue::False)
-                            if self.r_postset(n).iter().all(|q| !s.is_marked(q.node)) =>
-                        {
-                            out.push(Event::Mark(n, TokenValue::False));
-                        }
-                        _ => {}
-                    }
-                }
-                if s.is_marked(n) {
-                    let may = match s.token_value(n) {
-                        Some(TokenValue::True) => self.unmark_core(s, n),
-                        // empty token: release once the guard has moved on and
-                        // the downstream has taken the token
-                        _ => {
-                            self.guards(n).iter().all(|g| !s.is_marked(g.node))
-                                && self.r_postset(n).iter().all(|q| match self.kind(q.node) {
-                                    NodeKind::Pop => s.is_true_marked(q.node),
-                                    _ => s.is_marked(q.node),
-                                })
-                        }
-                    };
-                    if may {
-                        out.push(Event::Unmark(n));
-                    }
-                }
-            }
-        }
+        let rule = self.rule();
+        rule.events()
+            .iter()
+            .filter(|e| rule.is_enabled(e, s))
+            .map(|e| e.event)
+            .collect()
     }
 
     /// Is a specific event enabled in `s`?
     #[must_use]
     pub fn is_event_enabled(&self, s: &DfsState, event: Event) -> bool {
-        let mut buf = Vec::new();
-        self.node_events(s, event.node(), &mut buf);
-        buf.contains(&event)
+        let rule = self.rule();
+        rule.node_events(event.node())
+            .iter()
+            .any(|e| e.event == event && rule.is_enabled(e, s))
     }
 
     /// Applies `event` to `s`, returning the successor state.
@@ -300,29 +549,25 @@ impl Dfs {
     /// `M_out-`, `Mt_ctrl+`, `Mf_filt-`.
     #[must_use]
     pub fn event_label(&self, s: &DfsState, event: Event) -> String {
-        let name = &self.node(event.node()).name;
-        match event {
-            Event::Eval(_) => format!("C_{name}+"),
-            Event::Reset(_) => format!("C_{name}-"),
-            Event::Mark(n, v) => {
-                if self.kind(n) == NodeKind::Register {
-                    format!("M_{name}+")
-                } else if v == TokenValue::True {
-                    format!("Mt_{name}+")
-                } else {
-                    format!("Mf_{name}+")
-                }
-            }
-            Event::Unmark(n) => {
-                if self.kind(n) == NodeKind::Register {
-                    format!("M_{name}-")
-                } else if s.token_value(n) == Some(TokenValue::False) {
-                    format!("Mf_{name}-")
-                } else {
-                    format!("Mt_{name}-")
-                }
-            }
-        }
+        let value = match event {
+            Event::Mark(_, v) => v,
+            _ => s.token_value(event.node()).unwrap_or(TokenValue::True),
+        };
+        self.label(event, value)
+    }
+
+    /// The label of `event` moving a token of value `value`; the value
+    /// names only a dynamic register's events.
+    pub(crate) fn label(&self, event: Event, value: TokenValue) -> String {
+        let n = event.node();
+        let variable = match self.kind(n) {
+            NodeKind::Logic => "C",
+            NodeKind::Register => "M",
+            _ if value == TokenValue::True => "Mt",
+            _ => "Mf",
+        };
+        let sign = if event.is_plus() { '+' } else { '-' };
+        format!("{variable}_{}{sign}", self.node(n).name)
     }
 
     /// Do two marked guards of some node currently disagree? This is the
@@ -351,27 +596,6 @@ fn effective(s: &DfsState, g: &RRef) -> TokenValue {
         v.negate()
     } else {
         v
-    }
-}
-
-fn combine(mode: GuardMode, guards: &[RRef], s: &DfsState) -> GuardStatus {
-    if guards.is_empty() {
-        return GuardStatus::Ready(TokenValue::True);
-    }
-    if guards.iter().any(|g| !s.is_marked(g.node)) {
-        return GuardStatus::Waiting;
-    }
-    let values: Vec<TokenValue> = guards.iter().map(|g| effective(s, g)).collect();
-    match mode {
-        GuardMode::Unanimous => {
-            if values.windows(2).all(|w| w[0] == w[1]) {
-                GuardStatus::Ready(values[0])
-            } else {
-                GuardStatus::Disabled
-            }
-        }
-        GuardMode::And => GuardStatus::Ready(TokenValue::from(values.iter().all(|v| v.as_bool()))),
-        GuardMode::Or => GuardStatus::Ready(TokenValue::from(values.iter().any(|v| v.as_bool()))),
     }
 }
 
@@ -493,6 +717,19 @@ mod tests {
     }
 
     #[test]
+    fn a_false_push_upstream_does_not_hold_back_a_false_push() {
+        // p1(False) -> p2(False): p2 destroys its token while p1 still
+        // holds one, which is invisible downstream (eq. (3))
+        let mut b = DfsBuilder::new();
+        let p1 = b.push("p1").marked_with(TokenValue::False).build();
+        let p2 = b.push("p2").marked_with(TokenValue::False).build();
+        b.connect(p1, p2);
+        let dfs = b.finish().unwrap();
+        let s0 = DfsState::initial(&dfs);
+        assert!(dfs.is_event_enabled(&s0, Event::Unmark(p2)));
+    }
+
+    #[test]
     fn pop_produces_empty_tokens_when_false_controlled() {
         // comp(register, empty) -> out(pop) guarded by ctrl(False); out -> sink
         let mut b = DfsBuilder::new();
@@ -530,7 +767,6 @@ mod tests {
         b.connect(c2, p);
         let dfs = b.finish().unwrap();
         let s0 = DfsState::initial(&dfs);
-        assert_eq!(dfs.guard_status(&s0, p), GuardStatus::Disabled);
         assert!(dfs.has_control_mismatch(&s0));
         assert!(!dfs.enabled_events(&s0).iter().any(|e| e.node() == p));
     }
@@ -552,7 +788,12 @@ mod tests {
             b.connect(c2, p);
             let dfs = b.finish().unwrap();
             let s0 = DfsState::initial(&dfs);
-            assert_eq!(dfs.guard_status(&s0, p), GuardStatus::Ready(expect));
+            let marks: Vec<Event> = dfs
+                .enabled_events(&s0)
+                .into_iter()
+                .filter(|e| e.node() == p)
+                .collect();
+            assert_eq!(marks, vec![Event::Mark(p, expect)]);
         }
     }
 
@@ -566,10 +807,8 @@ mod tests {
         b.connect_inverted(c, p);
         let dfs = b.finish().unwrap();
         let s0 = DfsState::initial(&dfs);
-        assert_eq!(
-            dfs.guard_status(&s0, p),
-            GuardStatus::Ready(TokenValue::True)
-        );
+        assert!(dfs.is_event_enabled(&s0, Event::Mark(p, TokenValue::True)));
+        assert!(!dfs.is_event_enabled(&s0, Event::Mark(p, TokenValue::False)));
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! Translation of DFS models into 1-safe Petri nets with read arcs (Fig. 3).
 //!
 //! Every state variable becomes a complementary pair of places `x_0`/`x_1`
-//! with `x+`/`x-` transitions between them; the enabling conditions of the
-//! operational semantics (eqs. (1)–(5)) become read arcs. Dynamic registers
-//! additionally get `Mt_x`/`Mf_x` *value places*, and their `M_x+`/`M_x-`
-//! transitions are refined into mutually exclusive `Mt_x±`/`Mf_x±` pairs
-//! (Fig. 3c).
+//! with `x+`/`x-` transitions between them. Dynamic registers additionally
+//! get `Mt_x`/`Mf_x` *value places*, and their `M_x+`/`M_x-` transitions are
+//! refined into mutually exclusive `Mt_x±`/`Mf_x±` pairs (Fig. 3c).
+//!
+//! The transitions are read off the model's firing rule (eqs. (1)–(5), see
+//! [`mod@crate::semantics`]), one per clause, in the rule's order: the
+//! clause's own literal becomes the flip of its node's places, every other
+//! literal a read arc of the place it names. The clauses of a value one
+//! witness guard decides give transitions named `x~k`, `k` the witness.
 //!
 //! The translation is behaviour-preserving: the reachable LTS of the net
 //! (labelled by base transition names) is bisimilar to the LTS of the direct
-//! semantics — this is checked by the `semantics_bisimulation` integration
-//! test on a corpus of models including Fig. 1b.
+//! semantics — this is checked by the `bisimulation` integration test on a
+//! corpus of models including Fig. 1b and on random models.
 
-use crate::graph::{Dfs, GuardMode, RRef};
+use crate::graph::Dfs;
 use crate::node::{NodeId, NodeKind, TokenValue};
+use crate::semantics::{Event, Pred};
 use rap_petri::symmetry::Symmetry;
 use rap_petri::{PetriNet, PlaceId, TransitionId};
 use std::collections::HashMap;
@@ -135,241 +140,17 @@ impl PetriImage {
     }
 }
 
-/// Context for building one node's transitions.
-struct Tx<'a> {
-    dfs: &'a Dfs,
-    img: &'a mut PetriImage,
-}
-
-impl Tx<'_> {
-    fn transition(&mut self, base_label: &str, variant: Option<usize>) -> TransitionId {
-        let name = match variant {
-            None => base_label.to_string(),
-            Some(k) => format!("{base_label}~{k}"),
-        };
-        let t = self.img.net.add_transition(name);
-        debug_assert_eq!(t.index(), self.img.labels.len());
-        self.img.labels.push(base_label.to_string());
-        t
+/// Offset, from its node's first place, of the place a literal reads: a
+/// node's places are its `C` or `M` pair, then for a dynamic register its
+/// `Mt` and `Mf` pairs, each `x_0` before `x_1`.
+fn offset(pred: Pred) -> usize {
+    match pred {
+        Pred::Inactive | Pred::Unmarked => 0,
+        Pred::Active | Pred::Marked => 1,
+        Pred::NotTrueMarked => 2,
+        Pred::TrueMarked => 3,
+        Pred::FalseMarked => 5,
     }
-
-    fn read_active(&mut self, t: TransitionId, l: NodeId) {
-        let p = self.img.logic_places[&l].1;
-        self.img.net.read(t, p);
-    }
-
-    fn read_inactive(&mut self, t: TransitionId, l: NodeId) {
-        let p = self.img.logic_places[&l].0;
-        self.img.net.read(t, p);
-    }
-
-    fn read_marked(&mut self, t: TransitionId, r: NodeId) {
-        let p = self.img.marking_places[&r].1;
-        self.img.net.read(t, p);
-    }
-
-    fn read_unmarked(&mut self, t: TransitionId, r: NodeId) {
-        let p = self.img.marking_places[&r].0;
-        self.img.net.read(t, p);
-    }
-
-    /// Reads the value place asserting `r`'s token (effectively) equals `v`,
-    /// accounting for the arc inversion recorded in `g`.
-    fn read_effective(&mut self, t: TransitionId, g: RRef, v: TokenValue) {
-        let want = if g.inverted { v.negate() } else { v };
-        let ((_, mt1), (_, mf1)) = self.img.value_places[&g.node];
-        self.img
-            .net
-            .read(t, if want == TokenValue::True { mt1 } else { mf1 });
-    }
-
-    /// Reads `Mt_x_1` (the register is true-marked).
-    fn read_true_marked(&mut self, t: TransitionId, r: NodeId) {
-        let ((_, mt1), _) = self.img.value_places[&r];
-        self.img.net.read(t, mt1);
-    }
-
-    /// Reads `Mt_x_0` (the register is not true-marked: unmarked or false).
-    fn read_not_true_marked(&mut self, t: TransitionId, r: NodeId) {
-        let ((mt0, _), _) = self.img.value_places[&r];
-        self.img.net.read(t, mt0);
-    }
-
-    /// `Mt(q)` for pushes, `M(q)` otherwise — the presence half of
-    /// `mark_core` over `?r`.
-    fn read_preset_presence(&mut self, t: TransitionId, r: NodeId) {
-        for q in dedup_nodes(self.dfs.r_preset(r)) {
-            if self.dfs.kind(q) == NodeKind::Push {
-                self.read_true_marked(t, q);
-            } else {
-                self.read_marked(t, q);
-            }
-        }
-    }
-
-    /// Read arcs for the full `mark_core` condition of register `r`.
-    fn reads_mark_core(&mut self, t: TransitionId, r: NodeId) {
-        self.reads_mark_preset(t, r);
-        for q in dedup_nodes(self.dfs.r_postset(r)) {
-            self.read_unmarked(t, q);
-        }
-    }
-
-    /// Read arcs for the preset half of `mark_core` only (false-controlled
-    /// pushes: consume-and-destroy ignores the R-postset).
-    fn reads_mark_preset(&mut self, t: TransitionId, r: NodeId) {
-        for e in self.dfs.preds(r) {
-            if self.dfs.kind(e.node) == NodeKind::Logic {
-                self.read_active(t, e.node);
-            }
-        }
-        self.read_preset_presence(t, r);
-    }
-
-    /// Read arcs for the full `unmark_core` condition of register `r`.
-    fn reads_unmark_core(&mut self, t: TransitionId, r: NodeId) {
-        let exempt_pops = self.dfs.kind(r) == NodeKind::Control;
-        for e in self.dfs.preds(r) {
-            if self.dfs.kind(e.node) == NodeKind::Logic {
-                self.read_inactive(t, e.node);
-            }
-        }
-        for q in dedup_nodes(self.dfs.r_preset(r)) {
-            if self.dfs.kind(q) == NodeKind::Push {
-                self.read_not_true_marked(t, q);
-            } else {
-                self.read_unmarked(t, q);
-            }
-        }
-        for q in dedup_nodes(self.dfs.r_postset(r)) {
-            if self.dfs.kind(q) == NodeKind::Pop && !exempt_pops {
-                self.read_true_marked(t, q);
-            } else {
-                self.read_marked(t, q);
-            }
-        }
-    }
-
-    /// The marking flip arcs for a plain register transition.
-    fn flip_plain(&mut self, t: TransitionId, r: NodeId, to_marked: bool) {
-        let (m0, m1) = self.img.marking_places[&r];
-        if to_marked {
-            self.img.net.consume(t, m0);
-            self.img.net.produce(t, m1);
-        } else {
-            self.img.net.consume(t, m1);
-            self.img.net.produce(t, m0);
-        }
-    }
-
-    /// The marking flip arcs for a dynamic register transition carrying
-    /// value `v`.
-    fn flip_valued(&mut self, t: TransitionId, r: NodeId, v: TokenValue, to_marked: bool) {
-        let (m0, m1) = self.img.marking_places[&r];
-        let (mt, mf) = self.img.value_places[&r];
-        let (v0, v1) = if v == TokenValue::True { mt } else { mf };
-        if to_marked {
-            self.img.net.consume(t, m0);
-            self.img.net.consume(t, v0);
-            self.img.net.produce(t, m1);
-            self.img.net.produce(t, v1);
-        } else {
-            self.img.net.consume(t, m1);
-            self.img.net.consume(t, v1);
-            self.img.net.produce(t, m0);
-            self.img.net.produce(t, v0);
-        }
-    }
-
-    /// Generates the `+` transitions selecting value `v` under the node's
-    /// guard mode. `sources` are the guards/value sources; `core` selects
-    /// which enabling-condition reads apply.
-    fn valued_mark_transitions(
-        &mut self,
-        r: NodeId,
-        v: TokenValue,
-        sources: &[RRef],
-        mode: GuardMode,
-        core: MarkCondition,
-    ) {
-        let name = &self.dfs.node(r).name;
-        let base = if v == TokenValue::True {
-            format!("Mt_{name}+")
-        } else {
-            format!("Mf_{name}+")
-        };
-        // Which guard-value read sets select value `v`?
-        // Unanimous: all sources effectively `v` — one transition.
-        // And: True needs all true (one); False needs a false witness (one
-        //   transition per source) plus presence of the rest.
-        // Or : dual of And.
-        let witness_based = match (mode, v) {
-            (GuardMode::Unanimous, _) => false,
-            (GuardMode::And, TokenValue::True) | (GuardMode::Or, TokenValue::False) => false,
-            (GuardMode::And, TokenValue::False) | (GuardMode::Or, TokenValue::True) => true,
-        };
-        if sources.is_empty() || !witness_based {
-            let t = self.transition(&base, None);
-            self.flip_valued(t, r, v, true);
-            self.reads_for_core(t, r, core, sources);
-            for &g in sources {
-                self.read_effective(t, g, v);
-            }
-        } else {
-            for (k, &witness) in sources.iter().enumerate() {
-                let t = self.transition(&base, Some(k));
-                self.flip_valued(t, r, v, true);
-                self.reads_for_core(t, r, core, sources);
-                self.read_effective(t, witness, v);
-                for &g in sources {
-                    self.read_marked(t, g.node);
-                }
-            }
-        }
-    }
-
-    /// Applies the enabling-condition reads chosen by `core`.
-    fn reads_for_core(
-        &mut self,
-        t: TransitionId,
-        r: NodeId,
-        core: MarkCondition,
-        sources: &[RRef],
-    ) {
-        match core {
-            MarkCondition::Full => self.reads_mark_core(t, r),
-            MarkCondition::PresetOnly => self.reads_mark_preset(t, r),
-            MarkCondition::GuardAndEmptyPostset => {
-                for &g in sources {
-                    self.read_marked(t, g.node);
-                }
-                for q in dedup_nodes(self.dfs.r_postset(r)) {
-                    self.read_unmarked(t, q);
-                }
-            }
-        }
-    }
-}
-
-/// Which enabling condition a valued `+` transition encodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MarkCondition {
-    /// The full `mark_core` (true-controlled acceptance).
-    Full,
-    /// Preset half only (false-controlled push: consume-and-destroy).
-    PresetOnly,
-    /// Guard presence + empty R-postset (false-controlled pop: produce an
-    /// empty token).
-    GuardAndEmptyPostset,
-}
-
-/// Registers in an R-set, deduplicated by node (parity matters only for
-/// value reads, not presence reads).
-fn dedup_nodes(rs: &[RRef]) -> Vec<NodeId> {
-    let mut out: Vec<NodeId> = rs.iter().map(|r| r.node).collect();
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 /// Translates `dfs` into its Petri-net image.
@@ -384,7 +165,9 @@ pub fn to_petri(dfs: &Dfs) -> PetriImage {
     };
 
     // --- places ---
+    let mut first = Vec::with_capacity(dfs.node_count());
     for n in dfs.nodes() {
+        first.push(img.net.place_count());
         let node = dfs.node(n);
         let name = &node.name;
         match node.kind {
@@ -411,173 +194,44 @@ pub fn to_petri(dfs: &Dfs) -> PetriImage {
             }
         }
     }
+    let place = |n: NodeId, offset: usize| PlaceId::from_index(first[n.index()] + offset);
 
-    // --- transitions ---
-    let mut tx = Tx { dfs, img: &mut img };
-    for n in dfs.nodes() {
-        let node = dfs.node(n);
-        let name = node.name.clone();
-        match node.kind {
-            NodeKind::Logic => {
-                let (c0, c1) = tx.img.logic_places[&n];
-                let plus = tx.transition(&format!("C_{name}+"), None);
-                tx.img.net.consume(plus, c0);
-                tx.img.net.produce(plus, c1);
-                for e in dfs.preds(n) {
-                    match dfs.kind(e.node) {
-                        NodeKind::Logic => tx.read_active(plus, e.node),
-                        NodeKind::Push => tx.read_true_marked(plus, e.node),
-                        _ => tx.read_marked(plus, e.node),
-                    }
-                }
-                let minus = tx.transition(&format!("C_{name}-"), None);
-                tx.img.net.consume(minus, c1);
-                tx.img.net.produce(minus, c0);
-                for e in dfs.preds(n) {
-                    match dfs.kind(e.node) {
-                        NodeKind::Logic => tx.read_inactive(minus, e.node),
-                        NodeKind::Push => tx.read_not_true_marked(minus, e.node),
-                        _ => tx.read_unmarked(minus, e.node),
-                    }
-                }
-            }
-            NodeKind::Register => {
-                let plus = tx.transition(&format!("M_{name}+"), None);
-                tx.flip_plain(plus, n, true);
-                tx.reads_mark_core(plus, n);
-                let minus = tx.transition(&format!("M_{name}-"), None);
-                tx.flip_plain(minus, n, false);
-                tx.reads_unmark_core(minus, n);
-            }
-            NodeKind::Control => {
-                let sources: Vec<RRef> = dfs
-                    .r_preset(n)
-                    .iter()
-                    .copied()
-                    .filter(|r| dfs.kind(r.node) == NodeKind::Control)
-                    .collect();
-                let mode = dfs.guard_mode(n);
-                if sources.is_empty() {
-                    // free choice: both variants, mark_core reads only
-                    tx.valued_mark_transitions(n, TokenValue::True, &[], mode, MarkCondition::Full);
-                    tx.valued_mark_transitions(
-                        n,
-                        TokenValue::False,
-                        &[],
-                        mode,
-                        MarkCondition::Full,
-                    );
+    // --- transitions: one per clause of the firing rule ---
+    let rule = dfs.rule();
+    for e in rule.events() {
+        let n = e.event.node();
+        for (k, clause) in rule.clauses(e).enumerate() {
+            let value = match (e.event, clause.own().pred) {
+                (Event::Mark(_, v), _) => v,
+                (_, Pred::FalseMarked) => TokenValue::False,
+                _ => TokenValue::True,
+            };
+            let label = dfs.label(e.event, value);
+            let name = if e.witnessed {
+                format!("{label}~{k}")
+            } else {
+                label.clone()
+            };
+            let t = img.net.add_transition(name);
+            img.labels.push(label);
+            // the own literal flips the node's pair and a dynamic
+            // register's value pair
+            let value_pair = if value == TokenValue::True { 2 } else { 4 };
+            let pairs = std::iter::once(0).chain(dfs.kind(n).is_dynamic().then_some(value_pair));
+            for at in pairs {
+                let (from, to) = if e.event.is_plus() {
+                    (at, at + 1)
                 } else {
-                    tx.valued_mark_transitions(
-                        n,
-                        TokenValue::True,
-                        &sources,
-                        mode,
-                        MarkCondition::Full,
-                    );
-                    tx.valued_mark_transitions(
-                        n,
-                        TokenValue::False,
-                        &sources,
-                        mode,
-                        MarkCondition::Full,
-                    );
-                }
-                for v in [TokenValue::True, TokenValue::False] {
-                    let base = if v == TokenValue::True {
-                        format!("Mt_{name}-")
-                    } else {
-                        format!("Mf_{name}-")
-                    };
-                    let t = tx.transition(&base, None);
-                    tx.flip_valued(t, n, v, false);
-                    tx.reads_unmark_core(t, n);
-                }
+                    (at + 1, at)
+                };
+                img.net.consume(t, place(n, from));
+                img.net.produce(t, place(n, to));
             }
-            NodeKind::Push => {
-                let guards = dfs.guards(n).to_vec();
-                let mode = dfs.guard_mode(n);
-                if guards.is_empty() {
-                    tx.valued_mark_transitions(n, TokenValue::True, &[], mode, MarkCondition::Full);
-                } else {
-                    tx.valued_mark_transitions(
-                        n,
-                        TokenValue::True,
-                        &guards,
-                        mode,
-                        MarkCondition::Full,
-                    );
-                    // consume-and-destroy ignores the R-postset
-                    tx.valued_mark_transitions(
-                        n,
-                        TokenValue::False,
-                        &guards,
-                        mode,
-                        MarkCondition::PresetOnly,
-                    );
-                }
-                // true release: full unmark_core
-                let t = tx.transition(&format!("Mt_{name}-"), None);
-                tx.flip_valued(t, n, TokenValue::True, false);
-                tx.reads_unmark_core(t, n);
-                // false release: destroy — preset withdrawn only
-                let t = tx.transition(&format!("Mf_{name}-"), None);
-                tx.flip_valued(t, n, TokenValue::False, false);
-                for e in dfs.preds(n) {
-                    if dfs.kind(e.node) == NodeKind::Logic {
-                        tx.read_inactive(t, e.node);
-                    }
-                }
-                for q in dedup_nodes(dfs.r_preset(n)) {
-                    if dfs.kind(q) == NodeKind::Push {
-                        tx.read_not_true_marked(t, q);
-                    } else {
-                        tx.read_unmarked(t, q);
-                    }
-                }
-            }
-            NodeKind::Pop => {
-                let guards = dfs.guards(n).to_vec();
-                let mode = dfs.guard_mode(n);
-                if guards.is_empty() {
-                    tx.valued_mark_transitions(n, TokenValue::True, &[], mode, MarkCondition::Full);
-                } else {
-                    tx.valued_mark_transitions(
-                        n,
-                        TokenValue::True,
-                        &guards,
-                        mode,
-                        MarkCondition::Full,
-                    );
-                    // false production: guard presence and empty R-postset
-                    tx.valued_mark_transitions(
-                        n,
-                        TokenValue::False,
-                        &guards,
-                        mode,
-                        MarkCondition::GuardAndEmptyPostset,
-                    );
-                }
-                let t = tx.transition(&format!("Mt_{name}-"), None);
-                tx.flip_valued(t, n, TokenValue::True, false);
-                tx.reads_unmark_core(t, n);
-                // false release: guards gone, downstream took the token
-                let t = tx.transition(&format!("Mf_{name}-"), None);
-                tx.flip_valued(t, n, TokenValue::False, false);
-                for g in &guards {
-                    tx.read_unmarked(t, g.node);
-                }
-                for q in dedup_nodes(dfs.r_postset(n)) {
-                    if dfs.kind(q) == NodeKind::Pop {
-                        tx.read_true_marked(t, q);
-                    } else {
-                        tx.read_marked(t, q);
-                    }
-                }
+            for lit in clause.reads() {
+                img.net.read(t, place(lit.node, offset(lit.pred)));
             }
         }
     }
-
     img
 }
 

@@ -94,13 +94,20 @@ pub fn rotating_ring(b: &mut DfsBuilder, prefix: &str, ways: usize, delay: f64) 
 ///
 /// # Errors
 ///
-/// Propagates builder validation errors.
+/// [`DfsError::InvalidSpec`] for `ways == 0` or `comp_depth == 0`;
+/// otherwise propagates builder validation errors.
 pub fn wagged_pipeline(
     ways: usize,
     comp_depth: usize,
     comp_delay: f64,
 ) -> Result<Wagged, DfsError> {
-    assert!(ways >= 1, "need at least one way");
+    if ways == 0 || comp_depth == 0 {
+        return Err(DfsError::InvalidSpec {
+            reason: format!(
+                "wagged pipeline needs ways >= 1 and comp_depth >= 1 (got {ways}, {comp_depth})"
+            ),
+        });
+    }
     let mut b = DfsBuilder::new();
     let input = b.register("in").marked().build();
     let agg = b.logic("agg").delay(0.5).build();
@@ -130,7 +137,7 @@ pub fn wagged_pipeline(
         b.connect(input, entry);
         b.connect(dist[w], entry);
         let mut prev = entry;
-        for s in 1..=comp_depth.max(1) {
+        for s in 1..=comp_depth {
             let f = b.logic(format!("w{w}_f{s}")).delay(comp_delay).build();
             let r = b.register(format!("w{w}_r{s}")).build();
             b.connect(prev, f);
@@ -164,7 +171,7 @@ pub fn wagged_pipeline(
         let v = (w + 1) % ways;
         way_rotation[by(format!("w{w}_entry"))] = by(format!("w{v}_entry")) as u32;
         way_rotation[by(format!("w{w}_exit"))] = by(format!("w{v}_exit")) as u32;
-        for s in 1..=comp_depth.max(1) {
+        for s in 1..=comp_depth {
             way_rotation[by(format!("w{w}_f{s}"))] = by(format!("w{v}_f{s}")) as u32;
             way_rotation[by(format!("w{w}_r{s}"))] = by(format!("w{v}_r{s}")) as u32;
         }
@@ -186,6 +193,16 @@ mod tests {
     use super::*;
     use crate::timed::{measure_throughput, ChoicePolicy};
     use crate::verify::{verify, VerifyConfig};
+
+    #[test]
+    fn degenerate_shapes_are_rejected() {
+        for (ways, depth) in [(0, 1), (2, 0), (0, 0)] {
+            assert!(matches!(
+                wagged_pipeline(ways, depth, 1.0),
+                Err(DfsError::InvalidSpec { .. })
+            ));
+        }
+    }
 
     #[test]
     fn two_way_wagging_is_deadlock_free() {

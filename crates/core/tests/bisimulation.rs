@@ -7,9 +7,19 @@
 //! identifies one node event; multiple PN variant transitions with the same
 //! label lead to the same marking), so a product BFS that pairs states and
 //! compares outgoing label sets decides strong bisimilarity exactly.
+//!
+//! The corpus: Fig. 1b, hand-built corners of the firing rule, the
+//! reconfigurable and wagged pipelines, and random models.
+
+#[path = "common/models.rs"]
+mod models;
+#[path = "common/random.rs"]
+mod random;
 
 use dfs_core::pipelines::{build_pipeline, PipelineSpec};
-use dfs_core::{to_petri, Dfs, DfsBuilder, DfsState, TokenValue};
+use dfs_core::{to_petri, Dfs, DfsBuilder, DfsState, GuardMode, Lts, TokenValue};
+use proptest::prelude::*;
+use rap_petri::reachability::ExploreConfig;
 use rap_petri::Marking;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -98,28 +108,12 @@ fn fig1b_is_bisimilar() {
 
 #[test]
 fn plain_ring_is_bisimilar() {
-    let mut b = DfsBuilder::new();
-    let r0 = b.register("r0").marked().build();
-    let f = b.logic("f").build();
-    let r1 = b.register("r1").build();
-    let r2 = b.register("r2").build();
-    b.connect(r0, f);
-    b.connect(f, r1);
-    b.connect(r1, r2);
-    b.connect(r2, r0);
-    assert_bisimilar(&b.finish().unwrap(), 100_000);
+    assert_bisimilar(&models::plain_ring(), 100_000);
 }
 
 #[test]
 fn control_loop_is_bisimilar() {
-    let mut b = DfsBuilder::new();
-    let c0 = b.control("c0").marked_with(TokenValue::False).build();
-    let c1 = b.control("c1").build();
-    let c2 = b.control("c2").build();
-    b.connect(c0, c1);
-    b.connect(c1, c2);
-    b.connect(c2, c0);
-    assert_bisimilar(&b.finish().unwrap(), 100_000);
+    assert_bisimilar(&models::control_loop(), 100_000);
 }
 
 #[test]
@@ -133,54 +127,52 @@ fn reconfigurable_stage_is_bisimilar_in_both_configurations() {
 #[test]
 fn mismatched_guards_are_bisimilar_too() {
     // even pathological models must translate faithfully
-    let mut b = DfsBuilder::new();
-    let i = b.register("in").marked().build();
-    let c1 = b.control("c1").marked_with(TokenValue::True).build();
-    let c2 = b.control("c2").marked_with(TokenValue::False).build();
-    let p = b.push("p").build();
-    let o = b.register("out").build();
-    b.connect(i, p);
-    b.connect(c1, p);
-    b.connect(c2, p);
-    b.connect(p, o);
-    assert_bisimilar(&b.finish().unwrap(), 100_000);
+    assert_bisimilar(&models::mismatched_guards(), 100_000);
 }
 
 #[test]
 fn and_or_guard_modes_are_bisimilar() {
-    use dfs_core::GuardMode;
     for mode in [GuardMode::And, GuardMode::Or] {
-        let mut b = DfsBuilder::new();
-        let i = b.register("in").marked().build();
-        let c1 = b.control("c1").marked_with(TokenValue::True).build();
-        let c2 = b.control("c2").marked_with(TokenValue::False).build();
-        let p = b.push("p").guard_mode(mode).build();
-        let o = b.register("out").build();
-        b.connect(i, p);
-        b.connect(c1, p);
-        b.connect(c2, p);
-        b.connect(p, o);
-        b.connect(o, i);
-        assert_bisimilar(&b.finish().unwrap(), 500_000);
+        assert_bisimilar(&models::combined_guards(mode), 500_000);
     }
 }
 
 #[test]
 fn inverted_guards_are_bisimilar() {
+    assert_bisimilar(&models::inverted_guard(), 500_000);
+}
+
+/// A push feeding a push, both false-marked: the downstream push destroys
+/// its token at once, because a false-marked push upstream is invisible to
+/// it (eq. (3)), in the net (`Mf_p2-` reads `Mt_p1_0`) and in the direct
+/// semantics alike.
+#[test]
+fn two_false_pushes_are_bisimilar() {
     let mut b = DfsBuilder::new();
-    let i = b.register("in").marked().build();
-    let c = b.control("c").marked_with(TokenValue::False).build();
-    let p = b.push("p").build();
-    let o = b.register("out").build();
-    b.connect(i, p);
-    b.connect_inverted(c, p);
-    b.connect(p, o);
-    b.connect(o, i);
-    assert_bisimilar(&b.finish().unwrap(), 500_000);
+    let p1 = b.push("p1").marked_with(TokenValue::False).build();
+    let p2 = b.push("p2").marked_with(TokenValue::False).build();
+    b.connect(p1, p2);
+    assert_bisimilar(&b.finish().unwrap(), 1_000);
 }
 
 #[test]
 fn wagged_pipeline_is_bisimilar() {
     let w = dfs_core::wagging::wagged_pipeline(2, 1, 2.0).unwrap();
     assert_bisimilar(&w.dfs, 5_000_000);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// Random models whose direct LTS has at most 20k states: the net
+    /// image is bisimilar to it.
+    #[test]
+    fn random_models_are_bisimilar(dfs in random::arb_dfs()) {
+        let cfg = ExploreConfig {
+            max_states: 20_000,
+            ..ExploreConfig::default()
+        };
+        prop_assume!(!Lts::explore_with(&dfs, &cfg, None).is_truncated());
+        assert_bisimilar(&dfs, 20_000);
+    }
 }

@@ -4,89 +4,14 @@
 //! the entire reachable LTS size; and verification reads a model's
 //! structure, never its node names.
 
+#[path = "common/random.rs"]
+mod random;
+
 use dfs_core::verify::{verify, VerifyConfig};
-use dfs_core::{dsl, Dfs, DfsBuilder, GuardMode, Lts, NodeId, TokenValue};
+use dfs_core::{dsl, Dfs, Lts, NodeId};
 use proptest::prelude::*;
+use random::{arb_dense_draws, arb_dfs, build, plain_name};
 use rap_petri::reachability::ExploreConfig;
-
-/// One model's draws: per node its kind, marking, delay and guard mode,
-/// then the edges between the nodes.
-type Draws = (
-    Vec<u8>,
-    Vec<(bool, bool)>,
-    Vec<u8>,
-    Vec<u8>,
-    Vec<(usize, usize, bool)>,
-);
-
-/// The model `draws` describe, its node `i` named `name(i)`; `None` when
-/// `DfsBuilder::finish` rejects it.
-fn build(
-    (kinds, marks, delays, modes, edges): &Draws,
-    name: impl Fn(usize) -> String,
-) -> Option<Dfs> {
-    const MODES: [GuardMode; 3] = [GuardMode::Unanimous, GuardMode::And, GuardMode::Or];
-    let mut b = DfsBuilder::new();
-    let n = kinds.len();
-    let ids: Vec<_> = (0..n)
-        .map(|i| {
-            let name = name(i);
-            let nb = match kinds[i] {
-                0 => b.logic(name),
-                1 => b.register(name),
-                2 => b.control(name),
-                3 => b.push(name),
-                _ => b.pop(name),
-            };
-            let nb = nb
-                .delay(f64::from(delays[i]) * 0.5 + 0.5)
-                .guard_mode(MODES[usize::from(modes[i])]);
-            let (marked, value) = marks[i];
-            if marked && kinds[i] != 0 {
-                if kinds[i] == 1 {
-                    nb.marked().build()
-                } else {
-                    nb.marked_with(TokenValue::from(value)).build()
-                }
-            } else {
-                nb.build()
-            }
-        })
-        .collect();
-    for &(from, to, inv) in edges {
-        if from != to {
-            if inv {
-                b.connect_inverted(ids[from], ids[to]);
-            } else {
-                b.connect(ids[from], ids[to]);
-            }
-        }
-    }
-    b.finish().ok()
-}
-
-/// `n` nodes and `n..2n` edges between them, dense enough that nodes with
-/// two control guards come up: their control-mismatch predicate names
-/// both, and their guard mode decides how the guards combine.
-fn arb_dense_draws() -> impl Strategy<Value = Draws> {
-    (3usize..7).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(0u8..5, n),
-            proptest::collection::vec(any::<(bool, bool)>(), n),
-            proptest::collection::vec(0u8..4, n),
-            proptest::collection::vec(0u8..3, n),
-            proptest::collection::vec((0..n, 0..n, any::<bool>()), n..2 * n),
-        )
-    })
-}
-
-fn plain_name(i: usize) -> String {
-    format!("n{i}")
-}
-
-fn arb_dfs() -> impl Strategy<Value = Dfs> {
-    arb_dense_draws().prop_filter_map("invalid model", |d| build(&d, plain_name))
-}
 
 /// The guards of `n`, as sorted `(source name, inverted)` pairs.
 fn guard_names(dfs: &Dfs, n: NodeId) -> Vec<(String, bool)> {

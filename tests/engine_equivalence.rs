@@ -11,9 +11,14 @@
 //! structure, including non-1-safe-looking shapes the firing rule must
 //! reject) and the pipeline generators the paper's flow actually explores
 //! (the `perf_cross_check.rs` shapes: reconfigurable-depth pipelines and
-//! wagged pipelines), plus a 9-place token ring and a three-register DFS
-//! ring at budgets that cut them, and a three-block pipeline cut around a
-//! storage-block boundary.
+//! wagged pipelines), plus random DFS models, a 9-place token ring and a
+//! three-register DFS ring at budgets that cut them, and a three-block
+//! pipeline cut around a storage-block boundary. The oracle fires a DFS
+//! model by its own hand-written statement of eqs. (1)–(5), so the LTS
+//! cases check the firing rule `dfs-core` derives as well as the engine.
+
+#[path = "../crates/core/tests/common/random.rs"]
+mod random;
 
 use proptest::prelude::*;
 use rap::dfs::pipelines::{build_pipeline, PipelineSpec};
@@ -187,6 +192,20 @@ proptest! {
         let lts = Lts::explore_with(&dfs, &cfg(3_000), None);
         if !pn.is_truncated() && !lts.is_truncated() {
             prop_assert_eq!(pn.len(), lts.len());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// Random DFS models, the generator of the DSL round-trip and the
+    /// bisimulation suite: every node kind, guard mode, marking and
+    /// inverted arc, on the LTS backend, complete and cut.
+    #[test]
+    fn random_models_agree(dfs in random::arb_dfs()) {
+        for cap in [3_000usize, 7, 1] {
+            assert_lts_equivalent(&dfs, cap)?;
         }
     }
 }
